@@ -23,7 +23,9 @@
 //
 // Use -insts/-seeds to scale the workload and -csv for CSV output. -width
 // re-runs any figure on a wider (or scalar) core; the width ablation table
-// sweeps widths itself and ignores it.
+// sweeps widths itself and ignores it. The run flags (-workers, -window,
+// -warm, -ckpt, -journal, -retries, ...) are the ones every simulating
+// command shares, registered by sim.Runner.RegisterFlags.
 package main
 
 import (
@@ -42,67 +44,20 @@ import (
 )
 
 func main() {
+	// The CLI keeps a one-second retry backoff by default; every other
+	// shared run flag defaults to the zero Runner's value.
+	r := &sim.Runner{RetryBackoff: time.Second}
+	r.RegisterFlags(flag.CommandLine)
 	fig := flag.String("fig", "all", "which artifact to regenerate (1, 11a, 11b, 12, t1, breakdown, delayed, bp, overhead, edp450, nsweep, all)")
 	insts := flag.Int("insts", 60000, "instructions per trace")
 	seeds := flag.Int("seeds", 2, "traces per workload class")
 	mv := flag.Int("mv", 575, "voltage for the breakdown statistic")
 	csv := flag.Bool("csv", false, "emit CSV instead of aligned text")
-	width := flag.Int("width", 0, "fetch/issue width of the simulated core, 1..4 (0 = the modelled default, 2)")
-	workers := flag.Int("workers", 0, "simulation worker goroutines (0 = GOMAXPROCS)")
-	window := flag.Int("window", 0, "shard traces into sample windows of this many instructions (0 = auto for long traces, <0 = off)")
-	warm := flag.Int("warm", 0, "warm-up prefix per sample window (0 = mode default, <0 = full prefix)")
-	warmMode := flag.String("warmmode", "functional", "sample-window warm-up: functional (timing-free replay) or timed")
-	ckptSpec := flag.String("ckpt", "", "warm-state checkpoint store: auto (default; journal dir or in-memory), off, or a directory")
-	timeout := flag.Duration("timeout", 0, "per-point wall-clock budget (0 = none)")
-	progress := flag.Bool("progress", false, "print per-point progress lines to stderr as grid cells complete")
-	journal := flag.String("journal", "", "journal completed cells to this directory and replay them on restart")
-	journalBudget := flag.Int64("journal-budget", 0, "journal disk budget in bytes; least-recently-used entries evict past it (0 = unbounded)")
-	ckptBudget := flag.Int64("ckpt-budget", 0, "checkpoint-store disk budget in bytes (0 = unbounded)")
-	retries := flag.Int("retries", 0, "retry transiently-failed cells (timeouts) this many times")
-	retryBackoff := flag.Duration("retry-backoff", time.Second, "backoff before the first retry (doubles per attempt)")
-	allowPartial := flag.Bool("allow-partial", false, "keep going past failed cells; streaming tables mark them FAIL(reason)")
 	server := flag.String("server", "", "run the sweep on a sweepd daemon at this address (-fig 11b only)")
 	flag.Parse()
-	wm, err := sim.ParseWarmMode(*warmMode)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "figures:", err)
-		os.Exit(2)
-	}
-	sim.SetWorkers(*workers)
-	sim.SetWidth(*width)
-	sim.SetWindow(*window, *warm)
-	sim.SetWarmMode(wm)
-	sim.SetPointTimeout(*timeout)
-	sim.SetJournal(*journal)
-	sim.SetJournalBudget(*journalBudget)
-	sim.SetCheckpoints(*ckptSpec)
-	sim.SetCheckpointBudget(*ckptBudget)
-	sim.SetRetries(*retries, *retryBackoff)
-	sim.SetAllowPartial(*allowPartial)
-	if *progress {
-		start := time.Now()
-		sim.SetProgress(func(u sim.PointUpdate) {
-			switch {
-			case u.Err != nil && u.Point >= 0:
-				fmt.Fprintf(os.Stderr, "figures: [%6.2fs] %3d/%d %s %s FAILED: %v\n",
-					time.Since(start).Seconds(), u.Done, u.Total, u.Label, u.TraceName, u.Err)
-			case u.Err != nil:
-				// Terminal update; the error surfaces through the generator.
-			default:
-				tag := ""
-				if u.Replayed {
-					tag = " [journal]"
-				}
-				fmt.Fprintf(os.Stderr, "figures: [%6.2fs] %3d/%d %s %s (%d window(s))%s\n",
-					time.Since(start).Seconds(), u.Done, u.Total, u.Label, u.TraceName, u.Windows, tag)
-			}
-		})
-	}
 
 	spec := sim.SuiteSpec{InstsPerTrace: *insts, SeedsPerProfile: *seeds}
-	g := &gen{csv: *csv, spec: spec, breakdownMV: circuit.Millivolts(*mv),
-		server: *server, window: *window, warm: *warm, warmMode: *warmMode,
-		width: *width}
+	g := &gen{r: r, csv: *csv, spec: spec, breakdownMV: circuit.Millivolts(*mv), server: *server}
 	if *server != "" && *fig != "11b" {
 		fmt.Fprintln(os.Stderr, "figures: -server only supports -fig 11b (the voltage-sweep figure)")
 		os.Exit(2)
@@ -114,19 +69,16 @@ func main() {
 }
 
 type gen struct {
+	r           *sim.Runner
 	csv         bool
 	spec        sim.SuiteSpec
 	breakdownMV circuit.Millivolts
 	traces      []*trace.Trace
 
 	// server, when non-empty, runs the Figure 11(b) sweep on a sweepd
-	// daemon at that address; the windowing flags ride along so the
-	// daemon's cell keys match a local journal's.
-	server   string
-	window   int
-	warm     int
-	warmMode string
-	width    int
+	// daemon at that address; the runner's windowing and width ride along
+	// so the daemon's cell keys match a local journal's.
+	server string
 }
 
 func (g *gen) suite() []*trace.Trace {
@@ -217,10 +169,9 @@ func (g *gen) serverFig11b() error {
 		InstsPerTrace:   g.spec.InstsPerTrace,
 		SeedsPerProfile: g.spec.SeedsPerProfile,
 		Modes:           []string{"baseline", "iraw"},
-		WindowInsts:     g.window,
-		WarmInsts:       g.warm,
-		WarmMode:        g.warmMode,
-		Width:           g.width,
+		WindowInsts:     g.r.WindowInsts,
+		WarmInsts:       g.r.WarmInsts,
+		Width:           g.r.Width,
 	}
 	failed := 0
 	err = cl.StreamLevels(context.Background(), spec,
@@ -259,7 +210,7 @@ func (g *gen) fig11b() error {
 		return err
 	}
 	var rowErr error
-	_, err = sim.Figure11bStream(context.Background(), g.suite(), func(r sim.Fig11bRow, fail *sim.CellError) {
+	_, err = g.r.Figure11bStream(context.Background(), g.suite(), func(r sim.Fig11bRow, fail *sim.CellError) {
 		var e error
 		if fail != nil {
 			e = t.AddRow(r.Vcc, "FAIL("+fail.Reason(32)+")", "-", "-", "-", "-")
@@ -288,7 +239,7 @@ func (g *gen) fig11b() error {
 }
 
 func (g *gen) fig12() error {
-	rows, err := sim.Figure12(g.suite())
+	rows, err := g.r.Figure12(g.suite())
 	if err != nil {
 		return err
 	}
@@ -301,7 +252,7 @@ func (g *gen) fig12() error {
 }
 
 func (g *gen) table1() error {
-	res, err := sim.Table1(g.suite(), 500)
+	res, err := g.r.Table1(g.suite(), 500)
 	if err != nil {
 		return err
 	}
@@ -317,7 +268,7 @@ func (g *gen) table1() error {
 }
 
 func (g *gen) breakdown() error {
-	res, err := sim.Breakdown(g.suite(), g.breakdownMV)
+	res, err := g.r.Breakdown(g.suite(), g.breakdownMV)
 	if err != nil {
 		return err
 	}
@@ -332,7 +283,7 @@ func (g *gen) breakdown() error {
 }
 
 func (g *gen) delayed() error {
-	res, err := sim.Breakdown(g.suite(), 500)
+	res, err := g.r.Breakdown(g.suite(), 500)
 	if err != nil {
 		return err
 	}
@@ -342,7 +293,7 @@ func (g *gen) delayed() error {
 }
 
 func (g *gen) bp() error {
-	res, err := sim.BPStats(g.suite(), 500)
+	res, err := g.r.BPStats(g.suite(), 500)
 	if err != nil {
 		return err
 	}
@@ -365,7 +316,7 @@ func (g *gen) overhead() error {
 }
 
 func (g *gen) edp450() error {
-	res, err := sim.EDP450(g.suite())
+	res, err := g.r.EDP450(g.suite())
 	if err != nil {
 		return err
 	}
@@ -378,7 +329,7 @@ func (g *gen) edp450() error {
 }
 
 func (g *gen) resched() error {
-	res, err := sim.CompilerResched(g.suite(), 500, 8)
+	res, err := g.r.CompilerResched(g.suite(), 500, 8)
 	if err != nil {
 		return err
 	}
@@ -390,7 +341,7 @@ func (g *gen) resched() error {
 }
 
 func (g *gen) gate() error {
-	rows, err := sim.GateSensitivity(g.suite(), 500)
+	rows, err := g.r.GateSensitivity(g.suite(), 500)
 	if err != nil {
 		return err
 	}
@@ -403,7 +354,7 @@ func (g *gen) gate() error {
 }
 
 func (g *gen) stableSizing() error {
-	rows, err := sim.STableSizing(g.suite(), 500)
+	rows, err := g.r.STableSizing(g.suite(), 500)
 	if err != nil {
 		return err
 	}
@@ -416,7 +367,7 @@ func (g *gen) stableSizing() error {
 }
 
 func (g *gen) determinism() error {
-	res, err := sim.DeterminismMode(g.suite(), 500)
+	res, err := g.r.DeterminismMode(g.suite(), 500)
 	if err != nil {
 		return err
 	}
@@ -429,7 +380,7 @@ func (g *gen) determinism() error {
 }
 
 func (g *gen) combined() error {
-	rows, err := sim.CombinedFaulty(g.suite(), []circuit.Millivolts{500, 450, 400})
+	rows, err := g.r.CombinedFaulty(g.suite(), []circuit.Millivolts{500, 450, 400})
 	if err != nil {
 		return err
 	}
@@ -446,7 +397,7 @@ func (g *gen) combined() error {
 // the same-width baseline; width-gain is the baseline's speedup over the
 // scalar (width-1) baseline at the same voltage.
 func (g *gen) widthAblation() error {
-	rows, err := sim.WidthAblation(context.Background(), g.suite(),
+	rows, err := g.r.WidthAblation(context.Background(), g.suite(),
 		[]int{1, 2, 4}, []circuit.Millivolts{600, 500, 400})
 	if err != nil {
 		return err
@@ -507,7 +458,7 @@ func (g *gen) plots() error {
 }
 
 func (g *gen) nsweep() error {
-	rows, err := sim.NSweep(g.suite(), 500, 4)
+	rows, err := g.r.NSweep(g.suite(), 500, 4)
 	if err != nil {
 		return err
 	}

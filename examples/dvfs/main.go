@@ -7,8 +7,8 @@
 //
 // Next to the serial phase walk, every phase's steady-state reference — a
 // fresh core at the phase's voltage over the same trace — fans out across
-// the experiment pool (-workers bounds it; -window/-warm/-warmmode shard
-// long phase traces into sample windows), so the printout contrasts the
+// the experiment pool (-workers bounds it; -window/-warm shard long phase
+// traces into sample windows), so the printout contrasts the
 // warm-across-transitions DVFS trajectory with the isolated operating
 // points while the references simulate concurrently.
 package main
@@ -24,16 +24,10 @@ import (
 )
 
 func main() {
+	runner := &sim.Runner{}
+	runner.RegisterFlags(flag.CommandLine)
 	insts := flag.Int("insts", 40000, "instructions per phase trace")
-	workers := flag.Int("workers", 0, "simulation worker goroutines (0 = GOMAXPROCS)")
-	window := flag.Int("window", 0, "sample-window instructions for sharded long phase traces (0 = off)")
-	warm := flag.Int("warm", 0, "warm-up instructions per sample window (0 = mode default, <0 = full prefix)")
-	warmMode := flag.String("warmmode", "functional", "sample-window warm-up: functional or timed")
 	flag.Parse()
-	wm, err := sim.ParseWarmMode(*warmMode)
-	if err != nil {
-		log.Fatal(err)
-	}
 
 	// A phone-like duty cycle: interactive burst, idle scroll, video.
 	phases := []struct {
@@ -56,9 +50,6 @@ func main() {
 	// across one pool (each phase's trace shards into sample windows when
 	// -window is set). Stream emission order is completion order; results
 	// are placed by point index, so the output is deterministic.
-	runner := (&sim.Runner{Workers: *workers}).
-		WithWindow(*window, *warm).
-		WithWarmMode(wm)
 	specs := make([]sim.PointSpec, len(phases))
 	for i, ph := range phases {
 		specs[i] = sim.PointSpec{

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -21,18 +22,18 @@ import (
 )
 
 func main() {
-	workers := flag.Int("workers", 0, "simulation worker goroutines (0 = GOMAXPROCS)")
+	r := &sim.Runner{}
+	r.RegisterFlags(flag.CommandLine)
 	flag.Parse()
-	sim.SetWorkers(*workers)
 
 	// --- Offline planning over measured points -------------------------
 	traces := lowvcc.StandardSuite(15000, 1)
-	model, err := sim.CalibratedEnergy(traces)
+	model, err := r.CalibratedEnergy(traces)
 	if err != nil {
 		log.Fatal(err)
 	}
 	levels := []circuit.Millivolts{700, 600, 500, 450, 400}
-	sweep, err := sim.Sweep(traces, []circuit.Mode{circuit.ModeIRAW}, levels)
+	sweep, err := r.Sweep(context.Background(), traces, []circuit.Mode{circuit.ModeIRAW}, levels)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -18,14 +18,12 @@ import (
 )
 
 func main() {
-	workers := flag.Int("workers", 0, "simulation worker goroutines (0 = GOMAXPROCS)")
-	width := flag.Int("width", 0, "fetch/issue width of every compared design, 1..4 (0 = the modelled default, 2)")
+	r := &sim.Runner{}
+	r.RegisterFlags(flag.CommandLine)
 	flag.Parse()
-	sim.SetWorkers(*workers)
-	sim.SetWidth(*width)
 
 	traces := lowvcc.StandardSuite(30000, 1)
-	res, err := sim.Table1(traces, 500)
+	res, err := r.Table1(traces, 500)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -16,6 +16,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -26,19 +27,9 @@ import (
 )
 
 func main() {
-	workers := flag.Int("workers", 0, "simulation worker goroutines (0 = GOMAXPROCS)")
-	width := flag.Int("width", 0, "fetch/issue width, 1..4 (0 = the modelled default, 2)")
-	window := flag.Int("window", 0, "sample-window instructions for sharded long traces (0 = off)")
-	warm := flag.Int("warm", 0, "warm-up instructions per sample window (0 = mode default, <0 = full prefix)")
-	warmMode := flag.String("warmmode", "functional", "sample-window warm-up: functional or timed")
+	r := &sim.Runner{}
+	r.RegisterFlags(flag.CommandLine)
 	flag.Parse()
-	wm, err := sim.ParseWarmMode(*warmMode)
-	if err != nil {
-		log.Fatal(err)
-	}
-	sim.SetWorkers(*workers)
-	sim.SetWindow(*window, *warm)
-	sim.SetWarmMode(wm)
 
 	const vcc = lowvcc.Millivolts(450)
 	workloads := []lowvcc.Profile{
@@ -57,10 +48,11 @@ func main() {
 	// the per-trace results and the measured-instruction throughput (the
 	// unsharded path additionally executes a warm-up pass per trace that
 	// this rate deliberately does not count — it is a relative smoke
-	// metric, not BenchmarkMemBoundThroughput's per-pass insts/s).
+	// metric, not the per-pass insts/s of benchmark/'s engine-membound
+	// workload).
 	sweep := func(disableFastPaths bool) (bases, iraws []*lowvcc.Result, instsPerSec float64) {
 		start := time.Now()
-		w := *width
+		w := r.Width
 		if w == 0 {
 			w = 2 // the modelled default; DefaultConfigWidth(…, 2) == DefaultConfig
 		}
@@ -68,11 +60,11 @@ func main() {
 		irawCfg := lowvcc.DefaultConfigWidth(vcc, lowvcc.ModeIRAW, w)
 		baseCfg.DisableFastPaths = disableFastPaths
 		irawCfg.DisableFastPaths = disableFastPaths
-		bases, _, err := sim.RunPoint(baseCfg, traces)
+		bases, _, err := r.RunPoint(context.Background(), baseCfg, traces)
 		if err != nil {
 			log.Fatal(err)
 		}
-		iraws, _, err = sim.RunPoint(irawCfg, traces)
+		iraws, _, err = r.RunPoint(context.Background(), irawCfg, traces)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -19,16 +20,14 @@ import (
 )
 
 func main() {
-	workers := flag.Int("workers", 0, "simulation worker goroutines (0 = GOMAXPROCS)")
-	width := flag.Int("width", 0, "fetch/issue width, 1..4 (0 = the modelled default, 2)")
+	r := &sim.Runner{}
+	r.RegisterFlags(flag.CommandLine)
 	flag.Parse()
-	sim.SetWorkers(*workers)
-	sim.SetWidth(*width)
 
 	tr := lowvcc.GenerateTrace(lowvcc.SpecIntProfile(), 100000, 1)
 
 	const vcc = lowvcc.Millivolts(500)
-	sweep, err := sim.Sweep([]*lowvcc.Trace{tr},
+	sweep, err := r.Sweep(context.Background(), []*lowvcc.Trace{tr},
 		[]circuit.Mode{lowvcc.ModeBaseline, lowvcc.ModeIRAW},
 		[]circuit.Millivolts{vcc})
 	if err != nil {

@@ -12,14 +12,16 @@ import (
 	"lowvcc/internal/workload"
 )
 
-// TestWarmFunctionalVsTimedFuzz drives RunWindow over random (profile,
-// seed, window, warm) combinations in both warm modes and checks the
-// functional-warming contract: with warm=0 the two modes are bit-identical
-// (nothing to warm — both are exactly Run over the span), and with a warm
-// prefix the measured spans cover the same instructions and land within the
-// golden sampling tolerance of each other (the two warm-ups produce
-// near-identical architectural state; only boundary transients differ).
-func TestWarmFunctionalVsTimedFuzz(t *testing.T) {
+// TestWarmFunctionalVsUnshardedFuzz drives functional sample windows over
+// random (profile, seed, boundary) combinations against the unsharded
+// reference: the trace split at a random boundary into a cold first window
+// and a functionally warmed second one must stitch to exactly the trace's
+// instructions, land within the golden sampling tolerance of Run over the
+// whole trace (functional warm-up reproduces the prefix's architectural
+// state; only the boundary's cold pipeline differs), and consume no
+// corrupt data. A boundary at 0 is the single-window plan, bit-identical
+// to Run.
+func TestWarmFunctionalVsUnshardedFuzz(t *testing.T) {
 	src := rng.New(0xF00DF00D)
 	profiles := []workload.Profile{
 		workload.SpecInt(), workload.SpecFP(), workload.Server(), workload.Kernel(),
@@ -32,34 +34,39 @@ func TestWarmFunctionalVsTimedFuzz(t *testing.T) {
 		tr := workload.Generate(prof, n, 1+src.Uint64n(1000))
 		mode := modes[src.Intn(len(modes))]
 		cfg := DefaultConfig(circuit.Millivolts(450+25*src.Intn(6)), mode)
-		measureFrom := src.Intn(n)
+		boundary := src.Intn(n)
 
-		fun, err := MustNew(cfg).RunWindow(tr, measureFrom, WarmFunctional)
+		whole, err := MustNew(cfg).Run(tr)
 		if err != nil {
 			t.Fatal(err)
 		}
-		tim, err := MustNew(cfg).RunWindow(tr, measureFrom, WarmTimed)
+		second, err := MustNew(cfg).RunWindow(tr, boundary)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if measureFrom == 0 {
-			if !reflect.DeepEqual(fun, tim) {
-				t.Fatalf("%s from=0: warm modes are not bit-identical", tr.Name)
+		if boundary == 0 {
+			if !reflect.DeepEqual(second, whole) {
+				t.Fatalf("%s boundary=0: RunWindow is not bit-identical to Run", tr.Name)
 			}
 			continue
 		}
-		if fun.Run.Instructions != tim.Run.Instructions {
-			t.Fatalf("%s from=%d: measured %d vs %d instructions",
-				tr.Name, measureFrom, fun.Run.Instructions, tim.Run.Instructions)
+		first, err := MustNew(cfg).Run(&trace.Trace{Name: tr.Name, Insts: tr.Insts[:boundary]})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if d := math.Abs(fun.IPC()-tim.IPC()) / tim.IPC(); d > tol {
-			t.Errorf("%s %v from=%d: functional IPC %.4f vs timed %.4f (%.1f%% > %.0f%%)",
-				tr.Name, mode, measureFrom, fun.IPC(), tim.IPC(), 100*d, 100*tol)
+		st := MergeWindowResults(tr.Name, []*Result{first, second})
+		if st.Run.Instructions != uint64(n) {
+			t.Fatalf("%s boundary=%d: stitch measured %d instructions, want %d",
+				tr.Name, boundary, st.Run.Instructions, n)
+		}
+		if d := math.Abs(st.IPC()-whole.IPC()) / whole.IPC(); d > tol {
+			t.Errorf("%s %v boundary=%d: stitched IPC %.4f vs unsharded %.4f (%.1f%% > %.0f%%)",
+				tr.Name, mode, boundary, st.IPC(), whole.IPC(), 100*d, 100*tol)
 		}
 		// Avoidance must hold regardless of how the window was warmed.
-		if fun.CorruptConsumed != 0 || fun.IntegrityErrors != 0 {
-			t.Errorf("%s from=%d: functional warm-up leaked corruption (%d consumed, %d integrity)",
-				tr.Name, measureFrom, fun.CorruptConsumed, fun.IntegrityErrors)
+		if second.CorruptConsumed != 0 || second.IntegrityErrors != 0 {
+			t.Errorf("%s boundary=%d: functional warm-up leaked corruption (%d consumed, %d integrity)",
+				tr.Name, boundary, second.CorruptConsumed, second.IntegrityErrors)
 		}
 	}
 }
@@ -69,11 +76,11 @@ func TestWarmFunctionalVsTimedFuzz(t *testing.T) {
 func TestWarmReplayDeterministic(t *testing.T) {
 	tr := workload.Generate(workload.SpecInt(), 9000, 21)
 	cfg := DefaultConfig(500, circuit.ModeIRAW)
-	a, err := MustNew(cfg).RunWindow(tr, 6000, WarmFunctional)
+	a, err := MustNew(cfg).RunWindow(tr, 6000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := MustNew(cfg).RunWindow(tr, 6000, WarmFunctional)
+	b, err := MustNew(cfg).RunWindow(tr, 6000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +181,7 @@ func TestRunWindowShardEdgeCases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := MustNew(cfg).RunWindow(plan[0].Trace, plan[0].Warm, WarmFunctional)
+	res, err := MustNew(cfg).RunWindow(plan[0].Trace, plan[0].Warm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +214,7 @@ func TestRunWindowShardEdgeCases(t *testing.T) {
 		if err := c.Reset(); err != nil {
 			t.Fatal(err)
 		}
-		r, err := c.RunWindow(w.Trace, w.Warm, WarmFunctional)
+		r, err := c.RunWindow(w.Trace, w.Warm)
 		if err != nil {
 			t.Fatal(err)
 		}

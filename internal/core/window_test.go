@@ -10,8 +10,8 @@ import (
 	"lowvcc/internal/workload"
 )
 
-// TestRunWindowZeroEqualsRun: measuring from instruction 0 is exactly Run,
-// in both warm modes (with nothing to warm they must coincide bitwise).
+// TestRunWindowZeroEqualsRun: measuring from instruction 0 is exactly Run
+// (with nothing to warm they must coincide bitwise).
 func TestRunWindowZeroEqualsRun(t *testing.T) {
 	tr := workload.Generate(workload.SpecInt(), 8000, 3)
 	for _, mode := range []circuit.Mode{circuit.ModeBaseline, circuit.ModeIRAW} {
@@ -20,55 +20,13 @@ func TestRunWindowZeroEqualsRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, wm := range []WarmMode{WarmFunctional, WarmTimed} {
-			b, err := MustNew(cfg).RunWindow(tr, 0, wm)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(a, b) {
-				t.Fatalf("%v: RunWindow(tr, 0, %v) differs from Run(tr)", mode, wm)
-			}
+		b, err := MustNew(cfg).RunWindow(tr, 0)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-}
-
-// TestRunWindowPartition: a run's counters split exactly at the window
-// boundary — the warm span plus the measured span must reproduce the whole
-// run's totals for every monotone counter, because both runs follow the
-// identical trajectory and only the snapshot point differs.
-func TestRunWindowPartition(t *testing.T) {
-	tr := workload.Generate(workload.SpecInt(), 8000, 5)
-	cfg := DefaultConfig(500, circuit.ModeIRAW)
-
-	whole, err := MustNew(cfg).Run(tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const from = 3000
-	win, err := MustNew(cfg).RunWindow(tr, from, WarmTimed)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if got, want := win.Run.Instructions, uint64(len(tr.Insts)-from); got != want {
-		t.Errorf("measured instructions %d, want %d", got, want)
-	}
-	if win.Run.Cycles >= whole.Run.Cycles {
-		t.Errorf("measured cycles %d not smaller than the whole run's %d", win.Run.Cycles, whole.Run.Cycles)
-	}
-	// The measured span is a suffix of the identical trajectory: every
-	// counter must be bounded by the whole run's.
-	if win.DL0.Accesses > whole.DL0.Accesses || win.IL0.Accesses > whole.IL0.Accesses ||
-		win.Run.IssuedNOOPs > whole.Run.IssuedNOOPs {
-		t.Error("window counters exceed the whole run's")
-	}
-	// Determinism of the boundary.
-	again, err := MustNew(cfg).RunWindow(tr, from, WarmTimed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(win, again) {
-		t.Error("RunWindow is not deterministic")
+		if !reflect.DeepEqual(a, b) {
+			t.Fatalf("%v: RunWindow(tr, 0) differs from Run(tr)", mode)
+		}
 	}
 }
 
@@ -77,10 +35,8 @@ func TestRunWindowValidation(t *testing.T) {
 	tr := workload.Generate(workload.SpecInt(), 100, 1)
 	c := MustNew(DefaultConfig(500, circuit.ModeBaseline))
 	for _, from := range []int{-1, 100, 101} {
-		for _, wm := range []WarmMode{WarmFunctional, WarmTimed} {
-			if _, err := c.RunWindow(tr, from, wm); err == nil {
-				t.Errorf("RunWindow(tr, %d, %v) accepted an out-of-range boundary", from, wm)
-			}
+		if _, err := c.RunWindow(tr, from); err == nil {
+			t.Errorf("RunWindow(tr, %d) accepted an out-of-range boundary", from)
 		}
 	}
 }
@@ -99,7 +55,7 @@ func TestMergeWindowResultsStitch(t *testing.T) {
 	var cycles uint64
 	for i, w := range windows {
 		c := MustNew(cfg)
-		res, err := c.RunWindow(w.Trace, w.Warm, WarmTimed)
+		res, err := c.RunWindow(w.Trace, w.Warm)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -291,28 +291,6 @@ func (sb *Scoreboard) IssueReady(s1, s2, d isa.Reg) bool {
 	return sb.ReadReady(s1) && sb.ReadReady(s2) && sb.WriteReady(d)
 }
 
-// IssueReadyPair resolves both IQ slots in one scoreboard probe — the
-// dual-issue fast path. okA is IssueReady for the older slot (reading
-// a1/a2, writing ad) in the current state. okB is the younger slot's
-// verdict *as if the older slot had just issued*: aProd names the register
-// the older slot's issue would install a producer for (RegNone for
-// non-producing ops — stores, control, fences), and any overlap with it
-// (intra-pair RAW or WAW) blocks B, because a freshly issued producer of
-// latency >= 1 is never read- or write-ready in its issue cycle, while no
-// other register's state changes when A issues. When okA is false, okB is
-// not evaluated (the pair cannot issue). The probe itself mutates nothing;
-// a one-slot probe of B with A's issue applied first returns exactly okB —
-// the equivalence fuzz holds the two together.
-func (sb *Scoreboard) IssueReadyPair(a1, a2, ad, aProd, b1, b2, bd isa.Reg) (okA, okB bool) {
-	if !sb.IssueReady(a1, a2, ad) {
-		return false, false
-	}
-	if aProd != isa.RegNone && (b1 == aProd || b2 == aProd || bd == aProd) {
-		return true, false
-	}
-	return true, sb.IssueReady(b1, b2, bd)
-}
-
 // IssueOp is one issue-slot operand set for IssueReadySet: the two sources,
 // the destination, and Prod — the register the slot's issue would install a
 // producer for (RegNone for non-producing ops: stores, control, fences).
@@ -321,7 +299,7 @@ type IssueOp struct {
 }
 
 // IssueReadySet resolves up to 32 in-order issue slots in one scoreboard
-// probe — the width-N generalization of IssueReadyPair. Bit i of the result
+// probe — the wide-issue fast path. Bit i of the result
 // is set iff slot i passes IssueReady *as if slots 0..i-1 had just issued*:
 // a slot whose source or destination overlaps any older slot's Prod is
 // blocked (intra-group RAW or WAW), because a freshly issued producer of

@@ -42,7 +42,7 @@ type ServerOpts struct {
 //	GET  /api/v1/sweeps/{id}/events     progress stream, one CellEvent JSON per line
 //	POST /api/v1/lease                  acquire   -> 200 Lease | 204 no work
 //	POST /api/v1/lease/{id}/heartbeat   extend    -> 204 | 410 lease lost
-//	POST /api/v1/lease/{id}/done        complete  -> 204 | 410 lease lost
+//	POST /api/v1/lease/{id}/done        complete  -> 204 | 400 bad body | 410 lease lost
 //	GET  /healthz                       process liveness (always 200 while serving)
 //	GET  /readyz                        accepting work? (503 while draining)
 //
@@ -148,8 +148,13 @@ func retryAfterSeconds(d time.Duration) string {
 }
 
 func (srv *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	// Unknown fields are rejected, not ignored: a spec field this daemon
+	// does not know would otherwise be silently dropped, and the client
+	// would get numbers computed under a configuration it did not ask for.
 	var spec sim.SweepSpec
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&spec); err != nil {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&spec); err != nil {
 		http.Error(w, "bad spec: "+err.Error(), http.StatusBadRequest)
 		return
 	}
@@ -279,14 +284,18 @@ func (srv *Server) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 func (srv *Server) handleComplete(w http.ResponseWriter, r *http.Request) {
 	// Entry is the push-down upload: sealed journal-entry bytes, verified
 	// by the scheduler before admission. The larger body cap covers the
-	// biggest plausible windowed-cell entry with room to spare.
+	// biggest plausible windowed-cell entry with room to spare. A body that
+	// does not decode — malformed, truncated or over the cap — is rejected
+	// before the scheduler sees it: the lease stays untouched, so the
+	// worker's retry (or the lease's expiry) still settles the cell.
 	var body struct {
 		Worker string `json:"worker"`
 		Err    string `json:"err"`
 		Entry  []byte `json:"entry"`
 	}
-	if r.Body != nil {
-		_ = json.NewDecoder(http.MaxBytesReader(w, r.Body, 8<<20)).Decode(&body)
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 8<<20)).Decode(&body); err != nil {
+		http.Error(w, "bad completion: "+err.Error(), http.StatusBadRequest)
+		return
 	}
 	if err := srv.sched.Complete(r.PathValue("id"), body.Worker, body.Err, body.Entry); err != nil {
 		http.Error(w, err.Error(), http.StatusGone)

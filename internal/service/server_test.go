@@ -5,10 +5,12 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
 	"lowvcc/internal/circuit"
+	"lowvcc/internal/journal"
 	"lowvcc/internal/sim"
 )
 
@@ -160,7 +162,7 @@ func TestHTTPBackpressure429(t *testing.T) {
 
 // TestClientStreamLevels: the client's re-aggregation of daemon cell
 // events emits the same levels, in the same order, with the same merged
-// stats, as the local sim.StreamLevels path.
+// stats, as the local sim.Runner.StreamLevels path.
 func TestClientStreamLevels(t *testing.T) {
 	spec := testSpec()
 	modes, err := spec.CircuitModes()
@@ -173,9 +175,9 @@ func TestClientStreamLevels(t *testing.T) {
 		pts map[circuit.Mode]*sim.Point
 	}
 	var local []row
-	sim.SetWorkers(2)
-	defer sim.SetWorkers(0)
-	err = sim.StreamLevels(context.Background(), spec.Traces(), modes, spec.Levels(),
+	r := spec.NewRunner()
+	r.Workers = 2
+	err = r.StreamLevels(context.Background(), spec.Traces(), modes, spec.Levels(),
 		func(v circuit.Millivolts, pts map[circuit.Mode]*sim.Point, fails map[circuit.Mode]*sim.CellError) error {
 			if len(fails) != 0 {
 				t.Fatalf("local sweep failed at %v: %v", v, fails)
@@ -223,5 +225,104 @@ func TestClientStreamLevels(t *testing.T) {
 				t.Fatalf("level %v mode %v: daemon aggregate differs from local", local[i].v, m)
 			}
 		}
+	}
+}
+
+// TestHTTPCompleteRejectsUndecodableBody: a Complete body the daemon
+// cannot decode — garbage, or an upload over the 8 MiB cap — answers 400
+// and leaves the lease untouched: no attempt is charged (MaxAttempts 1
+// would fail the cell on the first charge), the lease still heartbeats,
+// and a following valid Complete on the same lease admits the entry.
+func TestHTTPCompleteRejectsUndecodableBody(t *testing.T) {
+	srv, base := newTestDaemon(t, ServerOpts{
+		SchedulerOpts: SchedulerOpts{MaxAttempts: 1},
+		Workers:       -1,
+	})
+	ctx := context.Background()
+	cl, err := NewClient(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, err := cl.Submit(ctx, singlePointSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := newHTTPSource(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lease, err := src.Acquire(ctx, "w")
+	if err != nil || lease == nil {
+		t.Fatalf("acquire: (%v, %v)", lease, err)
+	}
+	wdir := t.TempDir()
+	if err := executeCell(ctx, lease, WorkerOpts{JournalDir: wdir}); err != nil {
+		t.Fatal(err)
+	}
+	wjnl, err := journal.Open(wdir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	entry, ok := wjnl.GetRaw(lease.Cell.Key)
+	if !ok {
+		t.Fatal("worker journal has no sealed entry after execution")
+	}
+
+	url := base + "/api/v1/lease/" + lease.ID + "/done"
+	for name, body := range map[string]string{
+		"garbage":  "{not json",
+		"oversize": `{"worker":"w","entry":"` + strings.Repeat("A", 8<<20) + `"}`,
+	} {
+		resp, err := http.Post(url, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s Complete body: status %d, want 400", name, resp.StatusCode)
+		}
+	}
+	if st, err := srv.Scheduler().Status(id); err != nil || st.Done != 0 || st.Failed != 0 {
+		t.Fatalf("after rejected bodies: status (%+v, %v), want the cell still leased", st, err)
+	}
+	if err := src.Heartbeat(ctx, lease.ID); err != nil {
+		t.Fatalf("lease lost after a rejected body: %v", err)
+	}
+
+	if err := src.Complete(ctx, lease.ID, "w", "", entry); err != nil {
+		t.Fatalf("valid Complete after rejected bodies: %v", err)
+	}
+	if _, ok := srv.Scheduler().Journal().Get(lease.Cell.Key); !ok {
+		t.Fatal("valid upload did not land in the daemon journal")
+	}
+	if st, err := srv.Scheduler().Status(id); err != nil || st.Done != 1 || st.Failed != 0 {
+		t.Fatalf("after valid Complete: status (%+v, %v), want the cell done", st, err)
+	}
+}
+
+// TestHTTPSubmitRejectsUnknownFields: a spec carrying a field the daemon
+// does not know — the retired warm-up mode field included — is a 400,
+// never a sweep silently run under a different configuration than the
+// client asked for.
+func TestHTTPSubmitRejectsUnknownFields(t *testing.T) {
+	_, base := newTestDaemon(t, ServerOpts{Workers: -1})
+	post := func(body string) int {
+		t.Helper()
+		resp, err := http.Post(base+"/api/v1/sweeps", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	const spec = `"insts_per_trace":2000,"seeds_per_profile":1,"modes":["iraw"],"levels_mv":[500]`
+	const retired = `"warm` + `_mode"` // the removed warm-up mode field's JSON name
+	for _, extra := range []string{`,` + retired + `:"timed"`, `,` + retired + `:"functional"`, `,"bogus":1`} {
+		if got := post("{" + spec + extra + "}"); got != http.StatusBadRequest {
+			t.Errorf("spec with %s: status %d, want 400", extra[1:], got)
+		}
+	}
+	if got := post("{" + spec + "}"); got != http.StatusCreated {
+		t.Fatalf("known-fields spec: status %d, want 201", got)
 	}
 }

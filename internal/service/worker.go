@@ -230,15 +230,13 @@ func executeCell(ctx context.Context, lease *Lease, opts WorkerOpts) error {
 		dir, sync = opts.JournalDir, false
 	}
 
-	r := c.Spec.NewRunner().
-		WithJournal(dir).
-		WithJournalSync(sync).
-		WithJournalBudget(opts.JournalBudget).
-		WithCheckpointBudget(opts.CkptBudget).
-		WithPointTimeout(opts.CellTimeout).
-		WithRetry(opts.Retries, opts.RetryBackoff).
-		WithFaults(opts.Faults)
+	r := c.Spec.NewRunner()
 	r.Workers = 1
+	r.JournalDir, r.JournalSync, r.JournalBudget = dir, sync, opts.JournalBudget
+	r.CkptBudget = opts.CkptBudget
+	r.PointTimeout = opts.CellTimeout
+	r.Retries, r.RetryBackoff = opts.Retries, opts.RetryBackoff
+	r.Faults = opts.Faults
 
 	key, err := r.CellKey(cfg, tr)
 	if err != nil {

@@ -25,15 +25,15 @@ type ReschedResult struct {
 // CompilerResched runs the IRAW core on the suite before and after the
 // bubble-aware list scheduler widens producer→consumer distances. All four
 // points (baseline/IRAW × original/rescheduled) fan out together.
-func CompilerResched(traces []*trace.Trace, v circuit.Millivolts, minGap int) (*ReschedResult, error) {
+func (r *Runner) CompilerResched(traces []*trace.Trace, v circuit.Millivolts, minGap int) (*ReschedResult, error) {
 	resched := make([]*trace.Trace, len(traces))
 	for i, tr := range traces {
 		resched[i] = workload.Reschedule(tr, minGap)
 	}
 
-	baseCfg := defaultRunner.pointConfig(v, circuit.ModeBaseline)
-	irawCfg := defaultRunner.pointConfig(v, circuit.ModeIRAW)
-	_, aggs, err := defaultRunner.runPoints(context.Background(), []PointSpec{
+	baseCfg := r.pointConfig(v, circuit.ModeBaseline)
+	irawCfg := r.pointConfig(v, circuit.ModeIRAW)
+	_, aggs, err := r.runPoints(context.Background(), []PointSpec{
 		{Label: fmt.Sprintf("resched %v baseline", v), Cfg: baseCfg, Traces: traces},
 		{Label: fmt.Sprintf("resched %v iraw", v), Cfg: irawCfg, Traces: traces},
 		{Label: fmt.Sprintf("resched %v baseline+sched", v), Cfg: baseCfg, Traces: resched},
@@ -65,11 +65,11 @@ type GateSensitivityRow struct {
 // the occupancy threshold ICI + AI*N scales the gate's cost. All four
 // configurations fan out together through one runPoints call, so the pool
 // never drains between points.
-func GateSensitivity(traces []*trace.Trace, v circuit.Millivolts) ([]GateSensitivityRow, error) {
+func (r *Runner) GateSensitivity(traces []*trace.Trace, v circuit.Millivolts) ([]GateSensitivityRow, error) {
 	configs := []struct{ ici, ai int }{{2, 2}, {2, 4}, {4, 2}, {4, 4}}
 	specs := make([]PointSpec, 0, len(configs))
 	for _, cc := range configs {
-		cfg := defaultRunner.pointConfig(v, circuit.ModeIRAW)
+		cfg := r.pointConfig(v, circuit.ModeIRAW)
 		cfg.IQ.ICI = cc.ici
 		cfg.IQ.AI = cc.ai
 		if cfg.Width > cc.ici {
@@ -80,7 +80,7 @@ func GateSensitivity(traces []*trace.Trace, v circuit.Millivolts) ([]GateSensiti
 			Cfg:   cfg, Traces: traces,
 		})
 	}
-	_, aggs, err := defaultRunner.runPoints(context.Background(), specs)
+	_, aggs, err := r.runPoints(context.Background(), specs)
 	if err != nil {
 		return nil, err
 	}
@@ -109,18 +109,18 @@ type STableSizingRow struct {
 
 // STableSizing varies the table's commit width provisioning at v. The
 // three sizings fan out together through one runPoints call.
-func STableSizing(traces []*trace.Trace, v circuit.Millivolts) ([]STableSizingRow, error) {
+func (r *Runner) STableSizing(traces []*trace.Trace, v circuit.Millivolts) ([]STableSizingRow, error) {
 	widths := []int{1, 2, 4}
 	specs := make([]PointSpec, 0, len(widths))
 	for _, spc := range widths {
-		cfg := defaultRunner.pointConfig(v, circuit.ModeIRAW)
+		cfg := r.pointConfig(v, circuit.ModeIRAW)
 		cfg.Hierarchy.StoresPerCycle = spc
 		specs = append(specs, PointSpec{
 			Label: fmt.Sprintf("stable %v spc=%d", v, spc),
 			Cfg:   cfg, Traces: traces,
 		})
 	}
-	_, aggs, err := defaultRunner.runPoints(context.Background(), specs)
+	_, aggs, err := r.runPoints(context.Background(), specs)
 	if err != nil {
 		return nil, err
 	}
@@ -160,7 +160,7 @@ type WidthAblationRow struct {
 // core.DefaultConfigWidth, so wide cores get matching IQ issue/alloc
 // bounds. All cells fan out together through one runPoints call. The rows
 // come back in (width, voltage) order.
-func WidthAblation(ctx context.Context, traces []*trace.Trace, widths []int, levels []circuit.Millivolts) ([]WidthAblationRow, error) {
+func (r *Runner) WidthAblation(ctx context.Context, traces []*trace.Trace, widths []int, levels []circuit.Millivolts) ([]WidthAblationRow, error) {
 	modes := []circuit.Mode{circuit.ModeBaseline, circuit.ModeIRAW}
 	specs := make([]PointSpec, 0, len(modes)*len(widths)*len(levels))
 	for _, w := range widths {
@@ -174,7 +174,7 @@ func WidthAblation(ctx context.Context, traces []*trace.Trace, widths []int, lev
 			}
 		}
 	}
-	_, aggs, err := defaultRunner.runPoints(ctx, specs)
+	_, aggs, err := r.runPoints(ctx, specs)
 	if err != nil {
 		return nil, err
 	}
@@ -206,11 +206,11 @@ type DeterminismResult struct {
 
 // DeterminismMode measures the cost of the deterministic RSB variant. Both
 // variants fan out together through one runPoints call.
-func DeterminismMode(traces []*trace.Trace, v circuit.Millivolts) (*DeterminismResult, error) {
-	defCfg := defaultRunner.pointConfig(v, circuit.ModeIRAW)
-	detCfg := defaultRunner.pointConfig(v, circuit.ModeIRAW)
+func (r *Runner) DeterminismMode(traces []*trace.Trace, v circuit.Millivolts) (*DeterminismResult, error) {
+	defCfg := r.pointConfig(v, circuit.ModeIRAW)
+	detCfg := r.pointConfig(v, circuit.ModeIRAW)
 	detCfg.Predictor.Deterministic = true
-	_, aggs, err := defaultRunner.runPoints(context.Background(), []PointSpec{
+	_, aggs, err := r.runPoints(context.Background(), []PointSpec{
 		{Label: fmt.Sprintf("determinism %v default", v), Cfg: defCfg, Traces: traces},
 		{Label: fmt.Sprintf("determinism %v deterministic", v), Cfg: detCfg, Traces: traces},
 	})
@@ -240,18 +240,18 @@ type CombinedFaultyRow struct {
 
 // CombinedFaulty measures the combination across the given levels. All
 // three designs at every level fan out together across the pool.
-func CombinedFaulty(traces []*trace.Trace, levels []circuit.Millivolts) ([]CombinedFaultyRow, error) {
+func (r *Runner) CombinedFaulty(traces []*trace.Trace, levels []circuit.Millivolts) ([]CombinedFaultyRow, error) {
 	specs := make([]PointSpec, 0, 3*len(levels))
 	for _, v := range levels {
-		comb := defaultRunner.pointConfig(v, circuit.ModeIRAW)
+		comb := r.pointConfig(v, circuit.ModeIRAW)
 		comb.CombineFaultyBits = true
 		specs = append(specs,
-			PointSpec{Label: fmt.Sprintf("combined %v baseline", v), Cfg: defaultRunner.pointConfig(v, circuit.ModeBaseline), Traces: traces},
-			PointSpec{Label: fmt.Sprintf("combined %v iraw", v), Cfg: defaultRunner.pointConfig(v, circuit.ModeIRAW), Traces: traces},
+			PointSpec{Label: fmt.Sprintf("combined %v baseline", v), Cfg: r.pointConfig(v, circuit.ModeBaseline), Traces: traces},
+			PointSpec{Label: fmt.Sprintf("combined %v iraw", v), Cfg: r.pointConfig(v, circuit.ModeIRAW), Traces: traces},
 			PointSpec{Label: fmt.Sprintf("combined %v iraw+faulty", v), Cfg: comb, Traces: traces},
 		)
 	}
-	_, aggs, err := defaultRunner.runPoints(context.Background(), specs)
+	_, aggs, err := r.runPoints(context.Background(), specs)
 	if err != nil {
 		return nil, err
 	}

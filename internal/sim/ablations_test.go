@@ -8,7 +8,7 @@ import (
 
 func TestCompilerReschedReducesDelays(t *testing.T) {
 	traces := SuiteSpec{InstsPerTrace: 8000, SeedsPerProfile: 1}.Traces()
-	res, err := CompilerResched(traces, 500, 8)
+	res, err := (&Runner{}).CompilerResched(traces, 500, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,7 +24,7 @@ func TestCompilerReschedReducesDelays(t *testing.T) {
 
 func TestGateSensitivity(t *testing.T) {
 	traces := SuiteSpec{InstsPerTrace: 6000, SeedsPerProfile: 1}.Traces()
-	rows, err := GateSensitivity(traces, 500)
+	rows, err := (&Runner{}).GateSensitivity(traces, 500)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestGateSensitivity(t *testing.T) {
 
 func TestSTableSizing(t *testing.T) {
 	traces := SuiteSpec{InstsPerTrace: 6000, SeedsPerProfile: 1}.Traces()
-	rows, err := STableSizing(traces, 500)
+	rows, err := (&Runner{}).STableSizing(traces, 500)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestSTableSizing(t *testing.T) {
 
 func TestDeterminismMode(t *testing.T) {
 	traces := SuiteSpec{InstsPerTrace: 6000, SeedsPerProfile: 1}.Traces()
-	res, err := DeterminismMode(traces, 500)
+	res, err := (&Runner{}).DeterminismMode(traces, 500)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestDeterminismMode(t *testing.T) {
 
 func TestCalibratedEnergyModel(t *testing.T) {
 	traces := SuiteSpec{InstsPerTrace: 6000, SeedsPerProfile: 1}.Traces()
-	m, err := CalibratedEnergy(traces)
+	m, err := (&Runner{}).CalibratedEnergy(traces)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestCalibratedEnergyModel(t *testing.T) {
 
 func TestEDP450WorkedExample(t *testing.T) {
 	traces := SuiteSpec{InstsPerTrace: 6000, SeedsPerProfile: 1}.Traces()
-	res, err := EDP450(traces)
+	res, err := (&Runner{}).EDP450(traces)
 	if err != nil {
 		t.Fatal(err)
 	}

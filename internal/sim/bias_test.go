@@ -14,15 +14,13 @@ import (
 
 // TestFunctionalWarmShardingBias is the sharding acceptance test: on the
 // production-style long trace, sample windows warmed with the default
-// functional replay — now full-history (warm=-1) via the checkpoint-backed
+// functional replay — full-history (warm=-1) via the checkpoint-backed
 // default — must land within 1% of the unsharded cold pass they
-// approximate — versus the tens-of-percent pessimistic bias of the timed
-// warm-up at its default prefix — and the improvement must not cost
-// bitwise determinism.
+// approximate, and the accuracy must not cost bitwise determinism.
 func TestFunctionalWarmShardingBias(t *testing.T) {
-	// The production-scale trace BenchmarkShardedLongTrace records: bias is
-	// a property of warm-history length against the suite's working sets,
-	// so the golden number is pinned at the scale the acceptance names.
+	// A production-scale trace: bias is a property of warm-history length
+	// against the suite's working sets, so the golden number is pinned at
+	// the scale the acceptance names.
 	tr := workload.LongTrace(700000, 11)
 	cfg := core.DefaultConfig(500, circuit.ModeIRAW)
 	ctx := context.Background()
@@ -34,8 +32,8 @@ func TestFunctionalWarmShardingBias(t *testing.T) {
 	bias := func(r *core.Result) float64 {
 		return 100 * (r.IPC() - cold.IPC()) / cold.IPC()
 	}
-	run := func(mode core.WarmMode) *core.Result {
-		r := (&Runner{Workers: 4}).WithWindow(len(tr.Insts)/8, 0).WithWarmMode(mode)
+	run := func() *core.Result {
+		r := (&Runner{Workers: 4}).WithWindow(len(tr.Insts)/8, 0)
 		per, _, err := r.RunPoint(ctx, cfg, []*trace.Trace{tr})
 		if err != nil {
 			t.Fatal(err)
@@ -43,7 +41,7 @@ func TestFunctionalWarmShardingBias(t *testing.T) {
 		return per[0]
 	}
 
-	fun := run(core.WarmFunctional)
+	fun := run()
 	if fun.Run.Instructions != uint64(len(tr.Insts)) {
 		t.Fatalf("stitch measured %d instructions, want %d", fun.Run.Instructions, len(tr.Insts))
 	}
@@ -52,20 +50,9 @@ func TestFunctionalWarmShardingBias(t *testing.T) {
 		t.Errorf("functional-warm sharding bias %+.2f%% exceeds the 1%% golden tolerance", fb)
 	}
 
-	tim := run(core.WarmTimed)
-	tb := bias(tim)
-	if math.Abs(tb) <= math.Abs(fb) {
-		t.Errorf("timed-warm bias %+.2f%% not worse than functional %+.2f%% — the replay buys nothing", tb, fb)
-	}
-	// The motivating gap: the timed default prefix leaves a cold-start
-	// penalty an order of magnitude above the functional replay's residual.
-	if math.Abs(tb) < 8 {
-		t.Logf("note: timed-warm bias %+.2f%% is smaller than the documented tens of percent", tb)
-	}
-
 	// Determinism: the functional-warm stitch is worker- and repeat-
 	// invariant.
-	again := run(core.WarmFunctional)
+	again := run()
 	if !reflect.DeepEqual(fun, again) {
 		t.Error("functional-warm sharded run is not deterministic")
 	}

@@ -13,26 +13,23 @@ import (
 )
 
 // TestPlanFor: the effective windowing plan is the documented pure function
-// of (WindowInsts, WarmInsts, WarmMode, trace length).
+// of (WindowInsts, WarmInsts, trace length).
 func TestPlanFor(t *testing.T) {
 	for _, tc := range []struct {
 		name              string
 		win, warm         int
-		mode              core.WarmMode
 		n                 int
 		wantWin, wantWarm int
 	}{
-		{"opt-out", -1, 0, core.WarmFunctional, 1_000_000, 0, 0},
-		{"auto short trace", 0, 0, core.WarmFunctional, autoWindowThreshold - 1, 0, 0},
-		{"auto long trace", 0, 0, core.WarmFunctional, 700_000, 87_500, -1},
-		{"auto exact threshold", 0, 0, core.WarmFunctional, autoWindowThreshold, 25_000, -1},
-		{"explicit window functional", 10_000, 0, core.WarmFunctional, 700_000, 10_000, -1},
-		{"explicit window timed", 10_000, 0, core.WarmTimed, 700_000, 10_000, 2_500},
-		{"explicit warm", 10_000, 3_000, core.WarmFunctional, 700_000, 10_000, 3_000},
-		{"full-history spelled out", 10_000, -1, core.WarmTimed, 700_000, 10_000, -1},
-		{"auto long trace timed", 0, 0, core.WarmTimed, 700_000, 87_500, 21_875},
+		{"opt-out", -1, 0, 1_000_000, 0, 0},
+		{"auto short trace", 0, 0, autoWindowThreshold - 1, 0, 0},
+		{"auto long trace", 0, 0, 700_000, 87_500, -1},
+		{"auto exact threshold", 0, 0, autoWindowThreshold, 25_000, -1},
+		{"explicit window", 10_000, 0, 700_000, 10_000, -1},
+		{"explicit warm", 10_000, 3_000, 700_000, 10_000, 3_000},
+		{"full-history spelled out", 10_000, -1, 700_000, 10_000, -1},
 	} {
-		r := (&Runner{}).WithWindow(tc.win, tc.warm).WithWarmMode(tc.mode)
+		r := (&Runner{}).WithWindow(tc.win, tc.warm)
 		win, warm := r.planFor(tc.n)
 		if win != tc.wantWin || warm != tc.wantWarm {
 			t.Errorf("%s: planFor(%d) = (%d, %d), want (%d, %d)",

@@ -75,8 +75,8 @@ type Fig11bRow struct {
 }
 
 // Figure11b sweeps both designs over the full range and measures speedups.
-func Figure11b(traces []*trace.Trace) ([]Fig11bRow, error) {
-	return Figure11bStream(context.Background(), traces, nil)
+func (r *Runner) Figure11b(traces []*trace.Trace) ([]Fig11bRow, error) {
+	return r.Figure11bStream(context.Background(), traces, nil)
 }
 
 // fig11bRow derives one voltage's row from the two designs' aggregates.
@@ -105,12 +105,12 @@ func fig11bRow(v circuit.Millivolts, base, iraw *core.Result) Fig11bRow {
 // set (its row carries only the Vcc) and left out of the returned slice;
 // the figure then comes back with a *PartialError listing every failed
 // voltage's cell error, alongside the completed rows.
-func Figure11bStream(ctx context.Context, traces []*trace.Trace, emit func(row Fig11bRow, fail *CellError)) ([]Fig11bRow, error) {
+func (r *Runner) Figure11bStream(ctx context.Context, traces []*trace.Trace, emit func(row Fig11bRow, fail *CellError)) ([]Fig11bRow, error) {
 	modes := []circuit.Mode{circuit.ModeBaseline, circuit.ModeIRAW}
 	levels := circuit.Levels()
 	rows := make([]Fig11bRow, 0, len(levels))
 	var failed []*CellError
-	err := defaultRunner.StreamLevels(ctx, traces, modes, levels,
+	err := r.StreamLevels(ctx, traces, modes, levels,
 		func(v circuit.Millivolts, pts map[circuit.Mode]*Point, fails map[circuit.Mode]*CellError) error {
 			if len(fails) > 0 {
 				// Deterministic representative: baseline's failure first.
@@ -153,12 +153,12 @@ type Fig12Row struct {
 }
 
 // Figure12 measures the energy/delay/EDP curves with the calibrated model.
-func Figure12(traces []*trace.Trace) ([]Fig12Row, error) {
-	model, err := CalibratedEnergy(traces)
+func (r *Runner) Figure12(traces []*trace.Trace) ([]Fig12Row, error) {
+	model, err := r.CalibratedEnergy(traces)
 	if err != nil {
 		return nil, err
 	}
-	sweep, err := Sweep(traces, []circuit.Mode{circuit.ModeBaseline, circuit.ModeIRAW}, circuit.Levels())
+	sweep, err := r.Sweep(context.Background(), traces, []circuit.Mode{circuit.ModeBaseline, circuit.ModeIRAW}, circuit.Levels())
 	if err != nil {
 		return nil, err
 	}
@@ -209,9 +209,9 @@ type Table1Result struct {
 
 // Table1 runs the three designs plus the baseline at the comparison point
 // (500 mV, where the paper quotes its headline numbers).
-func Table1(traces []*trace.Trace, v circuit.Millivolts) (*Table1Result, error) {
+func (r *Runner) Table1(traces []*trace.Trace, v circuit.Millivolts) (*Table1Result, error) {
 	modes := []circuit.Mode{circuit.ModeBaseline, circuit.ModeFaultyBits, circuit.ModeExtraBypass, circuit.ModeIRAW}
-	sweep, err := Sweep(traces, modes, []circuit.Millivolts{v})
+	sweep, err := r.Sweep(context.Background(), traces, modes, []circuit.Millivolts{v})
 	if err != nil {
 		return nil, err
 	}
@@ -272,8 +272,8 @@ type BreakdownResult struct {
 }
 
 // Breakdown measures the stall decomposition at v (the paper quotes 575 mV).
-func Breakdown(traces []*trace.Trace, v circuit.Millivolts) (*BreakdownResult, error) {
-	sweep, err := Sweep(traces, []circuit.Mode{circuit.ModeBaseline, circuit.ModeIRAW}, []circuit.Millivolts{v})
+func (r *Runner) Breakdown(traces []*trace.Trace, v circuit.Millivolts) (*BreakdownResult, error) {
+	sweep, err := r.Sweep(context.Background(), traces, []circuit.Mode{circuit.ModeBaseline, circuit.ModeIRAW}, []circuit.Millivolts{v})
 	if err != nil {
 		return nil, err
 	}
@@ -318,9 +318,9 @@ type BPStatsResult struct {
 }
 
 // BPStats measures the prediction-only violation statistics at v.
-func BPStats(traces []*trace.Trace, v circuit.Millivolts) (*BPStatsResult, error) {
-	cfg := defaultRunner.pointConfig(v, circuit.ModeIRAW)
-	_, agg, err := RunPoint(cfg, traces)
+func (r *Runner) BPStats(traces []*trace.Trace, v circuit.Millivolts) (*BPStatsResult, error) {
+	cfg := r.pointConfig(v, circuit.ModeIRAW)
+	_, agg, err := r.RunPoint(context.Background(), cfg, traces)
 	if err != nil {
 		return nil, err
 	}
@@ -344,13 +344,13 @@ type EDP450Result struct {
 // EDP450 reproduces the worked example. The "cycle time not constrained by
 // write delay" case is approximated by the IRAW design with its stalls —
 // closest to a logic-limited core — rescaled onto the paper's 5 J budget.
-func EDP450(traces []*trace.Trace) (*EDP450Result, error) {
-	model, err := CalibratedEnergy(traces)
+func (r *Runner) EDP450(traces []*trace.Trace) (*EDP450Result, error) {
+	model, err := r.CalibratedEnergy(traces)
 	if err != nil {
 		return nil, err
 	}
 	const v = circuit.Millivolts(450)
-	sweep, err := Sweep(traces, []circuit.Mode{circuit.ModeBaseline, circuit.ModeIRAW}, []circuit.Millivolts{v})
+	sweep, err := r.Sweep(context.Background(), traces, []circuit.Mode{circuit.ModeBaseline, circuit.ModeIRAW}, []circuit.Millivolts{v})
 	if err != nil {
 		return nil, err
 	}
@@ -385,21 +385,21 @@ type NSweepRow struct {
 // ("our mechanism would work also for different technology nodes or Vcc
 // ranges where the number of IRAW cycles was larger", Section 5.2). The
 // baseline and every forced-N point fan out together across the pool.
-func NSweep(traces []*trace.Trace, v circuit.Millivolts, maxN int) ([]NSweepRow, error) {
+func (r *Runner) NSweep(traces []*trace.Trace, v circuit.Millivolts, maxN int) ([]NSweepRow, error) {
 	specs := make([]PointSpec, 0, maxN+1)
 	specs = append(specs, PointSpec{
 		Label: fmt.Sprintf("nsweep %v baseline", v),
-		Cfg:   defaultRunner.pointConfig(v, circuit.ModeBaseline), Traces: traces,
+		Cfg:   r.pointConfig(v, circuit.ModeBaseline), Traces: traces,
 	})
 	for n := 1; n <= maxN; n++ {
-		cfg := defaultRunner.pointConfig(v, circuit.ModeIRAW)
+		cfg := r.pointConfig(v, circuit.ModeIRAW)
 		cfg.ForcedN = n
 		specs = append(specs, PointSpec{
 			Label: fmt.Sprintf("nsweep %v N=%d", v, n),
 			Cfg:   cfg, Traces: traces,
 		})
 	}
-	_, aggs, err := defaultRunner.runPoints(context.Background(), specs)
+	_, aggs, err := r.runPoints(context.Background(), specs)
 	if err != nil {
 		return nil, err
 	}
@@ -426,11 +426,11 @@ type ValidationResult struct {
 // Validate runs the safety experiment at v. The safe and unsafe variants
 // fan out together through one runPoints call, so the pool never drains
 // between them.
-func Validate(traces []*trace.Trace, v circuit.Millivolts) (*ValidationResult, error) {
-	safeCfg := defaultRunner.pointConfig(v, circuit.ModeIRAW)
-	unsafeCfg := defaultRunner.pointConfig(v, circuit.ModeIRAW)
+func (r *Runner) Validate(traces []*trace.Trace, v circuit.Millivolts) (*ValidationResult, error) {
+	safeCfg := r.pointConfig(v, circuit.ModeIRAW)
+	unsafeCfg := r.pointConfig(v, circuit.ModeIRAW)
 	unsafeCfg.DisableAvoidance = true
-	_, aggs, err := defaultRunner.runPoints(context.Background(), []PointSpec{
+	_, aggs, err := r.runPoints(context.Background(), []PointSpec{
 		{Label: fmt.Sprintf("validate %v safe", v), Cfg: safeCfg, Traces: traces},
 		{Label: fmt.Sprintf("validate %v unsafe", v), Cfg: unsafeCfg, Traces: traces},
 	})

@@ -33,7 +33,7 @@ func TestPanicIsolationStrict(t *testing.T) {
 		Label: victim.Label, TraceName: victim.Traces[0].Name,
 		Window: -1, Kind: FaultPanic, Times: 1,
 	})
-	r := (&Runner{Workers: 2}).WithFaults(plan)
+	r := &Runner{Workers: 2, Faults: plan}
 	_, err := r.Sweep(context.Background(), traces, streamModes, streamLevels)
 	var ce *CellError
 	if !errors.As(err, &ce) {
@@ -68,7 +68,7 @@ func TestPanicIsolationPartial(t *testing.T) {
 		Label: victim.Label, TraceName: victim.Traces[0].Name,
 		Window: -1, Kind: FaultPanic, Times: 1,
 	})
-	r := (&Runner{Workers: 2}).WithFaults(plan).WithAllowPartial(true)
+	r := &Runner{Workers: 2, Faults: plan, AllowPartial: true}
 	grid, err := r.Sweep(context.Background(), traces, streamModes, streamLevels)
 	var pe *PartialError
 	if !errors.As(err, &pe) {
@@ -109,7 +109,7 @@ func TestRetryTransient(t *testing.T) {
 
 	// Two injected transient failures, two retries: attempt 3 succeeds.
 	plan := NewFaultPlan(FaultRule{Window: -1, Kind: FaultTransient, Times: 2})
-	healed, _, err := (&Runner{Workers: 1}).WithFaults(plan).WithRetry(2, 0).
+	healed, _, err := (&Runner{Workers: 1, Faults: plan, Retries: 2}).
 		RunPoint(context.Background(), cfg, traces)
 	if err != nil {
 		t.Fatalf("healed run failed: %v", err)
@@ -120,7 +120,7 @@ func TestRetryTransient(t *testing.T) {
 
 	// Unlimited transient failures exhaust the budget: Retries+1 attempts.
 	plan = NewFaultPlan(FaultRule{Window: -1, Kind: FaultTransient})
-	_, _, err = (&Runner{Workers: 1}).WithFaults(plan).WithRetry(2, 0).
+	_, _, err = (&Runner{Workers: 1, Faults: plan, Retries: 2}).
 		RunPoint(context.Background(), cfg, traces)
 	var ce *CellError
 	if !errors.As(err, &ce) || ce.Attempts != 3 {
@@ -132,7 +132,7 @@ func TestRetryTransient(t *testing.T) {
 
 	// Zero budget: permanent on the first transient failure.
 	plan = NewFaultPlan(FaultRule{Window: -1, Kind: FaultTransient, Times: 1})
-	_, _, err = (&Runner{Workers: 1}).WithFaults(plan).
+	_, _, err = (&Runner{Workers: 1, Faults: plan}).
 		RunPoint(context.Background(), cfg, traces)
 	if !errors.As(err, &ce) || ce.Attempts != 1 {
 		t.Fatalf("err = %v, want a first-attempt *CellError with Retries=0", err)
@@ -140,7 +140,7 @@ func TestRetryTransient(t *testing.T) {
 
 	// Permanent faults never consume retries.
 	plan = NewFaultPlan(FaultRule{Window: -1, Kind: FaultError, Times: 1})
-	_, _, err = (&Runner{Workers: 1}).WithFaults(plan).WithRetry(5, 0).
+	_, _, err = (&Runner{Workers: 1, Faults: plan, Retries: 5}).
 		RunPoint(context.Background(), cfg, traces)
 	if !errors.As(err, &ce) || ce.Attempts != 1 {
 		t.Fatalf("err = %v, want a permanent failure on attempt 1 despite retries", err)
@@ -168,13 +168,13 @@ func TestJournalReplayBitIdentical(t *testing.T) {
 
 	for _, workers := range []int{1, 4} {
 		replayed, simulated := 0, 0
-		r := (&Runner{Workers: workers}).WithJournal(dir).WithProgress(func(u PointUpdate) {
+		r := &Runner{Workers: workers, JournalDir: dir, Progress: func(u PointUpdate) {
 			if u.Replayed {
 				replayed++
 			} else {
 				simulated++
 			}
-		})
+		}}
 		again, err := r.Sweep(context.Background(), traces, streamModes, streamLevels)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
@@ -201,11 +201,11 @@ func TestJournalKeySensitivity(t *testing.T) {
 	}
 	countReplays := func(r *Runner) int {
 		replayed := 0
-		r.WithProgress(func(u PointUpdate) {
+		r.Progress = func(u PointUpdate) {
 			if u.Replayed {
 				replayed++
 			}
-		})
+		}
 		if _, _, err := r.RunPoint(context.Background(), cfg, traces); err != nil {
 			t.Fatal(err)
 		}
@@ -222,11 +222,11 @@ func TestJournalKeySensitivity(t *testing.T) {
 	other := core.DefaultConfig(400, circuit.ModeIRAW)
 	r := (&Runner{Workers: 1}).WithJournal(dir)
 	replayed := 0
-	r.WithProgress(func(u PointUpdate) {
+	r.Progress = func(u PointUpdate) {
 		if u.Replayed {
 			replayed++
 		}
-	})
+	}
 	if _, _, err := r.RunPoint(context.Background(), other, traces); err != nil {
 		t.Fatal(err)
 	}
@@ -249,19 +249,19 @@ func TestTruncatedJournalWriteResimulates(t *testing.T) {
 	}
 
 	plan := NewFaultPlan(FaultRule{TraceName: traces[0].Name, Kind: FaultTruncateJournal, Times: 1})
-	if _, _, err := (&Runner{Workers: 2}).WithJournal(dir).WithFaults(plan).
+	if _, _, err := (&Runner{Workers: 2, JournalDir: dir, Faults: plan}).
 		RunPoint(context.Background(), cfg, traces); err != nil {
 		t.Fatal(err)
 	}
 
 	replayed, simulated := 0, 0
-	r := (&Runner{Workers: 2}).WithJournal(dir).WithProgress(func(u PointUpdate) {
+	r := &Runner{Workers: 2, JournalDir: dir, Progress: func(u PointUpdate) {
 		if u.Replayed {
 			replayed++
 		} else {
 			simulated++
 		}
-	})
+	}}
 	again, _, err := r.RunPoint(context.Background(), cfg, traces)
 	if err != nil {
 		t.Fatal(err)
@@ -290,9 +290,7 @@ func TestCrashResumeHelper(t *testing.T) {
 		Label: last.Label, TraceName: last.Traces[len(last.Traces)-1].Name,
 		Window: -1, Kind: FaultExit, Times: 1,
 	})
-	r := (&Runner{Workers: workers}).
-		WithJournal(os.Getenv("LOWVCC_CRASH_JOURNAL")).
-		WithFaults(plan)
+	r := &Runner{Workers: workers, JournalDir: os.Getenv("LOWVCC_CRASH_JOURNAL"), Faults: plan}
 	_, _ = r.Sweep(context.Background(), traces, streamModes, streamLevels)
 	// The fault must have killed the process above; exiting 0 tells the
 	// parent it never fired.
@@ -337,11 +335,11 @@ func TestCrashResume(t *testing.T) {
 		}
 
 		replayed := 0
-		r := (&Runner{Workers: workers}).WithJournal(dir).WithProgress(func(u PointUpdate) {
+		r := &Runner{Workers: workers, JournalDir: dir, Progress: func(u PointUpdate) {
 			if u.Replayed {
 				replayed++
 			}
-		})
+		}}
 		resumed, err := r.Sweep(context.Background(), traces, streamModes, streamLevels)
 		if err != nil {
 			t.Fatalf("workers=%d: resume failed: %v", workers, err)
@@ -394,7 +392,7 @@ func TestStreamLevelsPartialRows(t *testing.T) {
 	specs := (&Runner{}).sweepSpecs(traces, streamModes, streamLevels)
 	victim := specs[1] // baseline @ 400mV
 	plan := NewFaultPlan(FaultRule{Label: victim.Label, Window: -1, Kind: FaultError})
-	r := (&Runner{Workers: 2}).WithFaults(plan).WithAllowPartial(true)
+	r := &Runner{Workers: 2, Faults: plan, AllowPartial: true}
 
 	type row struct {
 		pts   int
@@ -433,7 +431,7 @@ func TestRunPointPartialSlots(t *testing.T) {
 		t.Fatal(err)
 	}
 	plan := NewFaultPlan(FaultRule{TraceName: traces[1].Name, Window: -1, Kind: FaultError})
-	results, agg, err := (&Runner{Workers: 2}).WithFaults(plan).WithAllowPartial(true).
+	results, agg, err := (&Runner{Workers: 2, Faults: plan, AllowPartial: true}).
 		RunPoint(context.Background(), cfg, traces)
 	var pe *PartialError
 	if !errors.As(err, &pe) || len(pe.Cells) != 1 || pe.Cells[0].Trace != 1 {

@@ -41,10 +41,12 @@
 //   - cancellation and per-point timeouts preempt from inside the core's
 //     run loop (Core.SetStopCheck), so the stream drains promptly even
 //     mid-simulation;
-//   - the package-level experiment functions (Sweep, RunPoint, the figure
-//     and ablation generators) run on a shared default Runner sized to
-//     GOMAXPROCS; construct a Runner directly for custom worker counts,
-//     windowing, timeouts or context cancellation.
+//   - every simulating experiment (Sweep, RunPoint, the figure and
+//     ablation generators) is a Runner method, and the package holds no
+//     run configuration of its own: the Runner — built in code, or bound
+//     to the shared command-line flags by RegisterFlags — carries worker
+//     count, width, windowing, journal, checkpoints, timeouts and retries
+//     into every cell.
 //
 // # Sharding determinism rules
 //
@@ -58,8 +60,8 @@
 // results in window order. The rules that keep this deterministic:
 //
 //   - the shard plan is a pure function of (trace length, WindowInsts,
-//     WarmInsts, WarmMode) via Runner.planFor — never of worker count,
-//     scheduling or wall clock;
+//     WarmInsts) via Runner.planFor — never of worker count, scheduling or
+//     wall clock;
 //   - each window simulates a fixed instruction span on a Reset core, so a
 //     window's Result depends only on (config, trace bytes, plan);
 //   - stitching always happens in window order, triggered by whichever
@@ -72,20 +74,11 @@
 // Sharded numbers are a sample-window *approximation* of one production
 // pass over the long trace: each window sees only its warm-up prefix of
 // history, and the approximation is deterministic and worker-invariant for
-// a fixed configuration but not bitwise equal to the unsharded run. How
-// close it lands depends on the warm mode (Runner.WarmMode):
-//
-//   - core.WarmFunctional (the default) replays each window's prefix
-//     timing-free (core.WarmReplay), so the default prefix is the window's
-//     entire history and the stitched numbers land within a fraction of a
-//     percent of the whole-pass run (golden-tested on workload.LongTrace,
-//     and gated in scripts/bench_check.sh);
-//   - core.WarmTimed simulates the prefix on the timed engine — every warm
-//     instruction costs a measured one, so affordable prefixes are short
-//     (a quarter window by default) and the stitched IPC is
-//     deterministically pessimistic by up to tens of percent (cross-window
-//     cache reuse re-paid as cold-start misses), converging as windows
-//     grow (golden-tested with a 15% tolerance at window = len/2).
+// a fixed configuration but not bitwise equal to the unsharded run. Each
+// window's prefix replays timing-free (core.WarmReplay), so the default
+// prefix is the window's entire history and the stitched numbers land
+// within a fraction of a percent of the whole-pass run (golden-tested on
+// workload.LongTrace with a 1% gate).
 //
 // Full-history warm-up is affordable because of the warm-state checkpoint
 // store (internal/ckpt): each window's warm prefix restores the deepest
@@ -95,9 +88,9 @@
 // operating point, worker and — through a shared journal directory —
 // worker process of a sweep. Checkpointing moves work, never numbers: the
 // live-replay reference path (Runner.DisableCheckpoints, -ckpt off) is
-// bit-identical, enforced by an equivalence fuzz. Warm=0 windows and
-// window >= len(trace) stay bit-identical to the unsharded engine in both
-// modes.
+// bit-identical, enforced by an equivalence fuzz. A window with an empty
+// prefix and window >= len(trace) stay bit-identical to the unsharded
+// engine.
 //
 // # Failure semantics
 //
@@ -146,8 +139,6 @@ package sim
 
 import (
 	"context"
-	"fmt"
-	"time"
 
 	"lowvcc/internal/circuit"
 	"lowvcc/internal/core"
@@ -177,104 +168,6 @@ func (s SuiteSpec) Traces() []*trace.Trace {
 	return workload.Suite(s.InstsPerTrace, s.SeedsPerProfile)
 }
 
-// defaultRunner backs the package-level experiment functions: a shared
-// GOMAXPROCS-sized pool. Runner carries no state between calls, so sharing
-// it is free; its determinism guarantee makes the sharing invisible.
-var defaultRunner = &Runner{}
-
-// SetWorkers bounds the default runner's pool to n goroutines; n <= 0
-// restores GOMAXPROCS sizing. Call it at startup (the cmd tools' -workers
-// flag does); it is not synchronized against experiments already running.
-func SetWorkers(n int) { defaultRunner.Workers = n }
-
-// SetWidth sets the fetch/issue width of every core configuration the
-// default runner builds (the cmd tools' -width flag); 0 restores the
-// modelled default width. Startup-time only, like SetWorkers.
-func SetWidth(w int) { defaultRunner.WithWidth(w) }
-
-// SetProgress installs a per-cell completion callback on the default
-// runner (the cmd tools' -progress flag); nil removes it. Startup-time
-// only, like SetWorkers.
-func SetProgress(f func(PointUpdate)) { defaultRunner.Progress = f }
-
-// SetPointTimeout bounds each cell's wall clock on the default runner;
-// 0 disables the guard. Startup-time only, like SetWorkers.
-func SetPointTimeout(d time.Duration) { defaultRunner.PointTimeout = d }
-
-// SetWindow configures sharded long-trace execution on the default runner
-// (the cmd tools' -window/-warm flags); windowInsts 0 selects automatic
-// windowing of long traces and negative values disable sharding, while
-// warmInsts 0 selects the warm-mode default (the full prefix for
-// functional warm-up, a quarter window for timed), negative the full
-// prefix. Startup-time only, like SetWorkers.
-func SetWindow(windowInsts, warmInsts int) { defaultRunner.WithWindow(windowInsts, warmInsts) }
-
-// SetCheckpoints configures the default runner's warm-state checkpoint
-// store (the cmd tools' -ckpt flag): "" or "auto" keeps the default
-// resolution (JournalDir/ckpt when journaling is on, else a shared
-// in-memory store), "off" selects the live-replay reference path, and any
-// other value roots an on-disk store at that directory. Startup-time only,
-// like SetWorkers.
-func SetCheckpoints(spec string) {
-	switch spec {
-	case "off":
-		defaultRunner.DisableCheckpoints = true
-	case "", "auto":
-		defaultRunner.DisableCheckpoints = false
-		defaultRunner.CkptDir = ""
-	default:
-		defaultRunner.DisableCheckpoints = false
-		defaultRunner.CkptDir = spec
-	}
-}
-
-// SetWarmMode selects the default runner's sample-window warm-up mode (the
-// cmd tools' -warmmode flag). Startup-time only, like SetWorkers.
-func SetWarmMode(m core.WarmMode) { defaultRunner.WithWarmMode(m) }
-
-// SetJournal roots the default runner's on-disk result journal at dir (the
-// cmd tools' -journal flag); "" disables it. Startup-time only, like
-// SetWorkers.
-func SetJournal(dir string) { defaultRunner.WithJournal(dir) }
-
-// SetJournalBudget caps the default runner's journal directory at budget
-// bytes with LRU eviction (the cmd tools' -journal-budget flag); 0 means
-// unbounded. Startup-time only, like SetWorkers.
-func SetJournalBudget(budget int64) { defaultRunner.WithJournalBudget(budget) }
-
-// SetCheckpointBudget caps the default runner's on-disk checkpoint store
-// at budget bytes with LRU snapshot eviction (the cmd tools'
-// -ckpt-budget flag); 0 means unbounded. Startup-time only, like
-// SetWorkers.
-func SetCheckpointBudget(budget int64) { defaultRunner.WithCheckpointBudget(budget) }
-
-// SetRetries sets the default runner's transient-failure retry policy (the
-// cmd tools' -retries flag). Startup-time only, like SetWorkers.
-func SetRetries(n int, backoff time.Duration) { defaultRunner.WithRetry(n, backoff) }
-
-// SetAllowPartial selects partial-failure mode on the default runner (the
-// cmd tools' -allow-partial flag). Startup-time only, like SetWorkers.
-func SetAllowPartial(allow bool) { defaultRunner.WithAllowPartial(allow) }
-
-// ParseWarmMode maps the -warmmode flag spellings to a core.WarmMode.
-func ParseWarmMode(s string) (core.WarmMode, error) {
-	switch s {
-	case "functional", "":
-		return core.WarmFunctional, nil
-	case "timed":
-		return core.WarmTimed, nil
-	default:
-		return 0, fmt.Errorf("sim: unknown warm mode %q (want functional or timed)", s)
-	}
-}
-
-// RunPoint simulates every trace at one operating point (warm measurement)
-// and returns the per-trace results plus their aggregate. Traces fan out
-// across the default runner's pool; results are in trace order.
-func RunPoint(cfg core.Config, traces []*trace.Trace) ([]*core.Result, *core.Result, error) {
-	return defaultRunner.RunPoint(context.Background(), cfg, traces)
-}
-
 // Point is one aggregated operating-point measurement.
 type Point struct {
 	Vcc  circuit.Millivolts
@@ -282,33 +175,12 @@ type Point struct {
 	Agg  *core.Result
 }
 
-// Sweep runs the suite for each voltage level in each mode, fanning every
-// (mode, voltage, trace) cell across the default runner's pool. modes maps
-// to rows; the result is indexed [mode][voltage].
-func Sweep(traces []*trace.Trace, modes []circuit.Mode, levels []circuit.Millivolts) (map[circuit.Mode]map[circuit.Millivolts]*Point, error) {
-	return defaultRunner.Sweep(context.Background(), traces, modes, levels)
-}
-
-// SweepStream runs the (modes x levels) grid on the default runner and
-// emits each operating point the moment its last trace completes; see
-// Runner.SweepStream for the drain contract.
-func SweepStream(ctx context.Context, traces []*trace.Trace, modes []circuit.Mode, levels []circuit.Millivolts) <-chan SweepUpdate {
-	return defaultRunner.SweepStream(ctx, traces, modes, levels)
-}
-
-// StreamLevels collects a streaming sweep voltage by voltage on the
-// default runner; see Runner.StreamLevels.
-func StreamLevels(ctx context.Context, traces []*trace.Trace, modes []circuit.Mode, levels []circuit.Millivolts, onLevel func(circuit.Millivolts, map[circuit.Mode]*Point, map[circuit.Mode]*CellError) error) error {
-	return defaultRunner.StreamLevels(ctx, traces, modes, levels, onLevel)
-}
-
 // CalibratedEnergy builds an energy model calibrated on the 600 mV baseline
 // aggregate, as the paper prescribes. The calibration point is built at
-// the default runner's configured width so width sweeps calibrate against
-// a same-width baseline.
-func CalibratedEnergy(traces []*trace.Trace) (*energy.Model, error) {
-	cfg := defaultRunner.pointConfig(600, circuit.ModeBaseline)
-	_, agg, err := RunPoint(cfg, traces)
+// the runner's configured width so width sweeps calibrate against a
+// same-width baseline.
+func (r *Runner) CalibratedEnergy(traces []*trace.Trace) (*energy.Model, error) {
+	_, agg, err := r.RunPoint(context.Background(), r.pointConfig(600, circuit.ModeBaseline), traces)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"testing"
 
 	"lowvcc/internal/circuit"
@@ -50,7 +51,7 @@ func TestFigure11aShape(t *testing.T) {
 
 func TestRunPointAggregates(t *testing.T) {
 	traces := tinySuite().Traces()
-	results, agg, err := RunPoint(core.DefaultConfig(500, circuit.ModeIRAW), traces)
+	results, agg, err := (&Runner{}).RunPoint(context.Background(), core.DefaultConfig(500, circuit.ModeIRAW), traces)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +82,7 @@ func TestHeadlineAnchors(t *testing.T) {
 		{500, 1.57, 1.30},
 		{400, 1.99, 1.60},
 	} {
-		sweep, err := Sweep(traces, []circuit.Mode{circuit.ModeBaseline, circuit.ModeIRAW}, []circuit.Millivolts{c.v})
+		sweep, err := (&Runner{}).Sweep(context.Background(), traces, []circuit.Mode{circuit.ModeBaseline, circuit.ModeIRAW}, []circuit.Millivolts{c.v})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -99,7 +100,7 @@ func TestHeadlineAnchors(t *testing.T) {
 
 func TestBreakdownOrdering(t *testing.T) {
 	traces := tinySuite().Traces()
-	bd, err := Breakdown(traces, 575)
+	bd, err := (&Runner{}).Breakdown(traces, 575)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +118,7 @@ func TestBreakdownOrdering(t *testing.T) {
 
 func TestValidateExperiment(t *testing.T) {
 	traces := SuiteSpec{InstsPerTrace: 6000, SeedsPerProfile: 1}.Traces()
-	res, err := Validate(traces, 500)
+	res, err := (&Runner{}).Validate(traces, 500)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +142,7 @@ func TestIRAWOverheadsWithinPaperBounds(t *testing.T) {
 
 func TestNSweepMonotone(t *testing.T) {
 	traces := SuiteSpec{InstsPerTrace: 6000, SeedsPerProfile: 1}.Traces()
-	rows, err := NSweep(traces, 500, 3)
+	rows, err := (&Runner{}).NSweep(traces, 500, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +158,7 @@ func TestNSweepMonotone(t *testing.T) {
 
 func TestTable1Shape(t *testing.T) {
 	traces := SuiteSpec{InstsPerTrace: 6000, SeedsPerProfile: 1}.Traces()
-	res, err := Table1(traces, 500)
+	res, err := (&Runner{}).Table1(traces, 500)
 	if err != nil {
 		t.Fatal(err)
 	}

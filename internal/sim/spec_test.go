@@ -8,6 +8,8 @@ import (
 	"lowvcc/internal/circuit"
 	"lowvcc/internal/core"
 	"lowvcc/internal/journal"
+	"lowvcc/internal/trace"
+	"lowvcc/internal/workload"
 )
 
 // TestSweepSpecRoundTrip: the wire form preserves every field a remote
@@ -20,7 +22,6 @@ func TestSweepSpecRoundTrip(t *testing.T) {
 		LevelsMV:        []int{500, 400},
 		WindowInsts:     1000,
 		WarmInsts:       -1,
-		WarmMode:        "timed",
 	}
 	if err := spec.Validate(); err != nil {
 		t.Fatal(err)
@@ -34,7 +35,7 @@ func TestSweepSpecRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got.InstsPerTrace != spec.InstsPerTrace || got.WarmInsts != spec.WarmInsts ||
-		got.WarmMode != spec.WarmMode || len(got.Modes) != 2 || len(got.LevelsMV) != 2 {
+		len(got.Modes) != 2 || len(got.LevelsMV) != 2 {
 		t.Fatalf("round trip mangled the spec: %+v", got)
 	}
 
@@ -50,7 +51,7 @@ func TestSweepSpecRoundTrip(t *testing.T) {
 		t.Fatalf("Levels = %v", levels)
 	}
 	r := got.NewRunner()
-	if r.WindowInsts != 1000 || r.WarmInsts != -1 || r.WarmMode.String() != "timed" {
+	if r.WindowInsts != 1000 || r.WarmInsts != -1 {
 		t.Fatalf("NewRunner dropped windowing: %+v", r)
 	}
 }
@@ -75,7 +76,6 @@ func TestSweepSpecValidateRejects(t *testing.T) {
 		"unknown mode":   func(s *SweepSpec) { s.Modes = []string{"turbo"} },
 		"level too low":  func(s *SweepSpec) { s.LevelsMV = []int{300} },
 		"level too high": func(s *SweepSpec) { s.LevelsMV = []int{900} },
-		"bad warm mode":  func(s *SweepSpec) { s.WarmMode = "psychic" },
 	} {
 		t.Run(name, func(t *testing.T) {
 			s := good
@@ -162,5 +162,31 @@ func TestCellKeyMatchesJournal(t *testing.T) {
 	}
 	if res2.Run != res.Run || res2.Time != res.Time {
 		t.Fatalf("replayed result differs: %+v vs %+v", res2, res)
+	}
+}
+
+// TestCellKeyPinned pins the journal content address of one fixed (config,
+// trace) pair, unsharded and auto-windowed, to the value recorded before
+// the timed warm mode was removed: config hashing, trace hashing, the plan
+// fields (including the literal mode=0) and core.EngineVersion all feed
+// the key, and drift in any of them silently orphans every journaled
+// cell, so a change here must be deliberate.
+func TestCellKeyPinned(t *testing.T) {
+	cfg := core.DefaultConfig(500, circuit.ModeIRAW)
+	for _, tc := range []struct {
+		name string
+		tr   *trace.Trace
+		want string
+	}{
+		{"unsharded", workload.Suite(2000, 1)[0], "75ad1c97e3b4a437aa887c6e98d10740521f6e89af66ebec5e7c6a3f7047ed3d"},
+		{"auto-windowed", workload.LongTrace(autoWindowThreshold+10_000, 5), "7e8323f0c36913d770f1fb7db1d29f7335b0c4aad66b48643dc1a3f02bd59a0c"},
+	} {
+		got, err := (&Runner{}).CellKey(cfg, tc.tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != tc.want {
+			t.Errorf("%s: CellKey(%s) = %s, want %s", tc.name, tc.tr.Name, got, tc.want)
+		}
 	}
 }

@@ -96,8 +96,8 @@ func (cl *cell) firstErr() error {
 // Stream is the runner's core: it fans every (point, trace) cell of specs —
 // sharded into sample windows when windowing is enabled — across the worker
 // pool and emits each cell's result the moment its last window completes.
-// Every batch API (Sweep, RunPoint, the ablations) is a thin collector over
-// this stream.
+// Every batch API (Sweep, RunPoint, the figures and ablations) is a thin
+// collector over this stream.
 //
 // Emission order follows completion and is therefore scheduling-dependent,
 // but each update's content is not: a cell's Result is bit-identical for
@@ -139,11 +139,12 @@ func (r *Runner) cfgHash(cfg core.Config) (string, error) {
 }
 
 // cellKey assembles a cell's journal content address from its trace hash,
-// point hash and the windowing plan resolved for its trace length.
+// point hash and the windowing plan resolved for its trace length. The
+// literal mode=0 names functional warm-up, the only warm mode: it keeps
+// every key journaled since warm modes were introduced valid.
 func (r *Runner) cellKey(th, pointKey string, n int) string {
 	win, warm := r.planFor(n)
-	return journal.Key(th, pointKey,
-		fmt.Sprintf("win=%d warm=%d mode=%d", win, warm, r.WarmMode))
+	return journal.Key(th, pointKey, fmt.Sprintf("win=%d warm=%d mode=0", win, warm))
 }
 
 // traceHash content-addresses a trace's full binary encoding (name and
@@ -564,10 +565,10 @@ func (r *Runner) runWindowOnce(ctx context.Context, spec *PointSpec, wc *workerC
 			return fmt.Errorf("%s: window %s: %w", spec.Label, win.Trace.Name, err)
 		}
 	} else {
-		// Sample window: one pass where the warm-up prefix executes
-		// unmeasured — functionally replayed or timed, per the runner's
-		// warm mode — and statistics cover only the window's span.
-		if res, err = wc.c.RunWindow(win.Trace, win.Warm, r.WarmMode); err != nil {
+		// Sample window: one pass where the warm-up prefix replays
+		// functionally, unmeasured, and statistics cover only the window's
+		// span.
+		if res, err = wc.c.RunWindow(win.Trace, win.Warm); err != nil {
 			return fmt.Errorf("%s: window %s: %w", spec.Label, win.Trace.Name, err)
 		}
 	}

@@ -187,7 +187,7 @@ func TestStreamCancellation(t *testing.T) {
 // with a descriptive timeout error from inside the run loop.
 func TestPointTimeout(t *testing.T) {
 	traces := SuiteSpec{InstsPerTrace: 60000, SeedsPerProfile: 1}.Traces()
-	r := (&Runner{Workers: 1}).WithPointTimeout(time.Nanosecond)
+	r := &Runner{Workers: 1, PointTimeout: time.Nanosecond}
 	_, _, err := r.RunPoint(context.Background(), core.DefaultConfig(500, circuit.ModeIRAW), traces)
 	if err == nil || !strings.Contains(err.Error(), "point timeout") {
 		t.Fatalf("err = %v, want a point-timeout error", err)
@@ -201,12 +201,12 @@ func TestProgressCallback(t *testing.T) {
 	traces := SuiteSpec{InstsPerTrace: 3000, SeedsPerProfile: 1}.Traces()
 	for _, win := range []int{0, 1000} {
 		var seen []int
-		r := (&Runner{Workers: 3}).WithWindow(win, 0).WithProgress(func(u PointUpdate) {
+		r := &Runner{Workers: 3, WindowInsts: win, Progress: func(u PointUpdate) {
 			if u.Err != nil {
 				t.Errorf("progress saw error: %v", u.Err)
 			}
 			seen = append(seen, u.Done)
-		})
+		}}
 		if _, _, err := r.RunPoint(context.Background(), core.DefaultConfig(500, circuit.ModeBaseline), traces); err != nil {
 			t.Fatal(err)
 		}

@@ -117,24 +117,6 @@ func (r *Run) DelayedFraction() float64 {
 	return float64(r.DelayedByRFIRAW) / float64(r.Instructions)
 }
 
-// Sub removes base from r. The core's window-resume path snapshots the Run
-// counters when measurement starts and subtracts the snapshot at the end,
-// so a window's Result covers only its measured span; every field is a
-// monotone counter, which makes the diff exact.
-func (r *Run) Sub(base *Run) {
-	r.Instructions -= base.Instructions
-	r.Cycles -= base.Cycles
-	for k := range r.IssueStalls {
-		r.IssueStalls[k] -= base.IssueStalls[k]
-	}
-	r.DelayedByRFIRAW -= base.DelayedByRFIRAW
-	r.IssuedNOOPs -= base.IssuedNOOPs
-	for k := range r.IssueHist {
-		r.IssueHist[k] -= base.IssueHist[k]
-		r.FetchHist[k] -= base.FetchHist[k]
-	}
-}
-
 // Add accumulates other into r (suite aggregation).
 func (r *Run) Add(other *Run) {
 	r.Instructions += other.Instructions
