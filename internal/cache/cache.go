@@ -16,9 +16,12 @@
 // # Cached set state
 //
 // The access hot path works from per-set summaries instead of per-access
-// recomputation, with these invariants (all equivalence-fuzzed against the
-// summary-free slow paths, which remain selectable via SetFastPaths(false)):
+// recomputation, over flat host state: no Go maps and no heaps. The
+// invariants (all equivalence-fuzzed against the summary-free slow paths,
+// which remain selectable via SetFastPaths(false)):
 //
+//   - Each entry is one lineState record (tag, valid/dirty/disabled flags,
+//     validFrom, LRU tick), so a probe touches one cache line per way.
 //   - Address decomposition (lineShift/tagShift/setMask) is precomputed at
 //     construction and never changes.
 //   - validMask/disabledMask mirror the valid/disabled flags bit-per-way and
@@ -37,15 +40,20 @@
 //     maintained on every write/scramble; a read consults them to skip the
 //     set-wide slot walk, and the hierarchy reads corrupt counts in O(1).
 //     Only a write or a violation scramble can invalidate those summaries.
-//   - The in-flight fill (MSHR) records are generational: two maps rotated
-//     one access-time horizon apart, the older dropped wholesale once none
-//     of its records can be consulted again (see MarkInFlight) —
-//     observably identical to the lazily pruned map.
+//   - The in-flight fill (MSHR) records are generational: two lineTables
+//     (open-addressed, keyed by line address) rotated one access-time
+//     horizon apart, the older cleared wholesale and reused once none of
+//     its records can be consulted again (see MarkInFlight) — observably
+//     identical to the lazily pruned single table the reference path keeps.
 //   - The hierarchy's integrity-oracle state is lazy and bounded: line
 //     signatures memoize until the line is written (bumpLineVer refreshes
-//     in place), and version records are dropped when their line leaves
-//     the DL0 — the only place signatures are ever compared — on both the
-//     fast and the fast-path-disabled reference paths (see gcOracleLine).
+//     in place), and version records (a lineTable) are dropped when their
+//     line leaves the DL0 — the only place signatures are ever compared —
+//     on both the fast and the fast-path-disabled reference paths (see
+//     gcOracleLine).
+//   - Port holds live in a bitmap ring (holdCal), and the fill and
+//     write-combining buffers pick their entry by an argmin scan over at
+//     most a handful of entries.
 //
 // # Timing-independent access-order contract (functional warm-up)
 //
@@ -103,7 +111,6 @@
 package cache
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math/bits"
 
@@ -129,8 +136,8 @@ func (c Config) validate() error {
 	if c.Ways <= 0 || c.Ways > 64 {
 		return fmt.Errorf("cache %q: Ways %d must be in [1,64] (per-set way masks)", c.Name, c.Ways)
 	}
-	if c.LineBytes <= 0 || c.LineBytes&(c.LineBytes-1) != 0 {
-		return fmt.Errorf("cache %q: LineBytes %d must be a positive power of two", c.Name, c.LineBytes)
+	if c.LineBytes < 2 || c.LineBytes&(c.LineBytes-1) != 0 {
+		return fmt.Errorf("cache %q: LineBytes %d must be a power of two >= 2", c.Name, c.LineBytes)
 	}
 	if c.HitLatency < 0 {
 		return fmt.Errorf("cache %q: negative HitLatency", c.Name)
@@ -157,24 +164,17 @@ type Stats struct {
 
 // Cache is one cache-like SRAM block. Not goroutine-safe.
 type Cache struct {
-	cfg      Config
-	tags     []uint64
-	valid    []bool
-	dirty    []bool
-	disabled []bool
-	// validFrom is the cycle from which an entry's tag match is visible:
-	// a fill completes in the future, so the line must not hit before then.
-	validFrom []int64
-	lru       []uint64
-	lruTick   uint64
+	cfg     Config
+	lines   []lineState // entry set*Ways + way
+	lruTick uint64
 	// inflight tracks outstanding fills per line (MSHR semantics): a
 	// second miss to an in-flight line merges with it instead of issuing a
 	// duplicate request. Expired records are dropped lazily on probe; on
 	// the fast path the records are generational (inflight + inflightOld,
 	// see MarkInFlight) so streaming miss traffic cannot accumulate one
 	// stale record per line ever missed.
-	inflight    map[uint64]int64
-	inflightOld map[uint64]int64
+	inflight    lineTable
+	inflightOld lineTable
 	// inflightHigh is the newest completion stamp ever registered;
 	// inflightRotate is the next stamp at which the generations rotate,
 	// one inflightHorizon (grown via EnsureInFlightHorizon as the memory
@@ -223,6 +223,17 @@ type Cache struct {
 	setMask   uint64
 }
 
+// lineState is one entry's record.
+type lineState struct {
+	tag uint64
+	// validFrom is the cycle from which the tag match is visible: a fill
+	// completes in the future, so the line must not hit before then.
+	validFrom int64
+	lru       uint64 // recency tick (0 = never touched)
+
+	valid, dirty, disabled bool
+}
+
 // New returns an empty cache.
 func New(cfg Config) (*Cache, error) {
 	if err := cfg.validate(); err != nil {
@@ -231,8 +242,7 @@ func New(cfg Config) (*Cache, error) {
 	entries := cfg.Sets * cfg.Ways
 	data, err := sram.New(sram.Config{
 		Name:          cfg.Name,
-		Entries:       entries,
-		BytesPerEntry: 8, // line signature (integrity oracle), not full payload
+		Entries:       entries, // a line signature (integrity oracle), not the payload
 		EntriesPerSet: cfg.Ways,
 	})
 	if err != nil {
@@ -240,13 +250,7 @@ func New(cfg Config) (*Cache, error) {
 	}
 	c := &Cache{
 		cfg:             cfg,
-		tags:            make([]uint64, entries),
-		valid:           make([]bool, entries),
-		dirty:           make([]bool, entries),
-		disabled:        make([]bool, entries),
-		validFrom:       make([]int64, entries),
-		lru:             make([]uint64, entries),
-		inflight:        make(map[uint64]int64),
+		lines:           make([]lineState, entries),
 		data:            data,
 		validMask:       make([]uint64, cfg.Sets),
 		disabledMask:    make([]uint64, cfg.Sets),
@@ -287,7 +291,7 @@ func tagFold(tag uint64) uint64 { return (tag ^ tag>>8) & 0xFF }
 // scan's lowest-way tie-break on equal zero ticks), touched ways by tick.
 func (c *Cache) touchLRU(set, way int) {
 	c.lruTick++
-	c.lru[set*c.cfg.Ways+way] = c.lruTick
+	c.lines[set*c.cfg.Ways+way].lru = c.lruTick
 	// Maintained regardless of noFast — like every other summary — so
 	// SetFastPaths can be flipped without leaving a stale order behind.
 	if !c.lruPacked {
@@ -365,46 +369,49 @@ func (c *Cache) entry(set, way int) int { return set*c.cfg.Ways + way }
 const holdHorizon = 1 << 13
 
 // calBits sizes the hold calendar. The slot ring aliases cycles that are
-// calSize apart; an aliased overwrite is only visible if both marks can
-// still be queried, which the horizon argument rules out as long as
-// calSize >= holdHorizon + the longest window span (spans are a few cycles:
-// stabilization windows and short store replays), with ample slack here.
+// calSize apart and forgets a cycle once max has moved a lap (less one
+// word) past it; either is only visible to a query the horizon argument
+// rules out as long as calSize-64 >= holdHorizon + the longest window span
+// (spans are a few cycles: stabilization windows and short store
+// replays), with ample slack here.
 const (
 	calBits = 14
 	calSize = 1 << calBits
 	calMask = calSize - 1
 )
 
-// holdCal tracks port-held cycles as a slot calendar: slot c&calMask holds
-// the exact cycle it was marked for, so membership is one compare. This
-// replaces the seed's interval-list scans — Busy was O(live windows) on
-// every issue-stage port check and HoldPorts pruned by rebuilding the list
-// on every fill — with O(1) membership, O(span) registration and O(wait)
-// first-free walks. max is the latest held cycle ever registered: anything
-// beyond it is free without touching the slots (the common case).
+// holdCal tracks port-held cycles as a bitmap ring: bit c&calMask is set
+// iff cycle c is held, for c in (max|63-calSize, max], where max is the
+// latest held cycle ever registered. Membership is one bit test, and
+// anything beyond max is free without touching the ring (the common case).
+// A registration that advances max into a new 64-cycle word first zeroes
+// that word whole, wiping what it held one lap earlier: fill windows are
+// registered hundreds of cycles ahead, so clearing cycle by cycle would
+// cost more than the holds themselves.
 type holdCal struct {
-	slots []int64
-	max   int64
+	bits [calSize / 64]uint64
+	max  int64
 }
 
 func (h *holdCal) mark(from, to int64) {
-	if h.slots == nil {
-		h.slots = make([]int64, calSize)
-		for i := range h.slots {
-			h.slots[i] = -1 // cycle numbers are non-negative
-		}
-	}
-	for t := from; t <= to; t++ {
-		h.slots[t&calMask] = t
-	}
 	if to > h.max {
+		for w := h.max>>6 + 1; w <= min(to>>6, h.max>>6+calSize/64); w++ {
+			h.bits[w&(calSize/64-1)] = 0
+		}
 		h.max = to
+	}
+	for t := from; t <= to; t++ { // spans are a few cycles
+		h.bits[t&calMask>>6] |= 1 << uint(t&63)
 	}
 }
 
 func (h *holdCal) busy(cycle int64) bool {
-	return cycle <= h.max && h.slots != nil && h.slots[cycle&calMask] == cycle
+	return cycle <= h.max && cycle > h.max|63-calSize &&
+		h.bits[cycle&calMask>>6]>>uint(cycle&63)&1 != 0
 }
+
+// idle reports that no hold was ever registered.
+func (h *holdCal) idle() bool { return h.max == 0 && h.bits == [calSize / 64]uint64{} }
 
 // firstFree returns the first cycle >= cycle not held.
 func (h *holdCal) firstFree(cycle int64) int64 {
@@ -489,8 +496,7 @@ func (c *Cache) Lookup(cycle int64, addr uint64) (way int, hit bool) {
 				if live>>uint(w)&1 == 0 {
 					continue
 				}
-				e := base + w
-				if c.tags[e] == tag && cycle >= c.validFrom[e] {
+				if l := &c.lines[base+w]; l.tag == tag && cycle >= l.validFrom {
 					c.stats.Hits++
 					c.touchLRU(set, w)
 					return w, true
@@ -500,19 +506,18 @@ func (c *Cache) Lookup(cycle int64, addr uint64) (way int, hit bool) {
 			return 0, false
 		}
 		for m := c.validMask[set] &^ c.disabledMask[set]; m != 0; m &= m - 1 {
-			e := base + bits.TrailingZeros64(m)
-			if c.tags[e] == tag && cycle >= c.validFrom[e] {
+			w := bits.TrailingZeros64(m)
+			if l := &c.lines[base+w]; l.tag == tag && cycle >= l.validFrom {
 				c.stats.Hits++
-				c.touchLRU(set, e-base)
-				return e - base, true
+				c.touchLRU(set, w)
+				return w, true
 			}
 		}
 		c.stats.Misses++
 		return 0, false
 	}
 	for w := 0; w < c.cfg.Ways; w++ {
-		e := c.entry(set, w)
-		if c.valid[e] && !c.disabled[e] && c.tags[e] == tag && cycle >= c.validFrom[e] {
+		if l := &c.lines[c.entry(set, w)]; l.valid && !l.disabled && l.tag == tag && cycle >= l.validFrom {
 			c.stats.Hits++
 			c.touchLRU(set, w)
 			return w, true
@@ -534,8 +539,7 @@ func (c *Cache) LookupAt(cycle int64, addr uint64, way int) bool {
 	}
 	set := c.SetOf(addr)
 	tag := c.tagOf(addr)
-	e := c.entry(set, way)
-	if !c.valid[e] || c.disabled[e] || c.tags[e] != tag || cycle < c.validFrom[e] {
+	if l := &c.lines[c.entry(set, way)]; !l.valid || l.disabled || l.tag != tag || cycle < l.validFrom {
 		return false
 	}
 	// Scan-order guard: Lookup hits the lowest matching readable way, and
@@ -548,15 +552,13 @@ func (c *Cache) LookupAt(cycle int64, addr uint64, way int) bool {
 		base := set * c.cfg.Ways
 		earlier := c.validMask[set] &^ c.disabledMask[set] & (uint64(1)<<uint(way) - 1)
 		for m := earlier; m != 0; m &= m - 1 {
-			pe := base + bits.TrailingZeros64(m)
-			if c.tags[pe] == tag && cycle >= c.validFrom[pe] {
+			if l := &c.lines[base+bits.TrailingZeros64(m)]; l.tag == tag && cycle >= l.validFrom {
 				return false
 			}
 		}
 	} else {
 		for w := 0; w < way; w++ {
-			pe := c.entry(set, w)
-			if c.valid[pe] && !c.disabled[pe] && c.tags[pe] == tag && cycle >= c.validFrom[pe] {
+			if l := &c.lines[c.entry(set, w)]; l.valid && !l.disabled && l.tag == tag && cycle >= l.validFrom {
 				return false
 			}
 		}
@@ -572,39 +574,28 @@ func (c *Cache) LookupAt(cycle int64, addr uint64, way int) bool {
 // On the fast path the records are generational: inserts go to the current
 // generation, and when the newest completion stamp crosses the rotation
 // point (one holdCal horizon past the previous rotation) the current
-// generation becomes the old one and the previous old generation is dropped
-// wholesale. A dropped record was registered more than a full horizon
+// generation becomes the old one and the previous old generation is cleared
+// wholesale and reused as the new current one. A dropped record was registered more than a full horizon
 // (inflightHorizon) below the newest stamp, and access times trail the
 // newest stamp by at most a TLB walk plus a memory round trip, so no
 // future probe could have consulted it: dropping is
 // observably identical to the lazy per-probe pruning, with no sweep scans,
-// and the live maps stay at working-set size instead of accumulating one
+// and the live tables stay at working-set size instead of accumulating one
 // stale record per line ever missed.
 func (c *Cache) MarkInFlight(line uint64, ready int64) {
-	if c.noFast {
-		c.inflight[line] = ready
-		return
-	}
-	if ready > c.inflightHigh {
+	if !c.noFast && ready > c.inflightHigh {
 		c.inflightHigh = ready
 		if ready >= c.inflightRotate {
-			// The dropped generation's map is recycled as the new current
-			// one: steady-state rotation allocates nothing.
-			dropped := c.inflightOld
-			c.inflightOld = c.inflight
-			if dropped == nil {
-				dropped = make(map[uint64]int64, len(c.inflightOld))
-			} else {
-				clear(dropped)
-			}
-			c.inflight = dropped
+			// Steady-state rotation allocates nothing.
+			c.inflight, c.inflightOld = c.inflightOld, c.inflight
+			c.inflight.clear()
 			c.inflightRotate = ready + c.inflightHorizon
 		}
 	}
-	c.inflight[line] = ready
+	c.inflight.put(line, ready)
 }
 
-// minInflightHorizon floors the generation width of the MSHR record maps.
+// minInflightHorizon floors the generation width of the MSHR record tables.
 // The width must exceed how far an access time can trail the newest
 // registered completion stamp: a completion stamp leads its access by one
 // memory round trip, and concurrent I-/D-side access times skew by at most
@@ -628,23 +619,21 @@ func (c *Cache) EnsureInFlightHorizon(h int64) {
 
 // InFlightReady reports an outstanding fill of line that completes at or
 // after `now`; expired records are dropped lazily. The current generation
-// shadows the old one, exactly as a re-registration overwrites a map entry.
+// shadows the old one, exactly as a re-registration overwrites a record.
 func (c *Cache) InFlightReady(line uint64, now int64) (int64, bool) {
-	r, ok := c.inflight[line]
-	if !ok && c.inflightOld != nil {
-		if r, ok = c.inflightOld[line]; ok && r < now {
-			delete(c.inflightOld, line)
+	t := &c.inflight
+	i := t.find(line)
+	if i < 0 {
+		t = &c.inflightOld
+		if i = t.find(line); i < 0 {
 			return 0, false
 		}
 	}
-	if !ok {
-		return 0, false
+	if r := t.vals[i]; r >= now {
+		return r, true
 	}
-	if r < now {
-		delete(c.inflight, line)
-		return 0, false
-	}
-	return r, true
+	t.deleteAt(i)
+	return 0, false
 }
 
 // Peek reports whether addr is present without moving LRU or counters.
@@ -654,15 +643,14 @@ func (c *Cache) Peek(addr uint64) bool {
 	if !c.noFast {
 		base := set * c.cfg.Ways
 		for m := c.validMask[set] &^ c.disabledMask[set]; m != 0; m &= m - 1 {
-			if c.tags[base+bits.TrailingZeros64(m)] == tag {
+			if c.lines[base+bits.TrailingZeros64(m)].tag == tag {
 				return true
 			}
 		}
 		return false
 	}
 	for w := 0; w < c.cfg.Ways; w++ {
-		e := c.entry(set, w)
-		if c.valid[e] && !c.disabled[e] && c.tags[e] == tag {
+		if l := &c.lines[c.entry(set, w)]; l.valid && !l.disabled && l.tag == tag {
 			return true
 		}
 	}
@@ -673,19 +661,13 @@ func (c *Cache) Peek(addr uint64) bool {
 // any stabilizing co-resident entry is destroyed — the Section 4.3 hazard).
 // It returns the 8-byte line signature and whether the read was clean.
 func (c *Cache) ReadData(cycle int64, set, way int) (sig uint64, ok bool) {
-	raw, ok := c.data.Read(cycle, c.entry(set, way))
-	if raw == nil {
-		return 0, false
-	}
-	return beUint64(raw), ok
+	return c.data.Read(cycle, c.entry(set, way))
 }
 
 // WriteData writes the line signature of (set, way) — a store or a repair —
 // under the current interruption mode.
 func (c *Cache) WriteData(cycle int64, set, way int, sig uint64) {
-	var buf [8]byte
-	bePutUint64(buf[:], sig)
-	c.data.Write(cycle, c.entry(set, way), buf[:], c.interrupted, c.n)
+	c.data.Write(cycle, c.entry(set, way), sig, c.interrupted, c.n)
 }
 
 // Victim selects the fill way for addr's set: an invalid enabled way if one
@@ -722,7 +704,7 @@ func (c *Cache) Victim(addr uint64) (way int, ok bool) {
 		best, bestTick := -1, uint64(0)
 		for m := enabled; m != 0; m &= m - 1 {
 			w := bits.TrailingZeros64(m)
-			if t := c.lru[base+w]; best < 0 || t < bestTick {
+			if t := c.lines[base+w].lru; best < 0 || t < bestTick {
 				best, bestTick = w, t
 			}
 		}
@@ -730,15 +712,15 @@ func (c *Cache) Victim(addr uint64) (way int, ok bool) {
 	}
 	best, bestTick := -1, uint64(0)
 	for w := 0; w < c.cfg.Ways; w++ {
-		e := c.entry(set, w)
-		if c.disabled[e] {
+		l := &c.lines[c.entry(set, w)]
+		if l.disabled {
 			continue
 		}
-		if !c.valid[e] {
+		if !l.valid {
 			return w, true
 		}
-		if best < 0 || c.lru[e] < bestTick {
-			best, bestTick = w, c.lru[e]
+		if best < 0 || l.lru < bestTick {
+			best, bestTick = w, l.lru
 		}
 	}
 	if best < 0 {
@@ -758,26 +740,13 @@ func (c *Cache) Fill(cycle int64, addr uint64, sig uint64) (victimAddr uint64, d
 		return 0, false, false, false
 	}
 	set := c.SetOf(addr)
-	e := c.entry(set, way)
-	if c.valid[e] {
-		evicted = true
-		dirty = c.dirty[e]
-		victimAddr = (c.tags[e]*uint64(c.cfg.Sets) + uint64(set)) << c.lineShift
+	victimAddr, dirty, evicted = c.install(set, way, addr, cycle+1) // readable the cycle after the fill write
+	if evicted {
 		c.stats.Evictions++
 		if dirty {
 			c.stats.DirtyEvicts++
 		}
 	}
-	c.tags[e] = c.tagOf(addr)
-	if c.tagSum != nil {
-		sh := uint(8 * way)
-		c.tagSum[set] = c.tagSum[set]&^(0xFF<<sh) | tagFold(c.tags[e])<<sh
-	}
-	c.valid[e] = true
-	c.validMask[set] |= 1 << uint(way)
-	c.dirty[e] = false
-	c.validFrom[e] = cycle + 1 // readable the cycle after the fill write
-	c.touchLRU(set, way)
 	c.WriteData(cycle, set, way, sig)
 	c.stats.Fills++
 	// The fill write occupies the ports during its own cycle in every
@@ -791,8 +760,27 @@ func (c *Cache) Fill(cycle int64, addr uint64, sig uint64) (victimAddr uint64, d
 	return victimAddr, dirty, evicted, true
 }
 
+// install replaces (set, way)'s line with addr's, visible from validFrom,
+// maintaining the set summaries and LRU; it reports the evicted line. Fill
+// and WarmFill share it.
+func (c *Cache) install(set, way int, addr uint64, validFrom int64) (victimAddr uint64, dirty, evicted bool) {
+	l := &c.lines[c.entry(set, way)]
+	if l.valid {
+		evicted, dirty = true, l.dirty
+		victimAddr = (l.tag*uint64(c.cfg.Sets) + uint64(set)) << c.lineShift
+	}
+	*l = lineState{tag: c.tagOf(addr), validFrom: validFrom, lru: l.lru, valid: true}
+	if c.tagSum != nil {
+		sh := uint(8 * way)
+		c.tagSum[set] = c.tagSum[set]&^(0xFF<<sh) | tagFold(l.tag)<<sh
+	}
+	c.validMask[set] |= 1 << uint(way)
+	c.touchLRU(set, way)
+	return victimAddr, dirty, evicted
+}
+
 // MarkDirty flags (set, way) dirty (a store hit).
-func (c *Cache) MarkDirty(set, way int) { c.dirty[c.entry(set, way)] = true }
+func (c *Cache) MarkDirty(set, way int) { c.lines[c.entry(set, way)].dirty = true }
 
 // WarmLookup probes the cache under the functional warm-up contract: it
 // resolves addr against the installed lines in the same ascending-way order
@@ -814,7 +802,7 @@ func (c *Cache) WarmLookup(addr uint64) (way int, hit bool) {
 			if live>>uint(w)&1 == 0 {
 				continue
 			}
-			if c.tags[base+w] == tag {
+			if c.lines[base+w].tag == tag {
 				c.touchLRU(set, w)
 				return w, true
 			}
@@ -823,7 +811,7 @@ func (c *Cache) WarmLookup(addr uint64) (way int, hit bool) {
 	}
 	for m := live; m != 0; m &= m - 1 {
 		w := bits.TrailingZeros64(m)
-		if c.tags[base+w] == tag {
+		if c.lines[base+w].tag == tag {
 			c.touchLRU(set, w)
 			return w, true
 		}
@@ -845,22 +833,7 @@ func (c *Cache) WarmFill(at int64, addr uint64, sig uint64) (victimAddr uint64, 
 		return 0, 0, false, false, false
 	}
 	set := c.SetOf(addr)
-	e := c.entry(set, way)
-	if c.valid[e] {
-		evicted = true
-		dirty = c.dirty[e]
-		victimAddr = (c.tags[e]*uint64(c.cfg.Sets) + uint64(set)) << c.lineShift
-	}
-	c.tags[e] = c.tagOf(addr)
-	if c.tagSum != nil {
-		sh := uint(8 * way)
-		c.tagSum[set] = c.tagSum[set]&^(0xFF<<sh) | tagFold(c.tags[e])<<sh
-	}
-	c.valid[e] = true
-	c.validMask[set] |= 1 << uint(way)
-	c.dirty[e] = false
-	c.validFrom[e] = at + 1
-	c.touchLRU(set, way)
+	victimAddr, dirty, evicted = c.install(set, way, addr, at+1)
 	c.WarmWrite(at, set, way, sig)
 	return victimAddr, way, dirty, evicted, true
 }
@@ -871,19 +844,17 @@ func (c *Cache) WarmFill(at int64, addr uint64, sig uint64) (victimAddr uint64, 
 // writes go through here so the measured span that follows starts from a
 // hierarchy whose physical state does not depend on the clock plan.
 func (c *Cache) WarmWrite(at int64, set, way int, sig uint64) {
-	var buf [8]byte
-	bePutUint64(buf[:], sig)
-	c.data.Write(at, c.entry(set, way), buf[:], false, 0)
+	c.data.Write(at, c.entry(set, way), sig, false, 0)
 }
 
 // LineAddrAt reconstructs the line address held at (set, way); valid is
 // false for empty or disabled entries.
 func (c *Cache) LineAddrAt(set, way int) (addr uint64, valid bool) {
-	e := c.entry(set, way)
-	if !c.valid[e] || c.disabled[e] {
+	l := &c.lines[c.entry(set, way)]
+	if !l.valid || l.disabled {
 		return 0, false
 	}
-	return (c.tags[e]*uint64(c.cfg.Sets) + uint64(set)) << c.lineShift, true
+	return (l.tag*uint64(c.cfg.Sets) + uint64(set)) << c.lineShift, true
 }
 
 // CorruptedAt reports whether (set, way)'s data entry holds
@@ -898,11 +869,9 @@ func (c *Cache) Invalidate(addr uint64) bool {
 	set := c.SetOf(addr)
 	tag := c.tagOf(addr)
 	for w := 0; w < c.cfg.Ways; w++ {
-		e := c.entry(set, w)
-		if c.valid[e] && c.tags[e] == tag {
-			c.valid[e] = false
+		if l := &c.lines[c.entry(set, w)]; l.valid && l.tag == tag {
+			l.valid, l.dirty = false, false
 			c.validMask[set] &^= 1 << uint(w)
-			c.dirty[e] = false
 			return true
 		}
 	}
@@ -915,10 +884,10 @@ func (c *Cache) Invalidate(addr uint64) bool {
 // It returns the number of disabled lines.
 func (c *Cache) DisableFaultyLines(src *rng.Source, lineFailProb float64) int {
 	disabled := 0
-	for e := range c.disabled {
+	for e := range c.lines {
 		if src.Bool(lineFailProb) {
-			c.disabled[e] = true
-			c.valid[e] = false
+			c.lines[e].disabled = true
+			c.lines[e].valid = false
 			set, way := e/c.cfg.Ways, e%c.cfg.Ways
 			c.disabledMask[set] |= 1 << uint(way)
 			c.validMask[set] &^= 1 << uint(way)
@@ -937,10 +906,6 @@ func (c *Cache) TotalBits() int {
 	return entries*(tagBits+stateBits) + c.cfg.Sets*c.cfg.Ways*c.cfg.LineBytes*8
 }
 
-func beUint64(b []byte) uint64 { return binary.BigEndian.Uint64(b) }
-
-func bePutUint64(b []byte, v uint64) { binary.BigEndian.PutUint64(b, v) }
-
 // Buffer models a small fully associative buffer (fill buffers, WCB/EB)
 // whose entries are held for a duration: the structures the paper lists
 // among the "unfrequently written cache-like blocks". Allocation writes an
@@ -955,19 +920,6 @@ type Buffer struct {
 	avoid       bool
 	reserved    int // entry picked by Reserve, -1 when none
 
-	// order/pos keep the entries as a binary min-heap over
-	// (freeAt, entry index), so Reserve reads the earliest-freeing entry
-	// off the root in O(1) instead of the exact argmin scan; the
-	// lexicographic tie-break reproduces the scan's lowest-index choice
-	// bit for bit. Commit re-sinks the allocated entry in O(log entries).
-	// Like the cache's set summaries the heap is maintained regardless of
-	// noFast; the flag only selects whether Reserve consults it.
-	order []int32 // heap of entry indices
-	pos   []int32 // entry index -> heap position
-	// noFast selects the reference argmin scan in Reserve (equivalence
-	// tests and benchmark baseline). Flip only right after construction.
-	noFast bool
-
 	Allocs          uint64
 	FullStallCycles uint64
 	FillStallCycles uint64
@@ -978,61 +930,7 @@ func NewBuffer(name string, entries int) *Buffer {
 	if entries <= 0 {
 		panic(fmt.Sprintf("cache: buffer %q needs entries > 0", name))
 	}
-	b := &Buffer{name: name, freeAt: make([]int64, entries), reserved: -1,
-		order: make([]int32, entries), pos: make([]int32, entries)}
-	// The identity permutation is a valid heap for all-zero freeAt (ties
-	// order by entry index).
-	for i := range b.order {
-		b.order[i] = int32(i)
-		b.pos[i] = int32(i)
-	}
-	return b
-}
-
-// SetFastPath enables or disables the heap-backed Reserve (enabled by
-// default), selecting the exact argmin scan as the reference. The heap is
-// maintained either way; flip only right after construction.
-func (b *Buffer) SetFastPath(enabled bool) { b.noFast = !enabled }
-
-// heapLess orders entries by (freeAt, index): the same total order the
-// reference scan's strict-< walk resolves to.
-func (b *Buffer) heapLess(x, y int32) bool {
-	if b.freeAt[x] != b.freeAt[y] {
-		return b.freeAt[x] < b.freeAt[y]
-	}
-	return x < y
-}
-
-func (b *Buffer) heapSwap(i, j int32) {
-	b.order[i], b.order[j] = b.order[j], b.order[i]
-	b.pos[b.order[i]] = i
-	b.pos[b.order[j]] = j
-}
-
-// heapFix restores the heap invariant around entry e after its freeAt
-// changed (Commit only ever raises it, but the full fix is cheap and keeps
-// the structure correct for any caller).
-func (b *Buffer) heapFix(e int32) {
-	i := b.pos[e]
-	for i > 0 && b.heapLess(b.order[i], b.order[(i-1)/2]) {
-		b.heapSwap(i, (i-1)/2)
-		i = (i - 1) / 2
-	}
-	n := int32(len(b.order))
-	for {
-		min, l, r := i, 2*i+1, 2*i+2
-		if l < n && b.heapLess(b.order[l], b.order[min]) {
-			min = l
-		}
-		if r < n && b.heapLess(b.order[r], b.order[min]) {
-			min = r
-		}
-		if min == i {
-			return
-		}
-		b.heapSwap(i, min)
-		i = min
-	}
+	return &Buffer{name: name, freeAt: make([]int64, entries), reserved: -1}
 }
 
 // SetIRAW configures interruption mode (as for Cache).
@@ -1045,10 +943,11 @@ func (b *Buffer) SetIRAW(interrupted bool, n int, avoid bool) {
 	b.avoid = avoid
 }
 
-// Reserve picks the entry that frees earliest and returns the first cycle
-// >= cycle at which it can be allocated (waiting out port holds and entry
-// occupancy, charging the respective stall counters). The caller computes
-// the completion time and then calls Commit.
+// Reserve picks the entry that frees earliest (the lowest-index one among
+// ties) and returns the first cycle >= cycle at which it can be allocated
+// (waiting out port holds and entry occupancy, charging the respective
+// stall counters). The caller computes the completion time and then calls
+// Commit.
 func (b *Buffer) Reserve(cycle int64) int64 {
 	if b.reserved >= 0 {
 		panic(fmt.Sprintf("cache: buffer %q Reserve without Commit", b.name))
@@ -1061,15 +960,9 @@ func (b *Buffer) Reserve(cycle int64) int64 {
 		}
 	}
 	best := 0
-	if !b.noFast {
-		// The heap root is the (freeAt, index)-minimal entry — exactly the
-		// way the reference scan below picks.
-		best = int(b.order[0])
-	} else {
-		for i, f := range b.freeAt {
-			if f < b.freeAt[best] {
-				best = i
-			}
+	for i, f := range b.freeAt {
+		if f < b.freeAt[best] {
+			best = i
 		}
 	}
 	if b.freeAt[best] > start {
@@ -1087,7 +980,6 @@ func (b *Buffer) Commit(start, until int64) {
 		panic(fmt.Sprintf("cache: buffer %q Commit without Reserve", b.name))
 	}
 	b.freeAt[b.reserved] = until
-	b.heapFix(int32(b.reserved))
 	b.reserved = -1
 	b.Allocs++
 	if b.interrupted && b.avoid && b.n > 0 {

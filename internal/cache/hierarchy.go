@@ -114,8 +114,9 @@ type Hierarchy struct {
 	// without re-probing.
 	warmITLB, warmDTLB, warmDL0 warmMemo
 
-	// lineVer is the integrity oracle: the store version of each line.
-	lineVer map[uint64]uint32
+	// lineVer is the integrity oracle: the store version of each line
+	// (absent = version 0).
+	lineVer lineTable
 	// sigMemo is the lazy oracle cache: a small direct-mapped memo of line
 	// signatures, keyed by line address. A slot is trusted only while its
 	// recorded version is current, and the only writer of lineVer
@@ -158,7 +159,7 @@ type warmMemo struct {
 
 // NewHierarchy builds the memory system.
 func NewHierarchy(cfg HierarchyConfig) (*Hierarchy, error) {
-	h := &Hierarchy{cfg: cfg, lineVer: make(map[uint64]uint32)}
+	h := &Hierarchy{cfg: cfg}
 	var err error
 	if h.IL0, err = New(cfg.IL0); err != nil {
 		return nil, err
@@ -241,26 +242,26 @@ func computeSig(line uint64, v uint32) uint64 {
 // is written (bumpLineVer refreshes the slot in place) or the slot is
 // reused for another line. A valid slot's version is always current —
 // CommitStore is the only version writer and it goes through bumpLineVer —
-// so a memo hit serves the signature without consulting the version map.
+// so a memo hit serves the signature without consulting the version table.
 func (h *Hierarchy) sig(line uint64) uint64 {
 	if !h.noSigMemo {
 		e := &h.sigMemo[(line>>6)&(sigMemoSlots-1)]
 		if e.valid && e.line == line {
 			return e.sig
 		}
-		v := h.lineVer[line]
+		v := uint32(h.lineVer.get(line))
 		s := computeSig(line, v)
 		*e = sigMemoEntry{line: line, sig: s, ver: v, valid: true}
 		return s
 	}
-	return computeSig(line, h.lineVer[line])
+	return computeSig(line, uint32(h.lineVer.get(line)))
 }
 
 // bumpLineVer advances the oracle version of line (a committed store) and
 // refreshes the memoized signature so a stale one can never be served.
 func (h *Hierarchy) bumpLineVer(line uint64) {
-	v := h.lineVer[line] + 1
-	h.lineVer[line] = v
+	v := uint32(h.lineVer.get(line)) + 1
+	h.lineVer.put(line, int64(v))
 	if !h.noSigMemo {
 		h.sigMemo[(line>>6)&(sigMemoSlots-1)] = sigMemoEntry{
 			line: line, sig: computeSig(line, v), ver: v, valid: true,
@@ -270,9 +271,8 @@ func (h *Hierarchy) bumpLineVer(line uint64) {
 
 // SetFastPaths enables or disables every hierarchy-level fast path — the
 // cached set state of all five cache blocks and their sram arrays, the
-// per-set corrupt-count summary, the lazy signature memo, the STable
-// probe early-outs, and the fill/write-combining buffers' heap-backed
-// Reserve (enabled by default). The TLB translation memo has its own
+// per-set corrupt-count summary, the lazy signature memo and the STable
+// probe early-outs (enabled by default). The TLB translation memo has its own
 // equivalence-tested hook and is not affected. Benchmark-baseline and
 // equivalence-test hook; call right after construction.
 func (h *Hierarchy) SetFastPaths(enabled bool) {
@@ -281,8 +281,6 @@ func (h *Hierarchy) SetFastPaths(enabled bool) {
 	}
 	h.noSigMemo = !enabled
 	h.STab.SetFastPath(enabled)
-	h.FB.SetFastPath(enabled)
-	h.WCB.SetFastPath(enabled)
 }
 
 // translate runs addr through the given TLB and reports the cycle at which
@@ -394,13 +392,15 @@ func (h *Hierarchy) missFlow(l1 *Cache, cycle int64, addr uint64) int64 {
 // rewrites the line's signature at the then-current version. So once a line
 // leaves the DL0 its version history is unreachable: the version restarts
 // at zero on refill, consistently on both the write and the compare side.
-// Dropping the record keeps the oracle map at DL0 size instead of one entry
-// per line ever stored. The GC runs on every configuration — including the
-// fast-path-disabled reference, whose map previously grew without bound —
-// because the version-reset argument above is independent of which lookup
-// path found the victim.
+// Dropping the record keeps the oracle table at DL0 size instead of one
+// entry per line ever stored. The GC runs on every configuration —
+// including the fast-path-disabled reference, whose table would otherwise
+// grow without bound — because the version-reset argument above is
+// independent of which lookup path found the victim.
 func (h *Hierarchy) gcOracleLine(victim uint64) {
-	delete(h.lineVer, victim)
+	if i := h.lineVer.find(victim); i >= 0 {
+		h.lineVer.deleteAt(i)
+	}
 	if e := &h.sigMemo[(victim>>6)&(sigMemoSlots-1)]; e.line == victim {
 		e.valid = false
 	}
@@ -409,7 +409,7 @@ func (h *Hierarchy) gcOracleLine(victim uint64) {
 // OracleLines reports the number of live integrity-oracle version records
 // (bounded-growth observability for tests: the GC above keeps it at DL0
 // size on every path).
-func (h *Hierarchy) OracleLines() int { return len(h.lineVer) }
+func (h *Hierarchy) OracleLines() int { return h.lineVer.n }
 
 // FetchResult reports an instruction fetch's timing.
 type FetchResult struct {
@@ -664,7 +664,7 @@ func (h *Hierarchy) WarmLoad(at int64, addr uint64) {
 //     write is observable mid-stabilization. The array keeps the fill-time
 //     signature, which stays equal to h.sig(line) precisely because
 //     nothing bumps the version, so the measured span's integrity checks
-//     hold. This keeps the warm store hit free of map and array traffic.
+//     hold. This keeps the warm store hit free of table and array traffic.
 func (h *Hierarchy) WarmStore(at int64, addr uint64) {
 	h.warmTranslate(h.DTLB, &h.warmDTLB, at, addr)
 	line := h.DL0.LineAddr(addr)

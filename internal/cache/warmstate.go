@@ -40,43 +40,42 @@ type WarmState struct {
 // produce: port holds, MSHR records, timed fill visibility stamps, or
 // timed/corrupt sram state. The live block is not modified.
 func (c *Cache) CaptureWarm() (*WarmState, error) {
-	if c.holds.max != 0 || c.holds.slots != nil {
+	if !c.holds.idle() {
 		return nil, fmt.Errorf("cache %q: port holds present — not pure warm state", c.cfg.Name)
 	}
-	if len(c.inflight) != 0 || len(c.inflightOld) != 0 {
+	if c.inflight.n != 0 || c.inflightOld.n != 0 {
 		return nil, fmt.Errorf("cache %q: in-flight fill records present — not pure warm state", c.cfg.Name)
 	}
-	entries := len(c.tags)
+	entries := len(c.lines)
 	s := &WarmState{
 		Tags:  make([]uint64, entries),
 		Valid: make([]uint64, (entries+63)/64),
 		Dirty: make([]uint64, (entries+63)/64),
 		LRU:   make([]uint64, entries),
 	}
-	copy(s.Tags, c.tags)
-	for e := 0; e < entries; e++ {
+	touched := make([]int, 0, entries)
+	for e := range c.lines {
+		l := &c.lines[e]
+		s.Tags[e] = l.tag
 		want := int64(0)
-		if c.valid[e] {
+		if l.valid {
 			s.Valid[e/64] |= 1 << (e % 64)
 			want = 1
 		}
-		if c.validFrom[e] != want {
+		if l.validFrom != want {
 			return nil, fmt.Errorf("cache %q: entry %d validFrom %d is not a warm stamp (want %d)",
-				c.cfg.Name, e, c.validFrom[e], want)
+				c.cfg.Name, e, l.validFrom, want)
 		}
-		if c.dirty[e] {
+		if l.dirty {
 			s.Dirty[e/64] |= 1 << (e % 64)
+		}
+		if l.lru != 0 {
+			touched = append(touched, e)
 		}
 	}
 	// Canonical tick renumbering: rank the touched entries by tick (ticks
 	// are distinct grants, so the order is total) and renumber 1..n.
-	touched := make([]int, 0, entries)
-	for e, t := range c.lru {
-		if t != 0 {
-			touched = append(touched, e)
-		}
-	}
-	sort.Slice(touched, func(i, j int) bool { return c.lru[touched[i]] < c.lru[touched[j]] })
+	sort.Slice(touched, func(i, j int) bool { return c.lines[touched[i]].lru < c.lines[touched[j]].lru })
 	for rank, e := range touched {
 		s.LRU[e] = uint64(rank + 1)
 	}
@@ -95,32 +94,29 @@ func (c *Cache) CaptureWarm() (*WarmState, error) {
 // valid entry colliding with a disabled line means the snapshot was built
 // under a different fault map and is rejected.
 func (c *Cache) RestoreWarm(s *WarmState) error {
-	entries := len(c.tags)
+	entries := len(c.lines)
 	if len(s.Tags) != entries || len(s.LRU) != entries ||
 		len(s.Valid) != (entries+63)/64 || len(s.Dirty) != (entries+63)/64 {
 		return fmt.Errorf("cache %q: warm snapshot shape mismatch", c.cfg.Name)
 	}
-	copy(c.tags, s.Tags)
-	for e := 0; e < entries; e++ {
+	for e := range c.lines {
+		l := &c.lines[e]
 		valid := s.Valid[e/64]&(1<<(e%64)) != 0
-		if valid && c.disabled[e] {
+		if valid && l.disabled {
 			return fmt.Errorf("cache %q: warm snapshot holds entry %d, disabled here — fault-map mismatch", c.cfg.Name, e)
 		}
-		c.valid[e] = valid
-		c.dirty[e] = s.Dirty[e/64]&(1<<(e%64)) != 0
+		*l = lineState{tag: s.Tags[e], lru: s.LRU[e], valid: valid,
+			dirty: s.Dirty[e/64]&(1<<(e%64)) != 0, disabled: l.disabled}
 		if valid {
-			c.validFrom[e] = 1
-		} else {
-			c.validFrom[e] = 0
+			l.validFrom = 1
 		}
-		c.lru[e] = s.LRU[e]
 	}
 	c.lruTick = s.LRUTick
 	for set := 0; set < c.cfg.Sets; set++ {
 		base := set * c.cfg.Ways
 		var vm uint64
 		for w := 0; w < c.cfg.Ways; w++ {
-			if c.valid[base+w] {
+			if c.lines[base+w].valid {
 				vm |= 1 << uint(w)
 			}
 		}
@@ -128,7 +124,7 @@ func (c *Cache) RestoreWarm(s *WarmState) error {
 		if c.tagSum != nil {
 			var sum uint64
 			for w := 0; w < c.cfg.Ways; w++ {
-				sum |= tagFold(c.tags[base+w]) << uint(8*w)
+				sum |= tagFold(c.lines[base+w].tag) << uint(8*w)
 			}
 			c.tagSum[set] = sum
 		}
@@ -143,8 +139,8 @@ func (c *Cache) RestoreWarm(s *WarmState) error {
 				ways[w] = w
 				for i := w; i > 0; i-- {
 					a, b := ways[i-1], ways[i]
-					if c.lru[base+a] < c.lru[base+b] ||
-						(c.lru[base+a] == c.lru[base+b] && a < b) {
+					ta, tb := c.lines[base+a].lru, c.lines[base+b].lru
+					if ta < tb || (ta == tb && a < b) {
 						break
 					}
 					ways[i-1], ways[i] = b, a
@@ -181,11 +177,11 @@ func (h *Hierarchy) CaptureWarm() (*HierarchyWarmState, error) {
 	if h.dFreeAt != 0 {
 		return nil, fmt.Errorf("cache: data-side serialization point %d moved — not pure warm state", h.dFreeAt)
 	}
-	if len(h.lineVer) != 0 {
-		return nil, fmt.Errorf("cache: %d oracle version records present — not pure warm state", len(h.lineVer))
+	if h.lineVer.n != 0 {
+		return nil, fmt.Errorf("cache: %d oracle version records present — not pure warm state", h.lineVer.n)
 	}
 	for _, b := range []*Buffer{h.FB, h.WCB} {
-		if b.Allocs != 0 || b.holds.max != 0 || b.holds.slots != nil {
+		if b.Allocs != 0 || !b.holds.idle() {
 			return nil, fmt.Errorf("cache: buffer %q carries allocations — not pure warm state", b.name)
 		}
 	}
@@ -234,6 +230,6 @@ func (h *Hierarchy) RestoreWarm(s *HierarchyWarmState) error {
 	for i := range h.sigMemo {
 		h.sigMemo[i] = sigMemoEntry{}
 	}
-	clear(h.lineVer)
+	h.lineVer.clear()
 	return nil
 }

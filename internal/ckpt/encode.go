@@ -3,6 +3,7 @@ package ckpt
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 
 	"lowvcc/internal/cache"
 	"lowvcc/internal/core"
@@ -55,6 +56,16 @@ func (d *decoder) u64() uint64 {
 	v := binary.LittleEndian.Uint64(d.buf[d.off:])
 	d.off += 8
 	return v
+}
+
+// u32 reads a u64 field that must hold a 32-bit value, so every accepted
+// blob is the canonical encoding of what it decodes to.
+func (d *decoder) u32() uint32 {
+	v := d.u64()
+	if d.err == nil && v > math.MaxUint32 {
+		d.err = fmt.Errorf("ckpt: 32-bit field holds %#x at offset %d", v, d.off-8)
+	}
+	return uint32(v)
 }
 
 // lenField reads a slice length and sanity-bounds it against the remaining
@@ -142,9 +153,9 @@ func encodeBP(w *predictor.WarmState) []byte {
 func decodeBP(buf []byte) (*predictor.WarmState, error) {
 	d := &decoder{buf: buf}
 	w := &predictor.WarmState{Counters: d.bytes()}
-	w.History = uint32(d.u64())
+	w.History = d.u32()
 	w.RSB = d.u64s()
-	w.Top = int32(uint32(d.u64()))
+	w.Top = int32(d.u32())
 	if err := d.done(); err != nil {
 		return nil, err
 	}

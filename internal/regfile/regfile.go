@@ -13,7 +13,6 @@
 package regfile
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"lowvcc/internal/isa"
@@ -59,7 +58,6 @@ func New() *File {
 		arr: sram.MustNew(sram.Config{
 			Name:          "RF",
 			Entries:       isa.NumRegs,
-			BytesPerEntry: 8,
 			EntriesPerSet: 1,
 		}),
 		writePipeCycles: 1,
@@ -114,9 +112,7 @@ func (f *File) Write(cycle int64, r isa.Reg, value uint64) {
 		}
 		f.portFreeAt = cycle + int64(f.writePipeCycles) - 1
 	}
-	var buf [8]byte
-	binary.BigEndian.PutUint64(buf[:], value)
-	f.arr.Write(cycle, int(r), buf[:], f.interrupted, f.n)
+	f.arr.Write(cycle, int(r), value, f.interrupted, f.n)
 	f.values[r] = value
 	f.stats.Writes++
 }
@@ -133,11 +129,8 @@ func (f *File) Read(cycle int64, r isa.Reg) (value uint64, ok bool) {
 	if !r.Valid() {
 		panic(fmt.Sprintf("regfile: read of %v", r))
 	}
-	raw, ok := f.arr.Read(cycle, int(r))
+	value, ok = f.arr.Read(cycle, int(r))
 	f.stats.Reads++
-	if raw != nil {
-		value = binary.BigEndian.Uint64(raw)
-	}
 	if !ok {
 		f.stats.ViolationReads++
 		return value, false

@@ -6,10 +6,9 @@ import "fmt"
 type Config struct {
 	// Name identifies the block in statistics ("DL0", "RF", ...).
 	Name string
-	// Entries is the number of independently addressable entries.
+	// Entries is the number of independently addressable entries, each
+	// holding one 64-bit word (a register value or a line signature).
 	Entries int
-	// BytesPerEntry is the payload width of one entry.
-	BytesPerEntry int
 	// EntriesPerSet groups entries that are physically read together (the
 	// ways of one cache set). Reading any entry of a set exposes every
 	// stabilizing entry of that set to destruction. Use 1 for arrays whose
@@ -24,9 +23,6 @@ type Config struct {
 func (c Config) validate() error {
 	if c.Entries <= 0 {
 		return fmt.Errorf("sram %q: Entries must be positive, got %d", c.Name, c.Entries)
-	}
-	if c.BytesPerEntry <= 0 {
-		return fmt.Errorf("sram %q: BytesPerEntry must be positive, got %d", c.Name, c.BytesPerEntry)
 	}
 	if c.EntriesPerSet <= 0 {
 		return fmt.Errorf("sram %q: EntriesPerSet must be positive, got %d", c.Name, c.EntriesPerSet)
@@ -57,16 +53,7 @@ type Stats struct {
 // goroutine-safe; each simulated core owns its arrays.
 type Array struct {
 	cfg   Config
-	data  []byte  // Entries * BytesPerEntry backing store
-	ready []int64 // cycle from which each entry is readable
-	// written is the cycle each entry's latest write started: the entry is
-	// stabilizing (dangerous to read) only in [written, ready). Reads
-	// before `written` see the previous, settled contents — this matters
-	// because callers may stamp fills at future completion times.
-	written []int64
-	// corrupt marks entries destroyed by an IRAW violation; their data has
-	// been scrambled and stays scrambled until rewritten.
-	corrupt []bool
+	slots []slot
 	// maxReady is an upper bound on every entry's ready stamp: reads at or
 	// beyond it cannot hit a stabilizing entry anywhere in the array, so
 	// the violation/collateral scan is skipped (the overwhelmingly common
@@ -100,12 +87,21 @@ type Array struct {
 
 	readsThisCycle, writesThisCycle int
 	portCycle                       int64
+}
 
-	// DebugScramble, when set, fires whenever an entry is destroyed
-	// (tests only).
-	DebugScramble func(cycle int64, entry int, wasTarget bool)
-	// DebugWrite, when set, fires on every write (tests only).
-	DebugWrite func(cycle int64, entry int, interrupted bool)
+// slot is one entry's word and timing state, kept together so an access
+// touches one host cache line.
+type slot struct {
+	word  uint64
+	ready int64 // cycle from which the entry is readable
+	// written is the cycle the latest write started: the entry is
+	// stabilizing (dangerous to read) only in [written, ready). Reads
+	// before `written` see the previous, settled contents — this matters
+	// because callers may stamp fills at future completion times.
+	written int64
+	// corrupt marks an entry destroyed by an IRAW violation; its word has
+	// been scrambled and stays scrambled until rewritten.
+	corrupt bool
 }
 
 // New returns an Array for cfg with all entries stable and zeroed.
@@ -116,10 +112,7 @@ func New(cfg Config) (*Array, error) {
 	sets := cfg.Entries / cfg.EntriesPerSet
 	return &Array{
 		cfg:          cfg,
-		data:         make([]byte, cfg.Entries*cfg.BytesPerEntry),
-		ready:        make([]int64, cfg.Entries),
-		written:      make([]int64, cfg.Entries),
-		corrupt:      make([]bool, cfg.Entries),
+		slots:        make([]slot, cfg.Entries),
 		setReady:     make([]int64, sets),
 		corruptInSet: make([]int32, sets),
 		unlimited:    cfg.ReadPorts == 0 && cfg.WritePorts == 0,
@@ -160,13 +153,7 @@ func (a *Array) rollPorts(cycle int64) {
 	}
 }
 
-// slot returns the backing slice for an entry.
-func (a *Array) slot(entry int) []byte {
-	off := entry * a.cfg.BytesPerEntry
-	return a.data[off : off+a.cfg.BytesPerEntry]
-}
-
-// Write stores data into entry during the given cycle. With interrupted set
+// Write stores word into entry during the given cycle. With interrupted set
 // (IRAW mode at low Vcc) the entry only becomes readable after
 // stabilizeCycles further cycles; otherwise it is readable from the next
 // cycle. Write returns false if no write port was free this cycle.
@@ -175,42 +162,34 @@ func (a *Array) slot(entry int) []byte {
 // stabilizing entry: per Section 4.4, "even if the data in the updated
 // location were still stabilizing, correctness is guaranteed because data
 // are not read but updated".
-func (a *Array) Write(cycle int64, entry int, data []byte, interrupted bool, stabilizeCycles int) bool {
+func (a *Array) Write(cycle int64, entry int, word uint64, interrupted bool, stabilizeCycles int) bool {
 	// entry is bounds-checked by the slice accesses below (hot path).
-	if len(data) != a.cfg.BytesPerEntry {
-		panic(fmt.Sprintf("sram %q: write of %d bytes into %d-byte entry", a.cfg.Name, len(data), a.cfg.BytesPerEntry))
-	}
-	if a.noFast || !a.unlimited || a.DebugWrite != nil {
+	if a.noFast || !a.unlimited {
 		a.rollPorts(cycle)
 		if a.cfg.WritePorts > 0 && a.writesThisCycle >= a.cfg.WritePorts {
 			a.stats.PortConflicts++
 			return false
 		}
 		a.writesThisCycle++
-		if a.DebugWrite != nil {
-			a.DebugWrite(cycle, entry, interrupted)
-		}
 	}
-	copy(a.slot(entry), data)
+	e := &a.slots[entry]
 	set := entry / a.cfg.EntriesPerSet
-	if a.corrupt[entry] {
-		a.corrupt[entry] = false
+	if e.corrupt {
 		a.corruptInSet[set]--
 	}
-	a.written[entry] = cycle
+	ready := cycle + 1
 	if interrupted {
 		if stabilizeCycles < 1 {
 			panic(fmt.Sprintf("sram %q: interrupted write needs stabilizeCycles >= 1", a.cfg.Name))
 		}
-		a.ready[entry] = cycle + 1 + int64(stabilizeCycles)
-	} else {
-		a.ready[entry] = cycle + 1
+		ready += int64(stabilizeCycles)
 	}
-	if a.ready[entry] > a.maxReady {
-		a.maxReady = a.ready[entry]
+	*e = slot{word: word, ready: ready, written: cycle}
+	if ready > a.maxReady {
+		a.maxReady = ready
 	}
-	if a.ready[entry] > a.setReady[set] {
-		a.setReady[set] = a.ready[entry]
+	if ready > a.setReady[set] {
+		a.setReady[set] = ready
 	}
 	a.stats.Writes++
 	return true
@@ -219,26 +198,35 @@ func (a *Array) Write(cycle int64, entry int, data []byte, interrupted bool, sta
 // scramble deterministically corrupts an entry's data, modelling the
 // destroyed half-flipped bitcells of an IRAW violation.
 func (a *Array) scramble(entry int) {
-	s := a.slot(entry)
-	for i := range s {
-		s[i] ^= byte(0xA5 ^ (entry + i))
-	}
-	if !a.corrupt[entry] {
-		a.corrupt[entry] = true
+	e := &a.slots[entry]
+	e.word ^= scrambleMask(entry)
+	if !e.corrupt {
+		e.corrupt = true
 		a.corruptInSet[entry/a.cfg.EntriesPerSet]++
 	}
-	a.ready[entry] = a.portCycle // destroyed cells settle (to wrong values)
+	e.ready = a.portCycle // destroyed cells settle (to wrong values)
 }
 
-// Read fetches entry's data during cycle. ok reports a clean read. A read
+// scrambleMask is the violation pattern of entry: byte i of the word's
+// big-endian form is flipped by 0xA5 ^ (entry+i). Violation data feeds
+// recorded results, so TestScrambleMatchesBytePattern pins the pattern.
+func scrambleMask(entry int) uint64 {
+	var m uint64
+	for i := 0; i < 8; i++ {
+		m = m<<8 | uint64(byte(0xA5^(entry+i)))
+	}
+	return m
+}
+
+// Read fetches entry's word during cycle. ok reports a clean read. A read
 // targeting a stabilizing entry is an IRAW violation: the returned data is
 // the scrambled result and the entry stays corrupted. Whether or not the
 // target itself was stabilizing, every *other* stabilizing entry in the
 // same set is destroyed too (simultaneous set access, Section 4.3).
 //
-// A nil return with ok=false (and no counter movement beyond PortConflicts)
+// A zero word with ok=false and no counter movement beyond PortConflicts
 // means no read port was free.
-func (a *Array) Read(cycle int64, entry int) (data []byte, ok bool) {
+func (a *Array) Read(cycle int64, entry int) (word uint64, ok bool) {
 	// entry is bounds-checked by the slice accesses below (hot path).
 	if !a.noFast && a.unlimited {
 		// Port-free fast reads: the per-cycle counters are never consulted
@@ -251,7 +239,7 @@ func (a *Array) Read(cycle int64, entry int) (data []byte, ok bool) {
 			// destroyed, and the set-wide slot walk is skipped — the same
 			// outcome the walk below would reach with every stabilizing()
 			// check false.
-			return a.slot(entry), !a.corrupt[entry]
+			return a.slots[entry].word, !a.slots[entry].corrupt
 		}
 		a.rollPorts(cycle) // scramble below reads portCycle
 		return a.readSlow(cycle, entry)
@@ -259,7 +247,7 @@ func (a *Array) Read(cycle int64, entry int) (data []byte, ok bool) {
 	a.rollPorts(cycle)
 	if a.cfg.ReadPorts > 0 && a.readsThisCycle >= a.cfg.ReadPorts {
 		a.stats.PortConflicts++
-		return nil, false
+		return 0, false
 	}
 	a.readsThisCycle++
 	a.stats.Reads++
@@ -268,7 +256,7 @@ func (a *Array) Read(cycle int64, entry int) (data []byte, ok bool) {
 		// Nothing in the array is stabilizing: the read is clean unless the
 		// entry still carries an earlier violation's scramble, and no
 		// co-resident entry can be destroyed.
-		return a.slot(entry), !a.corrupt[entry]
+		return a.slots[entry].word, !a.slots[entry].corrupt
 	}
 	return a.readSlow(cycle, entry)
 }
@@ -276,13 +264,10 @@ func (a *Array) Read(cycle int64, entry int) (data []byte, ok bool) {
 // readSlow is Read's set-walk half: the target and its co-resident entries
 // checked for stabilization, with violation/collateral semantics applied.
 // The caller has rolled the ports (scramble stamps a.portCycle).
-func (a *Array) readSlow(cycle int64, entry int) (data []byte, ok bool) {
+func (a *Array) readSlow(cycle int64, entry int) (word uint64, ok bool) {
 	violated := false
 	if a.stabilizing(cycle, entry) {
 		a.stats.ViolationReads++
-		if a.DebugScramble != nil {
-			a.DebugScramble(cycle, entry, true)
-		}
 		a.scramble(entry)
 		violated = true
 	}
@@ -291,18 +276,16 @@ func (a *Array) readSlow(cycle int64, entry int) (data []byte, ok bool) {
 	for e := setBase; e < setBase+a.cfg.EntriesPerSet; e++ {
 		if e != entry && a.stabilizing(cycle, e) {
 			a.stats.CollateralDestructions++
-			if a.DebugScramble != nil {
-				a.DebugScramble(cycle, e, false)
-			}
 			a.scramble(e)
 		}
 	}
-	return a.slot(entry), !violated && !a.corrupt[entry]
+	return a.slots[entry].word, !violated && !a.slots[entry].corrupt
 }
 
 // stabilizing reports whether entry is mid-stabilization at cycle.
 func (a *Array) stabilizing(cycle int64, entry int) bool {
-	return cycle >= a.written[entry] && cycle < a.ready[entry]
+	e := &a.slots[entry]
+	return cycle >= e.written && cycle < e.ready
 }
 
 // Stable reports whether entry is readable at cycle without a violation.
@@ -328,19 +311,13 @@ func (a *Array) SetStable(cycle int64, entry int) bool {
 // ReadyAt returns the first cycle at which entry is readable.
 func (a *Array) ReadyAt(entry int) int64 {
 	a.checkEntry(entry)
-	return a.ready[entry]
-}
-
-// WrittenAt returns the start cycle of entry's latest write.
-func (a *Array) WrittenAt(entry int) int64 {
-	a.checkEntry(entry)
-	return a.written[entry]
+	return a.slots[entry].ready
 }
 
 // Corrupted reports whether entry currently holds violation-scrambled data.
 func (a *Array) Corrupted(entry int) bool {
 	a.checkEntry(entry)
-	return a.corrupt[entry]
+	return a.slots[entry].corrupt
 }
 
 // CorruptInSet returns the number of violation-scrambled entries in the set
@@ -351,15 +328,13 @@ func (a *Array) CorruptInSet(entry int) int {
 	return int(a.corruptInSet[entry/a.cfg.EntriesPerSet])
 }
 
-// Peek returns a copy of entry's data without port accounting, violation
-// semantics, or side effects (a test/debug observer).
-func (a *Array) Peek(entry int) []byte {
+// Peek returns entry's word without port accounting, violation semantics,
+// or side effects (a test/debug observer).
+func (a *Array) Peek(entry int) uint64 {
 	a.checkEntry(entry)
-	out := make([]byte, a.cfg.BytesPerEntry)
-	copy(out, a.slot(entry))
-	return out
+	return a.slots[entry].word
 }
 
 // TotalBits returns the array's storage capacity in bits, used by the area
 // and energy accounting.
-func (a *Array) TotalBits() int { return a.cfg.Entries * a.cfg.BytesPerEntry * 8 }
+func (a *Array) TotalBits() int { return a.cfg.Entries * 64 }

@@ -10,7 +10,9 @@
 //     cells. It grounds the cycle-level rules in the circuit behaviour the
 //     paper describes.
 //   - Array models a whole SRAM block at cycle granularity: every entry
-//     tracks the cycle from which it is readable; reading a set that holds a
+//     holds one 64-bit word (both users, the caches' line signatures and
+//     the register file, store exactly that) and tracks the cycle from
+//     which it is readable; reading a set that holds a
 //     stabilizing entry destroys that entry's contents (the paper's
 //     set-associative hazard: "all entries in the corresponding set are
 //     accessed simultaneously").

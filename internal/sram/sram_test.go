@@ -1,7 +1,6 @@
 package sram
 
 import (
-	"bytes"
 	"testing"
 	"testing/quick"
 )
@@ -109,8 +108,7 @@ func TestBitcellStabilizeProperty(t *testing.T) {
 func newTestArray(t *testing.T, entriesPerSet int) *Array {
 	t.Helper()
 	a, err := New(Config{
-		Name: "test", Entries: 16, BytesPerEntry: 4,
-		EntriesPerSet: entriesPerSet,
+		Name: "test", Entries: 16, EntriesPerSet: entriesPerSet,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -120,12 +118,12 @@ func newTestArray(t *testing.T, entriesPerSet int) *Array {
 
 func TestArrayWriteThenStableRead(t *testing.T) {
 	a := newTestArray(t, 1)
-	data := []byte{1, 2, 3, 4}
+	const data = 0x0102030405060708
 	if !a.Write(10, 3, data, false, 0) {
 		t.Fatal("write rejected")
 	}
 	got, ok := a.Read(11, 3)
-	if !ok || !bytes.Equal(got, data) {
+	if !ok || got != data {
 		t.Fatalf("Read = (%v, %v), want clean %v", got, ok, data)
 	}
 	if a.Stats().ViolationReads != 0 {
@@ -135,7 +133,7 @@ func TestArrayWriteThenStableRead(t *testing.T) {
 
 func TestArrayInterruptedWriteWindow(t *testing.T) {
 	a := newTestArray(t, 1)
-	data := []byte{9, 8, 7, 6}
+	const data = 0x09080706
 	const n = 2
 	a.Write(100, 5, data, true, n)
 	// Stabilizing during cycles 101..102; readable from 103.
@@ -146,20 +144,20 @@ func TestArrayInterruptedWriteWindow(t *testing.T) {
 		t.Fatal("entry not stable after the window")
 	}
 	got, ok := a.Read(103, 5)
-	if !ok || !bytes.Equal(got, data) {
+	if !ok || got != data {
 		t.Fatalf("post-window read = (%v,%v), want clean data", got, ok)
 	}
 }
 
 func TestArrayViolationScramblesData(t *testing.T) {
 	a := newTestArray(t, 1)
-	data := []byte{0xDE, 0xAD, 0xBE, 0xEF}
+	const data = 0xDEADBEEF
 	a.Write(50, 2, data, true, 1)
 	got, ok := a.Read(51, 2) // inside the window: violation
 	if ok {
 		t.Fatal("violating read reported clean")
 	}
-	if bytes.Equal(got, data) {
+	if got == data {
 		t.Fatal("violating read returned intact data; must be scrambled")
 	}
 	if a.Stats().ViolationReads != 1 {
@@ -173,7 +171,7 @@ func TestArrayViolationScramblesData(t *testing.T) {
 	if a.Corrupted(2) {
 		t.Fatal("rewrite did not clear corruption")
 	}
-	if got, ok := a.Read(61, 2); !ok || !bytes.Equal(got, data) {
+	if got, ok := a.Read(61, 2); !ok || got != data {
 		t.Fatalf("read after rewrite = (%v,%v)", got, ok)
 	}
 }
@@ -182,12 +180,11 @@ func TestArrayCollateralSetDestruction(t *testing.T) {
 	// 4 entries per set: entries 0..3 share a set. A read of entry 0 while
 	// entry 2 stabilizes destroys entry 2 even though 0 was the target.
 	a := newTestArray(t, 4)
-	stable := []byte{1, 1, 1, 1}
-	fresh := []byte{2, 2, 2, 2}
+	const stable, fresh = 0x01010101, 0x02020202
 	a.Write(10, 0, stable, false, 0)
 	a.Write(20, 2, fresh, true, 1)
 	got, ok := a.Read(21, 0)
-	if !ok || !bytes.Equal(got, stable) {
+	if !ok || got != stable {
 		t.Fatalf("read of stable way = (%v,%v), want clean", got, ok)
 	}
 	if a.Stats().CollateralDestructions != 1 {
@@ -206,7 +203,7 @@ func TestArrayCollateralSetDestruction(t *testing.T) {
 
 func TestArraySetStable(t *testing.T) {
 	a := newTestArray(t, 4)
-	a.Write(10, 1, []byte{1, 2, 3, 4}, true, 2)
+	a.Write(10, 1, 0x01020304, true, 2)
 	if a.SetStable(11, 0) {
 		t.Fatal("SetStable true while a way stabilizes")
 	}
@@ -221,9 +218,9 @@ func TestArraySetStable(t *testing.T) {
 func TestArrayWriteIntoStabilizingEntryIsSafe(t *testing.T) {
 	// Section 4.4: overwriting a stabilizing entry is fine (no read).
 	a := newTestArray(t, 1)
-	a.Write(10, 4, []byte{1, 1, 1, 1}, true, 1)
-	a.Write(11, 4, []byte{2, 2, 2, 2}, true, 1) // inside window: allowed
-	if got, ok := a.Read(13, 4); !ok || !bytes.Equal(got, []byte{2, 2, 2, 2}) {
+	a.Write(10, 4, 0x01010101, true, 1)
+	a.Write(11, 4, 0x02020202, true, 1) // inside window: allowed
+	if got, ok := a.Read(13, 4); !ok || got != 0x02020202 {
 		t.Fatalf("read = (%v,%v), want the second write's data", got, ok)
 	}
 	if a.Stats().ViolationReads != 0 {
@@ -232,18 +229,17 @@ func TestArrayWriteIntoStabilizingEntryIsSafe(t *testing.T) {
 }
 
 func TestArrayPortLimits(t *testing.T) {
-	a, err := New(Config{Name: "p", Entries: 8, BytesPerEntry: 2,
-		EntriesPerSet: 1, ReadPorts: 1, WritePorts: 1})
+	a, err := New(Config{Name: "p", Entries: 8, EntriesPerSet: 1, ReadPorts: 1, WritePorts: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !a.Write(5, 0, []byte{1, 2}, false, 0) {
+	if !a.Write(5, 0, 0x0102, false, 0) {
 		t.Fatal("first write rejected")
 	}
-	if a.Write(5, 1, []byte{3, 4}, false, 0) {
+	if a.Write(5, 1, 0x0304, false, 0) {
 		t.Fatal("second write same cycle accepted with 1 port")
 	}
-	if !a.Write(6, 1, []byte{3, 4}, false, 0) {
+	if !a.Write(6, 1, 0x0304, false, 0) {
 		t.Fatal("write next cycle rejected")
 	}
 	if _, ok := a.Read(7, 0); !ok {
@@ -259,7 +255,7 @@ func TestArrayPortLimits(t *testing.T) {
 
 func TestArrayUninterruptedNextCycleReadable(t *testing.T) {
 	a := newTestArray(t, 1)
-	a.Write(10, 0, []byte{5, 5, 5, 5}, false, 0)
+	a.Write(10, 0, 0x05050505, false, 0)
 	if !a.Stable(11, 0) {
 		t.Fatal("uninterrupted write not readable next cycle")
 	}
@@ -270,10 +266,10 @@ func TestArrayUninterruptedNextCycleReadable(t *testing.T) {
 
 func TestArrayConfigValidation(t *testing.T) {
 	bad := []Config{
-		{Name: "a", Entries: 0, BytesPerEntry: 1, EntriesPerSet: 1},
-		{Name: "b", Entries: 4, BytesPerEntry: 0, EntriesPerSet: 1},
-		{Name: "c", Entries: 4, BytesPerEntry: 1, EntriesPerSet: 0},
-		{Name: "d", Entries: 6, BytesPerEntry: 1, EntriesPerSet: 4},
+		{Name: "a", Entries: 0, EntriesPerSet: 1},
+		{Name: "b", Entries: -4, EntriesPerSet: 1},
+		{Name: "c", Entries: 4, EntriesPerSet: 0},
+		{Name: "d", Entries: 6, EntriesPerSet: 4},
 	}
 	for _, cfg := range bad {
 		if _, err := New(cfg); err == nil {
@@ -294,8 +290,8 @@ func TestArrayPanicsOnBadUsage(t *testing.T) {
 		f()
 	}
 	mustPanic("out-of-range entry", func() { a.Read(0, 99) })
-	mustPanic("wrong width", func() { a.Write(0, 0, []byte{1}, false, 0) })
-	mustPanic("interrupted without N", func() { a.Write(0, 0, []byte{1, 2, 3, 4}, true, 0) })
+	mustPanic("out-of-range write", func() { a.Write(0, 16, 1, false, 0) })
+	mustPanic("interrupted without N", func() { a.Write(0, 0, 0x01020304, true, 0) })
 }
 
 // TestArrayDataIntegrityProperty: for any sequence of interrupted writes
@@ -303,13 +299,12 @@ func TestArrayPanicsOnBadUsage(t *testing.T) {
 // correctness claim behind IRAW avoidance.
 func TestArrayDataIntegrityProperty(t *testing.T) {
 	f := func(seed uint8, entries [12]uint8, values [12]uint32) bool {
-		a := MustNew(Config{Name: "q", Entries: 8, BytesPerEntry: 4, EntriesPerSet: 2})
+		a := MustNew(Config{Name: "q", Entries: 8, EntriesPerSet: 2})
 		cycle := int64(0)
-		want := map[int][]byte{}
+		want := map[int]uint64{}
 		for i, e := range entries {
 			entry := int(e) % 8
-			v := values[i]
-			data := []byte{byte(v), byte(v >> 8), byte(v >> 16), byte(v >> 24)}
+			data := uint64(values[i])
 			cycle += 3 // windows never overlap reads below
 			a.Write(cycle, entry, data, true, 2)
 			want[entry] = data
@@ -317,7 +312,7 @@ func TestArrayDataIntegrityProperty(t *testing.T) {
 		cycle += 3 // all windows closed
 		for entry, data := range want {
 			got, ok := a.Read(cycle, entry)
-			if !ok || !bytes.Equal(got, data) {
+			if !ok || got != data {
 				return false
 			}
 			cycle++
@@ -331,14 +326,14 @@ func TestArrayDataIntegrityProperty(t *testing.T) {
 
 func TestTotalBits(t *testing.T) {
 	a := newTestArray(t, 1)
-	if got := a.TotalBits(); got != 16*4*8 {
-		t.Fatalf("TotalBits = %d, want %d", got, 16*4*8)
+	if got := a.TotalBits(); got != 16*64 {
+		t.Fatalf("TotalBits = %d, want %d", got, 16*64)
 	}
 }
 
 func TestPeekHasNoSideEffects(t *testing.T) {
 	a := newTestArray(t, 4)
-	a.Write(10, 1, []byte{1, 2, 3, 4}, true, 5)
+	a.Write(10, 1, 0x01020304, true, 5)
 	before := a.Stats()
 	_ = a.Peek(1)
 	_ = a.Peek(0)
