@@ -3,10 +3,12 @@
 // executes the cells under time-bounded leases — in-process, on external
 // worker processes, or both. Workers can crash, hang, or be kill -9'ed and
 // the sweep still completes, bit-identical to a local run, because every
-// cell is idempotent by content address in the shared journal.
+// cell is idempotent by content address and every result enters the
+// daemon's journal only through its content check.
 //
 // Start a daemon (journal directory is required; it also holds the
-// exclusive-writer LOCK):
+// exclusive-writer LOCK, and the in-process workers' private journal and
+// checkpoint store live under its local/ subdirectory):
 //
 //	sweepd -addr 127.0.0.1:7077 -journal /tmp/jnl
 //
@@ -50,7 +52,7 @@ import (
 
 func main() {
 	addr := flag.String("addr", "127.0.0.1:7077", "listen address (host:port; port 0 picks a free one)")
-	journalDir := flag.String("journal", "", "journal directory shared by daemon and workers (required)")
+	journalDir := flag.String("journal", "", "daemon journal directory (required); in-process workers journal privately under <dir>/local and upload like external ones")
 	workers := flag.Int("workers", 0, "in-process simulation workers (0 = GOMAXPROCS, -1 = none: external workers only)")
 	leaseTTL := flag.Duration("lease-ttl", 30*time.Second, "cell lease TTL; a dead worker's cells requeue within ~1.25x this")
 	maxQueue := flag.Int("max-queue", 4096, "max pending+leased cells before submissions get 429")
@@ -61,7 +63,7 @@ func main() {
 	fsync := flag.Bool("fsync", true, "fsync journal entries (power-loss durability)")
 	retries := flag.Int("retries", 1, "window-level transient-failure retries per cell execution")
 	retryBackoff := flag.Duration("retry-backoff", time.Second, "backoff before the first retry (doubles, jittered)")
-	journalBudget := flag.Int64("journal-budget", 0, "journal disk budget in bytes; LRU entries evict past it (0 = unbounded)")
+	journalBudget := flag.Int64("journal-budget", 0, "journal disk budget in bytes for the daemon's journal and each worker's private one; LRU entries evict past it (0 = unbounded)")
 	ckptBudget := flag.Int64("ckpt-budget", 0, "checkpoint-store disk budget in bytes, worker mode (0 = unbounded)")
 	submitRate := flag.Float64("submit-rate", 0, "per-client sweep submissions per second (0 = unlimited)")
 	submitBurst := flag.Int("submit-burst", 2, "per-client submission burst on top of -submit-rate")

@@ -84,15 +84,14 @@ type Journal struct {
 	hits, misses, corrupt, writeErrs atomic.Uint64
 	rejected, evictions              atomic.Uint64
 
-	// Disk-budget state (SetBudget). sizes/lastUse/pins are only
-	// populated while a budget is active; all are guarded by mu.
+	// Disk-budget state (SetBudget). sizes/lastUse are only populated
+	// while a budget is active; all are guarded by mu.
 	mu      sync.Mutex
 	budget  int64
 	total   int64
 	sizes   map[string]int64
 	lastUse map[string]int64
 	useSeq  int64
-	pins    map[string]int
 }
 
 // Open creates the journal directory if needed and returns a handle.
@@ -331,50 +330,30 @@ func (j *Journal) writeFile(key string, data []byte) error {
 // SetBudget caps the journal directory at budget bytes of entry files.
 // When a Put or Admit pushes the total over the cap, least-recently-used
 // entries are unlinked until it fits again (Stats.Evictions counts them).
-// Zero or negative disables the cap. Pinned keys (Pin) are never evicted,
-// so an in-flight lease's entry cannot vanish between a worker's write and
-// the scheduler's read-back. Because the journal is a cache, eviction is
-// always safe: an evicted entry is re-simulated on the next miss.
+// Zero or negative disables the cap. The entry a Put or Admit just wrote
+// is never its own victim, so a writer can always read back what it
+// wrote. Because the journal is a cache, eviction is always safe: an
+// evicted entry is re-simulated on the next miss.
 //
-// The accounting assumes this process is the directory's only writer
-// while a budget is active — exactly the sweep daemon's LOCK-guarded
-// arrangement. Readers in other processes are unaffected beyond extra
+// The accounting assumes this handle is the directory's only writer while
+// a budget is active — exactly the sweep daemon's arrangement, where the
+// LOCK-holding scheduler admits every result. Other writers' entries are
+// seen only when a fresh handle's SetBudget seeds the accounting from the
+// directory and enforces it at once, which is how a worker trims its
+// private journal after an upload. Readers are unaffected beyond extra
 // misses.
 func (j *Journal) SetBudget(budget int64) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	j.budget = budget
 	if budget <= 0 {
-		j.sizes, j.lastUse, j.pins, j.total = nil, nil, nil, 0
+		j.sizes, j.lastUse, j.total = nil, nil, 0
 		return
 	}
 	if j.sizes == nil {
 		j.scanLocked()
 	}
 	j.enforceLocked("")
-}
-
-// Pin marks key as non-evictable until a matching Unpin; pins are
-// counted, so concurrent leases on the same cell nest.
-func (j *Journal) Pin(key string) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.pins == nil {
-		j.pins = make(map[string]int)
-	}
-	j.pins[key]++
-}
-
-// Unpin releases one Pin on key.
-func (j *Journal) Unpin(key string) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.pins == nil {
-		return
-	}
-	if j.pins[key]--; j.pins[key] <= 0 {
-		delete(j.pins, key)
-	}
 }
 
 // DiskUsage reports the tracked entry-file bytes while a budget is
@@ -448,9 +427,9 @@ func (j *Journal) scanLocked() {
 	}
 }
 
-// enforceLocked unlinks least-recently-used, unpinned entries until the
-// total fits the budget. keep (the just-written key) is exempt even when
-// unpinned, so a fresh result always survives long enough to be read back.
+// enforceLocked unlinks least-recently-used entries until the total fits
+// the budget. keep (the just-written key) is exempt, so a fresh result
+// always survives long enough to be read back.
 func (j *Journal) enforceLocked(keep string) {
 	if j.budget <= 0 || j.total <= j.budget {
 		return
@@ -461,7 +440,7 @@ func (j *Journal) enforceLocked(keep string) {
 	}
 	var cands []cand
 	for key, use := range j.lastUse {
-		if key == keep || j.pins[key] > 0 {
+		if key == keep {
 			continue
 		}
 		cands = append(cands, cand{key, use})

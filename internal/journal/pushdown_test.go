@@ -1,6 +1,7 @@
 package journal
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -160,29 +161,6 @@ func TestBudgetEvictsLRU(t *testing.T) {
 	}
 }
 
-// TestBudgetPinBlocksEviction: a pinned key (an in-flight lease's cell)
-// survives any squeeze; Unpin makes it evictable again.
-func TestBudgetPinBlocksEviction(t *testing.T) {
-	j, keys, size := budgetJournal(t, 3)
-	j.Pin(keys[0])
-	j.SetBudget(size + size/2) // room for one entry
-	if _, ok := j.Get(keys[0]); !ok {
-		t.Fatal("pinned entry was evicted")
-	}
-	if _, ok := j.Get(keys[1]); ok {
-		t.Error("unpinned LRU entry survived a one-entry budget")
-	}
-	j.Unpin(keys[0])
-	res := sampleResult(t)
-	k := Key("budget-trace", "cfg-pin-extra")
-	if err := j.Put(&Entry{Key: k, Windows: 1, Result: res}); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := j.Get(keys[0]); ok {
-		t.Error("unpinned entry survived the next enforcement")
-	}
-}
-
 // TestBudgetSeedsFromDisk: SetBudget on a journal reopened over an
 // existing directory accounts for the entries already on disk.
 func TestBudgetSeedsFromDisk(t *testing.T) {
@@ -249,4 +227,61 @@ func TestLockPidReuse(t *testing.T) {
 	} else if !strings.Contains(err.Error(), "locked by running pid") {
 		t.Errorf("unexpected error: %v", err)
 	}
+}
+
+// FuzzAdmit throws arbitrary (key, bytes) uploads at Admit, the decoder a
+// hostile push-down worker reaches. Nothing may panic. An accepted upload
+// lands byte-for-byte and reads back under its key with a Result; a
+// rejected one leaves the directory empty and is counted.
+func FuzzAdmit(f *testing.F) {
+	src, err := Open(f.TempDir())
+	if err != nil {
+		f.Fatal(err)
+	}
+	key := Key("fuzz-trace", "fuzz-cfg")
+	if err := src.Put(&Entry{Key: key, Windows: 1, Result: sampleResult(f)}); err != nil {
+		f.Fatal(err)
+	}
+	raw, ok := src.GetRaw(key)
+	if !ok {
+		f.Fatal("GetRaw missed a just-written entry")
+	}
+	flipped := append([]byte(nil), raw...)
+	sum := len(headerMagic) + 1 // first checksum digit
+	flipped[sum] ^= 0x01
+	f.Add(key, raw)
+	f.Add(key, raw[:len(raw)-7])
+	f.Add(key, flipped)
+	f.Add(Key("other-trace", "fuzz-cfg"), raw)
+
+	f.Fuzz(func(t *testing.T, key string, data []byte) {
+		j, err := Open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		ent, err := j.Admit(key, data)
+		if err != nil {
+			if ents, _ := os.ReadDir(j.Dir()); len(ents) != 0 {
+				t.Fatalf("rejected upload left %d files behind", len(ents))
+			}
+			if got := j.Stats().Rejected; got != 1 {
+				t.Fatalf("Rejected = %d after a refused upload, want 1", got)
+			}
+			return
+		}
+		if ent.Key != key || ent.Result == nil {
+			t.Fatalf("Admit returned entry %q (result %v) for key %q", ent.Key, ent.Result != nil, key)
+		}
+		onDisk, err := os.ReadFile(j.path(key))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(onDisk, data) {
+			t.Fatal("admitted file differs from the uploaded bytes")
+		}
+		got, ok := j.Get(key)
+		if !ok || got.Key != key || got.Result == nil {
+			t.Fatalf("Get after Admit = (%+v, %v), want the admitted entry", got, ok)
+		}
+	})
 }

@@ -9,6 +9,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -214,11 +215,9 @@ func TestCompleteWinsExpiredUnreclaimedLease(t *testing.T) {
 	if err != nil || lease == nil {
 		t.Fatalf("acquire: (%v, %v)", lease, err)
 	}
-	if err := executeCell(context.Background(), lease, WorkerOpts{}); err != nil {
-		t.Fatal(err)
-	}
+	entry := sealedEntry(t, lease)
 	clock.advance(2 * time.Hour) // lease is now expired but unreclaimed
-	if err := s.Complete(lease.ID, "slow", "", nil); err != nil {
+	if err := s.Complete(lease.ID, "slow", "", entry); err != nil {
 		t.Fatalf("Complete on expired-but-unreclaimed lease = %v, want nil", err)
 	}
 	st, _ := s.Status(id)
@@ -423,16 +422,16 @@ func TestChaosSeverPartition(t *testing.T) {
 }
 
 // TestJournalBudgetUnderLoad: a daemon whose journal budget cannot even
-// hold one entry still completes every cell — leased cells are pinned
-// through their completion, eviction only ever reclaims unpinned history,
-// and what remains on disk stays verifiable.
+// hold one entry still completes every cell — Admit hands back the entry
+// it verified, so eviction only ever reclaims history, never a result
+// still being recorded, and what remains on disk stays verifiable.
 func TestJournalBudgetUnderLoad(t *testing.T) {
 	spec := testSpec()
 	dir := t.TempDir()
 	s := newTestScheduler(t, SchedulerOpts{
 		JournalDir:    dir,
 		LeaseTTL:      time.Second,
-		JournalBudget: 1, // absurdly tight: every unpinned entry evicts
+		JournalBudget: 1, // absurdly tight: every older entry evicts
 	})
 	stop := pushDownWorkers(t, s, 2, nil)
 	defer stop()
@@ -452,4 +451,85 @@ func TestJournalBudgetUnderLoad(t *testing.T) {
 	if _, err := s.Journal().Verify(); err != nil {
 		t.Fatalf("surviving journal entries failed verification: %v", err)
 	}
+}
+
+// cellFiles counts the journal entry files directly inside dir.
+func cellFiles(t *testing.T, dir string) int {
+	t.Helper()
+	return len(journalHashes(t, dir))
+}
+
+// TestInProcessJournalBudget: the daemon's in-process slots journal into
+// <dir>/local and upload through Admit, so -journal-budget bounds both
+// directories — the daemon's journal sees every entry and evicts.
+func TestInProcessJournalBudget(t *testing.T) {
+	spec := testSpec()
+	dir := t.TempDir()
+	srv, _, err := NewServer(ServerOpts{
+		SchedulerOpts: SchedulerOpts{JournalDir: dir, LeaseTTL: time.Second, JournalBudget: 1},
+		Workers:       2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, err := srv.Scheduler().Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := waitStatus(t, srv.Scheduler(), id, 60*time.Second)
+	if err := srv.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if st.State != "done" || st.Done != cellCount(spec) {
+		t.Fatalf("budgeted in-process sweep = %+v, want done with all %d cells", st, cellCount(spec))
+	}
+	if ev := srv.Scheduler().Journal().Stats().Evictions; ev == 0 {
+		t.Fatal("daemon journal evicted nothing under a 1-byte budget")
+	}
+	for _, d := range []string{dir, filepath.Join(dir, "local")} {
+		if n := cellFiles(t, d); n > 1 {
+			t.Errorf("%s holds %d entries under a 1-byte budget, want at most 1", d, n)
+		}
+	}
+}
+
+// TestInProcessTornWrite: an in-process slot whose private journal write
+// tears uploads nothing valid. The daemon charges exactly that one attempt,
+// the requeued cell re-simulates, and the sweep still ends done and
+// byte-identical to a local run.
+func TestInProcessTornWrite(t *testing.T) {
+	spec := testSpec()
+	ref := localReferenceJournal(t, spec)
+	dir := t.TempDir()
+	srv, _, err := NewServer(ServerOpts{
+		SchedulerOpts: SchedulerOpts{JournalDir: dir, LeaseTTL: time.Second},
+		Workers:       2,
+		Faults:        sim.NewFaultPlan(sim.FaultRule{Kind: sim.FaultTruncateJournal, Times: 1}),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Drain(context.Background())
+	s := srv.Scheduler()
+	id, err := s.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := waitStatus(t, s, id, 60*time.Second)
+	if st.State != "done" || st.Done != cellCount(spec) {
+		t.Fatalf("torn-write sweep = %+v, want done with all %d cells", st, cellCount(spec))
+	}
+	s.mu.Lock()
+	charged := 0
+	for _, n := range s.sweeps[id].attempts {
+		charged += n
+	}
+	s.mu.Unlock()
+	if charged != 1 {
+		t.Fatalf("torn private entry charged %d attempts, want 1", charged)
+	}
+	if rej := s.Journal().Stats().Rejected; rej != 1 {
+		t.Fatalf("daemon journal rejected %d uploads, want the 1 torn one", rej)
+	}
+	assertJournalsEqual(t, ref, dir, "in-process torn write")
 }

@@ -15,9 +15,9 @@ import (
 // SchedulerOpts configures a Scheduler. The zero value is usable: defaults
 // fill in at New.
 type SchedulerOpts struct {
-	// JournalDir roots the shared result journal (required). The scheduler
-	// claims the directory's exclusive-writer LOCK for the daemon's
-	// lifetime.
+	// JournalDir roots the daemon's result journal (required). The
+	// scheduler claims the directory's exclusive-writer LOCK for the
+	// daemon's lifetime and is the only writer inside it.
 	JournalDir string
 
 	// LeaseTTL bounds how long a worker may hold a cell without
@@ -39,13 +39,14 @@ type SchedulerOpts struct {
 	// janitor fails overdue sweeps' remaining cells. 0 = no deadline.
 	SweepDeadline time.Duration
 
-	// JournalSync selects fsync-on-Put for the daemon's journal handle and
-	// for workers (propagated through leases).
+	// JournalSync selects fsync for the daemon's journal: every admitted
+	// result is durable before its cell counts as done. Workers' private
+	// journals never fsync.
 	JournalSync bool
 
 	// JournalBudget, when positive, caps the daemon journal's disk usage
 	// in bytes: least-recently-used entries are evicted to stay under it.
-	// Cells with live leases are pinned and never evicted. 0 = unbounded.
+	// 0 = unbounded.
 	JournalBudget int64
 
 	// SubmitRate, when positive, throttles SubmitAs per client to this
@@ -129,7 +130,7 @@ const completedRing = 4096
 // Scheduler owns the sweep queue and the lease table. It is safe for
 // concurrent use; all methods may be called from HTTP handlers and worker
 // goroutines simultaneously. The scheduler itself never simulates — it
-// only hands out leases and reads completed results back from the journal.
+// only hands out leases and admits uploaded results into the journal.
 type Scheduler struct {
 	opts SchedulerOpts
 	jnl  *journal.Journal
@@ -422,16 +423,10 @@ func (s *Scheduler) Acquire(worker string) (*Lease, error) {
 				expiry: s.now().Add(s.opts.LeaseTTL),
 			}
 			s.leases[ls.id] = ls
-			// Pin the cell's journal entry for the lease's lifetime so
-			// budget eviction can never race an in-flight completion's
-			// read-back. Unpinned wherever the lease is removed.
-			s.jnl.Pin(job.cells[i].Key)
 			return &Lease{
-				ID:          ls.id,
-				Cell:        job.cells[i],
-				JournalDir:  s.opts.JournalDir,
-				JournalSync: s.opts.JournalSync,
-				TTLMS:       s.opts.LeaseTTL.Milliseconds(),
+				ID:    ls.id,
+				Cell:  job.cells[i],
+				TTLMS: s.opts.LeaseTTL.Milliseconds(),
 			}, nil
 		}
 	}
@@ -464,21 +459,18 @@ func (s *Scheduler) Heartbeat(leaseID string) error {
 func (s *Scheduler) reclaimLocked(ls *leaseState, reason string) {
 	delete(s.leases, ls.id)
 	job := s.sweeps[ls.sweep]
-	s.jnl.Unpin(job.cells[ls.index].Key)
 	if job.terminalState != "" {
 		return
 	}
 	s.failAttemptLocked(job, ls.index, reason)
 }
 
-// Complete records a cell's outcome. On success the result enters the
-// daemon's journal one of two ways: an in-process worker already wrote it
-// there (entry nil — read it back through the integrity check), an
-// external worker uploads the sealed entry bytes (entry non-nil — verify
-// and admit via journal.Admit). Either way the scheduler believes only
-// what the journal's content check vouches for; results never count on a
-// worker's say-so, so a corrupt upload is charged as a failed attempt and
-// the cell requeues.
+// Complete records a cell's outcome. On success entry carries the sealed
+// journal-entry bytes, and the result enters the daemon's journal only
+// through journal.Admit, which verifies them first. The scheduler believes
+// only what that content check vouches for; results never count on a
+// worker's say-so, so a corrupt or empty upload is charged as a failed
+// attempt and the cell requeues.
 //
 // Complete is idempotent per lease: the lease ID doubles as the request's
 // idempotency token, and a retried Complete whose first try was already
@@ -507,26 +499,17 @@ func (s *Scheduler) Complete(leaseID, worker, errMsg string, entry []byte) error
 	s.mu.Unlock()
 
 	var res *core.Result
-	readErr := ""
-	if errMsg == "" {
-		if len(entry) > 0 {
-			// Push-down: verify the uploaded bytes (sha256, length, key)
-			// before they touch the journal.
-			if ent, err := s.jnl.Admit(cell.Key, entry); err == nil {
-				res = ent.Result
-			} else {
-				readErr = fmt.Sprintf("worker %s uploaded a corrupt entry for %s: %v", worker, cell.Key, err)
-			}
-		} else if ent, ok := s.jnl.Get(cell.Key); ok {
-			res = ent.Result
-		} else {
-			readErr = fmt.Sprintf("worker %s reported success but journal has no entry %s", worker, cell.Key)
-		}
+	failure := ""
+	if errMsg != "" {
+		failure = fmt.Sprintf("worker %s: %s", worker, errMsg)
+	} else if ent, err := s.jnl.Admit(cell.Key, entry); err != nil {
+		failure = fmt.Sprintf("worker %s uploaded no valid entry for %s: %v", worker, cell.Key, err)
+	} else {
+		res = ent.Result
 	}
 
 	s.mu.Lock()
 	defer func() {
-		s.jnl.Unpin(cell.Key)
 		s.completing--
 		s.idle.Broadcast()
 		s.mu.Unlock()
@@ -537,18 +520,15 @@ func (s *Scheduler) Complete(leaseID, worker, errMsg string, entry []byte) error
 		// record.
 		return nil
 	}
-	switch {
-	case errMsg != "":
-		s.failAttemptLocked(job, ls.index, fmt.Sprintf("worker %s: %s", worker, errMsg))
-	case readErr != "":
-		s.failAttemptLocked(job, ls.index, readErr)
-	default:
-		job.state[ls.index] = cellDone
-		job.done++
-		s.queued--
-		s.emitLocked(job, s.cellEvent(job, ls.index, res, false, worker, ""))
-		s.maybeFinishLocked(job)
+	if failure != "" {
+		s.failAttemptLocked(job, ls.index, failure)
+		return nil
 	}
+	job.state[ls.index] = cellDone
+	job.done++
+	s.queued--
+	s.emitLocked(job, s.cellEvent(job, ls.index, res, false, worker, ""))
+	s.maybeFinishLocked(job)
 	return nil
 }
 

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"lowvcc/internal/journal"
 	"lowvcc/internal/sim"
 )
 
@@ -133,14 +134,30 @@ func waitStatus(t *testing.T, s *Scheduler, id string, timeout time.Duration) Sw
 	}
 }
 
-// completeLease simulates the leased cell exactly like a worker and
-// reports it done.
-func completeLease(t *testing.T, s *Scheduler, lease *Lease) {
+// sealedEntry simulates the leased cell exactly like a worker, into a
+// private journal, and returns the sealed entry bytes a worker uploads.
+func sealedEntry(t *testing.T, lease *Lease) []byte {
 	t.Helper()
-	if err := executeCell(context.Background(), lease, WorkerOpts{}); err != nil {
+	wdir := t.TempDir()
+	if err := executeCell(context.Background(), lease, WorkerOpts{JournalDir: wdir}); err != nil {
 		t.Fatalf("executing leased cell: %v", err)
 	}
-	if err := s.Complete(lease.ID, "test", "", nil); err != nil {
+	wjnl, err := journal.Open(wdir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	entry, ok := wjnl.GetRaw(lease.Cell.Key)
+	if !ok {
+		t.Fatal("worker journal has no sealed entry after execution")
+	}
+	return entry
+}
+
+// completeLease executes the leased cell and reports it done with its
+// upload.
+func completeLease(t *testing.T, s *Scheduler, lease *Lease) {
+	t.Helper()
+	if err := s.Complete(lease.ID, "test", "", sealedEntry(t, lease)); err != nil {
 		t.Fatalf("completing lease: %v", err)
 	}
 }
@@ -277,8 +294,8 @@ func TestLeaseExpiryReclaimsAndNeverDoubleCounts(t *testing.T) {
 }
 
 // TestSuccessWithoutJournalEntryRetries: a worker claiming success without
-// having journaled the result (lost write) costs an attempt and requeues —
-// the scheduler believes the journal, not the worker.
+// uploading a result (lost write) costs an attempt and requeues — the
+// scheduler believes the verified upload, not the worker.
 func TestSuccessWithoutJournalEntryRetries(t *testing.T) {
 	s := newTestScheduler(t, SchedulerOpts{})
 	if _, err := s.Submit(singlePointSpec()); err != nil {
@@ -288,7 +305,7 @@ func TestSuccessWithoutJournalEntryRetries(t *testing.T) {
 	if err != nil || lease == nil {
 		t.Fatalf("acquire: (%v, %v)", lease, err)
 	}
-	// Complete without executing: no journal entry exists.
+	// Complete without executing: there is nothing to upload.
 	if err := s.Complete(lease.ID, "liar", "", nil); err != nil {
 		t.Fatal(err)
 	}

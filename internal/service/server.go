@@ -23,7 +23,8 @@ type ServerOpts struct {
 	// then only coordinates external workers).
 	Workers int
 
-	// Worker options forwarded to the in-process pool.
+	// Worker options forwarded to the in-process pool, which journals
+	// privately under <JournalDir>/local (bounded by JournalBudget too).
 	CellTimeout  time.Duration
 	Retries      int
 	RetryBackoff time.Duration
@@ -70,11 +71,12 @@ func NewServer(opts ServerOpts) (*Server, string, error) {
 	}
 	if n > 0 {
 		srv.stopWorkers = RunWorkers(context.Background(), sched, n, WorkerOpts{
-			Poll:         25 * time.Millisecond,
-			CellTimeout:  opts.CellTimeout,
-			Retries:      opts.Retries,
-			RetryBackoff: opts.RetryBackoff,
-			Faults:       opts.Faults,
+			Poll:          25 * time.Millisecond,
+			CellTimeout:   opts.CellTimeout,
+			Retries:       opts.Retries,
+			RetryBackoff:  opts.RetryBackoff,
+			Faults:        opts.Faults,
+			JournalBudget: opts.JournalBudget,
 		})
 	}
 	return srv, warn, nil

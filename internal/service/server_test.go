@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"lowvcc/internal/circuit"
-	"lowvcc/internal/journal"
 	"lowvcc/internal/sim"
 )
 
@@ -40,8 +39,8 @@ func newTestDaemon(t *testing.T, opts ServerOpts) (*Server, string) {
 }
 
 // TestHTTPEndToEndExternalWorker: the full wire path — client submits over
-// HTTP, an external worker (in-process here, but speaking only HTTP +
-// shared journal dir) executes every cell, the client streams ndjson
+// HTTP, an external worker (in-process here, but speaking only HTTP and
+// journaling privately) executes every cell, the client streams ndjson
 // events to the terminal, and the journal matches a local run.
 func TestHTTPEndToEndExternalWorker(t *testing.T) {
 	spec := testSpec()
@@ -255,18 +254,7 @@ func TestHTTPCompleteRejectsUndecodableBody(t *testing.T) {
 	if err != nil || lease == nil {
 		t.Fatalf("acquire: (%v, %v)", lease, err)
 	}
-	wdir := t.TempDir()
-	if err := executeCell(ctx, lease, WorkerOpts{JournalDir: wdir}); err != nil {
-		t.Fatal(err)
-	}
-	wjnl, err := journal.Open(wdir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	entry, ok := wjnl.GetRaw(lease.Cell.Key)
-	if !ok {
-		t.Fatal("worker journal has no sealed entry after execution")
-	}
+	entry := sealedEntry(t, lease)
 
 	url := base + "/api/v1/lease/" + lease.ID + "/done"
 	for name, body := range map[string]string{

@@ -17,15 +17,14 @@
 // because both executions write the same bytes to the same address, and a
 // replayed cell is indistinguishable from a fresh one.
 //
-// Results reach the daemon one of two ways, both ending in the daemon's
-// own journal through the full integrity check. In-process workers write
-// the shared journal directly. External workers journal into a private
-// directory and upload the sealed entry bytes in the Complete call
+// Results reach the daemon one way. Every worker journals into a private
+// directory and uploads the sealed entry bytes in the Complete call
 // (result push-down): the daemon re-derives the sha256 content address
 // and cell key from the uploaded bytes before admitting them
 // (journal.Admit), so a buggy or byzantine worker can corrupt nothing —
-// a bad upload is rejected, charged as a failed attempt, and the cell
-// requeues. No shared filesystem is required to join a fleet.
+// a bad or missing upload is rejected, charged as a failed attempt, and
+// the cell requeues. The scheduler is the only writer of the daemon's
+// journal, and no shared filesystem is required to join a fleet.
 //
 // # Leases, heartbeats, reclamation
 //
@@ -80,9 +79,11 @@
 //   - Disk full / store over budget: journal and checkpoint stores are
 //     caches. Write failures are counted and swallowed (the cell re-runs
 //     later); under -journal-budget/-ckpt-budget the stores evict
-//     least-recently-used entries, never an in-flight lease's cell
-//     (pinned) — an evicted entry is a future re-simulation or live
-//     replay, never an error.
+//     least-recently-used entries — an evicted entry is a future
+//     re-simulation or live replay, never an error. A worker trims its
+//     private journal only after uploading; should a sibling slot's trim
+//     evict an entry before its upload, the empty upload costs one
+//     attempt.
 //   - Daemon dies: the exclusive-writer LOCK file (internal/journal) is
 //     reclaimed by the next daemon after a pid+start-time liveness check
 //     (a recycled pid cannot wedge it); completed cells replay from the
@@ -92,13 +93,14 @@
 //     Resubmitting the same spec to the next daemon replays the finished
 //     cells and runs only the remainder.
 //
-// Two worker flavors implement the same CellSource-driven loop:
-// in-process goroutine pools inside the daemon (zero-copy, shared
-// journal) and external worker processes (sweepd -worker -join <addr>)
-// that pull leases over HTTP, journal privately and push results down.
-// Correctness never depends on the flavor or the worker count: the
-// acceptance tests run the same sweep with 1, 2 and 4 workers under
-// kill -9, partitions and corrupt uploads and assert identical journals.
+// Two worker flavors run the same CellSource-driven loop, journal
+// privately and push results down: in-process goroutine slots inside the
+// daemon (no HTTP hop; they share the private directory <journal>/local)
+// and external worker processes (sweepd -worker -join <addr>) that pull
+// leases over HTTP. Correctness never depends on the flavor or the worker
+// count: the acceptance tests run the same sweep with 1, 2 and 4 workers
+// under kill -9, partitions, torn writes and corrupt uploads and assert
+// identical journals.
 package service
 
 import (
@@ -142,14 +144,6 @@ type Cell struct {
 type Lease struct {
 	ID   string `json:"id"`
 	Cell Cell   `json:"cell"`
-
-	// JournalDir is the daemon's journal directory. In-process workers
-	// journal straight into it; external workers ignore it — they journal
-	// into a private directory and upload the sealed entry bytes in
-	// Complete instead (result push-down), so joining a daemon requires
-	// no shared filesystem.
-	JournalDir  string `json:"journal_dir"`
-	JournalSync bool   `json:"journal_sync"`
 
 	// TTLMS is the lease's time budget in milliseconds; heartbeat at a
 	// third of it.

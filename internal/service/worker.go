@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
 	"sync"
 	"time"
 
@@ -24,10 +25,9 @@ type CellSource interface {
 	Acquire(ctx context.Context, worker string) (*Lease, error)
 	// Heartbeat extends the lease; ErrLeaseLost means it was reclaimed.
 	Heartbeat(ctx context.Context, leaseID string) error
-	// Complete reports the cell's outcome. errMsg == "" means success.
-	// entry carries the sealed journal-entry bytes for push-down workers
-	// (verified daemon-side before admission); in-process workers pass nil
-	// and the daemon reads its own journal. The lease ID is the request's
+	// Complete reports the cell's outcome. errMsg == "" means success, and
+	// entry then carries the sealed journal-entry bytes, verified
+	// daemon-side before admission. The lease ID is the request's
 	// idempotency token: retrying a Complete is always safe.
 	Complete(ctx context.Context, leaseID, worker, errMsg string, entry []byte) error
 }
@@ -67,16 +67,17 @@ type WorkerOpts struct {
 	// crash-recovery smoke script only).
 	Faults *sim.FaultPlan
 
-	// JournalDir, when set, makes this a push-down worker: cells journal
-	// into this private directory and the sealed entry bytes upload in
-	// Complete, so no filesystem is shared with the daemon. When "", the
-	// worker journals straight into the lease's (daemon's) directory —
-	// the in-process arrangement.
+	// JournalDir is the worker's private journal: cells journal into it
+	// (fsync off — the daemon's journal is the durability boundary) and
+	// the sealed entry bytes upload in Complete, so no filesystem is shared
+	// with the daemon. Its ckpt/ subdirectory holds the warm-state
+	// checkpoint store. When "", Work uses a throwaway temp directory and
+	// RunWorkers uses <scheduler JournalDir>/local.
 	JournalDir string
 
 	// JournalBudget and CkptBudget bound the private journal's and the
 	// warm-state checkpoint store's disk usage in bytes (LRU eviction);
-	// 0 = unbounded. Only meaningful with JournalDir set.
+	// 0 = unbounded.
 	JournalBudget int64
 	CkptBudget    int64
 }
@@ -135,13 +136,19 @@ func runLease(ctx context.Context, src CellSource, lease *Lease, opts WorkerOpts
 	cancel()
 	hb.Wait()
 
-	// Push-down: read the sealed entry bytes back from the private journal
-	// for upload. A read failure here degrades to a nil upload — the
-	// daemon charges the attempt and requeues, exactly as if we crashed.
+	// Read the sealed entry bytes back from the private journal for
+	// upload. A read failure here degrades to an empty upload — the daemon
+	// charges the attempt and requeues, exactly as if we crashed. The
+	// private journal's budget is enforced once the report is settled, so
+	// a worker never evicts an entry it has yet to send, and a stopped
+	// pool leaves its directory within budget.
 	var entry []byte
-	if errMsg == "" && opts.JournalDir != "" {
-		if jnl, err := journal.Open(opts.JournalDir); err == nil {
+	if jnl, err := journal.Open(opts.JournalDir); err == nil {
+		if errMsg == "" {
 			entry, _ = jnl.GetRaw(lease.Cell.Key)
+		}
+		if opts.JournalBudget > 0 {
+			defer jnl.SetBudget(opts.JournalBudget)
 		}
 	}
 
@@ -222,17 +229,9 @@ func executeCell(ctx context.Context, lease *Lease, opts WorkerOpts) error {
 	}
 	cfg := c.Spec.PointConfig(circuit.Millivolts(c.VccMV), mode)
 
-	// Push-down workers journal privately (fsync off: the daemon's journal
-	// is the durability boundary, this one is a scratch cache); in-process
-	// workers share the daemon's directory and inherit its sync policy.
-	dir, sync := lease.JournalDir, lease.JournalSync
-	if opts.JournalDir != "" {
-		dir, sync = opts.JournalDir, false
-	}
-
 	r := c.Spec.NewRunner()
 	r.Workers = 1
-	r.JournalDir, r.JournalSync, r.JournalBudget = dir, sync, opts.JournalBudget
+	r.JournalDir = opts.JournalDir
 	r.CkptBudget = opts.CkptBudget
 	r.PointTimeout = opts.CellTimeout
 	r.Retries, r.RetryBackoff = opts.Retries, opts.RetryBackoff
@@ -252,8 +251,14 @@ func executeCell(ctx context.Context, lease *Lease, opts WorkerOpts) error {
 // RunWorkers starts n in-process worker slots against the scheduler and
 // returns a stop function that cancels them and waits. The daemon calls
 // this when configured with local simulation capacity; the slots poll
-// tightly (no HTTP in the path) and are named "local/N".
+// tightly, are named "local/N", and upload through Complete like any
+// worker, minus the HTTP hop. When opts.JournalDir is "" they share the
+// private journal <scheduler JournalDir>/local, which persists across
+// daemon restarts together with its checkpoint store.
 func RunWorkers(ctx context.Context, s *Scheduler, n int, opts WorkerOpts) (stop func()) {
+	if opts.JournalDir == "" {
+		opts.JournalDir = filepath.Join(s.opts.JournalDir, "local")
+	}
 	ctx, cancel := context.WithCancel(ctx)
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {

@@ -21,7 +21,12 @@
 #      regenerated configs, so a width-threading bug on either side would
 #      fail the content check or change the rendered numbers;
 #   5. SIGTERM drains the daemon gracefully: it verifies the journal and
-#      exits 0.
+#      exits 0;
+#   6. a second daemon with in-process worker slots (-workers 2) on a
+#      fresh journal renders the same CSV as the local sweep: its slots
+#      journal privately under <jnl>/local and upload through the same
+#      content check as external workers, and it too drains with a
+#      verified journal.
 #
 # Usage: scripts/sweepd_smoke.sh [insts] [seeds]
 set -euo pipefail
@@ -220,4 +225,48 @@ grep -q "journal verified" "$WORK/daemon.err" || {
 }
 DAEMON_PID=""
 
-echo "sweepd_smoke: PASS (no shared FS; kill -9 + partition mid-sweep; width-3 grid; results identical; clean drain)"
+# In-process scenario: a second daemon simulates with its own slots. They
+# journal into <jnl2>/local and upload every result through the daemon's
+# content check, exactly as external workers do.
+echo "sweepd_smoke: starting daemon with in-process workers (-workers 2)" >&2
+"$WORK/sweepd" -addr 127.0.0.1:0 -journal "$WORK/jnl2" -workers 2 \
+  > "$WORK/daemon2.out" 2> "$WORK/daemon2.err" &
+DAEMON_PID=$!
+ADDR=""
+for _ in $(seq 1 100); do
+  ADDR="$(sed -n 's/^sweepd: serving on //p' "$WORK/daemon2.out" | head -n1)"
+  [ -n "$ADDR" ] && break
+  kill -0 "$DAEMON_PID" 2>/dev/null || {
+    echo "sweepd_smoke: FAIL in-process daemon died at startup" >&2
+    cat "$WORK/daemon2.err" >&2
+    exit 1
+  }
+  sleep 0.1
+done
+[ -n "$ADDR" ] || { echo "sweepd_smoke: FAIL no serving line (in-process daemon)" >&2; exit 1; }
+if ! "$WORK/vccsweep" -server "$ADDR" -insts "$INSTS" -seeds "$SEEDS" \
+  -modes "$MODES" -csv > "$WORK/daemon_local.csv" 2> "$WORK/client_local.err"; then
+  echo "sweepd_smoke: FAIL in-process client sweep errored" >&2
+  cat "$WORK/client_local.err" >&2
+  exit 1
+fi
+if ! diff -u "$WORK/local.csv" "$WORK/daemon_local.csv"; then
+  echo "sweepd_smoke: FAIL in-process daemon sweep differs from local sweep" >&2
+  exit 1
+fi
+if ! ls "$WORK/jnl2/local"/*.cell >/dev/null 2>&1; then
+  echo "sweepd_smoke: FAIL in-process slots journaled nothing under <jnl>/local" >&2
+  exit 1
+fi
+echo "sweepd_smoke: in-process daemon CSV identical to local CSV" >&2
+kill -TERM "$DAEMON_PID"
+DAEMON_RC=0
+wait "$DAEMON_PID" || DAEMON_RC=$?
+if [ "$DAEMON_RC" -ne 0 ] || ! grep -q "journal verified" "$WORK/daemon2.err"; then
+  echo "sweepd_smoke: FAIL in-process daemon exited $DAEMON_RC or drained unverified" >&2
+  cat "$WORK/daemon2.err" >&2
+  exit 1
+fi
+DAEMON_PID=""
+
+echo "sweepd_smoke: PASS (no shared FS; kill -9 + partition mid-sweep; width-3 grid; in-process slots; results identical; clean drains)"
