@@ -22,12 +22,14 @@
 //     per-cycle linear scan over all pending events. Dispatch touches only
 //     the current bucket; far-future events wait in place across laps.
 //
-//   - Lazy scoreboard (internal/scoreboard). Registers store their
-//     initialization patterns plus an issue stamp instead of physically
-//     shifting every cycle; views are computed from the elapsed cycle
-//     count, and AdvanceTo moves time in one jump. NextChange exposes the
-//     next self-inflicted readiness flip — the event-driven loop's bound
-//     for how far it may skip while an instruction waits on a register.
+//   - Interval scoreboard (internal/scoreboard). Registers store the
+//     absolute cycles at which their shift register's MSB would flip
+//     (value available, bypass window end, bubble end) instead of
+//     physically shifting every cycle; a ready check is two or three
+//     compares against the clock, and AdvanceTo moves time in one jump.
+//     NextChange exposes the next self-inflicted readiness flip — the
+//     event-driven loop's bound for how far it may skip while an
+//     instruction waits on a register.
 //
 //   - Idle-cycle skipping. When a cycle ends with nothing issued,
 //     allocated, fetched or injected, the pipeline state is frozen until
@@ -109,19 +111,17 @@
 // internal/ckpt builds the content-addressed store on these primitives;
 // internal/sim routes sharded windows through it by default.
 //
-// # Struct-of-arrays slot state and issue width
+// # In-flight instructions and issue width
 //
-// The in-flight instruction state (fetched but not yet issued) is held
-// struct-of-arrays: parallel slices for opcode, sources, destination,
-// produced register, address, PC, branch outcome and the per-instruction
-// census flags, indexed by a ring-allocated slot id (see slotArrays in
-// core.go for the lifetime invariants). The issue stage therefore scans
-// dense arrays, and the batched ready-set probe
-// (scoreboard.IssueReadySet + iq.MayIssueN) resolves up to Width IQ slots
-// in one scoreboard call per cycle; DisableFastPaths (or the fuzz-only
-// noPair hook) falls back to the sequential per-slot register walk, which
-// is also the path every probe miss re-derives its stall attribution
-// through — Results are bit-identical either way.
+// The IQ payload of an in-flight instruction (fetched but not yet issued)
+// is its index in the running trace: the issue stage reads opcode,
+// operands, address, PC and branch outcome straight from the immutable
+// *trace.Inst. The only per-instruction state the pipeline adds — the
+// fetch-time misprediction verdict and the delayed-census flag — lives in
+// a small ring indexed by trace index (see flagRing in core.go). Issue
+// is one path: each cycle walks the IQ head, oldest first, up to Width
+// instructions, checking each one's sources and destination against the
+// scoreboard in the same order that derives its stall attribution.
 //
 // Config.Width is a real 1..MaxWidth axis: it sizes the fetch group, the
 // fetch buffer (8 entries per width step) and the per-cycle issue bound.
@@ -206,21 +206,20 @@ type Config struct {
 	// Seed drives fault-map generation and any other stochastic state.
 	Seed uint64
 
-	// DisableFastPaths turns off the result-invariant hot-path caches —
-	// the hierarchy's cached set state (way masks, MSHR generations, lazy
-	// integrity-oracle signatures, STable probe early-outs, per-set sram
-	// summaries) and the core's dual-issue scoreboard probe — while
-	// keeping the event-driven engine. Results are bit-identical either
-	// way (equivalence-fuzzed); this is the benchmark baseline and
-	// equivalence-test hook.
+	// DisableFastPaths turns off the memory side's result-invariant
+	// hot-path caches — the hierarchy's cached set state (way masks, MSHR
+	// generations, lazy integrity-oracle signatures, STable probe
+	// early-outs, per-set sram summaries) — while keeping the event-driven
+	// engine. Results are bit-identical either way (equivalence-fuzzed);
+	// this is the benchmark baseline and equivalence-test hook.
 	DisableFastPaths bool
 
 	// MaxCycles guards against pipeline deadlock (0 = automatic bound).
 	MaxCycles int64
 }
 
-// MaxWidth is the largest fetch/issue width the engine models: the
-// ready-set probe's scratch and verdict mask are sized for it.
+// MaxWidth is the largest fetch/issue width the engine models; wider cores
+// would need a modelled multi-port memory system and front end.
 const MaxWidth = 4
 
 // DefaultConfig returns the modelled core at the given operating point.

@@ -33,7 +33,6 @@ type Core struct {
 	// when each register's in-flight value lands in the RF and until when
 	// the bypass network can supply it.
 	regWriteAt    [isa.NumRegs]int64
-	regBypassVal  [isa.NumRegs]uint64
 	regBypassTill [isa.NumRegs]int64
 
 	// Extra-Bypass write-port FIFO state.
@@ -57,17 +56,10 @@ type Core struct {
 
 	seq uint64 // value generator: each producer writes its sequence number
 
-	// noSkip forces strict cycle stepping (idle-cycle skipping disabled).
-	// Test hook: the equivalence fuzz drives both engines over the same
-	// inputs and asserts bit-identical Results. It also disables the
-	// dual-issue fast path, so the stepped engine is the seed reference.
+	// noSkip forces strict cycle stepping (idle-cycle skipping and the
+	// blocked-head memo disabled). Test hook: the equivalence fuzz drives
+	// both engines over the same inputs and asserts bit-identical Results.
 	noSkip bool
-
-	// noPair disables the batched ready-set fast path only (the multi-slot
-	// scoreboard probe); set by Config.DisableFastPaths and the
-	// equivalence fuzz. Every slot then takes the sequential register
-	// walk, exactly as the seed engine did.
-	noPair bool
 
 	// stop, when non-nil, is polled periodically from the run loop; a
 	// non-nil return aborts the run with that error. The experiment runner
@@ -77,12 +69,11 @@ type Core struct {
 	stop func() error
 
 	// Per-run scratch, owned by the core so back-to-back Run calls (and
-	// Reset-reused cores) allocate nothing on the hot path. slots is the
-	// struct-of-arrays in-flight instruction state (see slotArrays); fetch
-	// is a ring of slot ids; probeOps is the ready-set probe's scratch.
-	slots    slotArrays
-	fetch    fetchRing
-	probeOps [MaxWidth]scoreboard.IssueOp
+	// Reset-reused cores) allocate nothing on the hot path. fetch is the
+	// fetch buffer of trace indices; flags holds the in-flight
+	// instructions' census flags (see slotFlags).
+	fetch fetchRing
+	flags flagRing
 }
 
 // New builds a core for cfg.
@@ -123,18 +114,16 @@ func (c *Core) reset() error {
 	c.mem = mem
 	if c.cfg.DisableFastPaths {
 		c.mem.SetFastPaths(false)
-		c.noPair = true
 	}
 
 	c.regWriteAt = [isa.NumRegs]int64{}
-	c.regBypassVal = [isa.NumRegs]uint64{}
 	c.regBypassTill = [isa.NumRegs]int64{}
 	c.portBusyUntil = 0
 	c.now = 0
 	c.wheel.clear()
 	c.seq = 0
 	c.fetch.init(c.cfg.Width)
-	c.slots.init(len(c.fetch.buf) + c.cfg.IQ.Size)
+	c.flags.init(len(c.fetch.buf) + c.cfg.IQ.Size)
 
 	if err := c.applyPlan(c.cfg.Vcc); err != nil {
 		return err
@@ -256,9 +245,9 @@ type wake struct {
 }
 
 // fbEntry is one fetched-but-not-allocated instruction, identified by its
-// in-flight slot id.
+// index in the running trace.
 type fbEntry struct {
-	slot    int
+	idx     int
 	readyAt int64
 }
 
@@ -300,74 +289,37 @@ func (r *fetchRing) pop() {
 	r.n--
 }
 
-// slotArrays is the struct-of-arrays layout for the in-flight instruction
-// state — every instruction fetched but not yet issued. Each field the
-// per-cycle issue stage reads lives in its own parallel slice indexed by
-// slot id, so the batched ready-set probe and the register walk scan dense
-// arrays instead of chasing *trace.Inst pointers, and the per-instruction
-// census flags (delayed, mispred) are per-slot instead of per-trace-index
-// (the seed engine allocated and cleared two trace-length bool slices per
-// run).
-//
-// Invariants:
-//
-//   - slot ids are ring-allocated (free-running counter & mask) at fetch
-//     and freed implicitly, in allocation order, when the instruction
-//     issues — in-order issue guarantees FIFO slot lifetime;
-//   - capacity covers the fetch buffer plus the IQ (the only places a
-//     live slot id is held: fbEntry.slot and iq.Entry.Payload), rounded
-//     up to a power of two, so a live slot is never overwritten;
-//   - NOOP IQ entries consume no slots;
-//   - a slot is valid from its alloc until its issue pops it from the IQ,
-//     which spans the mispred hand-off from predictAtFetch to tryIssue.
-type slotArrays struct {
-	op []isa.Op
-	// ops holds the operand quadruple (sources, destination, installed
-	// producer) — the exact record the batched ready-set probe consumes,
-	// packed 4 bytes per slot so the probe's gather and tryIssue's walk
-	// load one word instead of four parallel bytes.
-	ops     []scoreboard.IssueOp
-	addr    []uint64
-	pc      []uint64
-	taken   []bool
-	mispred []bool // fetch-time misprediction verdict, consumed at issue
-	delayed []bool // already counted in DelayedByRFIRAW (census once per inst)
-	mask    int
-	next    int // free-running allocation counter (slot id = next & mask)
+// slotFlags is the per-instruction state the pipeline adds to an in-flight
+// trace instruction (fetched but not yet issued); everything else the
+// issue stage needs it reads from the immutable *trace.Inst, whose trace
+// index is the IQ payload.
+type slotFlags struct {
+	mispred bool // fetch-time misprediction verdict, consumed at issue
+	delayed bool // already counted in DelayedByRFIRAW (census once per inst)
 }
 
-// init sizes the arrays for the configured fetch-buffer + IQ capacity.
-// Like fetchRing.init, it reallocates only on a capacity change.
-func (s *slotArrays) init(capacity int) {
+// flagRing holds slotFlags indexed by trace index & mask. In-order issue
+// keeps the live indices contiguous — from the oldest unissued instruction
+// up to the last one fetched — and there are at most fetch-buffer + IQ of
+// them, so a ring of that capacity (rounded up to a power of two) never
+// overwrites a live entry. An instruction's entry is cleared at fetch.
+type flagRing struct {
+	buf  []slotFlags
+	mask int
+}
+
+// init sizes the ring for the fetch-buffer + IQ capacity. Like
+// fetchRing.init, it reallocates only on a capacity change.
+func (r *flagRing) init(capacity int) {
 	c := nextPow2(capacity)
-	if len(s.op) != c {
-		s.op = make([]isa.Op, c)
-		s.ops = make([]scoreboard.IssueOp, c)
-		s.addr = make([]uint64, c)
-		s.pc = make([]uint64, c)
-		s.taken = make([]bool, c)
-		s.mispred = make([]bool, c)
-		s.delayed = make([]bool, c)
-		s.mask = c - 1
+	if len(r.buf) != c {
+		r.buf = make([]slotFlags, c)
+		r.mask = c - 1
 	}
-	s.next = 0
 }
 
-// alloc fills the next slot from a trace instruction and returns its id.
-func (s *slotArrays) alloc(in *trace.Inst) int {
-	i := s.next & s.mask
-	s.next++
-	s.op[i] = in.Op
-	s.ops[i] = scoreboard.IssueOp{
-		S1: in.Src1, S2: in.Src2, D: in.Dst, Prod: producedDst(in),
-	}
-	s.addr[i] = in.Addr
-	s.pc[i] = in.PC
-	s.taken[i] = in.Taken
-	s.mispred[i] = false
-	s.delayed[i] = false
-	return i
-}
+// at returns trace index idx's flags.
+func (r *flagRing) at(idx int) *slotFlags { return &r.buf[idx&r.mask] }
 
 // nextPow2 returns the smallest power of two >= n (and >= 1).
 func nextPow2(n int) int {
@@ -413,7 +365,6 @@ func (c *Core) dispatchWakes(cycle int64) (dispatched bool) {
 			// writes; Extra-Bypass extends it across the pipelined
 			// write).
 			c.regBypassTill[w.reg] = w.avail + bypass + writePipe - 2
-			c.regBypassVal[w.reg] = w.val
 			c.wheel.push(wake{at: w.avail + bypass, kind: wakeRFWrite, reg: w.reg, val: w.val})
 		case wakeRFWrite:
 			c.rf.Write(w.at, w.reg, w.val)
@@ -467,10 +418,11 @@ func (c *Core) snapBases() statBases {
 // Core for independent measurements.
 //
 // The loop is event-driven: deferred completions dispatch from a timing
-// wheel, the scoreboard is lazy (time advances in one jump), and cycles in
-// which no pipeline stage can make progress are skipped in bulk to the next
-// interesting time — see the package documentation for the skip conditions
-// and why stall attribution is preserved. Results are bit-identical to
+// wheel, the scoreboard stores cycle boundaries (time advances in one
+// jump), and cycles in which no pipeline stage can make progress are
+// skipped in bulk to the next interesting time — see the package
+// documentation for the skip conditions and why stall attribution is
+// preserved. Results are bit-identical to
 // strict cycle stepping (golden + fuzz equivalence tests hold the engines
 // together).
 func (c *Core) Run(tr *trace.Trace) (*Result, error) { return c.run(tr) }
@@ -552,12 +504,6 @@ func (c *Core) run(tr *trace.Trace) (*Result, error) {
 	var memoStall stats.StallKind
 	memoBlocked := -1
 
-	// prevIssued gates the ready-set probe: a cycle that follows a
-	// non-issuing cycle almost always has a blocked head, where the probe
-	// would be pure overhead. The gate is a heuristic, never a semantic:
-	// when it skips the probe the sequential walk derives the same outcome.
-	prevIssued := true
-
 	loopIters := 0
 	for issuedTotal < total {
 		if c.stop != nil && loopIters&1023 == 0 {
@@ -581,7 +527,7 @@ func (c *Core) run(tr *trace.Trace) (*Result, error) {
 		issued := 0
 		memIssued := false
 		stall := stats.StallNone
-		blocked := -1          // head slot a failed tryIssue left behind
+		blocked := -1          // trace index of the head a failed tryIssue left behind
 		var blockedRetry int64 // earliest cycle its verdict can change (valid with blocked >= 0)
 		if memoValid && cycle < memoUntil {
 			stall = memoStall
@@ -589,13 +535,6 @@ func (c *Core) run(tr *trace.Trace) (*Result, error) {
 			blockedRetry = memoUntil
 		} else {
 			memoValid = false
-			// verdicts carries the batched ready-set probe's per-slot
-			// scoreboard verdicts across loop iterations: bit 0 is the
-			// current head's verdict as if every older probed slot had
-			// issued; verdictN counts the bits still valid. Verdicts are
-			// consumed only while the older slots actually issue.
-			var verdicts uint32
-			verdictN := 0
 			for issued < c.cfg.Width {
 				if c.q.Occupancy() == 0 {
 					if issued == 0 && issuedTotal < total {
@@ -615,58 +554,16 @@ func (c *Core) run(tr *trace.Trace) (*Result, error) {
 					c.q.PopOldest()
 					run.IssuedNOOPs++
 					issued++
-					verdictN = 0 // the probed slots are no longer the head
 					continue
 				}
-				slot := int(e.Payload)
-				sbOK := int8(-1)
-				if verdictN > 0 {
-					sbOK = int8(verdicts & 1)
-					verdicts >>= 1
-					verdictN--
-				} else if issued == 0 && prevIssued && !c.noPair && !c.noSkip && c.cfg.Width >= 2 {
-					// Batched ready-set fast path: resolve up to Width IQ
-					// slots in one scoreboard probe over the SoA operand
-					// arrays. Younger slots' verdicts are evaluated as if
-					// the older ones had issued, so each successor that
-					// reaches the head reuses its bit instead of re-probing.
-					// The occupancy gate is re-applied per pop by the loop
-					// above; k only bounds how many slots are worth probing,
-					// and a k below 2 skips the probe outright (a lone head
-					// takes the sequential walk, exactly as the seed did).
-					k := c.cfg.Width
-					for k >= 2 && !c.q.MayIssueN(k) {
-						k--
-					}
-					if k >= 2 {
-						sl := &c.slots
-						n := 0
-						for i := 0; i < k; i++ {
-							// MayIssueN(k) guarantees occupancy >= k and
-							// DefaultConfigWidth keeps Width <= ICI, so
-							// Oldest(i) is non-nil throughout.
-							ei := c.q.Oldest(i)
-							if ei == nil || ei.NOOP {
-								break
-							}
-							c.probeOps[n] = sl.ops[int(ei.Payload)]
-							n++
-						}
-						if n >= 2 {
-							verdicts = c.sb.IssueReadySet(c.probeOps[:n])
-							verdictN = n
-							sbOK = int8(verdicts & 1)
-							verdicts >>= 1
-							verdictN--
-						}
-					}
-				}
-				reason, ok := c.tryIssue(cycle, slot, sbOK, &memIssued, &run, &fetchStallUntil, &awaitRedirect)
+				idx := int(e.Payload)
+				in := &insts[idx]
+				reason, ok := c.tryIssue(cycle, in, c.flags.at(idx), &memIssued, &run, &fetchStallUntil, &awaitRedirect)
 				if !ok {
 					if issued == 0 {
 						stall = reason
-						blocked = slot
-						blockedRetry = c.issueRetryAt(cycle, slot)
+						blocked = idx
+						blockedRetry = c.issueRetryAt(cycle, in)
 						if !c.noSkip { // keep the stepped reference engine truly stepped
 							memoValid, memoUntil, memoStall, memoBlocked = true, blockedRetry, stall, blocked
 						}
@@ -676,12 +573,11 @@ func (c *Core) run(tr *trace.Trace) (*Result, error) {
 				c.q.PopOldest()
 				issued++
 				issuedTotal++
-				if c.slots.op[slot] == isa.OpFence {
+				if in.Op == isa.OpFence {
 					draining = false
 				}
 			}
 		}
-		prevIssued = issued > 0
 		if issued > 2 {
 			issued = 2
 		}
@@ -698,10 +594,10 @@ func (c *Core) run(tr *trace.Trace) (*Result, error) {
 				if fe.readyAt > cycle {
 					break
 				}
-				c.q.Alloc(cycle, uint64(fe.slot))
+				c.q.Alloc(cycle, uint64(fe.idx))
 				c.fetch.pop()
 				allocs++
-				if c.slots.op[fe.slot] == isa.OpFence {
+				if insts[fe.idx].Op == isa.OpFence {
 					draining = true
 					break
 				}
@@ -734,9 +630,9 @@ func (c *Core) run(tr *trace.Trace) (*Result, error) {
 						break
 					}
 				}
-				slot := c.slots.alloc(in)
-				stop := c.predictAtFetch(cycle, slot, in, &fetchStallUntil, &awaitRedirect)
-				c.fetch.push(fbEntry{slot, cycle + int64(c.cfg.FrontDepth)})
+				*c.flags.at(fetchIdx) = slotFlags{}
+				stop := c.predictAtFetch(cycle, fetchIdx, in, &fetchStallUntil, &awaitRedirect)
+				c.fetch.push(fbEntry{fetchIdx, cycle + int64(c.cfg.FrontDepth)})
 				fetchIdx++
 				fetched++
 				if stop {
@@ -800,16 +696,16 @@ func (c *Core) run(tr *trace.Trace) (*Result, error) {
 // predictAtFetch consults BP/RSB for control ops, returning whether fetch
 // must stop after this instruction (a predicted-wrong path we do not model:
 // the trace holds only correct-path instructions, so a misprediction is a
-// fetch bubble until the branch resolves at issue). slot is the
-// instruction's freshly allocated in-flight slot; a misprediction is
-// recorded there for tryIssue's commit half to consume.
-func (c *Core) predictAtFetch(cycle int64, slot int, in *trace.Inst, fetchStallUntil *int64, awaitRedirect *int) bool {
+// fetch bubble until the branch resolves at issue). idx is the
+// instruction's trace index; a misprediction is recorded in its flags for
+// tryIssue's commit half to consume.
+func (c *Core) predictAtFetch(cycle int64, idx int, in *trace.Inst, fetchStallUntil *int64, awaitRedirect *int) bool {
 	switch in.Op {
 	case isa.OpBranch:
 		pred := c.bp.PredictBranch(cycle, in.PC)
 		if pred != in.Taken {
-			c.slots.mispred[slot] = true
-			*awaitRedirect = slot
+			c.flags.at(idx).mispred = true
+			*awaitRedirect = idx
 			return true
 		}
 		// Correctly predicted taken branches end the fetch group (target
@@ -825,8 +721,8 @@ func (c *Core) predictAtFetch(cycle int64, slot int, in *trace.Inst, fetchStallU
 		}
 		if conflict || tgt != in.Addr {
 			c.bp.NoteReturnMispredict()
-			c.slots.mispred[slot] = true
-			*awaitRedirect = slot
+			c.flags.at(idx).mispred = true
+			*awaitRedirect = idx
 			return true
 		}
 		return true
@@ -834,49 +730,14 @@ func (c *Core) predictAtFetch(cycle int64, slot int, in *trace.Inst, fetchStallU
 	return false
 }
 
-// tryIssue attempts to issue the instruction in the given in-flight slot at
-// cycle; on failure it returns the stall attribution. sbOK carries the
-// slot's verdict from the batched ready-set probe: 1 (ready — the register
-// walk is skipped, the probe already performed it), 0 (not ready) or -1 (no
-// probe ran); anything but 1 takes the register walk, which re-derives the
-// verdict together with its stall attribution.
-func (c *Core) tryIssue(cycle int64, slot int, sbOK int8, memIssued *bool, run *stats.Run,
+// tryIssue attempts to issue in at cycle; fl is its in-flight flags. On
+// failure it returns the stall attribution.
+func (c *Core) tryIssue(cycle int64, in *trace.Inst, fl *slotFlags, memIssued *bool, run *stats.Run,
 	fetchStallUntil *int64, awaitRedirect *int) (stats.StallKind, bool) {
 
-	s := &c.slots
-	op := s.op[slot]
-	o := s.ops[slot]
-	src1, src2, dst := o.S1, o.S2, o.D
-	if sbOK != 1 {
-		// Source readiness (the scoreboard's shift registers). A ready-set
-		// verdict of 0 lands here too: the walk re-derives the same failure
-		// with its stall attribution and delayed census.
-		for _, src := range [2]isa.Reg{src1, src2} {
-			if src == isa.RegNone {
-				continue
-			}
-			if c.sb.ReadReady(src) {
-				continue
-			}
-			if c.sb.IRAWBlocked(src) {
-				if !s.delayed[slot] {
-					s.delayed[slot] = true
-					run.DelayedByRFIRAW++
-				}
-				return stats.StallRFIRAW, false
-			}
-			if c.sb.LongPending(src) {
-				return stats.StallMemory, false
-			}
-			return stats.StallRAW, false
-		}
-		// Destination (WAW through the baseline view).
-		if dst != isa.RegNone && !c.sb.WriteReady(dst) {
-			if c.sb.LongPending(dst) {
-				return stats.StallMemory, false
-			}
-			return stats.StallRAW, false
-		}
+	op, src1, src2, dst := in.Op, in.Src1, in.Src2, in.Dst
+	if !c.sb.IssueReady(src1, src2, dst) {
+		return c.scoreboardStall(in, fl, run), false
 	}
 	// Structural: one memory op per cycle; D-side port holds block issue.
 	if isa.IsMem(op) {
@@ -909,23 +770,20 @@ func (c *Core) tryIssue(cycle int64, slot int, sbOK int8, memIssued *bool, run *
 
 	switch {
 	case op == isa.OpLoad:
-		res := c.mem.Load(cycle, s.addr[slot])
+		res := c.mem.Load(cycle, in.Addr)
 		avail := res.ReadyCycle + lat
 		c.produce(cycle, dst, avail)
 	case op == isa.OpStore:
 		c.seq++
-		c.mem.CommitStore(cycle, s.addr[slot], c.seq)
-	case isa.LongLatency(op):
-		avail := cycle + lat
-		c.produceLong(cycle, dst, avail)
+		c.mem.CommitStore(cycle, in.Addr, c.seq)
 	case op == isa.OpBranch:
-		c.bp.UpdateBranch(cycle, s.pc[slot], s.taken[slot], s.mispred[slot])
-		if s.mispred[slot] {
+		c.bp.UpdateBranch(cycle, in.PC, in.Taken, fl.mispred)
+		if fl.mispred {
 			*fetchStallUntil = cycle + int64(c.cfg.MispredictPenalty)
 			*awaitRedirect = -1
 		}
 	case op == isa.OpCall, op == isa.OpReturn:
-		if s.mispred[slot] {
+		if fl.mispred {
 			*fetchStallUntil = cycle + int64(c.cfg.MispredictPenalty)
 			*awaitRedirect = -1
 		}
@@ -935,18 +793,30 @@ func (c *Core) tryIssue(cycle int64, slot int, sbOK int8, memIssued *bool, run *
 	return stats.StallNone, true
 }
 
-// producedDst returns the register an issuing instruction installs a
-// producer for, or RegNone: exactly the ops for which tryIssue's commit
-// half calls produce/produceLong. Stores, branches, calls and returns
-// leave the scoreboard untouched even if a trace gave them a destination;
-// any other op (including a fence) with a destination produces, matching
-// tryIssue's fallthrough case.
-func producedDst(in *trace.Inst) isa.Reg {
-	switch in.Op {
-	case isa.OpStore, isa.OpBranch, isa.OpCall, isa.OpReturn:
-		return isa.RegNone
+// scoreboardStall attributes a failed scoreboard check: the first source
+// that is not read-ready (in operand order), else the destination's WAW
+// hazard. A source held only by the stabilization bubble counts the
+// instruction as delayed, once.
+func (c *Core) scoreboardStall(in *trace.Inst, fl *slotFlags, run *stats.Run) stats.StallKind {
+	reg := in.Dst
+	for _, src := range [2]isa.Reg{in.Src1, in.Src2} {
+		if c.sb.ReadReady(src) {
+			continue // RegNone is always ready
+		}
+		if c.sb.IRAWBlocked(src) {
+			if !fl.delayed {
+				fl.delayed = true
+				run.DelayedByRFIRAW++
+			}
+			return stats.StallRFIRAW
+		}
+		reg = src
+		break
 	}
-	return in.Dst
+	if c.sb.LongPending(reg) {
+		return stats.StallMemory
+	}
+	return stats.StallRAW
 }
 
 // issueRetryAt mirrors tryIssue's check sequence — with no side effects —
@@ -964,16 +834,14 @@ func producedDst(in *trace.Inst) isa.Reg {
 //   - a failing Extra-Bypass write-port check charges the RF
 //     port-contention counter with a per-cycle-varying amount, so those
 //     cycles must step singly (return cycle+1).
-func (c *Core) issueRetryAt(cycle int64, slot int) int64 {
-	s := &c.slots
+func (c *Core) issueRetryAt(cycle int64, in *trace.Inst) int64 {
 	next := int64(math.MaxInt64)
 	add := func(t int64) {
 		if t > cycle && t < next {
 			next = t
 		}
 	}
-	o := s.ops[slot]
-	for _, src := range [2]isa.Reg{o.S1, o.S2} {
+	for _, src := range [2]isa.Reg{in.Src1, in.Src2} {
 		if src == isa.RegNone {
 			continue
 		}
@@ -982,13 +850,13 @@ func (c *Core) issueRetryAt(cycle int64, slot int) int64 {
 			return next // the blocking source: later checks are not reached
 		}
 	}
-	if dst := o.D; dst != isa.RegNone && !c.sb.WriteReady(dst) {
+	if dst := in.Dst; dst != isa.RegNone && !c.sb.WriteReady(dst) {
 		add(c.sb.NextChange(dst))
 		return next
 	}
 	// A passing write view stays passing (no bubble, monotone) until a new
 	// producer issues — no candidate needed for the destination.
-	if isa.IsMem(s.op[slot]) {
+	if isa.IsMem(in.Op) {
 		// memIssued is always false here (nothing issued this cycle).
 		if c.mem.DL0.Busy(cycle) {
 			// NextFree never jumps a free gap (it walks the contiguous busy
@@ -1028,7 +896,6 @@ func (c *Core) produce(cycle int64, dst isa.Reg, avail int64) {
 		c.sb.IssueProducer(dst, lat)
 		c.regWriteAt[dst] = w
 		c.regBypassTill[dst] = w + writePipe - 2
-		c.regBypassVal[dst] = val
 		c.wheel.push(wake{at: w, kind: wakeRFWrite, reg: dst, val: val})
 	} else {
 		c.sb.BeginLongLatency(dst)
@@ -1044,22 +911,17 @@ func (c *Core) produce(cycle int64, dst isa.Reg, avail int64) {
 	}
 }
 
-// produceLong is produce for always-long ops (dividers).
-func (c *Core) produceLong(cycle int64, dst isa.Reg, avail int64) {
-	c.produce(cycle, dst, avail)
-}
-
 // readSources models the register reads of an issuing instruction: through
 // the bypass network while the value is in flight, from the RF array (next
-// cycle, per the pipeline contract) afterwards.
+// cycle, per the pipeline contract) afterwards. Bypass-network deliveries
+// touch no SRAM and are deliberately not charged as RF reads.
 func (c *Core) readSources(cycle int64, src1, src2 isa.Reg) {
 	for _, src := range [2]isa.Reg{src1, src2} {
 		if src == isa.RegNone {
 			continue
 		}
 		if c.regWriteAt[src] > cycle || cycle <= c.regBypassTill[src] {
-			_ = c.regBypassVal[src] // value carried by the bypass network
-			continue
+			continue // value carried by the bypass network
 		}
 		c.rf.Read(cycle+1, src)
 	}
@@ -1104,7 +966,7 @@ func (c *Core) buildResult(name string, run *stats.Run, bases *statBases) *Resul
 	res.Activity.DL0Accesses = dl0.Accesses
 	res.Activity.UL1Accesses = ul1.Accesses
 	res.Activity.TLBAccesses = itlb.Accesses + dtlb.Accesses
-	res.Activity.RFReads = rfS.Reads + rfS.BypassReads
+	res.Activity.RFReads = rfS.Reads // array reads only: bypass deliveries are free
 	res.Activity.RFWrites = rfS.Writes
 	res.Activity.IQOps = 2 * run.Instructions // alloc + issue per instruction
 	res.Activity.BPAccesses = bpS.Predictions + bpS.ReturnPredictions
@@ -1116,7 +978,6 @@ func (c *Core) buildResult(name string, run *stats.Run, bases *statBases) *Resul
 func subRF(a, b regfile.Stats) regfile.Stats {
 	a.Reads -= b.Reads
 	a.Writes -= b.Writes
-	a.BypassReads -= b.BypassReads
 	a.ViolationReads -= b.ViolationReads
 	a.IntegrityErrors -= b.IntegrityErrors
 	a.PortContentionCycles -= b.PortContentionCycles

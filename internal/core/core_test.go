@@ -371,17 +371,17 @@ func TestIssueRetryBoundedByFutureDL0Hold(t *testing.T) {
 	c := MustNew(DefaultConfig(500, circuit.ModeIRAW))
 	const cycle = int64(100)
 	c.mem.DTLB.HoldPorts(cycle, cycle+5)
-	slot := c.slots.alloc(&trace.Inst{Op: isa.OpLoad, Src1: isa.RegNone, Src2: isa.RegNone, Dst: isa.RegNone})
+	in := &trace.Inst{Op: isa.OpLoad, Src1: isa.RegNone, Src2: isa.RegNone, Dst: isa.RegNone}
 
-	if got := c.issueRetryAt(cycle, slot); got != cycle+6 {
+	if got := c.issueRetryAt(cycle, in); got != cycle+6 {
 		t.Fatalf("clear DL0: retry = %d, want DTLB free time %d", got, cycle+6)
 	}
 	c.mem.DL0.HoldPorts(cycle+2, cycle+4) // future onset inside the DTLB run
-	if got := c.issueRetryAt(cycle, slot); got != cycle+2 {
+	if got := c.issueRetryAt(cycle, in); got != cycle+2 {
 		t.Fatalf("future DL0 hold: retry = %d, want its onset %d", got, cycle+2)
 	}
 	// DL0 busy right now: the retry walks only the contiguous busy run.
-	if got := c.issueRetryAt(cycle+2, slot); got != cycle+5 {
+	if got := c.issueRetryAt(cycle+2, in); got != cycle+5 {
 		t.Fatalf("DL0 busy: retry = %d, want first DL0-free cycle %d", got, cycle+5)
 	}
 }

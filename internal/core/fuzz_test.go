@@ -68,11 +68,11 @@ func TestRandomizedConfigsNeverDeadlockOrCorrupt(t *testing.T) {
 }
 
 // TestSkipEngineMatchesSteppedEngine fuzzes the event-driven fast paths —
-// the timing wheel, the lazy scoreboard and, above all, idle-cycle skipping
-// — against strict cycle stepping: the same randomized (profile, voltage,
-// mode, N) points run through both engine variants and every Result field
-// (cycles, stall histograms, violation counters, cache/BP statistics) must
-// be bit-identical, cold and warm.
+// the timing wheel, the interval scoreboard and, above all, idle-cycle
+// skipping — against strict cycle stepping: the same randomized (profile,
+// voltage, mode, N) points run through both engine variants and every
+// Result field (cycles, stall histograms, violation counters, cache/BP
+// statistics) must be bit-identical, cold and warm.
 func TestSkipEngineMatchesSteppedEngine(t *testing.T) {
 	src := rng.New(0xBEEFCAFE)
 	profiles := append(workload.Profiles(), workload.MemBound())
@@ -124,10 +124,10 @@ func TestSkipEngineMatchesSteppedEngine(t *testing.T) {
 
 // TestFastPathsMatchDisabledEngine fuzzes the PR-4 fast paths — the
 // hierarchy's cached set state (way masks, packed LRU, MSHR generations,
-// lazy oracle signatures, STable early-outs, per-set sram summaries) and
-// the dual-issue scoreboard probe — against the same event-driven engine
-// with Config.DisableFastPaths set: randomized (profile, voltage, mode, N,
-// faulty-bits) points must produce bit-identical Results, cold and warm.
+// lazy oracle signatures, STable early-outs, per-set sram summaries) —
+// against the same event-driven engine with Config.DisableFastPaths set:
+// randomized (profile, voltage, mode, N, faulty-bits) points must produce
+// bit-identical Results, cold and warm.
 // Together with TestSkipEngineMatchesSteppedEngine (which pins the default
 // engine to strict cycle stepping) this chains fast paths -> plain
 // event-driven -> stepped seed reference.
@@ -181,45 +181,12 @@ func TestFastPathsMatchDisabledEngine(t *testing.T) {
 	}
 }
 
-// TestPairProbeMatchesSequentialIssue isolates the dual-issue fast path:
-// identical runs with only the two-slot scoreboard probe toggled (noPair)
-// must be bit-identical — the probe may never change what issues when.
-func TestPairProbeMatchesSequentialIssue(t *testing.T) {
-	src := rng.New(0x2571)
-	profiles := append(workload.Profiles(), workload.MemBound())
-	levels := circuit.Levels()
-	for i := 0; i < 12; i++ {
-		p := profiles[src.Intn(len(profiles))]
-		v := levels[src.Intn(len(levels))]
-		cfg := DefaultConfig(v, circuit.ModeIRAW)
-		if i%3 == 0 {
-			cfg.Mode = circuit.ModeExtraBypass // writePipe > 1: port checks
-		}
-		tr := workload.Generate(p, 2000+src.Intn(2000), uint64(i)+777)
-		pair := MustNew(cfg)
-		seq := MustNew(cfg)
-		seq.noPair = true
-		pr, err := pair.Run(tr)
-		if err != nil {
-			t.Fatalf("iter %d: pair: %v", i, err)
-		}
-		sr, err := seq.Run(tr)
-		if err != nil {
-			t.Fatalf("iter %d: sequential: %v", i, err)
-		}
-		if !reflect.DeepEqual(pr, sr) {
-			t.Fatalf("iter %d (%s %v): pair probe changes results\npair: %+v\nseq:  %+v", i, p.Name, v, pr, sr)
-		}
-	}
-}
-
 // TestWidthsMatchReferenceEngine fuzzes the width axis: for every width in
-// 1..MaxWidth, the batched ready-set engine must be bit-identical to the
-// stepped reference engine (noSkip — the seed semantics, probe off) and to
-// the probe-disabled event-driven engine (noPair) on the same randomized
-// (profile, voltage, mode, N) points, cold and warm. Width 2 is covered by
-// the recorded golden; this extends the equivalence chain to the whole
-// axis.
+// 1..MaxWidth, the event-driven engine must be bit-identical to the
+// stepped reference engine (noSkip — the seed semantics) on the same
+// randomized (profile, voltage, mode, N) points, cold and warm. Width 2 is
+// covered by the recorded golden; this extends the equivalence chain to
+// the whole axis.
 func TestWidthsMatchReferenceEngine(t *testing.T) {
 	src := rng.New(0x51DE)
 	profiles := append(workload.Profiles(), workload.MemBound())
@@ -246,8 +213,6 @@ func TestWidthsMatchReferenceEngine(t *testing.T) {
 		fast := MustNew(cfg)
 		stepped := MustNew(cfg)
 		stepped.noSkip = true
-		seq := MustNew(cfg)
-		seq.noPair = true
 		for pass := 0; pass < 2; pass++ {
 			fr, err := fast.Run(tr)
 			if err != nil {
@@ -257,17 +222,9 @@ func TestWidthsMatchReferenceEngine(t *testing.T) {
 			if err != nil {
 				t.Fatalf("iter %d pass %d (w=%d %s %v %v): stepped engine: %v", i, pass, width, p.Name, v, mode, err)
 			}
-			qr, err := seq.Run(tr)
-			if err != nil {
-				t.Fatalf("iter %d pass %d (w=%d %s %v %v): probe-off engine: %v", i, pass, width, p.Name, v, mode, err)
-			}
 			if !reflect.DeepEqual(fr, sr) {
 				t.Fatalf("iter %d pass %d (w=%d %s %v %v N=%d): fast vs stepped diverge\nfast:    %+v\nstepped: %+v",
 					i, pass, width, p.Name, v, mode, cfg.ForcedN, fr, sr)
-			}
-			if !reflect.DeepEqual(fr, qr) {
-				t.Fatalf("iter %d pass %d (w=%d %s %v %v N=%d): probe changes results\nprobe: %+v\noff:   %+v",
-					i, pass, width, p.Name, v, mode, cfg.ForcedN, fr, qr)
 			}
 		}
 	}
@@ -276,7 +233,7 @@ func TestWidthsMatchReferenceEngine(t *testing.T) {
 // TestWiderCoreIssuesMore pins the point of the width axis: on a compute
 // trace at nominal voltage, a 4-wide core must finish in strictly fewer
 // cycles than the 2-wide core, and the 1-wide core in strictly more — the
-// ready-set probe has to actually move extra instructions per cycle.
+// per-slot issue walk has to actually move extra instructions per cycle.
 func TestWiderCoreIssuesMore(t *testing.T) {
 	tr := workload.Generate(workload.SpecInt(), 20000, 7)
 	cycles := map[int]uint64{}

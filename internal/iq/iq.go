@@ -17,8 +17,9 @@ package iq
 import "fmt"
 
 // Entry is one queue slot. Payload is an opaque instruction handle owned by
-// the pipeline; AllocCycle records when the slot was written (used by the
-// self-check that the occupancy gate subsumes per-entry stability).
+// the pipeline (the core stores the instruction's trace index); AllocCycle
+// records when the slot was written (used by the self-check that the
+// occupancy gate subsumes per-entry stability).
 type Entry struct {
 	Payload    uint64
 	NOOP       bool
@@ -129,19 +130,6 @@ func (q *Queue) MayIssue() bool {
 		return true
 	}
 	return occ >= q.threshold()
-}
-
-// MayIssueN reports whether the issue stage may consider the k oldest
-// instructions this cycle — the wide-issue fast path's gate
-// (MayIssueN(1) is MayIssue). The j-th pop sees occupancy j lower, so the
-// occupancy gate must hold at occupancy-(k-1) too, exactly as the
-// sequential issue loop would re-check it after each pop.
-func (q *Queue) MayIssueN(k int) bool {
-	occ := q.Occupancy()
-	if occ < k || k < 1 {
-		return false
-	}
-	return q.n == 0 || occ-(k-1) >= q.threshold()
 }
 
 // GateBlocked reports whether issue is blocked *only* by the IRAW gate:

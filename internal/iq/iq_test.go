@@ -268,63 +268,3 @@ func TestNewValidation(t *testing.T) {
 		}()
 	}
 }
-
-// TestMayIssueNMatchesSequentialGate holds the width-N gate to its
-// definition: MayIssueN(k) allows k pops exactly when a sequential loop
-// re-checking MayIssue after every pop would — for k = 2 that is the
-// dual-issue gate: MayIssue now AND after one pop. MayIssueN(1) must agree
-// with MayIssue.
-func TestMayIssueNMatchesSequentialGate(t *testing.T) {
-	for _, ici := range []int{2, 4} {
-		for _, n := range []int{0, 1, 2, 3} {
-			for k := 1; k <= 5; k++ {
-				q := New(Config{Size: 16, ICI: ici, AI: 2})
-				q.SetStabilizeCycles(n)
-				for occ := 0; occ <= 16; occ++ {
-					got := q.MayIssueN(k)
-					probe := *q // pops on a copy of the pointers
-					want := true
-					for j := 0; j < k; j++ {
-						if !probe.MayIssue() {
-							want = false
-							break
-						}
-						probe.PopOldest()
-					}
-					if got != want {
-						t.Fatalf("ICI=%d N=%d k=%d occ=%d: MayIssueN = %v, sequential gate says %v", ici, n, k, occ, got, want)
-					}
-					if k == 1 && got != q.MayIssue() {
-						t.Fatalf("ICI=%d N=%d occ=%d: MayIssueN(1) = %v disagrees with MayIssue", ici, n, occ, got)
-					}
-					q.Alloc(int64(occ), uint64(occ))
-				}
-			}
-		}
-	}
-}
-
-// TestMayIssueTwoMatchesSequentialGate holds the dual-issue gate of the
-// paper's ICI=2 queue to its definition: MayIssueN(2) is true exactly when
-// MayIssue holds now AND would still hold after one pop (the sequential
-// issue loop's re-check for the second slot).
-func TestMayIssueTwoMatchesSequentialGate(t *testing.T) {
-	for _, n := range []int{0, 1, 2, 3} {
-		q := New(Config{Size: 16, ICI: 2, AI: 2})
-		q.SetStabilizeCycles(n)
-		for occ := 0; occ <= 16; occ++ {
-			got := q.MayIssueN(2)
-			want := false
-			if q.MayIssue() && q.Occupancy() >= 1 {
-				// Simulate the first pop on a copy of the pointers.
-				probe := *q
-				probe.PopOldest()
-				want = probe.MayIssue()
-			}
-			if got != want {
-				t.Fatalf("N=%d occ=%d: MayIssueN(2) = %v, sequential gate says %v", n, occ, got, want)
-			}
-			q.Alloc(int64(occ), uint64(occ))
-		}
-	}
-}

@@ -21,9 +21,10 @@ import (
 
 // Stats counts register-file activity.
 type Stats struct {
-	Reads       uint64
-	Writes      uint64
-	BypassReads uint64
+	// Reads counts array reads. Values delivered by the bypass network
+	// never touch the array and are deliberately not counted.
+	Reads  uint64
+	Writes uint64
 	// ViolationReads counts reads of stabilizing entries (unsafe mode).
 	ViolationReads uint64
 	// IntegrityErrors counts clean reads whose value mismatched the oracle
@@ -139,16 +140,6 @@ func (f *File) Read(cycle int64, r isa.Reg) (value uint64, ok bool) {
 		f.stats.IntegrityErrors++
 	}
 	return value, true
-}
-
-// ReadBypass returns r's architectural value through the bypass network
-// (no SRAM access, always safe).
-func (f *File) ReadBypass(r isa.Reg) uint64 {
-	if !r.Valid() {
-		panic(fmt.Sprintf("regfile: bypass read of %v", r))
-	}
-	f.stats.BypassReads++
-	return f.values[r]
 }
 
 // Stable reports whether r is readable at the given cycle.

@@ -39,18 +39,29 @@ func TestInterruptedWriteWindow(t *testing.T) {
 	}
 }
 
+// TestBypassAlwaysSafe holds the timing contract the bypass network relies
+// on: consumers issuing before the write take the value from the bypass
+// network and touch no SRAM, and the first array read the scoreboard
+// allows after the stabilization bubble (issue at w+N, read at w+N+1) is
+// clean.
 func TestBypassAlwaysSafe(t *testing.T) {
-	f := New()
-	f.SetIRAW(true, 2)
-	f.Write(100, 7, 9)
-	if v := f.ReadBypass(7); v != 9 {
-		t.Fatalf("bypass = %d", v)
-	}
-	if f.Stats().BypassReads != 1 {
-		t.Fatal("bypass not counted")
-	}
-	if f.Array().Stats().Reads != 0 {
-		t.Fatal("bypass touched the array")
+	for n := 1; n <= 3; n++ {
+		f := New()
+		f.SetIRAW(true, n)
+		const w = int64(100)
+		f.Write(w, 7, 9)
+		if f.Stable(w+int64(n), 7) {
+			t.Fatalf("N=%d: entry stable before its window closed", n)
+		}
+		if f.Stats().Reads != 0 || f.Array().Stats().Reads != 0 {
+			t.Fatalf("N=%d: a write charged reads", n)
+		}
+		if v, ok := f.Read(w+int64(n)+1, 7); !ok || v != 9 {
+			t.Fatalf("N=%d: first post-bubble read = (%d, %v)", n, v, ok)
+		}
+		if f.Array().Stats().ViolationReads != 0 {
+			t.Fatalf("N=%d: violation on the contract's schedule", n)
+		}
 	}
 }
 
@@ -88,7 +99,6 @@ func TestInvalidRegisterPanics(t *testing.T) {
 	for _, fn := range []func(){
 		func() { f.Write(1, isa.RegNone, 0) },
 		func() { f.Read(1, isa.Reg(99)) },
-		func() { f.ReadBypass(isa.RegNone) },
 	} {
 		func() {
 			defer func() {

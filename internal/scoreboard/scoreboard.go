@@ -22,22 +22,30 @@
 // # Representation
 //
 // The hardware shifts every register each cycle; simulating that literally
-// costs O(registers) per cycle even when the pipeline is stalled. This
-// implementation is lazy: each register stores its initialization patterns
-// and the scoreboard time at which they were set (`stamp`), and every view
-// is computed on demand from the elapsed shift count `now - stamp`. Shift
-// (or the bulk AdvanceTo) therefore only advances a clock, and the
-// Pattern/Figure 8 semantics — including the stabilization bubble — remain
-// the observable contract: ReadView reconstructs the exact register value
-// the shifting hardware would hold. NextChange exposes, for the
-// event-driven pipeline, the next cycle at which a register's readiness can
-// change without an external completion event.
+// costs O(registers) per cycle even when the pipeline is stalled. The
+// pattern a producer installs is fully determined by its latency, the
+// bypass depth and N, so each register instead stores the cycle boundaries
+// the shifting register would cross, in absolute scoreboard time:
+//
+//   - writeAt, the cycle the value becomes available (the write view turns
+//     ready);
+//   - readAt, the first cycle the read view is ready;
+//   - the stabilization bubble [bubbleFrom, bubbleTo), in which the read
+//     view is not ready again (empty when there is no bubble);
+//   - longPending, for producers completed by an event.
+//
+// Every readiness query is then two or three integer compares against
+// Now, Shift (or the bulk AdvanceTo) only advances a clock, and NextChange
+// is the smallest boundary after Now. The Pattern/Figure 8 semantics —
+// including the stabilization bubble — remain the observable contract:
+// ReadView reconstructs the exact register value the shifting hardware
+// would hold from the boundaries (bit Bits-1-j is read readiness at Now+j),
+// and the Figure 8 tests hold it to Pattern.
 package scoreboard
 
 import (
 	"fmt"
 	"math"
-	"math/bits"
 
 	"lowvcc/internal/isa"
 )
@@ -61,14 +69,17 @@ func DefaultConfig() Config {
 	return Config{Regs: isa.NumRegs, Bits: 12, BypassLevels: 1}
 }
 
-// regState is one register's lazy shift-register pair: the read/write
-// patterns as initialized, plus the scoreboard time they were set at. The
-// value after k = now - stamp cycles is the pattern shifted left k times
-// with LSB replication — computed on demand, never stored.
+// regState is one register's shift-register pair as absolute-time
+// boundaries (see the package documentation). The zero value is a register
+// that has been ready since time 0; a long-pending register is never ready
+// on its own (writeAt = readAt = MaxInt64).
 type regState struct {
-	read  uint32 // IRAW-extended pattern (bit cfg.Bits-1 is MSB) at stamp
-	write uint32 // baseline pattern (value-availability only) at stamp
-	stamp int64  // scoreboard time the patterns were installed
+	writeAt int64 // write view ready from here on (value available)
+	readAt  int64 // read view ready from here on, bubble aside
+	// bubbleFrom and bubbleTo bound the stabilization bubble [from, to):
+	// the cycles after the bypass window in which the RF entry is still
+	// stabilizing. Equal when there is no bubble.
+	bubbleFrom, bubbleTo int64
 	// longPending marks a register whose producer's completion will be
 	// signalled by an event (load miss, divider) rather than the register.
 	longPending bool
@@ -81,12 +92,6 @@ type Scoreboard struct {
 	now int64 // scoreboard time: total shifts since New
 
 	regs []regState
-
-	// patterns caches Pattern(latency) for the current n, indexed by
-	// latency (entry 0 unused): producers issue on the hot path and the
-	// pattern for a given (latency, n) never changes between
-	// reconfigurations.
-	patterns []uint32
 
 	// ExtraBits is the per-register storage added by the IRAW extension
 	// (bypass + max bubble), for the area/energy accounting.
@@ -109,35 +114,15 @@ func New(cfg Config) *Scoreboard {
 	if err := cfg.Validate(); err != nil {
 		panic(err.Error())
 	}
-	sb := &Scoreboard{
+	return &Scoreboard{
 		cfg:       cfg,
 		regs:      make([]regState, cfg.Regs),
 		ExtraBits: cfg.BypassLevels + 1, // bubble sized for N up to MaxN=1 per level change
-	}
-	all := sb.allOnes()
-	for r := range sb.regs {
-		sb.regs[r] = regState{read: all, write: all}
-	}
-	sb.rebuildPatterns()
-	return sb
-}
-
-// rebuildPatterns refreshes the pattern cache for the current n.
-func (sb *Scoreboard) rebuildPatterns() {
-	max := sb.MaxShortLatency()
-	if cap(sb.patterns) < max+1 {
-		sb.patterns = make([]uint32, max+1)
-	}
-	sb.patterns = sb.patterns[:max+1]
-	for lat := 1; lat <= max; lat++ {
-		sb.patterns[lat] = sb.buildPattern(lat)
 	}
 }
 
 // Config returns the scoreboard configuration.
 func (sb *Scoreboard) Config() Config { return sb.cfg }
-
-func (sb *Scoreboard) allOnes() uint32 { return (1 << sb.cfg.Bits) - 1 }
 
 // SetStabilizeCycles reconfigures the stabilization bubble N for the
 // current Vcc level (Section 4.1.3). N = 0 disables IRAW avoidance: the
@@ -147,7 +132,6 @@ func (sb *Scoreboard) SetStabilizeCycles(n int) {
 		panic(fmt.Sprintf("scoreboard: N=%d out of range [0,%d]", n, sb.MaxN()))
 	}
 	sb.n = n
-	sb.rebuildPatterns()
 }
 
 // StabilizeCycles returns the configured bubble width N.
@@ -167,18 +151,18 @@ func (sb *Scoreboard) MaxShortLatency() int {
 	return sb.cfg.Bits - 1 - sb.cfg.BypassLevels - sb.n
 }
 
-// Pattern returns the initialization value for a producer of the given
-// latency under the current mode, MSB at bit Bits-1. Exposed for tests and
-// the documentation tooling. Served from the per-n cache.
-func (sb *Scoreboard) Pattern(latency int) uint32 {
+func (sb *Scoreboard) checkLatency(latency int) {
 	if latency < 1 || latency > sb.MaxShortLatency() {
 		panic(fmt.Sprintf("scoreboard: latency %d outside short range [1,%d]", latency, sb.MaxShortLatency()))
 	}
-	return sb.patterns[latency]
 }
 
-// buildPattern constructs Pattern(latency) from the Figure 8 recipe.
-func (sb *Scoreboard) buildPattern(latency int) uint32 {
+// Pattern returns the initialization value for a producer of the given
+// latency under the current mode, MSB at bit Bits-1, built from the
+// Figure 8 recipe. Exposed for tests and the documentation tooling; the
+// scoreboard itself stores the boundaries the pattern implies.
+func (sb *Scoreboard) Pattern(latency int) uint32 {
+	sb.checkLatency(latency)
 	bits := make([]byte, 0, sb.cfg.Bits)
 	for i := 0; i < latency; i++ {
 		bits = append(bits, 0) // (I) producer execution
@@ -201,14 +185,9 @@ func (sb *Scoreboard) buildPattern(latency int) uint32 {
 	return v
 }
 
-// basePattern is the baseline (no-bubble) pattern for the write view.
-func (sb *Scoreboard) basePattern(latency int) uint32 {
-	return sb.allOnes() >> latency
-}
-
 // Shift advances every register by one cycle: shift left, replicate LSB.
-// Call once at each cycle boundary before issue decisions. With the lazy
-// representation this is a clock tick — views are derived on read.
+// Call once at each cycle boundary before issue decisions. With the
+// boundary representation this is a clock tick — views are derived on read.
 func (sb *Scoreboard) Shift() { sb.now++ }
 
 // AdvanceTo moves the scoreboard clock directly to time t (equivalent to
@@ -223,33 +202,10 @@ func (sb *Scoreboard) AdvanceTo(t int64) {
 // Now returns the scoreboard time (total shifts since New).
 func (sb *Scoreboard) Now() int64 { return sb.now }
 
-// shiftedView reconstructs a pattern's register value after k shifts: the
-// pattern shifted left with its LSB replicated into the vacated positions,
-// exactly what the shifting hardware holds.
-func (sb *Scoreboard) shiftedView(pat uint32, k int64) uint32 {
-	if k <= 0 {
-		return pat
-	}
-	if k > int64(sb.cfg.Bits) {
-		k = int64(sb.cfg.Bits)
-	}
-	v := (uint64(pat) << uint(k)) & uint64(sb.allOnes())
-	if pat&1 == 1 {
-		v |= 1<<uint(k) - 1
-	}
-	return uint32(v)
-}
-
-// msbAfter reports a pattern's MSB after k shifts: bit Bits-1-k of the
-// pattern while k < Bits, the replicated LSB afterwards.
-func (sb *Scoreboard) msbAfter(pat uint32, k int64) bool {
-	if k >= int64(sb.cfg.Bits) {
-		return pat&1 == 1
-	}
-	if k < 0 {
-		k = 0
-	}
-	return pat>>(uint(sb.cfg.Bits)-1-uint(k))&1 == 1
+// readyAt reports the read view's MSB at time t: ready from readAt on,
+// except inside the bubble.
+func (e *regState) readyAt(t int64) bool {
+	return t >= e.readAt && (t < e.bubbleFrom || t >= e.bubbleTo)
 }
 
 func (sb *Scoreboard) check(r isa.Reg) {
@@ -265,8 +221,7 @@ func (sb *Scoreboard) ReadReady(r isa.Reg) bool {
 	if r == isa.RegNone {
 		return true
 	}
-	e := &sb.regs[r] // implicit bounds check stands in for check(r)
-	return !e.longPending && sb.msbAfter(e.read, sb.now-e.stamp)
+	return sb.regs[r].readyAt(sb.now) // implicit bounds check stands in for check(r)
 }
 
 // WriteReady reports whether a new producer of r may issue this cycle
@@ -277,56 +232,16 @@ func (sb *Scoreboard) WriteReady(r isa.Reg) bool {
 	if r == isa.RegNone {
 		return true
 	}
-	e := &sb.regs[r] // implicit bounds check stands in for check(r)
-	return !e.longPending && sb.msbAfter(e.write, sb.now-e.stamp)
+	return sb.now >= sb.regs[r].writeAt // implicit bounds check stands in for check(r)
 }
 
 // IssueReady reports whether an instruction reading s1 and s2 and writing d
-// may issue this cycle as far as the scoreboard is concerned: both sources
-// pass the read view and the destination passes the write view, in one
-// probe. It is exactly ReadReady(s1) && ReadReady(s2) && WriteReady(d) —
-// the issue stage's fused common case, leaving the per-register walk for
-// stall attribution to the slow path.
+// may issue this cycle as far as the scoreboard is concerned: exactly
+// ReadReady(s1) && ReadReady(s2) && WriteReady(d). It is the issue stage's
+// common-case check; the per-register walk that attributes a stall runs
+// only when it fails.
 func (sb *Scoreboard) IssueReady(s1, s2, d isa.Reg) bool {
 	return sb.ReadReady(s1) && sb.ReadReady(s2) && sb.WriteReady(d)
-}
-
-// IssueOp is one issue-slot operand set for IssueReadySet: the two sources,
-// the destination, and Prod — the register the slot's issue would install a
-// producer for (RegNone for non-producing ops: stores, control, fences).
-type IssueOp struct {
-	S1, S2, D, Prod isa.Reg
-}
-
-// IssueReadySet resolves up to 32 in-order issue slots in one scoreboard
-// probe — the wide-issue fast path. Bit i of the result
-// is set iff slot i passes IssueReady *as if slots 0..i-1 had just issued*:
-// a slot whose source or destination overlaps any older slot's Prod is
-// blocked (intra-group RAW or WAW), because a freshly issued producer of
-// latency >= 1 is never read- or write-ready in its issue cycle, while no
-// other register's state changes when the older slots issue. Verdicts stop
-// at the first not-ready slot (in-order issue: younger bits stay 0). The
-// probe mutates nothing; sequentially probing IssueReady with each issue's
-// IssueProducer applied yields exactly the same bits — the property test
-// holds the two together.
-func (sb *Scoreboard) IssueReadySet(ops []IssueOp) uint32 {
-	var mask, fresh uint32 // fresh: registers produced by already-granted slots
-	for i := range ops {
-		op := &ops[i]
-		if op.S1 != isa.RegNone && fresh>>op.S1&1 == 1 ||
-			op.S2 != isa.RegNone && fresh>>op.S2&1 == 1 ||
-			op.D != isa.RegNone && fresh>>op.D&1 == 1 {
-			break
-		}
-		if !sb.IssueReady(op.S1, op.S2, op.D) {
-			break
-		}
-		mask |= 1 << uint(i)
-		if op.Prod != isa.RegNone {
-			fresh |= 1 << op.Prod
-		}
-	}
-	return mask
 }
 
 // IRAWBlocked reports whether a consumer of r is blocked *only* by the
@@ -339,11 +254,7 @@ func (sb *Scoreboard) IRAWBlocked(r isa.Reg) bool {
 		return false
 	}
 	e := &sb.regs[r] // implicit bounds check stands in for check(r)
-	if e.longPending {
-		return false
-	}
-	k := sb.now - e.stamp
-	return !sb.msbAfter(e.read, k) && sb.msbAfter(e.write, k)
+	return sb.now >= e.writeAt && !e.readyAt(sb.now)
 }
 
 // NextChange returns the earliest scoreboard time after Now at which r's
@@ -360,40 +271,13 @@ func (sb *Scoreboard) NextChange(r isa.Reg) int64 {
 	}
 	sb.check(r)
 	e := &sb.regs[r]
-	if e.longPending {
-		return math.MaxInt64
-	}
-	k := sb.now - e.stamp
 	next := int64(math.MaxInt64)
-	for _, pat := range [2]uint32{e.read, e.write} {
-		if j := sb.nextFlip(pat, k); j >= 0 {
-			if t := e.stamp + j; t < next {
-				next = t
-			}
+	for _, t := range [4]int64{e.writeAt, e.readAt, e.bubbleFrom, e.bubbleTo} {
+		if t > sb.now && t < next {
+			next = t
 		}
 	}
 	return next
-}
-
-// nextFlip returns the smallest shift count j > k at which pat's MSB
-// differs from its MSB at k, or -1 if the MSB never changes again. After
-// Bits-1 shifts the MSB is the (replicated) LSB and stays there, so flips
-// only occur while some original bit below the current MSB position still
-// differs — located in O(1) with a leading-bit scan.
-func (sb *Scoreboard) nextFlip(pat uint32, k int64) int64 {
-	last := int64(sb.cfg.Bits) - 1
-	if k >= last {
-		return -1 // steady state
-	}
-	i := uint(last - k)       // index of the bit that is MSB after k shifts
-	below := pat & (1<<i - 1) // the bits still to rotate into MSB
-	if pat>>i&1 == 1 {
-		below = ^pat & (1<<i - 1) // MSB is 1: look for the next 0
-	}
-	if below == 0 {
-		return -1
-	}
-	return last - int64(bits.Len32(below)) + 1
 }
 
 // IssueProducer records that a producer of r with the given execution
@@ -401,11 +285,24 @@ func (sb *Scoreboard) nextFlip(pat uint32, k int64) int64 {
 // BeginLongLatency otherwise.
 func (sb *Scoreboard) IssueProducer(r isa.Reg, latency int) {
 	sb.check(r)
-	sb.regs[r] = regState{
-		read:  sb.Pattern(latency),
-		write: sb.basePattern(latency),
-		stamp: sb.now,
+	sb.checkLatency(latency)
+	sb.arm(r, latency)
+}
+
+// arm installs the boundaries of Pattern(latency) set this cycle: L zeros,
+// then (IRAW mode) `bypass` ones, N zeros and ones thereafter in the read
+// view; L zeros then ones in the write view.
+func (sb *Scoreboard) arm(r isa.Reg, latency int) {
+	avail := sb.now + int64(latency)
+	e := regState{writeAt: avail, readAt: avail}
+	if n := int64(sb.n); n > 0 {
+		if b := int64(sb.cfg.BypassLevels); b > 0 {
+			e.bubbleFrom, e.bubbleTo = avail+b, avail+b+n
+		} else {
+			e.readAt = avail + n // no bypass window: the bubble follows the zeros
+		}
 	}
+	sb.regs[r] = e
 }
 
 // BeginLongLatency records a producer whose completion time is unknown or
@@ -413,7 +310,7 @@ func (sb *Scoreboard) IssueProducer(r isa.Reg, latency int) {
 // not-ready until CompleteLongLatency.
 func (sb *Scoreboard) BeginLongLatency(r isa.Reg) {
 	sb.check(r)
-	sb.regs[r] = regState{stamp: sb.now, longPending: true}
+	sb.regs[r] = regState{writeAt: math.MaxInt64, readAt: math.MaxInt64, longPending: true}
 }
 
 // CompleteLongLatency signals that the long-latency value of r will be
@@ -432,11 +329,7 @@ func (sb *Scoreboard) CompleteLongLatency(r isa.Reg, remaining int) {
 	if remaining > sb.MaxShortLatency() {
 		panic(fmt.Sprintf("scoreboard: remaining %d exceeds short range %d", remaining, sb.MaxShortLatency()))
 	}
-	sb.regs[r] = regState{
-		read:  sb.Pattern(remaining),
-		write: sb.basePattern(remaining),
-		stamp: sb.now,
-	}
+	sb.arm(r, remaining)
 }
 
 // LongPending reports whether r awaits a long-latency completion.
@@ -449,16 +342,21 @@ func (sb *Scoreboard) LongPending(r isa.Reg) bool {
 
 // Flush resets every register to ready (pipeline flush: the in-flight
 // producers that set these bits were squashed or will be reinjected).
-func (sb *Scoreboard) Flush() {
-	all := sb.allOnes()
-	for r := range sb.regs {
-		sb.regs[r] = regState{read: all, write: all, stamp: sb.now}
-	}
-}
+func (sb *Scoreboard) Flush() { clear(sb.regs) }
 
-// ReadView returns the raw read-view register of r (for tests and tracing).
+// ReadView returns the raw read-view register of r (for tests and
+// tracing), reconstructed from its boundaries: bit Bits-1-j holds the
+// read view's readiness at Now+j, which is exactly the value the shifting
+// hardware holds (its LSB replication continues the steady state).
 func (sb *Scoreboard) ReadView(r isa.Reg) uint32 {
 	sb.check(r)
 	e := &sb.regs[r]
-	return sb.shiftedView(e.read, sb.now-e.stamp)
+	var v uint32
+	for j := 0; j < sb.cfg.Bits; j++ {
+		v <<= 1
+		if e.readyAt(sb.now + int64(j)) {
+			v |= 1
+		}
+	}
+	return v
 }
