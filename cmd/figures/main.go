@@ -30,7 +30,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -145,92 +144,57 @@ func (g *gen) fig11a() error {
 	return g.emit(t)
 }
 
-// fig11bTable is the figure's stream table (shared by the local and
-// -server paths).
-func (g *gen) fig11bTable() (*report.StreamTable, error) {
-	return report.NewStreamTable(os.Stdout, g.csv,
+// fig11b renders Figure 11(b) progressively: each voltage's row prints the
+// moment both designs at that level finish simulating, so the figure
+// starts appearing long before the full (mode x voltage x trace) grid
+// completes. With -server the sweep runs on a sweepd daemon, whose client
+// folds cell events into the same per-level points as the local runner.
+func (g *gen) fig11b() error {
+	modes := []circuit.Mode{circuit.ModeBaseline, circuit.ModeIRAW}
+	ctx := context.Background()
+	stream := func(f sim.LevelFunc) error {
+		return g.r.StreamLevels(ctx, g.suite(), modes, circuit.Levels(), f)
+	}
+	if g.server != "" {
+		cl, err := service.NewClient(g.server)
+		if err != nil {
+			return err
+		}
+		spec := sim.SweepSpec{
+			InstsPerTrace:   g.spec.InstsPerTrace,
+			SeedsPerProfile: g.spec.SeedsPerProfile,
+			Modes:           []string{"baseline", "iraw"},
+			WindowInsts:     g.r.WindowInsts,
+			WarmInsts:       g.r.WarmInsts,
+			Width:           g.r.Width,
+		}
+		stream = func(f sim.LevelFunc) error { return cl.StreamLevels(ctx, spec, f) }
+	}
+
+	t, err := report.NewStreamTable(os.Stdout, g.csv,
 		"Figure 11(b): IRAW frequency increase and performance gains",
 		"Vcc", "freq-gain", "perf-gain", "ipc-base", "ipc-iraw", "stall-cost")
-}
-
-// serverFig11b renders Figure 11(b) from a sweepd daemon's results: the
-// client's level aggregation is bit-identical to the local sweep's, so the
-// table matches a local run of the same suite.
-func (g *gen) serverFig11b() error {
-	cl, err := service.NewClient(g.server)
 	if err != nil {
 		return err
 	}
-	t, err := g.fig11bTable()
-	if err != nil {
-		return err
-	}
-	spec := sim.SweepSpec{
-		InstsPerTrace:   g.spec.InstsPerTrace,
-		SeedsPerProfile: g.spec.SeedsPerProfile,
-		Modes:           []string{"baseline", "iraw"},
-		WindowInsts:     g.r.WindowInsts,
-		WarmInsts:       g.r.WarmInsts,
-		Width:           g.r.Width,
-	}
+	// With -allow-partial a voltage with a failed design renders as a FAIL
+	// row (baseline's reason first) and the figure keeps going.
 	failed := 0
-	err = cl.StreamLevels(context.Background(), spec,
-		func(v circuit.Millivolts, pts map[circuit.Mode]*sim.Point, fails map[circuit.Mode]*sim.CellError) error {
-			for _, m := range []circuit.Mode{circuit.ModeBaseline, circuit.ModeIRAW} {
-				if ce := fails[m]; ce != nil {
-					failed++
-					return t.AddRow(v, "FAIL("+ce.Reason(32)+")", "-", "-", "-", "-")
-				}
+	err = stream(func(v circuit.Millivolts, pts map[circuit.Mode]*sim.Point, fails map[circuit.Mode]*sim.CellError) error {
+		failed += len(fails)
+		for _, m := range modes {
+			if ce := fails[m]; ce != nil {
+				return t.AddRow(v, "FAIL("+ce.Reason(32)+")", "-", "-", "-", "-")
 			}
-			r := sim.Fig11bFrom(v, pts[circuit.ModeBaseline].Agg, pts[circuit.ModeIRAW].Agg)
-			return t.AddRow(r.Vcc, r.FreqGain, r.PerfGain, r.IPCBase, r.IPCIRAW, report.Pct(r.StallCost))
-		})
+		}
+		r := sim.Fig11bFrom(v, pts[circuit.ModeBaseline].Agg, pts[circuit.ModeIRAW].Agg)
+		return t.AddRow(r.Vcc, r.FreqGain, r.PerfGain, r.IPCBase, r.IPCIRAW, report.Pct(r.StallCost))
+	})
 	if err != nil {
 		return err
 	}
 	if failed > 0 {
 		fmt.Fprintf(os.Stderr, "figures: %d operating point(s) failed; rows marked FAIL\n", failed)
-	}
-	if !g.csv {
-		fmt.Println()
-	}
-	return nil
-}
-
-// fig11b renders Figure 11(b) progressively: each voltage's row prints the
-// moment both designs at that level finish simulating, so the figure
-// starts appearing long before the full (mode x voltage x trace) grid
-// completes.
-func (g *gen) fig11b() error {
-	if g.server != "" {
-		return g.serverFig11b()
-	}
-	t, err := g.fig11bTable()
-	if err != nil {
-		return err
-	}
-	var rowErr error
-	_, err = g.r.Figure11bStream(context.Background(), g.suite(), func(r sim.Fig11bRow, fail *sim.CellError) {
-		var e error
-		if fail != nil {
-			e = t.AddRow(r.Vcc, "FAIL("+fail.Reason(32)+")", "-", "-", "-", "-")
-		} else {
-			e = t.AddRow(r.Vcc, r.FreqGain, r.PerfGain, r.IPCBase, r.IPCIRAW, report.Pct(r.StallCost))
-		}
-		if e != nil && rowErr == nil {
-			rowErr = e
-		}
-	})
-	var pe *sim.PartialError
-	if errors.As(err, &pe) {
-		// The failed voltages already rendered as FAIL rows (-allow-partial);
-		// note the damage and keep the run alive.
-		fmt.Fprintf(os.Stderr, "figures: %d cell(s) failed; rows marked FAIL\n", len(pe.Cells))
-	} else if err != nil {
-		return err
-	}
-	if rowErr != nil {
-		return rowErr
 	}
 	if !g.csv {
 		fmt.Println()

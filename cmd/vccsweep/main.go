@@ -11,7 +11,7 @@
 //
 // With -server the sweep executes on a sweepd daemon (and its workers)
 // instead of in-process; the rendered table is bit-identical to the local
-// run because cells aggregate in the same fixed order on either path. The
+// run because both paths fold cells into levels with one sim.LevelFold. The
 // run flags (-workers, -window, -warm, -ckpt, -journal, -retries, ...) are
 // the ones every simulating command shares, registered by
 // sim.Runner.RegisterFlags; with -server, -window, -warm and -width travel
@@ -43,118 +43,73 @@ func main() {
 	server := flag.String("server", "", "run the sweep on a sweepd daemon at this address instead of in-process")
 	flag.Parse()
 
-	if *server != "" {
-		spec := sim.SweepSpec{
-			InstsPerTrace:   *insts,
-			SeedsPerProfile: *seeds,
-			WindowInsts:     r.WindowInsts,
-			WarmInsts:       r.WarmInsts,
-			Width:           r.Width,
-		}
-		if err := runServer(*server, spec, *modesFlag, *csv); err != nil {
-			fmt.Fprintln(os.Stderr, "vccsweep:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if err := run(r, *insts, *seeds, *modesFlag, *csv); err != nil {
+	if err := run(r, *server, *insts, *seeds, *modesFlag, *csv); err != nil {
 		fmt.Fprintln(os.Stderr, "vccsweep:", err)
 		os.Exit(1)
 	}
 }
 
-// runServer renders the same table as run, with the simulation done by a
-// sweepd daemon: the client re-aggregates the daemon's cell events into
-// per-level points bit-identical to the local path's.
-func runServer(addr string, spec sim.SweepSpec, modesFlag string, csv bool) error {
+// run renders the sweep from one level source: the in-process runner, or
+// with -server a sweepd daemon, whose client folds cell events into the
+// same per-level points.
+func run(r *sim.Runner, server string, insts, seeds int, modesFlag string, csv bool) error {
 	modes, err := sim.ParseModes(modesFlag)
 	if err != nil {
 		return err
+	}
+	spec := sim.SweepSpec{
+		InstsPerTrace:   insts,
+		SeedsPerProfile: seeds,
+		WindowInsts:     r.WindowInsts,
+		WarmInsts:       r.WarmInsts,
+		Width:           r.Width,
 	}
 	for _, m := range modes {
 		spec.Modes = append(spec.Modes, m.String())
 	}
-	cl, err := service.NewClient(addr)
-	if err != nil {
-		return err
+	ctx := context.Background()
+	stream := func(f sim.LevelFunc) error {
+		return r.StreamLevels(ctx, spec.Traces(), modes, spec.Levels(), f)
 	}
-	t, err := newSweepTable(modes, csv)
-	if err != nil {
-		return err
-	}
-	failed := 0
-	err = cl.StreamLevels(context.Background(), spec,
-		func(v circuit.Millivolts, pts map[circuit.Mode]*sim.Point, fails map[circuit.Mode]*sim.CellError) error {
-			n, err := addSweepRow(t, modes, v, pts, fails)
-			failed += n
+	if server != "" {
+		cl, err := service.NewClient(server)
+		if err != nil {
 			return err
-		})
-	if err != nil {
-		return err
-	}
-	if failed > 0 {
-		fmt.Fprintf(os.Stderr, "vccsweep: %d operating point(s) failed; rows marked FAIL\n", failed)
-	}
-	return nil
-}
-
-func run(r *sim.Runner, insts, seeds int, modesFlag string, csv bool) error {
-	modes, err := sim.ParseModes(modesFlag)
-	if err != nil {
-		return err
-	}
-	traces := sim.SuiteSpec{InstsPerTrace: insts, SeedsPerProfile: seeds}.Traces()
-	levels := circuit.Levels()
-
-	t, err := newSweepTable(modes, csv)
-	if err != nil {
-		return err
+		}
+		stream = func(f sim.LevelFunc) error { return cl.StreamLevels(ctx, spec, f) }
 	}
 
-	// Collect the streaming sweep, rendering each voltage's row as soon as
-	// every requested design at that level has landed (rows stay in
-	// voltage order: a finished level waits for slower earlier levels).
-	// With -allow-partial, failed operating points render as FAIL(reason)
-	// cells and the sweep keeps going.
-	failed := 0
-	err = r.StreamLevels(context.Background(), traces, modes, levels,
-		func(v circuit.Millivolts, pts map[circuit.Mode]*sim.Point, fails map[circuit.Mode]*sim.CellError) error {
-			n, err := addSweepRow(t, modes, v, pts, fails)
-			failed += n
-			return err
-		})
-	if err != nil {
-		return err
-	}
-	if failed > 0 {
-		fmt.Fprintf(os.Stderr, "vccsweep: %d operating point(s) failed; rows marked FAIL\n", failed)
-	}
-	return nil
-}
-
-// newSweepTable builds the sweep's stream table (shared by the local and
-// -server paths).
-func newSweepTable(modes []circuit.Mode, csv bool) (*report.StreamTable, error) {
 	header := []string{"Vcc"}
 	for _, m := range modes {
 		header = append(header, m.String()+"-ipc", m.String()+"-time", m.String()+"-freqgain")
 	}
-	return report.NewStreamTable(os.Stdout, csv, "Vcc sweep (time in phase-at-700mV units)", header...)
-}
-
-// addSweepRow renders one voltage's row and returns how many of its
-// operating points failed.
-func addSweepRow(t *report.StreamTable, modes []circuit.Mode, v circuit.Millivolts, pts map[circuit.Mode]*sim.Point, fails map[circuit.Mode]*sim.CellError) (int, error) {
-	failed := 0
-	row := []interface{}{v}
-	for _, m := range modes {
-		if ce := fails[m]; ce != nil {
-			failed++
-			row = append(row, "FAIL("+ce.Reason(32)+")", "-", "-")
-			continue
-		}
-		p := pts[m].Agg
-		row = append(row, p.IPC(), fmt.Sprintf("%.0f", p.Time), p.Plan.FreqGain)
+	t, err := report.NewStreamTable(os.Stdout, csv, "Vcc sweep (time in phase-at-700mV units)", header...)
+	if err != nil {
+		return err
 	}
-	return failed, t.AddRow(row...)
+	// Each voltage's row renders as soon as every requested design at that
+	// level has landed (rows stay in voltage order: a finished level waits
+	// for slower earlier levels). With -allow-partial, failed operating
+	// points render as FAIL(reason) cells and the sweep keeps going.
+	failed := 0
+	err = stream(func(v circuit.Millivolts, pts map[circuit.Mode]*sim.Point, fails map[circuit.Mode]*sim.CellError) error {
+		row := []interface{}{v}
+		for _, m := range modes {
+			if ce := fails[m]; ce != nil {
+				failed++
+				row = append(row, "FAIL("+ce.Reason(32)+")", "-", "-")
+				continue
+			}
+			p := pts[m].Agg
+			row = append(row, p.IPC(), fmt.Sprintf("%.0f", p.Time), p.Plan.FreqGain)
+		}
+		return t.AddRow(row...)
+	})
+	if err != nil {
+		return err
+	}
+	if failed > 0 {
+		fmt.Fprintf(os.Stderr, "vccsweep: %d operating point(s) failed; rows marked FAIL\n", failed)
+	}
+	return nil
 }

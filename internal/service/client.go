@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -13,8 +14,6 @@ import (
 	"strings"
 	"time"
 
-	"lowvcc/internal/circuit"
-	"lowvcc/internal/core"
 	"lowvcc/internal/sim"
 )
 
@@ -157,14 +156,18 @@ func (c *Client) Events(ctx context.Context, id string, fn func(CellEvent) error
 	return CellEvent{}, fmt.Errorf("service: event stream for %s ended without a terminal event", id)
 }
 
-// StreamLevels runs the spec on the daemon and replays the progress as the
-// local sim.Runner.StreamLevels contract: onLevel fires once per voltage in
-// spec order, as soon as every requested mode at that level has aggregated,
-// with failed operating points in the fails map. Per-trace cell results
-// merge in trace order via core.MergeResults — the emitted aggregates are
-// bit-identical to a local sweep of the same spec, which is what lets
-// `vccsweep -server` render the exact same table a local run prints.
-func (c *Client) StreamLevels(ctx context.Context, spec sim.SweepSpec, onLevel func(circuit.Millivolts, map[circuit.Mode]*sim.Point, map[circuit.Mode]*sim.CellError) error) error {
+// StreamLevels runs the spec on the daemon and folds its cell events with
+// the same sim.LevelFold as the local sim.Runner.StreamLevels: each event
+// is placed by its Index, whose order is the scheduler's (mode, level,
+// trace) expansion order, so onLevel fires once per voltage in spec order
+// as soon as every mode at that level has settled, with failed operating
+// points in the fails map (each the lowest-trace-index failure). Per-trace
+// results merge in trace order via core.MergeResults — the emitted
+// aggregates are bit-identical to a local sweep of the same spec, which is
+// what lets `vccsweep -server` render the exact same table a local run
+// prints. An event whose index is out of range, whose identity does not
+// match its index, or which repeats a cell fails the call.
+func (c *Client) StreamLevels(ctx context.Context, spec sim.SweepSpec, onLevel sim.LevelFunc) error {
 	if err := spec.Validate(); err != nil {
 		return err
 	}
@@ -173,98 +176,39 @@ func (c *Client) StreamLevels(ctx context.Context, spec sim.SweepSpec, onLevel f
 		return err
 	}
 	levels := spec.Levels()
+	cells := spec.Cells()
+	traces := cells / (len(modes) * len(levels))
 
 	id, err := c.Submit(ctx, spec)
 	if err != nil {
 		return err
 	}
 
-	// One slot per operating point, accumulating per-trace results by
-	// index so merge order never depends on event arrival order.
-	type slot struct {
-		results []*core.Result
-		got     int
-		fail    *sim.CellError
-	}
-	grid := make(map[circuit.Mode]map[circuit.Millivolts]*slot, len(modes))
-	for _, m := range modes {
-		grid[m] = make(map[circuit.Millivolts]*slot, len(levels))
-	}
-	var tracesPerPoint int
-
-	modeOf := make(map[string]circuit.Mode, len(modes))
-	for i, name := range spec.Modes {
-		modeOf[name] = modes[i]
-	}
-
-	next := 0
-	emitReady := func() error {
-		for next < len(levels) {
-			v := levels[next]
-			row := make(map[circuit.Mode]*sim.Point, len(modes))
-			fails := make(map[circuit.Mode]*sim.CellError)
-			for _, m := range modes {
-				s := grid[m][v]
-				if s == nil || (s.fail == nil && s.got < tracesPerPoint) {
-					return nil // level still incomplete (or gated by order)
-				}
-				if s.fail != nil {
-					fails[m] = s.fail
-				} else {
-					row[m] = &sim.Point{Vcc: v, Mode: m, Agg: core.MergeResults(s.results)}
-				}
-			}
-			if err := onLevel(v, row, fails); err != nil {
-				return err
-			}
-			next++
-		}
-		return nil
-	}
-
+	fold := sim.NewLevelFold(modes, levels, traces, onLevel)
 	term, err := c.Events(ctx, id, func(ev CellEvent) error {
 		if ev.Terminal {
 			return nil
 		}
-		if tracesPerPoint == 0 && ev.Total > 0 {
-			tracesPerPoint = ev.Total / (len(modes) * len(levels))
+		if ev.Index < 0 || ev.Index >= cells || ev.Total != cells {
+			return fmt.Errorf("service: event index %d of %d outside the spec's %d cells", ev.Index, ev.Total, cells)
 		}
-		m, ok := modeOf[ev.Mode]
-		if !ok {
-			return fmt.Errorf("service: event for unknown mode %q", ev.Mode)
+		point, tr := ev.Index/traces, ev.Index%traces
+		if ev.Mode != spec.Modes[point/len(levels)] || ev.VccMV != int(levels[point%len(levels)]) || ev.TraceIdx != tr {
+			return fmt.Errorf("service: event %d (%s %dmV trace %d) does not match its cell index", ev.Index, ev.Mode, ev.VccMV, ev.TraceIdx)
 		}
-		v := circuit.Millivolts(ev.VccMV)
-		s := grid[m][v]
-		if s == nil {
-			s = &slot{results: make([]*core.Result, tracesPerPoint)}
-			grid[m][v] = s
+		u := sim.PointUpdate{Point: point, Trace: tr, Label: ev.Label, TraceName: ev.TraceName, Result: ev.Result}
+		if ev.Err != "" {
+			u.Err = &sim.CellError{Label: ev.Label, TraceName: ev.TraceName, Point: point, Trace: tr, Err: errors.New(ev.Err)}
 		}
-		switch {
-		case ev.Err != "":
-			if s.fail == nil {
-				s.fail = &sim.CellError{Point: -1, Trace: ev.TraceIdx, TraceName: ev.TraceName, Label: ev.Label, Err: fmt.Errorf("%s", ev.Err)}
-			}
-		case ev.TraceIdx < 0 || ev.TraceIdx >= len(s.results):
-			return fmt.Errorf("service: event trace index %d out of range", ev.TraceIdx)
-		case s.results[ev.TraceIdx] == nil:
-			s.results[ev.TraceIdx] = ev.Result
-			s.got++
-		}
-		return emitReady()
+		return fold.Add(u)
 	})
 	if err != nil {
 		return err
 	}
 	switch term.State {
 	case "done", "failed":
-		// Failed points rendered through the fails map; make sure every
-		// level was emitted (a failed cell may have unblocked later levels
-		// only now).
-		if err := emitReady(); err != nil {
-			return err
-		}
-		if next < len(levels) {
-			return fmt.Errorf("service: sweep %s ended %q with %d/%d levels aggregated", id, term.State, next, len(levels))
+		if fold.Released() < len(levels) {
+			return fmt.Errorf("service: sweep %s ended %q with %d/%d levels aggregated", id, term.State, fold.Released(), len(levels))
 		}
 		return nil
 	default:

@@ -270,6 +270,15 @@ func (s *Scheduler) submit(client string, spec sim.SweepSpec) (string, error) {
 	}
 
 	// Cheap pre-checks so a doomed submission skips the expensive expansion.
+	// The cell count comes from the spec alone: an oversized sweep is
+	// rejected before a single trace is generated or hashed.
+	if max := s.opts.MaxCellsPerSweep; max > 0 && spec.Cells() > max {
+		return "", &QuotaError{
+			Client:     client,
+			Reason:     fmt.Sprintf("sweep expands to %d cells, per-sweep limit is %d", spec.Cells(), max),
+			RetryAfter: s.retryAfterLocked(), // reads only immutable opts
+		}
+	}
 	s.mu.Lock()
 	if s.draining || s.closed {
 		s.mu.Unlock()
@@ -292,13 +301,6 @@ func (s *Scheduler) submit(client string, spec sim.SweepSpec) (string, error) {
 	cells, err := expandSpec(id, spec)
 	if err != nil {
 		return "", err
-	}
-	if max := s.opts.MaxCellsPerSweep; max > 0 && len(cells) > max {
-		return "", &QuotaError{
-			Client:     client,
-			Reason:     fmt.Sprintf("sweep expands to %d cells, per-sweep limit is %d", len(cells), max),
-			RetryAfter: s.retryAfterLocked(), // reads only immutable opts
-		}
 	}
 
 	// Replay scan outside the lock: journal reads are file IO. Entries

@@ -4,6 +4,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -620,5 +621,35 @@ func TestReplayOnlySubmitIsInstantlyTerminal(t *testing.T) {
 	}
 	if st.State != "done" || st.Replayed != st.Total {
 		t.Fatalf("status = %+v, want done with every cell replayed", st)
+	}
+}
+
+// TestOversizedSpecRejectedBeforeExpansion: the per-sweep cell limit is
+// checked against SweepSpec.Cells, which counts cells from the spec alone,
+// so a hostile spec (1e8 instructions per trace, 64 seeds: ~4.5e10
+// instructions to generate) gets its QuotaError promptly instead of after
+// the whole suite is materialized and hashed.
+func TestOversizedSpecRejectedBeforeExpansion(t *testing.T) {
+	if got, want := testSpec().Cells(), cellCount(testSpec()); got != want {
+		t.Fatalf("SweepSpec.Cells() = %d, expansion builds %d cells", got, want)
+	}
+	s := newTestScheduler(t, SchedulerOpts{MaxCellsPerSweep: 1})
+	spec := sim.SweepSpec{InstsPerTrace: 100_000_000, SeedsPerProfile: 64, Modes: []string{"baseline", "iraw"}}
+	done := make(chan error, 1)
+	go func() {
+		_, err := s.SubmitAs("mallory", spec)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		var quota *QuotaError
+		if !errors.As(err, &quota) {
+			t.Fatalf("oversized submit = %v, want *QuotaError", err)
+		}
+		if !strings.Contains(quota.Reason, fmt.Sprint(spec.Cells())) {
+			t.Errorf("QuotaError reason %q does not name the spec's %d cells", quota.Reason, spec.Cells())
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("oversized submit still running after 5s: admission is materializing the suite")
 	}
 }

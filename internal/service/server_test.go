@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
@@ -10,6 +11,7 @@ import (
 	"time"
 
 	"lowvcc/internal/circuit"
+	"lowvcc/internal/core"
 	"lowvcc/internal/sim"
 )
 
@@ -224,6 +226,73 @@ func TestClientStreamLevels(t *testing.T) {
 				t.Fatalf("level %v mode %v: daemon aggregate differs from local", local[i].v, m)
 			}
 		}
+	}
+}
+
+// TestClientStreamLevelsRejectsBadEvents: the client folds events by
+// Index, so an event outside the spec's cells, one whose mode, level or
+// trace disagrees with its index, a repeated cell and a wrong cell total
+// each fail the call instead of being placed (or panicking). Every case
+// carries the otherwise complete sweep, which on its own succeeds.
+func TestClientStreamLevelsRejectsBadEvents(t *testing.T) {
+	spec := testSpec() // 2 modes x 2 levels x 7 traces
+	cells := spec.Cells()
+	sweep := func(edit func(*CellEvent)) []CellEvent {
+		events := make([]CellEvent, cells)
+		for i := range events {
+			point := i / 7
+			events[i] = CellEvent{
+				Sweep: "s", Index: i, Mode: spec.Modes[point/2], VccMV: spec.LevelsMV[point%2],
+				TraceIdx: i % 7, Result: &core.Result{}, Total: cells,
+			}
+		}
+		edit(&events[3])
+		return events
+	}
+	cases := map[string][]CellEvent{
+		"complete sweep":     sweep(func(*CellEvent) {}),
+		"index past the end": append(sweep(func(*CellEvent) {}), CellEvent{Sweep: "s", Index: cells, Total: cells, Result: &core.Result{}}),
+		"negative index":     append(sweep(func(*CellEvent) {}), CellEvent{Sweep: "s", Index: -2, Total: cells, Result: &core.Result{}}),
+		"repeated cell":      append(sweep(func(*CellEvent) {}), sweep(func(*CellEvent) {})[5]),
+		"wrong mode":         sweep(func(ev *CellEvent) { ev.Mode = "iraw" }),
+		"wrong level":        sweep(func(ev *CellEvent) { ev.VccMV = 400 }),
+		"wrong trace":        sweep(func(ev *CellEvent) { ev.TraceIdx = 4 }),
+		"wrong total":        sweep(func(ev *CellEvent) { ev.Total = cells + 1 }),
+		"no result":          sweep(func(ev *CellEvent) { ev.Result = nil }),
+	}
+	for name, events := range cases {
+		t.Run(name, func(t *testing.T) {
+			mux := http.NewServeMux()
+			mux.HandleFunc("POST /api/v1/sweeps", func(w http.ResponseWriter, r *http.Request) {
+				w.WriteHeader(http.StatusCreated)
+				w.Write([]byte(`{"id":"s"}`))
+			})
+			mux.HandleFunc("GET /api/v1/sweeps/s/events", func(w http.ResponseWriter, r *http.Request) {
+				enc := json.NewEncoder(w)
+				for _, ev := range events {
+					enc.Encode(ev)
+				}
+				enc.Encode(CellEvent{Sweep: "s", Index: -1, Total: cells, Terminal: true, State: "done"})
+			})
+			ts := httptest.NewServer(mux)
+			defer ts.Close()
+			cl, err := NewClient(ts.URL)
+			if err != nil {
+				t.Fatal(err)
+			}
+			levels := 0
+			err = cl.StreamLevels(context.Background(), spec,
+				func(circuit.Millivolts, map[circuit.Mode]*sim.Point, map[circuit.Mode]*sim.CellError) error {
+					levels++
+					return nil
+				})
+			switch {
+			case name == "complete sweep" && (err != nil || levels != len(spec.LevelsMV)):
+				t.Fatalf("complete sweep: %d levels, err %v", levels, err)
+			case name != "complete sweep" && err == nil:
+				t.Fatal("StreamLevels accepted an inconsistent event")
+			}
+		})
 	}
 }
 

@@ -74,13 +74,10 @@ type Fig11bRow struct {
 	StallCost float64 // 1 - IPC_IRAW/IPC_base at iso-voltage
 }
 
-// Figure11b sweeps both designs over the full range and measures speedups.
-func (r *Runner) Figure11b(traces []*trace.Trace) ([]Fig11bRow, error) {
-	return r.Figure11bStream(context.Background(), traces, nil)
-}
-
-// fig11bRow derives one voltage's row from the two designs' aggregates.
-func fig11bRow(v circuit.Millivolts, base, iraw *core.Result) Fig11bRow {
+// Fig11bFrom derives one voltage's Figure 11(b) row from the two designs'
+// aggregate results — the one row builder, shared by local sweeps and
+// remote-sweep clients that receive the aggregates over the wire.
+func Fig11bFrom(v circuit.Millivolts, base, iraw *core.Result) Fig11bRow {
 	row := Fig11bRow{
 		Vcc:      v,
 		FreqGain: iraw.Plan.FreqGain,
@@ -92,52 +89,6 @@ func fig11bRow(v circuit.Millivolts, base, iraw *core.Result) Fig11bRow {
 		row.StallCost = 1 - row.IPCIRAW/row.IPCBase
 	}
 	return row
-}
-
-// Figure11bStream is Figure11b off the streaming sweep: rows are handed to
-// emit in voltage order as soon as both designs at a voltage have
-// completed, so callers can render the figure progressively while the rest
-// of the grid is still running. The returned slice is the complete figure,
-// bit-identical to the batch Figure11b (which is implemented as this
-// function with a nil emit).
-//
-// In partial mode a voltage whose cells failed is handed to emit with fail
-// set (its row carries only the Vcc) and left out of the returned slice;
-// the figure then comes back with a *PartialError listing every failed
-// voltage's cell error, alongside the completed rows.
-func (r *Runner) Figure11bStream(ctx context.Context, traces []*trace.Trace, emit func(row Fig11bRow, fail *CellError)) ([]Fig11bRow, error) {
-	modes := []circuit.Mode{circuit.ModeBaseline, circuit.ModeIRAW}
-	levels := circuit.Levels()
-	rows := make([]Fig11bRow, 0, len(levels))
-	var failed []*CellError
-	err := r.StreamLevels(ctx, traces, modes, levels,
-		func(v circuit.Millivolts, pts map[circuit.Mode]*Point, fails map[circuit.Mode]*CellError) error {
-			if len(fails) > 0 {
-				// Deterministic representative: baseline's failure first.
-				fail := fails[circuit.ModeBaseline]
-				if fail == nil {
-					fail = fails[circuit.ModeIRAW]
-				}
-				failed = append(failed, fail)
-				if emit != nil {
-					emit(Fig11bRow{Vcc: v}, fail)
-				}
-				return nil
-			}
-			row := fig11bRow(v, pts[circuit.ModeBaseline].Agg, pts[circuit.ModeIRAW].Agg)
-			rows = append(rows, row)
-			if emit != nil {
-				emit(row, nil)
-			}
-			return nil
-		})
-	if err != nil {
-		return nil, err
-	}
-	if len(failed) > 0 {
-		return rows, &PartialError{Cells: failed, Total: len(modes) * len(levels)}
-	}
-	return rows, nil
 }
 
 // Fig12Row is one voltage's relative energy, delay and EDP (IRAW/baseline,

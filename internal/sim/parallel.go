@@ -2,7 +2,7 @@ package sim
 
 import (
 	"context"
-	"errors"
+	"slices"
 	"sort"
 
 	"lowvcc/internal/circuit"
@@ -18,9 +18,11 @@ import (
 //
 // With AllowPartial, failed cells leave nil result slots and runPoints
 // returns the completed grid alongside a *PartialError listing every
-// failure in (point, trace) order; per-point aggregates are skipped (nil),
-// since an aggregate over a partial trace set would silently misrepresent
-// the point.
+// failed cell in (point, trace) order, with Total the run's cell count.
+// Points whose traces all completed still get their aggregate; a point
+// with a failed cell gets a nil aggregate, since an aggregate over a
+// partial trace set would silently misrepresent the point. On a terminal
+// failure both slices are nil.
 func (r *Runner) runPoints(ctx context.Context, specs []PointSpec) ([][]*core.Result, []*core.Result, error) {
 	results := make([][]*core.Result, len(specs))
 	total := 0
@@ -54,6 +56,13 @@ func (r *Runner) runPoints(ctx context.Context, specs []PointSpec) ([][]*core.Re
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
+
+	aggs := make([]*core.Result, len(specs))
+	for i, res := range results {
+		if !slices.Contains(res, nil) {
+			aggs[i] = core.MergeResults(res)
+		}
+	}
 	if len(failed) > 0 {
 		sort.Slice(failed, func(i, j int) bool {
 			if failed[i].Point != failed[j].Point {
@@ -61,12 +70,7 @@ func (r *Runner) runPoints(ctx context.Context, specs []PointSpec) ([][]*core.Re
 			}
 			return failed[i].Trace < failed[j].Trace
 		})
-		return results, nil, &PartialError{Cells: failed, Total: total}
-	}
-
-	aggs := make([]*core.Result, len(specs))
-	for i := range specs {
-		aggs[i] = core.MergeResults(results[i])
+		return results, aggs, &PartialError{Cells: failed, Total: total}
 	}
 	return results, aggs, nil
 }
@@ -79,55 +83,30 @@ func (r *Runner) runPoints(ctx context.Context, specs []PointSpec) ([][]*core.Re
 // nil).
 func (r *Runner) RunPoint(ctx context.Context, cfg core.Config, traces []*trace.Trace) ([]*core.Result, *core.Result, error) {
 	results, aggs, err := r.runPoints(ctx, []PointSpec{{Label: "point", Cfg: cfg, Traces: traces}})
-	if err != nil {
-		var pe *PartialError
-		if errors.As(err, &pe) && len(results) == 1 {
-			return results[0], nil, err
-		}
+	if results == nil {
 		return nil, nil, err
 	}
-	return results[0], aggs[0], nil
+	return results[0], aggs[0], err
 }
 
 // Sweep runs the suite for each voltage level in each mode on the runner's
-// pool, collecting the streaming sweep into a grid. The result is indexed
-// [mode][voltage]. In partial mode, failed operating points are simply
-// absent from the grid and a *PartialError (cells in point order) comes
-// back alongside the completed points.
+// pool and returns the operating points indexed [mode][voltage]: runPoints
+// over the sweep's (mode, level) grid. In partial mode, operating points
+// with a failed cell are absent from the grid, and a *PartialError listing
+// every failed cell comes back alongside the completed points.
 func (r *Runner) Sweep(ctx context.Context, traces []*trace.Trace, modes []circuit.Mode, levels []circuit.Millivolts) (map[circuit.Mode]map[circuit.Millivolts]*Point, error) {
-	out := make(map[circuit.Mode]map[circuit.Millivolts]*Point, len(modes))
-	for _, mode := range modes {
-		out[mode] = make(map[circuit.Millivolts]*Point, len(levels))
-	}
-	var firstErr error
-	var failed []*CellError
-	for u := range r.SweepStream(ctx, traces, modes, levels) {
-		if u.Err != nil {
-			if !u.Terminal {
-				failed = append(failed, asCellError(u.Err))
-				continue
-			}
-			if firstErr == nil {
-				firstErr = u.Err
-			}
-			continue
-		}
-		out[u.Mode][u.Vcc] = u.Point
-	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	if err := ctx.Err(); err != nil {
+	_, aggs, err := r.runPoints(ctx, r.sweepSpecs(traces, modes, levels))
+	if aggs == nil {
 		return nil, err
 	}
-	if len(failed) > 0 {
-		sort.Slice(failed, func(i, j int) bool {
-			if failed[i].Point != failed[j].Point {
-				return failed[i].Point < failed[j].Point
+	out := make(map[circuit.Mode]map[circuit.Millivolts]*Point, len(modes))
+	for mi, mode := range modes {
+		out[mode] = make(map[circuit.Millivolts]*Point, len(levels))
+		for li, v := range levels {
+			if agg := aggs[mi*len(levels)+li]; agg != nil {
+				out[mode][v] = &Point{Vcc: v, Mode: mode, Agg: agg}
 			}
-			return failed[i].Trace < failed[j].Trace
-		})
-		return out, &PartialError{Cells: failed, Total: len(modes) * len(levels)}
+		}
 	}
-	return out, nil
+	return out, err
 }

@@ -95,6 +95,37 @@ func TestPanicIsolationPartial(t *testing.T) {
 	}
 }
 
+// TestSweepPartialErrorCountsCells: an allow-partial sweep with one faulty
+// trace reports Total in cells and lists every failed cell — one per
+// operating point — in (point, trace) order.
+func TestSweepPartialErrorCountsCells(t *testing.T) {
+	traces := resilienceSuite().Traces()
+	plan := NewFaultPlan(FaultRule{TraceName: traces[1].Name, Window: -1, Kind: FaultError})
+	r := &Runner{Workers: 2, Faults: plan, AllowPartial: true}
+	grid, err := r.Sweep(context.Background(), traces, streamModes, streamLevels)
+	var pe *PartialError
+	if !errors.As(err, &pe) {
+		t.Fatalf("err = %v, want a *PartialError", err)
+	}
+	points := len(streamModes) * len(streamLevels)
+	if want := points * len(traces); pe.Total != want {
+		t.Errorf("PartialError.Total = %d, want %d cells", pe.Total, want)
+	}
+	if len(pe.Cells) != points {
+		t.Fatalf("PartialError lists %d cells, want %d", len(pe.Cells), points)
+	}
+	for i, ce := range pe.Cells {
+		if ce.Point != i || ce.Trace != 1 {
+			t.Errorf("cell %d = (point %d, trace %d), want (%d, 1)", i, ce.Point, ce.Trace, i)
+		}
+	}
+	for mode, byVcc := range grid {
+		if len(byVcc) != 0 {
+			t.Errorf("%v: %d points in the grid, want none (every point lost trace 1)", mode, len(byVcc))
+		}
+	}
+}
+
 // TestRetryTransient pins the bounded-retry policy: transient faults heal
 // within the budget (and the healed result is bit-identical to a clean
 // run), exhaust the budget with the attempt count recorded, and never

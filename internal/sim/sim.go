@@ -16,14 +16,24 @@
 // The experiment engine is a streaming pipeline. Runner.Stream is the one
 // execution core: it fans every (point, trace) cell across the worker pool
 // and emits a PointUpdate the moment a cell completes. Everything else is
-// a collector over that stream:
+// one of two collectors over that stream:
 //
-//   - runPoints (backing RunPoint and every ablation) places updates into
-//     (point, trace-index) slots and aggregates after the stream closes;
-//   - SweepStream folds cells into operating points and re-emits each
-//     point as its last trace lands (progressive consumers — cmd/figures,
-//     cmd/vccsweep — render rows from it before the grid finishes);
-//   - Sweep collects SweepStream into the [mode][voltage] grid.
+//   - runPoints (backing RunPoint, Sweep and every figure and ablation)
+//     places updates into (point, trace-index) slots and aggregates after
+//     the stream closes; Sweep reshapes its (mode, level) points into the
+//     [mode][voltage] grid;
+//   - LevelFold places cells by (point, trace) index, settles a point when
+//     all of its traces have landed and releases whole voltage levels in
+//     level order to a LevelFunc. Runner.StreamLevels feeds it from
+//     Stream, and the sweep daemon's client (internal/service) feeds it
+//     from cell events, so progressive renderers (cmd/figures,
+//     cmd/vccsweep) print identical rows from either source before the
+//     grid finishes.
+//
+// In partial mode runPoints returns a *PartialError whose Total counts
+// cells and whose Cells list every failure in (point, trace) order, while
+// LevelFold hands each failed point's lowest-trace-index failure to the
+// LevelFunc in its level's fails map.
 //
 // Concurrency conventions:
 //   - a Core is not goroutine-safe: exactly one Core per goroutine. The

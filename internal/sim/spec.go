@@ -15,6 +15,7 @@ import (
 	"lowvcc/internal/circuit"
 	"lowvcc/internal/core"
 	"lowvcc/internal/trace"
+	"lowvcc/internal/workload"
 )
 
 // SweepSpec is a serializable sweep request: everything needed to
@@ -139,6 +140,13 @@ func (s SweepSpec) Traces() []*trace.Trace {
 	return SuiteSpec{InstsPerTrace: s.InstsPerTrace, SeedsPerProfile: s.SeedsPerProfile}.Traces()
 }
 
+// Cells is the number of (mode, level, trace) cells the spec expands to,
+// counted without materializing the suite: admission control checks it
+// before paying for trace generation.
+func (s SweepSpec) Cells() int {
+	return len(s.Modes) * len(s.Levels()) * len(workload.Profiles()) * s.SeedsPerProfile
+}
+
 // NewRunner builds a Runner carrying the spec's windowing plan and core
 // width — the configuration under which every cell's journal key is
 // defined.
@@ -160,11 +168,4 @@ func (s SweepSpec) PointConfig(v circuit.Millivolts, mode circuit.Mode) core.Con
 // fault-injection rules match either way.
 func SweepLabel(v circuit.Millivolts, mode circuit.Mode) string {
 	return fmt.Sprintf("sweep %v %v", v, mode)
-}
-
-// Fig11bFrom derives one voltage's Figure 11(b) row from the two designs'
-// aggregate results — exported for remote-sweep clients that receive the
-// aggregates over the wire instead of simulating locally.
-func Fig11bFrom(v circuit.Millivolts, base, iraw *core.Result) Fig11bRow {
-	return fig11bRow(v, base, iraw)
 }

@@ -576,26 +576,6 @@ func (r *Runner) runWindowOnce(ctx context.Context, spec *PointSpec, wc *workerC
 	return nil
 }
 
-// SweepUpdate is one event on a streaming sweep: a completed operating
-// point (all traces merged), one operating point's isolated failure
-// (AllowPartial mode), or the sweep's terminal error.
-type SweepUpdate struct {
-	Mode circuit.Mode
-	Vcc  circuit.Millivolts
-	// Point is the aggregated operating-point measurement; PerTrace its
-	// per-trace results in trace order. Both are nil when Err is set.
-	Point    *Point
-	PerTrace []*core.Result
-	// Err carries a failure. With Terminal false it is one operating
-	// point's failure (the lowest-trace-index *CellError; Mode and Vcc
-	// identify the point, and the sweep continues). With Terminal true it
-	// is the sweep's failure and the last update before close.
-	Err      error
-	Terminal bool
-	// Done and Total report progress in operating points.
-	Done, Total int
-}
-
 // sweepSpecs expands a (modes x levels) grid into PointSpecs in the fixed
 // (mode, level) order every sweep consumer indexes by, each cell at the
 // runner's configured width (pointConfig).
@@ -613,75 +593,116 @@ func (r *Runner) sweepSpecs(traces []*trace.Trace, modes []circuit.Mode, levels 
 	return specs
 }
 
-// StreamLevels collects a streaming sweep voltage by voltage: onLevel is
-// invoked in level order, each call made as soon as every requested mode
-// at that level has completed — while later levels may still be running —
-// with the level's points keyed by mode. With AllowPartial, failed
-// operating points arrive in the fails map instead (and never in pts), so
-// renderers can mark the cell and keep going; without it, fails is always
-// empty (the sweep aborts first). An onLevel error cancels the sweep;
-// StreamLevels always drains the stream before returning, so callers
-// never strand the producer's workers.
-func (r *Runner) StreamLevels(ctx context.Context, traces []*trace.Trace, modes []circuit.Mode, levels []circuit.Millivolts, onLevel func(circuit.Millivolts, map[circuit.Mode]*Point, map[circuit.Mode]*CellError) error) error {
+// LevelFunc receives one voltage level of a sweep: the level's operating
+// points keyed by mode and, with AllowPartial, its failed points keyed by
+// mode (each point appears in exactly one of the two maps). A non-nil
+// return stops the sweep and is handed back to the caller.
+type LevelFunc func(v circuit.Millivolts, pts map[circuit.Mode]*Point, fails map[circuit.Mode]*CellError) error
+
+// LevelFold is the one collector that turns a sweep's cells into levels.
+// Cells arrive in any order as PointUpdates indexed by (point, trace),
+// points in the fixed (mode, level) order of sweepSpecs. A point settles
+// once every one of its traces has landed: its aggregate is
+// core.MergeResults over the results in trace order, or, if any trace
+// failed, the failure with the lowest trace index. Levels are released to
+// onLevel strictly in level order, each as soon as all of its points have
+// settled, so the calls do not depend on arrival order. Runner.StreamLevels
+// feeds it from Stream; the sweep daemon's client feeds it from cell
+// events. A LevelFold is not safe for concurrent use.
+type LevelFold struct {
+	modes   []circuit.Mode
+	levels  []circuit.Millivolts
+	traces  int
+	onLevel LevelFunc
+	cells   []*PointUpdate // [point*traces + trace]; nil until landed
+	landed  []int          // cells landed per point
+	next    int            // first level not yet released
+}
+
+// NewLevelFold starts a fold over a (modes x levels) sweep of traces
+// traces per point.
+func NewLevelFold(modes []circuit.Mode, levels []circuit.Millivolts, traces int, onLevel LevelFunc) *LevelFold {
+	points := len(modes) * len(levels)
+	return &LevelFold{
+		modes: modes, levels: levels, traces: traces, onLevel: onLevel,
+		cells:  make([]*PointUpdate, points*traces),
+		landed: make([]int, points),
+	}
+}
+
+// Add places one update and releases every level it completes. It returns
+// the error of a terminal update (Point < 0 with Err set), an error for a
+// cell that is out of range, lands twice or carries neither a result nor
+// an error, and the first onLevel error.
+func (f *LevelFold) Add(u PointUpdate) error {
+	if u.Point < 0 && u.Err != nil {
+		return u.Err
+	}
+	if u.Point < 0 || u.Point >= len(f.landed) || u.Trace < 0 || u.Trace >= f.traces {
+		return fmt.Errorf("sim: cell (point %d, trace %d) outside the %d-point, %d-trace sweep", u.Point, u.Trace, len(f.landed), f.traces)
+	}
+	i := u.Point*f.traces + u.Trace
+	if f.cells[i] != nil {
+		return fmt.Errorf("sim: cell (point %d, trace %d) landed twice", u.Point, u.Trace)
+	}
+	if u.Err == nil && u.Result == nil {
+		return fmt.Errorf("sim: cell (point %d, trace %d) has neither a result nor an error", u.Point, u.Trace)
+	}
+	f.cells[i] = &u
+	f.landed[u.Point]++
+	for ; f.next < len(f.levels); f.next++ {
+		v := f.levels[f.next]
+		pts := make(map[circuit.Mode]*Point, len(f.modes))
+		fails := make(map[circuit.Mode]*CellError)
+		for mi, m := range f.modes {
+			p := mi*len(f.levels) + f.next
+			if f.landed[p] < f.traces {
+				return nil // an unsettled point gates this and later levels
+			}
+			results := make([]*core.Result, f.traces)
+			for ti, c := range f.cells[p*f.traces : (p+1)*f.traces] {
+				if c.Err != nil {
+					fails[m] = asCellError(c.Err)
+					break
+				}
+				results[ti] = c.Result
+			}
+			if fails[m] == nil {
+				pts[m] = &Point{Vcc: v, Mode: m, Agg: core.MergeResults(results)}
+			}
+		}
+		if err := f.onLevel(v, pts, fails); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Released reports how many levels have been handed to onLevel.
+func (f *LevelFold) Released() int { return f.next }
+
+// StreamLevels runs the (modes x levels) sweep and folds its stream with a
+// LevelFold: onLevel is called once per level, in level order, as soon as
+// every mode at that level has settled, while later levels may still be
+// running. With AllowPartial, failed operating points arrive in the fails
+// map; without it a failed cell ends the sweep with its error before its
+// level is released. An onLevel error cancels the sweep; StreamLevels
+// always drains the stream before returning, so callers never strand the
+// producer's workers.
+func (r *Runner) StreamLevels(ctx context.Context, traces []*trace.Trace, modes []circuit.Mode, levels []circuit.Millivolts, onLevel LevelFunc) error {
 	sctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-
-	type slot struct {
-		p    *Point
-		fail *CellError
-	}
-	grid := make(map[circuit.Mode]map[circuit.Millivolts]*slot, len(modes))
-	for _, m := range modes {
-		grid[m] = make(map[circuit.Millivolts]*slot, len(levels))
-	}
-	next := 0 // first level not yet handed to onLevel
-	var firstErr error
-	for u := range r.SweepStream(sctx, traces, modes, levels) {
-		if u.Err != nil && u.Terminal {
-			if firstErr == nil {
-				firstErr = u.Err
-			}
-			continue
-		}
-		if firstErr != nil {
-			continue // already failing: drain without emitting
-		}
-		if u.Err != nil {
-			ce := asCellError(u.Err)
-			grid[u.Mode][u.Vcc] = &slot{fail: ce}
-		} else {
-			grid[u.Mode][u.Vcc] = &slot{p: u.Point}
-		}
-		for next < len(levels) {
-			v := levels[next]
-			row := make(map[circuit.Mode]*Point, len(modes))
-			fails := make(map[circuit.Mode]*CellError)
-			filled := 0
-			for _, m := range modes {
-				s := grid[m][v]
-				if s == nil {
-					continue
-				}
-				filled++
-				if s.fail != nil {
-					fails[m] = s.fail
-				} else {
-					row[m] = s.p
-				}
-			}
-			if filled < len(modes) {
-				break // a slower earlier level gates emission order
-			}
-			if err := onLevel(v, row, fails); err != nil {
-				firstErr = err
+	fold := NewLevelFold(modes, levels, len(traces), onLevel)
+	var err error
+	for u := range r.Stream(sctx, r.sweepSpecs(traces, modes, levels)) {
+		if err == nil {
+			if err = fold.Add(u); err != nil {
 				cancel() // stop producing; keep draining
-				break
 			}
-			next++
 		}
 	}
-	if firstErr != nil {
-		return firstErr
+	if err != nil {
+		return err
 	}
 	return ctx.Err()
 }
@@ -694,77 +715,4 @@ func asCellError(err error) *CellError {
 		return ce
 	}
 	return &CellError{Point: -1, Trace: -1, Err: err}
-}
-
-// SweepStream runs the (modes x levels) grid and emits each operating
-// point as soon as its last trace cell lands: per-trace results merge in
-// trace order, so every emitted Point is bit-identical to what the batch
-// Sweep reports for that (mode, level). Emission order follows completion.
-// With AllowPartial, an operating point with failed trace cells emits an
-// update with Err set (Terminal false) and the sweep continues; otherwise
-// — and on cancellation — one Terminal update carries the error and the
-// channel closes. Consumers must drain the channel (cancel ctx to abandon
-// early).
-func (r *Runner) SweepStream(ctx context.Context, traces []*trace.Trace, modes []circuit.Mode, levels []circuit.Millivolts) <-chan SweepUpdate {
-	specs := r.sweepSpecs(traces, modes, levels)
-	out := make(chan SweepUpdate)
-	go func() {
-		defer close(out)
-		type pointState struct {
-			results   []*core.Result
-			errs      []error
-			remaining int
-		}
-		states := make([]pointState, len(specs))
-		for i := range specs {
-			states[i] = pointState{
-				results:   make([]*core.Result, len(traces)),
-				errs:      make([]error, len(traces)),
-				remaining: len(traces),
-			}
-		}
-		done := 0
-		emit := func(u SweepUpdate) {
-			u.Done, u.Total = done, len(specs)
-			select {
-			case out <- u:
-			case <-ctx.Done():
-			}
-		}
-		for u := range r.Stream(ctx, specs) {
-			if u.Err != nil && u.Point < 0 {
-				emit(SweepUpdate{Err: u.Err, Terminal: true})
-				continue
-			}
-			st := &states[u.Point]
-			if u.Err != nil {
-				st.errs[u.Trace] = u.Err
-			} else {
-				st.results[u.Trace] = u.Result
-			}
-			if st.remaining--; st.remaining > 0 {
-				continue
-			}
-			mode := modes[u.Point/len(levels)]
-			v := levels[u.Point%len(levels)]
-			done++
-			var pointErr error
-			for _, err := range st.errs {
-				if err != nil {
-					pointErr = err // lowest trace index: deterministic
-					break
-				}
-			}
-			if pointErr != nil {
-				emit(SweepUpdate{Mode: mode, Vcc: v, Err: pointErr})
-				continue
-			}
-			emit(SweepUpdate{
-				Mode: mode, Vcc: v,
-				Point:    &Point{Vcc: v, Mode: mode, Agg: core.MergeResults(st.results)},
-				PerTrace: st.results,
-			})
-		}
-	}()
-	return out
 }

@@ -2,6 +2,8 @@ package sim
 
 import (
 	"context"
+	"errors"
+	"math/rand/v2"
 	"reflect"
 	"runtime"
 	"strings"
@@ -221,26 +223,148 @@ func TestProgressCallback(t *testing.T) {
 	}
 }
 
-// TestSweepStreamMatchesBatch: every point emitted by SweepStream is
-// bit-identical to the batch Sweep's grid entry, and the stream covers the
-// whole grid exactly once.
-func TestSweepStreamMatchesBatch(t *testing.T) {
+// TestStreamLevelsMatchesSweep: every level StreamLevels releases is
+// bit-identical to the batch Sweep's grid entries at that level, and each
+// level is released exactly once, in level order.
+func TestStreamLevelsMatchesSweep(t *testing.T) {
 	traces := SuiteSpec{InstsPerTrace: 3000, SeedsPerProfile: 1}.Traces()
 	batch, err := (&Runner{Workers: 2}).Sweep(context.Background(), traces, streamModes, streamLevels)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := 0
-	for u := range (&Runner{Workers: 2}).SweepStream(context.Background(), traces, streamModes, streamLevels) {
-		if u.Err != nil {
-			t.Fatal(u.Err)
-		}
-		got++
-		if !reflect.DeepEqual(batch[u.Mode][u.Vcc], u.Point) {
-			t.Errorf("%v %v: streamed point differs from batch grid", u.Mode, u.Vcc)
+	var got []circuit.Millivolts
+	err = (&Runner{Workers: 2}).StreamLevels(context.Background(), traces, streamModes, streamLevels,
+		func(v circuit.Millivolts, pts map[circuit.Mode]*Point, fails map[circuit.Mode]*CellError) error {
+			got = append(got, v)
+			if len(fails) != 0 || len(pts) != len(streamModes) {
+				t.Errorf("%v: %d points and %d failures, want %d points", v, len(pts), len(fails), len(streamModes))
+			}
+			for _, m := range streamModes {
+				if !reflect.DeepEqual(batch[m][v], pts[m]) {
+					t.Errorf("%v %v: streamed point differs from batch grid", m, v)
+				}
+			}
+			return nil
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, streamLevels) {
+		t.Fatalf("levels released %v, want each of %v once in order", got, streamLevels)
+	}
+}
+
+// levelCall is one recorded LevelFunc invocation.
+type levelCall struct {
+	V     circuit.Millivolts
+	Pts   map[circuit.Mode]*Point
+	Fails map[circuit.Mode]*CellError
+}
+
+// foldAll feeds updates through a fresh LevelFold and records its calls.
+func foldAll(t *testing.T, modes []circuit.Mode, levels []circuit.Millivolts, traces int, updates []PointUpdate) []levelCall {
+	t.Helper()
+	var calls []levelCall
+	fold := NewLevelFold(modes, levels, traces, func(v circuit.Millivolts, pts map[circuit.Mode]*Point, fails map[circuit.Mode]*CellError) error {
+		calls = append(calls, levelCall{v, pts, fails})
+		return nil
+	})
+	for _, u := range updates {
+		if err := fold.Add(u); err != nil {
+			t.Fatalf("Add(point %d, trace %d): %v", u.Point, u.Trace, err)
 		}
 	}
-	if want := len(streamModes) * len(streamLevels); got != want {
-		t.Fatalf("stream emitted %d points, want %d", got, want)
+	if fold.Released() != len(levels) {
+		t.Fatalf("released %d of %d levels", fold.Released(), len(levels))
+	}
+	return calls
+}
+
+// TestLevelFoldOrderIndependent: one sweep's updates — including an
+// isolated failure — fed in several random arrival orders release the same
+// levels, in level order, with identical rows.
+func TestLevelFoldOrderIndependent(t *testing.T) {
+	traces := resilienceSuite().Traces()
+	specs := (&Runner{}).sweepSpecs(traces, streamModes, streamLevels)
+	plan := NewFaultPlan(FaultRule{Label: specs[1].Label, TraceName: traces[2].Name, Window: -1, Kind: FaultError})
+	r := &Runner{Workers: 2, Faults: plan, AllowPartial: true}
+	var updates []PointUpdate
+	for u := range r.Stream(context.Background(), specs) {
+		updates = append(updates, u)
+	}
+
+	want := foldAll(t, streamModes, streamLevels, len(traces), updates)
+	for i, c := range want {
+		if c.V != streamLevels[i] {
+			t.Fatalf("call %d released %v, want %v", i, c.V, streamLevels[i])
+		}
+	}
+	if ce := want[1].Fails[circuit.ModeBaseline]; ce == nil || ce.Trace != 2 {
+		t.Fatalf("level %v fails = %v, want baseline's trace-2 failure", want[1].V, want[1].Fails)
+	}
+	rng := rand.New(rand.NewPCG(1, 2))
+	for perm := 0; perm < 5; perm++ {
+		shuffled := append([]PointUpdate(nil), updates...)
+		rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+		if got := foldAll(t, streamModes, streamLevels, len(traces), shuffled); !reflect.DeepEqual(got, want) {
+			t.Fatalf("permutation %d: level calls differ from in-order arrival", perm)
+		}
+	}
+}
+
+// TestLevelFoldLowestTraceFailure: a point whose traces 2 and 0 both fail
+// reports trace 0 whatever order the cells arrive in.
+func TestLevelFoldLowestTraceFailure(t *testing.T) {
+	modes := []circuit.Mode{circuit.ModeIRAW}
+	levels := []circuit.Millivolts{500}
+	cellErr := func(tr int) PointUpdate {
+		return PointUpdate{Trace: tr, Err: &CellError{Trace: tr, Err: errors.New("boom")}}
+	}
+	ok := PointUpdate{Trace: 1, Result: &core.Result{}}
+	orders := [][]PointUpdate{
+		{cellErr(0), ok, cellErr(2)}, {cellErr(0), cellErr(2), ok},
+		{ok, cellErr(0), cellErr(2)}, {ok, cellErr(2), cellErr(0)},
+		{cellErr(2), ok, cellErr(0)}, {cellErr(2), cellErr(0), ok},
+	}
+	for i, order := range orders {
+		calls := foldAll(t, modes, levels, 3, order)
+		if ce := calls[0].Fails[circuit.ModeIRAW]; ce == nil || ce.Trace != 0 || len(calls[0].Pts) != 0 {
+			t.Errorf("order %d: fails = %v, pts = %v; want only trace 0's failure", i, calls[0].Fails, calls[0].Pts)
+		}
+	}
+}
+
+// TestLevelFoldRejectsBadCells: out-of-range indices, a repeated cell and
+// a cell with neither result nor error come back as errors, never panics,
+// and a terminal update returns its own error.
+func TestLevelFoldRejectsBadCells(t *testing.T) {
+	res := &core.Result{}
+	for _, u := range []PointUpdate{
+		{Point: -1, Trace: 0, Result: res},
+		{Point: 4, Trace: 0, Result: res},
+		{Point: 0, Trace: -1, Result: res},
+		{Point: 0, Trace: 3, Result: res},
+		{Point: 1, Trace: 1},
+	} {
+		fold := NewLevelFold(streamModes, streamLevels, 3, func(circuit.Millivolts, map[circuit.Mode]*Point, map[circuit.Mode]*CellError) error {
+			return nil
+		})
+		if err := fold.Add(u); err == nil {
+			t.Errorf("Add(point %d, trace %d, result %v) accepted", u.Point, u.Trace, u.Result != nil)
+		}
+	}
+
+	fold := NewLevelFold(streamModes, streamLevels, 3, func(circuit.Millivolts, map[circuit.Mode]*Point, map[circuit.Mode]*CellError) error {
+		return nil
+	})
+	if err := fold.Add(PointUpdate{Point: 2, Trace: 1, Result: res}); err != nil {
+		t.Fatal(err)
+	}
+	if err := fold.Add(PointUpdate{Point: 2, Trace: 1, Result: res}); err == nil {
+		t.Error("a cell landing twice was accepted")
+	}
+	stop := errors.New("stream failed")
+	if err := fold.Add(PointUpdate{Point: -1, Trace: -1, Err: stop}); !errors.Is(err, stop) {
+		t.Errorf("terminal update returned %v, want its own error", err)
 	}
 }

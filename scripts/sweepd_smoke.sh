@@ -23,10 +23,14 @@
 #   5. SIGTERM drains the daemon gracefully: it verifies the journal and
 #      exits 0;
 #   6. a second daemon with in-process worker slots (-workers 2) on a
-#      fresh journal renders the same CSV as the local sweep: its slots
-#      journal privately under <jnl>/local and upload through the same
-#      content check as external workers, and it too drains with a
-#      verified journal.
+#      fresh journal simulates `figures -fig 11b -server` byte-identical to
+#      the local `figures -fig 11b`: the figure's one rendering path folds
+#      the daemon's cell events into levels exactly as the local runner
+#      folds its stream;
+#   7. the same daemon renders the vccsweep CSV identical to the local
+#      sweep: its slots journal privately under <jnl>/local and upload
+#      through the same content check as external workers, and it too
+#      drains with a verified journal.
 #
 # Usage: scripts/sweepd_smoke.sh [insts] [seeds]
 set -euo pipefail
@@ -49,10 +53,13 @@ trap cleanup EXIT
 echo "sweepd_smoke: building" >&2
 go build -o "$WORK/sweepd" ./cmd/sweepd
 go build -o "$WORK/vccsweep" ./cmd/vccsweep
+go build -o "$WORK/figures" ./cmd/figures
 
-echo "sweepd_smoke: local baseline sweep" >&2
+echo "sweepd_smoke: local baseline sweep and Figure 11(b)" >&2
 "$WORK/vccsweep" -insts "$INSTS" -seeds "$SEEDS" -modes "$MODES" -csv \
   > "$WORK/local.csv"
+"$WORK/figures" -fig 11b -insts "$INSTS" -seeds "$SEEDS" -csv \
+  > "$WORK/local_fig11b.csv"
 
 echo "sweepd_smoke: starting daemon (external workers only)" >&2
 # -addr :0 picks a free port; parse it from the serving line. Short lease
@@ -244,6 +251,20 @@ for _ in $(seq 1 100); do
   sleep 0.1
 done
 [ -n "$ADDR" ] || { echo "sweepd_smoke: FAIL no serving line (in-process daemon)" >&2; exit 1; }
+# Figure 11(b) first, so its cells are simulated by the slots rather than
+# replayed from the journal.
+echo "sweepd_smoke: figures -fig 11b through -server (in-process slots)" >&2
+if ! "$WORK/figures" -fig 11b -server "$ADDR" -insts "$INSTS" -seeds "$SEEDS" \
+  -csv > "$WORK/daemon_fig11b.csv" 2> "$WORK/client_fig11b.err"; then
+  echo "sweepd_smoke: FAIL figures -server errored" >&2
+  cat "$WORK/client_fig11b.err" >&2
+  exit 1
+fi
+if ! diff -u "$WORK/local_fig11b.csv" "$WORK/daemon_fig11b.csv"; then
+  echo "sweepd_smoke: FAIL daemon Figure 11(b) differs from local Figure 11(b)" >&2
+  exit 1
+fi
+echo "sweepd_smoke: daemon Figure 11(b) CSV identical to local" >&2
 if ! "$WORK/vccsweep" -server "$ADDR" -insts "$INSTS" -seeds "$SEEDS" \
   -modes "$MODES" -csv > "$WORK/daemon_local.csv" 2> "$WORK/client_local.err"; then
   echo "sweepd_smoke: FAIL in-process client sweep errored" >&2
@@ -269,4 +290,4 @@ if [ "$DAEMON_RC" -ne 0 ] || ! grep -q "journal verified" "$WORK/daemon2.err"; t
 fi
 DAEMON_PID=""
 
-echo "sweepd_smoke: PASS (no shared FS; kill -9 + partition mid-sweep; width-3 grid; in-process slots; results identical; clean drains)"
+echo "sweepd_smoke: PASS (no shared FS; kill -9 + partition mid-sweep; width-3 grid; in-process slots; figures -server; results identical; clean drains)"
