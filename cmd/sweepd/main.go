@@ -7,15 +7,16 @@
 // daemon's journal only through its content check.
 //
 // Start a daemon (journal directory is required; it also holds the
-// exclusive-writer LOCK, and the in-process workers' private journal and
-// checkpoint store live under its local/ subdirectory):
+// exclusive-writer LOCK, and the in-process workers' checkpoint store
+// lives under its local/ subdirectory):
 //
 //	sweepd -addr 127.0.0.1:7077 -journal /tmp/jnl
 //
 // Join external workers — any number, any time, from any machine. A
-// worker journals into a private scratch directory and uploads each
-// sealed result in its Complete call (the daemon verifies the bytes'
-// content address before admitting them), so no filesystem is shared:
+// worker seals each result in memory and uploads it in its Complete call
+// (the daemon verifies the bytes' content address before admitting them),
+// so no filesystem is shared; an idle worker waits on the daemon for work
+// for up to -poll per lease request:
 //
 //	sweepd -worker -join 127.0.0.1:7077
 //
@@ -52,7 +53,7 @@ import (
 
 func main() {
 	addr := flag.String("addr", "127.0.0.1:7077", "listen address (host:port; port 0 picks a free one)")
-	journalDir := flag.String("journal", "", "daemon journal directory (required); in-process workers journal privately under <dir>/local and upload like external ones")
+	journalDir := flag.String("journal", "", "daemon journal directory (required); in-process workers upload like external ones and keep their checkpoint store under <dir>/local")
 	workers := flag.Int("workers", 0, "in-process simulation workers (0 = GOMAXPROCS, -1 = none: external workers only)")
 	leaseTTL := flag.Duration("lease-ttl", 30*time.Second, "cell lease TTL; a dead worker's cells requeue within ~1.25x this")
 	maxQueue := flag.Int("max-queue", 4096, "max pending+leased cells before submissions get 429")
@@ -63,7 +64,7 @@ func main() {
 	fsync := flag.Bool("fsync", true, "fsync journal entries (power-loss durability)")
 	retries := flag.Int("retries", 1, "window-level transient-failure retries per cell execution")
 	retryBackoff := flag.Duration("retry-backoff", time.Second, "backoff before the first retry (doubles, jittered)")
-	journalBudget := flag.Int64("journal-budget", 0, "journal disk budget in bytes for the daemon's journal and each worker's private one; LRU entries evict past it (0 = unbounded)")
+	journalBudget := flag.Int64("journal-budget", 0, "disk budget in bytes for the daemon's journal (daemon mode); LRU entries evict past it (0 = unbounded)")
 	ckptBudget := flag.Int64("ckpt-budget", 0, "checkpoint-store disk budget in bytes, worker mode (0 = unbounded)")
 	submitRate := flag.Float64("submit-rate", 0, "per-client sweep submissions per second (0 = unlimited)")
 	submitBurst := flag.Int("submit-burst", 2, "per-client submission burst on top of -submit-rate")
@@ -72,8 +73,8 @@ func main() {
 	workerMode := flag.Bool("worker", false, "run as an external worker instead of a daemon")
 	join := flag.String("join", "", "daemon address to pull leases from (worker mode)")
 	name := flag.String("name", "", "worker name in leases and events (worker mode; default pid-derived)")
-	poll := flag.Duration("poll", 250*time.Millisecond, "idle poll interval (worker mode)")
-	workerJournal := flag.String("worker-journal", "", "worker's private journal directory (worker mode; default throwaway temp dir)")
+	poll := flag.Duration("poll", 250*time.Millisecond, "how long an idle worker waits for work per lease request (worker mode)")
+	workerJournal := flag.String("worker-journal", "", "worker's scratch directory, which holds its checkpoint store (worker mode; default throwaway temp dir)")
 	flag.Parse()
 
 	var err error
@@ -82,7 +83,7 @@ func main() {
 			join: *join, name: *name, journalDir: *workerJournal,
 			poll: *poll, cellTimeout: *cellTimeout,
 			retries: *retries, retryBackoff: *retryBackoff,
-			journalBudget: *journalBudget, ckptBudget: *ckptBudget,
+			ckptBudget: *ckptBudget,
 		})
 	} else {
 		err = runDaemon(daemonConfig{
@@ -198,11 +199,11 @@ func runDaemon(cfg daemonConfig) error {
 }
 
 type workerConfig struct {
-	join, name, journalDir    string
-	poll, cellTimeout         time.Duration
-	retries                   int
-	retryBackoff              time.Duration
-	journalBudget, ckptBudget int64
+	join, name, journalDir string
+	poll, cellTimeout      time.Duration
+	retries                int
+	retryBackoff           time.Duration
+	ckptBudget             int64
 }
 
 func runWorker(cfg workerConfig) error {
@@ -216,14 +217,13 @@ func runWorker(cfg workerConfig) error {
 	defer stop()
 	fmt.Fprintf(os.Stderr, "sweepd: worker %s pulling from %s\n", cfg.name, cfg.join)
 	err := service.Work(ctx, cfg.join, service.WorkerOpts{
-		Name:          cfg.name,
-		Poll:          cfg.poll,
-		CellTimeout:   cfg.cellTimeout,
-		Retries:       cfg.retries,
-		RetryBackoff:  cfg.retryBackoff,
-		JournalDir:    cfg.journalDir,
-		JournalBudget: cfg.journalBudget,
-		CkptBudget:    cfg.ckptBudget,
+		Name:         cfg.name,
+		Poll:         cfg.poll,
+		CellTimeout:  cfg.cellTimeout,
+		Retries:      cfg.retries,
+		RetryBackoff: cfg.retryBackoff,
+		JournalDir:   cfg.journalDir,
+		CkptBudget:   cfg.ckptBudget,
 	})
 	if err == context.Canceled {
 		return nil // clean signal-driven exit

@@ -147,9 +147,11 @@ const headerMagic = "lowvccjnl1"
 
 func (j *Journal) path(key string) string { return filepath.Join(j.dir, key+".cell") }
 
-// encode renders the entry file: one header line with the payload's
-// SHA-256 and length, then the payload.
-func encode(e *Entry) ([]byte, error) {
+// Seal renders the sealed entry bytes: one header line with the
+// payload's SHA-256 and length, then the payload. They are exactly what Put
+// writes under e.Key and what Admit verifies, so a worker can upload a
+// result without journaling it first.
+func Seal(e *Entry) ([]byte, error) {
 	payload, err := json.Marshal(e)
 	if err != nil {
 		return nil, fmt.Errorf("journal: encoding %s: %w", e.Key, err)
@@ -179,10 +181,8 @@ func (j *Journal) Get(key string) (*Entry, bool) {
 }
 
 // GetRaw returns the sealed entry file bytes for key — header line plus
-// payload, exactly as stored — after running the same integrity check as
-// Get. This is the upload format for result push-down: a worker ships the
-// sealed bytes to the daemon, which re-verifies them with Admit before
-// admitting the entry into its own journal.
+// payload, exactly as stored (Seal's output) — after running the same
+// integrity check as Get.
 func (j *Journal) GetRaw(key string) ([]byte, bool) {
 	data, err := os.ReadFile(j.path(key))
 	if err != nil {
@@ -199,8 +199,8 @@ func (j *Journal) GetRaw(key string) ([]byte, bool) {
 	return data, true
 }
 
-// Admit verifies sealed entry bytes produced elsewhere (GetRaw on another
-// journal, possibly another machine) and publishes them under key. The
+// Admit verifies sealed entry bytes produced elsewhere (Seal or GetRaw,
+// possibly on another machine) and publishes them under key. The
 // full check runs before a single byte lands: header magic, payload
 // length, SHA-256 content address, key match, decodability and a non-nil
 // Result. Bytes from a buggy or byzantine uploader are rejected with an
@@ -256,7 +256,7 @@ func decode(key string, data []byte) (*Entry, error) {
 // counted and returned; callers may ignore them — a lost entry costs one
 // re-simulation.
 func (j *Journal) Put(e *Entry) error {
-	data, err := encode(e)
+	data, err := Seal(e)
 	if err != nil {
 		j.writeErrs.Add(1)
 		return err
@@ -269,7 +269,7 @@ func (j *Journal) Put(e *Entry) error {
 // (process killed mid-write on a filesystem that reordered the rename).
 // Test and fault-injection use only: Get must reject the result.
 func (j *Journal) PutTruncated(e *Entry, keep int) error {
-	data, err := encode(e)
+	data, err := Seal(e)
 	if err != nil {
 		j.writeErrs.Add(1)
 		return err
@@ -339,8 +339,7 @@ func (j *Journal) writeFile(key string, data []byte) error {
 // a budget is active — exactly the sweep daemon's arrangement, where the
 // LOCK-holding scheduler admits every result. Other writers' entries are
 // seen only when a fresh handle's SetBudget seeds the accounting from the
-// directory and enforces it at once, which is how a worker trims its
-// private journal after an upload. Readers are unaffected beyond extra
+// directory and enforces it at once. Readers are unaffected beyond extra
 // misses.
 func (j *Journal) SetBudget(budget int64) {
 	j.mu.Lock()

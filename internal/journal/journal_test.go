@@ -84,7 +84,7 @@ func TestMissAndCorruptEntries(t *testing.T) {
 	e := &Entry{Key: key, Windows: 1, Result: res}
 
 	// Truncated at several byte counts, including 0 and header-only.
-	full, err := encode(e)
+	full, err := Seal(e)
 	if err != nil {
 		t.Fatal(err)
 	}

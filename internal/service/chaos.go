@@ -54,8 +54,8 @@ func chaosError(op, label string) error {
 	return fmt.Errorf("service: injected network fault: %s for %s lost on the wire", op, label)
 }
 
-func (c *ChaosSource) Acquire(ctx context.Context, worker string) (*Lease, error) {
-	lease, err := c.inner.Acquire(ctx, worker)
+func (c *ChaosSource) Acquire(ctx context.Context, worker string, wait time.Duration) (*Lease, error) {
+	lease, err := c.inner.Acquire(ctx, worker, wait)
 	if err != nil || lease == nil {
 		return lease, err
 	}

@@ -236,9 +236,9 @@ func newHTTPSource(baseURL string) (*httpSource, error) {
 	return &httpSource{base: base, hc: &http.Client{Timeout: 10 * time.Second}}, nil
 }
 
-func (h *httpSource) Acquire(ctx context.Context, worker string) (*Lease, error) {
+func (h *httpSource) Acquire(ctx context.Context, worker string, wait time.Duration) (*Lease, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		h.base+"/api/v1/lease?worker="+url.QueryEscape(worker), nil)
+		h.base+"/api/v1/lease?worker="+url.QueryEscape(worker)+"&wait_ms="+strconv.FormatInt(wait.Milliseconds(), 10), nil)
 	if err != nil {
 		return nil, err
 	}
@@ -262,25 +262,7 @@ func (h *httpSource) Acquire(ctx context.Context, worker string) (*Lease, error)
 }
 
 func (h *httpSource) Heartbeat(ctx context.Context, leaseID string) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		h.base+"/api/v1/lease/"+url.PathEscape(leaseID)+"/heartbeat", nil)
-	if err != nil {
-		return err
-	}
-	resp, err := h.hc.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-	switch resp.StatusCode {
-	case http.StatusNoContent:
-		return nil
-	case http.StatusGone:
-		return ErrLeaseLost
-	default:
-		return fmt.Errorf("service: heartbeat: %s", resp.Status)
-	}
+	return h.leaseCall(ctx, leaseID, "heartbeat", nil)
 }
 
 func (h *httpSource) Complete(ctx context.Context, leaseID, worker, errMsg string, entry []byte) error {
@@ -294,8 +276,14 @@ func (h *httpSource) Complete(ctx context.Context, leaseID, worker, errMsg strin
 	if err != nil {
 		return err
 	}
+	return h.leaseCall(ctx, leaseID, "done", body)
+}
+
+// leaseCall posts body to one lease's op endpoint ("heartbeat" or "done")
+// and maps the answer: 204 is success, 410 is ErrLeaseLost.
+func (h *httpSource) leaseCall(ctx context.Context, leaseID, op string, body []byte) error {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		h.base+"/api/v1/lease/"+url.PathEscape(leaseID)+"/done", bytes.NewReader(body))
+		h.base+"/api/v1/lease/"+url.PathEscape(leaseID)+"/"+op, bytes.NewReader(body))
 	if err != nil {
 		return err
 	}
@@ -312,6 +300,6 @@ func (h *httpSource) Complete(ctx context.Context, leaseID, worker, errMsg strin
 	case http.StatusGone:
 		return ErrLeaseLost
 	default:
-		return fmt.Errorf("service: complete: %s", resp.Status)
+		return fmt.Errorf("service: lease %s: %s", op, resp.Status)
 	}
 }

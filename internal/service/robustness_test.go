@@ -14,7 +14,6 @@ import (
 	"testing"
 	"time"
 
-	"lowvcc/internal/journal"
 	"lowvcc/internal/sim"
 )
 
@@ -46,9 +45,9 @@ func setNow(s *Scheduler, fn func() time.Time) {
 	s.mu.Unlock()
 }
 
-// pushDownWorkers starts n worker loops that journal into private
-// directories and upload sealed bytes in Complete — the no-shared-FS
-// arrangement — optionally through a chaos wrapper. Returns a stop func.
+// pushDownWorkers starts n worker loops with private scratch directories
+// that upload sealed bytes in Complete — the no-shared-FS arrangement —
+// optionally through a chaos wrapper. Returns a stop func.
 func pushDownWorkers(t *testing.T, s *Scheduler, n int, plan *sim.FaultPlan) (stop func()) {
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -75,7 +74,7 @@ func pushDownWorkers(t *testing.T, s *Scheduler, n int, plan *sim.FaultPlan) (st
 	}
 }
 
-// TestPushDownNoSharedFS: workers with private journal directories upload
+// TestPushDownNoSharedFS: workers with private scratch directories upload
 // sealed entries; the daemon's journal ends byte-identical to a local run
 // and every progress event still carries its result.
 func TestPushDownNoSharedFS(t *testing.T) {
@@ -121,21 +120,13 @@ func TestCorruptUploadRejectedAndRetried(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	lease, err := s.Acquire("evil")
+	lease, err := s.Acquire(t.Context(), "evil", 0)
 	if err != nil || lease == nil {
 		t.Fatalf("acquire: (%v, %v)", lease, err)
 	}
-	wdir := t.TempDir()
-	if err := executeCell(context.Background(), lease, WorkerOpts{JournalDir: wdir}); err != nil {
-		t.Fatal(err)
-	}
-	wjnl, err := journal.Open(wdir)
+	entry, err := executeCell(context.Background(), lease, WorkerOpts{JournalDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
-	}
-	entry, ok := wjnl.GetRaw(lease.Cell.Key)
-	if !ok {
-		t.Fatal("worker journal has no sealed entry after execution")
 	}
 	tampered := append([]byte(nil), entry...)
 	tampered[len(tampered)-2] ^= 0x40
@@ -152,7 +143,7 @@ func TestCorruptUploadRejectedAndRetried(t *testing.T) {
 
 	// The cell requeued; an honest upload of the same execution's bytes
 	// completes it.
-	again, err := s.Acquire("honest")
+	again, err := s.Acquire(t.Context(), "honest", 0)
 	if err != nil || again == nil {
 		t.Fatalf("cell not requeued after corrupt upload: (%v, %v)", again, err)
 	}
@@ -177,7 +168,7 @@ func TestDuplicateCompleteIsIdempotent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lease, err := s.Acquire("dup")
+	lease, err := s.Acquire(t.Context(), "dup", 0)
 	if err != nil || lease == nil {
 		t.Fatalf("acquire: (%v, %v)", lease, err)
 	}
@@ -211,7 +202,7 @@ func TestCompleteWinsExpiredUnreclaimedLease(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lease, err := s.Acquire("slow")
+	lease, err := s.Acquire(t.Context(), "slow", 0)
 	if err != nil || lease == nil {
 		t.Fatalf("acquire: (%v, %v)", lease, err)
 	}
@@ -237,7 +228,7 @@ func TestLateHeartbeatReclaimsInline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lease, err := s.Acquire("tardy")
+	lease, err := s.Acquire(t.Context(), "tardy", 0)
 	if err != nil || lease == nil {
 		t.Fatalf("acquire: (%v, %v)", lease, err)
 	}
@@ -247,7 +238,7 @@ func TestLateHeartbeatReclaimsInline(t *testing.T) {
 	}
 	// The inline reclaim requeued the cell immediately — no janitor pass
 	// needed.
-	again, err := s.Acquire("rescue")
+	again, err := s.Acquire(t.Context(), "rescue", 0)
 	if err != nil || again == nil {
 		t.Fatalf("cell not requeued after inline reclaim: (%v, %v)", again, err)
 	}

@@ -40,8 +40,7 @@ type SchedulerOpts struct {
 	SweepDeadline time.Duration
 
 	// JournalSync selects fsync for the daemon's journal: every admitted
-	// result is durable before its cell counts as done. Workers' private
-	// journals never fsync.
+	// result is durable before its cell counts as done.
 	JournalSync bool
 
 	// JournalBudget, when positive, caps the daemon journal's disk usage
@@ -138,7 +137,7 @@ type Scheduler struct {
 	now  func() time.Time // test hook
 
 	mu         sync.Mutex
-	idle       *sync.Cond // broadcast when leases/completing drain or state changes
+	changed    chan struct{} // closed and replaced on every scheduling change (wakeLocked)
 	sweeps     map[string]*sweepJob
 	order      []string // submission order; scheduling scans it FIFO
 	leases     map[string]*leaseState
@@ -188,6 +187,7 @@ func NewScheduler(opts SchedulerOpts) (*Scheduler, string, error) {
 		jnl:         jnl,
 		lock:        lock,
 		now:         time.Now,
+		changed:     make(chan struct{}),
 		sweeps:      make(map[string]*sweepJob),
 		leases:      make(map[string]*leaseState),
 		completed:   make(map[string]struct{}),
@@ -195,7 +195,6 @@ func NewScheduler(opts SchedulerOpts) (*Scheduler, string, error) {
 		janitorStop: make(chan struct{}),
 		janitorDone: make(chan struct{}),
 	}
-	s.idle = sync.NewCond(&s.mu)
 	go s.janitor()
 	return s, warn, nil
 }
@@ -205,23 +204,24 @@ func NewScheduler(opts SchedulerOpts) (*Scheduler, string, error) {
 func (s *Scheduler) Journal() *journal.Journal { return s.jnl }
 
 // expandSpec builds the sweep's cell grid in the canonical (mode, level,
-// trace) order and computes every cell's journal key. Pure function of the
-// spec — called outside the scheduler lock (trace materialization and
-// config hashing are the expensive parts).
+// trace) order and computes every cell's journal key, hashing each trace
+// and each point's config once (sim.Keyer). Pure function of the spec —
+// called outside the scheduler lock (trace materialization and hashing
+// are the expensive parts).
 func expandSpec(id string, spec sim.SweepSpec) ([]Cell, error) {
 	modes, err := spec.CircuitModes()
 	if err != nil {
 		return nil, err
 	}
 	traces := spec.Traces()
-	runner := spec.NewRunner()
+	keys := spec.NewRunner().NewKeyer()
 	var cells []Cell
 	for mi, mode := range modes {
 		for _, v := range spec.Levels() {
 			cfg := spec.PointConfig(v, mode)
 			label := sim.SweepLabel(v, mode)
 			for ti, tr := range traces {
-				key, err := runner.CellKey(cfg, tr)
+				key, err := keys.CellKey(cfg, tr)
 				if err != nil {
 					return nil, fmt.Errorf("service: keying %s %s: %w", label, tr.Name, err)
 				}
@@ -343,6 +343,9 @@ func (s *Scheduler) submit(client string, spec sim.SweepSpec) (string, error) {
 	s.sweeps[id] = job
 	s.order = append(s.order, id)
 	s.queued += fresh
+	if fresh > 0 {
+		s.wakeLocked()
+	}
 
 	for _, r := range replays {
 		job.state[r.index] = cellDone
@@ -398,14 +401,44 @@ func (s *Scheduler) retryAfterLocked() time.Duration {
 }
 
 // Acquire leases the next pending cell to worker, FIFO across sweeps and
-// index-ordered within one. Returns (nil, nil) when no work is available
-// (idle or draining) — polling workers sleep and retry.
-func (s *Scheduler) Acquire(worker string) (*Lease, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.draining || s.closed {
-		return nil, nil
+// index-ordered within one. When no cell is pending it waits up to wait
+// for one to become leasable — a submission, or a requeue after a reclaim
+// or a failed attempt — and ends the wait early when ctx ends. It returns
+// (nil, nil) when no work arrived in time or the scheduler is draining; a
+// draining scheduler answers at once and wakes every waiting Acquire.
+func (s *Scheduler) Acquire(ctx context.Context, worker string, wait time.Duration) (*Lease, error) {
+	ctx, cancel := context.WithTimeout(ctx, wait)
+	defer cancel()
+	for {
+		s.mu.Lock()
+		if s.draining || s.closed {
+			s.mu.Unlock()
+			return nil, nil
+		}
+		lease, changed := s.leaseLocked(worker), s.changed
+		s.mu.Unlock()
+		if lease != nil || wait <= 0 {
+			return lease, nil
+		}
+		select {
+		case <-changed:
+		case <-ctx.Done():
+			return nil, nil
+		}
 	}
+}
+
+// wakeLocked wakes everyone waiting on a scheduling change: Acquires
+// waiting for work and Drain waiting for leases to settle. It runs
+// whenever a cell becomes leasable, a lease ends, a sweep terminates or
+// the scheduler drains or closes.
+func (s *Scheduler) wakeLocked() {
+	close(s.changed)
+	s.changed = make(chan struct{})
+}
+
+// leaseLocked leases the first pending cell to worker, nil when none is.
+func (s *Scheduler) leaseLocked(worker string) *Lease {
 	for _, id := range s.order {
 		job := s.sweeps[id]
 		if job.terminalState != "" {
@@ -429,10 +462,10 @@ func (s *Scheduler) Acquire(worker string) (*Lease, error) {
 				ID:    ls.id,
 				Cell:  job.cells[i],
 				TTLMS: s.opts.LeaseTTL.Milliseconds(),
-			}, nil
+			}
 		}
 	}
-	return nil, nil
+	return nil
 }
 
 // Heartbeat extends a live lease by one TTL. ErrLeaseLost means the lease
@@ -449,7 +482,6 @@ func (s *Scheduler) Heartbeat(leaseID string) error {
 	}
 	if s.now().After(ls.expiry) {
 		s.reclaimLocked(ls, fmt.Sprintf("lease %s expired (worker %s heartbeat arrived late)", ls.id, ls.worker))
-		s.idle.Broadcast()
 		return ErrLeaseLost
 	}
 	ls.expiry = s.now().Add(s.opts.LeaseTTL)
@@ -460,6 +492,7 @@ func (s *Scheduler) Heartbeat(leaseID string) error {
 // one attempt). Shared by the janitor and the late-heartbeat path.
 func (s *Scheduler) reclaimLocked(ls *leaseState, reason string) {
 	delete(s.leases, ls.id)
+	s.wakeLocked()
 	job := s.sweeps[ls.sweep]
 	if job.terminalState != "" {
 		return
@@ -513,7 +546,7 @@ func (s *Scheduler) Complete(leaseID, worker, errMsg string, entry []byte) error
 	s.mu.Lock()
 	defer func() {
 		s.completing--
-		s.idle.Broadcast()
+		s.wakeLocked()
 		s.mu.Unlock()
 	}()
 	if job.terminalState != "" {
@@ -619,7 +652,7 @@ func (s *Scheduler) terminateLocked(job *sweepJob, state string) {
 		close(ch)
 		delete(job.subs, id)
 	}
-	s.idle.Broadcast()
+	s.wakeLocked()
 }
 
 // emitLocked appends the event to the sweep's history and fans it out
@@ -698,13 +731,6 @@ func (s *Scheduler) Status(sweepID string) (SweepStatus, error) {
 	}, nil
 }
 
-// Queued reports pending+leased cells (readiness endpoints, tests).
-func (s *Scheduler) Queued() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.queued
-}
-
 // Draining reports whether a drain is in progress or finished.
 func (s *Scheduler) Draining() bool {
 	s.mu.Lock()
@@ -752,9 +778,6 @@ func (s *Scheduler) sweepExpired() {
 		s.reclaimLocked(ls,
 			fmt.Sprintf("lease %s expired (worker %s stopped heartbeating)", ls.id, ls.worker))
 	}
-	if len(expired) > 0 {
-		s.idle.Broadcast()
-	}
 
 	if s.opts.SweepDeadline > 0 {
 		for _, id := range s.order {
@@ -775,22 +798,15 @@ func (s *Scheduler) sweepExpired() {
 func (s *Scheduler) Drain(ctx context.Context) error {
 	s.mu.Lock()
 	s.draining = true
-	s.mu.Unlock()
-
-	// Wake the waiter when the context dies: cond waits can't select.
-	watchdog := make(chan struct{})
-	go func() {
-		select {
-		case <-ctx.Done():
-			s.idle.Broadcast()
-		case <-watchdog:
-		}
-	}()
-	defer close(watchdog)
-
-	s.mu.Lock()
+	s.wakeLocked()
 	for (len(s.leases) > 0 || s.completing > 0) && ctx.Err() == nil {
-		s.idle.Wait()
+		changed := s.changed
+		s.mu.Unlock()
+		select {
+		case <-changed:
+		case <-ctx.Done():
+		}
+		s.mu.Lock()
 	}
 	err := ctx.Err()
 	for _, id := range s.order {
@@ -812,6 +828,7 @@ func (s *Scheduler) Close() error {
 	}
 	s.closed = true
 	s.draining = true
+	s.wakeLocked()
 	for _, id := range s.order {
 		if job := s.sweeps[id]; job.terminalState == "" {
 			s.terminateLocked(job, "interrupted")

@@ -12,7 +12,7 @@ import (
 	"testing"
 	"time"
 
-	"lowvcc/internal/journal"
+	"lowvcc/internal/circuit"
 	"lowvcc/internal/sim"
 )
 
@@ -135,21 +135,13 @@ func waitStatus(t *testing.T, s *Scheduler, id string, timeout time.Duration) Sw
 	}
 }
 
-// sealedEntry simulates the leased cell exactly like a worker, into a
-// private journal, and returns the sealed entry bytes a worker uploads.
+// sealedEntry simulates the leased cell exactly like a worker and returns
+// the sealed entry bytes a worker uploads.
 func sealedEntry(t *testing.T, lease *Lease) []byte {
 	t.Helper()
-	wdir := t.TempDir()
-	if err := executeCell(context.Background(), lease, WorkerOpts{JournalDir: wdir}); err != nil {
-		t.Fatalf("executing leased cell: %v", err)
-	}
-	wjnl, err := journal.Open(wdir)
+	entry, err := executeCell(context.Background(), lease, WorkerOpts{JournalDir: t.TempDir()})
 	if err != nil {
-		t.Fatal(err)
-	}
-	entry, ok := wjnl.GetRaw(lease.Cell.Key)
-	if !ok {
-		t.Fatal("worker journal has no sealed entry after execution")
+		t.Fatalf("executing leased cell: %v", err)
 	}
 	return entry
 }
@@ -241,7 +233,7 @@ func TestLeaseExpiryReclaimsAndNeverDoubleCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	dead, err := s.Acquire("doomed")
+	dead, err := s.Acquire(t.Context(), "doomed", 0)
 	if err != nil || dead == nil {
 		t.Fatalf("acquire: (%v, %v)", dead, err)
 	}
@@ -269,7 +261,7 @@ func TestLeaseExpiryReclaimsAndNeverDoubleCounts(t *testing.T) {
 	// The reclaimed cell leases out again (attempt 2) and completes once.
 	var second *Lease
 	for time.Now().Before(deadline) {
-		if second, err = s.Acquire("rescue"); err != nil {
+		if second, err = s.Acquire(t.Context(), "rescue", 0); err != nil {
 			t.Fatal(err)
 		}
 		if second != nil {
@@ -302,7 +294,7 @@ func TestSuccessWithoutJournalEntryRetries(t *testing.T) {
 	if _, err := s.Submit(singlePointSpec()); err != nil {
 		t.Fatal(err)
 	}
-	lease, err := s.Acquire("liar")
+	lease, err := s.Acquire(t.Context(), "liar", 0)
 	if err != nil || lease == nil {
 		t.Fatalf("acquire: (%v, %v)", lease, err)
 	}
@@ -310,7 +302,7 @@ func TestSuccessWithoutJournalEntryRetries(t *testing.T) {
 	if err := s.Complete(lease.ID, "liar", "", nil); err != nil {
 		t.Fatal(err)
 	}
-	again, err := s.Acquire("honest")
+	again, err := s.Acquire(t.Context(), "honest", 0)
 	if err != nil || again == nil {
 		t.Fatalf("cell was not requeued after bogus success: (%v, %v)", again, err)
 	}
@@ -332,7 +324,7 @@ func TestMaxAttemptsDeclaresCellFailed(t *testing.T) {
 	total := cellCount(spec)
 
 	for attempt := 0; ; attempt++ {
-		lease, err := s.Acquire("clumsy")
+		lease, err := s.Acquire(t.Context(), "clumsy", 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -410,7 +402,7 @@ func TestDrainFinishesInFlightAndRejectsNew(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lease, err := s.Acquire("slowpoke")
+	lease, err := s.Acquire(t.Context(), "slowpoke", 0)
 	if err != nil || lease == nil {
 		t.Fatalf("acquire: (%v, %v)", lease, err)
 	}
@@ -426,7 +418,7 @@ func TestDrainFinishesInFlightAndRejectsNew(t *testing.T) {
 	if _, err := s.Submit(singlePointSpec()); !errors.Is(err, ErrDraining) {
 		t.Fatalf("submit during drain = %v, want ErrDraining", err)
 	}
-	if l, err := s.Acquire("eager"); err != nil || l != nil {
+	if l, err := s.Acquire(t.Context(), "eager", 0); err != nil || l != nil {
 		t.Fatalf("acquire during drain = (%v, %v), want (nil, nil)", l, err)
 	}
 	select {
@@ -472,7 +464,7 @@ func TestRestartResumesFromJournal(t *testing.T) {
 	if _, err := a.Submit(spec); err != nil {
 		t.Fatal(err)
 	}
-	lease, err := a.Acquire("a-worker")
+	lease, err := a.Acquire(t.Context(), "a-worker", 0)
 	if err != nil || lease == nil {
 		t.Fatalf("acquire: (%v, %v)", lease, err)
 	}
@@ -651,5 +643,39 @@ func TestOversizedSpecRejectedBeforeExpansion(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("oversized submit still running after 5s: admission is materializing the suite")
+	}
+}
+
+// TestExpandSpecKeysMatchCellKey: the daemon's memoized cell keys — one
+// hash per trace and per point — equal the key a worker's Runner.CellKey
+// computes for every cell, for an unsharded spec, a width-3 spec and a
+// spec long enough to shard under automatic windowing.
+func TestExpandSpecKeysMatchCellKey(t *testing.T) {
+	wide := testSpec()
+	wide.Width = 3
+	long := sim.SweepSpec{InstsPerTrace: 200_000, SeedsPerProfile: 1, Modes: []string{"baseline", "iraw"}, LevelsMV: []int{500}}
+	for name, spec := range map[string]sim.SweepSpec{"testSpec": testSpec(), "width-3": wide, "sharded": long} {
+		cells, err := expandSpec("sweep-1", spec)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(cells) != cellCount(spec) {
+			t.Fatalf("%s: %d cells, want %d", name, len(cells), cellCount(spec))
+		}
+		traces := spec.Traces()
+		r := spec.NewRunner()
+		for _, c := range cells {
+			mode, err := sim.ParseMode(c.Mode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := r.CellKey(spec.PointConfig(circuit.Millivolts(c.VccMV), mode), traces[c.TraceIdx])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c.Key != want {
+				t.Fatalf("%s cell %d (%s %s): expandSpec key %s, Runner.CellKey %s", name, c.Index, c.Label, c.TraceName, c.Key, want)
+			}
+		}
 	}
 }

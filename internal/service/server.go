@@ -23,8 +23,9 @@ type ServerOpts struct {
 	// then only coordinates external workers).
 	Workers int
 
-	// Worker options forwarded to the in-process pool, which journals
-	// privately under <JournalDir>/local (bounded by JournalBudget too).
+	// Worker options forwarded to the in-process pool, whose slots upload
+	// each result from memory like external workers and keep their
+	// checkpoint store under <JournalDir>/local/ckpt.
 	CellTimeout  time.Duration
 	Retries      int
 	RetryBackoff time.Duration
@@ -41,7 +42,7 @@ type ServerOpts struct {
 //	POST /api/v1/sweeps                 submit a sim.SweepSpec  -> 201 {"id": ...}
 //	GET  /api/v1/sweeps/{id}            SweepStatus
 //	GET  /api/v1/sweeps/{id}/events     progress stream, one CellEvent JSON per line
-//	POST /api/v1/lease                  acquire   -> 200 Lease | 204 no work
+//	POST /api/v1/lease?wait_ms=N        acquire   -> 200 Lease | 204 no work within N ms (capped at 5 s)
 //	POST /api/v1/lease/{id}/heartbeat   extend    -> 204 | 410 lease lost
 //	POST /api/v1/lease/{id}/done        complete  -> 204 | 400 bad body | 410 lease lost
 //	GET  /healthz                       process liveness (always 200 while serving)
@@ -71,12 +72,10 @@ func NewServer(opts ServerOpts) (*Server, string, error) {
 	}
 	if n > 0 {
 		srv.stopWorkers = RunWorkers(context.Background(), sched, n, WorkerOpts{
-			Poll:          25 * time.Millisecond,
-			CellTimeout:   opts.CellTimeout,
-			Retries:       opts.Retries,
-			RetryBackoff:  opts.RetryBackoff,
-			Faults:        opts.Faults,
-			JournalBudget: opts.JournalBudget,
+			CellTimeout:  opts.CellTimeout,
+			Retries:      opts.Retries,
+			RetryBackoff: opts.RetryBackoff,
+			Faults:       opts.Faults,
 		})
 	}
 	return srv, warn, nil
@@ -258,12 +257,18 @@ func (srv *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// maxLeaseWait caps a lease request's wait for work, well under the
+// external worker's 10 s HTTP timeout.
+const maxLeaseWait = 5 * time.Second
+
 func (srv *Server) handleAcquire(w http.ResponseWriter, r *http.Request) {
 	worker := r.URL.Query().Get("worker")
 	if worker == "" {
 		worker = r.RemoteAddr
 	}
-	lease, err := srv.sched.Acquire(worker)
+	waitMS, _ := strconv.Atoi(r.URL.Query().Get("wait_ms")) // absent or malformed: no wait
+	wait := min(time.Duration(waitMS)*time.Millisecond, maxLeaseWait)
+	lease, err := srv.sched.Acquire(r.Context(), worker, wait)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return

@@ -319,7 +319,7 @@ func TestHTTPCompleteRejectsUndecodableBody(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lease, err := src.Acquire(ctx, "w")
+	lease, err := src.Acquire(ctx, "w", 0)
 	if err != nil || lease == nil {
 		t.Fatalf("acquire: (%v, %v)", lease, err)
 	}

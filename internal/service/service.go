@@ -17,19 +17,22 @@
 // because both executions write the same bytes to the same address, and a
 // replayed cell is indistinguishable from a fresh one.
 //
-// Results reach the daemon one way. Every worker journals into a private
-// directory and uploads the sealed entry bytes in the Complete call
-// (result push-down): the daemon re-derives the sha256 content address
-// and cell key from the uploaded bytes before admitting them
-// (journal.Admit), so a buggy or byzantine worker can corrupt nothing —
-// a bad or missing upload is rejected, charged as a failed attempt, and
-// the cell requeues. The scheduler is the only writer of the daemon's
-// journal, and no shared filesystem is required to join a fleet.
+// Results reach the daemon one way. Every worker seals its result in
+// memory (journal.Seal) and uploads the sealed entry bytes in the
+// Complete call (result push-down); it writes no journal of its own. The
+// daemon re-derives the sha256 content address and cell key from the
+// uploaded bytes before admitting them (journal.Admit), so a buggy or
+// byzantine worker can corrupt nothing — a bad or missing upload is
+// rejected, charged as a failed attempt, and the cell requeues. The
+// scheduler is the only writer of the daemon's journal, and no shared
+// filesystem is required to join a fleet.
 //
 // # Leases, heartbeats, reclamation
 //
 // Workers pull cells by acquiring a Lease — exclusive, time-bounded
-// (SchedulerOpts.LeaseTTL) permission to execute one cell. A live worker
+// (SchedulerOpts.LeaseTTL) permission to execute one cell. An idle
+// worker's Acquire waits on the scheduler (a long poll, bounded by the
+// worker's Poll) and returns the moment a cell becomes leasable. A live worker
 // extends its lease by heartbeating at TTL/3; the scheduler's janitor
 // reclaims any lease that outlives its TTL and requeues the cell, so a
 // crashed, hung, partitioned or kill -9'ed worker delays its cells by at
@@ -49,9 +52,9 @@
 // cell):
 //
 //   - Worker crash / kill -9 mid-cell: lease expires, cell requeues,
-//     another worker re-runs it. Cost: one TTL of latency. A half-written
-//     journal entry is a temp file the atomic-rename protocol never
-//     published.
+//     another worker re-runs it. Cost: one TTL of latency. A result never
+//     uploaded never reaches the daemon's journal; a torn upload fails
+//     the content check like any corrupt one.
 //   - Network partition, worker side: heartbeats stop getting through;
 //     after enough misses to guarantee the TTL has passed, the worker
 //     cancels the cell, abandons cleanly and rejoins the poll loop. The
@@ -80,23 +83,21 @@
 //     caches. Write failures are counted and swallowed (the cell re-runs
 //     later); under -journal-budget/-ckpt-budget the stores evict
 //     least-recently-used entries — an evicted entry is a future
-//     re-simulation or live replay, never an error. A worker trims its
-//     private journal only after uploading; should a sibling slot's trim
-//     evict an entry before its upload, the empty upload costs one
-//     attempt.
+//     re-simulation or live replay, never an error.
 //   - Daemon dies: the exclusive-writer LOCK file (internal/journal) is
 //     reclaimed by the next daemon after a pid+start-time liveness check
 //     (a recycled pid cannot wedge it); completed cells replay from the
 //     journal on resubmission, only missing cells re-simulate.
-//   - Drain (SIGTERM): no new leases, no new sweeps (503), in-flight cells
-//     finish and journal; still-incomplete sweeps end "interrupted".
+//   - Drain (SIGTERM): no new leases, no new sweeps (503), waiting
+//     Acquires return empty at once, in-flight cells finish and journal;
+//     still-incomplete sweeps end "interrupted".
 //     Resubmitting the same spec to the next daemon replays the finished
 //     cells and runs only the remainder.
 //
-// Two worker flavors run the same CellSource-driven loop, journal
-// privately and push results down: in-process goroutine slots inside the
-// daemon (no HTTP hop; they share the private directory <journal>/local)
-// and external worker processes (sweepd -worker -join <addr>) that pull
+// Two worker flavors run the same CellSource-driven loop and push results
+// down from memory: in-process goroutine slots inside the daemon (no HTTP
+// hop; they share the checkpoint store under <journal>/local) and
+// external worker processes (sweepd -worker -join <addr>) that pull
 // leases over HTTP. Correctness never depends on the flavor or the worker
 // count: the acceptance tests run the same sweep with 1, 2 and 4 workers
 // under kill -9, partitions, torn writes and corrupt uploads and assert
@@ -234,8 +235,8 @@ func (e *QuotaError) Error() string {
 var ErrDraining = errors.New("service: draining, not accepting new sweeps")
 
 // ErrLeaseLost tells a worker its lease expired and was reassigned (or the
-// lease ID never existed). The worker abandons the cell; the result it may
-// already have journaled is still valid and will be replayed.
+// lease ID never existed). The worker abandons the cell; whichever holder
+// completes it uploads bit-identical bytes by the keying contract.
 var ErrLeaseLost = errors.New("service: lease lost")
 
 // ErrUnknownSweep reports a status or subscription request for a sweep ID

@@ -21,28 +21,30 @@ import (
 // loop is identical either way, so every crash-recovery property holds for
 // both flavors.
 type CellSource interface {
-	// Acquire leases the next cell, (nil, nil) when none is available.
-	Acquire(ctx context.Context, worker string) (*Lease, error)
+	// Acquire leases the next cell. When none is pending it waits up to
+	// wait for one, and returns (nil, nil) if none arrives. A source may
+	// return early — an older daemon that does not wait, a drain — so
+	// callers must not rely on the full wait having passed.
+	Acquire(ctx context.Context, worker string, wait time.Duration) (*Lease, error)
 	// Heartbeat extends the lease; ErrLeaseLost means it was reclaimed.
 	Heartbeat(ctx context.Context, leaseID string) error
 	// Complete reports the cell's outcome. errMsg == "" means success, and
-	// entry then carries the sealed journal-entry bytes, verified
-	// daemon-side before admission. The lease ID is the request's
-	// idempotency token: retrying a Complete is always safe.
+	// entry then carries the sealed journal-entry bytes the worker built
+	// in memory (journal.Seal), verified daemon-side before admission. The
+	// lease ID is the request's idempotency token: retrying a Complete is
+	// always safe.
 	Complete(ctx context.Context, leaseID, worker, errMsg string, entry []byte) error
 }
 
-// schedSource adapts a Scheduler to CellSource for in-process workers.
-type schedSource struct{ s *Scheduler }
+// schedSource adapts a Scheduler to CellSource for in-process workers;
+// the Scheduler's own Acquire already has the CellSource shape.
+type schedSource struct{ *Scheduler }
 
-func (ss schedSource) Acquire(_ context.Context, worker string) (*Lease, error) {
-	return ss.s.Acquire(worker)
-}
 func (ss schedSource) Heartbeat(_ context.Context, leaseID string) error {
-	return ss.s.Heartbeat(leaseID)
+	return ss.Scheduler.Heartbeat(leaseID)
 }
 func (ss schedSource) Complete(_ context.Context, leaseID, worker, errMsg string, entry []byte) error {
-	return ss.s.Complete(leaseID, worker, errMsg, entry)
+	return ss.Scheduler.Complete(leaseID, worker, errMsg, entry)
 }
 
 // WorkerOpts configures a worker loop.
@@ -50,8 +52,10 @@ type WorkerOpts struct {
 	// Name identifies the worker in leases and events.
 	Name string
 
-	// Poll is the sleep between empty Acquires (default 250ms for remote
-	// workers; the daemon's in-process slots use a tighter loop).
+	// Poll is how long an idle worker waits for work (default 250ms). The
+	// wait happens inside Acquire, which returns as soon as a cell becomes
+	// leasable; an Acquire that comes back empty sooner is followed by a
+	// sleep for the rest of Poll, so the loop never spins.
 	Poll time.Duration
 
 	// CellTimeout, when positive, bounds each cell's wall clock
@@ -67,19 +71,17 @@ type WorkerOpts struct {
 	// crash-recovery smoke script only).
 	Faults *sim.FaultPlan
 
-	// JournalDir is the worker's private journal: cells journal into it
-	// (fsync off — the daemon's journal is the durability boundary) and
-	// the sealed entry bytes upload in Complete, so no filesystem is shared
-	// with the daemon. Its ckpt/ subdirectory holds the warm-state
-	// checkpoint store. When "", Work uses a throwaway temp directory and
-	// RunWorkers uses <scheduler JournalDir>/local.
+	// JournalDir is the worker's scratch directory: its ckpt/
+	// subdirectory holds the warm-state checkpoint store. Results never
+	// land in it — each cell's sealed entry is built in memory and
+	// uploaded in Complete, so no filesystem is shared with the daemon.
+	// When "", Work uses a throwaway temp directory and RunWorkers uses
+	// <scheduler JournalDir>/local.
 	JournalDir string
 
-	// JournalBudget and CkptBudget bound the private journal's and the
-	// warm-state checkpoint store's disk usage in bytes (LRU eviction);
-	// 0 = unbounded.
-	JournalBudget int64
-	CkptBudget    int64
+	// CkptBudget bounds the checkpoint store's disk usage in bytes (LRU
+	// eviction); 0 = unbounded.
+	CkptBudget int64
 }
 
 func (o WorkerOpts) withDefaults() WorkerOpts {
@@ -99,14 +101,15 @@ func (o WorkerOpts) withDefaults() WorkerOpts {
 func workLoop(ctx context.Context, src CellSource, opts WorkerOpts) {
 	opts = opts.withDefaults()
 	for ctx.Err() == nil {
-		lease, err := src.Acquire(ctx, opts.Name)
+		start := time.Now()
+		lease, err := src.Acquire(ctx, opts.Name, opts.Poll)
 		if err != nil || lease == nil {
-			// Idle or unreachable: back off and re-poll. Acquire errors are
-			// indistinguishable from a daemon restart; retrying is correct
-			// either way.
+			// Idle or unreachable: sleep out the rest of Poll and re-poll.
+			// Acquire errors are indistinguishable from a daemon restart;
+			// retrying is correct either way.
 			select {
 			case <-ctx.Done():
-			case <-time.After(opts.Poll):
+			case <-time.After(opts.Poll - time.Since(start)):
 			}
 			continue
 		}
@@ -130,27 +133,12 @@ func runLease(ctx context.Context, src CellSource, lease *Lease, opts WorkerOpts
 	}()
 
 	errMsg := ""
-	if err := executeCell(cctx, lease, opts); err != nil {
+	entry, err := executeCell(cctx, lease, opts)
+	if err != nil {
 		errMsg = err.Error()
 	}
 	cancel()
 	hb.Wait()
-
-	// Read the sealed entry bytes back from the private journal for
-	// upload. A read failure here degrades to an empty upload — the daemon
-	// charges the attempt and requeues, exactly as if we crashed. The
-	// private journal's budget is enforced once the report is settled, so
-	// a worker never evicts an entry it has yet to send, and a stopped
-	// pool leaves its directory within budget.
-	var entry []byte
-	if jnl, err := journal.Open(opts.JournalDir); err == nil {
-		if errMsg == "" {
-			entry, _ = jnl.GetRaw(lease.Cell.Key)
-		}
-		if opts.JournalBudget > 0 {
-			defer jnl.SetBudget(opts.JournalBudget)
-		}
-	}
 
 	// Report on the parent context: the cell context is dead by design.
 	// A lost lease makes Complete return ErrLeaseLost, which is fine — the
@@ -211,27 +199,30 @@ func heartbeatLoop(ctx context.Context, cancel context.CancelFunc, src CellSourc
 
 // executeCell regenerates the cell's inputs from its spec, verifies the
 // content address matches the daemon's (catching engine-version or
-// windowing drift between the two binaries), and simulates through
-// Runner.RunCell so the result journals under exactly the promised key.
-func executeCell(ctx context.Context, lease *Lease, opts WorkerOpts) error {
+// windowing drift between the two binaries), simulates through
+// Runner.RunCell and returns the sealed entry for the promised key — the
+// bytes journal.Put would write there.
+func executeCell(ctx context.Context, lease *Lease, opts WorkerOpts) ([]byte, error) {
 	c := lease.Cell
 	mode, err := sim.ParseMode(c.Mode)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	traces := c.Spec.Traces()
 	if c.TraceIdx < 0 || c.TraceIdx >= len(traces) {
-		return fmt.Errorf("cell %d: trace index %d outside suite of %d", c.Index, c.TraceIdx, len(traces))
+		return nil, fmt.Errorf("cell %d: trace index %d outside suite of %d", c.Index, c.TraceIdx, len(traces))
 	}
 	tr := traces[c.TraceIdx]
 	if tr.Name != c.TraceName {
-		return fmt.Errorf("cell %d: trace %d is %q here, %q on the daemon (workload drift)", c.Index, c.TraceIdx, tr.Name, c.TraceName)
+		return nil, fmt.Errorf("cell %d: trace %d is %q here, %q on the daemon (workload drift)", c.Index, c.TraceIdx, tr.Name, c.TraceName)
 	}
 	cfg := c.Spec.PointConfig(circuit.Millivolts(c.VccMV), mode)
 
 	r := c.Spec.NewRunner()
 	r.Workers = 1
-	r.JournalDir = opts.JournalDir
+	if opts.JournalDir != "" {
+		r.CkptDir = filepath.Join(opts.JournalDir, "ckpt")
+	}
 	r.CkptBudget = opts.CkptBudget
 	r.PointTimeout = opts.CellTimeout
 	r.Retries, r.RetryBackoff = opts.Retries, opts.RetryBackoff
@@ -239,22 +230,33 @@ func executeCell(ctx context.Context, lease *Lease, opts WorkerOpts) error {
 
 	key, err := r.CellKey(cfg, tr)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if key != c.Key {
-		return fmt.Errorf("cell %d: key mismatch (worker %s, daemon %s): engine or windowing drift — rebuild the worker", c.Index, key, c.Key)
+		return nil, fmt.Errorf("cell %d: key mismatch (worker %s, daemon %s): engine or windowing drift — rebuild the worker", c.Index, key, c.Key)
 	}
-	_, _, err = r.RunCell(ctx, c.Label, cfg, tr)
-	return err
+	u, err := r.RunCell(ctx, c.Label, cfg, tr)
+	if err != nil {
+		return nil, err
+	}
+	entry, err := journal.Seal(&journal.Entry{Key: c.Key, Windows: u.Windows, Result: u.Result})
+	if err != nil {
+		return nil, err
+	}
+	if opts.Faults.TakeJournal(c.Label, c.TraceName) != nil {
+		// Injected torn write, cut where journal.PutTruncated(e, -1) cuts.
+		entry = entry[:len(entry)/2]
+	}
+	return entry, nil
 }
 
 // RunWorkers starts n in-process worker slots against the scheduler and
 // returns a stop function that cancels them and waits. The daemon calls
-// this when configured with local simulation capacity; the slots poll
-// tightly, are named "local/N", and upload through Complete like any
-// worker, minus the HTTP hop. When opts.JournalDir is "" they share the
-// private journal <scheduler JournalDir>/local, which persists across
-// daemon restarts together with its checkpoint store.
+// this when configured with local simulation capacity; the slots wait on
+// the scheduler for work, are named "local/N", and upload through
+// Complete like any worker, minus the HTTP hop. When opts.JournalDir is ""
+// they share the scratch directory <scheduler JournalDir>/local, whose
+// checkpoint store persists across daemon restarts.
 func RunWorkers(ctx context.Context, s *Scheduler, n int, opts WorkerOpts) (stop func()) {
 	if opts.JournalDir == "" {
 		opts.JournalDir = filepath.Join(s.opts.JournalDir, "local")
@@ -264,9 +266,6 @@ func RunWorkers(ctx context.Context, s *Scheduler, n int, opts WorkerOpts) (stop
 	for i := 0; i < n; i++ {
 		o := opts
 		o.Name = fmt.Sprintf("local/%d", i)
-		if o.Poll <= 0 {
-			o.Poll = 25 * time.Millisecond
-		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -281,9 +280,9 @@ func RunWorkers(ctx context.Context, s *Scheduler, n int, opts WorkerOpts) (stop
 
 // Work runs one external worker loop against a daemon at baseURL until the
 // context ends — the body of `sweepd -worker -join <addr>`. External
-// workers always push results down: when opts.JournalDir is empty a
-// throwaway private journal directory is created for the process's
-// lifetime, so joining a daemon never requires a shared filesystem.
+// workers always push results down, so joining a daemon never requires a
+// shared filesystem; when opts.JournalDir is empty a throwaway scratch
+// directory holds the checkpoint store for the process's lifetime.
 func Work(ctx context.Context, baseURL string, opts WorkerOpts) error {
 	src, err := newHTTPSource(baseURL)
 	if err != nil {
@@ -292,7 +291,7 @@ func Work(ctx context.Context, baseURL string, opts WorkerOpts) error {
 	if opts.JournalDir == "" {
 		dir, err := os.MkdirTemp("", "sweepd-worker-")
 		if err != nil {
-			return fmt.Errorf("service: worker scratch journal: %w", err)
+			return fmt.Errorf("service: worker scratch directory: %w", err)
 		}
 		defer os.RemoveAll(dir)
 		opts.JournalDir = dir

@@ -46,7 +46,7 @@ func TestCheckpointEquivalence(t *testing.T) {
 	cfg := core.DefaultConfig(500, circuit.ModeIRAW)
 	ctx := context.Background()
 
-	ref, _, err := (&Runner{Workers: 2}).WithWindow(15_000, 0).
+	ref, err := (&Runner{Workers: 2}).WithWindow(15_000, 0).
 		WithDisableCheckpoints(true).
 		RunCell(ctx, "ref", cfg, tr)
 	if err != nil {
@@ -58,13 +58,13 @@ func TestCheckpointEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	for round := 0; round < 2; round++ {
-		res, _, err := (&Runner{Workers: 2}).WithWindow(15_000, 0).
+		res, err := (&Runner{Workers: 2}).WithWindow(15_000, 0).
 			WithCheckpointStore(st).
 			RunCell(ctx, "ckpt", cfg, tr)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(res, ref) {
+		if !reflect.DeepEqual(res.Result, ref.Result) {
 			t.Fatalf("round %d: checkpointed run differs from live-replay reference", round)
 		}
 	}
@@ -80,7 +80,7 @@ func TestCheckpointEquivalence(t *testing.T) {
 	// restores the very same snapshots instead of capturing new ones.
 	before := st.Stats().Captures
 	cfg2 := core.DefaultConfig(650, circuit.ModeBaseline)
-	if _, _, err := (&Runner{Workers: 2}).WithWindow(15_000, 0).
+	if _, err := (&Runner{Workers: 2}).WithWindow(15_000, 0).
 		WithCheckpointStore(st).
 		RunCell(ctx, "ckpt-650", cfg2, tr); err != nil {
 		t.Fatal(err)

@@ -33,7 +33,8 @@ const (
 	// artificial slowness for timeout and progress testing.
 	FaultDelay
 	// FaultTruncateJournal truncates the cell's journal entry mid-write
-	// (journal.PutTruncated), simulating a crash that tore the write.
+	// (journal.PutTruncated), simulating a crash that tore the write. A
+	// sweep-service worker tears its sealed upload at the same cut.
 	FaultTruncateJournal
 	// FaultExit terminates the process with ExitCode (default 3) — the
 	// process-level crash for kill -9 resume tests. Never fires outside a
@@ -178,8 +179,10 @@ func (p *FaultPlan) takeWindow(label, traceName string, window int) *FaultRule {
 	})
 }
 
-// takeJournal matches journal-write faults for one completed cell.
-func (p *FaultPlan) takeJournal(label, traceName string) *FaultRule {
+// TakeJournal matches journal-write faults for one completed cell. The
+// runner tears the cell's journal write with it; a sweep-service worker,
+// which uploads instead of journaling, tears the sealed upload.
+func (p *FaultPlan) TakeJournal(label, traceName string) *FaultRule {
 	return p.take("", label, traceName, -1, func(k FaultKind) bool { return k == FaultTruncateJournal })
 }
 

@@ -129,11 +129,12 @@ func TestCellKeyMatchesJournal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, replayed, err := r.RunCell(t.Context(), SweepLabel(500, circuit.ModeIRAW), cfg, tr)
+	u, err := r.RunCell(t.Context(), SweepLabel(500, circuit.ModeIRAW), cfg, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if replayed {
+	res := u.Result
+	if u.Replayed {
 		t.Fatal("first run reported a journal replay")
 	}
 	if res == nil || res.Run.Instructions == 0 {
@@ -153,11 +154,12 @@ func TestCellKeyMatchesJournal(t *testing.T) {
 	}
 
 	// Second run replays rather than re-simulating, bit-identical.
-	res2, replayed2, err := spec.NewRunner().WithJournal(dir).RunCell(t.Context(), "replay", cfg, tr)
+	u2, err := spec.NewRunner().WithJournal(dir).RunCell(t.Context(), "replay", cfg, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !replayed2 {
+	res2 := u2.Result
+	if !u2.Replayed {
 		t.Fatal("second run did not replay from the journal")
 	}
 	if res2.Run != res.Run || res2.Time != res.Time {

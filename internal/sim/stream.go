@@ -157,6 +157,52 @@ func traceHash(t *trace.Trace) (string, error) {
 	return hex.EncodeToString(h.Sum(nil)), nil
 }
 
+// Keyer keys the cells of one sweep: each trace is hashed once and each
+// configuration once, however many cells share them. It is the one way a
+// cell is keyed — Stream, CellKey and the sweep daemon's cell expansion
+// all go through it. A Keyer is not safe for concurrent use.
+type Keyer struct {
+	r      *Runner
+	traces map[*trace.Trace]string
+	points map[core.Config]string
+}
+
+// NewKeyer returns an empty Keyer under this runner's windowing plan.
+func (r *Runner) NewKeyer() *Keyer {
+	return &Keyer{r: r, traces: make(map[*trace.Trace]string), points: make(map[core.Config]string)}
+}
+
+// hashTrace returns tr's content hash, hashing each trace once.
+func (k *Keyer) hashTrace(tr *trace.Trace) (string, error) {
+	th, ok := k.traces[tr]
+	if !ok {
+		var err error
+		if th, err = traceHash(tr); err != nil {
+			return "", err
+		}
+		k.traces[tr] = th
+	}
+	return th, nil
+}
+
+// CellKey returns the journal content address of the (cfg, tr) cell, as
+// Runner.CellKey does.
+func (k *Keyer) CellKey(cfg core.Config, tr *trace.Trace) (string, error) {
+	pointKey, ok := k.points[cfg]
+	if !ok {
+		var err error
+		if pointKey, err = k.r.cfgHash(cfg); err != nil {
+			return "", err
+		}
+		k.points[cfg] = pointKey
+	}
+	th, err := k.hashTrace(tr)
+	if err != nil {
+		return "", err
+	}
+	return k.r.cellKey(th, pointKey, len(tr.Insts)), nil
+}
+
 // CellKey returns the journal content address the (cfg, tr) cell's
 // stitched Result is recorded under given this runner's windowing plan —
 // the exact key Stream computes internally. External schedulers
@@ -166,26 +212,17 @@ func traceHash(t *trace.Trace) (string, error) {
 // mismatch means the two binaries would simulate different numbers, so
 // the cell must not run.
 func (r *Runner) CellKey(cfg core.Config, tr *trace.Trace) (string, error) {
-	pointKey, err := r.cfgHash(cfg)
-	if err != nil {
-		return "", err
-	}
-	th, err := traceHash(tr)
-	if err != nil {
-		return "", err
-	}
-	return r.cellKey(th, pointKey, len(tr.Insts)), nil
+	return r.NewKeyer().CellKey(cfg, tr)
 }
 
 // RunCell runs exactly one (cfg, trace) cell through the stream — with the
 // runner's windowing, retries, journal replay and fault injection all in
-// effect — and returns the cell's stitched Result plus whether it replayed
-// from the journal instead of simulating. label identifies the cell in
-// errors, progress lines and fault-injection rules, exactly like a
-// PointSpec label.
-func (r *Runner) RunCell(ctx context.Context, label string, cfg core.Config, tr *trace.Trace) (*core.Result, bool, error) {
-	var res *core.Result
-	var replayed bool
+// effect — and returns the cell's update: its stitched Result, its window
+// count and whether it replayed from the journal instead of simulating.
+// label identifies the cell in errors, progress lines and fault-injection
+// rules, exactly like a PointSpec label.
+func (r *Runner) RunCell(ctx context.Context, label string, cfg core.Config, tr *trace.Trace) (PointUpdate, error) {
+	var out PointUpdate
 	var firstErr error
 	for u := range r.Stream(ctx, []PointSpec{{Label: label, Cfg: cfg, Traces: []*trace.Trace{tr}}}) {
 		if u.Err != nil {
@@ -194,18 +231,18 @@ func (r *Runner) RunCell(ctx context.Context, label string, cfg core.Config, tr 
 			}
 			continue
 		}
-		res, replayed = u.Result, u.Replayed
+		out = u
 	}
 	if firstErr != nil {
-		return nil, false, firstErr
+		return PointUpdate{}, firstErr
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, false, err
+		return PointUpdate{}, err
 	}
-	if res == nil {
-		return nil, false, fmt.Errorf("sim: cell %s %s produced no result", label, tr.Name)
+	if out.Result == nil {
+		return PointUpdate{}, fmt.Errorf("sim: cell %s %s produced no result", label, tr.Name)
 	}
-	return res, replayed, nil
+	return out, nil
 }
 
 func (r *Runner) stream(ctx context.Context, specs []PointSpec, ch chan<- PointUpdate) {
@@ -259,45 +296,20 @@ func (r *Runner) stream(ctx context.Context, specs []PointSpec, ch chan<- PointU
 		win  int
 	}
 	st := r.checkpoints()
+	keys := r.NewKeyer()
 	var jobs []jobRef
 	var replayed []*cell
-	traceHashes := make(map[*trace.Trace]string)
-	hashOf := func(tr *trace.Trace) (string, error) {
-		th, ok := traceHashes[tr]
-		if !ok {
-			var err error
-			if th, err = traceHash(tr); err != nil {
-				return "", err
-			}
-			traceHashes[tr] = th
-		}
-		return th, nil
-	}
 	for p := range specs {
-		var pointKey, warmKey string
-		if jnl != nil {
-			k, err := r.cfgHash(specs[p].Cfg)
-			if err != nil {
-				emit(PointUpdate{Point: -1, Trace: -1, Err: err})
-				return
-			}
-			pointKey = k
-		}
-		if st != nil {
-			warmKey = ckpt.WarmConfigKey(specs[p].Cfg)
-		}
+		warmKey := "" // set by the point's first checkpointed cell
 		for ti, tr := range specs[p].Traces {
 			cl := &cell{point: p, traceIdx: ti, name: tr.Name}
-			if jnl != nil || st != nil {
-				th, err := hashOf(tr)
+			if jnl != nil {
+				key, err := keys.CellKey(specs[p].Cfg, tr)
 				if err != nil {
 					emit(PointUpdate{Point: -1, Trace: -1, Err: err})
 					return
 				}
-				cl.traceHash = th
-			}
-			if jnl != nil {
-				cl.key = r.cellKey(cl.traceHash, pointKey, len(tr.Insts))
+				cl.key = key
 				if e, hit := jnl.Get(cl.key); hit {
 					cl.cached = e
 					cells = append(cells, cl)
@@ -306,9 +318,20 @@ func (r *Runner) stream(ctx context.Context, specs []PointSpec, ch chan<- PointU
 				}
 			}
 			win, warm := r.planFor(len(tr.Insts))
-			cl.winInsts = win
-			cl.warmKey = warmKey
 			cl.windows = trace.Shard(tr, win, warm)
+			if st != nil && len(cl.windows) > 1 {
+				// Only a sharded cell restores checkpoints, so only it
+				// needs the trace's identity in the store.
+				th, err := keys.hashTrace(tr)
+				if err != nil {
+					emit(PointUpdate{Point: -1, Trace: -1, Err: err})
+					return
+				}
+				if warmKey == "" {
+					warmKey = ckpt.WarmConfigKey(specs[p].Cfg)
+				}
+				cl.traceHash, cl.warmKey, cl.winInsts = th, warmKey, win
+			}
 			cl.results = make([]*core.Result, len(cl.windows))
 			cl.errs = make([]error, len(cl.windows))
 			cl.remaining.Store(int32(len(cl.windows)))
@@ -356,7 +379,7 @@ func (r *Runner) stream(ctx context.Context, specs []PointSpec, ch chan<- PointU
 		res := core.MergeWindowResults(cl.name, cl.results)
 		if jnl != nil {
 			e := &journal.Entry{Key: cl.key, Windows: len(cl.windows), Result: res}
-			if f := r.Faults.takeJournal(spec.Label, cl.name); f != nil {
+			if f := r.Faults.TakeJournal(spec.Label, cl.name); f != nil {
 				_ = jnl.PutTruncated(e, -1)
 			} else {
 				// A failed write is not a cell failure: the journal is a

@@ -2,16 +2,18 @@
 # sweepd_smoke.sh — end-to-end smoke test of the sweep daemon.
 #
 # Stands up a real sweepd process with external worker processes that
-# share NO filesystem with the daemon (each journals into its own private
-# directory and uploads sealed result bytes in Complete), submits sweeps
-# through `vccsweep -server`, and asserts that:
+# share NO filesystem with the daemon (each seals its results in memory
+# and uploads them in Complete; its private scratch directory holds only
+# its checkpoint store), submits sweeps through `vccsweep -server`, and
+# asserts that:
 #
 #   1. kill -9'ing a worker mid-sweep loses nothing: the rendered CSV is
 #      byte-identical to the same sweep run locally (lease reclamation
 #      lost nothing, double-counted nothing, and every result crossed the
-#      wire through the daemon's content check);
+#      wire through the daemon's content check), and no worker wrote a
+#      journal entry of its own;
 #   2. a second, windowed sweep (-window, warm-state checkpoints on: each
-#      worker keeps a private ckpt store beside its private journal) is
+#      worker keeps a private ckpt store in its scratch directory) is
 #      also byte-identical to its local run;
 #   3. a mid-sweep network partition (SIGSTOP a worker past the lease TTL,
 #      then SIGCONT) plus another kill -9 still converges byte-identical —
@@ -28,9 +30,9 @@
 #      the daemon's cell events into levels exactly as the local runner
 #      folds its stream;
 #   7. the same daemon renders the vccsweep CSV identical to the local
-#      sweep: its slots journal privately under <jnl>/local and upload
-#      through the same content check as external workers, and it too
-#      drains with a verified journal.
+#      sweep: its slots upload from memory through the same content check
+#      as external workers (<jnl>/local holds no journal entry), and it
+#      too drains with a verified journal.
 #
 # Usage: scripts/sweepd_smoke.sh [insts] [seeds]
 set -euo pipefail
@@ -82,7 +84,7 @@ done
 [ -n "$ADDR" ] || { echo "sweepd_smoke: FAIL no serving line" >&2; exit 1; }
 echo "sweepd_smoke: daemon on $ADDR (pid $DAEMON_PID)" >&2
 
-# Each worker gets an explicitly private journal directory — disjoint
+# Each worker gets an explicitly private scratch directory — disjoint
 # from the daemon's and from each other's, as if on different machines.
 spawn_worker() { # spawn_worker <index>
   local i="$1"
@@ -118,18 +120,18 @@ if ! diff -u "$WORK/local.csv" "$WORK/daemon.csv"; then
 fi
 echo "sweepd_smoke: daemon CSV identical to local CSV" >&2
 
-# Sanity: push-down really happened — the dead and live workers' private
-# journals hold cells, and they are not the daemon's directory.
+# Uploads come from memory: neither the dead nor the live worker wrote a
+# journal entry into its scratch directory.
 for i in 1 2; do
-  if ! ls "$WORK/w$i-jnl"/*.cell >/dev/null 2>&1; then
-    echo "sweepd_smoke: FAIL worker $i journaled nothing privately (push-down not exercised)" >&2
+  if ls "$WORK/w$i-jnl"/*.cell >/dev/null 2>&1; then
+    echo "sweepd_smoke: FAIL worker $i wrote journal entries to its scratch directory" >&2
     exit 1
   fi
 done
 
 # Windowed sweep: sample windows shard each trace, functional warm-up runs
 # through the warm-state checkpoint store (local: in-process shared store;
-# daemon workers: each keeps a private ckpt/ beside its private journal).
+# daemon workers: each keeps a private ckpt/ in its scratch directory).
 # Both paths must stitch the same rows.
 WINDOW=5000
 echo "sweepd_smoke: local windowed sweep (-window $WINDOW)" >&2
@@ -233,8 +235,8 @@ grep -q "journal verified" "$WORK/daemon.err" || {
 DAEMON_PID=""
 
 # In-process scenario: a second daemon simulates with its own slots. They
-# journal into <jnl2>/local and upload every result through the daemon's
-# content check, exactly as external workers do.
+# upload every result from memory through the daemon's content check,
+# exactly as external workers do.
 echo "sweepd_smoke: starting daemon with in-process workers (-workers 2)" >&2
 "$WORK/sweepd" -addr 127.0.0.1:0 -journal "$WORK/jnl2" -workers 2 \
   > "$WORK/daemon2.out" 2> "$WORK/daemon2.err" &
@@ -275,8 +277,8 @@ if ! diff -u "$WORK/local.csv" "$WORK/daemon_local.csv"; then
   echo "sweepd_smoke: FAIL in-process daemon sweep differs from local sweep" >&2
   exit 1
 fi
-if ! ls "$WORK/jnl2/local"/*.cell >/dev/null 2>&1; then
-  echo "sweepd_smoke: FAIL in-process slots journaled nothing under <jnl>/local" >&2
+if ls "$WORK/jnl2/local"/*.cell >/dev/null 2>&1; then
+  echo "sweepd_smoke: FAIL in-process slots wrote journal entries under <jnl>/local" >&2
   exit 1
 fi
 echo "sweepd_smoke: in-process daemon CSV identical to local CSV" >&2
