@@ -64,7 +64,7 @@ func main() {
 	fsync := flag.Bool("fsync", true, "fsync journal entries (power-loss durability)")
 	retries := flag.Int("retries", 1, "window-level transient-failure retries per cell execution")
 	retryBackoff := flag.Duration("retry-backoff", time.Second, "backoff before the first retry (doubles, jittered)")
-	journalBudget := flag.Int64("journal-budget", 0, "disk budget in bytes for the daemon's journal (daemon mode); LRU entries evict past it (0 = unbounded)")
+	journalBudget := flag.Int64("journal-budget", 0, "disk budget in bytes for the daemon's journal segments (daemon mode); past it the journal compacts to its most recently used entries (0 = unbounded)")
 	ckptBudget := flag.Int64("ckpt-budget", 0, "checkpoint-store disk budget in bytes, worker mode (0 = unbounded)")
 	submitRate := flag.Float64("submit-rate", 0, "per-client sweep submissions per second (0 = unlimited)")
 	submitBurst := flag.Int("submit-burst", 2, "per-client submission burst on top of -submit-rate")

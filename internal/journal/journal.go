@@ -17,15 +17,26 @@
 //
 // # Durability
 //
-// The journal is append-only at the granularity of whole entries: one
-// immutable file per key, written to a temporary file first and renamed
-// into place, so a crash — including kill -9 — can never leave a
-// half-written entry under a final name. Defense in depth for torn writes
-// that bypass the rename (a dying filesystem, fault injection): every
-// entry carries a header with the payload's SHA-256 and length, and Get
-// verifies both before decoding. A truncated, corrupt or undecodable entry
-// is treated as a miss (and counted), never as data — the cell simply
-// re-runs.
+// The journal is a log: append-only segment files (*.seg) holding sealed
+// entries (Seal's bytes) back to back, plus an in-memory index from key to
+// (segment, offset, length). Each handle appends only to a segment it
+// created itself, lazily on its first write and under a unique name, so
+// processes sharing a directory never write the same file. Open reads
+// every existing segment once to rebuild the index; the index holds
+// offsets, never entry bytes. Admitting an entry costs one write and, with
+// SetSync on, one fsync — no inode, rename or directory fsync per entry; a
+// new segment's directory entry is fsynced once, before its first record
+// is acknowledged. A segment rolls over at segmentMax bytes.
+//
+// Every record carries a header with its payload's SHA-256 and length,
+// and Get re-checks both, plus the key, on every read. A record that runs
+// past the end of its segment — a write torn by a crash — is not indexed
+// and counts in Stats.Corrupt; no handle ever appends after it, because
+// each handle's segment is its own and a torn write retires it. A complete
+// record that fails its checksum, key or decode check is a miss for Get
+// and an error for Verify, and hides none of the records after it. Either
+// way the cell simply re-runs. Per-key *.cell files from the journal's
+// earlier layout are neither read nor deleted.
 //
 // Entries encode as JSON. Go's encoder emits the shortest float64
 // representation that round-trips exactly and core.Result is all exported
@@ -34,17 +45,23 @@
 package journal
 
 import (
+	"bytes"
+	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"lowvcc/internal/core"
 )
@@ -60,8 +77,9 @@ type Entry struct {
 // Stats is a snapshot of the journal's access counters.
 type Stats struct {
 	Hits, Misses uint64
-	// Corrupt counts entries rejected by the integrity check (truncated or
-	// scrambled files); each also counted as a miss.
+	// Corrupt counts records rejected by the integrity check: torn tails
+	// found by Open, and records Get finds scrambled (each of those also
+	// counted as a miss).
 	Corrupt uint64
 	// WriteErrors counts failed Puts. The journal is a cache: a failed
 	// write costs a future re-simulation, never correctness.
@@ -74,9 +92,32 @@ type Stats struct {
 	Evictions uint64
 }
 
-// Journal is a directory of immutable cell entries. Safe for concurrent
-// use by multiple goroutines (and, thanks to atomic renames, by multiple
-// processes sharing the directory).
+const (
+	// headerMagic opens the integrity line preceding each JSON payload.
+	headerMagic = "lowvccjnl1"
+	// keyPrefix is how every sealed payload begins; the key follows it.
+	keyPrefix = `{"Key":"`
+	segExt    = ".seg"
+	// segmentMax is the size past which a handle starts a new segment.
+	segmentMax = 64 << 20
+)
+
+// segment is one log file; size counts its bytes on disk.
+type segment struct {
+	name string
+	size int64
+}
+
+// loc frames a key's latest record in its segment; use is its recency
+// stamp.
+type loc struct {
+	seg         *segment
+	off, n, use int64
+}
+
+// Journal is a directory of append-only segments. Safe for concurrent use
+// by multiple goroutines and, since each handle appends only to its own
+// segments, by multiple processes sharing the directory.
 type Journal struct {
 	dir  string
 	sync atomic.Bool
@@ -84,36 +125,83 @@ type Journal struct {
 	hits, misses, corrupt, writeErrs atomic.Uint64
 	rejected, evictions              atomic.Uint64
 
-	// Disk-budget state (SetBudget). sizes/lastUse are only populated
-	// while a budget is active; all are guarded by mu.
-	mu      sync.Mutex
-	budget  int64
-	total   int64
-	sizes   map[string]int64
-	lastUse map[string]int64
-	useSeq  int64
+	// mu guards everything below. cur is this handle's open segment, the
+	// last of segs: nil until the first write, and again after a torn
+	// write, a rollover or a compaction.
+	mu     sync.Mutex
+	cur    *os.File
+	segs   []*segment // oldest first
+	index  map[string]*loc
+	useSeq int64
+	total  int64 // bytes of every segment in segs
+	budget int64
+	bad    error // first unindexable record Open found, or write this handle tore
 }
 
-// Open creates the journal directory if needed and returns a handle.
+// Open creates the journal directory if needed, reads every segment in it
+// once to index its records, and returns a handle.
 func Open(dir string) (*Journal, error) {
-	if dir == "" {
-		return nil, fmt.Errorf("journal: empty directory")
-	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("journal: %w", err)
 	}
-	return &Journal{dir: dir}, nil
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, fmt.Errorf("journal: %w", err)
+	}
+	j := &Journal{dir: dir, index: make(map[string]*loc)}
+	// Segment names start with their creation time, so name order is age
+	// order and seeds recency: older segment, earlier offset = colder.
+	for _, ent := range ents {
+		if strings.HasSuffix(ent.Name(), segExt) {
+			if err := j.scan(ent.Name()); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return j, nil
+}
+
+// scan indexes one segment's records, stopping at a torn tail or at a
+// header that frames nothing.
+func (j *Journal) scan(name string) error {
+	// A segment compacted away by another handle since the listing reads
+	// as empty.
+	data, err := os.ReadFile(filepath.Join(j.dir, name))
+	if err != nil && !errors.Is(err, os.ErrNotExist) {
+		return fmt.Errorf("journal: %w", err)
+	}
+	seg := &segment{name: name, size: int64(len(data))}
+	j.segs = append(j.segs, seg)
+	j.total += seg.size
+	for off := 0; off < len(data); {
+		_, n, err := frame(data[off:])
+		key, ok := recordKey(data[off : off+n])
+		if err != nil || !ok {
+			j.corrupt.Add(1)
+			if !errors.Is(err, errTorn) {
+				j.bad = cmp.Or(j.bad, fmt.Errorf("journal: %s@%d: record without a frame or key", name, off))
+			}
+			if err != nil {
+				return nil // a torn tail ends the segment; so does a header that frames nothing
+			}
+		} else {
+			j.useSeq++
+			j.index[key] = &loc{seg: seg, off: int64(off), n: int64(n), use: j.useSeq}
+		}
+		off += n
+	}
+	return nil
 }
 
 // Dir returns the journal's directory.
 func (j *Journal) Dir() string { return j.dir }
 
-// SetSync selects fsync-on-Put: with it on, every Put fsyncs the entry
-// file before the rename and the directory after it, so a published entry
-// survives power loss, not just process death. Off (the default) relies on
-// the atomic rename alone — crash-consistent, cheaper, and the right
-// trade for the journal's cache role; the sweep daemon turns it on because
-// a service's durability promise is stronger than a CLI's.
+// SetSync selects fsync-on-Put: with it on, Put and Admit return only
+// after the appended record is fsynced, so a published entry survives
+// power loss, not just process death. Off (the default) leaves the record
+// in the page cache — crash-consistent, cheaper, and the right trade for
+// the journal's cache role; the sweep daemon turns it on because a
+// service's durability promise is stronger than a CLI's.
 func (j *Journal) SetSync(on bool) { j.sync.Store(on) }
 
 // Stats returns a snapshot of the access counters.
@@ -130,7 +218,7 @@ func (j *Journal) Stats() Stats {
 
 // Key derives a content-address from its parts: each part is
 // length-prefixed before hashing, so ("ab", "c") and ("a", "bc") never
-// collide. The result is a hex SHA-256, safe as a file name.
+// collide. The result is a hex SHA-256.
 func Key(parts ...string) string {
 	h := sha256.New()
 	var n [8]byte
@@ -142,14 +230,9 @@ func Key(parts ...string) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// header is the integrity line preceding the JSON payload.
-const headerMagic = "lowvccjnl1"
-
-func (j *Journal) path(key string) string { return filepath.Join(j.dir, key+".cell") }
-
 // Seal renders the sealed entry bytes: one header line with the
 // payload's SHA-256 and length, then the payload. They are exactly what Put
-// writes under e.Key and what Admit verifies, so a worker can upload a
+// appends under e.Key and what Admit verifies, so a worker can upload a
 // result without journaling it first.
 func Seal(e *Entry) ([]byte, error) {
 	payload, err := json.Marshal(e)
@@ -157,46 +240,92 @@ func Seal(e *Entry) ([]byte, error) {
 		return nil, fmt.Errorf("journal: encoding %s: %w", e.Key, err)
 	}
 	header := fmt.Sprintf("%s %x %d\n", headerMagic, sha256.Sum256(payload), len(payload))
-	return append([]byte(header), payload...), nil
+	rec := append([]byte(header), payload...)
+	if k, ok := recordKey(rec); !ok || k != e.Key {
+		return nil, fmt.Errorf("journal: key %q does not encode verbatim", e.Key)
+	}
+	return rec, nil
+}
+
+var errTorn = errors.New("record runs past its end")
+var errTrailing = errors.New("bytes follow the record")
+
+// frame parses the header line data starts with and returns the payload's
+// checksum and the whole record's length, or errTorn when data ends first.
+func frame(data []byte) (sum string, size int, err error) {
+	nl := bytes.IndexByte(data, '\n')
+	if nl < 0 {
+		return "", 0, errTorn
+	}
+	// Only Seal's exact header line frames a record.
+	line := string(data[:nl])
+	if _, err := fmt.Sscanf(line, headerMagic+" %s %d", &sum, &size); err != nil || size < 0 || line != fmt.Sprintf("%s %s %d", headerMagic, sum, size) {
+		return "", 0, errors.New("bad header")
+	}
+	if size > len(data)-nl-1 {
+		return "", 0, errTorn
+	}
+	return sum, nl + 1 + size, nil
+}
+
+// recordKey reads the key a sealed record's payload starts with: what Open
+// indexes the record under, and what decode insists equals the asked key.
+func recordKey(rec []byte) (string, bool) {
+	_, payload, _ := bytes.Cut(rec, []byte("\n"))
+	rest, ok := bytes.CutPrefix(payload, []byte(keyPrefix))
+	key, _, found := bytes.Cut(rest, []byte(`"`))
+	return string(key), ok && found
 }
 
 // Get returns the entry for key, or (nil, false) when it is absent or
 // fails the integrity check. Corrupt entries count as misses: the caller
-// re-runs the cell and Put overwrites the bad file.
+// re-runs the cell and its Put supersedes the bad record.
 func (j *Journal) Get(key string) (*Entry, bool) {
-	data, err := os.ReadFile(j.path(key))
-	if err != nil {
-		j.misses.Add(1)
-		return nil, false
-	}
-	e, err := decode(key, data)
-	if err != nil {
-		j.corrupt.Add(1)
-		j.misses.Add(1)
-		return nil, false
-	}
-	j.hits.Add(1)
-	j.touch(key)
-	return e, true
+	e, _, ok := j.lookup(key)
+	return e, ok
 }
 
-// GetRaw returns the sealed entry file bytes for key — header line plus
+// GetRaw returns the sealed entry bytes for key — header line plus
 // payload, exactly as stored (Seal's output) — after running the same
 // integrity check as Get.
 func (j *Journal) GetRaw(key string) ([]byte, bool) {
-	data, err := os.ReadFile(j.path(key))
+	_, data, ok := j.lookup(key)
+	return data, ok
+}
+
+func (j *Journal) lookup(key string) (e *Entry, data []byte, ok bool) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	l := j.index[key]
+	data, err := j.readLocked(l)
+	if err == nil {
+		j.useSeq++
+		l.use = j.useSeq
+		if e, err = decode(key, data); err != nil {
+			j.corrupt.Add(1)
+		}
+	}
 	if err != nil {
 		j.misses.Add(1)
-		return nil, false
-	}
-	if _, err := decode(key, data); err != nil {
-		j.corrupt.Add(1)
-		j.misses.Add(1)
-		return nil, false
+		return nil, nil, false
 	}
 	j.hits.Add(1)
-	j.touch(key)
-	return data, true
+	return e, data, true
+}
+
+// readLocked reads one record's bytes from its segment.
+func (j *Journal) readLocked(l *loc) ([]byte, error) {
+	if l == nil {
+		return nil, os.ErrNotExist
+	}
+	f, err := os.Open(filepath.Join(j.dir, l.seg.name))
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	data := make([]byte, l.n)
+	_, err = f.ReadAt(data, l.off)
+	return data, err
 }
 
 // Admit verifies sealed entry bytes produced elsewhere (Seal or GetRaw,
@@ -213,36 +342,28 @@ func (j *Journal) Admit(key string, data []byte) (*Entry, error) {
 		j.rejected.Add(1)
 		return nil, err
 	}
-	if err := j.writeFile(key, data); err != nil {
+	if err := j.write(key, data, false); err != nil {
 		return nil, err
 	}
 	return e, nil
 }
 
 func decode(key string, data []byte) (*Entry, error) {
-	nl := strings.IndexByte(string(data), '\n')
-	if nl < 0 {
-		return nil, fmt.Errorf("journal: %s: truncated header", key)
+	sum, size, err := frame(data)
+	if err != nil || size != len(data) {
+		return nil, fmt.Errorf("journal: %s: %d bytes are not one record: %w", key, len(data), cmp.Or(err, errTrailing))
 	}
-	var sum string
-	var length int
-	var magicGot string
-	if _, err := fmt.Sscanf(string(data[:nl]), "%s %s %d", &magicGot, &sum, &length); err != nil || magicGot != headerMagic {
-		return nil, fmt.Errorf("journal: %s: bad header", key)
-	}
-	payload := data[nl+1:]
-	if len(payload) != length {
-		return nil, fmt.Errorf("journal: %s: payload %d bytes, header says %d (truncated write)", key, len(payload), length)
-	}
-	if got := fmt.Sprintf("%x", sha256.Sum256(payload)); got != sum {
+	payload := data[bytes.IndexByte(data, '\n')+1:]
+	if got := sha256.Sum256(payload); hex.EncodeToString(got[:]) != sum {
 		return nil, fmt.Errorf("journal: %s: checksum mismatch", key)
 	}
 	var e Entry
 	if err := json.Unmarshal(payload, &e); err != nil {
 		return nil, fmt.Errorf("journal: %s: %w", key, err)
 	}
-	if e.Key != key {
-		return nil, fmt.Errorf("journal: entry %s stored under key %s", e.Key, key)
+	// Both the key Open indexes by and the one JSON decodes must match.
+	if k, _ := recordKey(data); k != key || e.Key != key {
+		return nil, fmt.Errorf("journal: entry %q (indexed as %q) stored under key %s", e.Key, k, key)
 	}
 	if e.Result == nil {
 		return nil, fmt.Errorf("journal: %s: entry without result", key)
@@ -250,24 +371,23 @@ func decode(key string, data []byte) (*Entry, error) {
 	return &e, nil
 }
 
-// Put records the entry under its key: written to a unique temporary file
-// and renamed into place, so concurrent writers (which, by the keying
-// contract, carry identical content) and crashes are both safe. Errors are
-// counted and returned; callers may ignore them — a lost entry costs one
-// re-simulation.
+// Put appends the entry to this handle's segment. Concurrent writers of one
+// key carry identical content by the keying contract, and the latest
+// record wins. Errors are counted and returned; callers may ignore them — a
+// lost entry costs one re-simulation.
 func (j *Journal) Put(e *Entry) error {
 	data, err := Seal(e)
 	if err != nil {
 		j.writeErrs.Add(1)
 		return err
 	}
-	return j.writeFile(e.Key, data)
+	return j.write(e.Key, data, false)
 }
 
-// PutTruncated writes the entry's file cut off after keep bytes, bypassing
-// the atomic-rename protocol — a deterministic stand-in for a torn write
-// (process killed mid-write on a filesystem that reordered the rename).
-// Test and fault-injection use only: Get must reject the result.
+// PutTruncated appends the entry's record cut off after keep bytes and
+// retires the segment — a deterministic stand-in for a write torn by a
+// crash. Test and fault-injection use only: the cut record is not indexed,
+// Open counts it as a torn tail, and this handle's Verify reports it.
 func (j *Journal) PutTruncated(e *Entry, keep int) error {
 	data, err := Seal(e)
 	if err != nil {
@@ -277,229 +397,196 @@ func (j *Journal) PutTruncated(e *Entry, keep int) error {
 	if keep < 0 || keep > len(data) {
 		keep = len(data) / 2
 	}
-	if err := os.WriteFile(j.path(e.Key), data[:keep], 0o644); err != nil {
-		j.writeErrs.Add(1)
-		return fmt.Errorf("journal: %w", err)
-	}
-	return nil
+	return j.write(e.Key, data[:keep], true)
 }
 
-func (j *Journal) writeFile(key string, data []byte) error {
-	tmp, err := os.CreateTemp(j.dir, ".put-*")
-	if err != nil {
-		j.writeErrs.Add(1)
-		return fmt.Errorf("journal: %w", err)
+// write appends one record (a cut one when torn), fsyncs it when sync is
+// on, and indexes it.
+func (j *Journal) write(key string, data []byte, torn bool) error {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	l := new(loc)
+	err := j.appendLocked(data, l)
+	if err == nil && j.sync.Load() {
+		err = j.cur.Sync()
 	}
-	tmpName := tmp.Name()
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
+	if err != nil {
+		j.retire()
 		j.writeErrs.Add(1)
 		return fmt.Errorf("journal: writing %s: %w", key, err)
 	}
-	if j.sync.Load() {
-		if err := tmp.Sync(); err != nil {
-			tmp.Close()
-			os.Remove(tmpName)
-			j.writeErrs.Add(1)
-			return fmt.Errorf("journal: syncing %s: %w", key, err)
-		}
+	if torn {
+		j.bad = cmp.Or(j.bad, fmt.Errorf("journal: %s: torn write of %d bytes", key, l.n))
+		return j.retire()
 	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		j.writeErrs.Add(1)
-		return fmt.Errorf("journal: closing %s: %w", key, err)
-	}
-	if err := os.Rename(tmpName, j.path(key)); err != nil {
-		os.Remove(tmpName)
-		j.writeErrs.Add(1)
-		return fmt.Errorf("journal: publishing %s: %w", key, err)
-	}
-	if j.sync.Load() {
-		// Persist the rename itself: without the directory fsync the entry
-		// file can be durable while its name is not.
-		if d, err := os.Open(j.dir); err == nil {
-			d.Sync()
-			d.Close()
-		}
-	}
-	j.recordWrite(key, int64(len(data)))
+	j.index[key] = l
+	j.enforceLocked(key)
 	return nil
 }
 
-// SetBudget caps the journal directory at budget bytes of entry files.
-// When a Put or Admit pushes the total over the cap, least-recently-used
-// entries are unlinked until it fits again (Stats.Evictions counts them).
+// appendLocked writes data at the end of this handle's segment and, on
+// success, points l at it. It first starts a segment when there is none or
+// data would push the current one past segmentMax; a new segment's name is
+// made durable (with sync on) before any record in it can be acknowledged.
+func (j *Journal) appendLocked(data []byte, l *loc) error {
+	if j.cur != nil && j.segs[len(j.segs)-1].size+int64(len(data)) > segmentMax {
+		if err := j.retire(); err != nil {
+			return err
+		}
+	}
+	if j.cur == nil {
+		f, err := os.CreateTemp(j.dir, fmt.Sprintf("%016x-*%s", time.Now().UnixNano(), segExt))
+		if err != nil {
+			return err
+		}
+		j.cur = f
+		j.segs = append(j.segs, &segment{name: filepath.Base(f.Name())})
+		if j.sync.Load() {
+			d, err := os.Open(j.dir)
+			if err == nil {
+				err = errors.Join(d.Sync(), d.Close())
+			}
+			if err != nil {
+				return err
+			}
+		}
+	}
+	seg := j.segs[len(j.segs)-1]
+	n, err := j.cur.WriteAt(data, seg.size)
+	seg.size += int64(n)
+	j.total += int64(n)
+	if err == nil {
+		j.useSeq++
+		*l = loc{seg: seg, off: seg.size - int64(n), n: int64(n), use: j.useSeq}
+	}
+	return err
+}
+
+// retire closes this handle's segment, fsynced first when sync is on; the
+// next write starts a new one.
+func (j *Journal) retire() (err error) {
+	if j.cur != nil {
+		if j.sync.Load() {
+			err = j.cur.Sync()
+		}
+		err = errors.Join(err, j.cur.Close())
+		j.cur = nil
+	}
+	return err
+}
+
+// SetBudget caps the journal directory at budget bytes of segments. When
+// a Put or Admit pushes the total over the cap, the journal compacts: the
+// most recently used entries, up to ⅞ of the budget, are copied coldest
+// first into fresh segments (fsynced when sync is on), the old segments
+// are unlinked and every entry left behind counts in Stats.Evictions.
 // Zero or negative disables the cap. The entry a Put or Admit just wrote
-// is never its own victim, so a writer can always read back what it
-// wrote. Because the journal is a cache, eviction is always safe: an
-// evicted entry is re-simulated on the next miss.
+// is never a victim, so a writer can always read back what it wrote.
+// Because the journal is a cache, eviction is always safe: an evicted
+// entry is re-simulated on the next miss.
 //
 // The accounting assumes this handle is the directory's only writer while
 // a budget is active — exactly the sweep daemon's arrangement, where the
-// LOCK-holding scheduler admits every result. Other writers' entries are
-// seen only when a fresh handle's SetBudget seeds the accounting from the
-// directory and enforces it at once. Readers are unaffected beyond extra
-// misses.
+// LOCK-holding scheduler admits every result. Other writers' segments are
+// seen only by a fresh handle, whose SetBudget enforces the cap over
+// everything Open indexed. Readers are unaffected beyond extra misses.
 func (j *Journal) SetBudget(budget int64) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	j.budget = budget
-	if budget <= 0 {
-		j.sizes, j.lastUse, j.total = nil, nil, 0
-		return
-	}
-	if j.sizes == nil {
-		j.scanLocked()
-	}
 	j.enforceLocked("")
 }
 
-// DiskUsage reports the tracked entry-file bytes while a budget is
-// active (0 otherwise).
+// DiskUsage reports the segment bytes this handle accounts for while a
+// budget is active (0 otherwise).
 func (j *Journal) DiskUsage() int64 {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	if j.budget <= 0 {
+		return 0
+	}
 	return j.total
 }
 
-// touch bumps key's recency; a no-op unless a budget is active.
-func (j *Journal) touch(key string) {
-	j.mu.Lock()
-	if j.lastUse != nil {
-		if _, ok := j.sizes[key]; ok {
-			j.useSeq++
-			j.lastUse[key] = j.useSeq
-		}
-	}
-	j.mu.Unlock()
-}
-
-// recordWrite folds a freshly published entry into the budget accounting
-// and evicts over-budget entries (never the one just written).
-func (j *Journal) recordWrite(key string, size int64) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.budget <= 0 || j.sizes == nil {
-		return
-	}
-	j.total += size - j.sizes[key]
-	j.sizes[key] = size
-	j.useSeq++
-	j.lastUse[key] = j.useSeq
-	j.enforceLocked(key)
-}
-
-// scanLocked seeds the accounting from the directory: sizes from a walk,
-// recency from file mtimes (older file = colder entry).
-func (j *Journal) scanLocked() {
-	j.sizes = make(map[string]int64)
-	j.lastUse = make(map[string]int64)
-	j.total = 0
-	ents, err := os.ReadDir(j.dir)
-	if err != nil {
-		return
-	}
-	type aged struct {
-		key string
-		mt  int64
-	}
-	var found []aged
-	for _, ent := range ents {
-		name := ent.Name()
-		if !strings.HasSuffix(name, ".cell") {
-			continue
-		}
-		info, err := ent.Info()
-		if err != nil {
-			continue
-		}
-		key := strings.TrimSuffix(name, ".cell")
-		j.sizes[key] = info.Size()
-		j.total += info.Size()
-		found = append(found, aged{key, info.ModTime().UnixNano()})
-	}
-	sort.Slice(found, func(a, b int) bool { return found[a].mt < found[b].mt })
-	for _, f := range found {
-		j.useSeq++
-		j.lastUse[f.key] = j.useSeq
-	}
-}
-
-// enforceLocked unlinks least-recently-used entries until the total fits
-// the budget. keep (the just-written key) is exempt, so a fresh result
-// always survives long enough to be read back.
+// enforceLocked compacts the journal down to its most recently used
+// entries once the segments outgrow the budget; keep (the just-written
+// key) always survives. A failed copy leaves every old segment in place.
 func (j *Journal) enforceLocked(keep string) {
 	if j.budget <= 0 || j.total <= j.budget {
 		return
 	}
-	type cand struct {
-		key string
-		use int64
-	}
-	var cands []cand
-	for key, use := range j.lastUse {
-		if key == keep {
-			continue
+	keys := slices.Collect(maps.Keys(j.index))
+	sort.Slice(keys, func(a, b int) bool { return j.index[keys[a]].use > j.index[keys[b]].use })
+	kept, size := 0, int64(0)
+	for ; kept < len(keys); kept++ {
+		n := j.index[keys[kept]].n
+		if keys[kept] != keep && size+n > j.budget-j.budget/8 {
+			break
 		}
-		cands = append(cands, cand{key, use})
+		size += n
 	}
-	sort.Slice(cands, func(a, b int) bool { return cands[a].use < cands[b].use })
-	for _, c := range cands {
-		if j.total <= j.budget {
-			return
+	err := j.retire()
+	old := len(j.segs)
+	for i := kept - 1; i >= 0 && err == nil; i-- {
+		var data []byte
+		if data, err = j.readLocked(j.index[keys[i]]); err == nil {
+			err = j.appendLocked(data, j.index[keys[i]])
 		}
-		if err := os.Remove(j.path(c.key)); err != nil && !os.IsNotExist(err) {
-			continue
-		}
-		j.total -= j.sizes[c.key]
-		delete(j.sizes, c.key)
-		delete(j.lastUse, c.key)
-		j.evictions.Add(1)
 	}
+	if err = errors.Join(err, j.retire()); err != nil {
+		j.writeErrs.Add(1)
+		return
+	}
+	for _, seg := range j.segs[:old] {
+		// A segment that will not unlink only wastes space: every record
+		// in it is either evicted or copied above, so a reopen that indexes
+		// it again finds nothing the keying contract lets differ.
+		_ = os.Remove(filepath.Join(j.dir, seg.name))
+		j.total -= seg.size
+	}
+	j.segs = j.segs[old:]
+	for _, k := range keys[kept:] {
+		delete(j.index, k)
+	}
+	j.evictions.Add(uint64(len(keys) - kept))
+	j.bad = nil
 }
 
-// Verify decodes every entry in the directory through the full integrity
-// check (header, length, SHA-256, key match) and returns how many passed.
-// The first failing entry aborts the walk with a descriptive error. The
-// sweep daemon runs this after a drain to assert the journal it leaves
-// behind is wholly consistent; it does not touch the access counters.
+// Keys returns every indexed key, sorted: the order Verify walks them in,
+// and how callers outside the package read the journal entry by entry.
+func (j *Journal) Keys() []string {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return slices.Sorted(maps.Keys(j.index))
+}
+
+// Verify decodes every indexed entry through the full integrity check
+// (header, length, SHA-256, key match) and returns how many passed. The
+// first failing entry aborts the walk with a descriptive error, as does a
+// complete record Open could not index or a write this handle tore. A
+// torn tail found by Open does not: it is what a crash leaves. The sweep
+// daemon runs this after a drain to assert the journal it leaves behind
+// is wholly consistent; it does not touch the access counters.
 func (j *Journal) Verify() (int, error) {
-	ents, err := os.ReadDir(j.dir)
-	if err != nil {
-		return 0, fmt.Errorf("journal: %w", err)
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.bad != nil {
+		return 0, j.bad
 	}
-	n := 0
-	for _, ent := range ents {
-		name := ent.Name()
-		if !strings.HasSuffix(name, ".cell") {
-			continue
+	for n, key := range slices.Sorted(maps.Keys(j.index)) {
+		data, err := j.readLocked(j.index[key])
+		if err == nil {
+			_, err = decode(key, data)
 		}
-		key := strings.TrimSuffix(name, ".cell")
-		data, err := os.ReadFile(filepath.Join(j.dir, name))
 		if err != nil {
 			return n, fmt.Errorf("journal: verifying %s: %w", key, err)
 		}
-		if _, err := decode(key, data); err != nil {
-			return n, err
-		}
-		n++
 	}
-	return n, nil
+	return len(j.index), nil
 }
 
-// Len reports how many well-named entries the journal directory holds
-// (without verifying their integrity).
+// Len reports how many keys the journal indexes (without verifying their
+// records' integrity).
 func (j *Journal) Len() (int, error) {
-	ents, err := os.ReadDir(j.dir)
-	if err != nil {
-		return 0, fmt.Errorf("journal: %w", err)
-	}
-	n := 0
-	for _, e := range ents {
-		if strings.HasSuffix(e.Name(), ".cell") {
-			n++
-		}
-	}
-	return n, nil
+	return len(j.Keys()), nil
 }

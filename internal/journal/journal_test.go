@@ -1,7 +1,10 @@
 package journal
 
 import (
+	"bytes"
 	"context"
+	"crypto/sha256"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -101,15 +104,7 @@ func TestMissAndCorruptEntries(t *testing.T) {
 	if err := j.Put(e); err != nil {
 		t.Fatal(err)
 	}
-	path := j.path(key)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[len(data)-2] ^= 0xFF
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	flipRecordByte(t, j, key, -2)
 	if _, ok := j.Get(key); ok {
 		t.Fatal("Get accepted a scrambled entry")
 	}
@@ -126,8 +121,8 @@ func TestMissAndCorruptEntries(t *testing.T) {
 	}
 }
 
-// TestWrongKeyAndStrayFiles: an entry stored under the wrong name is
-// rejected, and temp files never count as entries.
+// TestWrongKeyAndStrayFiles: an entry indexed under the wrong key is
+// rejected, and stray files never count as entries.
 func TestWrongKeyAndStrayFiles(t *testing.T) {
 	dir := t.TempDir()
 	j, err := Open(dir)
@@ -138,27 +133,60 @@ func TestWrongKeyAndStrayFiles(t *testing.T) {
 	if err := j.Put(&Entry{Key: Key("a"), Windows: 1, Result: res}); err != nil {
 		t.Fatal(err)
 	}
-	// Copy the valid entry under a different key's file name.
-	data, err := os.ReadFile(j.path(Key("a")))
-	if err != nil {
+	// Reseal a's valid payload so Open indexes it under b: a leading
+	// duplicate Key field names b, while JSON decoding keeps the last, a.
+	raw, ok := j.GetRaw(Key("a"))
+	if !ok {
+		t.Fatal("GetRaw missed a just-written entry")
+	}
+	payload := append([]byte(`{"Key":"`+Key("b")+`",`), raw[bytes.IndexByte(raw, '\n')+2:]...)
+	forged := fmt.Sprintf("%s %x %d\n%s", headerMagic, sha256.Sum256(payload), len(payload), payload)
+	if err := os.WriteFile(filepath.Join(dir, "ffffffffffffffff-forged.seg"), []byte(forged), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(j.path(Key("b")), data, 0o644); err != nil {
+	for _, stray := range []string{".put-stray", Key("c") + ".cell"} {
+		if err := os.WriteFile(filepath.Join(dir, stray), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if j, err = Open(dir); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := j.Get(Key("b")); ok {
-		t.Fatal("Get accepted an entry whose recorded key mismatches its file name")
+		t.Fatal("Get accepted an entry whose recorded key mismatches its index key")
 	}
-
-	if err := os.WriteFile(filepath.Join(dir, ".put-stray"), []byte("x"), 0o644); err != nil {
-		t.Fatal(err)
+	if _, ok := j.Get(Key("c")); ok {
+		t.Fatal("Get read an entry from a stray per-key file")
 	}
 	n, err := j.Len()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != 2 { // a's entry + b's (corrupt, but well-named) copy
+	if n != 2 { // a's entry + b's (corrupt, but indexed) copy
 		t.Errorf("Len = %d, want 2", n)
+	}
+}
+
+// flipRecordByte scrambles byte at (from the record's end when negative)
+// of key's record in place on disk, keeping every length intact.
+func flipRecordByte(t *testing.T, j *Journal, key string, at int64) {
+	t.Helper()
+	l := j.index[key]
+	if at < 0 {
+		at += l.n
+	}
+	f, err := os.OpenFile(filepath.Join(j.dir, l.seg.name), os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	b := make([]byte, 1)
+	if _, err := f.ReadAt(b, l.off+at); err != nil {
+		t.Fatal(err)
+	}
+	b[0] ^= 0xFF
+	if _, err := f.WriteAt(b, l.off+at); err != nil {
+		t.Fatal(err)
 	}
 }
 

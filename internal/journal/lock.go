@@ -18,9 +18,9 @@ const lockName = "LOCK"
 // long-running process (the sweep daemon) so two daemons can never
 // interleave scheduling decisions over one journal. The lock protects
 // daemon mutual exclusion, not entry integrity — entries themselves stay
-// safe under concurrent writers by content addressing and atomic renames,
-// which is what lets a daemon's worker processes share the directory
-// without holding the lock.
+// safe under concurrent writers by content addressing and because each
+// handle appends only to segment files it created, which is what lets
+// other processes share the directory without holding the lock.
 type Lock struct {
 	path string
 	pid  int

@@ -44,13 +44,9 @@ func TestAdmitRoundTrip(t *testing.T) {
 	if got.Result.Time != res.Time || got.Result.TraceName != res.TraceName {
 		t.Errorf("admitted entry differs: got %+v want %+v", got.Result, res)
 	}
-	// The file on disk must be byte-identical to the uploaded bytes.
-	onDisk, err := os.ReadFile(daemon.path(key))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(onDisk) != string(raw) {
-		t.Error("admitted file differs from uploaded bytes")
+	// The record on disk must be byte-identical to the uploaded bytes.
+	if onDisk := reopenRaw(t, daemon.Dir(), key); string(onDisk) != string(raw) {
+		t.Error("admitted record differs from uploaded bytes")
 	}
 }
 
@@ -113,11 +109,22 @@ func budgetJournal(t *testing.T, n int) (*Journal, []string, int64) {
 			t.Fatal(err)
 		}
 	}
-	info, err := os.Stat(j.path(keys[0]))
+	return j, keys, j.index[keys[0]].n
+}
+
+// reopenRaw reads key's sealed bytes back from disk through a fresh
+// handle, so nothing the writing handle holds in memory can answer.
+func reopenRaw(t *testing.T, dir, key string) []byte {
+	t.Helper()
+	j, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return j, keys, info.Size()
+	raw, ok := j.GetRaw(key)
+	if !ok {
+		t.Fatalf("reopened journal misses %s", key)
+	}
+	return raw
 }
 
 // TestBudgetEvictsLRU: entries past the byte budget are evicted in
@@ -272,12 +279,8 @@ func FuzzAdmit(f *testing.F) {
 		if ent.Key != key || ent.Result == nil {
 			t.Fatalf("Admit returned entry %q (result %v) for key %q", ent.Key, ent.Result != nil, key)
 		}
-		onDisk, err := os.ReadFile(j.path(key))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(onDisk, data) {
-			t.Fatal("admitted file differs from the uploaded bytes")
+		if !bytes.Equal(reopenRaw(t, j.Dir(), key), data) {
+			t.Fatal("admitted record differs from the uploaded bytes")
 		}
 		got, ok := j.Get(key)
 		if !ok || got.Key != key || got.Result == nil {

@@ -444,7 +444,7 @@ func TestJournalBudgetUnderLoad(t *testing.T) {
 	}
 }
 
-// cellFiles counts the journal entry files directly inside dir.
+// cellFiles counts the journal entries indexed in dir.
 func cellFiles(t *testing.T, dir string) int {
 	t.Helper()
 	return len(journalHashes(t, dir))

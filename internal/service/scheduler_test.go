@@ -5,14 +5,13 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
 	"time"
 
 	"lowvcc/internal/circuit"
+	"lowvcc/internal/journal"
 	"lowvcc/internal/sim"
 )
 
@@ -43,23 +42,21 @@ func cellCount(spec sim.SweepSpec) int {
 	return len(spec.Modes) * len(spec.Levels()) * len(spec.Traces())
 }
 
-// journalHashes fingerprints every entry file in a journal directory.
+// journalHashes fingerprints every entry a journal directory indexes, by
+// key, reading each record's sealed bytes back from disk.
 func journalHashes(t *testing.T, dir string) map[string][32]byte {
 	t.Helper()
-	ents, err := os.ReadDir(dir)
+	j, err := journal.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	out := make(map[string][32]byte)
-	for _, e := range ents {
-		if !strings.HasSuffix(e.Name(), ".cell") {
-			continue
+	for _, key := range j.Keys() {
+		data, ok := j.GetRaw(key)
+		if !ok {
+			t.Fatalf("journal %s: entry %s fails its integrity check", dir, key)
 		}
-		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		out[e.Name()] = sha256.Sum256(data)
+		out[key] = sha256.Sum256(data)
 	}
 	return out
 }

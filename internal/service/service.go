@@ -81,9 +81,12 @@
 //     throttle a greedy tenant without starving the rest.
 //   - Disk full / store over budget: journal and checkpoint stores are
 //     caches. Write failures are counted and swallowed (the cell re-runs
-//     later); under -journal-budget/-ckpt-budget the stores evict
-//     least-recently-used entries — an evicted entry is a future
-//     re-simulation or live replay, never an error.
+//     later). Under -journal-budget the journal compacts its segments into
+//     one holding the most recently used entries, up to ⅞ of the budget,
+//     and the admission that triggered it always survives; under
+//     -ckpt-budget the checkpoint store evicts least-recently-used
+//     snapshots. An evicted entry is a future re-simulation or live
+//     replay, never an error.
 //   - Daemon dies: the exclusive-writer LOCK file (internal/journal) is
 //     reclaimed by the next daemon after a pid+start-time liveness check
 //     (a recycled pid cannot wedge it); completed cells replay from the

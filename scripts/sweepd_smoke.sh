@@ -23,7 +23,8 @@
 #      regenerated configs, so a width-threading bug on either side would
 #      fail the content check or change the rendered numbers;
 #   5. SIGTERM drains the daemon gracefully: it verifies the journal and
-#      exits 0;
+#      exits 0, leaving every admitted result in one journal segment
+#      (exactly one *.seg, no per-cell file);
 #   6. a second daemon with in-process worker slots (-workers 2) on a
 #      fresh journal simulates `figures -fig 11b -server` byte-identical to
 #      the local `figures -fig 11b`: the figure's one rendering path folds
@@ -51,6 +52,12 @@ cleanup() {
   rm -rf "$WORK"
 }
 trap cleanup EXIT
+
+# has_entries DIR succeeds when DIR holds a journal entry in either
+# layout: a segment (*.seg) or an old per-key file (*.cell).
+has_entries() {
+  compgen -G "$1/*.seg" >/dev/null || compgen -G "$1/*.cell" >/dev/null
+}
 
 echo "sweepd_smoke: building" >&2
 go build -o "$WORK/sweepd" ./cmd/sweepd
@@ -123,7 +130,7 @@ echo "sweepd_smoke: daemon CSV identical to local CSV" >&2
 # Uploads come from memory: neither the dead nor the live worker wrote a
 # journal entry into its scratch directory.
 for i in 1 2; do
-  if ls "$WORK/w$i-jnl"/*.cell >/dev/null 2>&1; then
+  if has_entries "$WORK/w$i-jnl"; then
     echo "sweepd_smoke: FAIL worker $i wrote journal entries to its scratch directory" >&2
     exit 1
   fi
@@ -233,6 +240,12 @@ grep -q "journal verified" "$WORK/daemon.err" || {
   exit 1
 }
 DAEMON_PID=""
+SEGS="$(find "$WORK/jnl" -maxdepth 1 -name '*.seg' | wc -l)"
+if [ "$SEGS" -ne 1 ] || compgen -G "$WORK/jnl/*.cell" >/dev/null; then
+  echo "sweepd_smoke: FAIL drained journal holds $SEGS segments (want 1) or per-cell files" >&2
+  ls -la "$WORK/jnl" >&2
+  exit 1
+fi
 
 # In-process scenario: a second daemon simulates with its own slots. They
 # upload every result from memory through the daemon's content check,
@@ -277,7 +290,7 @@ if ! diff -u "$WORK/local.csv" "$WORK/daemon_local.csv"; then
   echo "sweepd_smoke: FAIL in-process daemon sweep differs from local sweep" >&2
   exit 1
 fi
-if ls "$WORK/jnl2/local"/*.cell >/dev/null 2>&1; then
+if has_entries "$WORK/jnl2/local"; then
   echo "sweepd_smoke: FAIL in-process slots wrote journal entries under <jnl>/local" >&2
   exit 1
 fi
