@@ -21,21 +21,39 @@
 //	figures -fig plots      ASCII renderings of Figures 1 and 11(a)
 //	figures -fig all        everything above
 //
+// The selected figures are one grid read several ways: each figure
+// declares the operating points it needs (sim.Experiment), the union is
+// simulated once — every distinct (design, voltage, trace) cell a single
+// time, however many figures read it — and each figure then renders from
+// the settled aggregates. Figure 11(b) prints each voltage's row as soon
+// as that level settles.
+//
 // Use -insts/-seeds to scale the workload and -csv for CSV output. -width
 // re-runs any figure on a wider (or scalar) core; the width ablation table
-// sweeps widths itself and ignores it. The run flags (-workers, -window,
-// -warm, -ckpt, -journal, -retries, ...) are the ones every simulating
-// command shares, registered by sim.Runner.RegisterFlags.
+// sweeps widths itself and ignores it. With -server the grid's
+// standard-suite points (the default core at some design, voltage and
+// width) run on a sweepd daemon as the fewest sweeps that cover exactly
+// them, and the variant points (forced N, IQ, STable and predictor
+// variants, IRAW + faulty bits, rescheduled traces) run locally; the
+// output is byte-identical to a local run. The run flags (-workers,
+// -window, -warm, -ckpt, -journal, -retries, ...) are the ones every
+// simulating command shares, registered by sim.Runner.RegisterFlags.
 package main
 
 import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
+	"strings"
+	"sync"
 	"time"
 
 	"lowvcc/internal/circuit"
+	"lowvcc/internal/core"
+	"lowvcc/internal/predictor"
 	"lowvcc/internal/report"
 	"lowvcc/internal/service"
 	"lowvcc/internal/sim"
@@ -43,230 +61,341 @@ import (
 )
 
 func main() {
-	// The CLI keeps a one-second retry backoff by default; every other
-	// shared run flag defaults to the zero Runner's value.
-	r := &sim.Runner{RetryBackoff: time.Second}
-	r.RegisterFlags(flag.CommandLine)
-	fig := flag.String("fig", "all", "which artifact to regenerate (1, 11a, 11b, 12, t1, breakdown, delayed, bp, overhead, edp450, nsweep, all)")
-	insts := flag.Int("insts", 60000, "instructions per trace")
-	seeds := flag.Int("seeds", 2, "traces per workload class")
-	mv := flag.Int("mv", 575, "voltage for the breakdown statistic")
-	csv := flag.Bool("csv", false, "emit CSV instead of aligned text")
-	server := flag.String("server", "", "run the sweep on a sweepd daemon at this address (-fig 11b only)")
-	flag.Parse()
-
-	spec := sim.SuiteSpec{InstsPerTrace: *insts, SeedsPerProfile: *seeds}
-	g := &gen{r: r, csv: *csv, spec: spec, breakdownMV: circuit.Millivolts(*mv), server: *server}
-	if *server != "" && *fig != "11b" {
-		fmt.Fprintln(os.Stderr, "figures: -server only supports -fig 11b (the voltage-sweep figure)")
-		os.Exit(2)
-	}
-	if err := g.run(*fig); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "figures:", err)
 		os.Exit(1)
 	}
 }
 
+// steps is every artifact in output order; -fig selects one by name.
+var steps = []struct {
+	name string
+	fig  func(*gen) figure
+}{
+	{"1", static((*gen).fig1)}, {"11a", static((*gen).fig11a)}, {"11b", (*gen).fig11b},
+	{"12", (*gen).fig12}, {"t1", (*gen).table1}, {"breakdown", (*gen).breakdown},
+	{"delayed", (*gen).delayed}, {"bp", (*gen).bp}, {"overhead", static((*gen).overhead)},
+	{"edp450", (*gen).edp450}, {"nsweep", (*gen).nsweep}, {"resched", (*gen).resched},
+	{"gate", (*gen).gate}, {"stable", (*gen).stableSizing}, {"det", (*gen).determinism},
+	{"combined", (*gen).combined}, {"width", (*gen).widthAblation}, {"plots", static((*gen).plots)},
+}
+
+// run parses the command line in args and writes the selected figures to
+// out.
+func run(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("figures", flag.ExitOnError)
+	// The CLI keeps a one-second retry backoff by default; every other
+	// shared run flag defaults to the zero Runner's value.
+	r := &sim.Runner{RetryBackoff: time.Second}
+	r.RegisterFlags(fs)
+	names := make([]string, len(steps))
+	for i, s := range steps {
+		names[i] = s.name
+	}
+	fig := fs.String("fig", "all", "which artifact to regenerate: "+strings.Join(names, ", ")+" or all")
+	insts := fs.Int("insts", 60000, "instructions per trace")
+	seeds := fs.Int("seeds", 2, "traces per workload class")
+	mv := fs.Int("mv", 575, "voltage for the breakdown statistic")
+	csv := fs.Bool("csv", false, "emit CSV instead of aligned text")
+	server := fs.String("server", "", "simulate the standard-suite points on a sweepd daemon at this address; variant points still run locally")
+	fs.Parse(args) // ExitOnError: a bad flag exits with status 2
+	spec := sim.SuiteSpec{InstsPerTrace: *insts, SeedsPerProfile: *seeds}
+	g := &gen{r: r, out: out, csv: *csv, spec: spec, suite: sync.OnceValue(spec.Traces),
+		breakdownMV: circuit.Millivolts(*mv), server: *server}
+	return g.run(*fig)
+}
+
 type gen struct {
 	r           *sim.Runner
+	out         io.Writer
 	csv         bool
 	spec        sim.SuiteSpec
 	breakdownMV circuit.Millivolts
-	traces      []*trace.Trace
+	suite       func() []*trace.Trace // materialized on first use
 
-	// server, when non-empty, runs the Figure 11(b) sweep on a sweepd
-	// daemon at that address; the runner's windowing and width ride along
-	// so the daemon's cell keys match a local journal's.
+	// server, when non-empty, runs the grid's standard points on a sweepd
+	// daemon at that address; the runner's windowing rides along so the
+	// daemon's cell keys match a local journal's.
 	server string
 }
 
-func (g *gen) suite() []*trace.Trace {
-	if g.traces == nil {
-		g.traces = g.spec.Traces()
+// figure is one artifact: the operating points it needs and its render
+// over their aggregates, aggs[i] for points[i]. A figure with onLevel
+// (Figure 11(b)) declares its points as one (modes x levels) sweep and
+// prints its rows there, level by level, while the grid runs.
+type figure struct {
+	name    string
+	idx     []int // each point's grid index
+	points  []sim.PointSpec
+	render  func(aggs []*core.Result) error
+	onLevel sim.LevelFunc
+}
+
+// static is the figure of a render that needs no simulation.
+func static(render func(*gen) error) func(*gen) figure {
+	return func(g *gen) figure {
+		return figure{render: func([]*core.Result) error { return render(g) }}
 	}
-	return g.traces
+}
+
+// show is the figure of an experiment whose result emit prints.
+func show[T any](e sim.Experiment[T], emit func(T) error) figure {
+	return figure{points: e.Points, render: func(aggs []*core.Result) error {
+		res, err := e.Render(aggs)
+		if err != nil {
+			return err
+		}
+		return emit(res)
+	}}
+}
+
+// emitRows prints rows as one table, cells(r) for each row r.
+func emitRows[R any](g *gen, rows []R, title string, header []string, cells func(R) []any) error {
+	t := report.NewTable(title, header...)
+	for _, r := range rows {
+		t.AddRow(cells(r)...)
+	}
+	return g.emit(t)
 }
 
 func (g *gen) emit(t *report.Table) error {
 	if g.csv {
-		return t.RenderCSV(os.Stdout)
+		return t.RenderCSV(g.out)
 	}
-	if err := t.Render(os.Stdout); err != nil {
+	if err := t.Render(g.out); err != nil {
 		return err
 	}
-	fmt.Println()
+	_, err := fmt.Fprintln(g.out)
+	return err
+}
+
+// run renders the selected figures in order. Their points form one grid,
+// collected just before the first figure that needs it.
+func (g *gen) run(name string) error {
+	grid := &sim.Grid{}
+	var figs []figure
+	for _, s := range steps {
+		if name == "all" || name == s.name {
+			f := s.fig(g)
+			f.name, f.idx = s.name, grid.Add(f.points)
+			figs = append(figs, f)
+		}
+	}
+	if len(figs) == 0 {
+		return fmt.Errorf("unknown figure %q", name)
+	}
+	var aggs []*core.Result
+	var gridErr error
+	for _, f := range figs {
+		if aggs == nil && len(f.points) > 0 {
+			if aggs, gridErr = g.collect(grid, figs); aggs == nil {
+				return fmt.Errorf("fig %s: %w", f.name, gridErr)
+			}
+		}
+		mine := make([]*core.Result, len(f.idx))
+		for j, k := range f.idx {
+			// A point that failed under -allow-partial fails every figure
+			// but the streamed one, which marks its row FAIL instead.
+			if mine[j] = aggs[k]; mine[j] == nil && f.onLevel == nil {
+				return fmt.Errorf("fig %s: %w", f.name, gridErr)
+			}
+		}
+		if err := f.render(mine); err != nil {
+			return fmt.Errorf("fig %s: %w", f.name, err)
+		}
+	}
 	return nil
 }
 
-func (g *gen) run(fig string) error {
-	all := fig == "all"
-	any := false
-	steps := []struct {
-		name string
-		f    func() error
-	}{
-		{"1", g.fig1}, {"11a", g.fig11a}, {"11b", g.fig11b}, {"12", g.fig12},
-		{"t1", g.table1}, {"breakdown", g.breakdown}, {"delayed", g.delayed},
-		{"bp", g.bp}, {"overhead", g.overhead}, {"edp450", g.edp450},
-		{"nsweep", g.nsweep}, {"resched", g.resched}, {"gate", g.gate},
-		{"stable", g.stableSizing}, {"det", g.determinism},
-		{"combined", g.combined}, {"width", g.widthAblation}, {"plots", g.plots},
-	}
-	for _, s := range steps {
-		if all || fig == s.name {
-			any = true
-			if err := s.f(); err != nil {
-				return fmt.Errorf("fig %s: %w", s.name, err)
+// collect simulates every grid point once and returns their aggregates:
+// locally in one stream, or with -server the standard points on the
+// daemon and the variant points here. The streamed figure's rows come
+// from its own sweep's levels as they settle, from either source.
+func (g *gen) collect(grid *sim.Grid, figs []figure) ([]*core.Result, error) {
+	ctx := context.Background()
+	specs, cells, local := grid.SweepSpecs(sim.SweepSpec{
+		InstsPerTrace: g.spec.InstsPerTrace, SeedsPerProfile: g.spec.SeedsPerProfile,
+		WindowInsts: g.r.WindowInsts, WarmInsts: g.r.WarmInsts,
+	})
+	streamed, onLevel := -1, sim.LevelFunc(nil)
+	for _, f := range figs {
+		for s := range cells {
+			if f.onLevel != nil && slices.Equal(f.idx, cells[s]) {
+				streamed, onLevel = s, f.onLevel
 			}
 		}
 	}
-	if !any {
-		return fmt.Errorf("unknown figure %q", fig)
+	if g.server == "" {
+		var onCell func(sim.PointUpdate) error
+		if streamed >= 0 {
+			modes, _ := specs[streamed].CircuitModes()
+			fold := sim.NewLevelFold(modes, specs[streamed].Levels(), len(g.suite()), onLevel)
+			onCell = func(u sim.PointUpdate) error {
+				if u.Point = slices.Index(cells[streamed], u.Point); u.Point < 0 {
+					return nil // not the streamed figure's (or the terminal update)
+				}
+				return fold.Add(u)
+			}
+		}
+		return g.r.Collect(ctx, grid.Points, onCell)
 	}
-	return nil
+
+	cl, err := service.NewClient(g.server)
+	if err != nil {
+		return nil, err
+	}
+	aggs := make([]*core.Result, len(grid.Points))
+	var failed error // the first point the daemon failed (-allow-partial)
+	for s, spec := range specs {
+		modes, _ := spec.CircuitModes()
+		n, li := len(spec.Levels()), 0
+		err := cl.StreamLevels(ctx, spec, func(v circuit.Millivolts, pts map[circuit.Mode]*sim.Point, fails map[circuit.Mode]*sim.CellError) error {
+			for mi, m := range modes {
+				if p := pts[m]; p != nil {
+					aggs[cells[s][mi*n+li]] = p.Agg
+				} else if failed == nil {
+					failed = fails[m]
+				}
+			}
+			if li++; s == streamed {
+				return onLevel(v, pts, fails)
+			}
+			return nil
+		})
+		if err != nil {
+			return nil, err
+		}
+	}
+	variants := make([]sim.PointSpec, len(local))
+	for i, k := range local {
+		variants[i] = grid.Points[k]
+	}
+	vaggs, err := g.r.Collect(ctx, variants, nil)
+	if vaggs == nil {
+		return nil, err
+	}
+	for i, k := range local {
+		aggs[k] = vaggs[i]
+	}
+	if err == nil {
+		err = failed
+	}
+	return aggs, err
 }
 
 func (g *gen) fig1() error {
-	t := report.NewTable("Figure 1: delay vs Vcc (normalized to 12 FO4 at 700mV)",
-		"Vcc", "12FO4", "write", "read", "write+WL", "read+WL")
-	for _, r := range sim.Figure1() {
-		t.AddRow(r.Vcc, r.Phase, r.BitcellWrite, r.BitcellRead, r.WriteWithWL, r.ReadWithWL)
-	}
-	return g.emit(t)
+	return emitRows(g, sim.Figure1(), "Figure 1: delay vs Vcc (normalized to 12 FO4 at 700mV)",
+		[]string{"Vcc", "12FO4", "write", "read", "write+WL", "read+WL"},
+		func(r sim.Fig1Row) []any {
+			return []any{r.Vcc, r.Phase, r.BitcellWrite, r.BitcellRead, r.WriteWithWL, r.ReadWithWL}
+		})
 }
 
 func (g *gen) fig11a() error {
-	t := report.NewTable("Figure 11(a): cycle time (normalized to 24 FO4 at 700mV)",
-		"Vcc", "24FO4", "baseline", "IRAW")
-	for _, r := range sim.Figure11a() {
-		t.AddRow(r.Vcc, r.LogicCycle, r.BaselineCycle, r.IRAWCycle)
-	}
-	return g.emit(t)
+	return emitRows(g, sim.Figure11a(), "Figure 11(a): cycle time (normalized to 24 FO4 at 700mV)",
+		[]string{"Vcc", "24FO4", "baseline", "IRAW"},
+		func(r sim.Fig11aRow) []any { return []any{r.Vcc, r.LogicCycle, r.BaselineCycle, r.IRAWCycle} })
 }
 
 // fig11b renders Figure 11(b) progressively: each voltage's row prints the
-// moment both designs at that level finish simulating, so the figure
-// starts appearing long before the full (mode x voltage x trace) grid
-// completes. With -server the sweep runs on a sweepd daemon, whose client
-// folds cell events into the same per-level points as the local runner.
-func (g *gen) fig11b() error {
+// moment both designs at that level settle, so the figure starts appearing
+// long before the grid completes. With -server the daemon's client folds
+// cell events into the same per-level points as the local runner.
+func (g *gen) fig11b() figure {
 	modes := []circuit.Mode{circuit.ModeBaseline, circuit.ModeIRAW}
-	ctx := context.Background()
-	stream := func(f sim.LevelFunc) error {
-		return g.r.StreamLevels(ctx, g.suite(), modes, circuit.Levels(), f)
-	}
-	if g.server != "" {
-		cl, err := service.NewClient(g.server)
-		if err != nil {
-			return err
-		}
-		spec := sim.SweepSpec{
-			InstsPerTrace:   g.spec.InstsPerTrace,
-			SeedsPerProfile: g.spec.SeedsPerProfile,
-			Modes:           []string{"baseline", "iraw"},
-			WindowInsts:     g.r.WindowInsts,
-			WarmInsts:       g.r.WarmInsts,
-			Width:           g.r.Width,
-		}
-		stream = func(f sim.LevelFunc) error { return cl.StreamLevels(ctx, spec, f) }
-	}
-
-	t, err := report.NewStreamTable(os.Stdout, g.csv,
-		"Figure 11(b): IRAW frequency increase and performance gains",
-		"Vcc", "freq-gain", "perf-gain", "ipc-base", "ipc-iraw", "stall-cost")
-	if err != nil {
-		return err
-	}
-	// With -allow-partial a voltage with a failed design renders as a FAIL
-	// row (baseline's reason first) and the figure keeps going.
+	var t *report.StreamTable
 	failed := 0
-	err = stream(func(v circuit.Millivolts, pts map[circuit.Mode]*sim.Point, fails map[circuit.Mode]*sim.CellError) error {
-		failed += len(fails)
-		for _, m := range modes {
-			if ce := fails[m]; ce != nil {
-				return t.AddRow(v, "FAIL("+ce.Reason(32)+")", "-", "-", "-", "-")
+	return figure{
+		points: g.r.SweepPoints(g.suite(), modes, circuit.Levels()),
+		// With -allow-partial a voltage with a failed design renders as a
+		// FAIL row (baseline's reason first) and the figure keeps going.
+		onLevel: func(v circuit.Millivolts, pts map[circuit.Mode]*sim.Point, fails map[circuit.Mode]*sim.CellError) error {
+			if t == nil {
+				var err error
+				if t, err = report.NewStreamTable(g.out, g.csv,
+					"Figure 11(b): IRAW frequency increase and performance gains",
+					"Vcc", "freq-gain", "perf-gain", "ipc-base", "ipc-iraw", "stall-cost"); err != nil {
+					return err
+				}
 			}
-		}
-		r := sim.Fig11bFrom(v, pts[circuit.ModeBaseline].Agg, pts[circuit.ModeIRAW].Agg)
-		return t.AddRow(r.Vcc, r.FreqGain, r.PerfGain, r.IPCBase, r.IPCIRAW, report.Pct(r.StallCost))
+			failed += len(fails)
+			for _, m := range modes {
+				if ce := fails[m]; ce != nil {
+					return t.AddRow(v, "FAIL("+ce.Reason(32)+")", "-", "-", "-", "-")
+				}
+			}
+			// The columns: f_IRAW/f_baseline, T_baseline/T_IRAW, both IPCs
+			// and IRAW's iso-voltage stall cost 1 - IPC_IRAW/IPC_baseline.
+			base, iraw := pts[circuit.ModeBaseline].Agg, pts[circuit.ModeIRAW].Agg
+			stall := 0.0
+			if base.IPC() > 0 {
+				stall = 1 - iraw.IPC()/base.IPC()
+			}
+			return t.AddRow(v, iraw.Plan.FreqGain, base.Time/iraw.Time, base.IPC(), iraw.IPC(), report.Pct(stall))
+		},
+		render: func([]*core.Result) error {
+			if failed > 0 {
+				fmt.Fprintf(os.Stderr, "figures: %d operating point(s) failed; rows marked FAIL\n", failed)
+			}
+			if !g.csv {
+				fmt.Fprintln(g.out)
+			}
+			return nil
+		},
+	}
+}
+
+func (g *gen) fig12() figure {
+	return show(g.r.Figure12(g.suite()), func(rows []sim.Fig12Row) error {
+		return emitRows(g, rows, "Figure 12: IRAW energy, delay and EDP relative to baseline",
+			[]string{"Vcc", "delay", "energy", "EDP"},
+			func(r sim.Fig12Row) []any { return []any{r.Vcc, r.RelDelay, r.RelEnergy, r.RelEDP} })
 	})
-	if err != nil {
-		return err
-	}
-	if failed > 0 {
-		fmt.Fprintf(os.Stderr, "figures: %d operating point(s) failed; rows marked FAIL\n", failed)
-	}
-	if !g.csv {
-		fmt.Println()
-	}
-	return nil
 }
 
-func (g *gen) fig12() error {
-	rows, err := g.r.Figure12(g.suite())
-	if err != nil {
-		return err
-	}
-	t := report.NewTable("Figure 12: IRAW energy, delay and EDP relative to baseline",
-		"Vcc", "delay", "energy", "EDP")
-	for _, r := range rows {
-		t.AddRow(r.Vcc, r.RelDelay, r.RelEnergy, r.RelEDP)
-	}
-	return g.emit(t)
+func (g *gen) table1() figure {
+	return show(g.r.Table1(g.suite(), 500), func(rows []sim.Table1Row) error {
+		return emitRows(g, rows, "Table 1 (quantitative, at 500mV)",
+			[]string{"mechanism", "all-blocks", "adapts-Vcc", "hw-overhead", "hard-to-test", "freq-gain", "perf-gain", "feasible", "caveat"},
+			func(r sim.Table1Row) []any {
+				return []any{r.Mode.String(), report.Bool(r.WorksForAllBlocks), report.Bool(r.AdaptsToVcc),
+					r.HardwareOverhead, report.Bool(r.HardToTest),
+					r.FreqGain, r.PerfGain, report.Bool(r.Feasible), r.Caveat}
+			})
+	})
 }
 
-func (g *gen) table1() error {
-	res, err := g.r.Table1(g.suite(), 500)
-	if err != nil {
-		return err
-	}
-	t := report.NewTable(fmt.Sprintf("Table 1 (quantitative, at %v)", res.Vcc),
-		"mechanism", "all-blocks", "adapts-Vcc", "hw-overhead", "hard-to-test",
-		"freq-gain", "perf-gain", "feasible", "caveat")
-	for _, r := range res.Rows {
-		t.AddRow(r.Mode.String(), report.Bool(r.WorksForAllBlocks), report.Bool(r.AdaptsToVcc),
-			r.HardwareOverhead, report.Bool(r.HardToTest),
-			r.FreqGain, r.PerfGain, report.Bool(r.Feasible), r.Caveat)
-	}
-	return g.emit(t)
+func (g *gen) breakdown() figure {
+	return show(g.r.Breakdown(g.suite(), g.breakdownMV), func(res *sim.BreakdownResult) error {
+		t := report.NewTable(fmt.Sprintf("Section 5.2 stall decomposition at %v (paper: 8.86%% = 8.52 RF + 0.30 DL0 + 0.04 rest)", res.Vcc),
+			"metric", "value")
+		t.AddRow("performance drop vs baseline", report.Pct(res.PerfDrop))
+		t.AddRow("RF IRAW issue-stall share", report.Pct(res.RFShare))
+		t.AddRow("IQ gate share", report.Pct(res.IQShare))
+		t.AddRow("DL0 share (fill-stall + replay)", report.Pct(res.DL0Share))
+		t.AddRow("other blocks share", report.Pct(res.OtherShare))
+		return g.emit(t)
+	})
 }
 
-func (g *gen) breakdown() error {
-	res, err := g.r.Breakdown(g.suite(), g.breakdownMV)
-	if err != nil {
-		return err
-	}
-	t := report.NewTable(fmt.Sprintf("Section 5.2 stall decomposition at %v (paper: 8.86%% = 8.52 RF + 0.30 DL0 + 0.04 rest)", res.Vcc),
-		"metric", "value")
-	t.AddRow("performance drop vs baseline", report.Pct(res.PerfDrop))
-	t.AddRow("RF IRAW issue-stall share", report.Pct(res.RFShare))
-	t.AddRow("IQ gate share", report.Pct(res.IQShare))
-	t.AddRow("DL0 share (fill-stall + replay)", report.Pct(res.DL0Share))
-	t.AddRow("other blocks share", report.Pct(res.OtherShare))
-	return g.emit(t)
+func (g *gen) delayed() figure {
+	return show(g.r.Breakdown(g.suite(), 500), func(res *sim.BreakdownResult) error {
+		t := report.NewTable("Instructions delayed by RF IRAW avoidance (paper: 13.2%)", "metric", "value")
+		t.AddRow("delayed fraction", report.Pct(res.DelayedFraction))
+		return g.emit(t)
+	})
 }
 
-func (g *gen) delayed() error {
-	res, err := g.r.Breakdown(g.suite(), 500)
-	if err != nil {
-		return err
-	}
-	t := report.NewTable("Instructions delayed by RF IRAW avoidance (paper: 13.2%)", "metric", "value")
-	t.AddRow("delayed fraction", report.Pct(res.DelayedFraction))
-	return g.emit(t)
-}
-
-func (g *gen) bp() error {
-	res, err := g.r.BPStats(g.suite(), 500)
-	if err != nil {
-		return err
-	}
-	t := report.NewTable("Section 4.5: prediction-only blocks under IRAW (paper: 0.0017% potential extra mispredictions, no RSB conflicts)",
-		"metric", "value")
-	t.AddRow("BP potential corruption rate", fmt.Sprintf("%.5f%%", 100*res.PotentialCorruptionRate))
-	t.AddRow("RSB conflicts", res.RSBConflicts)
-	t.AddRow("return predictions", res.ReturnPredictions)
-	return g.emit(t)
+func (g *gen) bp() figure {
+	return show(g.r.BPStats(g.suite(), 500), func(bp predictor.Stats) error {
+		rate := float64(bp.PotentialCorruptions) / float64(max(bp.Predictions, 1))
+		t := report.NewTable("Section 4.5: prediction-only blocks under IRAW (paper: 0.0017% potential extra mispredictions, no RSB conflicts)",
+			"metric", "value")
+		t.AddRow("BP potential corruption rate", fmt.Sprintf("%.5f%%", 100*rate))
+		t.AddRow("RSB conflicts", bp.RSBConflicts)
+		t.AddRow("return predictions", bp.ReturnPredictions)
+		return g.emit(t)
+	})
 }
 
 func (g *gen) overhead() error {
@@ -279,156 +408,126 @@ func (g *gen) overhead() error {
 	return g.emit(t)
 }
 
-func (g *gen) edp450() error {
-	res, err := g.r.EDP450(g.suite())
-	if err != nil {
-		return err
-	}
-	t := report.NewTable("Section 5.3 worked example at 450mV, scaled to 5J unconstrained (paper: 5/1.24, 8.50/4.74, 6.40/2.64)",
-		"design", "total-J", "leakage-J")
-	t.AddRow("unconstrained", report.F2(res.Unconstrained.Total()), report.F2(res.Unconstrained.Leakage))
-	t.AddRow("baseline", report.F2(res.Baseline.Total()), report.F2(res.Baseline.Leakage))
-	t.AddRow("IRAW", report.F2(res.IRAW.Total()), report.F2(res.IRAW.Leakage))
-	return g.emit(t)
+func (g *gen) edp450() figure {
+	return show(g.r.EDP450(g.suite()), func(res *sim.EDP450Result) error {
+		t := report.NewTable("Section 5.3 worked example at 450mV, scaled to 5J unconstrained (paper: 5/1.24, 8.50/4.74, 6.40/2.64)",
+			"design", "total-J", "leakage-J")
+		t.AddRow("unconstrained", report.F2(res.Unconstrained.Total()), report.F2(res.Unconstrained.Leakage))
+		t.AddRow("baseline", report.F2(res.Baseline.Total()), report.F2(res.Baseline.Leakage))
+		t.AddRow("IRAW", report.F2(res.IRAW.Total()), report.F2(res.IRAW.Leakage))
+		return g.emit(t)
+	})
 }
 
-func (g *gen) resched() error {
-	res, err := g.r.CompilerResched(g.suite(), 500, 8)
-	if err != nil {
-		return err
-	}
-	t := report.NewTable("Extension: bubble-aware compiler rescheduling at 500mV (Section 5.2 future work)",
-		"metric", "original", "rescheduled")
-	t.AddRow("delayed by RF IRAW", report.Pct(res.DelayedBefore), report.Pct(res.DelayedAfter))
-	t.AddRow("IRAW speedup over baseline", report.F(res.PerfGainBefore), report.F(res.PerfGainAfter))
-	return g.emit(t)
+func (g *gen) resched() figure {
+	return show(g.r.CompilerResched(g.suite(), 500, 8), func(res *sim.ReschedResult) error {
+		t := report.NewTable("Extension: bubble-aware compiler rescheduling at 500mV (Section 5.2 future work)",
+			"metric", "original", "rescheduled")
+		t.AddRow("delayed by RF IRAW", report.Pct(res.DelayedBefore), report.Pct(res.DelayedAfter))
+		t.AddRow("IRAW speedup over baseline", report.F(res.PerfGainBefore), report.F(res.PerfGainAfter))
+		return g.emit(t)
+	})
 }
 
-func (g *gen) gate() error {
-	rows, err := g.r.GateSensitivity(g.suite(), 500)
-	if err != nil {
-		return err
-	}
-	t := report.NewTable("Ablation: IQ occupancy gate (threshold = ICI + AI*N) at 500mV",
-		"ICI", "AI", "threshold", "IPC", "gate-share")
-	for _, r := range rows {
-		t.AddRow(r.ICI, r.AI, r.Threshold, r.IPC, report.Pct(r.GateShare))
-	}
-	return g.emit(t)
+func (g *gen) gate() figure {
+	return show(g.r.GateSensitivity(g.suite(), 500), func(rows []sim.GateSensitivityRow) error {
+		return emitRows(g, rows, "Ablation: IQ occupancy gate (threshold = ICI + AI*N) at 500mV",
+			[]string{"ICI", "AI", "threshold", "IPC", "gate-share"},
+			func(r sim.GateSensitivityRow) []any {
+				return []any{r.ICI, r.AI, r.Threshold, r.IPC, report.Pct(r.GateShare)}
+			})
+	})
 }
 
-func (g *gen) stableSizing() error {
-	rows, err := g.r.STableSizing(g.suite(), 500)
-	if err != nil {
-		return err
-	}
-	t := report.NewTable("Ablation: Store-Table provisioning at 500mV",
-		"stores/cycle", "entries", "IPC", "forwards", "replay-cycles")
-	for _, r := range rows {
-		t.AddRow(r.StoresPerCycle, r.Entries, r.IPC, r.Forwards, r.ReplayCycles)
-	}
-	return g.emit(t)
+func (g *gen) stableSizing() figure {
+	return show(g.r.STableSizing(g.suite(), 500), func(rows []sim.STableSizingRow) error {
+		return emitRows(g, rows, "Ablation: Store-Table provisioning at 500mV",
+			[]string{"stores/cycle", "entries", "IPC", "forwards", "replay-cycles"},
+			func(r sim.STableSizingRow) []any {
+				return []any{r.StoresPerCycle, r.Entries, r.IPC, r.Forwards, r.ReplayCycles}
+			})
+	})
 }
 
-func (g *gen) determinism() error {
-	res, err := g.r.DeterminismMode(g.suite(), 500)
-	if err != nil {
-		return err
-	}
-	t := report.NewTable("Section 4.5 testability variant: deterministic RSB", "metric", "value")
-	t.AddRow("default IPC", res.DefaultIPC)
-	t.AddRow("deterministic IPC", res.DeterministicIPC)
-	t.AddRow("default RSB conflicts", res.DefaultConflicts)
-	t.AddRow("deterministic RSB stall cycles", res.DeterministicRSBStallCycles)
-	return g.emit(t)
+func (g *gen) determinism() figure {
+	return show(g.r.DeterminismMode(g.suite(), 500), func(res []*core.Result) error {
+		def, det := res[0], res[1]
+		t := report.NewTable("Section 4.5 testability variant: deterministic RSB", "metric", "value")
+		t.AddRow("default IPC", def.IPC())
+		t.AddRow("deterministic IPC", det.IPC())
+		t.AddRow("default RSB conflicts", def.BP.RSBConflicts)
+		t.AddRow("deterministic RSB stall cycles", det.BP.RSBStallCycles)
+		return g.emit(t)
+	})
 }
 
-func (g *gen) combined() error {
-	rows, err := g.r.CombinedFaulty(g.suite(), []circuit.Millivolts{500, 450, 400})
-	if err != nil {
-		return err
-	}
-	t := report.NewTable("Section 4.4 combination: IRAW + Faulty Bits (4 sigma)",
-		"Vcc", "iraw-freq", "combined-freq", "iraw-perf", "combined-perf", "disabled-lines")
-	for _, r := range rows {
-		t.AddRow(r.Vcc, r.IRAWFreqGain, r.CombinedFreqGain, r.IRAWPerfGain, r.CombinedPerfGain, r.DisabledLines)
-	}
-	return g.emit(t)
+func (g *gen) combined() figure {
+	return show(g.r.CombinedFaulty(g.suite(), []circuit.Millivolts{500, 450, 400}), func(rows []sim.CombinedFaultyRow) error {
+		return emitRows(g, rows, "Section 4.4 combination: IRAW + Faulty Bits (4 sigma)",
+			[]string{"Vcc", "iraw-freq", "combined-freq", "iraw-perf", "combined-perf", "disabled-lines"},
+			func(r sim.CombinedFaultyRow) []any {
+				return []any{r.Vcc, r.IRAWFreqGain, r.CombinedFreqGain, r.IRAWPerfGain, r.CombinedPerfGain, r.DisabledLines}
+			})
+	})
 }
 
-// width renders the core-width ablation: both designs at fetch/issue
-// widths 1, 2 and 4 across a small voltage ladder. perf-gain is IRAW over
-// the same-width baseline; width-gain is the baseline's speedup over the
-// scalar (width-1) baseline at the same voltage.
-func (g *gen) widthAblation() error {
-	rows, err := g.r.WidthAblation(context.Background(), g.suite(),
-		[]int{1, 2, 4}, []circuit.Millivolts{600, 500, 400})
-	if err != nil {
-		return err
-	}
-	t := report.NewTable("Ablation: fetch/issue width x Vcc x design",
-		"width", "Vcc", "ipc-base", "ipc-iraw", "perf-gain", "width-gain")
-	for _, r := range rows {
-		t.AddRow(r.Width, r.Vcc, r.IPCBase, r.IPCIRAW, r.PerfGain, r.WidthGain)
-	}
-	return g.emit(t)
+// widthAblation renders the core-width ablation: both designs at
+// fetch/issue widths 1, 2 and 4 across a small voltage ladder. perf-gain
+// is IRAW over the same-width baseline; width-gain is the baseline's
+// speedup over the scalar (width-1) baseline at the same voltage.
+func (g *gen) widthAblation() figure {
+	e := g.r.WidthAblation(g.suite(), []int{1, 2, 4}, []circuit.Millivolts{600, 500, 400})
+	return show(e, func(rows []sim.WidthAblationRow) error {
+		return emitRows(g, rows, "Ablation: fetch/issue width x Vcc x design",
+			[]string{"width", "Vcc", "ipc-base", "ipc-iraw", "perf-gain", "width-gain"},
+			func(r sim.WidthAblationRow) []any {
+				return []any{r.Width, r.Vcc, r.IPCBase, r.IPCIRAW, r.PerfGain, r.WidthGain}
+			})
+	})
 }
 
 func (g *gen) plots() error {
-	f1 := sim.Figure1()
+	f1, f11 := sim.Figure1(), sim.Figure11a()
 	ticks := make([]string, len(f1))
-	logic := make([]float64, len(f1))
-	write := make([]float64, len(f1))
-	read := make([]float64, len(f1))
 	for i, r := range f1 {
 		ticks[i] = fmt.Sprintf("%d", int(r.Vcc))
-		logic[i] = r.Phase
-		write[i] = r.WriteWithWL
-		read[i] = r.ReadWithWL
+	}
+	// series is one column of a figure's rows, y(i) for row i.
+	series := func(y func(i int) float64) []float64 {
+		ys := make([]float64, len(ticks))
+		for i := range ys {
+			ys[i] = y(i)
+		}
+		return ys
 	}
 	p1 := &report.Plot{
 		Title:  "Figure 1 (ASCII): delay vs Vcc, y clipped at 10 a.u. like the paper",
 		XLabel: "Vcc (mV)", YLabel: "delay (a.u.)", XTicks: ticks, YMax: 10,
 	}
-	p1.AddSeries("12FO4", '*', logic)
-	p1.AddSeries("write+WL", 'w', write)
-	p1.AddSeries("read+WL", 'r', read)
-	if err := p1.Render(os.Stdout); err != nil {
-		return err
-	}
-	fmt.Println()
-
-	f11 := sim.Figure11a()
-	base := make([]float64, len(f11))
-	iraw := make([]float64, len(f11))
-	fo24 := make([]float64, len(f11))
-	for i, r := range f11 {
-		base[i] = r.BaselineCycle
-		iraw[i] = r.IRAWCycle
-		fo24[i] = r.LogicCycle
-	}
+	p1.AddSeries("12FO4", '*', series(func(i int) float64 { return f1[i].Phase }))
+	p1.AddSeries("write+WL", 'w', series(func(i int) float64 { return f1[i].WriteWithWL }))
+	p1.AddSeries("read+WL", 'r', series(func(i int) float64 { return f1[i].ReadWithWL }))
 	p2 := &report.Plot{
 		Title:  "Figure 11(a) (ASCII): cycle time vs Vcc",
 		XLabel: "Vcc (mV)", YLabel: "cycle (a.u.)", XTicks: ticks, YMax: 45,
 	}
-	p2.AddSeries("24FO4", '*', fo24)
-	p2.AddSeries("baseline", 'b', base)
-	p2.AddSeries("IRAW", 'i', iraw)
-	if err := p2.Render(os.Stdout); err != nil {
-		return err
+	p2.AddSeries("24FO4", '*', series(func(i int) float64 { return f11[i].LogicCycle }))
+	p2.AddSeries("baseline", 'b', series(func(i int) float64 { return f11[i].BaselineCycle }))
+	p2.AddSeries("IRAW", 'i', series(func(i int) float64 { return f11[i].IRAWCycle }))
+	for _, p := range []*report.Plot{p1, p2} {
+		if err := p.Render(g.out); err != nil {
+			return err
+		}
+		if _, err := fmt.Fprintln(g.out); err != nil {
+			return err
+		}
 	}
-	fmt.Println()
 	return nil
 }
 
-func (g *gen) nsweep() error {
-	rows, err := g.r.NSweep(g.suite(), 500, 4)
-	if err != nil {
-		return err
-	}
-	t := report.NewTable("Ablation: forced stabilization cycles N at 500mV", "N", "perf-gain", "delayed")
-	for _, r := range rows {
-		t.AddRow(r.N, r.PerfGain, report.Pct(r.Delayed))
-	}
-	return g.emit(t)
+func (g *gen) nsweep() figure {
+	return show(g.r.NSweep(g.suite(), 500, 4), func(rows []sim.NSweepRow) error {
+		return emitRows(g, rows, "Ablation: forced stabilization cycles N at 500mV", []string{"N", "perf-gain", "delayed"},
+			func(r sim.NSweepRow) []any { return []any{r.N, r.PerfGain, report.Pct(r.Delayed)} })
+	})
 }

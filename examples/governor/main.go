@@ -27,20 +27,25 @@ func main() {
 	flag.Parse()
 
 	// --- Offline planning over measured points -------------------------
+	// The energy model's calibration point and the IRAW sweep are one
+	// grid: simulated together, then the model renders from the first
+	// aggregate.
 	traces := lowvcc.StandardSuite(15000, 1)
-	model, err := r.CalibratedEnergy(traces)
+	cal := r.CalibratedEnergy(traces)
+	levels := []circuit.Millivolts{700, 600, 500, 450, 400}
+	aggs, err := r.Collect(context.Background(),
+		append(cal.Points, r.SweepPoints(traces, []circuit.Mode{circuit.ModeIRAW}, levels)...), nil)
 	if err != nil {
 		log.Fatal(err)
 	}
-	levels := []circuit.Millivolts{700, 600, 500, 450, 400}
-	sweep, err := r.Sweep(context.Background(), traces, []circuit.Mode{circuit.ModeIRAW}, levels)
+	model, err := cal.Render(aggs[:1])
 	if err != nil {
 		log.Fatal(err)
 	}
 	ovh := sim.IRAWOverheads().EnergyOverheadFraction()
 	points := make([]dvfs.PointMetrics, 0, len(levels))
-	for _, v := range levels {
-		agg := sweep[circuit.ModeIRAW][v].Agg
+	for i, v := range levels {
+		agg := aggs[1+i]
 		e := model.Energy(v, agg.Activity, agg.Time, ovh)
 		points = append(points, dvfs.PointMetrics{
 			Vcc: v, Mode: circuit.ModeIRAW, Time: agg.Time, Energy: e.Total(),

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -23,13 +24,13 @@ func main() {
 	flag.Parse()
 
 	traces := lowvcc.StandardSuite(30000, 1)
-	res, err := r.Table1(traces, 500)
+	rows, err := r.Table1(traces, 500).Run(context.Background())
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("mechanism comparison at %v (suite of %d traces)\n\n", res.Vcc, len(traces))
+	fmt.Printf("mechanism comparison at 500mV (suite of %d traces)\n\n", len(traces))
 	fmt.Println("mechanism    all-blocks  adapts-Vcc  hard-to-test  freq-gain  perf-gain  feasible")
-	for _, r := range res.Rows {
+	for _, r := range rows {
 		fmt.Printf("%-12s %-11s %-11s %-13s %8.2fx %9.2fx  %s\n",
 			r.Mode, yn(r.WorksForAllBlocks), yn(r.AdaptsToVcc), yn(r.HardToTest),
 			r.FreqGain, r.PerfGain, yn(r.Feasible))

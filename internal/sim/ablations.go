@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"context"
 	"fmt"
 
 	"lowvcc/internal/circuit"
@@ -23,33 +22,31 @@ type ReschedResult struct {
 }
 
 // CompilerResched runs the IRAW core on the suite before and after the
-// bubble-aware list scheduler widens producer→consumer distances. All four
-// points (baseline/IRAW × original/rescheduled) fan out together.
-func (r *Runner) CompilerResched(traces []*trace.Trace, v circuit.Millivolts, minGap int) (*ReschedResult, error) {
+// bubble-aware list scheduler widens producer→consumer distances: both
+// designs on the original traces, then on the rescheduled ones.
+func (r *Runner) CompilerResched(traces []*trace.Trace, v circuit.Millivolts, minGap int) Experiment[*ReschedResult] {
 	resched := make([]*trace.Trace, len(traces))
 	for i, tr := range traces {
 		resched[i] = workload.Reschedule(tr, minGap)
 	}
-
-	baseCfg := r.pointConfig(v, circuit.ModeBaseline)
-	irawCfg := r.pointConfig(v, circuit.ModeIRAW)
-	_, aggs, err := r.runPoints(context.Background(), []PointSpec{
-		{Label: fmt.Sprintf("resched %v baseline", v), Cfg: baseCfg, Traces: traces},
-		{Label: fmt.Sprintf("resched %v iraw", v), Cfg: irawCfg, Traces: traces},
-		{Label: fmt.Sprintf("resched %v baseline+sched", v), Cfg: baseCfg, Traces: resched},
-		{Label: fmt.Sprintf("resched %v iraw+sched", v), Cfg: irawCfg, Traces: resched},
-	})
-	if err != nil {
-		return nil, err
+	specs := r.SweepPoints(traces, designs, []circuit.Millivolts{v})
+	for _, mode := range designs {
+		specs = append(specs, PointSpec{
+			Label: fmt.Sprintf("resched %v %v+sched", v, mode),
+			Cfg:   r.pointConfig(v, mode), Traces: resched,
+		})
 	}
-	base, iraw, baseR, irawR := aggs[0], aggs[1], aggs[2], aggs[3]
-	return &ReschedResult{
-		Vcc:            v,
-		DelayedBefore:  iraw.Run.DelayedFraction(),
-		DelayedAfter:   irawR.Run.DelayedFraction(),
-		PerfGainBefore: base.Time / iraw.Time,
-		PerfGainAfter:  baseR.Time / irawR.Time,
-	}, nil
+	return Experiment[*ReschedResult]{r: r, Points: specs,
+		Render: func(aggs []*core.Result) (*ReschedResult, error) {
+			base, iraw, baseR, irawR := aggs[0], aggs[1], aggs[2], aggs[3]
+			return &ReschedResult{
+				Vcc:            v,
+				DelayedBefore:  iraw.Run.DelayedFraction(),
+				DelayedAfter:   irawR.Run.DelayedFraction(),
+				PerfGainBefore: base.Time / iraw.Time,
+				PerfGainAfter:  baseR.Time / irawR.Time,
+			}, nil
+		}}
 }
 
 // GateSensitivityRow reports the IQ occupancy-gate ablation at one
@@ -62,40 +59,35 @@ type GateSensitivityRow struct {
 }
 
 // GateSensitivity sweeps the IQ issue/allocation widths at v, showing how
-// the occupancy threshold ICI + AI*N scales the gate's cost. All four
-// configurations fan out together through one runPoints call, so the pool
-// never drains between points.
-func (r *Runner) GateSensitivity(traces []*trace.Trace, v circuit.Millivolts) ([]GateSensitivityRow, error) {
+// the occupancy threshold ICI + AI*N scales the gate's cost.
+func (r *Runner) GateSensitivity(traces []*trace.Trace, v circuit.Millivolts) Experiment[[]GateSensitivityRow] {
 	configs := []struct{ ici, ai int }{{2, 2}, {2, 4}, {4, 2}, {4, 4}}
 	specs := make([]PointSpec, 0, len(configs))
 	for _, cc := range configs {
 		cfg := r.pointConfig(v, circuit.ModeIRAW)
 		cfg.IQ.ICI = cc.ici
 		cfg.IQ.AI = cc.ai
-		if cfg.Width > cc.ici {
-			cfg.Width = cc.ici
-		}
+		cfg.Width = min(cfg.Width, cc.ici)
 		specs = append(specs, PointSpec{
 			Label: fmt.Sprintf("gate %v ici=%d ai=%d", v, cc.ici, cc.ai),
 			Cfg:   cfg, Traces: traces,
 		})
 	}
-	_, aggs, err := r.runPoints(context.Background(), specs)
-	if err != nil {
-		return nil, err
-	}
-	rows := make([]GateSensitivityRow, 0, len(configs))
-	for i, cc := range configs {
-		agg := aggs[i]
-		n := agg.Plan.StabilizeCycles
-		rows = append(rows, GateSensitivityRow{
-			ICI: cc.ici, AI: cc.ai,
-			Threshold: cc.ici + cc.ai*n,
-			IPC:       agg.IPC(),
-			GateShare: agg.Run.StallFraction(2), // stats.StallIQGate
-		})
-	}
-	return rows, nil
+	return Experiment[[]GateSensitivityRow]{r: r, Points: specs,
+		Render: func(aggs []*core.Result) ([]GateSensitivityRow, error) {
+			rows := make([]GateSensitivityRow, 0, len(configs))
+			for i, cc := range configs {
+				agg := aggs[i]
+				n := agg.Plan.StabilizeCycles
+				rows = append(rows, GateSensitivityRow{
+					ICI: cc.ici, AI: cc.ai,
+					Threshold: cc.ici + cc.ai*n,
+					IPC:       agg.IPC(),
+					GateShare: agg.Run.StallFraction(2), // stats.StallIQGate
+				})
+			}
+			return rows, nil
+		}}
 }
 
 // STableSizingRow reports the Store-Table sizing ablation.
@@ -107,9 +99,8 @@ type STableSizingRow struct {
 	ReplayCycles   uint64
 }
 
-// STableSizing varies the table's commit width provisioning at v. The
-// three sizings fan out together through one runPoints call.
-func (r *Runner) STableSizing(traces []*trace.Trace, v circuit.Millivolts) ([]STableSizingRow, error) {
+// STableSizing varies the table's commit width provisioning at v.
+func (r *Runner) STableSizing(traces []*trace.Trace, v circuit.Millivolts) Experiment[[]STableSizingRow] {
 	widths := []int{1, 2, 4}
 	specs := make([]PointSpec, 0, len(widths))
 	for _, spc := range widths {
@@ -120,22 +111,21 @@ func (r *Runner) STableSizing(traces []*trace.Trace, v circuit.Millivolts) ([]ST
 			Cfg:   cfg, Traces: traces,
 		})
 	}
-	_, aggs, err := r.runPoints(context.Background(), specs)
-	if err != nil {
-		return nil, err
-	}
-	rows := make([]STableSizingRow, 0, len(widths))
-	for i, spc := range widths {
-		agg := aggs[i]
-		rows = append(rows, STableSizingRow{
-			StoresPerCycle: spc,
-			Entries:        spc * (specs[i].Cfg.Hierarchy.MaxStabilize + 1),
-			IPC:            agg.IPC(),
-			Forwards:       agg.Mem.STableForwards,
-			ReplayCycles:   agg.Mem.DL0ReplayStallCycles,
-		})
-	}
-	return rows, nil
+	return Experiment[[]STableSizingRow]{r: r, Points: specs,
+		Render: func(aggs []*core.Result) ([]STableSizingRow, error) {
+			rows := make([]STableSizingRow, 0, len(widths))
+			for i, spc := range widths {
+				agg := aggs[i]
+				rows = append(rows, STableSizingRow{
+					StoresPerCycle: spc,
+					Entries:        spc * (specs[i].Cfg.Hierarchy.MaxStabilize + 1),
+					IPC:            agg.IPC(),
+					Forwards:       agg.Mem.STableForwards,
+					ReplayCycles:   agg.Mem.DL0ReplayStallCycles,
+				})
+			}
+			return rows, nil
+		}}
 }
 
 // WidthAblationRow is one (width, voltage) cell of the core-width
@@ -158,14 +148,12 @@ type WidthAblationRow struct {
 // WidthAblation sweeps the mechanism comparison across fetch/issue widths:
 // every (width, voltage, design) config is built with
 // core.DefaultConfigWidth, so wide cores get matching IQ issue/alloc
-// bounds. All cells fan out together through one runPoints call. The rows
-// come back in (width, voltage) order.
-func (r *Runner) WidthAblation(ctx context.Context, traces []*trace.Trace, widths []int, levels []circuit.Millivolts) ([]WidthAblationRow, error) {
-	modes := []circuit.Mode{circuit.ModeBaseline, circuit.ModeIRAW}
-	specs := make([]PointSpec, 0, len(modes)*len(widths)*len(levels))
+// bounds. The rows come in (width, voltage) order.
+func (r *Runner) WidthAblation(traces []*trace.Trace, widths []int, levels []circuit.Millivolts) Experiment[[]WidthAblationRow] {
+	specs := make([]PointSpec, 0, len(designs)*len(widths)*len(levels))
 	for _, w := range widths {
 		for _, v := range levels {
-			for _, mode := range modes {
+			for _, mode := range designs {
 				specs = append(specs, PointSpec{
 					Label:  fmt.Sprintf("width %d %v %v", w, v, mode),
 					Cfg:    core.DefaultConfigWidth(v, mode, w),
@@ -174,57 +162,35 @@ func (r *Runner) WidthAblation(ctx context.Context, traces []*trace.Trace, width
 			}
 		}
 	}
-	_, aggs, err := r.runPoints(ctx, specs)
-	if err != nil {
-		return nil, err
-	}
-	rows := make([]WidthAblationRow, 0, len(widths)*len(levels))
-	for wi, w := range widths {
-		for li, v := range levels {
-			base := aggs[2*(wi*len(levels)+li)]
-			iraw := aggs[2*(wi*len(levels)+li)+1]
-			ref := aggs[2*li] // widths[0] baseline at this voltage
-			rows = append(rows, WidthAblationRow{
-				Width: w, Vcc: v,
-				IPCBase: base.IPC(), IPCIRAW: iraw.IPC(),
-				PerfGain:  base.Time / iraw.Time,
-				WidthGain: ref.Time / base.Time,
-			})
-		}
-	}
-	return rows, nil
+	return Experiment[[]WidthAblationRow]{r: r, Points: specs,
+		Render: func(aggs []*core.Result) ([]WidthAblationRow, error) {
+			rows := make([]WidthAblationRow, 0, len(widths)*len(levels))
+			for wi, w := range widths {
+				for li, v := range levels {
+					base := aggs[2*(wi*len(levels)+li)]
+					iraw := aggs[2*(wi*len(levels)+li)+1]
+					ref := aggs[2*li] // widths[0] baseline at this voltage
+					rows = append(rows, WidthAblationRow{
+						Width: w, Vcc: v,
+						IPCBase: base.IPC(), IPCIRAW: iraw.IPC(),
+						PerfGain:  base.Time / iraw.Time,
+						WidthGain: ref.Time / base.Time,
+					})
+				}
+			}
+			return rows, nil
+		}}
 }
 
-// DeterminismResult compares the default (ignore violations) and the
-// deterministic (testability) BP/RSB variants of Section 4.5.
-type DeterminismResult struct {
-	DefaultIPC, DeterministicIPC   float64
-	DefaultConflicts               uint64
-	DeterministicRSBStallCycles    uint64
-	DeterministicPotentialCorrupts uint64
-}
-
-// DeterminismMode measures the cost of the deterministic RSB variant. Both
-// variants fan out together through one runPoints call.
-func (r *Runner) DeterminismMode(traces []*trace.Trace, v circuit.Millivolts) (*DeterminismResult, error) {
-	defCfg := r.pointConfig(v, circuit.ModeIRAW)
+// DeterminismMode compares the default (ignore violations) and the
+// deterministic (testability) BP/RSB variants of Section 4.5 at v: its
+// result is the two IRAW aggregates, default first.
+func (r *Runner) DeterminismMode(traces []*trace.Trace, v circuit.Millivolts) Experiment[[]*core.Result] {
 	detCfg := r.pointConfig(v, circuit.ModeIRAW)
 	detCfg.Predictor.Deterministic = true
-	_, aggs, err := r.runPoints(context.Background(), []PointSpec{
-		{Label: fmt.Sprintf("determinism %v default", v), Cfg: defCfg, Traces: traces},
-		{Label: fmt.Sprintf("determinism %v deterministic", v), Cfg: detCfg, Traces: traces},
-	})
-	if err != nil {
-		return nil, err
-	}
-	def, det := aggs[0], aggs[1]
-	return &DeterminismResult{
-		DefaultIPC:                     def.IPC(),
-		DeterministicIPC:               det.IPC(),
-		DefaultConflicts:               def.BP.RSBConflicts,
-		DeterministicRSBStallCycles:    det.BP.RSBStallCycles,
-		DeterministicPotentialCorrupts: det.BP.PotentialCorruptions,
-	}, nil
+	return Experiment[[]*core.Result]{r: r, Render: aggregates,
+		Points: append(r.SweepPoints(traces, designs[1:], []circuit.Millivolts{v}),
+			PointSpec{Label: fmt.Sprintf("determinism %v deterministic", v), Cfg: detCfg, Traces: traces})}
 }
 
 // CombinedFaultyRow compares pure IRAW with the Section 4.4 combination
@@ -238,34 +204,30 @@ type CombinedFaultyRow struct {
 	DisabledLines    int
 }
 
-// CombinedFaulty measures the combination across the given levels. All
-// three designs at every level fan out together across the pool.
-func (r *Runner) CombinedFaulty(traces []*trace.Trace, levels []circuit.Millivolts) ([]CombinedFaultyRow, error) {
+// CombinedFaulty measures the combination across the given levels: at
+// each, the baseline, pure IRAW and IRAW with faulty bits.
+func (r *Runner) CombinedFaulty(traces []*trace.Trace, levels []circuit.Millivolts) Experiment[[]CombinedFaultyRow] {
 	specs := make([]PointSpec, 0, 3*len(levels))
 	for _, v := range levels {
 		comb := r.pointConfig(v, circuit.ModeIRAW)
 		comb.CombineFaultyBits = true
-		specs = append(specs,
-			PointSpec{Label: fmt.Sprintf("combined %v baseline", v), Cfg: r.pointConfig(v, circuit.ModeBaseline), Traces: traces},
-			PointSpec{Label: fmt.Sprintf("combined %v iraw", v), Cfg: r.pointConfig(v, circuit.ModeIRAW), Traces: traces},
-			PointSpec{Label: fmt.Sprintf("combined %v iraw+faulty", v), Cfg: comb, Traces: traces},
-		)
+		specs = append(append(specs, r.SweepPoints(traces, designs, []circuit.Millivolts{v})...),
+			PointSpec{Label: fmt.Sprintf("combined %v iraw+faulty", v), Cfg: comb, Traces: traces})
 	}
-	_, aggs, err := r.runPoints(context.Background(), specs)
-	if err != nil {
-		return nil, err
-	}
-	rows := make([]CombinedFaultyRow, 0, len(levels))
-	for i, v := range levels {
-		base, iraw, comb := aggs[3*i], aggs[3*i+1], aggs[3*i+2]
-		rows = append(rows, CombinedFaultyRow{
-			Vcc:              v,
-			IRAWFreqGain:     iraw.Plan.FreqGain,
-			CombinedFreqGain: comb.Plan.FreqGain,
-			IRAWPerfGain:     base.Time / iraw.Time,
-			CombinedPerfGain: base.Time / comb.Time,
-			DisabledLines:    comb.IL0.DisabledLines + comb.DL0.DisabledLines + comb.UL1.DisabledLines,
-		})
-	}
-	return rows, nil
+	return Experiment[[]CombinedFaultyRow]{r: r, Points: specs,
+		Render: func(aggs []*core.Result) ([]CombinedFaultyRow, error) {
+			rows := make([]CombinedFaultyRow, 0, len(levels))
+			for i, v := range levels {
+				base, iraw, comb := aggs[3*i], aggs[3*i+1], aggs[3*i+2]
+				rows = append(rows, CombinedFaultyRow{
+					Vcc:              v,
+					IRAWFreqGain:     iraw.Plan.FreqGain,
+					CombinedFreqGain: comb.Plan.FreqGain,
+					IRAWPerfGain:     base.Time / iraw.Time,
+					CombinedPerfGain: base.Time / comb.Time,
+					DisabledLines:    comb.IL0.DisabledLines + comb.DL0.DisabledLines + comb.UL1.DisabledLines,
+				})
+			}
+			return rows, nil
+		}}
 }

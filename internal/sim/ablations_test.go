@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"testing"
 
 	"lowvcc/internal/circuit"
@@ -8,7 +9,7 @@ import (
 
 func TestCompilerReschedReducesDelays(t *testing.T) {
 	traces := SuiteSpec{InstsPerTrace: 8000, SeedsPerProfile: 1}.Traces()
-	res, err := (&Runner{}).CompilerResched(traces, 500, 8)
+	res, err := (&Runner{}).CompilerResched(traces, 500, 8).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,7 +25,7 @@ func TestCompilerReschedReducesDelays(t *testing.T) {
 
 func TestGateSensitivity(t *testing.T) {
 	traces := SuiteSpec{InstsPerTrace: 6000, SeedsPerProfile: 1}.Traces()
-	rows, err := (&Runner{}).GateSensitivity(traces, 500)
+	rows, err := (&Runner{}).GateSensitivity(traces, 500).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +49,7 @@ func TestGateSensitivity(t *testing.T) {
 
 func TestSTableSizing(t *testing.T) {
 	traces := SuiteSpec{InstsPerTrace: 6000, SeedsPerProfile: 1}.Traces()
-	rows, err := (&Runner{}).STableSizing(traces, 500)
+	rows, err := (&Runner{}).STableSizing(traces, 500).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,22 +70,23 @@ func TestSTableSizing(t *testing.T) {
 
 func TestDeterminismMode(t *testing.T) {
 	traces := SuiteSpec{InstsPerTrace: 6000, SeedsPerProfile: 1}.Traces()
-	res, err := (&Runner{}).DeterminismMode(traces, 500)
+	res, err := (&Runner{}).DeterminismMode(traces, 500).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Deterministic mode may stall but must not corrupt predictions
 	// through the RSB; its IPC cost is tiny (the paper: stalling the RSB
 	// after a call "is very unlikely to delay any instruction").
-	if res.DeterministicIPC < res.DefaultIPC*0.98 {
+	def, det := res[0], res[1]
+	if det.IPC() < def.IPC()*0.98 {
 		t.Errorf("deterministic mode cost too much: %.3f vs %.3f",
-			res.DeterministicIPC, res.DefaultIPC)
+			det.IPC(), def.IPC())
 	}
 }
 
 func TestCalibratedEnergyModel(t *testing.T) {
 	traces := SuiteSpec{InstsPerTrace: 6000, SeedsPerProfile: 1}.Traces()
-	m, err := (&Runner{}).CalibratedEnergy(traces)
+	m, err := (&Runner{}).CalibratedEnergy(traces).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +106,7 @@ func TestCalibratedEnergyModel(t *testing.T) {
 
 func TestEDP450WorkedExample(t *testing.T) {
 	traces := SuiteSpec{InstsPerTrace: 6000, SeedsPerProfile: 1}.Traces()
-	res, err := (&Runner{}).EDP450(traces)
+	res, err := (&Runner{}).EDP450(traces).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

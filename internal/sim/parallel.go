@@ -1,9 +1,9 @@
 package sim
 
 import (
+	"cmp"
 	"context"
 	"slices"
-	"sort"
 
 	"lowvcc/internal/circuit"
 	"lowvcc/internal/core"
@@ -14,7 +14,9 @@ import (
 // channel, places each cell's result into its (point, trace) slot, and
 // aggregates per point after the stream closes — always in (point,
 // trace-index) order, so the output is bit-identical to the sequential
-// path regardless of worker count, scheduling or emission order.
+// path regardless of worker count, scheduling or emission order. onCell,
+// when non-nil, sees every update first; its first error cancels the
+// stream and is returned once the stream has drained.
 //
 // With AllowPartial, failed cells leave nil result slots and runPoints
 // returns the completed grid alongside a *PartialError listing every
@@ -23,7 +25,7 @@ import (
 // with a failed cell gets a nil aggregate, since an aggregate over a
 // partial trace set would silently misrepresent the point. On a terminal
 // failure both slices are nil.
-func (r *Runner) runPoints(ctx context.Context, specs []PointSpec) ([][]*core.Result, []*core.Result, error) {
+func (r *Runner) runPoints(ctx context.Context, specs []PointSpec, onCell func(PointUpdate) error) ([][]*core.Result, []*core.Result, error) {
 	results := make([][]*core.Result, len(specs))
 	total := 0
 	for i := range specs {
@@ -31,9 +33,16 @@ func (r *Runner) runPoints(ctx context.Context, specs []PointSpec) ([][]*core.Re
 		total += len(specs[i].Traces)
 	}
 
-	var firstErr error
+	sctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	var firstErr, cellErr error
 	var failed []*CellError
-	for u := range r.Stream(ctx, specs) {
+	for u := range r.Stream(sctx, specs) {
+		if onCell != nil && cellErr == nil {
+			if cellErr = onCell(u); cellErr != nil {
+				cancel() // stop producing; keep draining
+			}
+		}
 		if u.Err != nil {
 			if u.Point >= 0 {
 				// Isolated cell failure (AllowPartial): record and keep
@@ -47,6 +56,9 @@ func (r *Runner) runPoints(ctx context.Context, specs []PointSpec) ([][]*core.Re
 			continue
 		}
 		results[u.Point][u.Trace] = u.Result
+	}
+	if cellErr != nil {
+		return nil, nil, cellErr
 	}
 	if firstErr != nil {
 		return nil, nil, firstErr
@@ -64,12 +76,7 @@ func (r *Runner) runPoints(ctx context.Context, specs []PointSpec) ([][]*core.Re
 		}
 	}
 	if len(failed) > 0 {
-		sort.Slice(failed, func(i, j int) bool {
-			if failed[i].Point != failed[j].Point {
-				return failed[i].Point < failed[j].Point
-			}
-			return failed[i].Trace < failed[j].Trace
-		})
+		slices.SortFunc(failed, func(a, b *CellError) int { return cmp.Or(a.Point-b.Point, a.Trace-b.Trace) })
 		return results, aggs, &PartialError{Cells: failed, Total: total}
 	}
 	return results, aggs, nil
@@ -82,7 +89,7 @@ func (r *Runner) runPoints(ctx context.Context, specs []PointSpec) ([][]*core.Re
 // alongside the completed per-trace results (failed slots nil, aggregate
 // nil).
 func (r *Runner) RunPoint(ctx context.Context, cfg core.Config, traces []*trace.Trace) ([]*core.Result, *core.Result, error) {
-	results, aggs, err := r.runPoints(ctx, []PointSpec{{Label: "point", Cfg: cfg, Traces: traces}})
+	results, aggs, err := r.runPoints(ctx, []PointSpec{{Label: "point", Cfg: cfg, Traces: traces}}, nil)
 	if results == nil {
 		return nil, nil, err
 	}
@@ -95,7 +102,7 @@ func (r *Runner) RunPoint(ctx context.Context, cfg core.Config, traces []*trace.
 // with a failed cell are absent from the grid, and a *PartialError listing
 // every failed cell comes back alongside the completed points.
 func (r *Runner) Sweep(ctx context.Context, traces []*trace.Trace, modes []circuit.Mode, levels []circuit.Millivolts) (map[circuit.Mode]map[circuit.Millivolts]*Point, error) {
-	_, aggs, err := r.runPoints(ctx, r.sweepSpecs(traces, modes, levels))
+	_, aggs, err := r.runPoints(ctx, r.SweepPoints(traces, modes, levels), nil)
 	if aggs == nil {
 		return nil, err
 	}

@@ -27,7 +27,7 @@ func resilienceSuite() SuiteSpec { return SuiteSpec{InstsPerTrace: 2000, SeedsPe
 // flag and the recovered stack — instead of killing the process.
 func TestPanicIsolationStrict(t *testing.T) {
 	traces := resilienceSuite().Traces()
-	specs := (&Runner{}).sweepSpecs(traces, streamModes, streamLevels)
+	specs := (&Runner{}).SweepPoints(traces, streamModes, streamLevels)
 	victim := specs[1] // baseline @ 400mV
 	plan := NewFaultPlan(FaultRule{
 		Label: victim.Label, TraceName: victim.Traces[0].Name,
@@ -62,7 +62,7 @@ func TestPanicIsolationPartial(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	specs := (&Runner{}).sweepSpecs(traces, streamModes, streamLevels)
+	specs := (&Runner{}).SweepPoints(traces, streamModes, streamLevels)
 	victim := specs[2] // iraw @ 500mV
 	plan := NewFaultPlan(FaultRule{
 		Label: victim.Label, TraceName: victim.Traces[0].Name,
@@ -315,7 +315,7 @@ func TestCrashResumeHelper(t *testing.T) {
 	}
 	workers, _ := strconv.Atoi(os.Getenv("LOWVCC_CRASH_WORKERS"))
 	traces := resilienceSuite().Traces()
-	specs := (&Runner{}).sweepSpecs(traces, streamModes, streamLevels)
+	specs := (&Runner{}).SweepPoints(traces, streamModes, streamLevels)
 	last := specs[len(specs)-1]
 	plan := NewFaultPlan(FaultRule{
 		Label: last.Label, TraceName: last.Traces[len(last.Traces)-1].Name,
@@ -389,7 +389,7 @@ func TestCrashResume(t *testing.T) {
 // count must settle back to its pre-stream level).
 func TestStreamCancelNoGoroutineLeak(t *testing.T) {
 	traces := SuiteSpec{InstsPerTrace: 20000, SeedsPerProfile: 1}.Traces()
-	specs := (&Runner{}).sweepSpecs(traces, streamModes, circuit.Levels())
+	specs := (&Runner{}).SweepPoints(traces, streamModes, circuit.Levels())
 	before := runtime.NumGoroutine()
 	for i := 0; i < 3; i++ {
 		ctx, cancel := context.WithCancel(context.Background())
@@ -420,7 +420,7 @@ func TestStreamCancelNoGoroutineLeak(t *testing.T) {
 // their points.
 func TestStreamLevelsPartialRows(t *testing.T) {
 	traces := resilienceSuite().Traces()
-	specs := (&Runner{}).sweepSpecs(traces, streamModes, streamLevels)
+	specs := (&Runner{}).SweepPoints(traces, streamModes, streamLevels)
 	victim := specs[1] // baseline @ 400mV
 	plan := NewFaultPlan(FaultRule{Label: victim.Label, Window: -1, Kind: FaultError})
 	r := &Runner{Workers: 2, Faults: plan, AllowPartial: true}

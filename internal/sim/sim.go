@@ -15,20 +15,34 @@
 //
 // The experiment engine is a streaming pipeline. Runner.Stream is the one
 // execution core: it fans every (point, trace) cell across the worker pool
-// and emits a PointUpdate the moment a cell completes. Everything else is
-// one of two collectors over that stream:
+// and emits a PointUpdate the moment a cell completes. runPoints is the one
+// collector over that stream: it places updates into (point, trace-index)
+// slots and aggregates each point after the stream closes, and an optional
+// per-cell hook sees every update as it lands. Everything else is built on
+// it:
 //
-//   - runPoints (backing RunPoint, Sweep and every figure and ablation)
-//     places updates into (point, trace-index) slots and aggregates after
-//     the stream closes; Sweep reshapes its (mode, level) points into the
-//     [mode][voltage] grid;
+//   - RunPoint and Sweep return one point's per-trace results, or a
+//     (mode, level) grid reshaped into [mode][voltage] points;
+//   - Collect exposes it with its hook: it returns each point's aggregate;
 //   - LevelFold places cells by (point, trace) index, settles a point when
 //     all of its traces have landed and releases whole voltage levels in
-//     level order to a LevelFunc. Runner.StreamLevels feeds it from
-//     Stream, and the sweep daemon's client (internal/service) feeds it
-//     from cell events, so progressive renderers (cmd/figures,
+//     level order to a LevelFunc. Runner.StreamLevels runs it as
+//     runPoints' hook, and the sweep daemon's client (internal/service)
+//     feeds it from cell events, so progressive renderers (cmd/figures,
 //     cmd/vccsweep) print identical rows from either source before the
 //     grid finishes.
+//
+// The paper's evaluation is one (design, voltage, trace) grid read several
+// ways, so every simulating experiment (Figure12, Table1, Breakdown, the
+// ablations, CalibratedEnergy, ...) is an Experiment: a declaration of
+// the points it needs plus a pure Render over their settled aggregates.
+// Experiment.Run collects one experiment's points; cmd/figures instead
+// adds every selected experiment's points to one Grid, which holds each
+// distinct (config, trace list) point once, collects the grid in a single
+// stream — each distinct cell simulated once — and renders each
+// experiment from it. Grid.SweepSpecs splits a grid for a sweep daemon:
+// its standard-suite points as the fewest SweepSpecs that cover exactly
+// them, and its variant points for the local runner.
 //
 // In partial mode runPoints returns a *PartialError whose Total counts
 // cells and whose Cells list every failure in (point, trace) order, while
@@ -51,8 +65,8 @@
 //   - cancellation and per-point timeouts preempt from inside the core's
 //     run loop (Core.SetStopCheck), so the stream drains promptly even
 //     mid-simulation;
-//   - every simulating experiment (Sweep, RunPoint, the figure and
-//     ablation generators) is a Runner method, and the package holds no
+//   - every simulating entry point (Sweep, RunPoint, Collect and the
+//     experiment declarations) is a Runner method, and the package holds no
 //     run configuration of its own: the Runner — built in code, or bound
 //     to the shared command-line flags by RegisterFlags — carries worker
 //     count, width, windowing, journal, checkpoints, timeouts and retries
@@ -148,8 +162,6 @@
 package sim
 
 import (
-	"context"
-
 	"lowvcc/internal/circuit"
 	"lowvcc/internal/core"
 	"lowvcc/internal/energy"
@@ -188,17 +200,17 @@ type Point struct {
 // CalibratedEnergy builds an energy model calibrated on the 600 mV baseline
 // aggregate, as the paper prescribes. The calibration point is built at
 // the runner's configured width so width sweeps calibrate against a
-// same-width baseline.
-func (r *Runner) CalibratedEnergy(traces []*trace.Trace) (*energy.Model, error) {
-	_, agg, err := r.RunPoint(context.Background(), r.pointConfig(600, circuit.ModeBaseline), traces)
-	if err != nil {
-		return nil, err
-	}
-	m := energy.New(energy.DefaultWeights())
-	if err := m.Calibrate(agg.Activity, agg.Time); err != nil {
-		return nil, err
-	}
-	return m, nil
+// same-width baseline. Figure12 and EDP450 lead with its point and render
+// their model through its Render.
+func (r *Runner) CalibratedEnergy(traces []*trace.Trace) Experiment[*energy.Model] {
+	return Experiment[*energy.Model]{r: r, Points: r.SweepPoints(traces, designs[:1], []circuit.Millivolts{600}),
+		Render: func(aggs []*core.Result) (*energy.Model, error) {
+			m := energy.New(energy.DefaultWeights())
+			if err := m.Calibrate(aggs[0].Activity, aggs[0].Time); err != nil {
+				return nil, err
+			}
+			return m, nil
+		}}
 }
 
 // IRAWOverheads computes the area and pessimistic-energy overheads of the

@@ -100,7 +100,7 @@ func TestHeadlineAnchors(t *testing.T) {
 
 func TestBreakdownOrdering(t *testing.T) {
 	traces := tinySuite().Traces()
-	bd, err := (&Runner{}).Breakdown(traces, 575)
+	bd, err := (&Runner{}).Breakdown(traces, 575).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,15 +118,16 @@ func TestBreakdownOrdering(t *testing.T) {
 
 func TestValidateExperiment(t *testing.T) {
 	traces := SuiteSpec{InstsPerTrace: 6000, SeedsPerProfile: 1}.Traces()
-	res, err := (&Runner{}).Validate(traces, 500)
+	res, err := (&Runner{}).Validate(traces, 500).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.SafeCorrupt != 0 || res.SafeIntegrity != 0 {
-		t.Errorf("safe run corrupt=%d integrity=%d", res.SafeCorrupt, res.SafeIntegrity)
+	safe, uns := res[0], res[1]
+	if safe.CorruptConsumed != 0 || safe.IntegrityErrors != 0 {
+		t.Errorf("safe run corrupt=%d integrity=%d", safe.CorruptConsumed, safe.IntegrityErrors)
 	}
-	if res.UnsafeViolations == 0 || res.UnsafeCorrupt == 0 {
-		t.Errorf("unsafe run clean: violations=%d corrupt=%d", res.UnsafeViolations, res.UnsafeCorrupt)
+	if violations := uns.RFViolations + uns.CacheViolations; violations == 0 || uns.CorruptConsumed == 0 {
+		t.Errorf("unsafe run clean: violations=%d corrupt=%d", violations, uns.CorruptConsumed)
 	}
 }
 
@@ -142,7 +143,7 @@ func TestIRAWOverheadsWithinPaperBounds(t *testing.T) {
 
 func TestNSweepMonotone(t *testing.T) {
 	traces := SuiteSpec{InstsPerTrace: 6000, SeedsPerProfile: 1}.Traces()
-	rows, err := (&Runner{}).NSweep(traces, 500, 3)
+	rows, err := (&Runner{}).NSweep(traces, 500, 3).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,15 +159,15 @@ func TestNSweepMonotone(t *testing.T) {
 
 func TestTable1Shape(t *testing.T) {
 	traces := SuiteSpec{InstsPerTrace: 6000, SeedsPerProfile: 1}.Traces()
-	res, err := (&Runner{}).Table1(traces, 500)
+	rows, err := (&Runner{}).Table1(traces, 500).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 4 {
-		t.Fatalf("rows = %d", len(res.Rows))
+	if len(rows) != 4 {
+		t.Fatalf("rows = %d", len(rows))
 	}
 	var iraw, fb Table1Row
-	for _, r := range res.Rows {
+	for _, r := range rows {
 		switch r.Mode {
 		case circuit.ModeIRAW:
 			iraw = r

@@ -98,15 +98,7 @@ func ParseMode(name string) (circuit.Mode, error) {
 // ParseModes maps a comma-separated design list ("baseline,iraw") to
 // modes — the CLIs' -modes flag format.
 func ParseModes(list string) ([]circuit.Mode, error) {
-	var modes []circuit.Mode
-	for _, s := range strings.Split(list, ",") {
-		m, err := ParseMode(s)
-		if err != nil {
-			return nil, err
-		}
-		modes = append(modes, m)
-	}
-	return modes, nil
+	return SweepSpec{Modes: strings.Split(list, ",")}.CircuitModes()
 }
 
 // CircuitModes resolves the spec's mode names.

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"bytes"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -109,9 +110,9 @@ func TestParseModes(t *testing.T) {
 // sweep grid must agree — fault-injection rules and service cells address
 // points by this string.
 func TestSweepLabelMatchesStream(t *testing.T) {
-	specs := (&Runner{}).sweepSpecs(nil, []circuit.Mode{circuit.ModeIRAW}, []circuit.Millivolts{475})
+	specs := (&Runner{}).SweepPoints(nil, []circuit.Mode{circuit.ModeIRAW}, []circuit.Millivolts{475})
 	if got, want := specs[0].Label, SweepLabel(475, circuit.ModeIRAW); got != want {
-		t.Fatalf("sweepSpecs label %q != SweepLabel %q", got, want)
+		t.Fatalf("SweepPoints label %q != SweepLabel %q", got, want)
 	}
 }
 
@@ -191,4 +192,49 @@ func TestCellKeyPinned(t *testing.T) {
 			t.Errorf("%s: CellKey(%s) = %s, want %s", tc.name, tc.tr.Name, got, tc.want)
 		}
 	}
+}
+
+// FuzzSweepSpec feeds hostile submissions through the daemon's admission
+// path: JSON decoded with unknown fields rejected (as the server does),
+// then Validate and Cells. Nothing may panic, and every accepted spec's
+// Cells must equal the number of cells its sweep expands to.
+func FuzzSweepSpec(f *testing.F) {
+	for _, seed := range []string{
+		`{"insts_per_trace":3000,"seeds_per_profile":1,"modes":["baseline","iraw"]}`,
+		`{"insts_per_trace":3000,"seeds_per_profile":2,"modes":["faultybits","extrabypass"],"levels_mv":[500],"width":2}`,
+		`{"insts_per_trace":20000,"seeds_per_profile":1,"modes":["baseline","iraw"],"levels_mv":[600,500,400],"width":4,"window_insts":5000}`,
+		`{"insts_per_trace":1,"seeds_per_profile":64,"modes":[" iraw"],"levels_mv":[],"warm_insts":-1}`,
+		`{"insts_per_trace":3000,"seeds_per_profile":1,"modes":["bogus"]}`,
+		`{"insts_per_trace":3000,"seeds_per_profile":1,"modes":["iraw"],"width":9}`,
+		`{"insts_per_trace":3000,"seeds_per_profile":1,"modes":["iraw"],"surprise":true}`,
+		`{"insts_per_trace":-1}`, `[]`, `null`, ``,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var spec SweepSpec
+		dec := json.NewDecoder(bytes.NewReader(data))
+		dec.DisallowUnknownFields()
+		if dec.Decode(&spec) != nil || spec.Validate() != nil {
+			return
+		}
+		modes, err := spec.CircuitModes()
+		if err != nil {
+			t.Fatalf("accepted spec %+v has unparsable modes: %v", spec, err)
+		}
+		if spec.Cells() > 1<<16 {
+			return // valid, but too large to expand on every fuzz iteration
+		}
+		// Expand over a one-instruction suite of the same shape: how many
+		// cells a sweep has does not depend on its traces' length.
+		small := spec
+		small.InstsPerTrace = 1
+		cells := 0
+		for _, p := range spec.NewRunner().SweepPoints(small.Traces(), modes, spec.Levels()) {
+			cells += len(p.Traces)
+		}
+		if got := spec.Cells(); got != cells {
+			t.Fatalf("spec %+v: Cells() = %d, expansion has %d cells", spec, got, cells)
+		}
+	})
 }

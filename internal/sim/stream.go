@@ -96,8 +96,8 @@ func (cl *cell) firstErr() error {
 // Stream is the runner's core: it fans every (point, trace) cell of specs —
 // sharded into sample windows when windowing is enabled — across the worker
 // pool and emits each cell's result the moment its last window completes.
-// Every batch API (Sweep, RunPoint, the figures and ablations) is a thin
-// collector over this stream.
+// Every batch API (Sweep, RunPoint, Collect and through it every
+// experiment) is a thin collector over this stream, via runPoints.
 //
 // Emission order follows completion and is therefore scheduling-dependent,
 // but each update's content is not: a cell's Result is bit-identical for
@@ -215,7 +215,7 @@ func (r *Runner) CellKey(cfg core.Config, tr *trace.Trace) (string, error) {
 	return r.NewKeyer().CellKey(cfg, tr)
 }
 
-// RunCell runs exactly one (cfg, trace) cell through the stream — with the
+// RunCell runs exactly one (cfg, trace) cell through runPoints — with the
 // runner's windowing, retries, journal replay and fault injection all in
 // effect — and returns the cell's update: its stitched Result, its window
 // count and whether it replayed from the journal instead of simulating.
@@ -223,20 +223,9 @@ func (r *Runner) CellKey(cfg core.Config, tr *trace.Trace) (string, error) {
 // rules, exactly like a PointSpec label.
 func (r *Runner) RunCell(ctx context.Context, label string, cfg core.Config, tr *trace.Trace) (PointUpdate, error) {
 	var out PointUpdate
-	var firstErr error
-	for u := range r.Stream(ctx, []PointSpec{{Label: label, Cfg: cfg, Traces: []*trace.Trace{tr}}}) {
-		if u.Err != nil {
-			if firstErr == nil {
-				firstErr = u.Err
-			}
-			continue
-		}
-		out = u
-	}
-	if firstErr != nil {
-		return PointUpdate{}, firstErr
-	}
-	if err := ctx.Err(); err != nil {
+	_, _, err := r.runPoints(ctx, []PointSpec{{Label: label, Cfg: cfg, Traces: []*trace.Trace{tr}}},
+		func(u PointUpdate) error { out = u; return u.Err })
+	if err != nil {
 		return PointUpdate{}, err
 	}
 	if out.Result == nil {
@@ -456,7 +445,7 @@ func (r *Runner) runWindowAttempts(ctx context.Context, spec *PointSpec, wc *wor
 		}
 		if attempt <= r.Retries && IsTransient(err) {
 			if r.RetryBackoff > 0 {
-				t := time.NewTimer(jitteredBackoff(r.RetryBackoff, attempt))
+				t := time.NewTimer(JitteredBackoff(r.RetryBackoff, attempt))
 				select {
 				case <-ctx.Done():
 					t.Stop()
@@ -486,28 +475,22 @@ func (r *Runner) runWindowAttempts(ctx context.Context, spec *PointSpec, wc *wor
 	}
 }
 
-// jitteredBackoff is the sleep before retry number `attempt`: exponential
-// in the attempt count, then jittered uniformly into [base/2, base]. The
-// jitter is what stops retries from synchronizing: when a died worker's
-// cells are reassigned in a batch (the sweep service's lease reclamation
-// does exactly that), unjittered backoff would march every replacement
-// into the journal and scheduler in lockstep.
-func jitteredBackoff(backoff time.Duration, attempt int) time.Duration {
+// JitteredBackoff is the sleep before retry number `attempt` (1-based):
+// exponential in the attempt count, then jittered uniformly into
+// [base/2, base]. The jitter is what stops retries from synchronizing:
+// when a died worker's cells are reassigned in a batch (the sweep
+// service's lease reclamation does exactly that), unjittered backoff would
+// march every replacement into the journal and scheduler in lockstep. The
+// other layers that retry over unreliable transports (the sweep service's
+// worker↔daemon calls) use it too, so every backoff in the system herds
+// the same way.
+func JitteredBackoff(backoff time.Duration, attempt int) time.Duration {
 	base := backoff << (attempt - 1)
 	if base <= 1 {
 		return base
 	}
 	half := base / 2
 	return half + rand.N(base-half+1)
-}
-
-// JitteredBackoff exposes the retry sleep policy — exponential in the
-// 1-based attempt number, jittered into [base/2, base] — for the other
-// layers that retry over unreliable transports (the sweep service's
-// worker↔daemon calls), so every backoff in the system herds the same
-// way.
-func JitteredBackoff(backoff time.Duration, attempt int) time.Duration {
-	return jitteredBackoff(backoff, attempt)
 }
 
 // runWindowOnce executes one window attempt in isolation: a panic anywhere
@@ -599,10 +582,10 @@ func (r *Runner) runWindowOnce(ctx context.Context, spec *PointSpec, wc *workerC
 	return nil
 }
 
-// sweepSpecs expands a (modes x levels) grid into PointSpecs in the fixed
+// SweepPoints expands a (modes x levels) grid into PointSpecs in the fixed
 // (mode, level) order every sweep consumer indexes by, each cell at the
 // runner's configured width (pointConfig).
-func (r *Runner) sweepSpecs(traces []*trace.Trace, modes []circuit.Mode, levels []circuit.Millivolts) []PointSpec {
+func (r *Runner) SweepPoints(traces []*trace.Trace, modes []circuit.Mode, levels []circuit.Millivolts) []PointSpec {
 	specs := make([]PointSpec, 0, len(modes)*len(levels))
 	for _, mode := range modes {
 		for _, v := range levels {
@@ -624,7 +607,7 @@ type LevelFunc func(v circuit.Millivolts, pts map[circuit.Mode]*Point, fails map
 
 // LevelFold is the one collector that turns a sweep's cells into levels.
 // Cells arrive in any order as PointUpdates indexed by (point, trace),
-// points in the fixed (mode, level) order of sweepSpecs. A point settles
+// points in the fixed (mode, level) order of SweepPoints. A point settles
 // once every one of its traces has landed: its aggregate is
 // core.MergeResults over the results in trace order, or, if any trace
 // failed, the failure with the lowest trace index. Levels are released to
@@ -704,8 +687,8 @@ func (f *LevelFold) Add(u PointUpdate) error {
 // Released reports how many levels have been handed to onLevel.
 func (f *LevelFold) Released() int { return f.next }
 
-// StreamLevels runs the (modes x levels) sweep and folds its stream with a
-// LevelFold: onLevel is called once per level, in level order, as soon as
+// StreamLevels runs the (modes x levels) sweep through runPoints with a
+// LevelFold as its per-cell hook: onLevel is called once per level, in level order, as soon as
 // every mode at that level has settled, while later levels may still be
 // running. With AllowPartial, failed operating points arrive in the fails
 // map; without it a failed cell ends the sweep with its error before its
@@ -713,21 +696,12 @@ func (f *LevelFold) Released() int { return f.next }
 // always drains the stream before returning, so callers never strand the
 // producer's workers.
 func (r *Runner) StreamLevels(ctx context.Context, traces []*trace.Trace, modes []circuit.Mode, levels []circuit.Millivolts, onLevel LevelFunc) error {
-	sctx, cancel := context.WithCancel(ctx)
-	defer cancel()
 	fold := NewLevelFold(modes, levels, len(traces), onLevel)
-	var err error
-	for u := range r.Stream(sctx, r.sweepSpecs(traces, modes, levels)) {
-		if err == nil {
-			if err = fold.Add(u); err != nil {
-				cancel() // stop producing; keep draining
-			}
-		}
+	_, _, err := r.runPoints(ctx, r.SweepPoints(traces, modes, levels), fold.Add)
+	if _, partial := err.(*PartialError); partial {
+		return nil // the failed points reached onLevel in their levels' fails maps
 	}
-	if err != nil {
-		return err
-	}
-	return ctx.Err()
+	return err
 }
 
 // asCellError coerces err into a *CellError, wrapping foreign errors so

@@ -135,7 +135,7 @@ func TestShardStitchGolden(t *testing.T) {
 // (Done strictly less than Total on the first receive).
 func TestStreamEmitsIncrementally(t *testing.T) {
 	traces := SuiteSpec{InstsPerTrace: 3000, SeedsPerProfile: 1}.Traces()
-	specs := (&Runner{}).sweepSpecs(traces, streamModes, streamLevels)
+	specs := (&Runner{}).SweepPoints(traces, streamModes, streamLevels)
 	r := &Runner{Workers: 1}
 	first := true
 	for u := range r.Stream(context.Background(), specs) {
@@ -160,7 +160,7 @@ func TestStreamEmitsIncrementally(t *testing.T) {
 // context.Canceled to batch collectors.
 func TestStreamCancellation(t *testing.T) {
 	traces := SuiteSpec{InstsPerTrace: 20000, SeedsPerProfile: 2}.Traces()
-	specs := (&Runner{}).sweepSpecs(traces, streamModes, circuit.Levels())
+	specs := (&Runner{}).SweepPoints(traces, streamModes, circuit.Levels())
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 
@@ -285,7 +285,7 @@ func foldAll(t *testing.T, modes []circuit.Mode, levels []circuit.Millivolts, tr
 // levels, in level order, with identical rows.
 func TestLevelFoldOrderIndependent(t *testing.T) {
 	traces := resilienceSuite().Traces()
-	specs := (&Runner{}).sweepSpecs(traces, streamModes, streamLevels)
+	specs := (&Runner{}).SweepPoints(traces, streamModes, streamLevels)
 	plan := NewFaultPlan(FaultRule{Label: specs[1].Label, TraceName: traces[2].Name, Window: -1, Kind: FaultError})
 	r := &Runner{Workers: 2, Faults: plan, AllowPartial: true}
 	var updates []PointUpdate

@@ -26,10 +26,14 @@
 #      exits 0, leaving every admitted result in one journal segment
 #      (exactly one *.seg, no per-cell file);
 #   6. a second daemon with in-process worker slots (-workers 2) on a
-#      fresh journal simulates `figures -fig 11b -server` byte-identical to
-#      the local `figures -fig 11b`: the figure's one rendering path folds
-#      the daemon's cell events into levels exactly as the local runner
-#      folds its stream;
+#      fresh journal serves `figures -fig all -csv -server` byte-identical
+#      to the local `figures -fig all -csv`: the figures' union grid sends
+#      its standard-suite points to the daemon as a few sweeps (Figure
+#      11(b) folds the daemon's cell events into levels exactly as the
+#      local runner folds its stream) and simulates its variant points
+#      locally, and the cells the daemon simulated (its journal entries)
+#      plus the cells simulated locally equal the distinct cells of the
+#      local run, none of them replayed;
 #   7. the same daemon renders the vccsweep CSV identical to the local
 #      sweep: its slots upload from memory through the same content check
 #      as external workers (<jnl>/local holds no journal entry), and it
@@ -64,11 +68,12 @@ go build -o "$WORK/sweepd" ./cmd/sweepd
 go build -o "$WORK/vccsweep" ./cmd/vccsweep
 go build -o "$WORK/figures" ./cmd/figures
 
-echo "sweepd_smoke: local baseline sweep and Figure 11(b)" >&2
+echo "sweepd_smoke: local baseline sweep and every figure" >&2
 "$WORK/vccsweep" -insts "$INSTS" -seeds "$SEEDS" -modes "$MODES" -csv \
   > "$WORK/local.csv"
-"$WORK/figures" -fig 11b -insts "$INSTS" -seeds "$SEEDS" -csv \
-  > "$WORK/local_fig11b.csv"
+# -progress prints one stderr line per simulated cell.
+"$WORK/figures" -fig all -insts "$INSTS" -seeds "$SEEDS" -csv -progress \
+  > "$WORK/local_figs.csv" 2> "$WORK/local_figs.progress"
 
 echo "sweepd_smoke: starting daemon (external workers only)" >&2
 # -addr :0 picks a free port; parse it from the serving line. Short lease
@@ -266,20 +271,20 @@ for _ in $(seq 1 100); do
   sleep 0.1
 done
 [ -n "$ADDR" ] || { echo "sweepd_smoke: FAIL no serving line (in-process daemon)" >&2; exit 1; }
-# Figure 11(b) first, so its cells are simulated by the slots rather than
+# The figures first, so their cells are simulated by the slots rather than
 # replayed from the journal.
-echo "sweepd_smoke: figures -fig 11b through -server (in-process slots)" >&2
-if ! "$WORK/figures" -fig 11b -server "$ADDR" -insts "$INSTS" -seeds "$SEEDS" \
-  -csv > "$WORK/daemon_fig11b.csv" 2> "$WORK/client_fig11b.err"; then
+echo "sweepd_smoke: figures -fig all through -server (in-process slots)" >&2
+if ! "$WORK/figures" -fig all -server "$ADDR" -insts "$INSTS" -seeds "$SEEDS" \
+  -csv -progress > "$WORK/daemon_figs.csv" 2> "$WORK/client_figs.err"; then
   echo "sweepd_smoke: FAIL figures -server errored" >&2
-  cat "$WORK/client_fig11b.err" >&2
+  cat "$WORK/client_figs.err" >&2
   exit 1
 fi
-if ! diff -u "$WORK/local_fig11b.csv" "$WORK/daemon_fig11b.csv"; then
-  echo "sweepd_smoke: FAIL daemon Figure 11(b) differs from local Figure 11(b)" >&2
+if ! diff -u "$WORK/local_figs.csv" "$WORK/daemon_figs.csv"; then
+  echo "sweepd_smoke: FAIL daemon figures differ from local figures" >&2
   exit 1
 fi
-echo "sweepd_smoke: daemon Figure 11(b) CSV identical to local" >&2
+echo "sweepd_smoke: daemon figures CSV identical to local" >&2
 if ! "$WORK/vccsweep" -server "$ADDR" -insts "$INSTS" -seeds "$SEEDS" \
   -modes "$MODES" -csv > "$WORK/daemon_local.csv" 2> "$WORK/client_local.err"; then
   echo "sweepd_smoke: FAIL in-process client sweep errored" >&2
@@ -305,4 +310,18 @@ if [ "$DAEMON_RC" -ne 0 ] || ! grep -q "journal verified" "$WORK/daemon2.err"; t
 fi
 DAEMON_PID=""
 
-echo "sweepd_smoke: PASS (no shared FS; kill -9 + partition mid-sweep; width-3 grid; in-process slots; figures -server; results identical; clean drains)"
+# Cell accounting: this daemon's journal holds exactly the cells it
+# simulated for the figures (the vccsweep above replayed its grid from
+# them), and the figures' local part simulated the rest; together they are
+# the local run's distinct cells, and nothing was replayed on either side.
+DISTINCT="$(grep -c ' window(s))' "$WORK/local_figs.progress" || true)"
+LOCAL="$(grep -c ' window(s))' "$WORK/client_figs.err" || true)"
+DAEMON_CELLS="$(sed -n 's/.*journal verified (\([0-9]*\) entries).*/\1/p' "$WORK/daemon2.err")"
+if grep -q '\[journal\]' "$WORK/local_figs.progress" "$WORK/client_figs.err" ||
+  [ "$((DAEMON_CELLS + LOCAL))" -ne "$DISTINCT" ]; then
+  echo "sweepd_smoke: FAIL daemon simulated $DAEMON_CELLS + local $LOCAL cells, local run has $DISTINCT distinct (or some replayed)" >&2
+  exit 1
+fi
+echo "sweepd_smoke: daemon $DAEMON_CELLS + local $LOCAL cells = $DISTINCT distinct cells" >&2
+
+echo "sweepd_smoke: PASS (no shared FS; kill -9 + partition mid-sweep; width-3 grid; in-process slots; every figure through -server; results identical; clean drains)"
