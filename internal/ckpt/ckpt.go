@@ -22,16 +22,17 @@
 // # Storage
 //
 // Snapshots live in an in-process map (decoded, shared by pointer) and,
-// when a directory is configured, on disk in content-addressed form: one
-// blob file per component (named by its payload's SHA-256, so unchanged
-// components dedup across boundaries) plus one manifest per snapshot key
-// listing the component hashes. Every file carries the journal's integrity
-// header (magic, payload SHA-256, length) and is published by atomic
-// rename; a corrupt or truncated file is a counted miss, never data — the
-// warm prefix simply replays live, and the rebuilt snapshot overwrites the
-// bad file. Sweep workers sharing a journal directory (in-process pools
+// when a directory is configured, on disk as one sealed file per snapshot:
+// <SnapshotKey>.snap holds an integrity header (magic, payload SHA-256,
+// length) followed by the snapshot's EncodeSnapshot bytes. A file is
+// published by temp file + atomic rename and read back with one read and
+// one SHA-256; a corrupt or truncated file is a counted miss, never data —
+// the warm prefix simply replays live, and the rebuilt snapshot replaces
+// the bad file. Sweep workers sharing a journal directory (in-process pools
 // and sweepd -worker processes alike) share the store through the
-// filesystem the same way they share the result journal.
+// filesystem the same way they share the result journal. Files of the
+// earlier layout (*.ckpt manifests and blob-* component files) are neither
+// read nor deleted.
 //
 // # The store is a cache
 //
@@ -43,6 +44,7 @@
 package ckpt
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
@@ -86,8 +88,8 @@ type Stats struct {
 
 // Store holds warm-state snapshots, in memory and optionally on disk. Safe
 // for concurrent use by multiple goroutines and — thanks to atomic renames
-// and content addressing — by multiple processes sharing the directory. A
-// nil *Store is valid and means "checkpoints off": every operation is a
+// and keys that pin content — by multiple processes sharing the directory.
+// A nil *Store is valid and means "checkpoints off": every operation is a
 // no-op and WarmTo replays live.
 type Store struct {
 	dir string
@@ -98,20 +100,19 @@ type Store struct {
 	hits, misses, corrupt, restores, replays, captures, writeErrs atomic.Uint64
 	evictions                                                     atomic.Uint64
 
-	// Disk-budget state (SetBudget); all guarded by bmu. msizes/mblobs
-	// describe manifests, bsizes/brefs the blobs they reference; total is
-	// the tracked on-disk byte count. Populated only while a budget is
-	// active.
-	bmu     sync.Mutex
-	budget  int64
-	total   int64
-	msizes  map[string]int64
-	mblobs  map[string][]string
-	bsizes  map[string]int64
-	brefs   map[string]int
-	lastUse map[string]int64
-	useSeq  int64
+	// fmu orders every rename and unlink of a snapshot file in this
+	// process with the budget accounting. files (nil unless a budget is
+	// active) holds each snapshot file's size and recency stamp, and total
+	// is their sum.
+	fmu    sync.Mutex
+	budget int64
+	total  int64
+	files  map[string]snapFile
+	useSeq int64
 }
+
+// snapFile is the budget's view of one snapshot file.
+type snapFile struct{ size, use int64 }
 
 // Open returns a store backed by dir; dir "" means memory-only.
 func Open(dir string) (*Store, error) {
@@ -211,11 +212,11 @@ func (s *Store) Get(key string) (*core.WarmState, bool) {
 	ws, err := s.load(key)
 	if err != nil {
 		if !os.IsNotExist(err) {
-			// Corrupt, not absent: evict the manifest so has() stops
+			// Corrupt, not absent: forget the file so has() stops
 			// reporting a snapshot here and the next WarmTo re-publishes
-			// it (load already evicted any bad blob).
+			// it.
 			s.corrupt.Add(1)
-			os.Remove(s.manifestPath(key))
+			s.forget(key)
 		}
 		s.misses.Add(1)
 		return nil, false
@@ -256,8 +257,8 @@ func (s *Store) Put(key string, ws *core.WarmState) {
 	}
 }
 
-// has reports whether a snapshot exists (in memory or as a manifest file)
-// without decoding it.
+// has reports whether a snapshot exists (in memory or as a file) without
+// decoding it.
 func (s *Store) has(key string) bool {
 	if s == nil {
 		return false
@@ -268,7 +269,7 @@ func (s *Store) has(key string) bool {
 	if ok || s.dir == "" {
 		return ok
 	}
-	_, err := os.Stat(s.manifestPath(key))
+	_, err := os.Stat(s.path(key))
 	return err == nil
 }
 
@@ -279,10 +280,7 @@ func (s *Store) drop(key string) {
 	delete(s.snaps, key)
 	s.mu.Unlock()
 	if s.dir != "" {
-		os.Remove(s.manifestPath(key))
-		s.bmu.Lock()
-		s.forgetLocked(key, false)
-		s.bmu.Unlock()
+		s.forget(key)
 	}
 }
 
@@ -353,343 +351,208 @@ func (s *Store) WarmTo(c *core.Core, traceHash, warmCfgKey string, interval int,
 
 // ---- disk format ----
 
-const headerMagic = "lowvccckpt1"
+const (
+	headerMagic = "lowvccsnap1"
+	snapExt     = ".snap"
+)
 
-func (s *Store) manifestPath(key string) string { return filepath.Join(s.dir, key+".ckpt") }
-func (s *Store) blobPath(hash string) string    { return filepath.Join(s.dir, "blob-"+hash) }
+func (s *Store) path(key string) string { return filepath.Join(s.dir, key+snapExt) }
 
-// seal prepends the integrity header (magic, payload SHA-256, length) and
-// returns the framed file plus the payload's hash.
-func seal(payload []byte) ([]byte, string) {
-	sum := fmt.Sprintf("%x", sha256.Sum256(payload))
-	header := fmt.Sprintf("%s %s %d\n", headerMagic, sum, len(payload))
-	return append([]byte(header), payload...), sum
+// header renders a snapshot file's integrity line: the magic, the
+// payload's SHA-256 and its length.
+func header(payload []byte) string {
+	return fmt.Sprintf("%s %x %d\n", headerMagic, sha256.Sum256(payload), len(payload))
 }
 
-// unseal verifies the integrity header and returns the payload.
+// seal frames a payload as a snapshot file: its header line, then the
+// payload.
+func seal(payload []byte) []byte { return append([]byte(header(payload)), payload...) }
+
+// unseal returns the payload of a snapshot file. It accepts exactly what
+// seal produces, so a torn write, a flipped byte or a reframed header is
+// rejected.
 func unseal(data []byte) ([]byte, error) {
-	nl := strings.IndexByte(string(data), '\n')
-	if nl < 0 {
-		return nil, fmt.Errorf("ckpt: truncated header")
-	}
-	var magicGot, sum string
-	var length int
-	if _, err := fmt.Sscanf(string(data[:nl]), "%s %s %d", &magicGot, &sum, &length); err != nil || magicGot != headerMagic {
-		return nil, fmt.Errorf("ckpt: bad header")
-	}
-	payload := data[nl+1:]
-	if len(payload) != length {
-		return nil, fmt.Errorf("ckpt: payload %d bytes, header says %d (truncated write)", len(payload), length)
-	}
-	if got := fmt.Sprintf("%x", sha256.Sum256(payload)); got != sum {
-		return nil, fmt.Errorf("ckpt: checksum mismatch")
+	line, payload, ok := bytes.Cut(data, []byte("\n"))
+	if !ok || string(line)+"\n" != header(payload) {
+		return nil, fmt.Errorf("ckpt: header does not match the %d-byte payload", len(payload))
 	}
 	return payload, nil
 }
 
-// flush writes the snapshot's component blobs (skipping ones already
-// present — content addressing makes them immutable) and then publishes
-// the manifest, all via temp-file + atomic rename.
+// flush writes the sealed snapshot to a temp file, then publishes it by
+// rename and accounts for it under fmu.
 func (s *Store) flush(key string, ws *core.WarmState) error {
-	var manifest strings.Builder
-	type blob struct {
-		sum  string
-		size int64
+	data := seal(EncodeSnapshot(ws))
+	tmp, err := os.CreateTemp(s.dir, ".put-*")
+	if err != nil {
+		return fmt.Errorf("ckpt: %w", err)
 	}
-	var blobs []blob
-	for _, c := range components(ws) {
-		data, sum := seal(c.data)
-		fmt.Fprintf(&manifest, "%s %s\n", c.name, sum)
-		blobs = append(blobs, blob{sum, int64(len(data))})
-		path := s.blobPath(sum)
-		// Dedup: an intact blob with this hash is this blob. Verify, don't
-		// just stat — trusting a name would let a torn or scrambled file
-		// block its own repair forever.
-		if existing, err := os.ReadFile(path); err == nil {
-			if p, err := unseal(existing); err == nil &&
-				fmt.Sprintf("%x", sha256.Sum256(p)) == sum {
-				continue
-			}
-		}
-		if err := s.writeFile(path, data); err != nil {
-			return err
-		}
+	if _, err = tmp.Write(data); err != nil {
+		tmp.Close()
+	} else {
+		err = tmp.Close()
 	}
-	data, _ := seal([]byte(manifest.String()))
-	if err := s.writeFile(s.manifestPath(key), data); err != nil {
-		return err
+	s.fmu.Lock()
+	defer s.fmu.Unlock()
+	if err == nil {
+		err = os.Rename(tmp.Name(), s.path(key))
 	}
-	s.bmu.Lock()
-	if s.budget > 0 && s.msizes != nil {
-		if _, known := s.msizes[key]; !known {
-			s.msizes[key] = int64(len(data))
-			s.total += int64(len(data))
-			hashes := make([]string, 0, len(blobs))
-			for _, b := range blobs {
-				hashes = append(hashes, b.sum)
-				if s.brefs[b.sum] == 0 {
-					s.bsizes[b.sum] = b.size
-					s.total += b.size
-				}
-				s.brefs[b.sum]++
-			}
-			s.mblobs[key] = hashes
-		}
+	if err != nil {
+		os.Remove(tmp.Name())
+		return fmt.Errorf("ckpt: writing %s: %w", key, err)
+	}
+	if s.files != nil {
+		s.total += int64(len(data)) - s.files[key].size
 		s.useSeq++
-		s.lastUse[key] = s.useSeq
+		s.files[key] = snapFile{int64(len(data)), s.useSeq}
 		s.enforceLocked(key)
 	}
-	s.bmu.Unlock()
 	return nil
 }
 
-// load reads and verifies the manifest and every component blob for key.
-// os.IsNotExist errors mean a plain miss; anything else is corruption.
+// load reads and verifies the snapshot file for key. os.IsNotExist errors
+// mean a plain miss; anything else is corruption.
 func (s *Store) load(key string) (*core.WarmState, error) {
-	raw, err := os.ReadFile(s.manifestPath(key))
+	raw, err := os.ReadFile(s.path(key))
 	if err != nil {
 		return nil, err
 	}
 	payload, err := unseal(raw)
 	if err != nil {
-		return nil, fmt.Errorf("ckpt: manifest %s: %w", key, err)
+		return nil, err
 	}
-	lines := strings.Split(strings.TrimSuffix(string(payload), "\n"), "\n")
-	if len(lines) != len(componentNames) {
-		return nil, fmt.Errorf("ckpt: manifest %s: %d components, want %d", key, len(lines), len(componentNames))
-	}
-	payloads := make(map[string][]byte, len(componentNames))
-	for i, line := range lines {
-		name, sum, ok := strings.Cut(line, " ")
-		if !ok || name != componentNames[i] {
-			return nil, fmt.Errorf("ckpt: manifest %s: bad component line %q", key, line)
-		}
-		braw, err := os.ReadFile(s.blobPath(sum))
-		if err != nil {
-			return nil, fmt.Errorf("ckpt: manifest %s: %w", key, err)
-		}
-		bp, err := unseal(braw)
-		if err != nil {
-			// A blob that fails its own header is not the content its name
-			// claims: evict it, or flush's existence check would keep
-			// trusting the bad bytes and rebuilds could never heal.
-			os.Remove(s.blobPath(sum))
-			return nil, fmt.Errorf("ckpt: blob %s: %w", sum, err)
-		}
-		// The header hash was just verified; it must also be the content
-		// address the manifest pointed at.
-		if got := fmt.Sprintf("%x", sha256.Sum256(bp)); got != sum {
-			os.Remove(s.blobPath(sum))
-			return nil, fmt.Errorf("ckpt: blob %s holds content %s", sum, got)
-		}
-		payloads[name] = bp
-	}
-	return assemble(payloads)
+	return decodeSnapshot(payload)
 }
 
 // ---- disk budget ----
 
-// SetBudget caps the store's directory at budget bytes of manifests plus
-// blobs. When a flush pushes the total over the cap, whole snapshots are
-// evicted least-recently-used first — manifest removed, then any blob no
-// surviving manifest references (blobs are refcounted, so a component
-// shared across boundaries survives until its last manifest goes). Zero
-// or negative disables the cap. Eviction can never break a restorable
+// SetBudget caps the store's snapshot files at budget bytes. When a flush
+// pushes the total over the cap, snapshot files are evicted
+// least-recently-used first, sparing the one just written. Zero or
+// negative disables the cap. Eviction can never break a restorable
 // boundary chain: every snapshot restores independently and WarmTo
 // probes shallower (ultimately live replay) on a miss, so the worst case
 // is re-replay work, never a wrong result. A nil *Store ignores the call.
 //
-// Accounting assumes this process is the directory's only writer while a
-// budget is active (the sweep daemon's arrangement); other readers just
-// see extra misses.
+// Enabling a budget seeds the accounting from a directory listing: each
+// file's size, with recency ranked by modification time. Accounting
+// assumes this process is the directory's only writer while a budget is
+// active (the sweep daemon's arrangement); other readers just see extra
+// misses.
 func (s *Store) SetBudget(budget int64) {
 	if s == nil || s.dir == "" {
 		return
 	}
-	s.bmu.Lock()
-	defer s.bmu.Unlock()
+	s.fmu.Lock()
+	defer s.fmu.Unlock()
 	s.budget = budget
 	if budget <= 0 {
-		s.msizes, s.mblobs, s.bsizes, s.brefs, s.lastUse = nil, nil, nil, nil, nil
-		s.total = 0
+		s.files, s.total = nil, 0
 		return
 	}
-	if s.msizes == nil {
+	if s.files == nil {
 		s.scanLocked()
 	}
 	s.enforceLocked("")
 }
 
-// DiskUsage reports the tracked on-disk bytes while a budget is active
-// (0 otherwise).
+// DiskUsage reports the bytes of the snapshot files on disk while a budget
+// is active (0 otherwise).
 func (s *Store) DiskUsage() int64 {
 	if s == nil {
 		return 0
 	}
-	s.bmu.Lock()
-	defer s.bmu.Unlock()
+	s.fmu.Lock()
+	defer s.fmu.Unlock()
 	return s.total
 }
 
-// touchSnap bumps a snapshot's recency; a no-op unless a budget is
-// active.
+// touchSnap bumps a snapshot's recency; a no-op unless a budget is active.
 func (s *Store) touchSnap(key string) {
-	s.bmu.Lock()
-	if s.lastUse != nil {
-		if _, ok := s.msizes[key]; ok {
-			s.useSeq++
-			s.lastUse[key] = s.useSeq
-		}
+	s.fmu.Lock()
+	if f, ok := s.files[key]; ok {
+		s.useSeq++
+		s.files[key] = snapFile{f.size, s.useSeq}
 	}
-	s.bmu.Unlock()
+	s.fmu.Unlock()
 }
 
-// scanLocked seeds the accounting from the directory: manifests are read
-// (they are one line per component) to recover blob references, recency
-// comes from manifest mtimes, and orphan blobs — referenced by no
-// manifest — are counted with zero refs so enforcement GCs them first.
+// scanLocked seeds the accounting from the directory listing: every
+// snapshot file's size, recency in modification-time order (name breaks
+// ties).
 func (s *Store) scanLocked() {
-	s.msizes = make(map[string]int64)
-	s.mblobs = make(map[string][]string)
-	s.bsizes = make(map[string]int64)
-	s.brefs = make(map[string]int)
-	s.lastUse = make(map[string]int64)
-	s.total = 0
+	s.files, s.total = make(map[string]snapFile), 0
 	ents, err := os.ReadDir(s.dir)
 	if err != nil {
 		return
 	}
 	type aged struct {
-		key string
-		mt  int64
+		key  string
+		size int64
+		mt   int64
 	}
-	var manifests []aged
+	var found []aged
 	for _, ent := range ents {
-		name := ent.Name()
-		info, ierr := ent.Info()
-		if ierr != nil {
+		key, ok := strings.CutSuffix(ent.Name(), snapExt)
+		info, err := ent.Info()
+		if !ok || err != nil || !info.Mode().IsRegular() {
 			continue
 		}
-		switch {
-		case strings.HasSuffix(name, ".ckpt"):
-			key := strings.TrimSuffix(name, ".ckpt")
-			s.msizes[key] = info.Size()
-			s.total += info.Size()
-			manifests = append(manifests, aged{key, info.ModTime().UnixNano()})
-			if raw, rerr := os.ReadFile(filepath.Join(s.dir, name)); rerr == nil {
-				if payload, uerr := unseal(raw); uerr == nil {
-					var hashes []string
-					for _, line := range strings.Split(strings.TrimSuffix(string(payload), "\n"), "\n") {
-						if _, sum, ok := strings.Cut(line, " "); ok {
-							hashes = append(hashes, sum)
-							s.brefs[sum]++
-						}
-					}
-					s.mblobs[key] = hashes
-				}
-			}
-		case strings.HasPrefix(name, "blob-"):
-			sum := strings.TrimPrefix(name, "blob-")
-			s.bsizes[sum] = info.Size()
-			s.total += info.Size()
-		}
+		found = append(found, aged{key, info.Size(), info.ModTime().UnixNano()})
 	}
-	sort.Slice(manifests, func(a, b int) bool { return manifests[a].mt < manifests[b].mt })
-	for _, m := range manifests {
+	sort.Slice(found, func(a, b int) bool {
+		if found[a].mt != found[b].mt {
+			return found[a].mt < found[b].mt
+		}
+		return found[a].key < found[b].key
+	})
+	for _, f := range found {
 		s.useSeq++
-		s.lastUse[m.key] = s.useSeq
+		s.files[f.key] = snapFile{f.size, s.useSeq}
+		s.total += f.size
 	}
 }
 
-// enforceLocked GCs orphan blobs, then evicts least-recently-used
-// snapshots (sparing keep, the one just flushed) until the total fits.
+// enforceLocked evicts least-recently-used snapshot files (sparing keep,
+// the one just flushed) until the total fits the budget.
 func (s *Store) enforceLocked(keep string) {
-	if s.budget <= 0 || s.msizes == nil {
+	if s.files == nil || s.total <= s.budget {
 		return
 	}
-	if s.total > s.budget {
-		for sum, size := range s.bsizes {
-			if s.brefs[sum] == 0 {
-				if err := os.Remove(s.blobPath(sum)); err == nil || os.IsNotExist(err) {
-					s.total -= size
-					delete(s.bsizes, sum)
-					delete(s.brefs, sum)
-				}
-			}
-		}
-	}
-	if s.total <= s.budget {
-		return
-	}
-	type cand struct {
-		key string
-		use int64
-	}
-	var cands []cand
-	for key, use := range s.lastUse {
+	keys := make([]string, 0, len(s.files))
+	for key := range s.files {
 		if key != keep {
-			cands = append(cands, cand{key, use})
+			keys = append(keys, key)
 		}
 	}
-	sort.Slice(cands, func(a, b int) bool { return cands[a].use < cands[b].use })
-	for _, c := range cands {
+	sort.Slice(keys, func(a, b int) bool { return s.files[keys[a]].use < s.files[keys[b]].use })
+	for _, key := range keys {
 		if s.total <= s.budget {
 			return
 		}
-		if err := os.Remove(s.manifestPath(c.key)); err != nil && !os.IsNotExist(err) {
-			continue
+		if s.forgetLocked(key) {
+			s.evictions.Add(1)
 		}
-		s.forgetLocked(c.key, true)
-		s.evictions.Add(1)
 	}
 }
 
-// forgetLocked drops key from the accounting (manifest file already
-// removed by the caller) and, when gcBlobs is set, unlinks blobs whose
-// last reference it held.
-func (s *Store) forgetLocked(key string, gcBlobs bool) {
-	if s.msizes == nil {
-		return
-	}
-	size, ok := s.msizes[key]
-	if !ok {
-		return
-	}
-	s.total -= size
-	delete(s.msizes, key)
-	delete(s.lastUse, key)
-	for _, sum := range s.mblobs[key] {
-		if s.brefs[sum]--; s.brefs[sum] <= 0 {
-			delete(s.brefs, sum)
-			if gcBlobs {
-				if err := os.Remove(s.blobPath(sum)); err == nil || os.IsNotExist(err) {
-					s.total -= s.bsizes[sum]
-					delete(s.bsizes, sum)
-				}
-			}
-		}
-	}
-	delete(s.mblobs, key)
+// forget removes key's snapshot file; see forgetLocked.
+func (s *Store) forget(key string) {
+	s.fmu.Lock()
+	s.forgetLocked(key)
+	s.fmu.Unlock()
 }
 
-func (s *Store) writeFile(path string, data []byte) error {
-	tmp, err := os.CreateTemp(s.dir, ".put-*")
-	if err != nil {
-		return fmt.Errorf("ckpt: %w", err)
+// forgetLocked unlinks key's snapshot file and drops it from the
+// accounting, reporting whether the file is gone. It is the one way a
+// snapshot leaves the disk — LRU eviction, a corrupt file Get rejected, a
+// snapshot WarmTo could not restore — so DiskUsage keeps equalling the
+// bytes on disk.
+func (s *Store) forgetLocked(key string) bool {
+	if err := os.Remove(s.path(key)); err != nil && !os.IsNotExist(err) {
+		return false
 	}
-	tmpName := tmp.Name()
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return fmt.Errorf("ckpt: writing %s: %w", path, err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("ckpt: closing %s: %w", path, err)
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("ckpt: publishing %s: %w", path, err)
-	}
-	return nil
+	s.total -= s.files[key].size
+	delete(s.files, key)
+	return true
 }

@@ -258,7 +258,7 @@ func TestWarmToNilStore(t *testing.T) {
 	}
 }
 
-// TestCorruptCheckpointsDetected: truncated manifests and scrambled blobs
+// TestCorruptCheckpointsDetected: truncated and scrambled snapshot files
 // are detected misses — WarmTo falls back to live replay with identical
 // results and rebuilds the damaged snapshot.
 func TestCorruptCheckpointsDetected(t *testing.T) {
@@ -282,21 +282,21 @@ func TestCorruptCheckpointsDetected(t *testing.T) {
 	}
 
 	damage := []func() error{
-		func() error { // truncate the deepest manifest mid-file
-			path := filepath.Join(dir, ckpt.SnapshotKey(th, wk, n)+".ckpt")
+		func() error { // truncate the deepest snapshot file mid-file
+			path := filepath.Join(dir, ckpt.SnapshotKey(th, wk, n)+".snap")
 			data, err := os.ReadFile(path)
 			if err != nil {
 				return err
 			}
 			return os.WriteFile(path, data[:len(data)/2], 0o644)
 		},
-		func() error { // flip a payload byte in every blob
+		func() error { // flip a payload byte in every snapshot file
 			ents, err := os.ReadDir(dir)
 			if err != nil {
 				return err
 			}
 			for _, e := range ents {
-				if !strings.HasPrefix(e.Name(), "blob-") {
+				if !strings.HasSuffix(e.Name(), ".snap") {
 					continue
 				}
 				path := filepath.Join(dir, e.Name())
@@ -347,40 +347,53 @@ func TestCorruptCheckpointsDetected(t *testing.T) {
 	}
 }
 
-// TestBlobDedup: snapshots at consecutive boundaries share the blobs of
-// components the extra instructions did not touch — content addressing is
-// what keeps a many-boundary store compact.
-func TestBlobDedup(t *testing.T) {
-	tr := testTrace(t)
-	cfg := core.DefaultConfig(500, circuit.ModeIRAW)
-	dir := t.TempDir()
+// BenchmarkSnapshotStore times one default-geometry snapshot through the
+// disk: a Put into the store's directory, then a Get from a fresh handle,
+// which reads and decodes the file. Each iteration stores a new snapshot
+// 2,000 instructions further into a long trace (captured with the timer
+// stopped), so no two are alike. It reports the wall time and the files
+// the directory holds per snapshot.
+func BenchmarkSnapshotStore(b *testing.B) {
+	const step = 2000
+	tr := workload.LongTrace(b.N*step+step, 1)
+	c := core.MustNew(core.DefaultConfig(500, circuit.ModeIRAW))
+	dir := b.TempDir()
 	st, err := ckpt.Open(dir)
 	if err != nil {
-		t.Fatal(err)
+		b.Fatal(err)
 	}
-	// Two snapshots one instruction apart: at most a handful of components
-	// change, so blob count must be far below 2 * components.
-	c := core.MustNew(cfg)
-	if err := st.WarmTo(c, "t", "w", 1, tr, 2); err != nil {
-		t.Fatal(err)
-	}
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	blobs, manifests := 0, 0
-	for _, e := range ents {
-		switch {
-		case strings.HasPrefix(e.Name(), "blob-"):
-			blobs++
-		case strings.HasSuffix(e.Name(), ".ckpt"):
-			manifests++
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		if err := c.WarmReplayRange(tr, i*step, (i+1)*step); err != nil {
+			b.Fatal(err)
+		}
+		ws, err := c.CaptureWarm()
+		if err != nil {
+			b.Fatal(err)
+		}
+		key := ckpt.SnapshotKey("bench", "store", (i+1)*step)
+		b.StartTimer()
+		st.Put(key, ws)
+		fresh, err := ckpt.Open(dir)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, ok := fresh.Get(key); !ok {
+			b.Fatal("stored snapshot does not load from a fresh handle")
 		}
 	}
-	if manifests != 2 {
-		t.Fatalf("manifests = %d, want 2", manifests)
+	b.StopTimer()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		b.Fatal(err)
 	}
-	if blobs >= 12 {
-		t.Errorf("blobs = %d: consecutive boundaries shared nothing", blobs)
+	files := 0
+	for _, e := range ents {
+		if !strings.HasPrefix(e.Name(), ".") {
+			files++
+		}
 	}
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N), "µs/snapshot")
+	b.ReportMetric(float64(files)/float64(b.N), "files/snapshot")
 }

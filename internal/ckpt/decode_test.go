@@ -26,7 +26,7 @@ func replayedWarmState(tb testing.TB, cfg core.Config, insts, warm int) *core.Wa
 }
 
 // TestHierarchyWarmEncodingPinned pins the encoded memory-side warm state
-// of a fixed replay to recorded digests, so checkpoint blobs stay
+// of a fixed replay to recorded digests, so snapshot files stay
 // byte-identical whatever the in-memory layout of caches and sram arrays.
 // The Faulty-Bits case covers disabled ways.
 func TestHierarchyWarmEncodingPinned(t *testing.T) {
@@ -48,20 +48,26 @@ func TestHierarchyWarmEncodingPinned(t *testing.T) {
 	}
 }
 
-// FuzzDecodeWarm throws arbitrary bytes at the checkpoint decoders and the
-// restores that consume their output: each component decoder on the raw
-// input, and the input split as an EncodeSnapshot image, assembled and
-// restored into a fresh core. Nothing may panic (a restore may reject what
-// it cannot load); a decoded component must re-encode to the bytes it came
-// from.
-func FuzzDecodeWarm(f *testing.F) {
-	// A small hierarchy keeps whole-snapshot inputs a few KiB, which the
-	// fuzzer mutates orders of magnitude faster than a default-sized one.
+// smallConfig shrinks the hierarchy so whole-snapshot fuzz inputs are a few
+// KiB, which the fuzzer mutates orders of magnitude faster than a
+// default-sized one.
+func smallConfig() core.Config {
 	cfg := core.DefaultConfig(500, circuit.ModeIRAW)
 	for _, c := range []*cache.Config{&cfg.Hierarchy.IL0, &cfg.Hierarchy.DL0, &cfg.Hierarchy.UL1} {
 		c.Sets = 4
 	}
 	cfg.Hierarchy.ITLB.Sets, cfg.Hierarchy.DTLB.Sets = 2, 2
+	return cfg
+}
+
+// FuzzDecodeWarm throws arbitrary bytes at the checkpoint decoders and the
+// restores that consume their output: each component decoder on the raw
+// input, and the input as an EncodeSnapshot image, decoded and restored
+// into a fresh core. Nothing may panic (a restore may reject what it cannot
+// load); a decoded component or snapshot must re-encode to the bytes it
+// came from.
+func FuzzDecodeWarm(f *testing.F) {
+	cfg := smallConfig()
 	ws := replayedWarmState(f, cfg, 3000, 2500)
 	snap := EncodeSnapshot(ws)
 	f.Add(snap)
@@ -87,15 +93,61 @@ func FuzzDecodeWarm(f *testing.F) {
 		if w, err := decodeBP(data); err == nil && !bytes.Equal(encodeBP(w), data) {
 			t.Fatal("decoded predictor component re-encodes differently")
 		}
-
-		d := &decoder{buf: data}
-		payloads := map[string][]byte{}
-		for _, name := range componentNames {
-			payloads[name] = d.bytes()
-		}
-		ws, err := assemble(payloads)
+		ws, err := decodeSnapshot(data)
 		if err != nil {
 			return
+		}
+		if !bytes.Equal(EncodeSnapshot(ws), data) {
+			t.Fatal("decoded snapshot re-encodes differently")
+		}
+		_ = core.MustNew(cfg).RestoreWarm(ws)
+	})
+}
+
+// FuzzSnapshotFile runs arbitrary bytes through exactly what Get and WarmTo
+// do with a snapshot file: the header check, decodeSnapshot, then
+// RestoreWarm into a fresh small-geometry core. Nothing may panic, and a
+// file both checks accept must re-seal to its own bytes.
+func FuzzSnapshotFile(f *testing.F) {
+	cfg := smallConfig()
+	payload := EncodeSnapshot(replayedWarmState(f, cfg, 3000, 2500))
+	file := seal(payload)
+	nl := bytes.IndexByte(file, '\n')
+	flipped := bytes.Clone(file)
+	if d := &flipped[len(headerMagic)+1]; *d == '0' { // first checksum digit
+		*d = '1'
+	} else {
+		*d = '0'
+	}
+	long := append([]byte(fmt.Sprintf("%s %x %d\n", headerMagic, sha256.Sum256(payload), len(payload)+1)), payload...)
+	bad := [][]byte{
+		file[:nl/2],                // cut inside the header
+		file[:nl+1+len(payload)/2], // cut inside the payload
+		flipped,
+		long, // length field off by one
+	}
+	if _, err := unseal(file); err != nil {
+		f.Fatalf("valid snapshot file rejected: %v", err)
+	}
+	f.Add(file)
+	for i, data := range bad {
+		if _, err := unseal(data); err == nil {
+			f.Fatalf("damaged seed %d passed the header check", i)
+		}
+		f.Add(data)
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		payload, err := unseal(data)
+		if err != nil {
+			return
+		}
+		ws, err := decodeSnapshot(payload)
+		if err != nil {
+			return
+		}
+		if !bytes.Equal(seal(EncodeSnapshot(ws)), data) {
+			t.Fatal("accepted snapshot file re-seals differently")
 		}
 		_ = core.MustNew(cfg).RestoreWarm(ws)
 	})

@@ -14,10 +14,10 @@ import (
 // The wire encoding is deliberately primitive: fixed-width little-endian
 // scalars, length-prefixed slices, fields in struct order. Two properties
 // matter — it is deterministic (the same warm state encodes to the same
-// bytes, which is what makes blobs content-addressable and the
-// vcc-independence tests byte-comparable) and it is self-delimiting (a
-// decoder can bounds-check every read, so a scrambled blob fails loudly
-// instead of producing a plausible snapshot).
+// bytes, so concurrent writers of one snapshot key publish identical files
+// and the vcc-independence tests compare snapshots byte for byte) and it is
+// self-delimiting (a decoder can bounds-check every read, so a scrambled
+// file fails loudly instead of producing a plausible snapshot).
 
 type encoder struct{ buf []byte }
 
@@ -50,7 +50,7 @@ func (d *decoder) u64() uint64 {
 		return 0
 	}
 	if d.off+8 > len(d.buf) {
-		d.err = fmt.Errorf("ckpt: truncated blob at offset %d", d.off)
+		d.err = fmt.Errorf("ckpt: truncated payload at offset %d", d.off)
 		return 0
 	}
 	v := binary.LittleEndian.Uint64(d.buf[d.off:])
@@ -59,7 +59,7 @@ func (d *decoder) u64() uint64 {
 }
 
 // u32 reads a u64 field that must hold a 32-bit value, so every accepted
-// blob is the canonical encoding of what it decodes to.
+// payload is the canonical encoding of what it decodes to.
 func (d *decoder) u32() uint32 {
 	v := d.u64()
 	if d.err == nil && v > math.MaxUint32 {
@@ -162,57 +162,39 @@ func decodeBP(buf []byte) (*predictor.WarmState, error) {
 	return w, nil
 }
 
-// components maps a snapshot to its named component payloads, in the fixed
-// manifest order. Each component is one content-addressed blob on disk;
-// consecutive boundaries of the same trace typically change only a subset
-// of components, so the unchanged ones share their blob files.
-func components(ws *core.WarmState) []struct {
-	name string
-	data []byte
-} {
-	return []struct {
-		name string
-		data []byte
-	}{
-		{"il0", encodeCache(ws.Mem.IL0)},
-		{"dl0", encodeCache(ws.Mem.DL0)},
-		{"ul1", encodeCache(ws.Mem.UL1)},
-		{"itlb", encodeCache(ws.Mem.ITLB)},
-		{"dtlb", encodeCache(ws.Mem.DTLB)},
-		{"bp", encodeBP(ws.BP)},
+// EncodeSnapshot renders a snapshot's canonical byte form: the il0, dl0,
+// ul1, itlb and dtlb payloads, then the predictor payload, each
+// length-prefixed. Two snapshots are identical warm states iff their
+// encodings are equal — the vcc-independence tests compare these bytes
+// directly — and a snapshot file is exactly these bytes behind its
+// integrity header.
+func EncodeSnapshot(ws *core.WarmState) []byte {
+	m := ws.Mem
+	e := &encoder{}
+	for _, w := range []*cache.WarmState{m.IL0, m.DL0, m.UL1, m.ITLB, m.DTLB} {
+		e.bytes(encodeCache(w))
 	}
+	e.bytes(encodeBP(ws.BP))
+	return e.buf
 }
 
-// componentNames is the manifest order; decode rejects manifests that list
-// anything else.
-var componentNames = []string{"il0", "dl0", "ul1", "itlb", "dtlb", "bp"}
-
-func assemble(payloads map[string][]byte) (*core.WarmState, error) {
+// decodeSnapshot inverts EncodeSnapshot, accepting only canonical
+// encodings.
+func decodeSnapshot(buf []byte) (*core.WarmState, error) {
+	d := &decoder{buf: buf}
 	mem := &cache.HierarchyWarmState{}
 	var err error
-	for _, p := range []struct {
-		name string
-		dst  **cache.WarmState
-	}{{"il0", &mem.IL0}, {"dl0", &mem.DL0}, {"ul1", &mem.UL1}, {"itlb", &mem.ITLB}, {"dtlb", &mem.DTLB}} {
-		if *p.dst, err = decodeCache(payloads[p.name]); err != nil {
-			return nil, fmt.Errorf("ckpt: component %s: %w", p.name, err)
+	for _, dst := range []**cache.WarmState{&mem.IL0, &mem.DL0, &mem.UL1, &mem.ITLB, &mem.DTLB} {
+		if *dst, err = decodeCache(d.bytes()); err != nil {
+			return nil, err
 		}
 	}
-	bp, err := decodeBP(payloads["bp"])
+	bp, err := decodeBP(d.bytes())
 	if err != nil {
-		return nil, fmt.Errorf("ckpt: component bp: %w", err)
+		return nil, err
+	}
+	if err := d.done(); err != nil {
+		return nil, err
 	}
 	return &core.WarmState{Mem: mem, BP: bp}, nil
-}
-
-// EncodeSnapshot renders a snapshot's canonical byte form: every component
-// payload concatenated in manifest order, each length-prefixed. Two
-// snapshots are identical warm states iff their encodings are equal — the
-// vcc-independence tests compare these bytes directly.
-func EncodeSnapshot(ws *core.WarmState) []byte {
-	e := &encoder{}
-	for _, c := range components(ws) {
-		e.bytes(c.data)
-	}
-	return e.buf
 }

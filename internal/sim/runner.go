@@ -105,9 +105,8 @@ type Runner struct {
 	JournalBudget int64
 
 	// CkptBudget, when positive, caps the on-disk checkpoint store at
-	// that many bytes (ckpt.SetBudget): whole snapshots evict LRU, blobs
-	// go with their last referencing manifest, and an evicted snapshot
-	// degrades to live warm replay. 0 means unbounded.
+	// that many bytes (ckpt.SetBudget): snapshot files evict LRU, and an
+	// evicted snapshot degrades to live warm replay. 0 means unbounded.
 	CkptBudget int64
 
 	// AllowPartial switches failure handling from strict (a failed cell

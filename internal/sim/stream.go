@@ -556,25 +556,22 @@ func (r *Runner) runWindowOnce(ctx context.Context, spec *PointSpec, wc *workerC
 		if res, err = wc.c.Run(win.Trace); err != nil {
 			return fmt.Errorf("%s: measure %s: %w", spec.Label, win.Trace.Name, err)
 		}
-	} else if st := r.checkpoints(); st != nil && cl.warmKey != "" &&
-		win.Warm > 0 && win.Start == win.Warm {
-		// Sample window with a checkpointable warm prefix: the prefix
-		// starts at the parent trace's first instruction (Start == Warm,
-		// which full-history warm-up guarantees for every window), so its
-		// boundaries are the checkpoint store's — restore the deepest
-		// snapshot, replay only the residual tail, then measure. Identical
-		// results to the live branch below, cheaper warm-up.
+	} else {
+		// Sample window: warm the prefix functionally, unmeasured, then
+		// measure only the window's span. A prefix that starts at the
+		// parent trace's first instruction (Start == Warm, which
+		// full-history warm-up guarantees for every window) lands on the
+		// checkpoint store's boundaries: WarmTo restores the deepest
+		// snapshot and replays only the residual tail. Any other prefix
+		// warms through a nil store, which is a live replay.
+		st := r.checkpoints()
+		if cl.warmKey == "" || win.Start != win.Warm {
+			st = nil
+		}
 		if err = st.WarmTo(wc.c, cl.traceHash, cl.warmKey, cl.winInsts, win.Trace, win.Warm); err != nil {
 			return fmt.Errorf("%s: window %s: %w", spec.Label, win.Trace.Name, err)
 		}
 		if res, err = wc.c.RunWarmed(win.Trace, win.Warm); err != nil {
-			return fmt.Errorf("%s: window %s: %w", spec.Label, win.Trace.Name, err)
-		}
-	} else {
-		// Sample window: one pass where the warm-up prefix replays
-		// functionally, unmeasured, and statistics cover only the window's
-		// span.
-		if res, err = wc.c.RunWindow(win.Trace, win.Warm); err != nil {
 			return fmt.Errorf("%s: window %s: %w", spec.Label, win.Trace.Name, err)
 		}
 	}
