@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"reflect"
 	"strings"
@@ -33,21 +34,52 @@ func TestAllCSVGolden(t *testing.T) {
 	}
 }
 
-// TestAllGridSplit pins how -fig all's grid divides at one seed per
-// profile: the figures declare 770 cells, 385 of them distinct; -server
-// sends four sweeps to the daemon and keeps the 15 variant points local,
-// and the two parts cover the distinct cells exactly.
-func TestAllGridSplit(t *testing.T) {
+// allGrid builds -fig all's grid at one seed per profile of 1500
+// instructions, and reports how many cells the figures declare and how
+// many traces each point runs.
+func allGrid() (grid *sim.Grid, declared, traces int) {
 	g := &gen{r: &sim.Runner{}, breakdownMV: 575, spec: sim.SuiteSpec{InstsPerTrace: 1500, SeedsPerProfile: 1}}
 	g.suite = sync.OnceValue(g.spec.Traces)
-	traces := len(g.suite())
-	grid := &sim.Grid{}
-	declared := 0
+	traces = len(g.suite())
+	grid = &sim.Grid{}
 	for _, s := range steps {
 		pts := s.fig(g).points
 		declared += len(pts) * traces
 		grid.Add(pts)
 	}
+	return grid, declared, traces
+}
+
+// TestAllGridDerivedCells pins how much of -fig all's grid the stream
+// derives instead of simulating: of its 385 distinct cells, 56 share a
+// trace and an engine input (core.EngineKey) with a lower-index cell —
+// IRAW at 700 to 600 mV and at width 1 and 4 at 600 mV (inactive, so
+// timed as baseline), and the N=1 point of the N sweep at 500 mV (the
+// natural N there).
+func TestAllGridDerivedCells(t *testing.T) {
+	grid, _, _ := allGrid()
+	cells, derived := 0, 0
+	_, err := (&sim.Runner{}).Collect(context.Background(), grid.Points, func(u sim.PointUpdate) error {
+		cells++
+		if u.Derived != "" {
+			derived++
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cells != 385 || derived != 56 {
+		t.Fatalf("%d cells, %d derived; want 385 and 56", cells, derived)
+	}
+}
+
+// TestAllGridSplit pins how -fig all's grid divides at one seed per
+// profile: the figures declare 770 cells, 385 of them distinct; -server
+// sends four sweeps to the daemon and keeps the 15 variant points local,
+// and the two parts cover the distinct cells exactly.
+func TestAllGridSplit(t *testing.T) {
+	grid, declared, traces := allGrid()
 	if distinct := len(grid.Points) * traces; declared != 770 || distinct != 385 {
 		t.Fatalf("declared %d cells, %d distinct; want 770 and 385", declared, distinct)
 	}

@@ -310,8 +310,13 @@ func (s *Store) WarmTo(c *core.Core, traceHash, warmCfgKey string, interval int,
 		if err := c.RestoreWarm(ws); err != nil {
 			// Keyed identically yet unusable: a scrambled or stale copy.
 			// Forget it and probe shallower; the replay below rebuilds it.
+			// The restore may have failed part-way, so reset the core
+			// first: the next probe and the replay need a fresh one.
 			s.drop(key)
 			s.corrupt.Add(1)
+			if err := c.Reset(); err != nil {
+				return err
+			}
 			continue
 		}
 		pos = b

@@ -229,6 +229,52 @@ func TestWarmToEquivalence(t *testing.T) {
 	}
 }
 
+// TestWarmToResetsAfterFailedRestore: a restore that fails part-way (the
+// hierarchy restores IL0 and DL0 before rejecting a UL1 of another shape)
+// must not leave its partial state behind. Snapshots captured under the
+// default config are probed, under the same keys, by a core with half the
+// UL1 sets: every probe fails, and the warm-up must still equal a live
+// replay on a fresh core.
+func TestWarmToResetsAfterFailedRestore(t *testing.T) {
+	tr := testTrace(t)
+	cfg := core.DefaultConfig(500, circuit.ModeIRAW)
+	th, wk := "trace-under-test", ckpt.WarmConfigKey(cfg)
+	const n, interval = 30000, 10000
+	st, err := ckpt.Open("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.WarmTo(core.MustNew(cfg), th, wk, interval, tr, n); err != nil {
+		t.Fatal(err)
+	}
+
+	small := cfg
+	small.Hierarchy.UL1.Sets /= 2
+	live := core.MustNew(small)
+	if err := live.WarmReplay(tr, n); err != nil {
+		t.Fatal(err)
+	}
+	want, err := live.RunWarmed(tr, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	c := core.MustNew(small)
+	if err := st.WarmTo(c, th, wk, interval, tr, n); err != nil {
+		t.Fatal(err)
+	}
+	if st.Stats().Corrupt == 0 {
+		t.Fatal("no restore failed: the test does not reach the fallback")
+	}
+	got, err := c.RunWarmed(tr, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("warm-up after failed restores: %d cycles, live replay %d", got.Run.Cycles, want.Run.Cycles)
+	}
+}
+
 // TestWarmToNilStore: a nil store degrades to exactly the live replay.
 func TestWarmToNilStore(t *testing.T) {
 	tr := testTrace(t)

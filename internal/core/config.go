@@ -111,6 +111,32 @@
 // internal/ckpt builds the content-addressed store on these primitives;
 // internal/sim routes sharded windows through it by default.
 //
+// # What the engine reads of a Config
+//
+// Seven Config fields reach the timed engine only through the clock plan:
+// Vcc, Mode, Circuit, MemLatencyTime, ForcedN, DisableAvoidance and
+// CombineFaultyBits. From the plan the engine takes the memory side's
+// cache.TimingMode (IRAW active, N, avoidance, off-chip latency in
+// cycles), which also sets the scoreboard, IQ, register-file and
+// predictor stabilization, and the write-pipeline depth. FaultySigma and
+// Seed matter only when fault maps install (Faulty Bits, or IRAW with
+// CombineFaultyBits). Every other field is read as is. One function,
+// deriveTiming, computes the plan and this derivation; a core applies it
+// at reset and Reconfigure.
+//
+// EngineKey exposes the same derivation without building a core (on a
+// 2-CPU x86 host a key took about 1 µs and 144 B, core.New about 125 µs
+// and 700 KB): an EngineInput holding the Config with the plan-only fields
+// cleared plus the derived timing, and the clock plan. The contract: two
+// configurations with equal EngineInputs simulate identical cycles on any
+// trace, and their Results differ only in Plan and Time, so
+// a.Replan(planB) equals b's Result byte for byte. IRAW at 600 mV and
+// above deactivates and is timed exactly as baseline; internal/sim uses
+// this to simulate each (engine input, trace) once per stream.
+// DisableFastPaths stays in the key, so a reference engine never stands
+// in for a fast one. TestEngineKeyCoversConfig fails on any new Config
+// field until it is classified, and FuzzEngineKey checks the contract.
+//
 // # In-flight instructions and issue width
 //
 // The IQ payload of an in-flight instruction (fetched but not yet issued)
@@ -266,6 +292,14 @@ func (c Config) validate() error {
 	}
 	if c.Width > c.IQ.ICI {
 		return fmt.Errorf("core: width %d exceeds IQ.ICI=%d (the issue stage reads only the ICI oldest IQ slots); raise IQ.ICI/AI or build the config with DefaultConfigWidth", c.Width, c.IQ.ICI)
+	}
+	switch c.Mode {
+	case circuit.ModeBaseline, circuit.ModeIRAW, circuit.ModeFaultyBits, circuit.ModeExtraBypass:
+	default:
+		return fmt.Errorf("core: unknown mode %v", c.Mode)
+	}
+	if maxN := circuitParams(&c).MaxStabilizeCycles; c.ForcedN > maxN {
+		return fmt.Errorf("core: ForcedN %d exceeds the circuit's MaxStabilizeCycles %d", c.ForcedN, maxN)
 	}
 	if c.MemLatencyTime <= 0 {
 		return fmt.Errorf("core: MemLatencyTime must be positive")

@@ -97,11 +97,7 @@ func New(cfg Config) (*Core, error) {
 func (c *Core) Reset() error { return c.reset() }
 
 func (c *Core) reset() error {
-	params := circuit.DefaultParams()
-	if c.cfg.Circuit != nil {
-		params = *c.cfg.Circuit
-	}
-	c.model = circuit.NewModel(params)
+	c.model = circuit.NewModel(circuitParams(&c.cfg))
 
 	c.sb = scoreboard.New(c.cfg.Scoreboard)
 	c.q = iq.New(c.cfg.IQ)
@@ -125,11 +121,7 @@ func (c *Core) reset() error {
 	c.fetch.init(c.cfg.Width)
 	c.flags.init(len(c.fetch.buf) + c.cfg.IQ.Size)
 
-	if err := c.applyPlan(c.cfg.Vcc); err != nil {
-		return err
-	}
-	if c.cfg.Mode == circuit.ModeFaultyBits ||
-		(c.cfg.Mode == circuit.ModeIRAW && c.cfg.CombineFaultyBits) {
+	if c.applyPlan().faultMaps {
 		c.installFaultMaps()
 	}
 	return nil
@@ -147,31 +139,16 @@ func MustNew(cfg Config) *Core {
 // Plan returns the active clock plan.
 func (c *Core) Plan() circuit.ClockPlan { return c.plan }
 
-// applyPlan derives the clock plan for v and reconfigures every block —
-// exactly the Vcc controller's job in Sections 4.1.3, 4.2, 4.3 and 4.4.
-func (c *Core) applyPlan(v circuit.Millivolts) error {
-	switch c.cfg.Mode {
-	case circuit.ModeIRAW:
-		switch {
-		case c.cfg.CombineFaultyBits:
-			c.plan = c.model.PlanIRAWFaultyBits(v, c.cfg.FaultySigma)
-		case c.cfg.ForcedN > 0:
-			c.plan = c.model.PlanIRAWForcedN(v, c.cfg.ForcedN)
-		default:
-			c.plan = c.model.PlanIRAW(v)
-		}
-	case circuit.ModeFaultyBits:
-		c.plan = c.model.PlanFaultyBits(v, c.cfg.FaultySigma)
-	default:
-		c.plan = c.model.Plan(v, c.cfg.Mode)
-	}
+// applyPlan derives the clock plan for the configured Vcc and
+// reconfigures every block to it — exactly the Vcc controller's job in
+// Sections 4.1.3, 4.2, 4.3 and 4.4. It returns the derivation it applied.
+func (c *Core) applyPlan() engineTiming {
+	t, plan := deriveTiming(c.model, &c.cfg)
+	c.plan = plan
 
-	interrupted := c.plan.IRAWActive
-	n := c.plan.StabilizeCycles
-	avoid := interrupted && !c.cfg.DisableAvoidance
-
+	interrupted, n := t.mem.Interrupted, t.mem.N
 	effN := 0
-	if avoid {
+	if t.mem.Avoid {
 		effN = n
 	}
 	c.sb.SetStabilizeCycles(effN)
@@ -182,20 +159,11 @@ func (c *Core) applyPlan(v circuit.Millivolts) error {
 	} else {
 		c.bp.SetStabilizeCycles(0)
 	}
-	memCycles := c.plan.CyclesForTime(c.cfg.MemLatencyTime)
-	if memCycles < 1 {
-		memCycles = 1
-	}
-	c.mem.SetMode(cache.TimingMode{
-		Interrupted: interrupted,
-		N:           n,
-		Avoid:       avoid,
-		MemCycles:   memCycles,
-	})
-	c.rf.SetWritePipeline(c.plan.WritePipelineCycles)
+	c.mem.SetMode(t.mem)
+	c.rf.SetWritePipeline(t.writePipeline)
 	c.bypassLvl = int64(c.cfg.Scoreboard.BypassLevels)
-	c.writePipe = int64(c.plan.WritePipelineCycles)
-	return nil
+	c.writePipe = int64(t.writePipeline)
+	return t
 }
 
 // Reconfigure moves the core to a new Vcc level at run boundaries (the
@@ -206,7 +174,8 @@ func (c *Core) Reconfigure(v circuit.Millivolts) error {
 		return fmt.Errorf("core: invalid Vcc %v", v)
 	}
 	c.cfg.Vcc = v
-	return c.applyPlan(v)
+	c.applyPlan()
+	return nil
 }
 
 // installFaultMaps disables cache lines that fail timing at the reduced

@@ -46,6 +46,17 @@ type Result struct {
 // IPC returns retired program instructions per cycle.
 func (r *Result) IPC() float64 { return r.Run.IPC() }
 
+// Replan returns a copy of r re-stamped with clock plan p: Plan = p and
+// Time = Cycles x p.CycleTime, the formula every Result is built with.
+// It is exact only when p is the plan of a configuration whose EngineKey
+// equals that of the configuration r was simulated under.
+func (r *Result) Replan(p circuit.ClockPlan) *Result {
+	out := *r
+	out.Plan = p
+	out.Time = float64(out.Run.Cycles) * p.CycleTime
+	return &out
+}
+
 // MergeResults aggregates per-trace results into suite totals (cycles and
 // instructions add; Time adds; rates derive from the sums).
 func MergeResults(results []*Result) *Result {

@@ -134,9 +134,10 @@ func waitStatus(t *testing.T, s *Scheduler, id string, timeout time.Duration) Sw
 
 // sealedEntry simulates the leased cell exactly like a worker and returns
 // the sealed entry bytes a worker uploads.
-func sealedEntry(t *testing.T, lease *Lease) []byte {
+func sealedEntry(t testing.TB, lease *Lease) []byte {
 	t.Helper()
-	entry, err := executeCell(context.Background(), lease, WorkerOpts{JournalDir: t.TempDir()})
+	opts := WorkerOpts{JournalDir: t.TempDir()}
+	entry, err := executeCell(context.Background(), lease, opts, opts.openCkpt())
 	if err != nil {
 		t.Fatalf("executing leased cell: %v", err)
 	}

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -355,6 +356,89 @@ func TestHTTPCompleteRejectsUndecodableBody(t *testing.T) {
 	if st, err := srv.Scheduler().Status(id); err != nil || st.Done != 1 || st.Failed != 0 {
 		t.Fatalf("after valid Complete: status (%+v, %v), want the cell done", st, err)
 	}
+}
+
+// fuzzLease stands up a daemon (no worker slots) with one sweep submitted
+// and its first cell leased, and returns the daemon, the sweep and the
+// lease.
+func fuzzLease(tb testing.TB) (*Server, string, *Lease) {
+	tb.Helper()
+	srv, warn, err := NewServer(ServerOpts{
+		SchedulerOpts: SchedulerOpts{JournalDir: tb.TempDir(), LeaseTTL: time.Minute, MaxAttempts: 3},
+		Workers:       -1,
+	})
+	if err != nil || warn != "" {
+		tb.Fatalf("daemon: (%q, %v)", warn, err)
+	}
+	tb.Cleanup(func() { srv.Scheduler().Close() })
+	s := srv.Scheduler()
+	id, err := s.Submit(singlePointSpec())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	lease, err := s.Acquire(context.Background(), "w", 0)
+	if err != nil || lease == nil {
+		tb.Fatalf("acquire: (%v, %v)", lease, err)
+	}
+	return srv, id, lease
+}
+
+// FuzzCompleteBody sends arbitrary bytes as the Complete body of a live
+// lease on a fresh daemon. The handler never panics and answers 204 or
+// 400. A 400 leaves the lease as it was: still held, no attempt charged,
+// nothing journaled. A 204 charges at most one attempt, and the cell is
+// journaled only with the very entry bytes of an error-free body — bytes
+// journal.Admit accepted, since Complete admits through nothing else.
+func FuzzCompleteBody(f *testing.F) {
+	_, _, lease := fuzzLease(f)
+	valid, err := json.Marshal(map[string]any{"worker": "w", "entry": sealedEntry(f, lease)})
+	if err != nil {
+		f.Fatal(err)
+	}
+	flipped := bytes.Clone(valid)
+	flipped[len(flipped)/2] ^= 1 // inside the base64 entry
+	for _, seed := range []string{
+		string(valid), string(valid[:len(valid)/2]), string(flipped), string(valid) + "trailing",
+		"", "{not json", "null", "[]", "{}", `{"worker":"w"}`, `{"worker":"w","err":"boom"}`,
+		`{"entry":"!!!"}`, `{"entry":null,"err":""}`, `{"worker":1}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		srv, id, lease := fuzzLease(t)
+		s := srv.Scheduler()
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/api/v1/lease/"+lease.ID+"/done", bytes.NewReader(body)))
+
+		s.mu.Lock()
+		_, held := s.leases[lease.ID]
+		attempts := s.sweeps[id].attempts[lease.Cell.Index]
+		s.mu.Unlock()
+		stored, journaled := s.Journal().GetRaw(lease.Cell.Key)
+		switch rec.Code {
+		case http.StatusBadRequest:
+			if !held || attempts != 0 || journaled {
+				t.Fatalf("400 changed the lease: held %v, attempts %d, journaled %v", held, attempts, journaled)
+			}
+		case http.StatusNoContent:
+			if held || attempts > 1 {
+				t.Fatalf("204 left the lease held (%v) or charged %d attempts", held, attempts)
+			}
+			var sent struct {
+				Err   string `json:"err"`
+				Entry []byte `json:"entry"`
+			}
+			_ = json.NewDecoder(bytes.NewReader(body)).Decode(&sent)
+			if journaled && (sent.Err != "" || !bytes.Equal(stored, sent.Entry)) {
+				t.Fatal("journaled an entry the body did not carry as an error-free upload")
+			}
+			if journaled == (attempts == 1) {
+				t.Fatalf("journaled %v with %d attempts charged: want exactly one of the two", journaled, attempts)
+			}
+		default:
+			t.Fatalf("status %d, want 204 or 400", rec.Code)
+		}
+	})
 }
 
 // TestHTTPSubmitRejectsUnknownFields: a spec carrying a field the daemon

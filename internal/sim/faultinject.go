@@ -167,6 +167,22 @@ func (p *FaultPlan) take(op, label, traceName string, window int, filter func(Fa
 	return nil
 }
 
+// targets reports whether some rule of the plan can match a cell of
+// (label, traceName), whatever its kind, window or remaining budget. Such
+// a cell is always simulated on its own (see Runner.Stream), so the fault
+// lands on it alone.
+func (p *FaultPlan) targets(label, traceName string) bool {
+	if p == nil {
+		return false
+	}
+	for _, r := range p.rules {
+		if (r.Label == "" || r.Label == label) && (r.TraceName == "" || r.TraceName == traceName) {
+			return true
+		}
+	}
+	return false
+}
+
 // isNetFault reports whether k is one of the network fault kinds.
 func isNetFault(k FaultKind) bool {
 	return k == FaultNetDrop || k == FaultNetDelay || k == FaultNetDup || k == FaultNetSever

@@ -72,8 +72,11 @@ func progressPrinter(prog string, start time.Time) func(PointUpdate) {
 		case u.Err != nil:
 		default:
 			tag := ""
-			if u.Replayed {
+			switch {
+			case u.Replayed:
 				tag = " [journal]"
+			case u.Derived != "":
+				tag = " [derived from " + u.Derived + "]"
 			}
 			fmt.Fprintf(os.Stderr, "%s: [%6.2fs] %3d/%d %s %s (%d window(s))%s\n",
 				prog, time.Since(start).Seconds(), u.Done, u.Total, u.Label, u.TraceName, u.Windows, tag)

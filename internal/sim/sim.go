@@ -44,6 +44,19 @@
 // its standard-suite points as the fewest SweepSpecs that cover exactly
 // them, and its variant points for the local runner.
 //
+// Within one stream, cells that share a trace and an engine input
+// (core.EngineKey: the config minus what the engine reads only through
+// the clock plan) are simulated once. The lowest-index member of such a
+// group simulates; each other member takes its stitched Result re-stamped
+// with its own plan (core.Result.Replan), is journaled under its own key
+// and is emitted right after it, with PointUpdate.Derived naming the
+// source. If a member of the group replays from the journal, the others
+// derive from that entry and nothing simulates. A leader's failure is
+// each follower's, under the follower's own identity. A cell that a
+// FaultPlan rule can match joins no group. RunCell runs one cell and so
+// never derives; neither does the sweep daemon, which leases one cell at
+// a time.
+//
 // In partial mode runPoints returns a *PartialError whose Total counts
 // cells and whose Cells list every failure in (point, trace) order, while
 // LevelFold hands each failed point's lowest-trace-index failure to the

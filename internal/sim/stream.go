@@ -48,6 +48,11 @@ type PointUpdate struct {
 	Result *core.Result
 	// Replayed reports that Result came from the journal, not simulation.
 	Replayed bool
+	// Derived, when non-empty, is the label of the cell Result was derived
+	// from instead of simulating: a cell of the same trace and engine
+	// input (core.EngineKey), simulated or replayed in this stream, whose
+	// Result was re-stamped with this cell's clock plan (Result.Replan).
+	Derived string
 	// Err carries a failure. With Point >= 0 it is one cell's isolated
 	// *CellError (AllowPartial mode; the stream continues). With Point < 0
 	// it is the terminal update: the deterministic lowest-index *CellError
@@ -80,6 +85,27 @@ type cell struct {
 	// window (re-armed when a window retries); the per-point timeout
 	// measures from here.
 	startedNanos atomic.Int64
+	// plan is the cell's clock plan; followers are the cells that take
+	// this cell's stitched Result re-stamped with their own plan instead
+	// of simulating (see engineGroup).
+	plan      circuit.ClockPlan
+	followers []*cell
+}
+
+// engineGroup gathers the cells of one stream that share a trace and an
+// engine input (core.EngineKey), for which the timed engine would
+// simulate the same cycles. If a member replays from the journal, the
+// lowest-index such member is the group's source and every other member
+// derives from it; otherwise the lowest-index member leads: it alone is
+// simulated, and the rest follow it.
+type engineGroup struct {
+	source, leader *cell
+}
+
+// groupKey identifies an engineGroup.
+type groupKey struct {
+	in core.EngineInput
+	tr *trace.Trace
 }
 
 // firstErr returns the lowest-window-index recorded error — deterministic
@@ -115,6 +141,12 @@ func (cl *cell) firstErr() error {
 // intact, every other cell still runs, and only context cancellation is
 // terminal. With journaling enabled, cells whose results are already
 // recorded replay instantly (Replayed=true) before any simulation starts.
+//
+// Cells of one trace whose configurations share a core.EngineKey are
+// simulated once: the rest derive their Result from the lowest-index one
+// (or from a member the journal replays) by core.Result.Replan, and carry
+// its label in Derived. Derived results are bit-identical to simulated
+// ones; a cell targeted by a FaultPlan rule is always simulated itself.
 //
 // Consumers must drain the channel until it closes; abandoning it
 // mid-stream requires cancelling ctx (the producer drops sends once ctx is
@@ -274,24 +306,41 @@ func (r *Runner) stream(ctx context.Context, specs []PointSpec, ch chan<- PointU
 		}
 	}
 
-	// Build the cells and the flat job list in (point, trace, window)
-	// order. Job order is what makes strict-mode error reporting
-	// deterministic (the pool surfaces the lowest-index failure) and keeps
-	// consecutive jobs of one point adjacent, so the per-worker core-reuse
-	// cache keeps hitting. Journaled cells take no jobs: they replay
-	// before the pool starts.
+	// Build the cells, group them by (engine input, trace), and build the
+	// flat job list in (point, trace, window) order. Job order is what
+	// makes strict-mode error reporting deterministic (the pool surfaces
+	// the lowest-index failure) and keeps consecutive jobs of one point
+	// adjacent, so the per-worker core-reuse cache keeps hitting.
+	// Journaled cells take no jobs: they replay before the pool starts.
+	// Neither do cells that derive from another member of their group; a
+	// cell a fault rule targets joins no group, so its faults stay its
+	// own.
 	type jobRef struct {
 		cell *cell
 		win  int
 	}
+	type member struct {
+		cl *cell
+		g  *engineGroup
+	}
 	st := r.checkpoints()
 	keys := r.NewKeyer()
-	var jobs []jobRef
+	groups := make(map[groupKey]*engineGroup)
+	var pending []member
 	var replayed []*cell
 	for p := range specs {
-		warmKey := "" // set by the point's first checkpointed cell
+		in, plan, keyErr := core.EngineKey(specs[p].Cfg)
 		for ti, tr := range specs[p].Traces {
-			cl := &cell{point: p, traceIdx: ti, name: tr.Name}
+			cl := &cell{point: p, traceIdx: ti, name: tr.Name, plan: plan}
+			cells = append(cells, cl)
+			var g *engineGroup
+			if keyErr == nil && !r.Faults.targets(specs[p].Label, tr.Name) {
+				gk := groupKey{in, tr}
+				if g = groups[gk]; g == nil {
+					g = &engineGroup{}
+					groups[gk] = g
+				}
+			}
 			if jnl != nil {
 				key, err := keys.CellKey(specs[p].Cfg, tr)
 				if err != nil {
@@ -301,39 +350,72 @@ func (r *Runner) stream(ctx context.Context, specs []PointSpec, ch chan<- PointU
 				cl.key = key
 				if e, hit := jnl.Get(cl.key); hit {
 					cl.cached = e
-					cells = append(cells, cl)
 					replayed = append(replayed, cl)
+					if g != nil && g.source == nil {
+						g.source = cl
+					}
 					continue
 				}
 			}
-			win, warm := r.planFor(len(tr.Insts))
-			cl.windows = trace.Shard(tr, win, warm)
-			if st != nil && len(cl.windows) > 1 {
-				// Only a sharded cell restores checkpoints, so only it
-				// needs the trace's identity in the store.
-				th, err := keys.hashTrace(tr)
-				if err != nil {
-					emit(PointUpdate{Point: -1, Trace: -1, Err: err})
-					return
-				}
-				if warmKey == "" {
-					warmKey = ckpt.WarmConfigKey(specs[p].Cfg)
-				}
-				cl.traceHash, cl.warmKey, cl.winInsts = th, warmKey, win
+			pending = append(pending, member{cl, g})
+		}
+	}
+	var jobs []jobRef
+	var derived []member // cells deriving from their group's journaled source
+	warmKeys := make([]string, len(specs))
+	for _, m := range pending {
+		cl, g := m.cl, m.g
+		switch {
+		case g != nil && g.source != nil:
+			derived = append(derived, m)
+			continue
+		case g != nil && g.leader != nil:
+			g.leader.followers = append(g.leader.followers, cl)
+			continue
+		case g != nil:
+			g.leader = cl
+		}
+		p, tr := cl.point, specs[cl.point].Traces[cl.traceIdx]
+		win, warm := r.planFor(len(tr.Insts))
+		cl.windows = trace.Shard(tr, win, warm)
+		if st != nil && len(cl.windows) > 1 {
+			// Only a sharded cell restores checkpoints, so only it
+			// needs the trace's identity in the store.
+			th, err := keys.hashTrace(tr)
+			if err != nil {
+				emit(PointUpdate{Point: -1, Trace: -1, Err: err})
+				return
 			}
-			cl.results = make([]*core.Result, len(cl.windows))
-			cl.errs = make([]error, len(cl.windows))
-			cl.remaining.Store(int32(len(cl.windows)))
-			cells = append(cells, cl)
-			for w := range cl.windows {
-				jobs = append(jobs, jobRef{cl, w})
+			if warmKeys[p] == "" {
+				warmKeys[p] = ckpt.WarmConfigKey(specs[p].Cfg)
 			}
+			cl.traceHash, cl.warmKey, cl.winInsts = th, warmKeys[p], win
+		}
+		cl.results = make([]*core.Result, len(cl.windows))
+		cl.errs = make([]error, len(cl.windows))
+		cl.remaining.Store(int32(len(cl.windows)))
+		for w := range cl.windows {
+			jobs = append(jobs, jobRef{cl, w})
 		}
 	}
 
+	// deriveFrom journals and emits cl's result: res, simulated or
+	// replayed for the cell labelled from, re-stamped with cl's plan.
+	deriveFrom := func(cl *cell, from string, windows int, res *core.Result) {
+		res = res.Replan(cl.plan)
+		if jnl != nil {
+			_ = jnl.Put(&journal.Entry{Key: cl.key, Windows: windows, Result: res})
+		}
+		emit(PointUpdate{
+			Point: cl.point, Trace: cl.traceIdx,
+			Label: specs[cl.point].Label, TraceName: cl.name,
+			Windows: windows, Result: res, Derived: from,
+		})
+	}
+
 	// Journal replays first, in (point, trace) order: a resumed sweep
-	// streams its recovered prefix instantly, then simulates only the
-	// missing cells.
+	// streams its recovered prefix instantly, then the cells that derive
+	// from it, then simulates only the missing cells.
 	for _, cl := range replayed {
 		emit(PointUpdate{
 			Point: cl.point, Trace: cl.traceIdx,
@@ -341,6 +423,10 @@ func (r *Runner) stream(ctx context.Context, specs []PointSpec, ch chan<- PointU
 			Windows: cl.cached.Windows, Result: cl.cached.Result,
 			Replayed: true,
 		})
+	}
+	for _, m := range derived {
+		src := m.g.source
+		deriveFrom(m.cl, specs[src.point].Label, src.cached.Windows, src.cached.Result)
 	}
 
 	workers := r.workers(len(jobs))
@@ -351,7 +437,8 @@ func (r *Runner) stream(ctx context.Context, specs []PointSpec, ch chan<- PointU
 
 	// finish decrements the cell's window countdown and, on the last
 	// window, stitches-and-emits (journaling the stitched result) or emits
-	// the cell's deterministic lowest-window error.
+	// the cell's deterministic lowest-window error; either way each of
+	// its followers emits right after it, derived or failed alike.
 	finish := func(cl *cell) {
 		if cl.remaining.Add(-1) != 0 {
 			return
@@ -363,6 +450,15 @@ func (r *Runner) stream(ctx context.Context, specs []PointSpec, ch chan<- PointU
 				Label: spec.Label, TraceName: cl.name,
 				Windows: len(cl.windows), Err: err,
 			})
+			for _, f := range cl.followers {
+				ce := *asCellError(err)
+				ce.Label, ce.TraceName, ce.Point, ce.Trace = specs[f.point].Label, f.name, f.point, f.traceIdx
+				emit(PointUpdate{
+					Point: f.point, Trace: f.traceIdx,
+					Label: ce.Label, TraceName: f.name,
+					Windows: len(cl.windows), Err: &ce,
+				})
+			}
 			return
 		}
 		res := core.MergeWindowResults(cl.name, cl.results)
@@ -381,6 +477,9 @@ func (r *Runner) stream(ctx context.Context, specs []PointSpec, ch chan<- PointU
 			Label: spec.Label, TraceName: cl.name,
 			Windows: len(cl.windows), Result: res,
 		})
+		for _, f := range cl.followers {
+			deriveFrom(f, spec.Label, len(cl.windows), res)
+		}
 	}
 
 	err := r.forEach(ctx, workers, len(jobs), func(worker, j int) error {

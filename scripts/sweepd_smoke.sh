@@ -33,7 +33,11 @@
 #      local runner folds its stream) and simulates its variant points
 #      locally, and the cells the daemon simulated (its journal entries)
 #      plus the cells simulated locally equal the distinct cells of the
-#      local run, none of them replayed;
+#      local run, none of them replayed. The local run derives some cells
+#      from a sibling of equal engine input (IRAW at 600 mV and above is
+#      timed as baseline) and must print at least one such line; the
+#      daemon simulates every cell, so the byte diff also checks the
+#      derivation (core.Result.Replan);
 #   7. the same daemon renders the vccsweep CSV identical to the local
 #      sweep: its slots upload from memory through the same content check
 #      as external workers (<jnl>/local holds no journal entry), and it
@@ -323,5 +327,11 @@ if grep -q '\[journal\]' "$WORK/local_figs.progress" "$WORK/client_figs.err" ||
   exit 1
 fi
 echo "sweepd_smoke: daemon $DAEMON_CELLS + local $LOCAL cells = $DISTINCT distinct cells" >&2
+DERIVED="$(grep -c '\[derived from ' "$WORK/local_figs.progress" || true)"
+if [ "$DERIVED" -lt 1 ]; then
+  echo "sweepd_smoke: FAIL the local figures derived no cell from a sibling of equal engine input" >&2
+  exit 1
+fi
+echo "sweepd_smoke: local figures derived $DERIVED of $DISTINCT cells; daemon, which derives none, agrees byte for byte" >&2
 
 echo "sweepd_smoke: PASS (no shared FS; kill -9 + partition mid-sweep; width-3 grid; in-process slots; every figure through -server; results identical; clean drains)"
