@@ -124,7 +124,10 @@ func TestCorruptUploadRejectedAndRetried(t *testing.T) {
 	if err != nil || lease == nil {
 		t.Fatalf("acquire: (%v, %v)", lease, err)
 	}
-	entry := sealedEntry(t, lease)
+	entry, err := executeCell(context.Background(), lease, WorkerOpts{JournalDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
 	tampered := append([]byte(nil), entry...)
 	tampered[len(tampered)-2] ^= 0x40
 

@@ -136,8 +136,7 @@ func waitStatus(t *testing.T, s *Scheduler, id string, timeout time.Duration) Sw
 // the sealed entry bytes a worker uploads.
 func sealedEntry(t testing.TB, lease *Lease) []byte {
 	t.Helper()
-	opts := WorkerOpts{JournalDir: t.TempDir()}
-	entry, err := executeCell(context.Background(), lease, opts, opts.openCkpt())
+	entry, err := executeCell(context.Background(), lease, WorkerOpts{JournalDir: t.TempDir()})
 	if err != nil {
 		t.Fatalf("executing leased cell: %v", err)
 	}

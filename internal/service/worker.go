@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"lowvcc/internal/circuit"
-	"lowvcc/internal/ckpt"
 	"lowvcc/internal/journal"
 	"lowvcc/internal/sim"
 )
@@ -73,8 +72,7 @@ type WorkerOpts struct {
 	Faults *sim.FaultPlan
 
 	// JournalDir is the worker's scratch directory: its ckpt/
-	// subdirectory holds the warm-state checkpoint store, opened once per
-	// worker loop and shared by all of its cells. Results never
+	// subdirectory holds the warm-state checkpoint store. Results never
 	// land in it — each cell's sealed entry is built in memory and
 	// uploaded in Complete, so no filesystem is shared with the daemon.
 	// When "", Work uses a throwaway temp directory and RunWorkers uses
@@ -96,32 +94,12 @@ func (o WorkerOpts) withDefaults() WorkerOpts {
 	return o
 }
 
-// openCkpt opens the worker's checkpoint store, <JournalDir>/ckpt, under
-// its budget. A worker loop opens it once, so the store's in-memory half
-// serves every later cell of a trace and a budget lists the directory
-// once. nil — no scratch directory, or one that cannot open — leaves each
-// cell's runner on its default store.
-func (o WorkerOpts) openCkpt() *ckpt.Store {
-	if o.JournalDir == "" {
-		return nil
-	}
-	st, err := ckpt.Open(filepath.Join(o.JournalDir, "ckpt"))
-	if err != nil {
-		return nil // the store is a cache: run without it
-	}
-	if o.CkptBudget > 0 {
-		st.SetBudget(o.CkptBudget)
-	}
-	return st
-}
-
 // workLoop pulls leases until the context dies. Every error path reports
 // back through Complete so the scheduler learns the outcome as soon as the
 // worker does, rather than waiting for lease expiry; a worker that dies
 // before reporting is exactly the case lease reclamation covers.
 func workLoop(ctx context.Context, src CellSource, opts WorkerOpts) {
 	opts = opts.withDefaults()
-	st := opts.openCkpt()
 	for ctx.Err() == nil {
 		start := time.Now()
 		lease, err := src.Acquire(ctx, opts.Name, opts.Poll)
@@ -135,12 +113,12 @@ func workLoop(ctx context.Context, src CellSource, opts WorkerOpts) {
 			}
 			continue
 		}
-		runLease(ctx, src, lease, opts, st)
+		runLease(ctx, src, lease, opts)
 	}
 }
 
 // runLease executes one leased cell under a heartbeat, then reports.
-func runLease(ctx context.Context, src CellSource, lease *Lease, opts WorkerOpts, st *ckpt.Store) {
+func runLease(ctx context.Context, src CellSource, lease *Lease, opts WorkerOpts) {
 	// The cell runs under its own context so a lost lease cancels the
 	// simulation promptly instead of wasting the slot on a cell someone
 	// else now owns.
@@ -155,7 +133,7 @@ func runLease(ctx context.Context, src CellSource, lease *Lease, opts WorkerOpts
 	}()
 
 	errMsg := ""
-	entry, err := executeCell(cctx, lease, opts, st)
+	entry, err := executeCell(cctx, lease, opts)
 	if err != nil {
 		errMsg = err.Error()
 	}
@@ -222,10 +200,9 @@ func heartbeatLoop(ctx context.Context, cancel context.CancelFunc, src CellSourc
 // executeCell regenerates the cell's inputs from its spec, verifies the
 // content address matches the daemon's (catching engine-version or
 // windowing drift between the two binaries), simulates through
-// Runner.RunCell with the worker's checkpoint store st and returns the
-// sealed entry for the promised key — the bytes journal.Put would write
-// there.
-func executeCell(ctx context.Context, lease *Lease, opts WorkerOpts, st *ckpt.Store) ([]byte, error) {
+// Runner.RunCell and returns the sealed entry for the promised key — the
+// bytes journal.Put would write there.
+func executeCell(ctx context.Context, lease *Lease, opts WorkerOpts) ([]byte, error) {
 	c := lease.Cell
 	mode, err := sim.ParseMode(c.Mode)
 	if err != nil {
@@ -243,7 +220,10 @@ func executeCell(ctx context.Context, lease *Lease, opts WorkerOpts, st *ckpt.St
 
 	r := c.Spec.NewRunner()
 	r.Workers = 1
-	r.CkptStore = st
+	if opts.JournalDir != "" {
+		r.CkptDir = filepath.Join(opts.JournalDir, "ckpt")
+	}
+	r.CkptBudget = opts.CkptBudget
 	r.PointTimeout = opts.CellTimeout
 	r.Retries, r.RetryBackoff = opts.Retries, opts.RetryBackoff
 	r.Faults = opts.Faults
