@@ -312,7 +312,7 @@ func TestBudgetConcurrentWarmTo(t *testing.T) {
 type lruModel struct {
 	budget, total int64
 	files         map[string]*modelFile // the snapshot files on disk
-	mem           map[string]bool       // the handle's in-memory snapshots
+	mem           map[string]bool       // the handle's in-memory snapshots; under a budget, only accounted files
 	tracked       bool                  // the handle has an active budget
 	seq           int64
 	evictions     uint64
@@ -331,9 +331,13 @@ func (m *lruModel) touch(k string) {
 	}
 }
 
+// forget drops a file, and under a budget its in-memory snapshot with it.
 func (m *lruModel) forget(k string) {
 	m.total -= m.files[k].size
 	delete(m.files, k)
+	if m.tracked {
+		delete(m.mem, k)
+	}
 }
 
 // get is Store.Get: memory first, then a file, which is dropped if corrupt.

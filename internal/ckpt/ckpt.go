@@ -28,9 +28,12 @@
 // published by temp file + atomic rename and read back with one read and
 // one SHA-256; a corrupt or truncated file is a counted miss, never data —
 // the warm prefix simply replays live, and the rebuilt snapshot replaces
-// the bad file. Sweep workers sharing a journal directory (in-process pools
-// and sweepd -worker processes alike) share the store through the
-// filesystem the same way they share the result journal. Files of the
+// the bad file. Under a byte budget (SetBudget) a decoded snapshot stays
+// in memory only while its file is in the budget's accounting, so the
+// budget bounds memory as well as disk. Sweep workers sharing a journal
+// directory (in-process pools and sweepd -worker processes alike) share
+// the store through the filesystem the same way they share the result
+// journal. Files of the
 // earlier layout (*.ckpt manifests and blob-* component files) are neither
 // read nor deleted.
 //
@@ -221,15 +224,19 @@ func (s *Store) Get(key string) (*core.WarmState, bool) {
 		s.misses.Add(1)
 		return nil, false
 	}
+	s.fmu.Lock()
 	s.mu.Lock()
 	// A concurrent loader may have won; keep the first pointer so every
-	// core in the process shares one decoded copy.
+	// core in the process shares one decoded copy. Under a budget, a file
+	// outside the accounting (evicted meanwhile, or written by another
+	// process) serves this call without staying resident.
 	if prior, ok := s.snaps[key]; ok {
 		ws = prior
-	} else {
+	} else if _, accounted := s.files[key]; accounted || s.files == nil {
 		s.snaps[key] = ws
 	}
 	s.mu.Unlock()
+	s.fmu.Unlock()
 	s.hits.Add(1)
 	s.touchSnap(key)
 	return ws, true
@@ -404,6 +411,7 @@ func (s *Store) flush(key string, ws *core.WarmState) error {
 	}
 	if err != nil {
 		os.Remove(tmp.Name())
+		s.unresideLocked(key)
 		return fmt.Errorf("ckpt: writing %s: %w", key, err)
 	}
 	if s.files != nil {
@@ -438,6 +446,8 @@ func (s *Store) load(key string) (*core.WarmState, error) {
 // boundary chain: every snapshot restores independently and WarmTo
 // probes shallower (ultimately live replay) on a miss, so the worst case
 // is re-replay work, never a wrong result. A nil *Store ignores the call.
+// While a budget is active, a decoded snapshot leaves memory when its file
+// leaves the accounting.
 //
 // Enabling a budget seeds the accounting from a directory listing: each
 // file's size, with recency ranked by modification time. Accounting
@@ -549,15 +559,28 @@ func (s *Store) forget(key string) {
 }
 
 // forgetLocked unlinks key's snapshot file and drops it from the
-// accounting, reporting whether the file is gone. It is the one way a
-// snapshot leaves the disk — LRU eviction, a corrupt file Get rejected, a
-// snapshot WarmTo could not restore — so DiskUsage keeps equalling the
-// bytes on disk.
+// accounting, and under a budget from memory, reporting whether the file
+// is gone. It is the one way a snapshot leaves the disk — LRU eviction, a
+// corrupt file Get rejected, a snapshot WarmTo could not restore — so
+// DiskUsage keeps equalling the bytes on disk.
 func (s *Store) forgetLocked(key string) bool {
 	if err := os.Remove(s.path(key)); err != nil && !os.IsNotExist(err) {
 		return false
 	}
 	s.total -= s.files[key].size
 	delete(s.files, key)
+	s.unresideLocked(key)
 	return true
+}
+
+// unresideLocked drops key's decoded snapshot from memory when a budget is
+// active and key's file is not in its accounting. Callers hold fmu, which
+// orders before mu.
+func (s *Store) unresideLocked(key string) {
+	if _, accounted := s.files[key]; s.files == nil || accounted {
+		return
+	}
+	s.mu.Lock()
+	delete(s.snaps, key)
+	s.mu.Unlock()
 }

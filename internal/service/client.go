@@ -196,7 +196,8 @@ func (c *Client) StreamLevels(ctx context.Context, spec sim.SweepSpec, onLevel s
 		if ev.Mode != spec.Modes[point/len(levels)] || ev.VccMV != int(levels[point%len(levels)]) || ev.TraceIdx != tr {
 			return fmt.Errorf("service: event %d (%s %dmV trace %d) does not match its cell index", ev.Index, ev.Mode, ev.VccMV, ev.TraceIdx)
 		}
-		u := sim.PointUpdate{Point: point, Trace: tr, Label: ev.Label, TraceName: ev.TraceName, Result: ev.Result}
+		u := sim.PointUpdate{Point: point, Trace: tr, Label: ev.Label, TraceName: ev.TraceName,
+			Result: ev.Result, Replayed: ev.Replayed, Derived: ev.Derived}
 		if ev.Err != "" {
 			u.Err = &sim.CellError{Label: ev.Label, TraceName: ev.TraceName, Point: point, Trace: tr, Err: errors.New(ev.Err)}
 		}

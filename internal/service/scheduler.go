@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"lowvcc/internal/circuit"
 	"lowvcc/internal/core"
 	"lowvcc/internal/journal"
 	"lowvcc/internal/sim"
@@ -80,10 +81,12 @@ func (o SchedulerOpts) withDefaults() SchedulerOpts {
 	return o
 }
 
-// cell lifecycle within a sweepJob.
+// cell lifecycle within a sweepJob. A following cell waits on its group's
+// leader and is never leased.
 const (
 	cellPending = iota
 	cellLeased
+	cellFollowing
 	cellDone
 	cellFailed
 )
@@ -96,8 +99,15 @@ type sweepJob struct {
 	attempts []int
 	started  time.Time
 
-	done, failed, replayed int
-	terminalState          string // "" while running
+	// plans holds each cell's clock plan and group head, and followers[i]
+	// lists in index order the cells sealed from cell i's admitted result
+	// (nil unless i leads a group). Both are fixed at Submit and read
+	// off-lock.
+	plans     []cellPlan
+	followers [][]int
+
+	done, failed, replayed, derived int
+	terminalState                   string // "" while running
 
 	events  []CellEvent
 	subs    map[int]chan CellEvent
@@ -129,7 +139,12 @@ const completedRing = 4096
 // Scheduler owns the sweep queue and the lease table. It is safe for
 // concurrent use; all methods may be called from HTTP handlers and worker
 // goroutines simultaneously. The scheduler itself never simulates — it
-// only hands out leases and admits uploaded results into the journal.
+// hands out leases, admits uploaded results into the journal, and seals
+// the results it derives from them: it leases only the leader of each
+// engine group and seals the followers from the leader's admitted entry
+// (see the package doc). A follower is never leased, counts as queued
+// until sealed, and fails with its leader; a worker's FaultPlan rules
+// never fire on it, so fault-injection tests target leaders.
 type Scheduler struct {
 	opts SchedulerOpts
 	jnl  *journal.Journal
@@ -142,10 +157,11 @@ type Scheduler struct {
 	order      []string // submission order; scheduling scans it FIFO
 	leases     map[string]*leaseState
 	completing int // Completes between lease removal and result recording
-	queued     int // pending + leased cells across all sweeps
+	queued     int // pending, leased and following cells across all sweeps
 	draining   bool
 	closed     bool
-	seq        int
+	sweepSeq   int // numbers sweeps 1, 2, 3… in submission order
+	leaseSeq   int
 
 	// Complete-dedup: lease IDs whose completion was already recorded.
 	// A retried Complete (dropped response, duplicated request) finds its
@@ -203,28 +219,47 @@ func NewScheduler(opts SchedulerOpts) (*Scheduler, string, error) {
 // verification).
 func (s *Scheduler) Journal() *journal.Journal { return s.jnl }
 
+// cellPlan is what the scheduler keeps of a cell besides the Cell a
+// worker sees: its clock plan, and head, the lowest index in its engine
+// group (its own index when no earlier cell shares its group).
+type cellPlan struct {
+	head int
+	plan circuit.ClockPlan
+}
+
 // expandSpec builds the sweep's cell grid in the canonical (mode, level,
-// trace) order and computes every cell's journal key, hashing each trace
-// and each point's config once (sim.Keyer). Pure function of the spec —
+// trace) order and keys and groups every cell, hashing each trace and
+// each point's config once (sim.Keyer). Pure function of the spec —
 // called outside the scheduler lock (trace materialization and hashing
 // are the expensive parts).
-func expandSpec(id string, spec sim.SweepSpec) ([]Cell, error) {
+func expandSpec(id string, spec sim.SweepSpec) ([]Cell, []cellPlan, error) {
 	modes, err := spec.CircuitModes()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	traces := spec.Traces()
 	keys := spec.NewRunner().NewKeyer()
+	heads := make(map[sim.Group]int)
 	var cells []Cell
+	var plans []cellPlan
 	for mi, mode := range modes {
 		for _, v := range spec.Levels() {
 			cfg := spec.PointConfig(v, mode)
 			label := sim.SweepLabel(v, mode)
 			for ti, tr := range traces {
-				key, err := keys.CellKey(cfg, tr)
+				key, g, plan, err := keys.Cell(cfg, tr)
 				if err != nil {
-					return nil, fmt.Errorf("service: keying %s %s: %w", label, tr.Name, err)
+					return nil, nil, fmt.Errorf("service: keying %s %s: %w", label, tr.Name, err)
 				}
+				head := len(cells)
+				if g.Valid() {
+					if h, ok := heads[g]; ok {
+						head = h
+					} else {
+						heads[g] = head
+					}
+				}
+				plans = append(plans, cellPlan{head: head, plan: plan})
 				cells = append(cells, Cell{
 					Sweep:     id,
 					Index:     len(cells),
@@ -240,16 +275,17 @@ func expandSpec(id string, spec sim.SweepSpec) ([]Cell, error) {
 		}
 	}
 	if len(cells) == 0 {
-		return nil, fmt.Errorf("service: spec expands to zero cells")
+		return nil, nil, fmt.Errorf("service: spec expands to zero cells")
 	}
-	return cells, nil
+	return cells, plans, nil
 }
 
 // Submit validates and enqueues a sweep, returning its ID. Cells whose
 // results are already journaled complete instantly as replays — a
-// restarted campaign only pays for the missing cells. Fails fast with
-// BusyError when the queue cannot absorb the new cells and ErrDraining
-// during shutdown. Submit bypasses per-client admission control; remote
+// restarted campaign only pays for the missing cells — and so does every
+// other cell of a replayed cell's engine group, derived from its entry.
+// Fails fast with BusyError when the queue cannot absorb the new cells
+// and ErrDraining during shutdown. Submit bypasses per-client admission control; remote
 // submissions go through SubmitAs.
 func (s *Scheduler) Submit(spec sim.SweepSpec) (string, error) {
 	return s.submit("", spec)
@@ -294,26 +330,45 @@ func (s *Scheduler) submit(client string, spec sim.SweepSpec) (string, error) {
 			}
 		}
 	}
-	s.seq++
-	id := fmt.Sprintf("sweep-%d", s.seq)
+	s.sweepSeq++
+	id := fmt.Sprintf("sweep-%d", s.sweepSeq)
 	s.mu.Unlock()
 
-	cells, err := expandSpec(id, spec)
+	cells, plans, err := expandSpec(id, spec)
 	if err != nil {
 		return "", err
 	}
 
 	// Replay scan outside the lock: journal reads are file IO. Entries
 	// found here are trusted — Get already ran the integrity check — and
-	// their cells complete at registration without ever being queued.
-	type replay struct {
-		index int
-		res   *core.Result
-	}
-	var replays []replay
-	for _, c := range cells {
+	// their cells complete at registration without ever being queued. The
+	// lowest-index replayed member of a group is its source: every other
+	// member derives from it and is journaled here, off-lock too.
+	cached := make([]*journal.Entry, len(cells))
+	source := make(map[int]int) // group head -> source index
+	for i, c := range cells {
 		if ent, ok := s.jnl.Get(c.Key); ok {
-			replays = append(replays, replay{c.Index, ent.Result})
+			cached[i] = ent
+			if _, ok := source[plans[i].head]; !ok {
+				source[plans[i].head] = i
+			}
+		}
+	}
+	type derivation struct {
+		index, from int
+		res         *core.Result
+	}
+	var replays []int
+	var derivs []derivation
+	for i := range cells {
+		if cached[i] != nil {
+			replays = append(replays, i)
+		} else if src, ok := source[plans[i].head]; ok {
+			// A failed write is not a cell failure: the journal is a cache,
+			// and a lost entry only costs a re-simulation later.
+			e := derivedEntry(cells[i].Key, plans[i].plan, cached[src])
+			_ = s.jnl.Put(e)
+			derivs = append(derivs, derivation{i, src, e.Result})
 		}
 	}
 
@@ -322,7 +377,7 @@ func (s *Scheduler) submit(client string, spec sim.SweepSpec) (string, error) {
 	if s.draining || s.closed {
 		return "", ErrDraining
 	}
-	fresh := len(cells) - len(replays)
+	fresh := len(cells) - len(replays) - len(derivs)
 	if s.queued+fresh > s.opts.MaxQueuedCells {
 		return "", &BusyError{
 			RetryAfter: s.retryAfterLocked(),
@@ -332,13 +387,22 @@ func (s *Scheduler) submit(client string, spec sim.SweepSpec) (string, error) {
 	}
 
 	job := &sweepJob{
-		id:       id,
-		spec:     spec,
-		cells:    cells,
-		state:    make([]int, len(cells)),
-		attempts: make([]int, len(cells)),
-		started:  s.now(),
-		subs:     make(map[int]chan CellEvent),
+		id:        id,
+		spec:      spec,
+		cells:     cells,
+		state:     make([]int, len(cells)),
+		attempts:  make([]int, len(cells)),
+		started:   s.now(),
+		plans:     plans,
+		followers: make([][]int, len(cells)),
+		subs:      make(map[int]chan CellEvent),
+	}
+	for i, p := range plans {
+		if _, derives := source[p.head]; p.head != i && !derives {
+			// The head is not journaled either, so it leads the group.
+			job.state[i] = cellFollowing
+			job.followers[p.head] = append(job.followers[p.head], i)
+		}
 	}
 	s.sweeps[id] = job
 	s.order = append(s.order, id)
@@ -347,14 +411,37 @@ func (s *Scheduler) submit(client string, spec sim.SweepSpec) (string, error) {
 		s.wakeLocked()
 	}
 
-	for _, r := range replays {
-		job.state[r.index] = cellDone
+	for _, i := range replays {
+		job.state[i] = cellDone
 		job.done++
 		job.replayed++
-		s.emitLocked(job, s.cellEvent(job, r.index, r.res, true, "journal", ""))
+		ev := s.cellEvent(job, i, cached[i].Result, "journal", "")
+		ev.Replayed = true
+		s.emitLocked(job, ev)
+	}
+	for _, d := range derivs {
+		s.deriveLocked(job, d.index, d.from, d.res, "journal")
 	}
 	s.maybeFinishLocked(job)
 	return id, nil
+}
+
+// derivedEntry is the journal entry, under key, of a cell of clock plan p
+// whose group's entry is src: src's result re-stamped with p by
+// core.Result.Replan — the bytes a worker would upload for that cell.
+func derivedEntry(key string, p circuit.ClockPlan, src *journal.Entry) *journal.Entry {
+	return &journal.Entry{Key: key, Windows: src.Windows, Result: src.Result.Replan(p)}
+}
+
+// deriveLocked records cell index as done with res, derived from cell
+// from, and emits its event. The caller settles the queue count.
+func (s *Scheduler) deriveLocked(job *sweepJob, index, from int, res *core.Result, worker string) {
+	job.state[index] = cellDone
+	job.done++
+	job.derived++
+	ev := s.cellEvent(job, index, res, worker, "")
+	ev.Derived = job.cells[from].Label
+	s.emitLocked(job, ev)
 }
 
 // takeTokenLocked draws one submission token from client's bucket,
@@ -438,6 +525,7 @@ func (s *Scheduler) wakeLocked() {
 }
 
 // leaseLocked leases the first pending cell to worker, nil when none is.
+// Following cells are never pending, so never leased.
 func (s *Scheduler) leaseLocked(worker string) *Lease {
 	for _, id := range s.order {
 		job := s.sweeps[id]
@@ -449,9 +537,9 @@ func (s *Scheduler) leaseLocked(worker string) *Lease {
 				continue
 			}
 			job.state[i] = cellLeased
-			s.seq++
+			s.leaseSeq++
 			ls := &leaseState{
-				id:     fmt.Sprintf("lease-%d", s.seq),
+				id:     fmt.Sprintf("lease-%d", s.leaseSeq),
 				sweep:  id,
 				index:  i,
 				worker: worker,
@@ -505,7 +593,9 @@ func (s *Scheduler) reclaimLocked(ls *leaseState, reason string) {
 // through journal.Admit, which verifies them first. The scheduler believes
 // only what that content check vouches for; results never count on a
 // worker's say-so, so a corrupt or empty upload is charged as a failed
-// attempt and the cell requeues.
+// attempt and the cell requeues. An admitted result also seals the cell's
+// followers, each journaled under its own key and emitted right after the
+// cell with the same worker.
 //
 // Complete is idempotent per lease: the lease ID doubles as the request's
 // idempotency token, and a retried Complete whose first try was already
@@ -534,6 +624,7 @@ func (s *Scheduler) Complete(leaseID, worker, errMsg string, entry []byte) error
 	s.mu.Unlock()
 
 	var res *core.Result
+	var derived []*journal.Entry // the followers' entries, in followers order
 	failure := ""
 	if errMsg != "" {
 		failure = fmt.Sprintf("worker %s: %s", worker, errMsg)
@@ -541,6 +632,11 @@ func (s *Scheduler) Complete(leaseID, worker, errMsg string, entry []byte) error
 		failure = fmt.Sprintf("worker %s uploaded no valid entry for %s: %v", worker, cell.Key, err)
 	} else {
 		res = ent.Result
+		for _, f := range job.followers[ls.index] {
+			d := derivedEntry(job.cells[f].Key, job.plans[f].plan, ent)
+			_ = s.jnl.Put(d) // a lost entry costs a re-simulation, as at Submit
+			derived = append(derived, d)
+		}
 	}
 
 	s.mu.Lock()
@@ -562,7 +658,11 @@ func (s *Scheduler) Complete(leaseID, worker, errMsg string, entry []byte) error
 	job.state[ls.index] = cellDone
 	job.done++
 	s.queued--
-	s.emitLocked(job, s.cellEvent(job, ls.index, res, false, worker, ""))
+	s.emitLocked(job, s.cellEvent(job, ls.index, res, worker, ""))
+	for i, f := range job.followers[ls.index] {
+		s.queued--
+		s.deriveLocked(job, f, ls.index, derived[i].Result, worker)
+	}
 	s.maybeFinishLocked(job)
 	return nil
 }
@@ -579,23 +679,27 @@ func (s *Scheduler) recordCompletedLocked(leaseID string) {
 }
 
 // failAttemptLocked charges one failed attempt to a cell: requeue while
-// attempts remain, otherwise declare the cell failed and emit the failure.
+// attempts remain, otherwise declare the cell failed and emit the failure,
+// then fail each of its followers, under its own identity, for the same
+// reason.
 func (s *Scheduler) failAttemptLocked(job *sweepJob, index int, reason string) {
 	job.attempts[index]++
-	if job.attempts[index] >= s.opts.MaxAttempts {
-		job.state[index] = cellFailed
-		job.failed++
-		s.queued--
-		s.emitLocked(job, s.cellEvent(job, index, nil, false, "",
-			fmt.Sprintf("%s (attempt %d/%d, giving up)", reason, job.attempts[index], s.opts.MaxAttempts)))
-		s.maybeFinishLocked(job)
+	if job.attempts[index] < s.opts.MaxAttempts {
+		job.state[index] = cellPending
 		return
 	}
-	job.state[index] = cellPending
+	reason = fmt.Sprintf("%s (attempt %d/%d, giving up)", reason, job.attempts[index], s.opts.MaxAttempts)
+	for _, i := range append([]int{index}, job.followers[index]...) {
+		job.state[i] = cellFailed
+		job.failed++
+		s.queued--
+		s.emitLocked(job, s.cellEvent(job, i, nil, "", reason))
+	}
+	s.maybeFinishLocked(job)
 }
 
 // cellEvent builds the progress record for one recorded cell outcome.
-func (s *Scheduler) cellEvent(job *sweepJob, index int, res *core.Result, replayed bool, worker, errMsg string) CellEvent {
+func (s *Scheduler) cellEvent(job *sweepJob, index int, res *core.Result, worker, errMsg string) CellEvent {
 	c := job.cells[index]
 	return CellEvent{
 		Sweep:     job.id,
@@ -605,7 +709,6 @@ func (s *Scheduler) cellEvent(job *sweepJob, index int, res *core.Result, replay
 		VccMV:     c.VccMV,
 		TraceIdx:  c.TraceIdx,
 		TraceName: c.TraceName,
-		Replayed:  replayed,
 		Worker:    worker,
 		Result:    res,
 		Err:       errMsg,
@@ -628,12 +731,12 @@ func (s *Scheduler) maybeFinishLocked(job *sweepJob) {
 	s.terminateLocked(job, state)
 }
 
-// terminateLocked moves the sweep to a terminal state: cells still pending
-// or leased are abandoned (their queue slots released), the terminal event
-// is emitted, and every subscriber channel closes.
+// terminateLocked moves the sweep to a terminal state: cells still pending,
+// leased or following are abandoned (their queue slots released), the
+// terminal event is emitted, and every subscriber channel closes.
 func (s *Scheduler) terminateLocked(job *sweepJob, state string) {
 	for i, st := range job.state {
-		if st == cellPending || st == cellLeased {
+		if st == cellPending || st == cellLeased || st == cellFollowing {
 			job.state[i] = cellFailed
 			s.queued--
 		}
@@ -727,6 +830,7 @@ func (s *Scheduler) Status(sweepID string) (SweepStatus, error) {
 		Done:     job.done,
 		Failed:   job.failed,
 		Replayed: job.replayed,
+		Derived:  job.derived,
 		Total:    job.total(),
 	}, nil
 }

@@ -652,7 +652,7 @@ func TestExpandSpecKeysMatchCellKey(t *testing.T) {
 	wide.Width = 3
 	long := sim.SweepSpec{InstsPerTrace: 200_000, SeedsPerProfile: 1, Modes: []string{"baseline", "iraw"}, LevelsMV: []int{500}}
 	for name, spec := range map[string]sim.SweepSpec{"testSpec": testSpec(), "width-3": wide, "sharded": long} {
-		cells, err := expandSpec("sweep-1", spec)
+		cells, _, err := expandSpec("sweep-1", spec)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

@@ -303,8 +303,11 @@ func TestClientStreamLevelsRejectsBadEvents(t *testing.T) {
 // would fail the cell on the first charge), the lease still heartbeats,
 // and a following valid Complete on the same lease admits the entry.
 func TestHTTPCompleteRejectsUndecodableBody(t *testing.T) {
+	// A lease TTL far above the test's own work (simulating the cell and
+	// decoding an 8 MiB body take over a second under -race on a busy
+	// host), so only a rejected body, never expiry, could end the lease.
 	srv, base := newTestDaemon(t, ServerOpts{
-		SchedulerOpts: SchedulerOpts{MaxAttempts: 1},
+		SchedulerOpts: SchedulerOpts{MaxAttempts: 1, LeaseTTL: time.Minute},
 		Workers:       -1,
 	})
 	ctx := context.Background()

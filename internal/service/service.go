@@ -17,6 +17,20 @@
 // because both executions write the same bytes to the same address, and a
 // replayed cell is indistinguishable from a fresh one.
 //
+// Cells are grouped the way sim.Runner.Stream groups them (sim.Keyer.Cell):
+// the cells of one trace whose configurations share a core.EngineKey
+// simulate identical cycles — IRAW at 600 mV and above is timed as
+// baseline — and differ only in their clock plan. Only a group's
+// lowest-index cell, its leader, is ever leased. When the leader's upload
+// is admitted, the daemon journals every other member, a follower, under
+// the follower's own key with the leader's result re-stamped by
+// core.Result.Replan: the bytes a worker would have uploaded for it. The
+// follower's event is marked Derived and follows the leader's. A leader
+// that exhausts its attempts fails its followers under their own
+// identity, and a group with a member already journaled derives the rest
+// at Submit. Followers are never leased, so a worker's FaultPlan rules
+// never fire on them: fault-injection and chaos tests target leaders.
+//
 // Results reach the daemon one way. Every worker seals its result in
 // memory (journal.Seal) and uploads the sealed entry bytes in the
 // Complete call (result push-down); it writes no journal of its own. The
@@ -172,7 +186,14 @@ type CellEvent struct {
 
 	// Replayed marks a cell served from the journal without simulating.
 	Replayed bool `json:"replayed,omitempty"`
-	// Worker names who completed the cell (in-process slots are "local/N").
+	// Derived, when non-empty, is the label of the cell this one's Result
+	// was derived from instead of simulating: the leader of its engine
+	// group (see Scheduler), or the group's journaled member at Submit.
+	// Result is that cell's re-stamped with this cell's clock plan.
+	Derived string `json:"derived,omitempty"`
+	// Worker names who completed the cell (in-process slots are "local/N";
+	// a derived cell names its leader's worker, and a cell replayed or
+	// derived at Submit names "journal").
 	Worker string `json:"worker,omitempty"`
 
 	// Result is the cell's simulation result (nil on failure and on the
@@ -199,7 +220,10 @@ type SweepStatus struct {
 	Done     int    `json:"done"`
 	Failed   int    `json:"failed"`
 	Replayed int    `json:"replayed"`
-	Total    int    `json:"total"`
+	// Derived counts the done cells derived from a sibling's result
+	// instead of leased (CellEvent.Derived).
+	Derived int `json:"derived"`
+	Total   int `json:"total"`
 }
 
 // Terminal reports whether the sweep has finished (in any state).

@@ -92,20 +92,14 @@ type cell struct {
 	followers []*cell
 }
 
-// engineGroup gathers the cells of one stream that share a trace and an
-// engine input (core.EngineKey), for which the timed engine would
-// simulate the same cycles. If a member replays from the journal, the
+// engineGroup gathers the cells of one stream that share a Group (a trace
+// and a core.EngineKey), for which the timed engine would simulate the
+// same cycles. If a member replays from the journal, the
 // lowest-index such member is the group's source and every other member
 // derives from it; otherwise the lowest-index member leads: it alone is
 // simulated, and the rest follow it.
 type engineGroup struct {
 	source, leader *cell
-}
-
-// groupKey identifies an engineGroup.
-type groupKey struct {
-	in core.EngineInput
-	tr *trace.Trace
 }
 
 // firstErr returns the lowest-window-index recorded error — deterministic
@@ -190,18 +184,45 @@ func traceHash(t *trace.Trace) (string, error) {
 }
 
 // Keyer keys the cells of one sweep: each trace is hashed once and each
-// configuration once, however many cells share them. It is the one way a
-// cell is keyed — Stream, CellKey and the sweep daemon's cell expansion
-// all go through it. A Keyer is not safe for concurrent use.
+// configuration hashed and planned once, however many cells share them.
+// It is the one way a cell is keyed and grouped — Stream, CellKey and the
+// sweep daemon's cell expansion all go through it. A Keyer is not safe for
+// concurrent use.
 type Keyer struct {
 	r      *Runner
 	traces map[*trace.Trace]string
 	points map[core.Config]string
+	engine map[core.Config]engineKeyed
 }
+
+// engineKeyed memoizes core.EngineKey for one configuration.
+type engineKeyed struct {
+	in   core.EngineInput
+	plan circuit.ClockPlan
+	ok   bool
+}
+
+// Group identifies the cells whose timed engine simulates identical cycles:
+// one trace under configurations of equal core.EngineKey. Such cells differ
+// only in their clock plan, so one member's Result, re-stamped with
+// core.Result.Replan, is every other member's. The zero Group is no group:
+// the Group of a cell whose configuration does not validate.
+type Group struct {
+	in core.EngineInput
+	tr *trace.Trace
+}
+
+// Valid reports whether g is a group, not the zero Group.
+func (g Group) Valid() bool { return g.tr != nil }
 
 // NewKeyer returns an empty Keyer under this runner's windowing plan.
 func (r *Runner) NewKeyer() *Keyer {
-	return &Keyer{r: r, traces: make(map[*trace.Trace]string), points: make(map[core.Config]string)}
+	return &Keyer{
+		r:      r,
+		traces: make(map[*trace.Trace]string),
+		points: make(map[core.Config]string),
+		engine: make(map[core.Config]engineKeyed),
+	}
 }
 
 // hashTrace returns tr's content hash, hashing each trace once.
@@ -233,6 +254,33 @@ func (k *Keyer) CellKey(cfg core.Config, tr *trace.Trace) (string, error) {
 		return "", err
 	}
 	return k.r.cellKey(th, pointKey, len(tr.Insts)), nil
+}
+
+// Group returns the (cfg, tr) cell's engine group and clock plan without
+// hashing anything: the zero Group when cfg does not validate. Trace
+// identity is the *trace.Trace, so cells group only within one Keyer's
+// trace set.
+func (k *Keyer) Group(cfg core.Config, tr *trace.Trace) (Group, circuit.ClockPlan) {
+	e, seen := k.engine[cfg]
+	if !seen {
+		in, plan, err := core.EngineKey(cfg)
+		e = engineKeyed{in: in, plan: plan, ok: err == nil}
+		k.engine[cfg] = e
+	}
+	if !e.ok {
+		return Group{}, e.plan
+	}
+	return Group{in: e.in, tr: tr}, e.plan
+}
+
+// Cell returns the (cfg, tr) cell's journal content address together with
+// its engine group and clock plan (CellKey and Group in one call).
+func (k *Keyer) Cell(cfg core.Config, tr *trace.Trace) (key string, g Group, plan circuit.ClockPlan, err error) {
+	if key, err = k.CellKey(cfg, tr); err != nil {
+		return "", Group{}, circuit.ClockPlan{}, err
+	}
+	g, plan = k.Group(cfg, tr)
+	return key, g, plan, nil
 }
 
 // CellKey returns the journal content address the (cfg, tr) cell's
@@ -325,17 +373,16 @@ func (r *Runner) stream(ctx context.Context, specs []PointSpec, ch chan<- PointU
 	}
 	st := r.checkpoints()
 	keys := r.NewKeyer()
-	groups := make(map[groupKey]*engineGroup)
+	groups := make(map[Group]*engineGroup)
 	var pending []member
 	var replayed []*cell
 	for p := range specs {
-		in, plan, keyErr := core.EngineKey(specs[p].Cfg)
 		for ti, tr := range specs[p].Traces {
+			gk, plan := keys.Group(specs[p].Cfg, tr)
 			cl := &cell{point: p, traceIdx: ti, name: tr.Name, plan: plan}
 			cells = append(cells, cl)
 			var g *engineGroup
-			if keyErr == nil && !r.Faults.targets(specs[p].Label, tr.Name) {
-				gk := groupKey{in, tr}
+			if gk.Valid() && !r.Faults.targets(specs[p].Label, tr.Name) {
 				if g = groups[gk]; g == nil {
 					g = &engineGroup{}
 					groups[gk] = g

@@ -33,11 +33,13 @@
 #      local runner folds its stream) and simulates its variant points
 #      locally, and the cells the daemon simulated (its journal entries)
 #      plus the cells simulated locally equal the distinct cells of the
-#      local run, none of them replayed. The local run derives some cells
-#      from a sibling of equal engine input (IRAW at 600 mV and above is
-#      timed as baseline) and must print at least one such line; the
-#      daemon simulates every cell, so the byte diff also checks the
-#      derivation (core.Result.Replan);
+#      local run, none of them replayed. Both sides derive cells from a
+#      sibling of equal engine input (IRAW at 600 mV and above is timed as
+#      baseline): the local run must print at least one such line, and the
+#      daemon's figures sweeps must report at least one derived cell in
+#      their /api/v1/sweeps/<id> status (the daemon seals a derived cell
+#      from its leased twin's admitted upload, the local run from its
+#      stitched result; the byte diff holds the two to the same numbers);
 #   7. the same daemon renders the vccsweep CSV identical to the local
 #      sweep: its slots upload from memory through the same content check
 #      as external workers (<jnl>/local holds no journal entry), and it
@@ -289,6 +291,19 @@ if ! diff -u "$WORK/local_figs.csv" "$WORK/daemon_figs.csv"; then
   exit 1
 fi
 echo "sweepd_smoke: daemon figures CSV identical to local" >&2
+# Sweep IDs number submissions from sweep-1, so the figures' sweeps are
+# sweep-1, sweep-2, ... up to the first ID the daemon does not know.
+FIG_SWEEPS=0
+DAEMON_DERIVED=0
+while STATUS="$(curl -sf "http://$ADDR/api/v1/sweeps/sweep-$((FIG_SWEEPS + 1))")"; do
+  FIG_SWEEPS=$((FIG_SWEEPS + 1))
+  D="$(printf '%s' "$STATUS" | sed -n 's/.*"derived":\([0-9]*\).*/\1/p')"
+  DAEMON_DERIVED=$((DAEMON_DERIVED + ${D:-0}))
+done
+if [ "$FIG_SWEEPS" -lt 1 ] || [ "$DAEMON_DERIVED" -lt 1 ]; then
+  echo "sweepd_smoke: FAIL the daemon derived $DAEMON_DERIVED cells over $FIG_SWEEPS figures sweeps (want at least 1)" >&2
+  exit 1
+fi
 if ! "$WORK/vccsweep" -server "$ADDR" -insts "$INSTS" -seeds "$SEEDS" \
   -modes "$MODES" -csv > "$WORK/daemon_local.csv" 2> "$WORK/client_local.err"; then
   echo "sweepd_smoke: FAIL in-process client sweep errored" >&2
@@ -332,6 +347,6 @@ if [ "$DERIVED" -lt 1 ]; then
   echo "sweepd_smoke: FAIL the local figures derived no cell from a sibling of equal engine input" >&2
   exit 1
 fi
-echo "sweepd_smoke: local figures derived $DERIVED of $DISTINCT cells; daemon, which derives none, agrees byte for byte" >&2
+echo "sweepd_smoke: figures derived $DERIVED of $DISTINCT cells locally, $DAEMON_DERIVED in $FIG_SWEEPS daemon sweeps; both agree byte for byte" >&2
 
 echo "sweepd_smoke: PASS (no shared FS; kill -9 + partition mid-sweep; width-3 grid; in-process slots; every figure through -server; results identical; clean drains)"
