@@ -1,12 +1,16 @@
 package ckpt_test
 
 import (
+	"bytes"
 	"fmt"
+	"maps"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -19,24 +23,55 @@ import (
 	"lowvcc/internal/workload"
 )
 
-// snapFiles lists the snapshot files in a store directory, name → size.
-func snapFiles(t *testing.T, dir string) map[string]int64 {
+// recordAt locates the newest record of key among dir's record files:
+// its file, and its offset and length there. A header line is "<magic>
+// <key> <sha256> <length>", so the key's bytes find it.
+func recordAt(t *testing.T, dir, key string) (path string, off, n int) {
 	t.Helper()
-	ents, err := os.ReadDir(dir)
+	names, err := filepath.Glob(filepath.Join(dir, "*.rec"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	files := map[string]int64{}
-	for _, e := range ents {
-		if strings.HasSuffix(e.Name(), ".snap") {
-			info, err := e.Info()
-			if err != nil {
-				t.Fatal(err)
-			}
-			files[e.Name()] = info.Size()
+	for i := len(names) - 1; i >= 0; i-- {
+		data, err := os.ReadFile(names[i])
+		if err != nil {
+			t.Fatal(err)
 		}
+		at := bytes.LastIndex(data, []byte(" "+key+" "))
+		if at < 0 {
+			continue
+		}
+		nl := at + bytes.IndexByte(data[at:], '\n')
+		size, err := strconv.Atoi(strings.Fields(string(data[at:nl]))[2])
+		if err != nil {
+			t.Fatal(err)
+		}
+		off = at - len("lowvccrec1")
+		return names[i], off, nl + 1 + size - off
 	}
-	return files
+	t.Fatalf("no record of %s in %s", key, dir)
+	return "", 0, 0
+}
+
+// flipRecord flips the last payload byte of key's newest record: same
+// length, bad checksum.
+func flipRecord(t *testing.T, dir, key string) {
+	t.Helper()
+	path, off, n := recordAt(t, dir, key)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[off+n-1] ^= 0xFF
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// indexed returns the keys st's log indexes.
+func indexed(st *ckpt.Store) []string {
+	_, records := ckpt.Residency(st)
+	return records
 }
 
 // dirBytes sums the sizes of the regular files in dir, skipping dot-named
@@ -57,9 +92,9 @@ func dirBytes(t *testing.T, dir string) int64 {
 }
 
 // TestBudgetEvictsSnapshotsLRU: squeezing the byte budget evicts whole
-// snapshot files oldest-use first, and a sweep warmed through the shrunken
-// store remains result-identical to a live replay (eviction costs work,
-// never results).
+// snapshot records oldest-use first, and a sweep warmed through the
+// shrunken store remains result-identical to a live replay (eviction costs
+// work, never results).
 func TestBudgetEvictsSnapshotsLRU(t *testing.T) {
 	tr := testTrace(t)
 	cfg := core.DefaultConfig(500, circuit.ModeIRAW)
@@ -71,14 +106,14 @@ func TestBudgetEvictsSnapshotsLRU(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st.SetBudget(1 << 40) // activate tracking before any flush
+	st.SetBudget(1 << 40) // activate tracking before any write
 	c := core.MustNew(cfg)
 	const interval, n = 5000, 20000
 	if err := st.WarmTo(c, th, wk, interval, tr, n); err != nil {
 		t.Fatal(err)
 	}
-	if files := len(snapFiles(t, dir)); files != n/interval {
-		t.Fatalf("dir holds %d snapshot files, want %d", files, n/interval)
+	if records := len(indexed(st)); records != n/interval {
+		t.Fatalf("log indexes %d snapshot records, want %d", records, n/interval)
 	}
 	full := st.DiskUsage()
 	if full <= 0 || full != dirBytes(t, dir) {
@@ -86,7 +121,7 @@ func TestBudgetEvictsSnapshotsLRU(t *testing.T) {
 	}
 
 	// Squeeze: force at least one eviction. The shallowest boundary is the
-	// least recently flushed, so it goes first.
+	// least recently written, so it goes first.
 	st.SetBudget(full - 1)
 	if s := st.Stats(); s.Evictions == 0 {
 		t.Fatal("no evictions after squeezing below usage")
@@ -130,9 +165,9 @@ func TestBudgetEvictsSnapshotsLRU(t *testing.T) {
 }
 
 // TestBudgetSeedsFromDisk: SetBudget on a store opened over an existing
-// directory reconstructs sizes and mtime-ordered recency from the files
-// themselves. Files of the earlier layout (a manifest and a component
-// blob) are neither read, counted nor deleted.
+// directory accounts for the record files already there. Files of earlier
+// layouts (a per-snapshot file, a manifest, a component blob and a segment
+// of the journal's earlier frame) are neither read, counted nor deleted.
 func TestBudgetSeedsFromDisk(t *testing.T) {
 	tr := testTrace(t)
 	cfg := core.DefaultConfig(500, circuit.ModeIRAW)
@@ -145,10 +180,14 @@ func TestBudgetSeedsFromDisk(t *testing.T) {
 	if err := st.WarmTo(c, "t", "w", 5000, tr, 15000); err != nil {
 		t.Fatal(err)
 	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	recBytes := dirBytes(t, dir)
 	oldKey := ckpt.SnapshotKey("t", "w", 20000)
-	oldLayout := []string{oldKey + ".ckpt", "blob-" + strings.Repeat("0", 64)}
+	oldLayout := []string{oldKey + ".snap", oldKey + ".ckpt", "blob-" + strings.Repeat("0", 64), "0000000000000000-old.seg"}
 	for _, name := range oldLayout {
-		if err := os.WriteFile(filepath.Join(dir, name), []byte("lowvccckpt1 old layout\n"), 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte("lowvccjnl1 old layout\n"), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -158,22 +197,18 @@ func TestBudgetSeedsFromDisk(t *testing.T) {
 		t.Fatal(err)
 	}
 	reopened.SetBudget(1 << 40)
-	var snapBytes int64
-	for _, size := range snapFiles(t, dir) {
-		snapBytes += size
-	}
-	if u := reopened.DiskUsage(); u <= 0 || u != snapBytes {
-		t.Fatalf("reopened store tracks %d bytes, snapshot files hold %d", u, snapBytes)
+	if u := reopened.DiskUsage(); u <= 0 || u != recBytes {
+		t.Fatalf("reopened store tracks %d bytes, record files hold %d", u, recBytes)
 	}
 	reopened.SetBudget(reopened.DiskUsage() - 1)
 	if s := reopened.Stats(); s.Evictions == 0 {
 		t.Error("no eviction after seeding from disk")
 	}
-	if m := len(snapFiles(t, dir)); m >= 3 {
-		t.Errorf("snapshot files = %d, want < 3 after eviction", m)
+	if m := len(indexed(reopened)); m >= 3 {
+		t.Errorf("snapshot records = %d, want < 3 after eviction", m)
 	}
 	if _, ok := reopened.Get(oldKey); ok {
-		t.Error("Get read an old-layout manifest")
+		t.Error("Get read an old-layout file")
 	}
 	reopened.SetBudget(1)
 	for _, name := range oldLayout {
@@ -183,10 +218,11 @@ func TestBudgetSeedsFromDisk(t *testing.T) {
 	}
 }
 
-// TestBudgetForgetsDroppedSnapshots: a snapshot file Get finds corrupt, and
-// a snapshot WarmTo cannot restore, leave the disk and the budget
-// accounting together, so DiskUsage keeps equalling the bytes on disk and
-// a full squeeze counts one eviction per snapshot still there.
+// TestBudgetForgetsDroppedSnapshots: a snapshot record Get finds corrupt,
+// and a snapshot WarmTo cannot restore, leave the log's index without
+// counting as evictions; DiskUsage keeps equalling the bytes on disk, and
+// a full squeeze counts one eviction per snapshot still indexed and leaves
+// no record file behind.
 func TestBudgetForgetsDroppedSnapshots(t *testing.T) {
 	tr := testTrace(t)
 	cfg := core.DefaultConfig(500, circuit.ModeIRAW)
@@ -199,23 +235,6 @@ func TestBudgetForgetsDroppedSnapshots(t *testing.T) {
 	}
 	if err := st.WarmTo(core.MustNew(cfg), th, wk, interval, tr, n); err != nil {
 		t.Fatal(err)
-	}
-	// onDisk counts the boundaries that still have a file on disk.
-	onDisk := func() uint64 {
-		ents, err := os.ReadDir(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var count uint64
-		for b := interval; b <= n; b += interval {
-			for _, e := range ents {
-				if strings.HasPrefix(e.Name(), ckpt.SnapshotKey(th, wk, b)) {
-					count++
-					break
-				}
-			}
-		}
-		return count
 	}
 	checkUsage := func(st *ckpt.Store, when string) {
 		t.Helper()
@@ -230,23 +249,13 @@ func TestBudgetForgetsDroppedSnapshots(t *testing.T) {
 	}
 	reopened.SetBudget(1 << 40)
 	deepest := ckpt.SnapshotKey(th, wk, n)
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range ents {
-		if strings.HasPrefix(e.Name(), deepest) {
-			if err := os.Truncate(filepath.Join(dir, e.Name()), 100); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
+	flipRecord(t, dir, deepest)
 	if _, ok := reopened.Get(deepest); ok {
-		t.Fatal("truncated snapshot loaded")
+		t.Fatal("corrupt snapshot loaded")
 	}
 	checkUsage(reopened, "after Get dropped the corrupt snapshot")
-	if got := onDisk(); got != n/interval-1 {
-		t.Fatalf("%d snapshots on disk after the drop, want %d", got, n/interval-1)
+	if got := len(indexed(reopened)); got != n/interval-1 {
+		t.Fatalf("%d snapshots indexed after the drop, want %d", got, n/interval-1)
 	}
 
 	// Restore failures: a core whose UL1 has another geometry cannot take
@@ -256,15 +265,15 @@ func TestBudgetForgetsDroppedSnapshots(t *testing.T) {
 	if err := reopened.WarmTo(core.MustNew(other), th, wk, interval, tr, n); err != nil {
 		t.Fatal(err)
 	}
-	if s := reopened.Stats(); s.Corrupt < 2 {
-		t.Fatalf("restore failures not counted (stats %+v)", s)
+	if s := reopened.Stats(); s.Corrupt < 2 || s.Evictions != 0 {
+		t.Fatalf("restore failures not counted, or counted as evictions (stats %+v)", s)
 	}
 	checkUsage(reopened, "after restore failures")
 
-	left := onDisk()
+	left := uint64(len(indexed(reopened)))
 	reopened.SetBudget(1)
 	if ev := reopened.Stats().Evictions; ev != left {
-		t.Errorf("full squeeze counted %d evictions, %d snapshots were on disk", ev, left)
+		t.Errorf("full squeeze counted %d evictions, %d snapshots were indexed", ev, left)
 	}
 	if disk := dirBytes(t, dir); disk != 0 || reopened.DiskUsage() != 0 {
 		t.Errorf("after a full squeeze: %d bytes on disk, DiskUsage %d", disk, reopened.DiskUsage())
@@ -306,60 +315,61 @@ func TestBudgetConcurrentWarmTo(t *testing.T) {
 	}
 }
 
-// lruModel is the documented budget policy for one store handle: a plain
-// LRU over snapshot files, where a handle that starts accounting (a budget
-// switched on, or a reopen) ranks the files by modification time.
+// lruModel is the documented policy for one store handle over its log:
+// the records on disk in file order, the handle's index and recency, the
+// snapshots it holds decoded, and the log's compaction to ⅞ of the budget.
 type lruModel struct {
-	budget, total int64
-	files         map[string]*modelFile // the snapshot files on disk
-	mem           map[string]bool       // the handle's in-memory snapshots; under a budget, only accounted files
-	tracked       bool                  // the handle has an active budget
-	seq           int64
-	evictions     uint64
-	written       int64 // size of the last snapshot the current step wrote
+	budget    int64
+	disk      []*modelRec          // every record on disk, oldest first
+	index     map[string]*modelRec // the handle's index
+	use       map[string]int64
+	mem       map[string]bool // under a budget, only indexed keys
+	seq       int64
+	evictions uint64
+	written   int64 // size of the last snapshot the current step wrote
 }
 
-type modelFile struct {
-	size, use int64
-	corrupt   bool
+type modelRec struct {
+	key     string
+	size    int64
+	corrupt bool
 }
 
-func (m *lruModel) touch(k string) {
-	if f := m.files[k]; f != nil && m.tracked {
-		m.seq++
-		f.use = m.seq
+func (m *lruModel) total() (n int64) {
+	for _, r := range m.disk {
+		n += r.size
 	}
+	return n
 }
 
-// forget drops a file, and under a budget its in-memory snapshot with it.
-func (m *lruModel) forget(k string) {
-	m.total -= m.files[k].size
-	delete(m.files, k)
-	if m.tracked {
-		delete(m.mem, k)
+// touch is a use of k's record (journal.Has and every read), reporting
+// whether the log indexes k.
+func (m *lruModel) touch(k string) bool {
+	if m.index[k] == nil {
+		return false
 	}
+	m.seq++
+	m.use[k] = m.seq
+	return true
 }
 
-// get is Store.Get: memory first, then a file, which is dropped if corrupt.
+// get is Store.Get: memory first, then the record, forgotten if corrupt.
 func (m *lruModel) get(k string) bool {
-	if !m.mem[k] {
-		f := m.files[k]
-		if f == nil {
-			return false
-		}
-		if f.corrupt {
-			m.forget(k)
-			return false
-		}
-		m.mem[k] = true
+	if m.mem[k] {
+		m.touch(k)
+		return true
 	}
-	m.touch(k)
+	if !m.touch(k) || m.index[k].corrupt {
+		delete(m.index, k)
+		return false
+	}
+	m.mem[k] = true
 	return true
 }
 
 // warmTo is Store.WarmTo of boundary n: probe from the deepest boundary
-// down, then capture every later boundary that has neither a snapshot in
-// memory nor a file.
+// down, then capture every later boundary neither held in memory nor
+// indexed.
 func (m *lruModel) warmTo(key func(int) string, size int64, interval, n int) {
 	pos := 0
 	for b := n / interval * interval; b >= interval; b -= interval {
@@ -370,83 +380,76 @@ func (m *lruModel) warmTo(key func(int) string, size int64, interval, n int) {
 	}
 	for b := pos + interval; b <= n; b += interval {
 		k := key(b)
-		if m.mem[k] || m.files[k] != nil {
+		if m.mem[k] || m.touch(k) {
 			continue
 		}
 		m.mem[k] = true
-		m.seq++
-		m.files[k] = &modelFile{size: size, use: m.seq}
-		m.total += size
+		m.index[k] = &modelRec{key: k, size: size}
+		m.disk = append(m.disk, m.index[k])
+		m.touch(k)
 		m.written = size
 		m.enforce(k)
 	}
 }
 
-// setBudget mirrors SetBudget; switching accounting on ranks the files by
-// (mtime, name) as found on disk.
-func (m *lruModel) setBudget(t *testing.T, dir string, budget int64) {
+// reopen is a fresh handle: it indexes the records on disk in file order,
+// the last copy of a key winning, and holds nothing decoded.
+func (m *lruModel) reopen() {
+	m.index, m.use, m.mem = map[string]*modelRec{}, map[string]int64{}, map[string]bool{}
+	for _, r := range m.disk {
+		m.index[r.key] = r
+		m.touch(r.key)
+	}
+	m.setBudget(m.budget)
+}
+
+// enforce is the log's compaction, sparing keep, followed by dropping the
+// decoded snapshots of keys it evicted.
+func (m *lruModel) enforce(keep string) {
+	if m.budget > 0 && m.total() > m.budget {
+		keys := make([]string, 0, len(m.index))
+		for k := range m.index {
+			keys = append(keys, k)
+		}
+		sort.Slice(keys, func(a, b int) bool { return m.use[keys[a]] > m.use[keys[b]] })
+		kept, sum := 0, int64(0)
+		for ; kept < len(keys); kept++ {
+			if size := m.index[keys[kept]].size; keys[kept] == keep || sum+size <= m.budget-m.budget/8 {
+				sum += size
+				continue
+			}
+			break
+		}
+		m.disk = nil
+		for i := kept - 1; i >= 0; i-- {
+			m.disk = append(m.disk, m.index[keys[i]])
+			m.touch(keys[i])
+		}
+		for _, k := range keys[kept:] {
+			delete(m.index, k)
+		}
+		m.evictions += uint64(len(keys) - kept)
+	}
+	for k := range m.mem {
+		if m.budget > 0 && m.index[k] == nil {
+			delete(m.mem, k)
+		}
+	}
+}
+
+func (m *lruModel) setBudget(budget int64) {
 	m.budget = budget
-	if budget <= 0 {
-		m.tracked = false
-		return
-	}
-	if !m.tracked {
-		m.tracked = true
-		type aged struct {
-			key string
-			mt  int64
-		}
-		var order []aged
-		for k := range m.files {
-			info, err := os.Stat(filepath.Join(dir, k+".snap"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			order = append(order, aged{k, info.ModTime().UnixNano()})
-		}
-		sort.Slice(order, func(a, b int) bool {
-			if order[a].mt != order[b].mt {
-				return order[a].mt < order[b].mt
-			}
-			return order[a].key < order[b].key
-		})
-		for _, o := range order {
-			m.seq++
-			m.files[o.key].use = m.seq
-		}
-	}
 	m.enforce("")
 }
 
-// enforce evicts the least recently used files other than keep until the
-// total fits the budget.
-func (m *lruModel) enforce(keep string) {
-	if !m.tracked || m.total <= m.budget {
-		return
-	}
-	var keys []string
-	for k := range m.files {
-		if k != keep {
-			keys = append(keys, k)
-		}
-	}
-	sort.Slice(keys, func(a, b int) bool { return m.files[keys[a]].use < m.files[keys[b]].use })
-	for _, k := range keys {
-		if m.total <= m.budget {
-			return
-		}
-		m.forget(k)
-		m.evictions++
-	}
-}
-
-// TestBudgetMatchesLRUModel runs random WarmTo, Get, SetBudget, reopen and
-// corrupt-a-file sequences over two traces and two hierarchy geometries
-// (so snapshot sizes differ) against lruModel. After every step DiskUsage
-// equals the model and the bytes on disk and stays within budget apart
-// from the snapshot the step just wrote, Evictions counts exactly the
-// files the model dropped, and every intact survivor loads from a fresh
-// handle.
+// TestBudgetMatchesLRUModel runs random WarmTo, Get, SetBudget, reopen
+// and corrupt-a-record sequences over two traces and two hierarchy
+// geometries (so snapshot sizes differ) against lruModel. After every step
+// the log indexes exactly the model's keys and the store holds exactly its
+// decoded snapshots, DiskUsage equals the model and the bytes on disk and
+// stays within budget apart from the snapshot the step just wrote,
+// Evictions counts exactly the records the model dropped, and every
+// intact indexed snapshot loads from a fresh handle.
 func TestBudgetMatchesLRUModel(t *testing.T) {
 	const interval = 400
 	type family struct {
@@ -462,7 +465,7 @@ func TestBudgetMatchesLRUModel(t *testing.T) {
 			c.Sets = sets
 		}
 		cfg.Hierarchy.ITLB.Sets, cfg.Hierarchy.DTLB.Sets = 2, 2
-		// Every snapshot of one geometry has the same encoded size.
+		// Every snapshot record of one geometry has the same size.
 		probe := t.TempDir()
 		st, err := ckpt.Open(probe)
 		if err != nil {
@@ -487,7 +490,7 @@ func TestBudgetMatchesLRUModel(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m := &lruModel{files: map[string]*modelFile{}, mem: map[string]bool{}}
+		m := &lruModel{index: map[string]*modelRec{}, use: map[string]int64{}, mem: map[string]bool{}}
 		var evBase uint64 // model evictions before the current handle
 		exempt := int64(0)
 		for step := 0; step < 80; step++ {
@@ -510,24 +513,25 @@ func TestBudgetMatchesLRUModel(t *testing.T) {
 				}
 			case op < 8:
 				b := budgets[rng.Intn(len(budgets))]
-				m.setBudget(t, dir, b) // reads the mtimes before the store evicts
 				st.SetBudget(b)
+				m.setBudget(b)
 				exempt = 0
 			case op < 9:
 				evBase = m.evictions
+				if err := st.Close(); err != nil {
+					t.Fatal(err)
+				}
 				if st, err = ckpt.Open(dir); err != nil {
 					t.Fatal(err)
 				}
-				m.mem, m.tracked = map[string]bool{}, false
-				m.setBudget(t, dir, m.budget)
 				st.SetBudget(m.budget)
+				m.reopen()
 				exempt = 0
 			default:
-				// Flip a payload byte of a random intact file: same size,
-				// bad checksum.
+				// Flip a payload byte of a random intact indexed record.
 				var keys []string
-				for k, f := range m.files {
-					if !f.corrupt {
+				for k, r := range m.index {
+					if !r.corrupt {
 						keys = append(keys, k)
 					}
 				}
@@ -536,32 +540,26 @@ func TestBudgetMatchesLRUModel(t *testing.T) {
 				}
 				sort.Strings(keys)
 				k := keys[rng.Intn(len(keys))]
-				path := filepath.Join(dir, k+".snap")
-				data, err := os.ReadFile(path)
-				if err != nil {
-					t.Fatal(err)
-				}
-				data[len(data)-1] ^= 0xFF
-				if err := os.WriteFile(path, data, 0o644); err != nil {
-					t.Fatal(err)
-				}
-				m.files[k].corrupt = true
+				flipRecord(t, dir, k)
+				m.index[k].corrupt = true
 			}
 
 			if got := st.Stats().Evictions; got != m.evictions-evBase {
 				t.Fatalf("seed %d step %d: Evictions = %d, model dropped %d", seed, step, got, m.evictions-evBase)
 			}
-			disk := snapFiles(t, dir)
-			var diskBytes int64
-			for _, size := range disk {
-				diskBytes += size
+			snaps, records := ckpt.Residency(st)
+			if want := slices.Sorted(maps.Keys(m.index)); !slices.Equal(records, want) {
+				t.Fatalf("seed %d step %d: the log's index differs from the model's (%d and %d keys)", seed, step, len(records), len(want))
 			}
-			if len(disk) != len(m.files) || diskBytes != m.total {
-				t.Fatalf("seed %d step %d: %d files / %d bytes on disk, model %d / %d", seed, step, len(disk), diskBytes, len(m.files), m.total)
+			if want := slices.Sorted(maps.Keys(m.mem)); !slices.Equal(snaps, want) {
+				t.Fatalf("seed %d step %d: the decoded snapshots differ from the model's (%d and %d)", seed, step, len(snaps), len(want))
+			}
+			if disk := dirBytes(t, dir); disk != m.total() {
+				t.Fatalf("seed %d step %d: %d bytes on disk, model %d", seed, step, disk, m.total())
 			}
 			want := int64(0)
-			if m.tracked {
-				want = m.total
+			if m.budget > 0 {
+				want = m.total()
 			}
 			if u := st.DiskUsage(); u != want || (m.budget > 0 && u > max(m.budget, exempt)) {
 				t.Fatalf("seed %d step %d: DiskUsage = %d, model %d, budget %d", seed, step, u, want, m.budget)
@@ -570,15 +568,12 @@ func TestBudgetMatchesLRUModel(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for k, f := range m.files {
-				if _, ok := disk[k+".snap"]; !ok {
-					t.Fatalf("seed %d step %d: model file %s missing on disk", seed, step, k)
-				}
-				if f.corrupt {
+			for k, r := range m.index {
+				if r.corrupt {
 					continue // a fresh Get would drop it
 				}
 				if _, ok := fresh.Get(k); !ok {
-					t.Fatalf("seed %d step %d: surviving snapshot does not load from a fresh handle", seed, step)
+					t.Fatalf("seed %d step %d: indexed snapshot does not load from a fresh handle", seed, step)
 				}
 			}
 		}

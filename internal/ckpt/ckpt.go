@@ -22,20 +22,22 @@
 // # Storage
 //
 // Snapshots live in an in-process map (decoded, shared by pointer) and,
-// when a directory is configured, on disk as one sealed file per snapshot:
-// <SnapshotKey>.snap holds an integrity header (magic, payload SHA-256,
-// length) followed by the snapshot's EncodeSnapshot bytes. A file is
-// published by temp file + atomic rename and read back with one read and
-// one SHA-256; a corrupt or truncated file is a counted miss, never data —
-// the warm prefix simply replays live, and the rebuilt snapshot replaces
-// the bad file. Under a byte budget (SetBudget) a decoded snapshot stays
-// in memory only while its file is in the budget's accounting, so the
-// budget bounds memory as well as disk. Sweep workers sharing a journal
+// when a directory is configured, on disk as records of a sealed-record
+// log (internal/journal): one record per snapshot, keyed by its
+// SnapshotKey, whose payload is the snapshot's EncodeSnapshot bytes. The
+// log owns the frame (header, SHA-256, length), the index, the byte budget
+// and its compaction; this package owns only the snapshot encoding. A
+// corrupt or truncated record is a counted miss, never data — the warm
+// prefix simply replays live, and the rebuilt snapshot supersedes the bad
+// record. Under a byte budget (SetBudget) the log compacts to ⅞ of the
+// budget, most recently used records first, and a decoded snapshot stays
+// in memory only while the log indexes its key, so the budget bounds
+// memory as well as disk. A store serves the records present when it was
+// opened plus its own writes, so sweep workers sharing a journal
 // directory (in-process pools and sweepd -worker processes alike) share
-// the store through the filesystem the same way they share the result
-// journal. Files of the
-// earlier layout (*.ckpt manifests and blob-* component files) are neither
-// read nor deleted.
+// snapshots through the filesystem the same way they share the result
+// journal. Files of earlier layouts (*.snap files, *.ckpt manifests and
+// blob-* component files) are neither read nor deleted.
 //
 // # The store is a cache
 //
@@ -47,15 +49,10 @@
 package ckpt
 
 import (
-	"bytes"
-	"crypto/sha256"
 	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
-	"sort"
+	"slices"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -71,8 +68,9 @@ import (
 type Stats struct {
 	// Hits and Misses count snapshot lookups (memory or disk).
 	Hits, Misses uint64
-	// Corrupt counts snapshots rejected by the integrity check or by a
-	// failed restore; each is also a miss.
+	// Corrupt counts snapshots rejected by the integrity check (the log's
+	// or the decoder's) or by a failed restore; each found by a lookup is
+	// also a miss.
 	Corrupt uint64
 	// Restores counts windows whose warm prefix was satisfied (fully or
 	// partially) from a snapshot; Replays counts windows warmed by live
@@ -90,49 +88,42 @@ type Stats struct {
 }
 
 // Store holds warm-state snapshots, in memory and optionally on disk. Safe
-// for concurrent use by multiple goroutines and — thanks to atomic renames
-// and keys that pin content — by multiple processes sharing the directory.
-// A nil *Store is valid and means "checkpoints off": every operation is a
-// no-op and WarmTo replays live.
+// for concurrent use by multiple goroutines and — because the log's
+// handles never write one another's files and keys pin content — by
+// multiple processes sharing the directory. A nil *Store is valid and
+// means "checkpoints off": every operation is a no-op and WarmTo replays
+// live.
 type Store struct {
-	dir string
+	log *journal.Journal // nil for a memory-only store
 
-	mu    sync.Mutex
-	snaps map[string]*core.WarmState
+	// mu guards snaps; under a budget it orders an insert into snaps after
+	// the log's compaction (see unreside).
+	mu       sync.Mutex
+	snaps    map[string]*core.WarmState
+	budgeted atomic.Bool
 
 	hits, misses, corrupt, restores, replays, captures, writeErrs atomic.Uint64
-	evictions                                                     atomic.Uint64
-
-	// fmu orders every rename and unlink of a snapshot file in this
-	// process with the budget accounting. files (nil unless a budget is
-	// active) holds each snapshot file's size and recency stamp, and total
-	// is their sum.
-	fmu    sync.Mutex
-	budget int64
-	total  int64
-	files  map[string]snapFile
-	useSeq int64
 }
 
-// snapFile is the budget's view of one snapshot file.
-type snapFile struct{ size, use int64 }
-
-// Open returns a store backed by dir; dir "" means memory-only.
+// Open returns a store backed by a log in dir; dir "" means memory-only.
+// When dir's log will not open, Open returns the error together with a
+// memory-only store, which a caller may use: the store is a cache.
 func Open(dir string) (*Store, error) {
+	s := &Store{snaps: make(map[string]*core.WarmState)}
+	var err error
 	if dir != "" {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return nil, fmt.Errorf("ckpt: %w", err)
-		}
+		s.log, err = journal.Open(dir)
 	}
-	return &Store{dir: dir, snaps: make(map[string]*core.WarmState)}, nil
+	return s, err
 }
 
-// Dir returns the store's directory ("" for memory-only).
-func (s *Store) Dir() string {
-	if s == nil {
-		return ""
+// Close closes the store's log: its open record file is retired. A nil or
+// memory-only store has nothing to close.
+func (s *Store) Close() error {
+	if s == nil || s.log == nil {
+		return nil
 	}
-	return s.dir
+	return s.log.Close()
 }
 
 // Stats returns a snapshot of the access counters.
@@ -140,7 +131,7 @@ func (s *Store) Stats() Stats {
 	if s == nil {
 		return Stats{}
 	}
-	return Stats{
+	st := Stats{
 		Hits:        s.hits.Load(),
 		Misses:      s.misses.Load(),
 		Corrupt:     s.corrupt.Load(),
@@ -148,8 +139,13 @@ func (s *Store) Stats() Stats {
 		Replays:     s.replays.Load(),
 		Captures:    s.captures.Load(),
 		WriteErrors: s.writeErrs.Load(),
-		Evictions:   s.evictions.Load(),
 	}
+	if s.log != nil {
+		ls := s.log.Stats()
+		st.Corrupt += ls.Corrupt
+		st.Evictions = ls.Evictions
+	}
+	return st
 }
 
 // SnapshotKey derives the content address of the snapshot at an instruction
@@ -203,42 +199,43 @@ func (s *Store) Get(key string) (*core.WarmState, bool) {
 	s.mu.Lock()
 	ws, ok := s.snaps[key]
 	s.mu.Unlock()
-	if ok {
-		s.hits.Add(1)
-		s.touchSnap(key)
-		return ws, true
+	if s.log != nil && ok {
+		s.log.Has(key) // a use, for the budget's recency
+	} else if s.log != nil {
+		ws, ok = s.load(key)
 	}
-	if s.dir == "" {
+	if !ok {
 		s.misses.Add(1)
 		return nil, false
 	}
-	ws, err := s.load(key)
-	if err != nil {
-		if !os.IsNotExist(err) {
-			// Corrupt, not absent: forget the file so has() stops
-			// reporting a snapshot here and the next WarmTo re-publishes
-			// it.
+	s.hits.Add(1)
+	return ws, true
+}
+
+// load reads and decodes key's record. A corrupt one is forgotten, so has()
+// stops reporting a snapshot here and the next WarmTo re-publishes it.
+func (s *Store) load(key string) (*core.WarmState, bool) {
+	payload, ok := s.log.GetRecord(key)
+	ws, err := decodeSnapshot(payload)
+	if !ok || err != nil {
+		if ok {
 			s.corrupt.Add(1)
-			s.forget(key)
 		}
-		s.misses.Add(1)
+		s.log.Forget(key)
 		return nil, false
 	}
-	s.fmu.Lock()
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	// A concurrent loader may have won; keep the first pointer so every
-	// core in the process shares one decoded copy. Under a budget, a file
-	// outside the accounting (evicted meanwhile, or written by another
-	// process) serves this call without staying resident.
+	// core in the process shares one decoded copy. Under a budget, a
+	// record the log no longer indexes (evicted meanwhile) serves this
+	// call without staying resident.
 	if prior, ok := s.snaps[key]; ok {
-		ws = prior
-	} else if _, accounted := s.files[key]; accounted || s.files == nil {
+		return prior, true
+	}
+	if !s.budgeted.Load() || s.log.Has(key) {
 		s.snaps[key] = ws
 	}
-	s.mu.Unlock()
-	s.fmu.Unlock()
-	s.hits.Add(1)
-	s.touchSnap(key)
 	return ws, true
 }
 
@@ -256,28 +253,22 @@ func (s *Store) Put(key string, ws *core.WarmState) {
 	}
 	s.mu.Unlock()
 	s.captures.Add(1)
-	if s.dir == "" || dup {
+	if s.log == nil || dup {
 		return
 	}
-	if err := s.flush(key, ws); err != nil {
+	if err := s.log.PutRecord(key, EncodeSnapshot(ws)); err != nil {
 		s.writeErrs.Add(1)
 	}
+	s.unreside()
 }
 
-// has reports whether a snapshot exists (in memory or as a file) without
+// has reports whether a snapshot exists (in memory or in the log) without
 // decoding it.
 func (s *Store) has(key string) bool {
-	if s == nil {
-		return false
-	}
 	s.mu.Lock()
 	_, ok := s.snaps[key]
 	s.mu.Unlock()
-	if ok || s.dir == "" {
-		return ok
-	}
-	_, err := os.Stat(s.path(key))
-	return err == nil
+	return ok || (s.log != nil && s.log.Has(key))
 }
 
 // drop forgets a snapshot that failed to restore, so the next probe
@@ -286,8 +277,8 @@ func (s *Store) drop(key string) {
 	s.mu.Lock()
 	delete(s.snaps, key)
 	s.mu.Unlock()
-	if s.dir != "" {
-		s.forget(key)
+	if s.log != nil {
+		s.log.Forget(key)
 	}
 }
 
@@ -361,226 +352,42 @@ func (s *Store) WarmTo(c *core.Core, traceHash, warmCfgKey string, interval int,
 	return nil
 }
 
-// ---- disk format ----
-
-const (
-	headerMagic = "lowvccsnap1"
-	snapExt     = ".snap"
-)
-
-func (s *Store) path(key string) string { return filepath.Join(s.dir, key+snapExt) }
-
-// header renders a snapshot file's integrity line: the magic, the
-// payload's SHA-256 and its length.
-func header(payload []byte) string {
-	return fmt.Sprintf("%s %x %d\n", headerMagic, sha256.Sum256(payload), len(payload))
-}
-
-// seal frames a payload as a snapshot file: its header line, then the
-// payload.
-func seal(payload []byte) []byte { return append([]byte(header(payload)), payload...) }
-
-// unseal returns the payload of a snapshot file. It accepts exactly what
-// seal produces, so a torn write, a flipped byte or a reframed header is
-// rejected.
-func unseal(data []byte) ([]byte, error) {
-	line, payload, ok := bytes.Cut(data, []byte("\n"))
-	if !ok || string(line)+"\n" != header(payload) {
-		return nil, fmt.Errorf("ckpt: header does not match the %d-byte payload", len(payload))
-	}
-	return payload, nil
-}
-
-// flush writes the sealed snapshot to a temp file, then publishes it by
-// rename and accounts for it under fmu.
-func (s *Store) flush(key string, ws *core.WarmState) error {
-	data := seal(EncodeSnapshot(ws))
-	tmp, err := os.CreateTemp(s.dir, ".put-*")
-	if err != nil {
-		return fmt.Errorf("ckpt: %w", err)
-	}
-	if _, err = tmp.Write(data); err != nil {
-		tmp.Close()
-	} else {
-		err = tmp.Close()
-	}
-	s.fmu.Lock()
-	defer s.fmu.Unlock()
-	if err == nil {
-		err = os.Rename(tmp.Name(), s.path(key))
-	}
-	if err != nil {
-		os.Remove(tmp.Name())
-		s.unresideLocked(key)
-		return fmt.Errorf("ckpt: writing %s: %w", key, err)
-	}
-	if s.files != nil {
-		s.total += int64(len(data)) - s.files[key].size
-		s.useSeq++
-		s.files[key] = snapFile{int64(len(data)), s.useSeq}
-		s.enforceLocked(key)
-	}
-	return nil
-}
-
-// load reads and verifies the snapshot file for key. os.IsNotExist errors
-// mean a plain miss; anything else is corruption.
-func (s *Store) load(key string) (*core.WarmState, error) {
-	raw, err := os.ReadFile(s.path(key))
-	if err != nil {
-		return nil, err
-	}
-	payload, err := unseal(raw)
-	if err != nil {
-		return nil, err
-	}
-	return decodeSnapshot(payload)
-}
-
-// ---- disk budget ----
-
-// SetBudget caps the store's snapshot files at budget bytes. When a flush
-// pushes the total over the cap, snapshot files are evicted
-// least-recently-used first, sparing the one just written. Zero or
-// negative disables the cap. Eviction can never break a restorable
-// boundary chain: every snapshot restores independently and WarmTo
-// probes shallower (ultimately live replay) on a miss, so the worst case
-// is re-replay work, never a wrong result. A nil *Store ignores the call.
-// While a budget is active, a decoded snapshot leaves memory when its file
-// leaves the accounting.
-//
-// Enabling a budget seeds the accounting from a directory listing: each
-// file's size, with recency ranked by modification time. Accounting
-// assumes this process is the directory's only writer while a budget is
-// active (the sweep daemon's arrangement); other readers just see extra
-// misses.
+// SetBudget caps the store's log at budget bytes, compacting it as
+// journal.Journal.SetBudget does; zero or negative disables the cap, and a
+// nil or memory-only store ignores the call. Every snapshot restores
+// independently and WarmTo probes shallower on a miss, so eviction costs
+// re-replay work, never a wrong result. While a budget is active, a
+// decoded snapshot leaves memory when its record leaves the log's index.
 func (s *Store) SetBudget(budget int64) {
-	if s == nil || s.dir == "" {
+	if s == nil || s.log == nil {
 		return
 	}
-	s.fmu.Lock()
-	defer s.fmu.Unlock()
-	s.budget = budget
-	if budget <= 0 {
-		s.files, s.total = nil, 0
-		return
-	}
-	if s.files == nil {
-		s.scanLocked()
-	}
-	s.enforceLocked("")
+	s.log.SetBudget(budget)
+	s.budgeted.Store(budget > 0)
+	s.unreside()
 }
 
-// DiskUsage reports the bytes of the snapshot files on disk while a budget
+// DiskUsage reports the bytes of the store's record files while a budget
 // is active (0 otherwise).
 func (s *Store) DiskUsage() int64 {
-	if s == nil {
+	if s == nil || s.log == nil {
 		return 0
 	}
-	s.fmu.Lock()
-	defer s.fmu.Unlock()
-	return s.total
+	return s.log.DiskUsage()
 }
 
-// touchSnap bumps a snapshot's recency; a no-op unless a budget is active.
-func (s *Store) touchSnap(key string) {
-	s.fmu.Lock()
-	if f, ok := s.files[key]; ok {
-		s.useSeq++
-		s.files[key] = snapFile{f.size, s.useSeq}
-	}
-	s.fmu.Unlock()
-}
-
-// scanLocked seeds the accounting from the directory listing: every
-// snapshot file's size, recency in modification-time order (name breaks
-// ties).
-func (s *Store) scanLocked() {
-	s.files, s.total = make(map[string]snapFile), 0
-	ents, err := os.ReadDir(s.dir)
-	if err != nil {
-		return
-	}
-	type aged struct {
-		key  string
-		size int64
-		mt   int64
-	}
-	var found []aged
-	for _, ent := range ents {
-		key, ok := strings.CutSuffix(ent.Name(), snapExt)
-		info, err := ent.Info()
-		if !ok || err != nil || !info.Mode().IsRegular() {
-			continue
-		}
-		found = append(found, aged{key, info.Size(), info.ModTime().UnixNano()})
-	}
-	sort.Slice(found, func(a, b int) bool {
-		if found[a].mt != found[b].mt {
-			return found[a].mt < found[b].mt
-		}
-		return found[a].key < found[b].key
-	})
-	for _, f := range found {
-		s.useSeq++
-		s.files[f.key] = snapFile{f.size, s.useSeq}
-		s.total += f.size
-	}
-}
-
-// enforceLocked evicts least-recently-used snapshot files (sparing keep,
-// the one just flushed) until the total fits the budget.
-func (s *Store) enforceLocked(keep string) {
-	if s.files == nil || s.total <= s.budget {
-		return
-	}
-	keys := make([]string, 0, len(s.files))
-	for key := range s.files {
-		if key != keep {
-			keys = append(keys, key)
-		}
-	}
-	sort.Slice(keys, func(a, b int) bool { return s.files[keys[a]].use < s.files[keys[b]].use })
-	for _, key := range keys {
-		if s.total <= s.budget {
-			return
-		}
-		if s.forgetLocked(key) {
-			s.evictions.Add(1)
-		}
-	}
-}
-
-// forget removes key's snapshot file; see forgetLocked.
-func (s *Store) forget(key string) {
-	s.fmu.Lock()
-	s.forgetLocked(key)
-	s.fmu.Unlock()
-}
-
-// forgetLocked unlinks key's snapshot file and drops it from the
-// accounting, and under a budget from memory, reporting whether the file
-// is gone. It is the one way a snapshot leaves the disk — LRU eviction, a
-// corrupt file Get rejected, a snapshot WarmTo could not restore — so
-// DiskUsage keeps equalling the bytes on disk.
-func (s *Store) forgetLocked(key string) bool {
-	if err := os.Remove(s.path(key)); err != nil && !os.IsNotExist(err) {
-		return false
-	}
-	s.total -= s.files[key].size
-	delete(s.files, key)
-	s.unresideLocked(key)
-	return true
-}
-
-// unresideLocked drops key's decoded snapshot from memory when a budget is
-// active and key's file is not in its accounting. Callers hold fmu, which
-// orders before mu.
-func (s *Store) unresideLocked(key string) {
-	if _, accounted := s.files[key]; s.files == nil || accounted {
-		return
-	}
+// unreside drops, under a budget, every decoded snapshot whose key the log
+// no longer indexes; it follows every call that can compact.
+func (s *Store) unreside() {
 	s.mu.Lock()
-	delete(s.snaps, key)
-	s.mu.Unlock()
+	defer s.mu.Unlock()
+	if !s.budgeted.Load() {
+		return
+	}
+	keys := s.log.Keys()
+	for key := range s.snaps {
+		if _, indexed := slices.BinarySearch(keys, key); !indexed {
+			delete(s.snaps, key)
+		}
+	}
 }

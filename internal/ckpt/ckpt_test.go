@@ -3,7 +3,6 @@ package ckpt_test
 import (
 	"bytes"
 	"os"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -11,6 +10,7 @@ import (
 	"lowvcc/internal/circuit"
 	"lowvcc/internal/ckpt"
 	"lowvcc/internal/core"
+	"lowvcc/internal/journal"
 	"lowvcc/internal/trace"
 	"lowvcc/internal/workload"
 )
@@ -304,9 +304,9 @@ func TestWarmToNilStore(t *testing.T) {
 	}
 }
 
-// TestCorruptCheckpointsDetected: truncated and scrambled snapshot files
-// are detected misses — WarmTo falls back to live replay with identical
-// results and rebuilds the damaged snapshot.
+// TestCorruptCheckpointsDetected: a truncated and a scrambled snapshot
+// record are detected misses — WarmTo falls back to live replay with
+// identical results and rebuilds the damaged snapshot.
 func TestCorruptCheckpointsDetected(t *testing.T) {
 	tr := testTrace(t)
 	cfg := core.DefaultConfig(500, circuit.ModeIRAW)
@@ -327,42 +327,22 @@ func TestCorruptCheckpointsDetected(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	damage := []func() error{
-		func() error { // truncate the deepest snapshot file mid-file
-			path := filepath.Join(dir, ckpt.SnapshotKey(th, wk, n)+".snap")
-			data, err := os.ReadFile(path)
-			if err != nil {
-				return err
+	damage := []func(){
+		func() { // cut the deepest snapshot's record, the file's last, mid-record
+			path, off, size := recordAt(t, dir, ckpt.SnapshotKey(th, wk, n))
+			if err := os.Truncate(path, int64(off+size/2)); err != nil {
+				t.Fatal(err)
 			}
-			return os.WriteFile(path, data[:len(data)/2], 0o644)
 		},
-		func() error { // flip a payload byte in every snapshot file
-			ents, err := os.ReadDir(dir)
-			if err != nil {
-				return err
+		func() { // flip a payload byte in every snapshot's record
+			for b := interval; b <= n; b += interval {
+				flipRecord(t, dir, ckpt.SnapshotKey(th, wk, b))
 			}
-			for _, e := range ents {
-				if !strings.HasSuffix(e.Name(), ".snap") {
-					continue
-				}
-				path := filepath.Join(dir, e.Name())
-				data, err := os.ReadFile(path)
-				if err != nil {
-					return err
-				}
-				data[len(data)-1] ^= 0xFF
-				if err := os.WriteFile(path, data, 0o644); err != nil {
-					return err
-				}
-			}
-			return nil
 		},
 	}
 	for i, corrupt := range damage {
-		if err := corrupt(); err != nil {
-			t.Fatal(err)
-		}
-		// A fresh store sees only the damaged files.
+		corrupt()
+		// A fresh store sees only the damaged records.
 		st, err := ckpt.Open(dir)
 		if err != nil {
 			t.Fatal(err)
@@ -381,7 +361,7 @@ func TestCorruptCheckpointsDetected(t *testing.T) {
 		if s := st.Stats(); s.Corrupt == 0 {
 			t.Errorf("damage %d: corruption not counted (stats %+v)", i, s)
 		}
-		// The rebuild must have replaced the damaged snapshot: a second
+		// The rebuild must have superseded the damaged snapshot: a second
 		// fresh store restores cleanly.
 		st2, err := ckpt.Open(dir)
 		if err != nil {
@@ -393,9 +373,117 @@ func TestCorruptCheckpointsDetected(t *testing.T) {
 	}
 }
 
+// TestPutServedByLaterHandle: a snapshot Put through one handle is served,
+// byte for byte, by a store opened afterwards on the same directory while
+// the writer is still open; a store opened before the Put serves the
+// records present at its Open, not the newcomer.
+func TestPutServedByLaterHandle(t *testing.T) {
+	tr := testTrace(t)
+	cfg := core.DefaultConfig(500, circuit.ModeIRAW)
+	dir := t.TempDir()
+	early, err := ckpt.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	writer, err := ckpt.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws := warmSnapshot(t, cfg, tr, 10000)
+	key := ckpt.SnapshotKey("later-handle", ckpt.WarmConfigKey(cfg), 10000)
+	writer.Put(key, ws)
+	later, err := ckpt.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, ok := later.Get(key)
+	if !ok || !bytes.Equal(ckpt.EncodeSnapshot(got), ckpt.EncodeSnapshot(ws)) {
+		t.Fatalf("a store opened after the Put serves it: %v", ok)
+	}
+	if _, ok := early.Get(key); ok {
+		t.Error("a store opened before the Put served it")
+	}
+}
+
+// TestFlippedRecordRecaptured: a snapshot record with a flipped payload
+// byte is a counted miss, WarmTo captures the snapshot again, and a store
+// opened afterwards serves the new copy, equal to the original.
+func TestFlippedRecordRecaptured(t *testing.T) {
+	tr := testTrace(t)
+	cfg := core.DefaultConfig(500, circuit.ModeIRAW)
+	th, wk := "flipped-trace", ckpt.WarmConfigKey(cfg)
+	const n = 10000
+	key := ckpt.SnapshotKey(th, wk, n)
+	dir := t.TempDir()
+	st, err := ckpt.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.WarmTo(core.MustNew(cfg), th, wk, n, tr, n); err != nil {
+		t.Fatal(err)
+	}
+	orig, _ := st.Get(key)
+	flipRecord(t, dir, key)
+
+	re, err := ckpt.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := re.WarmTo(core.MustNew(cfg), th, wk, n, tr, n); err != nil {
+		t.Fatal(err)
+	}
+	if s := re.Stats(); s.Corrupt != 1 || s.Misses != 1 || s.Captures != 1 || s.Replays != 1 {
+		t.Fatalf("stats %+v: want the flipped record a counted miss, then one capture", s)
+	}
+	fresh, err := ckpt.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, ok := fresh.Get(key)
+	if !ok || !bytes.Equal(ckpt.EncodeSnapshot(got), ckpt.EncodeSnapshot(orig)) {
+		t.Fatalf("a re-opened store does not serve the recaptured copy: %v", ok)
+	}
+}
+
+// BenchmarkOpenSnapshotLog times journal.Open over a directory of 100
+// default-geometry snapshot records (about 230 KB each): Open reads each
+// record's header and skips its payload. It reports the wall time per
+// Open.
+func BenchmarkOpenSnapshotLog(b *testing.B) {
+	const step, count = 2000, 100
+	tr := workload.LongTrace(count*step+step, 1)
+	c := core.MustNew(core.DefaultConfig(500, circuit.ModeIRAW))
+	dir := b.TempDir()
+	st, err := ckpt.Open(dir)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 1; i <= count; i++ {
+		if err := c.WarmReplayRange(tr, (i-1)*step, i*step); err != nil {
+			b.Fatal(err)
+		}
+		ws, err := c.CaptureWarm()
+		if err != nil {
+			b.Fatal(err)
+		}
+		st.Put(ckpt.SnapshotKey("bench", "open", i*step), ws)
+	}
+	if err := st.Close(); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		j, err := journal.Open(dir)
+		if err != nil || len(j.Keys()) != count {
+			b.Fatalf("Open indexed %d of %d records: %v", len(j.Keys()), count, err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N), "µs/open")
+}
+
 // BenchmarkSnapshotStore times one default-geometry snapshot through the
-// disk: a Put into the store's directory, then a Get from a fresh handle,
-// which reads and decodes the file. Each iteration stores a new snapshot
+// disk: a Put into the store's log, then a Get from a fresh handle, which
+// opens the log, then reads, checks and decodes the record. Each iteration stores a new snapshot
 // 2,000 instructions further into a long trace (captured with the timer
 // stopped), so no two are alike. It reports the wall time and the files
 // the directory holds per snapshot.

@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"fmt"
+	"os"
+	"path/filepath"
+	"strconv"
 	"testing"
 
 	"lowvcc/internal/cache"
@@ -104,51 +107,72 @@ func FuzzDecodeWarm(f *testing.F) {
 	})
 }
 
-// FuzzSnapshotFile runs arbitrary bytes through exactly what Get and WarmTo
-// do with a snapshot file: the header check, decodeSnapshot, then
-// RestoreWarm into a fresh small-geometry core. Nothing may panic, and a
-// file both checks accept must re-seal to its own bytes.
+// FuzzSnapshotFile writes arbitrary bytes as a store's record file and
+// runs them through exactly what Get and WarmTo do with a stored
+// snapshot: Open indexes the file, Get reads, checks and decodes each
+// record, then RestoreWarm loads the snapshot into a fresh small-geometry
+// core. Nothing may panic, and a snapshot Get accepts must re-encode to
+// the payload its record holds.
 func FuzzSnapshotFile(f *testing.F) {
 	cfg := smallConfig()
-	payload := EncodeSnapshot(replayedWarmState(f, cfg, 3000, 2500))
-	file := seal(payload)
+	srcDir := f.TempDir()
+	src, err := Open(srcDir)
+	if err != nil {
+		f.Fatal(err)
+	}
+	key := SnapshotKey("fuzz-trace", WarmConfigKey(cfg), 2500)
+	src.Put(key, replayedWarmState(f, cfg, 3000, 2500))
+	names, err := filepath.Glob(filepath.Join(srcDir, "*.rec"))
+	if err != nil || len(names) != 1 {
+		f.Fatalf("store wrote %d record files (%v), want 1", len(names), err)
+	}
+	file, err := os.ReadFile(names[0])
+	if err != nil {
+		f.Fatal(err)
+	}
 	nl := bytes.IndexByte(file, '\n')
 	flipped := bytes.Clone(file)
-	if d := &flipped[len(headerMagic)+1]; *d == '0' { // first checksum digit
-		*d = '1'
-	} else {
-		*d = '0'
+	flipped[nl-len(strconv.Itoa(len(file)-nl-1))-2] ^= 0x01 // last checksum digit
+	long := bytes.Replace(file, []byte(fmt.Sprintf(" %d\n", len(file)-nl-1)), []byte(fmt.Sprintf(" %d\n", len(file)-nl)), 1)
+	dir := f.TempDir() // one directory, rewritten per input: fuzzing stays fast
+	open := func(t testing.TB, data []byte) *Store {
+		if err := os.WriteFile(filepath.Join(dir, "0000000000000000-fuzz.rec"), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		st, err := Open(dir)
+		if err != nil {
+			t.Fatalf("Open failed on a readable record file: %v", err)
+		}
+		return st
 	}
-	long := append([]byte(fmt.Sprintf("%s %x %d\n", headerMagic, sha256.Sum256(payload), len(payload)+1)), payload...)
 	bad := [][]byte{
-		file[:nl/2],                // cut inside the header
-		file[:nl+1+len(payload)/2], // cut inside the payload
+		file[:nl/2],                    // cut inside the header
+		file[:nl+1+(len(file)-nl-1)/2], // cut inside the payload
 		flipped,
 		long, // length field off by one
 	}
-	if _, err := unseal(file); err != nil {
-		f.Fatalf("valid snapshot file rejected: %v", err)
+	if _, ok := open(f, file).Get(key); !ok {
+		f.Fatal("valid snapshot record rejected")
 	}
 	f.Add(file)
 	for i, data := range bad {
-		if _, err := unseal(data); err == nil {
-			f.Fatalf("damaged seed %d passed the header check", i)
+		if _, ok := open(f, data).Get(key); ok {
+			f.Fatalf("damaged seed %d served a snapshot", i)
 		}
 		f.Add(data)
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		payload, err := unseal(data)
-		if err != nil {
-			return
+		st := open(t, data)
+		for _, key := range st.log.Keys() {
+			ws, ok := st.Get(key)
+			if !ok {
+				continue
+			}
+			if payload, _ := st.log.GetRecord(key); !bytes.Equal(EncodeSnapshot(ws), payload) {
+				t.Fatal("accepted snapshot re-encodes differently from its record")
+			}
+			_ = core.MustNew(cfg).RestoreWarm(ws)
 		}
-		ws, err := decodeSnapshot(payload)
-		if err != nil {
-			return
-		}
-		if !bytes.Equal(seal(EncodeSnapshot(ws)), data) {
-			t.Fatal("accepted snapshot file re-seals differently")
-		}
-		_ = core.MustNew(cfg).RestoreWarm(ws)
 	})
 }

@@ -14,8 +14,8 @@ import (
 // The wire encoding is deliberately primitive: fixed-width little-endian
 // scalars, length-prefixed slices, fields in struct order. Two properties
 // matter — it is deterministic (the same warm state encodes to the same
-// bytes, so concurrent writers of one snapshot key publish identical files
-// and the vcc-independence tests compare snapshots byte for byte) and it is
+// bytes, so concurrent writers of one snapshot key publish identical
+// records and the vcc-independence tests compare snapshots byte for byte) and it is
 // self-delimiting (a decoder can bounds-check every read, so a scrambled
 // file fails loudly instead of producing a plausible snapshot).
 
@@ -166,8 +166,8 @@ func decodeBP(buf []byte) (*predictor.WarmState, error) {
 // ul1, itlb and dtlb payloads, then the predictor payload, each
 // length-prefixed. Two snapshots are identical warm states iff their
 // encodings are equal — the vcc-independence tests compare these bytes
-// directly — and a snapshot file is exactly these bytes behind its
-// integrity header.
+// directly — and a stored snapshot is a log record whose payload is
+// exactly these bytes.
 func EncodeSnapshot(ws *core.WarmState) []byte {
 	m := ws.Mem
 	e := &encoder{}

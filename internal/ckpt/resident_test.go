@@ -2,6 +2,8 @@ package ckpt
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"testing"
 
 	"lowvcc/internal/circuit"
@@ -10,13 +12,20 @@ import (
 )
 
 // resident reports how many decoded snapshots the store holds in memory
-// and how many files its budget accounts for.
+// and how many records its log indexes.
 func (s *Store) resident() (snaps, files int) {
-	s.fmu.Lock()
-	defer s.fmu.Unlock()
+	held, records := Residency(s)
+	return len(held), len(records)
+}
+
+// Residency returns, for tests outside the package too, the keys of the
+// snapshots the store holds decoded and of the records its log indexes,
+// each sorted.
+func Residency(s *Store) (snaps, records []string) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.snaps), len(s.files)
+	snaps = slices.Sorted(maps.Keys(s.snaps))
+	s.mu.Unlock()
+	return snaps, s.log.Keys()
 }
 
 // TestBudgetBoundsResidentSnapshots: a 1-byte budget over 8 traces of 3

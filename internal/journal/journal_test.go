@@ -122,7 +122,8 @@ func TestMissAndCorruptEntries(t *testing.T) {
 }
 
 // TestWrongKeyAndStrayFiles: an entry indexed under the wrong key is
-// rejected, and stray files never count as entries.
+// rejected, and stray files — those of earlier layouts included — never
+// count as entries.
 func TestWrongKeyAndStrayFiles(t *testing.T) {
 	dir := t.TempDir()
 	j, err := Open(dir)
@@ -133,19 +134,26 @@ func TestWrongKeyAndStrayFiles(t *testing.T) {
 	if err := j.Put(&Entry{Key: Key("a"), Windows: 1, Result: res}); err != nil {
 		t.Fatal(err)
 	}
-	// Reseal a's valid payload so Open indexes it under b: a leading
-	// duplicate Key field names b, while JSON decoding keeps the last, a.
+	// Reseal a's valid payload under b's key: the frame is intact, but the
+	// payload names a.
 	raw, ok := j.GetRaw(Key("a"))
 	if !ok {
 		t.Fatal("GetRaw missed a just-written entry")
 	}
-	payload := append([]byte(`{"Key":"`+Key("b")+`",`), raw[bytes.IndexByte(raw, '\n')+2:]...)
-	forged := fmt.Sprintf("%s %x %d\n%s", headerMagic, sha256.Sum256(payload), len(payload), payload)
-	if err := os.WriteFile(filepath.Join(dir, "ffffffffffffffff-forged.seg"), []byte(forged), 0o644); err != nil {
+	payload := raw[bytes.IndexByte(raw, '\n')+1:]
+	forged := fmt.Sprintf("%s %s %x %d\n%s", magic, Key("b"), sha256.Sum256(payload), len(payload), payload)
+	if err := os.WriteFile(filepath.Join(dir, "ffffffffffffffff-forged"+recExt), []byte(forged), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	for _, stray := range []string{".put-stray", Key("c") + ".cell"} {
-		if err := os.WriteFile(filepath.Join(dir, stray), raw, 0o644); err != nil {
+	oldSeg := fmt.Sprintf("lowvccjnl1 %x %d\n%s", sha256.Sum256(payload), len(payload), payload)
+	strays := map[string]string{
+		".put-stray":                      string(raw),
+		Key("c") + ".cell":                string(raw),
+		Key("c") + ".snap":                string(raw),
+		"0000000000000000-old-layout.seg": oldSeg,
+	}
+	for name, data := range strays {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(data), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -158,12 +166,13 @@ func TestWrongKeyAndStrayFiles(t *testing.T) {
 	if _, ok := j.Get(Key("c")); ok {
 		t.Fatal("Get read an entry from a stray per-key file")
 	}
-	n, err := j.Len()
-	if err != nil {
-		t.Fatal(err)
+	if n := len(j.Keys()); n != 2 { // a's entry + b's (corrupt, but indexed) copy
+		t.Errorf("%d keys indexed, want 2", n)
 	}
-	if n != 2 { // a's entry + b's (corrupt, but indexed) copy
-		t.Errorf("Len = %d, want 2", n)
+	for name := range strays {
+		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
+			t.Errorf("stray %s: %v", name, err)
+		}
 	}
 }
 

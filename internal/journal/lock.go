@@ -19,7 +19,7 @@ const lockName = "LOCK"
 // interleave scheduling decisions over one journal. The lock protects
 // daemon mutual exclusion, not entry integrity — entries themselves stay
 // safe under concurrent writers by content addressing and because each
-// handle appends only to segment files it created, which is what lets
+// handle appends only to record files it created, which is what lets
 // other processes share the directory without holding the lock.
 type Lock struct {
 	path string

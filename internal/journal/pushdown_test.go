@@ -2,9 +2,12 @@ package journal
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -17,7 +20,8 @@ func TestAdmitRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	daemon, err := Open(t.TempDir())
+	daemonDir := t.TempDir()
+	daemon, err := Open(daemonDir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +49,7 @@ func TestAdmitRoundTrip(t *testing.T) {
 		t.Errorf("admitted entry differs: got %+v want %+v", got.Result, res)
 	}
 	// The record on disk must be byte-identical to the uploaded bytes.
-	if onDisk := reopenRaw(t, daemon.Dir(), key); string(onDisk) != string(raw) {
+	if onDisk := reopenRaw(t, daemonDir, key); string(onDisk) != string(raw) {
 		t.Error("admitted record differs from uploaded bytes")
 	}
 }
@@ -75,6 +79,16 @@ func TestAdmitRejectsCorrupt(t *testing.T) {
 		{"wrong key", Key("other-trace", "adm-cfg"), raw},
 		{"garbage", key, []byte("not a journal entry at all")},
 		{"empty", key, nil},
+		{"raw record", key, mustSeal(t, key, []byte("not an entry"))},
+	}
+	// Keys the frame does not admit, each in a header that is otherwise
+	// exact and over a valid entry payload.
+	for name, bad := range badKeys(key) {
+		cases = append(cases, struct {
+			name string
+			key  string
+			data []byte
+		}{name, bad, reframe(raw, bad)})
 	}
 	for _, tc := range cases {
 		daemon, err := Open(t.TempDir())
@@ -84,7 +98,7 @@ func TestAdmitRejectsCorrupt(t *testing.T) {
 		if _, err := daemon.Admit(tc.key, tc.data); err == nil {
 			t.Errorf("%s: Admit accepted corrupt upload", tc.name)
 		}
-		if n, _ := daemon.Len(); n != 0 {
+		if n := len(daemon.Keys()); n != 0 {
 			t.Errorf("%s: corrupt upload landed on disk (%d entries)", tc.name, n)
 		}
 		if s := daemon.Stats(); s.Rejected != 1 {
@@ -172,15 +186,12 @@ func TestBudgetEvictsLRU(t *testing.T) {
 // existing directory accounts for the entries already on disk.
 func TestBudgetSeedsFromDisk(t *testing.T) {
 	j, keys, size := budgetJournal(t, 4)
-	reopened, err := Open(j.Dir())
+	reopened, err := Open(j.dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	reopened.SetBudget(2 * size)
-	n, err := reopened.Len()
-	if err != nil {
-		t.Fatal(err)
-	}
+	n := len(reopened.Keys())
 	if n > 2 {
 		t.Errorf("reopened journal holds %d entries over a 2-entry budget", n)
 	}
@@ -254,12 +265,16 @@ func FuzzAdmit(f *testing.F) {
 		f.Fatal("GetRaw missed a just-written entry")
 	}
 	flipped := append([]byte(nil), raw...)
-	sum := len(headerMagic) + 1 // first checksum digit
+	sum := len(magic) + 1 + len(key) + 1 // first checksum digit
 	flipped[sum] ^= 0x01
 	f.Add(key, raw)
 	f.Add(key, raw[:len(raw)-7])
 	f.Add(key, flipped)
 	f.Add(Key("other-trace", "fuzz-cfg"), raw)
+	f.Add(key, mustSeal(f, key, snapshotLike()))
+	for _, bad := range slices.Sorted(maps.Keys(badKeys(key))) {
+		f.Add(badKeys(key)[bad], reframe(raw, badKeys(key)[bad]))
+	}
 
 	f.Fuzz(func(t *testing.T, key string, data []byte) {
 		j, err := Open(t.TempDir())
@@ -268,7 +283,7 @@ func FuzzAdmit(f *testing.F) {
 		}
 		ent, err := j.Admit(key, data)
 		if err != nil {
-			if ents, _ := os.ReadDir(j.Dir()); len(ents) != 0 {
+			if ents, _ := os.ReadDir(j.dir); len(ents) != 0 {
 				t.Fatalf("rejected upload left %d files behind", len(ents))
 			}
 			if got := j.Stats().Rejected; got != 1 {
@@ -276,10 +291,10 @@ func FuzzAdmit(f *testing.F) {
 			}
 			return
 		}
-		if ent.Key != key || ent.Result == nil {
+		if ent.Key != key || ent.Result == nil || !isHex64(key) {
 			t.Fatalf("Admit returned entry %q (result %v) for key %q", ent.Key, ent.Result != nil, key)
 		}
-		if !bytes.Equal(reopenRaw(t, j.Dir(), key), data) {
+		if !bytes.Equal(reopenRaw(t, j.dir, key), data) {
 			t.Fatal("admitted record differs from the uploaded bytes")
 		}
 		got, ok := j.Get(key)
@@ -287,4 +302,42 @@ func FuzzAdmit(f *testing.F) {
 			t.Fatalf("Get after Admit = (%+v, %v), want the admitted entry", got, ok)
 		}
 	})
+}
+
+// badKeys derives, from a valid key, keys the frame does not admit.
+func badKeys(key string) map[string]string {
+	return map[string]string{
+		"key with a space":   key[:31] + " " + key[32:],
+		"key with a newline": key[:31] + "\n" + key[32:],
+		"63-character key":   key[:63],
+		"uppercase hex key":  strings.ToUpper(key),
+		"65-character key":   key + "0",
+	}
+}
+
+// reframe rebuilds record rec's header under key, keeping its payload,
+// checksum and length exact.
+func reframe(rec []byte, key string) []byte {
+	payload := rec[bytes.IndexByte(rec, '\n')+1:]
+	return append(fmt.Appendf(nil, "%s %s %x %d\n", magic, key, sha256.Sum256(payload), len(payload)), payload...)
+}
+
+// mustSeal frames payload as key's record.
+func mustSeal(t testing.TB, key string, payload []byte) []byte {
+	t.Helper()
+	rec, err := seal(key, payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rec
+}
+
+// snapshotLike is a binary payload shaped like a checkpoint snapshot's
+// (length-prefixed components), as a raw record carries it.
+func snapshotLike() []byte {
+	b := make([]byte, 4096)
+	for i := range b {
+		b[i] = byte(i * 7)
+	}
+	return b
 }

@@ -2,9 +2,11 @@ package journal
 
 import (
 	"bytes"
+	"maps"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -13,10 +15,10 @@ import (
 	"testing"
 )
 
-// segFiles lists the segment files in dir.
+// segFiles lists the record files in dir.
 func segFiles(t testing.TB, dir string) []string {
 	t.Helper()
-	names, err := filepath.Glob(filepath.Join(dir, "*"+segExt))
+	names, err := filepath.Glob(filepath.Join(dir, "*"+recExt))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,14 +104,14 @@ func TestTornTailEveryOffset(t *testing.T) {
 }
 
 // TestScrambledRecordMidSegment: a complete record scrambled in the middle
-// of a segment — in its payload, in its key, or in the field name Open
-// finds the key by — fails Verify, misses on Get, and leaves the records
-// after it readable.
+// of a file — at its payload's end, in the key its payload repeats, or in
+// that key's field name — fails Verify, misses on Get, and leaves the
+// records after it readable.
 func TestScrambledRecordMidSegment(t *testing.T) {
 	res := sampleResult(t)
 	keys := []string{Key("mid", "0"), Key("mid", "1"), Key("mid", "2")}
 	// From the record's end when negative, else from its payload's start.
-	for _, at := range []int64{-2, int64(len(keyPrefix)) + 10, 2} {
+	for _, at := range []int64{-2, int64(len(`{"Key":"`)) + 10, 2} {
 		dir := t.TempDir()
 		j, err := Open(dir)
 		if err != nil {
@@ -163,13 +165,19 @@ func FuzzSegmentOpen(f *testing.F) {
 	f.Add(valid[:len(valid)-9])
 	f.Add(scrambled)
 	f.Add(append(bytes.Clone(valid), valid...))
-	f.Add([]byte(headerMagic + " 00 99999999999999999999\n"))
+	f.Add([]byte(magic + " " + Key("x") + " " + Key("y") + " 99999999999999999999\n"))
 	nl := bytes.IndexByte(valid, '\n') // a header with junk after its length
 	f.Add(append(append(bytes.Clone(valid[:nl]), 'x'), valid[nl:]...))
+	// A raw record as the checkpoint store writes it, then one entry.
+	f.Add(append(mustSeal(f, Key("seg-fuzz", "snap"), snapshotLike()), valid...))
+	for _, bad := range slices.Sorted(maps.Keys(badKeys(Key("x")))) {
+		f.Add(append(reframe(valid, badKeys(Key("x"))[bad]), valid...))
+	}
+	f.Add([]byte(magic + " " + Key("x") + " " + Key("y") + " 9223372036854775800\n")) // header + length overflows int64
 
 	dir := f.TempDir() // one directory, rewritten per input: fuzzing stays fast
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if err := os.WriteFile(filepath.Join(dir, "0000000000000000-fuzz.seg"), data, 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(dir, "0000000000000000-fuzz"+recExt), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		j, err := Open(dir)
@@ -178,6 +186,12 @@ func FuzzSegmentOpen(f *testing.F) {
 		}
 		good := 0
 		for _, key := range j.Keys() {
+			if !isHex64(key) {
+				t.Fatalf("Open indexed key %q", key)
+			}
+			if payload, ok := j.GetRecord(key); ok && !bytes.Equal(mustSeal(t, key, payload), readRecord(t, j, key)) {
+				t.Fatalf("key %q: accepted record does not re-seal to its stored bytes", key)
+			}
 			e, ok := j.Get(key)
 			if !ok {
 				continue
@@ -193,6 +207,18 @@ func FuzzSegmentOpen(f *testing.F) {
 			t.Fatalf("Verify passed %d entries, Get accepts %d", n, good)
 		}
 	})
+}
+
+// readRecord reads key's indexed record bytes off disk, unchecked.
+func readRecord(t testing.TB, j *Journal, key string) []byte {
+	t.Helper()
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	rec, err := j.readLocked(j.index[key])
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rec
 }
 
 // lruModel is the reference the budget property test runs the journal

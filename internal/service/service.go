@@ -94,13 +94,13 @@
 //     buckets and the per-sweep cell limit (QuotaError, also 429)
 //     throttle a greedy tenant without starving the rest.
 //   - Disk full / store over budget: journal and checkpoint stores are
-//     caches. Write failures are counted and swallowed (the cell re-runs
-//     later). Under -journal-budget the journal compacts its segments into
-//     one holding the most recently used entries, up to ⅞ of the budget,
-//     and the admission that triggered it always survives; under
-//     -ckpt-budget the checkpoint store evicts least-recently-used
-//     snapshots. An evicted entry is a future re-simulation or live
-//     replay, never an error.
+//     caches, and both are the one sealed-record log (internal/journal).
+//     Write failures are counted and swallowed (the cell re-runs later).
+//     Under -journal-budget the journal, and under -ckpt-budget each
+//     worker's checkpoint store, compacts its record files into one
+//     holding the most recently used records, up to ⅞ of the budget; the
+//     write that triggered it always survives. An evicted entry is a
+//     future re-simulation or live replay, never an error.
 //   - Daemon dies: the exclusive-writer LOCK file (internal/journal) is
 //     reclaimed by the next daemon after a pid+start-time liveness check
 //     (a recycled pid cannot wedge it); completed cells replay from the

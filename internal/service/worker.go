@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"lowvcc/internal/circuit"
+	"lowvcc/internal/ckpt"
 	"lowvcc/internal/journal"
 	"lowvcc/internal/sim"
 )
@@ -79,8 +80,9 @@ type WorkerOpts struct {
 	// <scheduler JournalDir>/local.
 	JournalDir string
 
-	// CkptBudget bounds the checkpoint store's disk usage in bytes (LRU
-	// eviction); 0 = unbounded.
+	// CkptBudget bounds the checkpoint store's disk usage in bytes: past
+	// it the store's log compacts to its most recently used snapshots, up
+	// to ⅞ of the budget (ckpt.Store.SetBudget); 0 = unbounded.
 	CkptBudget int64
 }
 
@@ -221,9 +223,14 @@ func executeCell(ctx context.Context, lease *Lease, opts WorkerOpts) ([]byte, er
 	r := c.Spec.NewRunner()
 	r.Workers = 1
 	if opts.JournalDir != "" {
-		r.CkptDir = filepath.Join(opts.JournalDir, "ckpt")
+		// The store is opened for this cell and closed with it, so its log
+		// serves every snapshot another cell or process wrote before now. A
+		// directory that will not open leaves a memory-only store.
+		st, _ := ckpt.Open(filepath.Join(opts.JournalDir, "ckpt"))
+		st.SetBudget(opts.CkptBudget)
+		defer st.Close()
+		r.WithCheckpointStore(st)
 	}
-	r.CkptBudget = opts.CkptBudget
 	r.PointTimeout = opts.CellTimeout
 	r.Retries, r.RetryBackoff = opts.Retries, opts.RetryBackoff
 	r.Faults = opts.Faults

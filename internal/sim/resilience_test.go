@@ -15,6 +15,7 @@ import (
 	"lowvcc/internal/circuit"
 	"lowvcc/internal/core"
 	"lowvcc/internal/journal"
+	"lowvcc/internal/workload"
 )
 
 // resilienceSuite is the small fixed workload every resilience test (and
@@ -193,8 +194,8 @@ func TestJournalReplayBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n, err := j.Len(); err != nil || n != len(streamModes)*len(streamLevels)*len(traces) {
-		t.Fatalf("journal holds %d entries (err %v), want one per cell", n, err)
+	if n := len(j.Keys()); n != len(streamModes)*len(streamLevels)*len(traces) {
+		t.Fatalf("journal holds %d entries, want one per cell", n)
 	}
 
 	for _, workers := range []int{1, 4} {
@@ -357,10 +358,7 @@ func TestCrashResume(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		n, err := j.Len()
-		if err != nil {
-			t.Fatal(err)
-		}
+		n := len(j.Keys())
 		if n == 0 || n >= len(streamModes)*len(streamLevels)*len(traces) {
 			t.Fatalf("workers=%d: crash left %d journaled cells, want a strict non-empty prefix", workers, n)
 		}
@@ -478,5 +476,30 @@ func TestRunPointPartialSlots(t *testing.T) {
 		case i != 1 && !reflect.DeepEqual(results[i], clean[i]):
 			t.Errorf("surviving trace %d differs from the clean run", i)
 		}
+	}
+}
+
+// TestJournaledRunCellsCloseFiles: every Stream closes the journal it
+// opened, so 20 journaled RunCells in one process, each writing an entry,
+// leave the number of open file descriptors where it was.
+func TestJournaledRunCellsCloseFiles(t *testing.T) {
+	fds := func() int {
+		ents, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Skip("no /proc/self/fd on this platform")
+		}
+		return len(ents)
+	}
+	r := (&Runner{Workers: 1}).WithJournal(t.TempDir())
+	cfg := core.DefaultConfig(500, circuit.ModeIRAW)
+	before := fds()
+	for seed := uint64(1); seed <= 20; seed++ {
+		u, err := r.RunCell(context.Background(), "fd", cfg, workload.Generate(workload.SpecInt(), 500, seed))
+		if err != nil || u.Replayed {
+			t.Fatalf("cell %d: err %v, replayed %v; want a fresh journaled cell", seed, err, u.Replayed)
+		}
+	}
+	if after := fds(); after != before {
+		t.Errorf("20 journaled cells changed the open descriptors from %d to %d", before, after)
 	}
 }

@@ -105,7 +105,8 @@ type Runner struct {
 	JournalBudget int64
 
 	// CkptBudget, when positive, caps the on-disk checkpoint store at
-	// that many bytes (ckpt.SetBudget): snapshot files evict LRU, and an
+	// that many bytes (ckpt.SetBudget): past it the store's log compacts
+	// to its most recently used snapshots, up to ⅞ of the budget, and an
 	// evicted snapshot degrades to live warm replay. 0 means unbounded.
 	CkptBudget int64
 
@@ -130,7 +131,8 @@ type Runner struct {
 	// (consulted only when CkptStore is nil). When both are empty the
 	// store defaults to JournalDir/ckpt when journaling is on — so sweep
 	// workers sharing a journal directory share snapshots through the
-	// filesystem — and otherwise to a process-wide in-memory store.
+	// filesystem — and otherwise to an in-memory store of the runner's
+	// own, whose snapshots end with the runner.
 	CkptDir string
 
 	// DisableCheckpoints selects the reference warm path: every sharded
@@ -222,12 +224,6 @@ func (r *Runner) planFor(n int) (win, warm int) {
 	return win, warm
 }
 
-// sharedCkpt is the process-wide in-memory checkpoint store runners fall
-// back to when no directory is configured: every runner in the process
-// shares one snapshot per (trace, config, boundary), which is exactly the
-// point of content addressing.
-var sharedCkpt, _ = ckpt.Open("")
-
 // checkpoints resolves the runner's warm-state checkpoint store; nil means
 // checkpoints are disabled. The CkptDir/JournalDir resolution is memoized:
 // the store must be opened once so its in-memory half actually
@@ -244,18 +240,10 @@ func (r *Runner) checkpoints() *ckpt.Store {
 		if dir == "" && r.JournalDir != "" {
 			dir = filepath.Join(r.JournalDir, "ckpt")
 		}
-		if dir == "" {
-			r.ckptMemo = sharedCkpt
-			return
-		}
-		st, err := ckpt.Open(dir)
-		if err != nil {
-			// The store is a cache: an unusable directory degrades to the
-			// shared in-memory store instead of failing the sweep.
-			st = sharedCkpt
-		} else if r.CkptBudget > 0 {
-			st.SetBudget(r.CkptBudget)
-		}
+		// The store is a cache: a directory that will not open leaves a
+		// memory-only store instead of failing the sweep.
+		st, _ := ckpt.Open(dir)
+		st.SetBudget(r.CkptBudget)
 		r.ckptMemo = st
 	})
 	return r.ckptMemo

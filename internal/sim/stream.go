@@ -348,6 +348,9 @@ func (r *Runner) stream(ctx context.Context, specs []PointSpec, ch chan<- PointU
 			emit(PointUpdate{Point: -1, Trace: -1, Err: err})
 			return
 		}
+		// Runs before ch closes: a caller that drained the stream finds
+		// the journal's file closed.
+		defer jnl.Close()
 		jnl.SetSync(r.JournalSync)
 		if r.JournalBudget > 0 {
 			jnl.SetBudget(r.JournalBudget)

@@ -23,8 +23,10 @@
 #      regenerated configs, so a width-threading bug on either side would
 #      fail the content check or change the rendered numbers;
 #   5. SIGTERM drains the daemon gracefully: it verifies the journal and
-#      exits 0, leaving every admitted result in one journal segment
-#      (exactly one *.seg, no per-cell file);
+#      exits 0, leaving every admitted result in one journal record file
+#      (exactly one *.rec or *.seg, no per-cell file), and no worker's
+#      ckpt/ store holds a per-snapshot *.snap file (snapshots are records
+#      of the same log);
 #   6. a second daemon with in-process worker slots (-workers 2) on a
 #      fresh journal serves `figures -fig all -csv -server` byte-identical
 #      to the local `figures -fig all -csv`: the figures' union grid sends
@@ -63,10 +65,11 @@ cleanup() {
 }
 trap cleanup EXIT
 
-# has_entries DIR succeeds when DIR holds a journal entry in either
-# layout: a segment (*.seg) or an old per-key file (*.cell).
+# has_entries DIR succeeds when DIR holds a journal entry in any layout:
+# a record file (*.rec), an older segment (*.seg) or per-key file (*.cell).
 has_entries() {
-  compgen -G "$1/*.seg" >/dev/null || compgen -G "$1/*.cell" >/dev/null
+  compgen -G "$1/*.rec" >/dev/null || compgen -G "$1/*.seg" >/dev/null ||
+    compgen -G "$1/*.cell" >/dev/null
 }
 
 echo "sweepd_smoke: building" >&2
@@ -83,7 +86,10 @@ echo "sweepd_smoke: local baseline sweep and every figure" >&2
 
 echo "sweepd_smoke: starting daemon (external workers only)" >&2
 # -addr :0 picks a free port; parse it from the serving line. Short lease
-# TTL so the murdered worker's cell requeues quickly.
+# TTL so the murdered worker's cell requeues quickly. The output file is
+# created first: the background job opens it only once it starts, and the
+# polling below may read it before then.
+: > "$WORK/daemon.out"
 "$WORK/sweepd" -addr 127.0.0.1:0 -journal "$WORK/jnl" -workers -1 \
   -lease-ttl 2s > "$WORK/daemon.out" 2> "$WORK/daemon.err" &
 DAEMON_PID=$!
@@ -148,7 +154,7 @@ for i in 1 2; do
 done
 
 # Windowed sweep: sample windows shard each trace, functional warm-up runs
-# through the warm-state checkpoint store (local: in-process shared store;
+# through the warm-state checkpoint store (local: the runner's in-memory store;
 # daemon workers: each keeps a private ckpt/ in its scratch directory).
 # Both paths must stitch the same rows.
 WINDOW=5000
@@ -251,10 +257,18 @@ grep -q "journal verified" "$WORK/daemon.err" || {
   exit 1
 }
 DAEMON_PID=""
-SEGS="$(find "$WORK/jnl" -maxdepth 1 -name '*.seg' | wc -l)"
+SEGS="$(find "$WORK/jnl" -maxdepth 1 \( -name '*.rec' -o -name '*.seg' \) | wc -l)"
 if [ "$SEGS" -ne 1 ] || compgen -G "$WORK/jnl/*.cell" >/dev/null; then
-  echo "sweepd_smoke: FAIL drained journal holds $SEGS segments (want 1) or per-cell files" >&2
+  echo "sweepd_smoke: FAIL drained journal holds $SEGS record files (want 1) or per-cell files" >&2
   ls -la "$WORK/jnl" >&2
+  exit 1
+fi
+# The workers' checkpoint stores are logs too: the windowed sweep wrote
+# snapshots, and none of them as a per-snapshot file.
+if ! compgen -G "$WORK/w*-jnl/ckpt/*.rec" >/dev/null ||
+  compgen -G "$WORK/w*-jnl/ckpt/*.snap" >/dev/null; then
+  echo "sweepd_smoke: FAIL worker ckpt stores hold no record file, or a *.snap file" >&2
+  ls -la "$WORK"/w*-jnl/ckpt >&2 || true
   exit 1
 fi
 
@@ -262,6 +276,7 @@ fi
 # upload every result from memory through the daemon's content check,
 # exactly as external workers do.
 echo "sweepd_smoke: starting daemon with in-process workers (-workers 2)" >&2
+: > "$WORK/daemon2.out"
 "$WORK/sweepd" -addr 127.0.0.1:0 -journal "$WORK/jnl2" -workers 2 \
   > "$WORK/daemon2.out" 2> "$WORK/daemon2.err" &
 DAEMON_PID=$!
