@@ -15,42 +15,35 @@
 //
 // # Cached set state
 //
-// The access hot path works from per-set summaries instead of per-access
-// recomputation, over flat host state: no Go maps and no heaps. The
-// invariants (all equivalence-fuzzed against the summary-free slow paths,
-// which remain selectable via SetFastPaths(false)):
+// The access hot path runs over flat host state: no Go maps and no heaps.
+// Three fast paths stay because the memory-bound benchmark pays for them;
+// each is equivalence-fuzzed against the reference scans, which remain
+// selectable via SetFastPaths(false):
 //
-//   - Each entry is one lineState record (tag, valid/dirty/disabled flags,
-//     validFrom, LRU tick), so a probe touches one cache line per way.
-//   - Address decomposition (lineShift/tagShift/setMask) is precomputed at
-//     construction and never changes.
 //   - validMask/disabledMask mirror the valid/disabled flags bit-per-way and
 //     are updated at the only places those flags change: Fill, Invalidate,
 //     and DisableFaultyLines. Lookup/Peek/Victim scan only the live ways.
 //     The masks say nothing about validFrom — a set bit can still lose the
 //     cycle comparison, exactly as in the full scan.
-//   - The fault map (disabledMask) changes only on DisableFaultyLines, i.e.
-//     on a vcc/mode reconfiguration; nothing on the access path writes it.
-//   - tagSum mirrors the live ways' tags as one 8-bit fold per way,
-//     rewritten only by Fill; lruOrder mirrors the lru tick ranking as a
-//     packed recency list, moved only by touchLRU. Lookup resolves the set
-//     in one SWAR compare (full tags verify candidates) and Victim reads
-//     the LRU way off the packed order.
-//   - The sram.Array keeps per-set ready bounds and corrupt counts,
-//     maintained on every write/scramble; a read consults them to skip the
-//     set-wide slot walk, and the hierarchy reads corrupt counts in O(1).
-//     Only a write or a violation scramble can invalidate those summaries.
+//   - lruOrder mirrors the lru tick ranking as a packed recency list, moved
+//     only by touchLRU; Victim reads the LRU way off its low end.
 //   - The in-flight fill (MSHR) records are generational: two lineTables
 //     (open-addressed, keyed by line address) rotated one access-time
 //     horizon apart, the older cleared wholesale and reused once none of
 //     its records can be consulted again (see MarkInFlight) — observably
 //     identical to the lazily pruned single table the reference path keeps.
-//   - The hierarchy's integrity-oracle state is lazy and bounded: line
-//     signatures memoize until the line is written (bumpLineVer refreshes
-//     in place), and version records (a lineTable) are dropped when their
-//     line leaves the DL0 — the only place signatures are ever compared —
-//     on both the fast and the fast-path-disabled reference paths (see
-//     gcOracleLine).
+//
+// The rest is shared by both paths:
+//
+//   - Each entry is one lineState record (tag, valid/dirty/disabled flags,
+//     validFrom, LRU tick), so a probe touches one cache line per way.
+//   - Address decomposition (lineShift/tagShift/setMask) is precomputed at
+//     construction and never changes.
+//   - The fault map (disabledMask) changes only on DisableFaultyLines, i.e.
+//     on a vcc/mode reconfiguration; nothing on the access path writes it.
+//   - The integrity oracle's version records (a lineTable) are dropped when
+//     their line leaves the DL0 — the only place signatures are ever
+//     compared — so the table stays at DL0 size (see gcOracleLine).
 //   - Port holds live in a bitmap ring (holdCal), and the fill and
 //     write-combining buffers pick their entry by an argmin scan over at
 //     most a handful of entries.
@@ -66,7 +59,7 @@
 //     tags, valid bits, LRU recency, dirty bits, TLB entries, oracle
 //     versions, settled data signatures — is a pure function of the
 //     replayed sequence, independent of the clock plan, Vcc, IRAW mode and
-//     the cycle at which the replay runs. Victim selection, mask/tagSum
+//     the cycle at which the replay runs. Victim selection, mask
 //     maintenance and LRU movement are exactly the timed path's.
 //   - Everything is settled. Warm lookups ignore validFrom (no clock to
 //     compare against), warm fills and writes land uninterrupted with no
@@ -95,8 +88,8 @@
 // snapshotted and restored instead of re-replayed: Cache.CaptureWarm /
 // Hierarchy.CaptureWarm serialize exactly the access-order state (tags,
 // valid/dirty bits, LRU recency, settled data, ready bits) into a
-// WarmState, and RestoreWarm rebuilds every derived summary — validMask,
-// tagSum, lruOrder, sram ready bounds — from it, so a restored hierarchy
+// WarmState, and RestoreWarm rebuilds the derived state — validMask,
+// lruOrder and the sram ready bound — from it, so a restored hierarchy
 // is indistinguishable from one that replayed the whole prefix live.
 // Capture refuses anything timing-visible (port holds, in-flight fills,
 // stabilizing writes, corrupt slots): a snapshot is only taken at a quiet
@@ -145,9 +138,6 @@ func (c Config) validate() error {
 	return nil
 }
 
-// SizeBytes returns the data capacity.
-func (c Config) SizeBytes() int { return c.Sets * c.Ways * c.LineBytes }
-
 // Stats counts cache activity.
 type Stats struct {
 	Accesses    uint64
@@ -192,22 +182,17 @@ type Cache struct {
 	waysMask     uint64
 	// lruOrder caches each set's recency order as packed 4-bit way indices,
 	// least-recent in the low nibble — the same order the lru tick array
-	// encodes, updated at the only place ticks are granted (touch). Victim
-	// reads the LRU way from the low end instead of rescanning all ways'
-	// ticks. Maintained only when Ways <= 8 (lruPacked); larger
+	// encodes, updated at the only place ticks are granted (touchLRU).
+	// Victim reads the LRU way from the low end instead of rescanning all
+	// ways' ticks. Maintained only when Ways <= 8 (lruPacked); larger
 	// configurations fall back to the tick scan.
 	lruOrder  []uint32
 	lruPacked bool
-	// tagSum packs an 8-bit fold of each way's tag into one word per set
-	// (byte w = fold of way w's tag, maintained at the only place tags
-	// change: Fill). Lookup compares all ways in one SWAR operation and
-	// verifies only candidate bytes against the full tags, so the common
-	// miss costs no per-way tag loads. Allocated only when Ways <= 8.
-	tagSum []uint64
-	// noFast disables the summary-driven fast paths (Lookup/Victim/Peek
-	// bit-scans, MSHR sweeping) in favour of the original full scans — the
-	// benchmark baseline and equivalence-fuzz reference. Flip it only right
-	// after construction (SetFastPaths).
+	// noFast disables the fast paths (Lookup/Victim/Peek mask scans, the
+	// packed-LRU victim, MSHR generations) in favour of the original full
+	// scans and lazily pruned single MSHR table — the benchmark baseline
+	// and equivalence-fuzz reference. Flip it only right after construction
+	// (SetFastPaths).
 	noFast bool
 	// holds tracks port-busy cycles (fill stabilization windows,
 	// Store-Table replays). A fill completing at a future cycle holds the
@@ -274,26 +259,20 @@ func New(cfg Config) (*Cache, error) {
 		for s := range c.lruOrder {
 			c.lruOrder[s] = ident
 		}
-		c.tagSum = make([]uint64, cfg.Sets)
 	}
 	return c, nil
 }
 
-// tagFold is the 8-bit per-way tag digest stored in tagSum. Equal tags
-// always fold equally (no false negatives); fold collisions only cost a
-// full-tag verify.
-func tagFold(tag uint64) uint64 { return (tag ^ tag>>8) & 0xFF }
-
-// touchLRU grants (set, way) the next recency tick and, on the fast path,
-// moves it to the most-recent end of the set's packed order. Ticks and
-// packed order encode the same recency ranking: never-touched ways sort by
-// ascending way index (the packed order's initial state, matching the tick
-// scan's lowest-way tie-break on equal zero ticks), touched ways by tick.
+// touchLRU grants (set, way) the next recency tick and moves it to the
+// most-recent end of the set's packed order. Ticks and packed order encode
+// the same recency ranking: never-touched ways sort by ascending way index
+// (the packed order's initial state, matching the tick scan's lowest-way
+// tie-break on equal zero ticks), touched ways by tick.
 func (c *Cache) touchLRU(set, way int) {
 	c.lruTick++
 	c.lines[set*c.cfg.Ways+way].lru = c.lruTick
-	// Maintained regardless of noFast — like every other summary — so
-	// SetFastPaths can be flipped without leaving a stale order behind.
+	// Maintained regardless of noFast, so SetFastPaths can be flipped
+	// without leaving a stale order behind.
 	if !c.lruPacked {
 		return
 	}
@@ -322,15 +301,13 @@ func MustNew(cfg Config) *Cache {
 // Config returns the cache configuration.
 func (c *Cache) Config() Config { return c.cfg }
 
-// SetFastPaths enables or disables the cached-set-state fast paths of this
-// block and its backing sram array (enabled by default). The summaries are
-// maintained either way; the flag selects whether the access path consults
-// them. Benchmark-baseline and equivalence-test hook: flip it only right
-// after construction.
-func (c *Cache) SetFastPaths(enabled bool) {
-	c.noFast = !enabled
-	c.data.SetFastPath(enabled)
-}
+// SetFastPaths enables or disables this block's fast paths — the live-way
+// mask scans, the packed-LRU victim and the MSHR record generations
+// (enabled by default). The masks and the packed order are maintained
+// either way; the flag selects whether the access path consults them.
+// Benchmark-baseline and equivalence-test hook: flip it only right after
+// construction.
+func (c *Cache) SetFastPaths(enabled bool) { c.noFast = !enabled }
 
 // Stats returns a snapshot of the counters.
 func (c *Cache) Stats() Stats { return c.stats }
@@ -483,28 +460,6 @@ func (c *Cache) Lookup(cycle int64, addr uint64) (way int, hit bool) {
 	tag := c.tagOf(addr)
 	if !c.noFast {
 		base := set * c.cfg.Ways
-		if c.tagSum != nil {
-			// SWAR probe: all ways' tag folds compared in one word op;
-			// only candidate bytes (fold matches — or the zero-byte
-			// detector's occasional false positive, which the full-tag
-			// verify rejects) touch the entry arrays. Candidates surface
-			// in ascending way order, like the scan.
-			live := c.validMask[set] &^ c.disabledMask[set]
-			x := c.tagSum[set] ^ tagFold(tag)*0x0101010101010101
-			for cand := (x - 0x0101010101010101) &^ x & 0x8080808080808080; cand != 0; cand &= cand - 1 {
-				w := bits.TrailingZeros64(cand) >> 3
-				if live>>uint(w)&1 == 0 {
-					continue
-				}
-				if l := &c.lines[base+w]; l.tag == tag && cycle >= l.validFrom {
-					c.stats.Hits++
-					c.touchLRU(set, w)
-					return w, true
-				}
-			}
-			c.stats.Misses++
-			return 0, false
-		}
 		for m := c.validMask[set] &^ c.disabledMask[set]; m != 0; m &= m - 1 {
 			w := bits.TrailingZeros64(m)
 			if l := &c.lines[base+w]; l.tag == tag && cycle >= l.validFrom {
@@ -525,48 +480,6 @@ func (c *Cache) Lookup(cycle int64, addr uint64) (way int, hit bool) {
 	}
 	c.stats.Misses++
 	return 0, false
-}
-
-// LookupAt probes one specific way — a memoized earlier hit — instead of
-// scanning the set. On a match it performs exactly a Lookup hit's side
-// effects (access/hit counters, LRU touch) and returns true; on any
-// mismatch it returns false with NO side effects, so the caller can fall
-// back to the full Lookup without double-counting. The hierarchy's
-// per-page TLB translation memo is the intended caller.
-func (c *Cache) LookupAt(cycle int64, addr uint64, way int) bool {
-	if way < 0 || way >= c.cfg.Ways {
-		return false
-	}
-	set := c.SetOf(addr)
-	tag := c.tagOf(addr)
-	if l := &c.lines[c.entry(set, way)]; !l.valid || l.disabled || l.tag != tag || cycle < l.validFrom {
-		return false
-	}
-	// Scan-order guard: Lookup hits the lowest matching readable way, and
-	// duplicate tags are transiently possible (a line can be refilled into
-	// a second way while its first fill is not yet readable). If an
-	// earlier way also matches, the memoized way is not the one Lookup
-	// would pick — fall back so the LRU touch lands exactly where the full
-	// scan would put it.
-	if !c.noFast {
-		base := set * c.cfg.Ways
-		earlier := c.validMask[set] &^ c.disabledMask[set] & (uint64(1)<<uint(way) - 1)
-		for m := earlier; m != 0; m &= m - 1 {
-			if l := &c.lines[base+bits.TrailingZeros64(m)]; l.tag == tag && cycle >= l.validFrom {
-				return false
-			}
-		}
-	} else {
-		for w := 0; w < way; w++ {
-			if l := &c.lines[c.entry(set, w)]; l.valid && !l.disabled && l.tag == tag && cycle >= l.validFrom {
-				return false
-			}
-		}
-	}
-	c.stats.Accesses++
-	c.stats.Hits++
-	c.touchLRU(set, way)
-	return true
 }
 
 // MarkInFlight registers an outstanding fill of line completing at ready.
@@ -770,10 +683,6 @@ func (c *Cache) install(set, way int, addr uint64, validFrom int64) (victimAddr 
 		victimAddr = (l.tag*uint64(c.cfg.Sets) + uint64(set)) << c.lineShift
 	}
 	*l = lineState{tag: c.tagOf(addr), validFrom: validFrom, lru: l.lru, valid: true}
-	if c.tagSum != nil {
-		sh := uint(8 * way)
-		c.tagSum[set] = c.tagSum[set]&^(0xFF<<sh) | tagFold(l.tag)<<sh
-	}
 	c.validMask[set] |= 1 << uint(way)
 	c.touchLRU(set, way)
 	return victimAddr, dirty, evicted
@@ -787,29 +696,14 @@ func (c *Cache) MarkDirty(set, way int) { c.lines[c.entry(set, way)].dirty = tru
 // as Lookup, updating LRU on a hit, but it ignores validFrom (warm replay
 // treats every installed line as settled — there is no clock to compare
 // against) and moves no statistics. Port holds are not consulted: warm
-// accesses are timing-free by definition. The probe always uses the set
-// summaries (they are maintained regardless of the fast-path switch, and
-// the warm path has no summary-free reference to stay equivalent to).
+// accesses are timing-free by definition. The probe always scans the way
+// masks (they are maintained regardless of the fast-path switch, and the
+// warm path has no mask-free reference to stay equivalent to).
 func (c *Cache) WarmLookup(addr uint64) (way int, hit bool) {
 	set := c.SetOf(addr)
 	tag := c.tagOf(addr)
 	base := set * c.cfg.Ways
-	live := c.validMask[set] &^ c.disabledMask[set]
-	if c.tagSum != nil {
-		x := c.tagSum[set] ^ tagFold(tag)*0x0101010101010101
-		for cand := (x - 0x0101010101010101) &^ x & 0x8080808080808080; cand != 0; cand &= cand - 1 {
-			w := bits.TrailingZeros64(cand) >> 3
-			if live>>uint(w)&1 == 0 {
-				continue
-			}
-			if c.lines[base+w].tag == tag {
-				c.touchLRU(set, w)
-				return w, true
-			}
-		}
-		return 0, false
-	}
-	for m := live; m != 0; m &= m - 1 {
+	for m := c.validMask[set] &^ c.disabledMask[set]; m != 0; m &= m - 1 {
 		w := bits.TrailingZeros64(m)
 		if c.lines[base+w].tag == tag {
 			c.touchLRU(set, w)
@@ -820,7 +714,7 @@ func (c *Cache) WarmLookup(addr uint64) (way int, hit bool) {
 }
 
 // WarmFill installs addr's line as fully settled state at `at`: victim
-// selection and the mask/tagSum/LRU maintenance are exactly Fill's, but no
+// selection and the mask/LRU maintenance are exactly Fill's, but no
 // statistics move, no ports are held, and the data write lands
 // uninterrupted — the line (tag and signature) is readable from at+1, i.e.
 // from the first cycle the timed engine simulates after a warm replay

@@ -58,9 +58,9 @@ func compareHierarchies(t *testing.T, tag string, fast, slow *Hierarchy) {
 // tuned to exercise exactly the states the cached set state summarizes:
 // store bursts followed by same-set loads (STable replays, full and
 // set-only matches), unsafe IRAW windows (scrambled bitcells, so the
-// per-set corrupt counts and violation paths engage), tight same-set
-// conflict traffic (victim selection from the packed LRU order), and page
-// churn (TLB walk fills).
+// violation and repair-accounting paths engage), tight same-set conflict
+// traffic (victim selection from the packed LRU order), and page churn
+// (TLB walk fills).
 func TestHierarchyFastSlowEquivalence(t *testing.T) {
 	modes := []TimingMode{
 		{Interrupted: false, N: 0, Avoid: false, MemCycles: 40}, // baseline

@@ -221,70 +221,3 @@ func TestViolationAccountingCleanAtBaseline(t *testing.T) {
 		t.Fatalf("baseline corruption: %+v", h.Stats())
 	}
 }
-
-// TestTLBMemoEquivalence drives identical deterministic access sequences
-// through a memoizing and a memo-disabled hierarchy — in baseline and safe
-// IRAW timing, with page reuse, page changes, walks, and port holds from
-// fills — and requires every returned timing and every counter to match:
-// the per-page translation memo must be invisible.
-func TestTLBMemoEquivalence(t *testing.T) {
-	for _, mode := range []TimingMode{baselineMode, safeIRAW} {
-		memo := testHierarchy(t, mode)
-		plain := testHierarchy(t, mode)
-		plain.noTLBMemo = true
-
-		// xorshift keeps the sequence deterministic without test deps.
-		state := uint64(0x9E3779B97F4A7C15)
-		next := func() uint64 {
-			state ^= state << 13
-			state ^= state >> 7
-			state ^= state << 17
-			return state
-		}
-
-		cycle := int64(100)
-		for i := 0; i < 4000; i++ {
-			r := next()
-			// Cluster addresses on few pages so same-page repeats dominate
-			// (the memo's case), with occasional far pages forcing walks.
-			page := uint64(0x10000000) + (r%6)*4096
-			if r%37 == 0 {
-				page = uint64(0x40000000) + (r%1024)*4096
-			}
-			addr := page + (next() % 4096 &^ 7)
-			pc := uint64(0x00400000) + (r % 3 * 4096) + (next() % 2048 &^ 3)
-
-			switch r % 4 {
-			case 0, 1:
-				a, b := memo.Load(cycle, addr), plain.Load(cycle, addr)
-				if a != b {
-					t.Fatalf("mode %+v op %d: Load(%d, %#x) = %+v vs %+v", mode, i, cycle, addr, a, b)
-				}
-			case 2:
-				a, b := memo.CommitStore(cycle, addr, r), plain.CommitStore(cycle, addr, r)
-				if a != b {
-					t.Fatalf("mode %+v op %d: CommitStore(%d, %#x) = %+v vs %+v", mode, i, cycle, addr, a, b)
-				}
-			case 3:
-				a, b := memo.FetchInst(cycle, pc), plain.FetchInst(cycle, pc)
-				if a != b {
-					t.Fatalf("mode %+v op %d: FetchInst(%d, %#x) = %+v vs %+v", mode, i, cycle, pc, a, b)
-				}
-			}
-			cycle += int64(next() % 4) // mostly adjacent cycles, some repeats-in-place pressure
-			if memo.Stats() != plain.Stats() {
-				t.Fatalf("mode %+v op %d: hierarchy stats diverge:\nmemo:  %+v\nplain: %+v",
-					mode, i, memo.Stats(), plain.Stats())
-			}
-			for j, pair := range [][2]*Cache{
-				{memo.ITLB, plain.ITLB}, {memo.DTLB, plain.DTLB},
-				{memo.IL0, plain.IL0}, {memo.DL0, plain.DL0}, {memo.UL1, plain.UL1},
-			} {
-				if pair[0].Stats() != pair[1].Stats() {
-					t.Fatalf("mode %+v op %d: block %d stats diverge:\nmemo:  %+v\nplain: %+v",
-						mode, i, j, pair[0].Stats(), pair[1].Stats())
-				}
-			}
-		}
-	}
-}

@@ -16,8 +16,8 @@ import (
 //     = n). Tick values are a producer artifact (a monotone grant counter);
 //     only their ordering is observable, so renumbering makes snapshots
 //     byte-comparable no matter how the producing replay was segmented.
-//   - Derived summaries (validMask, tagSum, lruOrder, validFrom, the sram
-//     ready bounds) are not stored; RestoreWarm recomputes them exactly.
+//   - Derived state (validMask, lruOrder, validFrom, the sram ready bound)
+//     is not stored; RestoreWarm recomputes it exactly.
 //   - The fault map (disabled lines) is not stored: it is reinstalled
 //     deterministically by the core's reset and keys the snapshot instead.
 //
@@ -90,9 +90,9 @@ func (c *Cache) CaptureWarm() (*WarmState, error) {
 
 // RestoreWarm loads a warm snapshot into the block, which must be freshly
 // reset (empty, with its fault map — if any — already installed). The
-// snapshot is only read; every derived summary is recomputed from it. A
-// valid entry colliding with a disabled line means the snapshot was built
-// under a different fault map and is rejected.
+// snapshot is only read; the way masks and packed LRU order are recomputed
+// from it. A valid entry colliding with a disabled line means the snapshot
+// was built under a different fault map and is rejected.
 func (c *Cache) RestoreWarm(s *WarmState) error {
 	entries := len(c.lines)
 	if len(s.Tags) != entries || len(s.LRU) != entries ||
@@ -121,13 +121,6 @@ func (c *Cache) RestoreWarm(s *WarmState) error {
 			}
 		}
 		c.validMask[set] = vm
-		if c.tagSum != nil {
-			var sum uint64
-			for w := 0; w < c.cfg.Ways; w++ {
-				sum |= tagFold(c.lines[base+w].tag) << uint(8*w)
-			}
-			c.tagSum[set] = sum
-		}
 		if c.lruPacked {
 			// Rebuild the packed recency order: ways sorted by (tick, way)
 			// ascending, least-recent in the low nibble — the same ranking
@@ -164,9 +157,9 @@ func (c *Cache) RestoreWarm(s *WarmState) error {
 // touched is provably at its reset value after a pure functional warm-up —
 // the integrity oracle stays empty (only timed stores bump line versions,
 // and the GC only deletes), the STable, buffers, port holds and data-side
-// serialization point never move, and the memos are result-invariant
-// caches — so CaptureWarm asserts those invariants instead of serializing
-// them, and RestoreWarm re-clears the caches.
+// serialization point never move, and the warm-path memos are
+// result-invariant caches — so CaptureWarm asserts those invariants instead
+// of serializing them, and RestoreWarm re-clears the memos.
 type HierarchyWarmState struct {
 	IL0, DL0, UL1, ITLB, DTLB *WarmState
 }
@@ -207,8 +200,8 @@ func (h *Hierarchy) CaptureWarm() (*HierarchyWarmState, error) {
 
 // RestoreWarm loads a warm snapshot into the hierarchy, which must be
 // freshly reset (fault maps installed, nothing else touched). The
-// result-invariant caches (TLB translation memos, warm memos, signature
-// memo) are cleared; they repopulate on demand with identical contents.
+// warm-path memos are cleared; they repopulate on demand with identical
+// contents.
 func (h *Hierarchy) RestoreWarm(s *HierarchyWarmState) error {
 	for _, p := range []struct {
 		c *Cache
@@ -222,14 +215,9 @@ func (h *Hierarchy) RestoreWarm(s *HierarchyWarmState) error {
 		}
 	}
 	h.dFreeAt = 0
-	h.itlbMemo.valid = false
-	h.dtlbMemo.valid = false
 	h.warmITLB.valid = false
 	h.warmDTLB.valid = false
 	h.warmDL0.valid = false
-	for i := range h.sigMemo {
-		h.sigMemo[i] = sigMemoEntry{}
-	}
 	h.lineVer.clear()
 	return nil
 }

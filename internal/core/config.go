@@ -232,10 +232,10 @@ type Config struct {
 	// Seed drives fault-map generation and any other stochastic state.
 	Seed uint64
 
-	// DisableFastPaths turns off the memory side's result-invariant
-	// hot-path caches — the hierarchy's cached set state (way masks, MSHR
-	// generations, lazy integrity-oracle signatures, STable probe
-	// early-outs, per-set sram summaries) — while keeping the event-driven
+	// DisableFastPaths turns off the memory side's result-invariant fast
+	// paths — the cache blocks' live-way mask scans, packed-LRU victim and
+	// MSHR record generations — in favour of the full way and tick scans
+	// and a lazily pruned MSHR table, while keeping the event-driven
 	// engine. Results are bit-identical either way (equivalence-fuzzed);
 	// this is the benchmark baseline and equivalence-test hook.
 	DisableFastPaths bool

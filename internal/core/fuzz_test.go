@@ -1,11 +1,13 @@
 package core
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
 	"lowvcc/internal/circuit"
 	"lowvcc/internal/rng"
+	"lowvcc/internal/trace"
 	"lowvcc/internal/workload"
 )
 
@@ -122,16 +124,41 @@ func TestSkipEngineMatchesSteppedEngine(t *testing.T) {
 	}
 }
 
-// TestFastPathsMatchDisabledEngine fuzzes the PR-4 fast paths — the
-// hierarchy's cached set state (way masks, packed LRU, MSHR generations,
-// lazy oracle signatures, STable early-outs, per-set sram summaries) —
+// TestFastPathsMatchDisabledEngine fuzzes the memory side's fast paths —
+// the cache blocks' live-way mask scans, packed-LRU victim and MSHR record
+// generations —
 // against the same event-driven engine with Config.DisableFastPaths set:
-// randomized (profile, voltage, mode, N, faulty-bits) points must produce
-// bit-identical Results, cold and warm.
+// randomized (profile, voltage, mode, N, faulty-bits, width) points must
+// produce bit-identical Results, cold and warm. A 60k-instruction MemBound
+// trace at every width runs long enough (hundreds of thousands of cycles
+// against a generation width of a few thousand) to rotate the MSHR
+// generations many times.
 // Together with TestSkipEngineMatchesSteppedEngine (which pins the default
 // engine to strict cycle stepping) this chains fast paths -> plain
 // event-driven -> stepped seed reference.
 func TestFastPathsMatchDisabledEngine(t *testing.T) {
+	matchDisabled := func(t *testing.T, tag string, cfg Config, tr *trace.Trace) {
+		t.Helper()
+		fast := MustNew(cfg)
+		slowCfg := cfg
+		slowCfg.DisableFastPaths = true
+		slow := MustNew(slowCfg)
+		for pass := 0; pass < 2; pass++ {
+			fr, err := fast.Run(tr)
+			if err != nil {
+				t.Fatalf("%s pass %d: fast paths: %v", tag, pass, err)
+			}
+			sr, err := slow.Run(tr)
+			if err != nil {
+				t.Fatalf("%s pass %d: disabled: %v", tag, pass, err)
+			}
+			if !reflect.DeepEqual(fr, sr) {
+				t.Fatalf("%s pass %d: fast paths change results\nfast:     %+v\ndisabled: %+v",
+					tag, pass, fr, sr)
+			}
+		}
+	}
+
 	src := rng.New(0xFA57C0DE)
 	profiles := append(workload.Profiles(), workload.MemBound())
 	levels := circuit.Levels()
@@ -142,12 +169,13 @@ func TestFastPathsMatchDisabledEngine(t *testing.T) {
 		iters = 8
 	}
 	for i := 0; i < iters; i++ {
+		width := 1 + i%MaxWidth
 		p := profiles[src.Intn(len(profiles))]
 		v := levels[src.Intn(len(levels))]
 		mode := modes[src.Intn(len(modes))]
 		insts := 1500 + src.Intn(3000)
 
-		cfg := DefaultConfig(v, mode)
+		cfg := DefaultConfigWidth(v, mode, width)
 		if mode == circuit.ModeIRAW {
 			switch src.Intn(4) {
 			case 0:
@@ -159,25 +187,14 @@ func TestFastPathsMatchDisabledEngine(t *testing.T) {
 			}
 		}
 		tr := workload.Generate(p, insts, uint64(i)+4242)
+		matchDisabled(t, fmt.Sprintf("iter %d (w=%d %s %v %v N=%d)", i, width, p.Name, v, mode, cfg.ForcedN), cfg, tr)
+	}
 
-		fast := MustNew(cfg)
-		slowCfg := cfg
-		slowCfg.DisableFastPaths = true
-		slow := MustNew(slowCfg)
-		for pass := 0; pass < 2; pass++ {
-			fr, err := fast.Run(tr)
-			if err != nil {
-				t.Fatalf("iter %d pass %d (%s %v %v): fast paths: %v", i, pass, p.Name, v, mode, err)
-			}
-			sr, err := slow.Run(tr)
-			if err != nil {
-				t.Fatalf("iter %d pass %d (%s %v %v): disabled: %v", i, pass, p.Name, v, mode, err)
-			}
-			if !reflect.DeepEqual(fr, sr) {
-				t.Fatalf("iter %d pass %d (%s %v %v N=%d): fast paths change results\nfast:     %+v\ndisabled: %+v",
-					i, pass, p.Name, v, mode, cfg.ForcedN, fr, sr)
-			}
-		}
+	long := workload.Generate(workload.MemBound(), 60000, 4243)
+	for width := 1; width <= MaxWidth; width++ {
+		mode := modes[width-1]
+		cfg := DefaultConfigWidth(500, mode, width)
+		matchDisabled(t, fmt.Sprintf("long MemBound (w=%d %v)", width, mode), cfg, long)
 	}
 }
 

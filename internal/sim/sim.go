@@ -190,14 +190,6 @@ type SuiteSpec struct {
 	SeedsPerProfile int
 }
 
-// DefaultSuite is the size used by the checked-in experiments: large enough
-// for warm caches and stable rates, small enough to sweep 13 voltages x
-// several modes in seconds.
-func DefaultSuite() SuiteSpec { return SuiteSpec{InstsPerTrace: 60000, SeedsPerProfile: 2} }
-
-// QuickSuite is a fast variant for tests.
-func QuickSuite() SuiteSpec { return SuiteSpec{InstsPerTrace: 20000, SeedsPerProfile: 1} }
-
 // Traces materializes the suite.
 func (s SuiteSpec) Traces() []*trace.Trace {
 	return workload.Suite(s.InstsPerTrace, s.SeedsPerProfile)

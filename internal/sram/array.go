@@ -59,31 +59,7 @@ type Array struct {
 	// the violation/collateral scan is skipped (the overwhelmingly common
 	// case outside stabilization windows).
 	maxReady int64
-	// setReady is the per-set refinement of maxReady: setReady[s] bounds
-	// the ready stamps of set s's entries, so a read can prove its own set
-	// settled even while writes keep other sets stabilizing (the common
-	// case for a store-heavy block under IRAW clocking). Like maxReady it
-	// is an upper bound, only raised by writes — scramble lowers an entry's
-	// ready stamp without touching the summary, which keeps the bound
-	// conservative, never wrong.
-	setReady []int64
-	// corruptInSet counts scrambled entries per set, maintained eagerly by
-	// Write/scramble so callers (the hierarchy's replay-repair accounting)
-	// read it in O(1) instead of rescanning the set's entries.
-	corruptInSet []int32
-	// noFast disables consulting setReady on Read and the port-free
-	// access shortcut (test and benchmark hook: the slow path is the
-	// pre-summary behaviour, gated on maxReady alone). The summaries are
-	// maintained regardless, so the flag only selects which proof of
-	// stability the read consults.
-	noFast bool
-	// unlimited records ReadPorts == 0 && WritePorts == 0 at construction:
-	// such arrays never consult the per-cycle port counters, so fast-path
-	// accesses skip rolling them. portCycle is still rolled by every
-	// slow-path read, which is the only place scramble (its one consumer)
-	// can run.
-	unlimited bool
-	stats     Stats
+	stats    Stats
 
 	readsThisCycle, writesThisCycle int
 	portCycle                       int64
@@ -109,20 +85,8 @@ func New(cfg Config) (*Array, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	sets := cfg.Entries / cfg.EntriesPerSet
-	return &Array{
-		cfg:          cfg,
-		slots:        make([]slot, cfg.Entries),
-		setReady:     make([]int64, sets),
-		corruptInSet: make([]int32, sets),
-		unlimited:    cfg.ReadPorts == 0 && cfg.WritePorts == 0,
-	}, nil
+	return &Array{cfg: cfg, slots: make([]slot, cfg.Entries)}, nil
 }
-
-// SetFastPath enables or disables the per-set summary fast paths (enabled by
-// default). Intended for the fast-vs-slow equivalence tests and the
-// throughput benchmark baseline; call it right after construction.
-func (a *Array) SetFastPath(enabled bool) { a.noFast = !enabled }
 
 // MustNew is New for static configurations; it panics on config errors.
 func MustNew(cfg Config) *Array {
@@ -163,20 +127,14 @@ func (a *Array) rollPorts(cycle int64) {
 // location were still stabilizing, correctness is guaranteed because data
 // are not read but updated".
 func (a *Array) Write(cycle int64, entry int, word uint64, interrupted bool, stabilizeCycles int) bool {
-	// entry is bounds-checked by the slice accesses below (hot path).
-	if a.noFast || !a.unlimited {
-		a.rollPorts(cycle)
-		if a.cfg.WritePorts > 0 && a.writesThisCycle >= a.cfg.WritePorts {
-			a.stats.PortConflicts++
-			return false
-		}
-		a.writesThisCycle++
+	// entry is bounds-checked by the slice access below (hot path).
+	a.rollPorts(cycle)
+	if a.cfg.WritePorts > 0 && a.writesThisCycle >= a.cfg.WritePorts {
+		a.stats.PortConflicts++
+		return false
 	}
+	a.writesThisCycle++
 	e := &a.slots[entry]
-	set := entry / a.cfg.EntriesPerSet
-	if e.corrupt {
-		a.corruptInSet[set]--
-	}
 	ready := cycle + 1
 	if interrupted {
 		if stabilizeCycles < 1 {
@@ -188,9 +146,6 @@ func (a *Array) Write(cycle int64, entry int, word uint64, interrupted bool, sta
 	if ready > a.maxReady {
 		a.maxReady = ready
 	}
-	if ready > a.setReady[set] {
-		a.setReady[set] = ready
-	}
 	a.stats.Writes++
 	return true
 }
@@ -200,10 +155,7 @@ func (a *Array) Write(cycle int64, entry int, word uint64, interrupted bool, sta
 func (a *Array) scramble(entry int) {
 	e := &a.slots[entry]
 	e.word ^= scrambleMask(entry)
-	if !e.corrupt {
-		e.corrupt = true
-		a.corruptInSet[entry/a.cfg.EntriesPerSet]++
-	}
+	e.corrupt = true
 	e.ready = a.portCycle // destroyed cells settle (to wrong values)
 }
 
@@ -228,22 +180,6 @@ func scrambleMask(entry int) uint64 {
 // means no read port was free.
 func (a *Array) Read(cycle int64, entry int) (word uint64, ok bool) {
 	// entry is bounds-checked by the slice accesses below (hot path).
-	if !a.noFast && a.unlimited {
-		// Port-free fast reads: the per-cycle counters are never consulted
-		// for unlimited-port arrays, so they are not rolled.
-		a.stats.Reads++
-		if cycle >= a.maxReady || cycle >= a.setReady[entry/a.cfg.EntriesPerSet] {
-			// The target's set is settled (setReady refines maxReady per
-			// set): the read is clean unless the entry still carries an
-			// earlier violation's scramble, no co-resident entry can be
-			// destroyed, and the set-wide slot walk is skipped — the same
-			// outcome the walk below would reach with every stabilizing()
-			// check false.
-			return a.slots[entry].word, !a.slots[entry].corrupt
-		}
-		a.rollPorts(cycle) // scramble below reads portCycle
-		return a.readSlow(cycle, entry)
-	}
 	a.rollPorts(cycle)
 	if a.cfg.ReadPorts > 0 && a.readsThisCycle >= a.cfg.ReadPorts {
 		a.stats.PortConflicts++
@@ -258,13 +194,6 @@ func (a *Array) Read(cycle int64, entry int) (word uint64, ok bool) {
 		// co-resident entry can be destroyed.
 		return a.slots[entry].word, !a.slots[entry].corrupt
 	}
-	return a.readSlow(cycle, entry)
-}
-
-// readSlow is Read's set-walk half: the target and its co-resident entries
-// checked for stabilization, with violation/collateral semantics applied.
-// The caller has rolled the ports (scramble stamps a.portCycle).
-func (a *Array) readSlow(cycle int64, entry int) (word uint64, ok bool) {
 	violated := false
 	if a.stabilizing(cycle, entry) {
 		a.stats.ViolationReads++
@@ -318,14 +247,6 @@ func (a *Array) ReadyAt(entry int) int64 {
 func (a *Array) Corrupted(entry int) bool {
 	a.checkEntry(entry)
 	return a.slots[entry].corrupt
-}
-
-// CorruptInSet returns the number of violation-scrambled entries in the set
-// containing entry — the eagerly maintained summary, always equal to
-// counting Corrupted over the set.
-func (a *Array) CorruptInSet(entry int) int {
-	a.checkEntry(entry)
-	return int(a.corruptInSet[entry/a.cfg.EntriesPerSet])
 }
 
 // Peek returns entry's word without port accounting, violation semantics,

@@ -10,7 +10,7 @@ import (
 // cycle 0). It captures exactly the state that determines future behaviour
 // under the timing-independent access-order contract: the data words and
 // which entries have been written (ready == 1). Everything else — written
-// stamps, corruption, port counters, the per-set summaries — is either
+// stamps, corruption, port counters, the ready bound — is either
 // provably at its post-warm value or derivable from Ready, so a restore
 // reconstructs it instead of serializing it.
 //
@@ -54,23 +54,18 @@ func (a *Array) CaptureWarm() (*WarmState, error) {
 
 // RestoreWarm loads a warm snapshot into the array, which must be freshly
 // constructed (or equivalent to it). The snapshot is only read: the array
-// gets its own copy of the data and recomputed summaries.
+// gets its own copy of the data and a recomputed ready bound.
 func (a *Array) RestoreWarm(s *WarmState) error {
 	if len(s.Data) != 8*len(a.slots) || len(s.Ready) != (a.cfg.Entries+63)/64 {
 		return fmt.Errorf("sram %q: warm snapshot shape mismatch (%d/%d data bytes, %d/%d ready words)",
 			a.cfg.Name, len(s.Data), 8*len(a.slots), len(s.Ready), (a.cfg.Entries+63)/64)
 	}
 	a.maxReady = 0
-	for i := range a.setReady {
-		a.setReady[i] = 0
-		a.corruptInSet[i] = 0
-	}
 	for i := range a.slots {
 		a.slots[i] = slot{word: binary.BigEndian.Uint64(s.Data[8*i:])}
 		if s.Ready[i/64]&(1<<(i%64)) != 0 {
 			a.slots[i].ready = 1
 			a.maxReady = 1
-			a.setReady[i/a.cfg.EntriesPerSet] = 1
 		}
 	}
 	return nil
