@@ -8,7 +8,12 @@
 // suite pins down.
 package rng
 
-import "math"
+import (
+	"math"
+	"math/bits"
+	"runtime"
+	"sync"
+)
 
 // splitMix64 advances a SplitMix64 state and returns the next output.
 // It is used to expand a single user seed into the four xoshiro words.
@@ -99,21 +104,8 @@ func (s *Source) Uint64n(n uint64) uint64 {
 	}
 }
 
-// mul64 returns the 128-bit product of x and y as (hi, lo). Implemented
-// directly so the package has no dependency beyond math.
-func mul64(x, y uint64) (hi, lo uint64) {
-	const mask = 1<<32 - 1
-	x0, x1 := x&mask, x>>32
-	y0, y1 := y&mask, y>>32
-	w0 := x0 * y0
-	t := x1*y0 + w0>>32
-	w1 := t & mask
-	w2 := t >> 32
-	w1 += x0 * y1
-	hi = x1*y1 + w2 + w1>>32
-	lo = x * y
-	return
-}
+// mul64 returns the 128-bit product of x and y as (hi, lo).
+func mul64(x, y uint64) (hi, lo uint64) { return bits.Mul64(x, y) }
 
 // Bool returns true with probability p.
 func (s *Source) Bool(p float64) bool {
@@ -139,16 +131,38 @@ func (s *Source) Normal(mean, stddev float64) float64 {
 
 // Geometric returns a geometrically distributed integer >= 1 with success
 // probability p (mean 1/p): the number of trials up to and including the
-// first success. It panics unless 0 < p <= 1.
+// first success. It panics unless 0 < p <= 1. A caller drawing many values
+// with one p should hold a NewGeometric sampler instead.
 func (s *Source) Geometric(p float64) int {
+	return NewGeometric(s, p).Next()
+}
+
+// Geometric draws from a geometric distribution with a fixed success
+// probability. It computes the constant math.Log(1-p) once, so its draws
+// equal Source.Geometric(p)'s bit for bit at one logarithm per draw, not
+// two.
+type Geometric struct {
+	src  *Source
+	one  bool    // p == 1: every draw is 1 and consumes no random bits
+	logQ float64 // math.Log(1-p)
+}
+
+// NewGeometric returns a geometric sampler with success probability p
+// drawing from src. It panics unless 0 < p <= 1.
+func NewGeometric(src *Source, p float64) Geometric {
 	if p <= 0 || p > 1 {
 		panic("rng: Geometric requires 0 < p <= 1")
 	}
-	if p == 1 {
+	return Geometric{src: src, one: p == 1, logQ: math.Log(1 - p)}
+}
+
+// Next returns the next draw, an integer >= 1.
+func (g Geometric) Next() int {
+	if g.one {
 		return 1
 	}
-	u := 1 - s.Float64() // in (0, 1]
-	k := int(math.Ceil(math.Log(u) / math.Log(1-p)))
+	u := 1 - g.src.Float64() // in (0, 1]
+	k := int(math.Ceil(math.Log(u) / g.logQ))
 	if k < 1 {
 		k = 1
 	}
@@ -166,15 +180,46 @@ func (s *Source) Exponential(mean float64) float64 {
 
 // Zipf draws integers in [0, n) with probability proportional to
 // 1/(rank+1)^theta. The zero value is not valid; use NewZipf.
+//
+// A draw maps one uniform u in [0, 1) to the first rank whose cdf entry is
+// not below u. For n > guideMinN a guide (cut-point) index narrows that
+// search without changing its answer: guide[k] is the first rank whose cdf
+// entry is not below k/2^g. Scaling u in [0, 1) by a power of two is
+// exact, so k = ⌊u·2^g⌋ satisfies k/2^g <= u < (k+1)/2^g exactly. The
+// cdf is nondecreasing (a running sum of non-negative terms scaled by one
+// constant, both rounding monotonically) and its last entry is 1 > u, so
+// "cdf[i] < x" is true on a prefix and false after it for every x <= 1.
+// Every rank before guide[k] has cdf < k/2^g <= u, so the answer is at
+// least guide[k]; the entry at guide[k+1] is >= (k+1)/2^g > u, so the
+// answer is at most guide[k+1]. The binary search over [guide[k],
+// guide[k+1]] therefore returns exactly the rank the search over [0, n-1]
+// returns, for every u.
 type Zipf struct {
 	src   *Source
 	n     int
 	theta float64
 	cdf   []float64
+	guide []int32 // 2^g+1 cut points; nil for n <= guideMinN
+	scale float64 // 2^g
 }
+
+const (
+	// guideMinN is the largest domain searched without a guide index.
+	guideMinN = 64
+	// guideMaxBits caps the guide at 2^16+1 entries (256 KiB).
+	guideMaxBits = 16
+	// parallelZipfMinN is the smallest domain whose 1/(i+1)^theta terms
+	// NewZipf computes on several goroutines.
+	parallelZipfMinN = 32 << 10
+)
 
 // NewZipf returns a Zipf sampler over [0, n) with exponent theta >= 0.
 // theta == 0 degenerates to uniform. It panics if n <= 0 or theta < 0.
+//
+// For n >= parallelZipfMinN the terms 1/(i+1)^theta are computed in
+// parallel chunks; each term is one independent math.Pow, and the prefix
+// sum and normalisation stay sequential, so the table is bit-identical to
+// a sequential build at any GOMAXPROCS.
 func NewZipf(src *Source, n int, theta float64) *Zipf {
 	if n <= 0 {
 		panic("rng: NewZipf requires n > 0")
@@ -183,9 +228,10 @@ func NewZipf(src *Source, n int, theta float64) *Zipf {
 		panic("rng: NewZipf requires theta >= 0")
 	}
 	z := &Zipf{src: src, n: n, theta: theta, cdf: make([]float64, n)}
+	zipfTerms(z.cdf, theta)
 	sum := 0.0
-	for i := 0; i < n; i++ {
-		sum += 1 / math.Pow(float64(i+1), theta)
+	for i, t := range z.cdf {
+		sum += t
 		z.cdf[i] = sum
 	}
 	inv := 1 / sum
@@ -193,14 +239,63 @@ func NewZipf(src *Source, n int, theta float64) *Zipf {
 		z.cdf[i] *= inv
 	}
 	z.cdf[n-1] = 1 // guard against rounding
+	if n > guideMinN && n <= math.MaxInt32 {
+		z.buildGuide(min(bits.Len(uint(n-1)), guideMaxBits))
+	}
 	return z
 }
 
+// zipfTerms sets dst[i] = 1/(i+1)^theta, splitting large tables into one
+// chunk per GOMAXPROCS.
+func zipfTerms(dst []float64, theta float64) {
+	fill := func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			dst[i] = 1 / math.Pow(float64(i+1), theta)
+		}
+	}
+	workers := runtime.GOMAXPROCS(0)
+	if len(dst) < parallelZipfMinN || workers < 2 {
+		fill(0, len(dst))
+		return
+	}
+	chunk := (len(dst) + workers - 1) / workers
+	var wg sync.WaitGroup
+	for lo := 0; lo < len(dst); lo += chunk {
+		wg.Add(1)
+		go func(lo, hi int) {
+			defer wg.Done()
+			fill(lo, hi)
+		}(lo, min(lo+chunk, len(dst)))
+	}
+	wg.Wait()
+}
+
+// buildGuide fills the 2^bits+1 cut points in one pass over the cdf (see
+// Zipf for why they leave every draw unchanged).
+func (z *Zipf) buildGuide(bits int) {
+	cuts := 1 << bits
+	z.scale = float64(cuts)
+	z.guide = make([]int32, cuts+1)
+	k := 0
+	for i, c := range z.cdf {
+		for k <= cuts && !(c < float64(k)/z.scale) {
+			z.guide[k] = int32(i)
+			k++
+		}
+	}
+	// cdf[n-1] == 1 meets every cut, so the loop above set them all.
+}
+
 // Next returns the next Zipf-distributed rank in [0, n).
-func (z *Zipf) Next() int {
-	u := z.src.Float64()
-	// Binary search for the first cdf entry >= u.
+func (z *Zipf) Next() int { return z.rank(z.src.Float64()) }
+
+// rank returns the first rank whose cdf entry is not below u.
+func (z *Zipf) rank(u float64) int {
 	lo, hi := 0, z.n-1
+	if z.guide != nil {
+		k := int(u * z.scale)
+		lo, hi = int(z.guide[k]), int(z.guide[k+1])
+	}
 	for lo < hi {
 		mid := (lo + hi) / 2
 		if z.cdf[mid] < u {

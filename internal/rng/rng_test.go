@@ -2,6 +2,7 @@ package rng
 
 import (
 	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -261,5 +262,177 @@ func TestMul64(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// plainRank is the unguided search: the first rank in [0, n) whose cdf
+// entry is not below u.
+func plainRank(cdf []float64, u float64) int {
+	lo, hi := 0, len(cdf)-1
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if cdf[mid] < u {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// sequentialZipfCDF is NewZipf's table built in one sequential pass.
+func sequentialZipfCDF(n int, theta float64) []float64 {
+	cdf := make([]float64, n)
+	sum := 0.0
+	for i := 0; i < n; i++ {
+		sum += 1 / math.Pow(float64(i+1), theta)
+		cdf[i] = sum
+	}
+	inv := 1 / sum
+	for i := range cdf {
+		cdf[i] *= inv
+	}
+	cdf[n-1] = 1
+	return cdf
+}
+
+var zipfThetas = []float64{0, 0.05, 0.5, 1.0, 1.1, 1.2}
+
+// checkZipfBoundaries compares guided and plain search at every cut point
+// k/2^g and at its neighbouring floats, where a guide off by one would
+// show.
+func checkZipfBoundaries(t *testing.T, z *Zipf) {
+	t.Helper()
+	if z.guide == nil {
+		return
+	}
+	for k := 0; k < len(z.guide)-1; k++ {
+		b := float64(k) / z.scale
+		for _, u := range []float64{math.Nextafter(b, -1), b, math.Nextafter(b, 2)} {
+			if u < 0 || u >= 1 {
+				continue
+			}
+			if got, want := z.rank(u), plainRank(z.cdf, u); got != want {
+				t.Fatalf("n=%d theta=%v u=%v (cut %d): guided rank %d, plain %d", z.n, z.theta, u, k, got, want)
+			}
+		}
+	}
+}
+
+// FuzzZipfNext: the guided search returns the plain binary search's rank
+// for every domain size, exponent and uniform draw.
+func FuzzZipfNext(f *testing.F) {
+	for _, n := range []uint32{1, 64, 65, 1000, 1 << 20} {
+		for sel := range zipfThetas {
+			f.Add(n, uint8(sel), uint64(0))
+			f.Add(n, uint8(sel), ^uint64(0))
+			f.Add(n, uint8(sel), uint64(0x9e3779b97f4a7c15))
+		}
+	}
+	type key struct {
+		n     int
+		theta float64
+	}
+	// Building a table costs O(n); keep up to 4M cached entries (32 MiB).
+	tables := map[key]*Zipf{}
+	cached := 0
+	f.Fuzz(func(t *testing.T, nRaw uint32, thetaSel uint8, bits uint64) {
+		n := int(nRaw)
+		if n < 1 || n > 1<<20 {
+			n = int(nRaw%5000) + 1
+		}
+		k := key{n, zipfThetas[int(thetaSel)%len(zipfThetas)]}
+		z, ok := tables[k]
+		if !ok {
+			z = NewZipf(New(1), k.n, k.theta)
+			checkZipfBoundaries(t, z)
+			if cached += k.n; cached > 1<<22 {
+				clear(tables)
+				cached = k.n
+			}
+			tables[k] = z
+		}
+		u := float64(bits>>11) / (1 << 53)
+		if got, want := z.rank(u), plainRank(z.cdf, u); got != want {
+			t.Fatalf("n=%d theta=%v u=%v: guided rank %d, plain %d", k.n, k.theta, u, got, want)
+		}
+	})
+}
+
+// TestZipfNextMatchesPlainSearch: Next consumes one Float64 per draw and
+// returns the plain search's rank of it.
+func TestZipfNextMatchesPlainSearch(t *testing.T) {
+	for _, n := range []int{1, 64, 65, 768, 16384} {
+		for _, theta := range zipfThetas {
+			z := NewZipf(New(23), n, theta)
+			checkZipfBoundaries(t, z)
+			ref := New(23)
+			for range 2000 {
+				if got, want := z.Next(), plainRank(z.cdf, ref.Float64()); got != want {
+					t.Fatalf("n=%d theta=%v: Next %d, plain %d", n, theta, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestNewZipfParallelTable: the table built in parallel chunks equals the
+// sequential build bit for bit on both sides of the size threshold, with
+// more chunks than this host may have CPUs.
+func TestNewZipfParallelTable(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	for _, n := range []int{parallelZipfMinN - 1, parallelZipfMinN, parallelZipfMinN + 1, 1 << 20} {
+		for _, theta := range zipfThetas {
+			got := NewZipf(New(1), n, theta).cdf
+			want := sequentialZipfCDF(n, theta)
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("n=%d theta=%v: cdf[%d] = %v, sequential %v", n, theta, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+// TestGeometricSamplerMatchesFormula: the sampler's draws equal the
+// per-draw formula math.Ceil(math.Log(u)/math.Log(1-p)) bit for bit, and
+// p == 1 consumes no random bits.
+func TestGeometricSamplerMatchesFormula(t *testing.T) {
+	for _, p := range []float64{1 / 1.6, 1 / 2.7, 1 / 3.1, 1.0 / 7, 1.0 / 16, 0.9, 1e-9} {
+		g := NewGeometric(New(29), p)
+		ref := New(29)
+		for range 5000 {
+			u := 1 - ref.Float64()
+			want := max(int(math.Ceil(math.Log(u)/math.Log(1-p))), 1)
+			if got := g.Next(); got != want {
+				t.Fatalf("p=%v: draw %d, formula %d", p, got, want)
+			}
+		}
+	}
+	src := New(31)
+	g := NewGeometric(src, 1)
+	ref := New(31)
+	for range 10 {
+		if g.Next() != 1 {
+			t.Fatal("Geometric(1) drew a value other than 1")
+		}
+	}
+	if src.Uint64() != ref.Uint64() {
+		t.Fatal("Geometric(1) consumed random bits")
+	}
+}
+
+// BenchmarkNewZipf times MemBound's data table: 1M lines at theta 0.05.
+func BenchmarkNewZipf(b *testing.B) {
+	for b.Loop() {
+		NewZipf(New(1), 1<<20, 0.05)
+	}
+}
+
+// BenchmarkZipfNext times draws from that table.
+func BenchmarkZipfNext(b *testing.B) {
+	z := NewZipf(New(1), 1<<20, 0.05)
+	for b.Loop() {
+		z.Next()
 	}
 }

@@ -85,45 +85,54 @@ const recordBytes = 24
 // ErrBadMagic is returned when a stream does not begin with the trace magic.
 var ErrBadMagic = errors.New("trace: bad magic (not a lowvcc trace)")
 
-// Write encodes t to w in the binary format.
+// writeBlockRecords is how many records Write encodes into its buffer
+// before handing them to the writer in one call.
+const writeBlockRecords = 1024
+
+// Write encodes t to w in the binary format. Records are encoded into a
+// block buffer and written a block at a time.
 func Write(w io.Writer, t *Trace) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(magic[:]); err != nil {
-		return err
-	}
 	if len(t.Name) > 0xFFFF {
 		return fmt.Errorf("trace: name too long (%d bytes)", len(t.Name))
 	}
-	if err := binary.Write(bw, binary.LittleEndian, uint16(len(t.Name))); err != nil {
-		return err
-	}
-	if _, err := bw.WriteString(t.Name); err != nil {
-		return err
-	}
-	if err := binary.Write(bw, binary.LittleEndian, uint64(len(t.Insts))); err != nil {
-		return err
-	}
-	var rec [recordBytes]byte
-	for i := range t.Insts {
-		in := &t.Insts[i]
-		binary.LittleEndian.PutUint64(rec[0:], in.PC)
-		binary.LittleEndian.PutUint64(rec[8:], in.Addr)
-		rec[16] = uint8(in.Op)
-		rec[17] = uint8(in.Dst)
-		rec[18] = uint8(in.Src1)
-		rec[19] = uint8(in.Src2)
-		var flags uint8
-		if in.Taken {
-			flags |= 1
+	buf := make([]byte, 0, len(magic)+2+len(t.Name)+8+min(len(t.Insts), writeBlockRecords)*recordBytes)
+	buf = append(buf, magic[:]...)
+	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(t.Name)))
+	buf = append(buf, t.Name...)
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(t.Insts)))
+	insts := t.Insts
+	for {
+		k := min(len(insts), writeBlockRecords)
+		off := len(buf)
+		buf = buf[:off+k*recordBytes]
+		for i := range insts[:k] {
+			putRecord((*[recordBytes]byte)(buf[off+i*recordBytes:]), &insts[i])
 		}
-		rec[20] = flags
-		rec[21] = in.Size
-		rec[22], rec[23] = 0, 0
-		if _, err := bw.Write(rec[:]); err != nil {
+		if _, err := w.Write(buf); err != nil {
 			return err
 		}
+		if insts = insts[k:]; len(insts) == 0 {
+			return nil
+		}
+		buf = buf[:0]
 	}
-	return bw.Flush()
+}
+
+// putRecord encodes one instruction as a record.
+func putRecord(rec *[recordBytes]byte, in *Inst) {
+	binary.LittleEndian.PutUint64(rec[0:], in.PC)
+	binary.LittleEndian.PutUint64(rec[8:], in.Addr)
+	rec[16] = uint8(in.Op)
+	rec[17] = uint8(in.Dst)
+	rec[18] = uint8(in.Src1)
+	rec[19] = uint8(in.Src2)
+	var flags uint8
+	if in.Taken {
+		flags |= 1
+	}
+	rec[20] = flags
+	rec[21] = in.Size
+	rec[22], rec[23] = 0, 0
 }
 
 // Read decodes a trace from r. Instructions are validated on the way in so

@@ -2,7 +2,9 @@ package workload
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"lowvcc/internal/trace"
 )
@@ -141,16 +143,24 @@ func Profiles() []Profile {
 
 // Phased concatenates one trace per profile phase — an application that
 // moves through distinct behaviours (compute burst, memory sweep, branchy
-// control), the input a DVFS governor reacts to.
+// control), the input a DVFS governor reacts to. Phase i is
+// Generate(phases[i], instsPerPhase, seed+i*7919), generated in parallel
+// straight into its place in the output. It panics on an invalid profile,
+// on the caller's goroutine.
 func Phased(phases []Profile, instsPerPhase int, seed uint64) *trace.Trace {
 	if len(phases) == 0 {
 		panic("workload: Phased needs at least one phase")
 	}
-	out := &trace.Trace{Name: "phased"}
-	for i, p := range phases {
-		tr := Generate(p, instsPerPhase, seed+uint64(i)*7919)
-		out.Insts = append(out.Insts, tr.Insts...)
+	for _, p := range phases {
+		if err := p.Validate(); err != nil {
+			panic(err)
+		}
 	}
+	out := &trace.Trace{Name: "phased", Insts: make([]trace.Inst, len(phases)*instsPerPhase)}
+	forEach(len(phases), func(i int) {
+		g := newGenerator(phases[i], seed+uint64(i)*7919)
+		g.fill(out.Insts[i*instsPerPhase : (i+1)*instsPerPhase])
+	})
 	return out
 }
 
@@ -193,18 +203,54 @@ func Suite(n, seedsPerProfile int) []*trace.Trace {
 	if v, ok := suiteCache.Load(key); ok {
 		return v.([]*trace.Trace)
 	}
-	var out []*trace.Trace
-	for pi, p := range Profiles() {
-		for s := 0; s < seedsPerProfile; s++ {
-			seed := uint64(pi)*1000 + uint64(s) + 1
-			out = append(out, Generate(p, n, seed))
-		}
-	}
-	// Clamp capacity so a caller appending to the returned slice copies
-	// instead of writing into the shared backing array. Two racing
-	// generators produce identical suites; keep whichever one published
-	// first so all callers share one copy.
-	out = out[:len(out):len(out)]
+	profiles := Profiles()
+	// The traces are independent, so a cache miss generates them in
+	// parallel. The exact length leaves no spare capacity: a caller
+	// appending to the returned slice copies instead of writing into the
+	// shared backing array.
+	out := make([]*trace.Trace, len(profiles)*max(seedsPerProfile, 0))
+	forEach(len(out), func(i int) {
+		pi, s := i/seedsPerProfile, i%seedsPerProfile
+		out[i] = Generate(profiles[pi], n, uint64(pi)*1000+uint64(s)+1)
+	})
+	// Two racing generators produce identical suites; keep whichever one
+	// published first so all callers share one copy.
 	v, _ := suiteCache.LoadOrStore(key, out)
 	return v.([]*trace.Trace)
+}
+
+// forEach calls fn(i) for every i in [0, n) on up to GOMAXPROCS
+// goroutines. The calls must be independent. A panic in fn is re-raised on
+// the caller's goroutine once every call has returned.
+func forEach(n int, fn func(i int)) {
+	workers := min(runtime.GOMAXPROCS(0), n)
+	if workers <= 1 {
+		for i := range n {
+			fn(i)
+		}
+		return
+	}
+	var (
+		next     atomic.Int64
+		wg       sync.WaitGroup
+		panicked atomic.Pointer[any]
+	)
+	for range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer func() {
+				if r := recover(); r != nil {
+					panicked.CompareAndSwap(nil, &r)
+				}
+			}()
+			for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+				fn(i)
+			}
+		}()
+	}
+	wg.Wait()
+	if r := panicked.Load(); r != nil {
+		panic(*r)
+	}
 }

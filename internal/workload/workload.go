@@ -6,7 +6,18 @@
 // depend on: the operation mix, the producer→consumer register distance
 // distribution (which sets the IRAW stall rate), memory footprint and
 // locality (cache and TLB behaviour), and branch predictability (BP/RSB
-// behaviour). Generation is fully deterministic given (profile, seed).
+// behaviour).
+//
+// Generation is deterministic in (profile, n, seed) and independent of
+// GOMAXPROCS: testdata/trace_digests.txt pins the bytes, checked on one CPU
+// and on all of them. Only independent work runs in parallel, on up to
+// GOMAXPROCS goroutines: the phases of Phased and LongTrace (each generated
+// by its own generator from its own seed, straight into its own part of
+// the output), the traces of a Suite cache miss, and the 1/(i+1)^theta
+// terms of a large rng.Zipf table. Every random stream and every running
+// sum (the Zipf prefix sum and its normalisation) stays on one goroutine
+// in its sequential order, so no floating-point operation changes its
+// operands or its order.
 package workload
 
 import (
@@ -74,6 +85,14 @@ func (p Profile) Validate() error {
 	if p.BlockLenMean < 1 {
 		return fmt.Errorf("workload %q: BlockLenMean %v < 1", p.Name, p.BlockLenMean)
 	}
+	for _, w := range p.weights() {
+		if w.w < 0 {
+			return fmt.Errorf("workload %q: negative weight %v for %v", p.Name, w.w, w.op)
+		}
+	}
+	if p.DataZipfTheta < 0 {
+		return fmt.Errorf("workload %q: DataZipfTheta %v < 0", p.Name, p.DataZipfTheta)
+	}
 	return nil
 }
 
@@ -105,11 +124,14 @@ type generator struct {
 
 	ops    []isa.Op // op classes, cumulative-weighted selection
 	cum    []float64
-	depGeo float64 // geometric parameter for dependency distance
+	depGeo rng.Geometric // dependency distance
 
-	// producers is a ring of the destination registers of the most recent
-	// register-writing instructions, most recent last.
-	producers []isa.Reg
+	// producers is a ring of the destination registers of the last
+	// nProducers register-writing instructions; prodHead is the index of
+	// the next write.
+	producers  [ringLen]isa.Reg
+	prodHead   int
+	nProducers int
 
 	// code structure: the static program is a set of basic blocks at fixed
 	// addresses with fixed lengths, so branch sites are stable and the
@@ -125,30 +147,41 @@ type generator struct {
 	dataZipf *rng.Zipf
 	streams  []uint64
 
-	// call stack for matched returns; sinceCall enforces a minimum
-	// function length so call->return never happens within a couple of
-	// cycles (the paper: "we did not find any short function meeting those
-	// conditions", Section 4.5).
-	callStack []uint64
+	// call stack for matched returns, a ring holding the newest nCalls
+	// return addresses (a push onto a full ring forgets the oldest);
+	// sinceCall enforces a minimum function length so call->return never
+	// happens within a couple of cycles (the paper: "we did not find any
+	// short function meeting those conditions", Section 4.5).
+	callStack [ringLen]uint64
+	callTop   int // index of the next push
+	nCalls    int
 	sinceCall int
 }
 
-func newGenerator(p Profile, seed uint64) *generator {
-	g := &generator{p: p, src: rng.New(seed)}
-	weights := []struct {
-		op isa.Op
-		w  float64
-	}{
+// ringLen bounds both the producer window and the call stack.
+const ringLen = 64
+
+// opWeight is one op class's weight in a profile's mix.
+type opWeight struct {
+	op isa.Op
+	w  float64
+}
+
+// weights lists the profile's op mix in selection order.
+func (p Profile) weights() []opWeight {
+	return []opWeight{
 		{isa.OpALU, p.ALU}, {isa.OpMul, p.Mul}, {isa.OpDiv, p.Div},
 		{isa.OpFPAdd, p.FPAdd}, {isa.OpFPMul, p.FPMul}, {isa.OpFPDiv, p.FPDiv},
 		{isa.OpLoad, p.Load}, {isa.OpStore, p.Store},
 		{isa.OpBranch, p.Branch}, {isa.OpCall, p.Call}, {isa.OpFence, p.Fence},
 	}
+}
+
+func newGenerator(p Profile, seed uint64) *generator {
+	g := &generator{p: p, src: rng.New(seed)}
+	weights := p.weights()
 	total := 0.0
 	for _, w := range weights {
-		if w.w < 0 {
-			panic(fmt.Sprintf("workload %q: negative weight for %v", p.Name, w.op))
-		}
 		total += w.w
 	}
 	acc := 0.0
@@ -162,7 +195,7 @@ func newGenerator(p Profile, seed uint64) *generator {
 	}
 	g.cum[len(g.cum)-1] = 1
 
-	g.depGeo = 1 / p.DepDistMean
+	g.depGeo = rng.NewGeometric(g.src, 1/p.DepDistMean)
 
 	nBlocks := int(p.CodeFootprint / (instBytes * blockStride))
 	if nBlocks < 4 {
@@ -170,9 +203,10 @@ func newGenerator(p Profile, seed uint64) *generator {
 	}
 	g.blockStarts = make([]uint64, nBlocks)
 	g.blockLens = make([]int, nBlocks)
+	blockLen := rng.NewGeometric(g.src, 1/p.BlockLenMean)
 	for i := range g.blockStarts {
 		g.blockStarts[i] = codeBase + uint64(i)*instBytes*blockStride
-		l := g.src.Geometric(1 / p.BlockLenMean)
+		l := blockLen.Next()
 		if l > blockStride {
 			l = blockStride
 		}
@@ -199,7 +233,6 @@ func newGenerator(p Profile, seed uint64) *generator {
 		g.streams[i] = dataBase + g.src.Uint64n(p.DataWorkingSet)&^7
 	}
 
-	g.producers = make([]isa.Reg, 0, 64)
 	g.enterBlock()
 	return g
 }
@@ -247,12 +280,8 @@ func (g *generator) enterBlockAt(pc uint64) {
 // pointer, global) or a random scratch register whose producer is far in
 // the past.
 func (g *generator) pickSrc() isa.Reg {
-	if len(g.producers) > 0 && g.src.Bool(g.p.UseRecentProb) {
-		d := g.src.Geometric(g.depGeo)
-		if d > len(g.producers) {
-			d = len(g.producers)
-		}
-		return g.producers[len(g.producers)-d]
+	if g.nProducers > 0 && g.src.Bool(g.p.UseRecentProb) {
+		return g.producer(min(g.depGeo.Next(), g.nProducers))
 	}
 	if g.src.Bool(longLivedSrcProb) {
 		return isa.Reg(scratchRegs + g.src.Intn(isa.NumRegs-scratchRegs))
@@ -260,13 +289,33 @@ func (g *generator) pickSrc() isa.Reg {
 	return isa.Reg(g.src.Intn(scratchRegs))
 }
 
+// producer returns the destination of the d-th most recent producer,
+// 1 <= d <= nProducers.
+func (g *generator) producer(d int) isa.Reg {
+	return g.producers[(g.prodHead-d+ringLen)%ringLen]
+}
+
 func (g *generator) pickDst() isa.Reg {
 	r := isa.Reg(g.src.Intn(scratchRegs))
-	g.producers = append(g.producers, r)
-	if len(g.producers) > 64 {
-		g.producers = g.producers[1:]
-	}
+	g.producers[g.prodHead] = r
+	g.prodHead = (g.prodHead + 1) % ringLen
+	g.nProducers = min(g.nProducers+1, ringLen)
 	return r
+}
+
+// pushCall pushes a return address, forgetting the oldest when the stack
+// already holds ringLen.
+func (g *generator) pushCall(ret uint64) {
+	g.callStack[g.callTop] = ret
+	g.callTop = (g.callTop + 1) % ringLen
+	g.nCalls = min(g.nCalls+1, ringLen)
+}
+
+// popCall pops the newest return address; the stack must not be empty.
+func (g *generator) popCall() uint64 {
+	g.callTop = (g.callTop - 1 + ringLen) % ringLen
+	g.nCalls--
+	return g.callStack[g.callTop]
 }
 
 func (g *generator) memAddr() uint64 {
@@ -317,7 +366,7 @@ func (g *generator) next() trace.Inst {
 	if g.blockLeft <= 1 {
 		// Block terminator: control transfer (or a matched return).
 		switch {
-		case len(g.callStack) > 0 && g.sinceCall >= minFunctionInsts && g.src.Bool(0.5):
+		case g.nCalls > 0 && g.sinceCall >= minFunctionInsts && g.src.Bool(0.5):
 			op = isa.OpReturn
 		case g.src.Bool(g.callFrac()):
 			op = isa.OpCall
@@ -357,18 +406,13 @@ func (g *generator) next() trace.Inst {
 			g.enterBlockAt(g.pc)
 		}
 	case isa.OpCall:
-		g.callStack = append(g.callStack, g.pc)
-		if len(g.callStack) > 64 {
-			g.callStack = g.callStack[1:]
-		}
+		g.pushCall(g.pc)
 		g.sinceCall = 0
 		g.enterBlock()
 		in.Addr = g.pc
 		in.Taken = true
 	case isa.OpReturn:
-		ret := g.callStack[len(g.callStack)-1]
-		g.callStack = g.callStack[:len(g.callStack)-1]
-		g.enterBlockAt(ret)
+		g.enterBlockAt(g.popCall())
 		in.Addr = g.pc
 		in.Taken = true
 	default: // register-computing ops
@@ -411,8 +455,13 @@ func Generate(p Profile, n int, seed uint64) *trace.Trace {
 		Name:  fmt.Sprintf("%s-%d", p.Name, seed),
 		Insts: make([]trace.Inst, n),
 	}
-	for i := 0; i < n; i++ {
-		t.Insts[i] = g.next()
-	}
+	g.fill(t.Insts)
 	return t
+}
+
+// fill writes the generator's next len(dst) instructions into dst.
+func (g *generator) fill(dst []trace.Inst) {
+	for i := range dst {
+		dst[i] = g.next()
+	}
 }

@@ -1,9 +1,12 @@
 package workload
 
 import (
+	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"lowvcc/internal/isa"
+	"lowvcc/internal/rng"
 	"lowvcc/internal/trace"
 )
 
@@ -229,6 +232,8 @@ func TestValidateRejectsBadProfiles(t *testing.T) {
 		func() Profile { p := SpecInt(); p.DepDistMean = 0.5; return p }(),
 		func() Profile { p := SpecInt(); p.DataWorkingSet = 0; return p }(),
 		func() Profile { p := SpecInt(); p.BlockLenMean = 0; return p }(),
+		func() Profile { p := SpecInt(); p.Mul = -0.1; return p }(),
+		func() Profile { p := SpecInt(); p.DataZipfTheta = -1; return p }(),
 	}
 	for _, p := range cases {
 		if err := p.Validate(); err == nil {
@@ -269,5 +274,128 @@ func TestBranchBiasSites(t *testing.T) {
 	}
 	if frac := float64(polarized) / float64(total); frac < 0.8 {
 		t.Errorf("only %.0f%% of multimedia branch sites polarized, want >80%%", frac*100)
+	}
+}
+
+// BenchmarkLongTrace times sweep-longtrace's set-up: one 300k-instruction
+// phased trace.
+func BenchmarkLongTrace(b *testing.B) {
+	ops := 0
+	for b.Loop() {
+		ops++
+		LongTrace(300000, 1)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(ops*300000), "ns/inst")
+}
+
+// BenchmarkGenerateMemBound times one of engine-membound's set-up traces:
+// 150k instructions over a 64 MiB working set (a 1M-line Zipf table).
+func BenchmarkGenerateMemBound(b *testing.B) {
+	ops := 0
+	for b.Loop() {
+		ops++
+		Generate(MemBound(), 150000, 1000)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(ops*150000), "ns/inst")
+}
+
+// TestPhasedConcatenatesPhases: each phase is exactly the trace Generate
+// returns for its profile and seed, in phase order.
+func TestPhasedConcatenatesPhases(t *testing.T) {
+	phases := []Profile{MemBound(), SpecInt(), Server(), SpecInt()}
+	const per = 3000
+	got := Phased(phases, per, 9)
+	if got.Len() != len(phases)*per {
+		t.Fatalf("phased trace has %d insts, want %d", got.Len(), len(phases)*per)
+	}
+	for i, p := range phases {
+		want := Generate(p, per, 9+uint64(i)*7919)
+		for j, in := range want.Insts {
+			if got.Insts[i*per+j] != in {
+				t.Fatalf("phase %d inst %d: %+v, want %+v", i, j, got.Insts[i*per+j], in)
+			}
+		}
+	}
+}
+
+// TestPhasedInvalidProfilePanicsInCaller: an invalid phase panics on the
+// caller's goroutine, where it can be recovered, not on a generating one
+// (which would kill the process).
+func TestPhasedInvalidProfilePanicsInCaller(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	short := SpecInt()
+	short.DepDistMean = 0.5
+	negative := SpecFP()
+	negative.Load = -1
+	for _, phases := range [][]Profile{
+		{short},
+		{SpecInt(), short},
+		{SpecInt(), Kernel(), negative, Office()},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Phased(%d phases) with an invalid one did not panic", len(phases))
+				}
+			}()
+			Phased(phases, 1000, 1)
+		}()
+	}
+}
+
+// TestForEachRepanicsInCaller: a panic in one call reaches the caller once
+// every call has returned.
+func TestForEachRepanicsInCaller(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	var done atomic.Int64
+	defer func() {
+		if r := recover(); r != "boom" {
+			t.Fatalf("recovered %v, want boom", r)
+		}
+		if done.Load() != 99 {
+			t.Fatalf("%d calls finished, want the other 99", done.Load())
+		}
+	}()
+	forEach(100, func(i int) {
+		if i == 37 {
+			panic("boom")
+		}
+		done.Add(1)
+	})
+}
+
+// TestRingsMatchSlices: the producer window and the call stack behave as
+// the bounded slices they replace (append, drop the oldest past ringLen),
+// including past overflow, which generated traces rarely reach.
+func TestRingsMatchSlices(t *testing.T) {
+	g := newGenerator(SpecInt(), 1)
+	r := rng.New(5)
+	var calls []uint64
+	var producers []isa.Reg
+	for i := range 20000 {
+		if len(calls) > 0 && r.Bool(0.4) {
+			want := calls[len(calls)-1]
+			calls = calls[:len(calls)-1]
+			if got := g.popCall(); got != want {
+				t.Fatalf("step %d: popped %#x, want %#x", i, got, want)
+			}
+		} else {
+			pc := r.Uint64()
+			g.pushCall(pc)
+			if calls = append(calls, pc); len(calls) > ringLen {
+				calls = calls[1:]
+			}
+		}
+		if g.nCalls != len(calls) {
+			t.Fatalf("step %d: %d calls held, want %d", i, g.nCalls, len(calls))
+		}
+		if producers = append(producers, g.pickDst()); len(producers) > ringLen {
+			producers = producers[1:]
+		}
+		for d := 1; d <= len(producers); d++ {
+			if got := g.producer(d); got != producers[len(producers)-d] {
+				t.Fatalf("step %d: producer at distance %d is %d, want %d", i, d, got, producers[len(producers)-d])
+			}
+		}
 	}
 }
