@@ -125,7 +125,16 @@ func run(mv int, modeName, profName, traceFile string, insts int, seed uint64, w
 	t.AddRow("violations (RF/cache)", fmt.Sprintf("%d/%d", res.RFViolations, res.CacheViolations))
 	t.AddRow("corrupt data consumed", res.CorruptConsumed)
 	t.AddRow("integrity errors", res.IntegrityErrors)
-	return t.Render(os.Stdout)
+	if err := t.Render(os.Stdout); err != nil {
+		return err
+	}
+	// With avoidance on, no read may observe a stabilizing entry; -unsafe
+	// turns avoidance off precisely to show such reads.
+	if !unsafe && (res.CorruptConsumed != 0 || res.IntegrityErrors != 0) {
+		return fmt.Errorf("avoidance failed: %d corrupt values consumed, %d integrity errors",
+			res.CorruptConsumed, res.IntegrityErrors)
+	}
+	return nil
 }
 
 func rate(a, b uint64) float64 {

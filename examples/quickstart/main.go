@@ -46,4 +46,10 @@ func main() {
 	fmt.Printf("instructions delayed by RF IRAW avoidance: %.1f%%\n",
 		100*iraw.Run.DelayedFraction())
 	fmt.Printf("corrupt data consumed: %d (must be 0)\n", iraw.CorruptConsumed)
+	for _, res := range []*lowvcc.Result{base, iraw} {
+		if res.CorruptConsumed != 0 || res.IntegrityErrors != 0 {
+			log.Fatalf("%v: %d corrupt values consumed, %d integrity errors (both must be 0)",
+				res.Plan.Mode, res.CorruptConsumed, res.IntegrityErrors)
+		}
+	}
 }

@@ -17,12 +17,13 @@
 //
 // The access hot path runs over flat host state: no Go maps and no heaps.
 // Three fast paths stay because the memory-bound benchmark pays for them;
-// each is equivalence-fuzzed against the reference scans, which remain
-// selectable via SetFastPaths(false):
+// each is equivalence-fuzzed against the reference scans, which a block
+// built with New(cfg, true) takes instead (the hierarchy passes it the
+// core's Config.DisableFastPaths):
 //
 //   - validMask/disabledMask mirror the valid/disabled flags bit-per-way and
 //     are updated at the only places those flags change: Fill, Invalidate,
-//     and DisableFaultyLines. Lookup/Peek/Victim scan only the live ways.
+//     and DisableFaultyLines. Lookup/Victim scan only the live ways.
 //     The masks say nothing about validFrom — a set bit can still lose the
 //     cycle comparison, exactly as in the full scan.
 //   - lruOrder mirrors the lru tick ranking as a packed recency list, moved
@@ -188,12 +189,11 @@ type Cache struct {
 	// configurations fall back to the tick scan.
 	lruOrder  []uint32
 	lruPacked bool
-	// noFast disables the fast paths (Lookup/Victim/Peek mask scans, the
-	// packed-LRU victim, MSHR generations) in favour of the original full
-	// scans and lazily pruned single MSHR table — the benchmark baseline
-	// and equivalence-fuzz reference. Flip it only right after construction
-	// (SetFastPaths).
-	noFast bool
+	// reference selects the reference paths — full way scans, the tick-scan
+	// victim and a lazily pruned single MSHR table — over the fast paths
+	// (Lookup/Victim mask scans, the packed-LRU victim, MSHR generations).
+	// Fixed at construction; the equivalence fuzzes hold the two together.
+	reference bool
 	// holds tracks port-busy cycles (fill stabilization windows,
 	// Store-Table replays). A fill completing at a future cycle holds the
 	// ports only during its window, not from the present.
@@ -219,8 +219,9 @@ type lineState struct {
 	valid, dirty, disabled bool
 }
 
-// New returns an empty cache.
-func New(cfg Config) (*Cache, error) {
+// New returns an empty cache. reference selects the reference paths
+// instead of the fast ones (see the package doc); results are identical.
+func New(cfg Config, reference bool) (*Cache, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
@@ -235,6 +236,7 @@ func New(cfg Config) (*Cache, error) {
 	}
 	c := &Cache{
 		cfg:             cfg,
+		reference:       reference,
 		lines:           make([]lineState, entries),
 		data:            data,
 		validMask:       make([]uint64, cfg.Sets),
@@ -271,8 +273,8 @@ func New(cfg Config) (*Cache, error) {
 func (c *Cache) touchLRU(set, way int) {
 	c.lruTick++
 	c.lines[set*c.cfg.Ways+way].lru = c.lruTick
-	// Maintained regardless of noFast, so SetFastPaths can be flipped
-	// without leaving a stale order behind.
+	// Maintained on the reference paths too, so the two paths differ only
+	// in whether Victim reads the order, and the upkeep takes no branch.
 	if !c.lruPacked {
 		return
 	}
@@ -290,8 +292,8 @@ func (c *Cache) touchLRU(set, way int) {
 }
 
 // MustNew is New for static configurations.
-func MustNew(cfg Config) *Cache {
-	c, err := New(cfg)
+func MustNew(cfg Config, reference bool) *Cache {
+	c, err := New(cfg, reference)
 	if err != nil {
 		panic(err)
 	}
@@ -300,14 +302,6 @@ func MustNew(cfg Config) *Cache {
 
 // Config returns the cache configuration.
 func (c *Cache) Config() Config { return c.cfg }
-
-// SetFastPaths enables or disables this block's fast paths — the live-way
-// mask scans, the packed-LRU victim and the MSHR record generations
-// (enabled by default). The masks and the packed order are maintained
-// either way; the flag selects whether the access path consults them.
-// Benchmark-baseline and equivalence-test hook: flip it only right after
-// construction.
-func (c *Cache) SetFastPaths(enabled bool) { c.noFast = !enabled }
 
 // Stats returns a snapshot of the counters.
 func (c *Cache) Stats() Stats { return c.stats }
@@ -458,7 +452,7 @@ func (c *Cache) Lookup(cycle int64, addr uint64) (way int, hit bool) {
 	c.stats.Accesses++
 	set := c.SetOf(addr)
 	tag := c.tagOf(addr)
-	if !c.noFast {
+	if !c.reference {
 		base := set * c.cfg.Ways
 		for m := c.validMask[set] &^ c.disabledMask[set]; m != 0; m &= m - 1 {
 			w := bits.TrailingZeros64(m)
@@ -496,7 +490,7 @@ func (c *Cache) Lookup(cycle int64, addr uint64) (way int, hit bool) {
 // and the live tables stay at working-set size instead of accumulating one
 // stale record per line ever missed.
 func (c *Cache) MarkInFlight(line uint64, ready int64) {
-	if !c.noFast && ready > c.inflightHigh {
+	if !c.reference && ready > c.inflightHigh {
 		c.inflightHigh = ready
 		if ready >= c.inflightRotate {
 			// Steady-state rotation allocates nothing.
@@ -553,15 +547,6 @@ func (c *Cache) InFlightReady(line uint64, now int64) (int64, bool) {
 func (c *Cache) Peek(addr uint64) bool {
 	set := c.SetOf(addr)
 	tag := c.tagOf(addr)
-	if !c.noFast {
-		base := set * c.cfg.Ways
-		for m := c.validMask[set] &^ c.disabledMask[set]; m != 0; m &= m - 1 {
-			if c.lines[base+bits.TrailingZeros64(m)].tag == tag {
-				return true
-			}
-		}
-		return false
-	}
 	for w := 0; w < c.cfg.Ways; w++ {
 		if l := &c.lines[c.entry(set, w)]; l.valid && !l.disabled && l.tag == tag {
 			return true
@@ -593,7 +578,7 @@ func (c *Cache) WriteData(cycle int64, set, way int, sig uint64) {
 // Ties on the LRU tick break toward the lowest way in both paths.
 func (c *Cache) Victim(addr uint64) (way int, ok bool) {
 	set := c.SetOf(addr)
-	if !c.noFast {
+	if !c.reference {
 		enabled := c.waysMask &^ c.disabledMask[set]
 		if free := enabled &^ c.validMask[set]; free != 0 {
 			return bits.TrailingZeros64(free), true
@@ -697,8 +682,8 @@ func (c *Cache) MarkDirty(set, way int) { c.lines[c.entry(set, way)].dirty = tru
 // treats every installed line as settled — there is no clock to compare
 // against) and moves no statistics. Port holds are not consulted: warm
 // accesses are timing-free by definition. The probe always scans the way
-// masks (they are maintained regardless of the fast-path switch, and the
-// warm path has no mask-free reference to stay equivalent to).
+// masks (they are maintained on both paths, and the warm path has no
+// mask-free reference to stay equivalent to).
 func (c *Cache) WarmLookup(addr uint64) (way int, hit bool) {
 	set := c.SetOf(addr)
 	tag := c.tagOf(addr)

@@ -9,7 +9,7 @@ import (
 
 func testCache(t *testing.T) *Cache {
 	t.Helper()
-	return MustNew(Config{Name: "t", Sets: 8, Ways: 2, LineBytes: 64})
+	return MustNew(Config{Name: "t", Sets: 8, Ways: 2, LineBytes: 64}, false)
 }
 
 func TestLookupMissThenFillHit(t *testing.T) {
@@ -162,7 +162,7 @@ func TestDataViolationSemantics(t *testing.T) {
 }
 
 func TestDisableFaultyLines(t *testing.T) {
-	c := MustNew(Config{Name: "fb", Sets: 64, Ways: 8, LineBytes: 64})
+	c := MustNew(Config{Name: "fb", Sets: 64, Ways: 8, LineBytes: 64}, false)
 	src := rng.New(1)
 	n := c.DisableFaultyLines(src, 0.25)
 	if n == 0 {
@@ -194,7 +194,7 @@ func TestDisableFaultyLines(t *testing.T) {
 }
 
 func TestVictimAllWaysDisabled(t *testing.T) {
-	c := MustNew(Config{Name: "fb2", Sets: 2, Ways: 2, LineBytes: 64})
+	c := MustNew(Config{Name: "fb2", Sets: 2, Ways: 2, LineBytes: 64}, false)
 	src := rng.New(1)
 	c.DisableFaultyLines(src, 1.0) // everything disabled
 	if _, ok := c.Victim(0x1000); ok {
@@ -228,7 +228,7 @@ func TestConfigValidation(t *testing.T) {
 		{Name: "e", Sets: 4, Ways: 1, LineBytes: 64, HitLatency: -1},
 	}
 	for _, cfg := range bad {
-		if _, err := New(cfg); err == nil {
+		if _, err := New(cfg, false); err == nil {
 			t.Errorf("config %+v accepted", cfg)
 		}
 	}

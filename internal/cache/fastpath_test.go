@@ -10,9 +10,8 @@ import (
 // fast path disabled (the pre-summary reference), both in the given mode.
 func fastSlowPair(t *testing.T, mode TimingMode) (fast, slow *Hierarchy) {
 	t.Helper()
-	fast = MustNewHierarchy(DefaultHierarchyConfig())
-	slow = MustNewHierarchy(DefaultHierarchyConfig())
-	slow.SetFastPaths(false)
+	fast = MustNewHierarchy(DefaultHierarchyConfig(), false)
+	slow = MustNewHierarchy(DefaultHierarchyConfig(), true)
 	fast.SetMode(mode)
 	slow.SetMode(mode)
 	return fast, slow
@@ -171,9 +170,8 @@ func TestHierarchyFastSlowEquivalenceFaultyBits(t *testing.T) {
 // TestVictimMatchesTickScan pins the packed-LRU victim choice to the tick
 // scan on one cache with randomized fills, hits and disables.
 func TestVictimMatchesTickScan(t *testing.T) {
-	fast := MustNew(Config{Name: "V", Sets: 4, Ways: 6, LineBytes: 64})
-	slow := MustNew(Config{Name: "V", Sets: 4, Ways: 6, LineBytes: 64})
-	slow.SetFastPaths(false)
+	fast := MustNew(Config{Name: "V", Sets: 4, Ways: 6, LineBytes: 64}, false)
+	slow := MustNew(Config{Name: "V", Sets: 4, Ways: 6, LineBytes: 64}, true)
 	fsrc, ssrc := rng.New(7), rng.New(7)
 	fast.DisableFaultyLines(fsrc, 0.15)
 	slow.DisableFaultyLines(ssrc, 0.15)

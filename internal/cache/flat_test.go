@@ -80,9 +80,8 @@ func TestLineTableMatchesMap(t *testing.T) {
 // size.
 func TestInFlightRotationMatchesReference(t *testing.T) {
 	for seed := uint64(1); seed <= 4; seed++ {
-		fast := MustNew(Config{Name: "F", Sets: 64, Ways: 8, LineBytes: 64})
-		ref := MustNew(Config{Name: "F", Sets: 64, Ways: 8, LineBytes: 64})
-		ref.SetFastPaths(false)
+		fast := MustNew(Config{Name: "F", Sets: 64, Ways: 8, LineBytes: 64}, false)
+		ref := MustNew(Config{Name: "F", Sets: 64, Ways: 8, LineBytes: 64}, true)
 		r := rand.New(rand.NewPCG(seed, 7))
 		lines := 64 << (2 * seed) // from a few hot lines to streaming traffic
 		now := int64(0)

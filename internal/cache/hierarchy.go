@@ -95,49 +95,30 @@ type Hierarchy struct {
 	// simulated access times monotone with issue order.
 	dFreeAt int64
 
-	// warmITLB/warmDTLB/warmDL0 memoize the warm path's last access per
-	// block. A repeat of the immediately preceding access is a state no-op
-	// (the touched way is already most-recent, residency cannot have
-	// changed in between, and a failed fill fails again), so the memo skip
-	// is state-identical to re-walking the block — it only removes probe
-	// work from the warm hot loop. warmDL0 additionally carries the dirty
-	// mark so a store to the memoized line can dirty it without
-	// re-probing.
-	warmITLB, warmDTLB, warmDL0 warmMemo
-
 	// lineVer is the integrity oracle: the store version of each line
 	// (absent = version 0).
 	lineVer lineTable
 	stats   HierarchyStats
 }
 
-// warmMemo is one block's last-warm-access memo (see the warmITLB field
-// doc). line is the block's line/page address; set/way locate the resident
-// copy; dirty mirrors the DL0 dirty flag for the store fast path.
-type warmMemo struct {
-	line     uint64
-	set, way int
-	dirty    bool
-	valid    bool
-}
-
-// NewHierarchy builds the memory system.
-func NewHierarchy(cfg HierarchyConfig) (*Hierarchy, error) {
+// NewHierarchy builds the memory system; reference builds every cache
+// block on its reference paths (see New).
+func NewHierarchy(cfg HierarchyConfig, reference bool) (*Hierarchy, error) {
 	h := &Hierarchy{cfg: cfg}
 	var err error
-	if h.IL0, err = New(cfg.IL0); err != nil {
+	if h.IL0, err = New(cfg.IL0, reference); err != nil {
 		return nil, err
 	}
-	if h.DL0, err = New(cfg.DL0); err != nil {
+	if h.DL0, err = New(cfg.DL0, reference); err != nil {
 		return nil, err
 	}
-	if h.UL1, err = New(cfg.UL1); err != nil {
+	if h.UL1, err = New(cfg.UL1, reference); err != nil {
 		return nil, err
 	}
-	if h.ITLB, err = New(cfg.ITLB); err != nil {
+	if h.ITLB, err = New(cfg.ITLB, reference); err != nil {
 		return nil, err
 	}
-	if h.DTLB, err = New(cfg.DTLB); err != nil {
+	if h.DTLB, err = New(cfg.DTLB, reference); err != nil {
 		return nil, err
 	}
 	if cfg.FillBufferEntries <= 0 || cfg.WCBEntries <= 0 {
@@ -151,8 +132,8 @@ func NewHierarchy(cfg HierarchyConfig) (*Hierarchy, error) {
 }
 
 // MustNewHierarchy is NewHierarchy for static configurations.
-func MustNewHierarchy(cfg HierarchyConfig) *Hierarchy {
-	h, err := NewHierarchy(cfg)
+func MustNewHierarchy(cfg HierarchyConfig, reference bool) *Hierarchy {
+	h, err := NewHierarchy(cfg, reference)
 	if err != nil {
 		panic(err)
 	}
@@ -209,16 +190,6 @@ func (h *Hierarchy) sig(line uint64) uint64 {
 // bumpLineVer advances the oracle version of line (a committed store).
 func (h *Hierarchy) bumpLineVer(line uint64) {
 	h.lineVer.put(line, int64(uint32(h.lineVer.get(line))+1))
-}
-
-// SetFastPaths enables or disables the fast paths of all five cache blocks
-// — the live-way mask scans, the packed-LRU victim and the MSHR record
-// generations (enabled by default). Benchmark-baseline and equivalence-test
-// hook; call right after construction.
-func (h *Hierarchy) SetFastPaths(enabled bool) {
-	for _, c := range []*Cache{h.IL0, h.DL0, h.UL1, h.ITLB, h.DTLB} {
-		c.SetFastPaths(enabled)
-	}
 }
 
 // translate runs addr through the given TLB and reports the cycle at which
@@ -530,22 +501,11 @@ func (h *Hierarchy) CommitStore(cycle int64, addr uint64, data uint64) StoreResu
 // engine that takes over at at+1 starts from a warm, fully stable
 // hierarchy.
 
-// BeginWarm starts a warm-up replay: it invalidates the warm-path memos,
-// whose repeat-skip argument only holds while every access to the memoized
-// blocks goes through the warm path — timed execution since the last
-// replay may have moved LRU state or evicted the memoized lines.
-// core.WarmReplay calls it before replaying.
-func (h *Hierarchy) BeginWarm() {
-	h.warmITLB.valid = false
-	h.warmDTLB.valid = false
-	h.warmDL0.valid = false
-}
-
 // WarmFetch replays an instruction fetch of the line containing pc. `at`
 // anchors the settled writes on the core timeline: installed state is
 // readable from at+1, the first cycle the timed engine simulates.
 func (h *Hierarchy) WarmFetch(at int64, pc uint64) {
-	h.warmTranslate(h.ITLB, &h.warmITLB, at, pc)
+	h.warmTranslate(h.ITLB, at, pc)
 	if _, hit := h.IL0.WarmLookup(pc); !hit {
 		h.warmMissFlow(h.IL0, at, pc)
 	}
@@ -553,19 +513,10 @@ func (h *Hierarchy) WarmFetch(at int64, pc uint64) {
 
 // WarmLoad replays a data load at word address addr.
 func (h *Hierarchy) WarmLoad(at int64, addr uint64) {
-	h.warmTranslate(h.DTLB, &h.warmDTLB, at, addr)
-	line := h.DL0.LineAddr(addr)
-	if h.warmDL0.valid && h.warmDL0.line == line {
-		return // repeat of the previous data access: state no-op
+	h.warmTranslate(h.DTLB, at, addr)
+	if _, hit := h.DL0.WarmLookup(addr); !hit {
+		h.warmMissFlow(h.DL0, at, addr)
 	}
-	way, hit := h.DL0.WarmLookup(addr)
-	if !hit {
-		if way, hit = h.warmMissFlow(h.DL0, at, addr); !hit {
-			h.warmDL0.valid = false
-			return
-		}
-	}
-	h.warmDL0 = warmMemo{line: line, set: h.DL0.SetOf(addr), way: way, valid: true}
 }
 
 // WarmStore replays a committed store to word address addr: write-allocate
@@ -581,42 +532,24 @@ func (h *Hierarchy) WarmLoad(at int64, addr uint64) {
 //     nothing bumps the version, so the measured span's integrity checks
 //     hold. This keeps the warm store hit free of table and array traffic.
 func (h *Hierarchy) WarmStore(at int64, addr uint64) {
-	h.warmTranslate(h.DTLB, &h.warmDTLB, at, addr)
-	line := h.DL0.LineAddr(addr)
-	if h.warmDL0.valid && h.warmDL0.line == line {
-		if !h.warmDL0.dirty {
-			h.DL0.MarkDirty(h.warmDL0.set, h.warmDL0.way)
-			h.warmDL0.dirty = true
-		}
-		return
-	}
+	h.warmTranslate(h.DTLB, at, addr)
 	way, hit := h.DL0.WarmLookup(addr)
 	if !hit {
 		way, hit = h.warmMissFlow(h.DL0, at, addr)
 	}
 	if hit {
-		set := h.DL0.SetOf(addr)
-		h.DL0.MarkDirty(set, way)
-		h.warmDL0 = warmMemo{line: line, set: set, way: way, dirty: true, valid: true}
+		h.DL0.MarkDirty(h.DL0.SetOf(addr), way)
 	} else {
 		// Uncacheable (Faulty-Bits full-set disable): write through to UL1.
-		h.warmDL0.valid = false
 		h.warmUL1(at, addr, true)
 	}
 }
 
-// warmTranslate touches the TLB entry for addr, filling it on a miss; a
-// repeat of the TLB's previous page (the dominant case) is a state no-op
-// and returns through the memo.
-func (h *Hierarchy) warmTranslate(tlb *Cache, memo *warmMemo, at int64, addr uint64) {
-	page := tlb.LineAddr(addr)
-	if memo.valid && memo.line == page {
-		return
-	}
+// warmTranslate touches the TLB entry for addr, filling it on a miss.
+func (h *Hierarchy) warmTranslate(tlb *Cache, at int64, addr uint64) {
 	if _, hit := tlb.WarmLookup(addr); !hit {
-		tlb.WarmFill(at, addr, h.sig(page))
+		tlb.WarmFill(at, addr, h.sig(tlb.LineAddr(addr)))
 	}
-	*memo = warmMemo{line: page, valid: true}
 }
 
 // warmUL1 touches (or dirties) addr's line in UL1, filling on a miss; a

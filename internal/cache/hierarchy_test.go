@@ -8,7 +8,7 @@ import (
 
 func testHierarchy(t *testing.T, mode TimingMode) *Hierarchy {
 	t.Helper()
-	h := MustNewHierarchy(DefaultHierarchyConfig())
+	h := MustNewHierarchy(DefaultHierarchyConfig(), false)
 	h.SetMode(mode)
 	return h
 }

@@ -9,7 +9,7 @@ import (
 // the fill wrote — the handoff contract between warm replay and the timed
 // engine.
 func TestWarmFillVisibleToTimedLookup(t *testing.T) {
-	c := MustNew(Config{Name: "T", Sets: 8, Ways: 4, LineBytes: 64})
+	c := MustNew(Config{Name: "T", Sets: 8, Ways: 4, LineBytes: 64}, false)
 	c.SetIRAW(true, 3, true) // IRAW mode must not leak into warm writes
 	const addr = 0x4040
 	_, way, _, _, ok := c.WarmFill(0, addr, 0xDEADBEEF)
@@ -39,7 +39,7 @@ func TestWarmFillVisibleToTimedLookup(t *testing.T) {
 // TestWarmLookupTouchesLRU: warm hits move recency exactly as timed hits
 // do, so victim selection after a replay matches the replayed access order.
 func TestWarmLookupTouchesLRU(t *testing.T) {
-	c := MustNew(Config{Name: "T", Sets: 1, Ways: 2, LineBytes: 64})
+	c := MustNew(Config{Name: "T", Sets: 1, Ways: 2, LineBytes: 64}, false)
 	a0, a1, a2 := uint64(0x000), uint64(0x100), uint64(0x200)
 	c.WarmFill(0, a0, 0)
 	c.WarmFill(0, a1, 0)
@@ -56,7 +56,7 @@ func TestWarmLookupTouchesLRU(t *testing.T) {
 // TestWarmStoreIntegrity: a store warmed functionally leaves the DL0 entry
 // dirty and signature-consistent, so a timed load over it verifies clean.
 func TestWarmStoreIntegrity(t *testing.T) {
-	h := MustNewHierarchy(DefaultHierarchyConfig())
+	h := MustNewHierarchy(DefaultHierarchyConfig(), false)
 	h.SetMode(TimingMode{Interrupted: true, N: 2, Avoid: true, MemCycles: 50})
 	const addr = 0x1000_0040
 	h.WarmStore(0, addr)
@@ -83,7 +83,7 @@ func TestWarmStoreIntegrity(t *testing.T) {
 // TestWarmLeavesNoTimingState: the full warm access mix leaves statistics,
 // port holds, MSHR records and the STable untouched.
 func TestWarmLeavesNoTimingState(t *testing.T) {
-	h := MustNewHierarchy(DefaultHierarchyConfig())
+	h := MustNewHierarchy(DefaultHierarchyConfig(), false)
 	h.SetMode(TimingMode{Interrupted: true, N: 2, Avoid: true, MemCycles: 50})
 	for i := 0; i < 2000; i++ {
 		pc := uint64(0x40_0000 + i*64)
@@ -121,8 +121,7 @@ func TestWarmLeavesNoTimingState(t *testing.T) {
 // stored (the ROADMAP open item this pins down).
 func TestOracleGCBounded(t *testing.T) {
 	for _, fast := range []bool{true, false} {
-		h := MustNewHierarchy(DefaultHierarchyConfig())
-		h.SetFastPaths(fast)
+		h := MustNewHierarchy(DefaultHierarchyConfig(), !fast)
 		h.SetMode(TimingMode{MemCycles: 20})
 		dl0Lines := h.DL0.Config().Sets * h.DL0.Config().Ways
 		cycle := int64(0)

@@ -157,9 +157,8 @@ func (c *Cache) RestoreWarm(s *WarmState) error {
 // touched is provably at its reset value after a pure functional warm-up —
 // the integrity oracle stays empty (only timed stores bump line versions,
 // and the GC only deletes), the STable, buffers, port holds and data-side
-// serialization point never move, and the warm-path memos are
-// result-invariant caches — so CaptureWarm asserts those invariants instead
-// of serializing them, and RestoreWarm re-clears the memos.
+// serialization point never move — so CaptureWarm asserts those invariants
+// instead of serializing them.
 type HierarchyWarmState struct {
 	IL0, DL0, UL1, ITLB, DTLB *WarmState
 }
@@ -199,9 +198,7 @@ func (h *Hierarchy) CaptureWarm() (*HierarchyWarmState, error) {
 }
 
 // RestoreWarm loads a warm snapshot into the hierarchy, which must be
-// freshly reset (fault maps installed, nothing else touched). The
-// warm-path memos are cleared; they repopulate on demand with identical
-// contents.
+// freshly reset (fault maps installed, nothing else touched).
 func (h *Hierarchy) RestoreWarm(s *HierarchyWarmState) error {
 	for _, p := range []struct {
 		c *Cache
@@ -215,9 +212,6 @@ func (h *Hierarchy) RestoreWarm(s *HierarchyWarmState) error {
 		}
 	}
 	h.dFreeAt = 0
-	h.warmITLB.valid = false
-	h.warmDTLB.valid = false
-	h.warmDL0.valid = false
 	h.lineVer.clear()
 	return nil
 }

@@ -88,7 +88,7 @@ func FuzzDecodeWarm(f *testing.F) {
 			if !bytes.Equal(encodeCache(w), data) {
 				t.Fatal("decoded cache component re-encodes differently")
 			}
-			h := cache.MustNewHierarchy(cfg.Hierarchy)
+			h := cache.MustNewHierarchy(cfg.Hierarchy, false)
 			for _, c := range []*cache.Cache{h.IL0, h.DL0, h.UL1, h.ITLB, h.DTLB} {
 				_ = c.RestoreWarm(w)
 			}

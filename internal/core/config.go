@@ -13,8 +13,9 @@
 //
 // Run models a strictly cycle-stepped pipeline but executes event-driven;
 // its Results are bit-identical to stepping every cycle (held together by
-// a recorded-golden test and an equivalence fuzz against the noSkip
-// stepped mode). Three mechanisms carry the loop:
+// a recorded-golden test and an equivalence fuzz against the reference
+// engine, Config.DisableFastPaths, which steps every cycle over the cache
+// blocks' reference scans). Three mechanisms carry the loop:
 //
 //   - Timing wheel (wheel.go). Deferred events — long-latency completion
 //     heads-ups and pipelined register-file writes — live in a 64-bucket
@@ -43,10 +44,7 @@
 //     /FetchHist counters the stepped loop would have recorded, in the
 //     same amounts. Cycles whose stall charges per-cycle side effects
 //     (the IQ occupancy gate, Extra-Bypass write-port contention) are
-//     never skipped. A blocked-head memo extends the same reasoning to
-//     busy cycles: while fetch/allocate progress but the IQ head stays
-//     blocked and no wake dispatches, the issue stage reuses the recorded
-//     verdict instead of re-deriving it.
+//     never skipped.
 //
 // The IQ needs no "next event" hook (its gate depends only on occupancy,
 // which only pipeline actions change), and neither does the predictor (its
@@ -55,8 +53,8 @@
 //
 // # Functional warm-up replay
 //
-// RunWindow executes one sample window of a sharded long trace: a warm-up
-// prefix that is never measured, then the measured span. The prefix is
+// One sample window of a sharded long trace is a warm-up prefix that is
+// never measured, then the measured span (RunWarmed). The prefix is
 // replayed through WarmReplay under the hierarchy's
 // timing-independent access-order contract (see internal/cache): one
 // instruction-fetch touch per 64-byte line transition, one data touch per
@@ -72,8 +70,8 @@
 //   - nothing timing-visible moves: no cycles elapse, no statistics
 //     change, and the timed engine takes over at the next cycle with the
 //     pipeline cold (the same few-cycle ramp any trace head pays);
-//   - WarmReplay(tr, 0) is a no-op, so RunWindow(tr, 0) is exactly Run(tr)
-//     — warm=0 windows stay bit-identical to the unsharded engine.
+//   - WarmReplay(tr, 0) is a no-op and RunWarmed(tr, 0) is exactly Run(tr),
+//     so warm=0 windows stay bit-identical to the unsharded engine.
 //
 // The replay trains predictor direction state exactly (training depends
 // only on resolved outcomes, never on timing) and cache/TLB/LRU/dirty
@@ -232,12 +230,14 @@ type Config struct {
 	// Seed drives fault-map generation and any other stochastic state.
 	Seed uint64
 
-	// DisableFastPaths turns off the memory side's result-invariant fast
-	// paths — the cache blocks' live-way mask scans, packed-LRU victim and
-	// MSHR record generations — in favour of the full way and tick scans
-	// and a lazily pruned MSHR table, while keeping the event-driven
-	// engine. Results are bit-identical either way (equivalence-fuzzed);
-	// this is the benchmark baseline and equivalence-test hook.
+	// DisableFastPaths selects the reference engine — the engine's one
+	// switch between its fast and reference paths, fixed when the core is
+	// built. Run then steps every cycle (no idle-cycle skip), and the
+	// cache blocks take full way and tick scans and a lazily pruned MSHR
+	// table instead of their live-way mask scans, packed-LRU victim and
+	// MSHR record generations. Results are bit-identical either way; the
+	// equivalence fuzz and the benchmark's correctness check hold the fast
+	// engine to this one.
 	DisableFastPaths bool
 
 	// MaxCycles guards against pipeline deadlock (0 = automatic bound).

@@ -56,11 +56,6 @@ type Core struct {
 
 	seq uint64 // value generator: each producer writes its sequence number
 
-	// noSkip forces strict cycle stepping (idle-cycle skipping and the
-	// blocked-head memo disabled). Test hook: the equivalence fuzz drives
-	// both engines over the same inputs and asserts bit-identical Results.
-	noSkip bool
-
 	// stop, when non-nil, is polled periodically from the run loop; a
 	// non-nil return aborts the run with that error. The experiment runner
 	// wires context cancellation and per-point timeouts through it so a
@@ -103,14 +98,11 @@ func (c *Core) reset() error {
 	c.q = iq.New(c.cfg.IQ)
 	c.rf = regfile.New()
 	c.bp = predictor.New(c.cfg.Predictor)
-	mem, err := cache.NewHierarchy(c.cfg.Hierarchy)
+	mem, err := cache.NewHierarchy(c.cfg.Hierarchy, c.cfg.DisableFastPaths)
 	if err != nil {
 		return err
 	}
 	c.mem = mem
-	if c.cfg.DisableFastPaths {
-		c.mem.SetFastPaths(false)
-	}
 
 	c.regWriteAt = [isa.NumRegs]int64{}
 	c.regBypassTill = [isa.NumRegs]int64{}
@@ -308,9 +300,10 @@ func nextPow2(n int) int {
 // future and the due-cycle filter skips them.
 // The caller pre-checks the wheel's occupancy bit for this cycle, so idle
 // cycles never pay the call; the check lives only at the call site.
-func (c *Core) dispatchWakes(cycle int64) (dispatched bool) {
+func (c *Core) dispatchWakes(cycle int64) {
 	bypass, writePipe := c.bypassLvl, c.writePipe
 	b := c.wheel.bucket(cycle)
+	dispatched := false
 	for i := 0; i < len(*b); {
 		w := (*b)[i]
 		if w.at != cycle {
@@ -342,12 +335,11 @@ func (c *Core) dispatchWakes(cycle int64) (dispatched bool) {
 	if dispatched {
 		c.wheel.noteDrained(cycle)
 	}
-	return dispatched
 }
 
 // SetStopCheck installs f as the run loop's preemption hook: it is polled
 // every few thousand loop iterations and a non-nil return aborts the
-// in-flight Run/RunWindow with that error. Passing nil removes the hook.
+// in-flight run or warm replay with that error. Passing nil removes the hook.
 // The hook must be side-effect free with respect to simulation state; it
 // never affects the results of runs that complete.
 func (c *Core) SetStopCheck(f func() error) { c.stop = f }
@@ -391,40 +383,20 @@ func (c *Core) snapBases() statBases {
 // jump), and cycles in which no pipeline stage can make progress are
 // skipped in bulk to the next interesting time — see the package
 // documentation for the skip conditions and why stall attribution is
-// preserved. Results are bit-identical to
-// strict cycle stepping (golden + fuzz equivalence tests hold the engines
-// together).
+// preserved. With Config.DisableFastPaths set it steps every cycle
+// instead; Results are bit-identical either way (golden + fuzz equivalence
+// tests hold the engines together).
 func (c *Core) Run(tr *trace.Trace) (*Result, error) { return c.run(tr) }
 
-// RunWindow simulates tr's measured span — the instructions from
-// measureFrom on — after functionally replaying the leading instructions as
-// warm-up (WarmReplay): the prefix trains caches, TLBs and the predictor
-// timing-free, at a fraction of simulation cost, and the timed engine
-// starts cold-pipelined but warm-stated at the boundary. Measurement covers
-// every simulated cycle, so the boundary is trivially deterministic.
-// RunWindow(tr, 0) is exactly Run(tr). It is one sample window of the
-// sharded methodology (trace.Shard produces the windows, the sim runner
-// fans them out, core.MergeWindowResults stitches the pieces).
-func (c *Core) RunWindow(tr *trace.Trace, measureFrom int) (*Result, error) {
-	if measureFrom < 0 || measureFrom >= len(tr.Insts) {
-		return nil, fmt.Errorf("core: window start %d out of range for trace %q (%d insts)",
-			measureFrom, tr.Name, len(tr.Insts))
-	}
-	if measureFrom > 0 {
-		if err := c.WarmReplay(tr, measureFrom); err != nil {
-			return nil, err
-		}
-	}
-	return c.RunWarmed(tr, measureFrom)
-}
-
-// RunWarmed simulates tr's measured span — the instructions from measureFrom
-// on — on the timed engine, assuming the warm-up prefix has already been
-// applied to the core (via WarmReplay/WarmReplayRange, a checkpoint
-// RestoreWarm, or any mix of restore and residual replay). It is the second
-// half of RunWindow, exposed so the checkpoint store can substitute a
-// snapshot restore for the live replay; measurement covers every simulated
-// cycle, exactly as in RunWindow.
+// RunWarmed simulates one sample window of the sharded methodology: tr's
+// measured span — the instructions from measureFrom on — on the timed
+// engine, assuming the warm-up prefix has already been applied to the core
+// (WarmReplay/WarmReplayRange, a checkpoint RestoreWarm, or any mix of
+// restore and residual replay). The timed engine starts cold-pipelined but
+// warm-stated at the boundary, and measurement covers every simulated
+// cycle, so the boundary is deterministic. RunWarmed(tr, 0) on a fresh
+// core is exactly Run(tr). trace.Shard produces the windows, the sim
+// runner fans them out and MergeWindowResults stitches the pieces.
 func (c *Core) RunWarmed(tr *trace.Trace, measureFrom int) (*Result, error) {
 	if measureFrom < 0 || measureFrom >= len(tr.Insts) {
 		return nil, fmt.Errorf("core: window start %d out of range for trace %q (%d insts)",
@@ -461,17 +433,8 @@ func (c *Core) run(tr *trace.Trace) (*Result, error) {
 	}
 	maxCycles += startCycle
 
-	// Blocked-head memo: when the IQ head failed to issue, nothing can
-	// change its verdict (or the stall attribution) before the earliest of
-	// a wheel event and its issueRetryAt time — the head entry itself can
-	// only change through a pop, which the blockage prevents, and allocs
-	// only grow occupancy, which keeps MayIssue true. While the memo holds,
-	// the issue stage collapses to reusing the recorded attribution; any
-	// dispatched wake invalidates it (completions move scoreboard state).
-	memoValid := false
-	var memoUntil int64
-	var memoStall stats.StallKind
-	memoBlocked := -1
+	// The reference engine steps every cycle: no idle-cycle skip.
+	stepped := c.cfg.DisableFastPaths
 
 	loopIters := 0
 	for issuedTotal < total {
@@ -488,8 +451,8 @@ func (c *Core) run(tr *trace.Trace) (*Result, error) {
 		}
 
 		c.sb.AdvanceTo(cycle)
-		if c.wheel.occ>>(uint(cycle)&wheelMask)&1 != 0 && c.dispatchWakes(cycle) {
-			memoValid = false
+		if c.wheel.occ>>(uint(cycle)&wheelMask)&1 != 0 {
+			c.dispatchWakes(cycle)
 		}
 
 		// ===== Issue stage (reads IQ entries before this cycle's allocs).
@@ -498,53 +461,43 @@ func (c *Core) run(tr *trace.Trace) (*Result, error) {
 		stall := stats.StallNone
 		blocked := -1          // trace index of the head a failed tryIssue left behind
 		var blockedRetry int64 // earliest cycle its verdict can change (valid with blocked >= 0)
-		if memoValid && cycle < memoUntil {
-			stall = memoStall
-			blocked = memoBlocked
-			blockedRetry = memoUntil
-		} else {
-			memoValid = false
-			for issued < c.cfg.Width {
-				if c.q.Occupancy() == 0 {
-					if issued == 0 && issuedTotal < total {
-						stall = stats.StallFetchEmpty
-					}
-					break
+		for issued < c.cfg.Width {
+			if c.q.Occupancy() == 0 {
+				if issued == 0 && issuedTotal < total {
+					stall = stats.StallFetchEmpty
 				}
-				if !c.q.MayIssue() {
-					if issued == 0 && c.q.GateBlocked() {
-						stall = stats.StallIQGate
-						c.q.NoteGateStall()
-					}
-					break
+				break
+			}
+			if !c.q.MayIssue() {
+				if issued == 0 && c.q.GateBlocked() {
+					stall = stats.StallIQGate
+					c.q.NoteGateStall()
 				}
-				e := c.q.Oldest(0)
-				if e.NOOP {
-					c.q.PopOldest()
-					run.IssuedNOOPs++
-					issued++
-					continue
-				}
-				idx := int(e.Payload)
-				in := &insts[idx]
-				reason, ok := c.tryIssue(cycle, in, c.flags.at(idx), &memIssued, &run, &fetchStallUntil, &awaitRedirect)
-				if !ok {
-					if issued == 0 {
-						stall = reason
-						blocked = idx
-						blockedRetry = c.issueRetryAt(cycle, in)
-						if !c.noSkip { // keep the stepped reference engine truly stepped
-							memoValid, memoUntil, memoStall, memoBlocked = true, blockedRetry, stall, blocked
-						}
-					}
-					break
-				}
+				break
+			}
+			e := c.q.Oldest(0)
+			if e.NOOP {
 				c.q.PopOldest()
+				run.IssuedNOOPs++
 				issued++
-				issuedTotal++
-				if in.Op == isa.OpFence {
-					draining = false
+				continue
+			}
+			idx := int(e.Payload)
+			in := &insts[idx]
+			reason, ok := c.tryIssue(cycle, in, c.flags.at(idx), &memIssued, &run, &fetchStallUntil, &awaitRedirect)
+			if !ok {
+				if issued == 0 {
+					stall = reason
+					blocked = idx
+					blockedRetry = c.issueRetryAt(cycle, in)
 				}
+				break
+			}
+			c.q.PopOldest()
+			issued++
+			issuedTotal++
+			if in.Op == isa.OpFence {
+				draining = false
 			}
 		}
 		if issued > 2 {
@@ -629,7 +582,7 @@ func (c *Core) run(tr *trace.Trace) (*Result, error) {
 		// stalls are excluded inside issueRetryAt (they charge per-cycle
 		// port contention).
 		if issued == 0 && allocs == 0 && injected == 0 && fetched == 0 &&
-			stall != stats.StallIQGate && !c.noSkip {
+			stall != stats.StallIQGate && !stepped {
 			next := c.wheel.nextAfter(cycle)
 			if blocked >= 0 && blockedRetry < next {
 				next = blockedRetry

@@ -7,6 +7,7 @@ import (
 
 	"lowvcc/internal/circuit"
 	"lowvcc/internal/rng"
+	"lowvcc/internal/stats"
 	"lowvcc/internal/trace"
 	"lowvcc/internal/workload"
 )
@@ -69,92 +70,64 @@ func TestRandomizedConfigsNeverDeadlockOrCorrupt(t *testing.T) {
 	}
 }
 
-// TestSkipEngineMatchesSteppedEngine fuzzes the event-driven fast paths —
-// the timing wheel, the interval scoreboard and, above all, idle-cycle
-// skipping — against strict cycle stepping: the same randomized (profile,
-// voltage, mode, N) points run through both engine variants and every
-// Result field (cycles, stall histograms, violation counters, cache/BP
-// statistics) must be bit-identical, cold and warm.
-func TestSkipEngineMatchesSteppedEngine(t *testing.T) {
-	src := rng.New(0xBEEFCAFE)
-	profiles := append(workload.Profiles(), workload.MemBound())
-	levels := circuit.Levels()
-	modes := []circuit.Mode{circuit.ModeBaseline, circuit.ModeIRAW,
-		circuit.ModeFaultyBits, circuit.ModeExtraBypass}
-	iters := 30
-	if testing.Short() {
-		iters = 8
-	}
-	for i := 0; i < iters; i++ {
-		p := profiles[src.Intn(len(profiles))]
-		v := levels[src.Intn(len(levels))]
-		mode := modes[src.Intn(len(modes))]
-		insts := 1500 + src.Intn(3000)
-
-		cfg := DefaultConfig(v, mode)
-		if mode == circuit.ModeIRAW {
-			switch src.Intn(4) {
-			case 0:
-				cfg.ForcedN = 1 + src.Intn(3)
-			case 1:
-				cfg.CombineFaultyBits = true
-			case 2:
-				cfg.DisableAvoidance = true
-			}
-		}
-		tr := workload.Generate(p, insts, uint64(i)+1234)
-
-		fast := MustNew(cfg)
-		slow := MustNew(cfg)
-		slow.noSkip = true
-		for pass := 0; pass < 2; pass++ {
-			fr, err := fast.Run(tr)
-			if err != nil {
-				t.Fatalf("iter %d pass %d (%s %v %v): skip engine: %v", i, pass, p.Name, v, mode, err)
-			}
-			sr, err := slow.Run(tr)
-			if err != nil {
-				t.Fatalf("iter %d pass %d (%s %v %v): stepped engine: %v", i, pass, p.Name, v, mode, err)
-			}
-			if !reflect.DeepEqual(fr, sr) {
-				t.Fatalf("iter %d pass %d (%s %v %v N=%d): engines diverge\nskip:    %+v\nstepped: %+v",
-					i, pass, p.Name, v, mode, cfg.ForcedN, fr, sr)
-			}
-		}
-	}
-}
-
-// TestFastPathsMatchDisabledEngine fuzzes the memory side's fast paths —
-// the cache blocks' live-way mask scans, packed-LRU victim and MSHR record
-// generations —
-// against the same event-driven engine with Config.DisableFastPaths set:
-// randomized (profile, voltage, mode, N, faulty-bits, width) points must
-// produce bit-identical Results, cold and warm. A 60k-instruction MemBound
-// trace at every width runs long enough (hundreds of thousands of cycles
-// against a generation width of a few thousand) to rotate the MSHR
-// generations many times.
-// Together with TestSkipEngineMatchesSteppedEngine (which pins the default
-// engine to strict cycle stepping) this chains fast paths -> plain
-// event-driven -> stepped seed reference.
+// TestFastPathsMatchDisabledEngine fuzzes the fast engine against the
+// reference engine, Config.DisableFastPaths: the same inputs through the
+// event-driven loop with idle-cycle skipping and the cache blocks'
+// live-way mask scans, packed-LRU victim and MSHR record
+// generations, and through a loop that steps every cycle over the full way
+// and tick scans and a lazily pruned MSHR table. Every Result field
+// (cycles, stall histograms, violation counters, cache/BP statistics) must
+// be bit-identical, cold and warm. The inputs:
+//
+//   - randomized (profile or MemBound, voltage, mode, width 1..MaxWidth)
+//     points, IRAW ones with a forced N, Faulty Bits combined or
+//     avoidance disabled;
+//   - the overlapping-port-hold corner: a TLB-hostile, store-heavy trace
+//     at 400 mV and high N makes DTLB walk-fill holds coincide with DL0
+//     fill windows registered for future cycles, which is exactly where a
+//     skip bounded only by the DTLB-free time would misattribute
+//     StallDL0IRAW cycles as StallOtherIRAW;
+//   - a 60k-instruction MemBound trace at every width, long enough
+//     (hundreds of thousands of cycles against a generation width of a
+//     few thousand) to rotate the MSHR generations many times.
+//
+// Both engines must also keep the cycle accounting whole: every cycle
+// lands in exactly one IssueHist and one FetchHist bucket, and only
+// issue-0 cycles carry a stall attribution.
 func TestFastPathsMatchDisabledEngine(t *testing.T) {
-	matchDisabled := func(t *testing.T, tag string, cfg Config, tr *trace.Trace) {
+	match := func(t *testing.T, tag string, cfg Config, tr *trace.Trace) {
 		t.Helper()
-		fast := MustNew(cfg)
-		slowCfg := cfg
-		slowCfg.DisableFastPaths = true
-		slow := MustNew(slowCfg)
+		refCfg := cfg
+		refCfg.DisableFastPaths = true
+		fast, ref := MustNew(cfg), MustNew(refCfg)
 		for pass := 0; pass < 2; pass++ {
 			fr, err := fast.Run(tr)
 			if err != nil {
-				t.Fatalf("%s pass %d: fast paths: %v", tag, pass, err)
+				t.Fatalf("%s pass %d: fast engine: %v", tag, pass, err)
 			}
-			sr, err := slow.Run(tr)
+			rr, err := ref.Run(tr)
 			if err != nil {
-				t.Fatalf("%s pass %d: disabled: %v", tag, pass, err)
+				t.Fatalf("%s pass %d: reference engine: %v", tag, pass, err)
 			}
-			if !reflect.DeepEqual(fr, sr) {
-				t.Fatalf("%s pass %d: fast paths change results\nfast:     %+v\ndisabled: %+v",
-					tag, pass, fr, sr)
+			if !reflect.DeepEqual(fr, rr) {
+				t.Fatalf("%s pass %d: engines diverge\nfast:      %+v\nreference: %+v", tag, pass, fr, rr)
+			}
+			for _, r := range []struct {
+				engine string
+				run    stats.Run
+			}{{"fast", fr.Run}, {"reference", rr.Run}} {
+				var issue, fetch, stalls uint64
+				for k := range r.run.IssueHist {
+					issue += r.run.IssueHist[k]
+					fetch += r.run.FetchHist[k]
+				}
+				for _, n := range r.run.IssueStalls {
+					stalls += n
+				}
+				if issue != r.run.Cycles || fetch != r.run.Cycles || stalls > r.run.IssueHist[0] {
+					t.Fatalf("%s pass %d: %s engine: sum IssueHist %d, sum FetchHist %d, cycles %d, sum IssueStalls %d > IssueHist[0] %d",
+						tag, pass, r.engine, issue, fetch, r.run.Cycles, stalls, r.run.IssueHist[0])
+				}
 			}
 		}
 	}
@@ -164,9 +137,9 @@ func TestFastPathsMatchDisabledEngine(t *testing.T) {
 	levels := circuit.Levels()
 	modes := []circuit.Mode{circuit.ModeBaseline, circuit.ModeIRAW,
 		circuit.ModeFaultyBits, circuit.ModeExtraBypass}
-	iters := 30
+	iters := 60
 	if testing.Short() {
-		iters = 8
+		iters = 16
 	}
 	for i := 0; i < iters; i++ {
 		width := 1 + i%MaxWidth
@@ -187,63 +160,27 @@ func TestFastPathsMatchDisabledEngine(t *testing.T) {
 			}
 		}
 		tr := workload.Generate(p, insts, uint64(i)+4242)
-		matchDisabled(t, fmt.Sprintf("iter %d (w=%d %s %v %v N=%d)", i, width, p.Name, v, mode, cfg.ForcedN), cfg, tr)
+		match(t, fmt.Sprintf("iter %d (w=%d %s %v %v N=%d faulty=%v unsafe=%v)", i, width, p.Name, v, mode,
+			cfg.ForcedN, cfg.CombineFaultyBits, cfg.DisableAvoidance), cfg, tr)
+	}
+
+	hostile := workload.MemBound()
+	hostile.Load, hostile.Store = 0.35, 0.30 // store-heavy: constant DL0 fill traffic
+	hostile.DataWorkingSet = 256 << 20       // thrash both TLBs
+	for _, forcedN := range []int{2, 4} {
+		for seed := uint64(0); seed < 4; seed++ {
+			cfg := DefaultConfig(400, circuit.ModeIRAW)
+			cfg.ForcedN = forcedN
+			tr := workload.Generate(hostile, 4000, seed+500)
+			match(t, fmt.Sprintf("hold pressure (N=%d seed %d)", forcedN, seed), cfg, tr)
+		}
 	}
 
 	long := workload.Generate(workload.MemBound(), 60000, 4243)
 	for width := 1; width <= MaxWidth; width++ {
 		mode := modes[width-1]
 		cfg := DefaultConfigWidth(500, mode, width)
-		matchDisabled(t, fmt.Sprintf("long MemBound (w=%d %v)", width, mode), cfg, long)
-	}
-}
-
-// TestWidthsMatchReferenceEngine fuzzes the width axis: for every width in
-// 1..MaxWidth, the event-driven engine must be bit-identical to the
-// stepped reference engine (noSkip — the seed semantics) on the same
-// randomized (profile, voltage, mode, N) points, cold and warm. Width 2 is
-// covered by the recorded golden; this extends the equivalence chain to
-// the whole axis.
-func TestWidthsMatchReferenceEngine(t *testing.T) {
-	src := rng.New(0x51DE)
-	profiles := append(workload.Profiles(), workload.MemBound())
-	levels := circuit.Levels()
-	modes := []circuit.Mode{circuit.ModeBaseline, circuit.ModeIRAW,
-		circuit.ModeFaultyBits, circuit.ModeExtraBypass}
-	iters := 24
-	if testing.Short() {
-		iters = 8
-	}
-	for i := 0; i < iters; i++ {
-		width := 1 + i%MaxWidth
-		p := profiles[src.Intn(len(profiles))]
-		v := levels[src.Intn(len(levels))]
-		mode := modes[src.Intn(len(modes))]
-		insts := 1500 + src.Intn(3000)
-
-		cfg := DefaultConfigWidth(v, mode, width)
-		if mode == circuit.ModeIRAW && src.Intn(3) == 0 {
-			cfg.ForcedN = 1 + src.Intn(3)
-		}
-		tr := workload.Generate(p, insts, uint64(i)+31337)
-
-		fast := MustNew(cfg)
-		stepped := MustNew(cfg)
-		stepped.noSkip = true
-		for pass := 0; pass < 2; pass++ {
-			fr, err := fast.Run(tr)
-			if err != nil {
-				t.Fatalf("iter %d pass %d (w=%d %s %v %v): fast engine: %v", i, pass, width, p.Name, v, mode, err)
-			}
-			sr, err := stepped.Run(tr)
-			if err != nil {
-				t.Fatalf("iter %d pass %d (w=%d %s %v %v): stepped engine: %v", i, pass, width, p.Name, v, mode, err)
-			}
-			if !reflect.DeepEqual(fr, sr) {
-				t.Fatalf("iter %d pass %d (w=%d %s %v %v N=%d): fast vs stepped diverge\nfast:    %+v\nstepped: %+v",
-					i, pass, width, p.Name, v, mode, cfg.ForcedN, fr, sr)
-			}
-		}
+		match(t, fmt.Sprintf("long MemBound (w=%d %v)", width, mode), cfg, long)
 	}
 }
 
@@ -265,38 +202,5 @@ func TestWiderCoreIssuesMore(t *testing.T) {
 	if !(cycles[4] < cycles[2] && cycles[2] < cycles[1]) {
 		t.Fatalf("cycles not strictly decreasing with width: w1=%d w2=%d w4=%d",
 			cycles[1], cycles[2], cycles[4])
-	}
-}
-
-// TestSkipEquivalenceUnderHoldPressure targets the overlapping-port-hold
-// attribution corner: a TLB-hostile, store-heavy workload at high N makes
-// DTLB walk-fill holds coincide with DL0 fill windows registered for
-// future cycles, which is exactly where a skip bounded only by the
-// DTLB-free time would misattribute StallDL0IRAW cycles as StallOtherIRAW.
-func TestSkipEquivalenceUnderHoldPressure(t *testing.T) {
-	p := workload.MemBound()
-	p.Load, p.Store = 0.35, 0.30 // store-heavy: constant DL0 fill traffic
-	p.DataWorkingSet = 256 << 20 // thrash both TLBs
-	for _, forcedN := range []int{2, 4} {
-		for seed := uint64(0); seed < 4; seed++ {
-			cfg := DefaultConfig(400, circuit.ModeIRAW)
-			cfg.ForcedN = forcedN
-			tr := workload.Generate(p, 4000, seed+500)
-			fast := MustNew(cfg)
-			slow := MustNew(cfg)
-			slow.noSkip = true
-			fr, err := fast.Run(tr)
-			if err != nil {
-				t.Fatalf("N=%d seed %d: skip engine: %v", forcedN, seed, err)
-			}
-			sr, err := slow.Run(tr)
-			if err != nil {
-				t.Fatalf("N=%d seed %d: stepped engine: %v", forcedN, seed, err)
-			}
-			if !reflect.DeepEqual(fr, sr) {
-				t.Fatalf("N=%d seed %d: engines diverge\nskip stalls:    %v\nstepped stalls: %v",
-					forcedN, seed, fr.Run.IssueStalls, sr.Run.IssueStalls)
-			}
-		}
 	}
 }

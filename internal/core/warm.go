@@ -39,10 +39,9 @@ func (c *Core) WarmReplay(tr *trace.Trace, n int) error {
 // segmented form of WarmReplay that the checkpoint store uses to replay only
 // the residual tail after restoring a snapshot. Replaying a prefix in
 // segments leaves the same warm state as one continuous replay: the only
-// segmentation artifacts are the per-segment fetch-line memo reset (at worst
+// segmentation artifact is the per-segment fetch-line memo reset (at worst
 // one extra warm fetch of an already most-recently-touched line — an
-// order-preserving no-op) and warm-memo invalidation (the memos are
-// result-invariant caches). Tick counters advance differently, but only
+// order-preserving no-op). Tick counters advance differently, but only
 // their ordering is observable and capture normalizes it away.
 func (c *Core) WarmReplayRange(tr *trace.Trace, from, to int) error {
 	if from < 0 || to < from || to > len(tr.Insts) {
@@ -50,7 +49,6 @@ func (c *Core) WarmReplayRange(tr *trace.Trace, from, to int) error {
 			from, to, tr.Name, len(tr.Insts))
 	}
 	at := c.now
-	c.mem.BeginWarm()
 	lastLine := ^uint64(0)
 	for i := from; i < to; i++ {
 		if c.stop != nil && i&(warmStopStride-1) == 0 {

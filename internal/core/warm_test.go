@@ -40,13 +40,13 @@ func TestWarmFunctionalVsUnshardedFuzz(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		second, err := MustNew(cfg).RunWindow(tr, boundary)
+		second, err := runWindow(MustNew(cfg), tr, boundary)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if boundary == 0 {
 			if !reflect.DeepEqual(second, whole) {
-				t.Fatalf("%s boundary=0: RunWindow is not bit-identical to Run", tr.Name)
+				t.Fatalf("%s boundary=0: the window is not bit-identical to Run", tr.Name)
 			}
 			continue
 		}
@@ -76,16 +76,16 @@ func TestWarmFunctionalVsUnshardedFuzz(t *testing.T) {
 func TestWarmReplayDeterministic(t *testing.T) {
 	tr := workload.Generate(workload.SpecInt(), 9000, 21)
 	cfg := DefaultConfig(500, circuit.ModeIRAW)
-	a, err := MustNew(cfg).RunWindow(tr, 6000)
+	a, err := runWindow(MustNew(cfg), tr, 6000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := MustNew(cfg).RunWindow(tr, 6000)
+	b, err := runWindow(MustNew(cfg), tr, 6000)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(a, b) {
-		t.Fatal("functional RunWindow is not deterministic")
+		t.Fatal("a functionally warmed window is not deterministic")
 	}
 }
 
@@ -163,9 +163,9 @@ func TestWarmReplayLeavesTimingStateUntouched(t *testing.T) {
 }
 
 // TestRunWindowShardEdgeCases exercises trace.Shard's boundary plans at the
-// RunWindow level: window=1 (every instruction its own window), warm
-// longer than the available prefix (capped), full-prefix warm (warm < 0)
-// and window >= len (the unsharded identity).
+// window level (WarmReplay + RunWarmed): window=1 (every instruction its
+// own window), warm longer than the available prefix (capped), full-prefix
+// warm (warm < 0) and window >= len (the unsharded identity).
 func TestRunWindowShardEdgeCases(t *testing.T) {
 	tr := workload.Generate(workload.SpecInt(), 600, 13)
 	cfg := DefaultConfig(500, circuit.ModeIRAW)
@@ -181,12 +181,12 @@ func TestRunWindowShardEdgeCases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := MustNew(cfg).RunWindow(plan[0].Trace, plan[0].Warm)
+	res, err := runWindow(MustNew(cfg), plan[0].Trace, plan[0].Warm)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(whole, res) {
-		t.Fatal("window>=len RunWindow differs from Run")
+		t.Fatal("window>=len run differs from Run")
 	}
 
 	// warm > start: every window's prefix is capped at its start, so
@@ -214,7 +214,7 @@ func TestRunWindowShardEdgeCases(t *testing.T) {
 		if err := c.Reset(); err != nil {
 			t.Fatal(err)
 		}
-		r, err := c.RunWindow(w.Trace, w.Warm)
+		r, err := runWindow(c, w.Trace, w.Warm)
 		if err != nil {
 			t.Fatal(err)
 		}

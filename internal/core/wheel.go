@@ -27,12 +27,6 @@ type wheel struct {
 	buckets [wheelSize][]wake
 	occ     uint64 // bit i set iff buckets[i] is non-empty
 	pending int
-	// nextDue is a lower bound on the earliest pending due-cycle: pushes
-	// lower it, dispatch leaves it stale (events are only removed at their
-	// due cycle, and the clock only moves forward, so `nextDue > cycle`
-	// implies the event that set it is still pending — nextAfter then
-	// answers without scanning).
-	nextDue int64
 }
 
 // clear empties the wheel, keeping bucket capacity (Reset reuse path).
@@ -42,7 +36,6 @@ func (w *wheel) clear() {
 	}
 	w.occ = 0
 	w.pending = 0
-	w.nextDue = math.MaxInt64
 }
 
 // push schedules e; e.at must be strictly in the future of the cycle being
@@ -52,9 +45,6 @@ func (w *wheel) push(e wake) {
 	w.buckets[i] = append(w.buckets[i], e)
 	w.occ |= 1 << uint(i)
 	w.pending++
-	if e.at < w.nextDue {
-		w.nextDue = e.at
-	}
 }
 
 // bucket returns the bucket due at cycle, for in-place dispatch. The caller
@@ -74,14 +64,10 @@ func (w *wheel) noteDrained(cycle int64) {
 // nextAfter returns the earliest pending due-cycle strictly after cycle, or
 // math.MaxInt64 when the wheel is empty. The pipeline never runs past a
 // pending event, so no entry can be due at or before cycle. The occupancy
-// mask limits the rescan to non-empty buckets; the result refreshes
-// nextDue, so a scan happens at most once per dispatched event.
+// mask limits the scan to non-empty buckets.
 func (w *wheel) nextAfter(cycle int64) int64 {
 	if w.pending == 0 {
 		return math.MaxInt64
-	}
-	if w.nextDue > cycle {
-		return w.nextDue
 	}
 	best := int64(math.MaxInt64)
 	for m := w.occ; m != 0; m &= m - 1 {
@@ -92,6 +78,5 @@ func (w *wheel) nextAfter(cycle int64) int64 {
 			}
 		}
 	}
-	w.nextDue = best
 	return best
 }

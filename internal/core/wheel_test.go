@@ -68,8 +68,8 @@ func TestWheelDispatchAndNextAfter(t *testing.T) {
 	}
 }
 
-// TestWheelClearKeepsNothing: clear must drop every pending event and reset
-// the next-due hint (the Reset reuse path).
+// TestWheelClearKeepsNothing: clear must drop every pending event (the
+// Reset reuse path).
 func TestWheelClearKeepsNothing(t *testing.T) {
 	var w wheel
 	w.clear()

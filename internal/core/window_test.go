@@ -10,8 +10,18 @@ import (
 	"lowvcc/internal/workload"
 )
 
-// TestRunWindowZeroEqualsRun: measuring from instruction 0 is exactly Run
-// (with nothing to warm they must coincide bitwise).
+// runWindow runs one sample window as the sim runner does: a functional
+// warm replay of tr's first measureFrom instructions, then the timed
+// measured span.
+func runWindow(c *Core, tr *trace.Trace, measureFrom int) (*Result, error) {
+	if err := c.WarmReplay(tr, measureFrom); err != nil {
+		return nil, err
+	}
+	return c.RunWarmed(tr, measureFrom)
+}
+
+// TestRunWindowZeroEqualsRun: a window measured from instruction 0 is
+// exactly Run (with nothing to warm they must coincide bitwise).
 func TestRunWindowZeroEqualsRun(t *testing.T) {
 	tr := workload.Generate(workload.SpecInt(), 8000, 3)
 	for _, mode := range []circuit.Mode{circuit.ModeBaseline, circuit.ModeIRAW} {
@@ -20,28 +30,34 @@ func TestRunWindowZeroEqualsRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := MustNew(cfg).RunWindow(tr, 0)
+		b, err := runWindow(MustNew(cfg), tr, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(a, b) {
-			t.Fatalf("%v: RunWindow(tr, 0) differs from Run(tr)", mode)
+			t.Fatalf("%v: window 0 differs from Run(tr)", mode)
 		}
 	}
 }
 
-// TestRunWindowValidation: out-of-range boundaries are rejected.
+// TestRunWindowValidation: out-of-range window boundaries are rejected, by
+// RunWarmed for the measured span and by WarmReplay for the prefix.
 func TestRunWindowValidation(t *testing.T) {
 	tr := workload.Generate(workload.SpecInt(), 100, 1)
 	c := MustNew(DefaultConfig(500, circuit.ModeBaseline))
 	for _, from := range []int{-1, 100, 101} {
-		if _, err := c.RunWindow(tr, from); err == nil {
-			t.Errorf("RunWindow(tr, %d) accepted an out-of-range boundary", from)
+		if _, err := c.RunWarmed(tr, from); err == nil {
+			t.Errorf("RunWarmed(tr, %d) accepted an out-of-range boundary", from)
+		}
+	}
+	for _, n := range []int{-1, 101} {
+		if err := c.WarmReplay(tr, n); err == nil {
+			t.Errorf("WarmReplay(tr, %d) accepted an out-of-range prefix", n)
 		}
 	}
 }
 
-// TestMergeWindowResultsStitch: stitching the RunWindow results of a shard
+// TestMergeWindowResultsStitch: stitching the window results of a shard
 // plan preserves instruction totals, recomputes Time from the stitched
 // cycle count, and keeps the per-core DisabledLines constant un-summed.
 func TestMergeWindowResultsStitch(t *testing.T) {
@@ -55,7 +71,7 @@ func TestMergeWindowResultsStitch(t *testing.T) {
 	var cycles uint64
 	for i, w := range windows {
 		c := MustNew(cfg)
-		res, err := c.RunWindow(w.Trace, w.Warm)
+		res, err := runWindow(c, w.Trace, w.Warm)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -286,19 +286,6 @@ func (r *Runner) forEach(ctx context.Context, workers, n int, fn func(worker, i 
 	if workers < 1 {
 		workers = 1
 	}
-	if workers == 1 {
-		// Inline fast path: no goroutines, same job order.
-		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			if err := fn(0, i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 

@@ -54,8 +54,10 @@
 // derive from that entry and nothing simulates. A leader's failure is
 // each follower's, under the follower's own identity. A cell that a
 // FaultPlan rule can match joins no group. RunCell runs one cell and so
-// never derives; neither does the sweep daemon, which leases one cell at
-// a time.
+// never derives. The sweep daemon groups a sweep's cells the same way
+// (Keyer.Cell): it leases only each group's leader and journals the other
+// members itself, through core.Result.Replan, once the leader's upload is
+// admitted.
 //
 // In partial mode runPoints returns a *PartialError whose Total counts
 // cells and whose Cells list every failure in (point, trace) order, while
@@ -93,8 +95,9 @@
 // execute as deterministic sample windows instead of two full passes:
 // trace.Shard cuts the trace into fixed measured spans, each prefixed by a
 // warm-up interval that executes unmeasured on a fresh core
-// (core.RunWindow), and core.MergeWindowResults stitches the per-window
-// results in window order. The rules that keep this deterministic:
+// (core.WarmReplay or a checkpoint restore, then core.RunWarmed), and
+// core.MergeWindowResults stitches the per-window results in window
+// order. The rules that keep this deterministic:
 //
 //   - the shard plan is a pure function of (trace length, WindowInsts,
 //     WarmInsts) via Runner.planFor — never of worker count, scheduling or
