@@ -70,85 +70,78 @@ func TestRandomizedConfigsNeverDeadlockOrCorrupt(t *testing.T) {
 	}
 }
 
-// TestFastPathsMatchDisabledEngine fuzzes the fast engine against the
-// reference engine, Config.DisableFastPaths: the same inputs through the
-// event-driven loop with idle-cycle skipping and the cache blocks'
-// live-way mask scans, packed-LRU victim and MSHR record
+// matchReferenceEngine is the one equivalence check between the fast
+// engine and the reference engine, Config.DisableFastPaths: the same
+// inputs run through the event-driven loop with idle-cycle skipping and
+// the cache blocks' live-way mask scans, packed-LRU victim and MSHR record
 // generations, and through a loop that steps every cycle over the full way
 // and tick scans and a lazily pruned MSHR table. Every Result field
 // (cycles, stall histograms, violation counters, cache/BP statistics) must
-// be bit-identical, cold and warm. The inputs:
-//
-//   - randomized (profile or MemBound, voltage, mode, width 1..MaxWidth)
-//     points, IRAW ones with a forced N, Faulty Bits combined or
-//     avoidance disabled;
-//   - the overlapping-port-hold corner: a TLB-hostile, store-heavy trace
-//     at 400 mV and high N makes DTLB walk-fill holds coincide with DL0
-//     fill windows registered for future cycles, which is exactly where a
-//     skip bounded only by the DTLB-free time would misattribute
-//     StallDL0IRAW cycles as StallOtherIRAW;
-//   - a 60k-instruction MemBound trace at every width, long enough
-//     (hundreds of thousands of cycles against a generation width of a
-//     few thousand) to rotate the MSHR generations many times.
-//
-// Both engines must also keep the cycle accounting whole: every cycle
-// lands in exactly one IssueHist and one FetchHist bucket, and only
-// issue-0 cycles carry a stall attribution.
-func TestFastPathsMatchDisabledEngine(t *testing.T) {
-	match := func(t *testing.T, tag string, cfg Config, tr *trace.Trace) {
-		t.Helper()
-		refCfg := cfg
-		refCfg.DisableFastPaths = true
-		fast, ref := MustNew(cfg), MustNew(refCfg)
-		for pass := 0; pass < 2; pass++ {
-			fr, err := fast.Run(tr)
-			if err != nil {
-				t.Fatalf("%s pass %d: fast engine: %v", tag, pass, err)
+// be bit-identical, cold and warm. Both engines must also keep the cycle
+// accounting whole: every cycle lands in exactly one IssueHist and one
+// FetchHist bucket, and only issue-0 cycles carry a stall attribution.
+func matchReferenceEngine(t *testing.T, tag string, cfg Config, tr *trace.Trace) {
+	t.Helper()
+	refCfg := cfg
+	refCfg.DisableFastPaths = true
+	fast, ref := MustNew(cfg), MustNew(refCfg)
+	for pass := 0; pass < 2; pass++ {
+		fr, err := fast.Run(tr)
+		if err != nil {
+			t.Fatalf("%s pass %d: fast engine: %v", tag, pass, err)
+		}
+		rr, err := ref.Run(tr)
+		if err != nil {
+			t.Fatalf("%s pass %d: reference engine: %v", tag, pass, err)
+		}
+		if !reflect.DeepEqual(fr, rr) {
+			t.Fatalf("%s pass %d: engines diverge\nfast:      %+v\nreference: %+v", tag, pass, fr, rr)
+		}
+		for _, r := range []struct {
+			engine string
+			run    stats.Run
+		}{{"fast", fr.Run}, {"reference", rr.Run}} {
+			var issue, fetch, stalls uint64
+			for k := range r.run.IssueHist {
+				issue += r.run.IssueHist[k]
+				fetch += r.run.FetchHist[k]
 			}
-			rr, err := ref.Run(tr)
-			if err != nil {
-				t.Fatalf("%s pass %d: reference engine: %v", tag, pass, err)
+			for _, n := range r.run.IssueStalls {
+				stalls += n
 			}
-			if !reflect.DeepEqual(fr, rr) {
-				t.Fatalf("%s pass %d: engines diverge\nfast:      %+v\nreference: %+v", tag, pass, fr, rr)
-			}
-			for _, r := range []struct {
-				engine string
-				run    stats.Run
-			}{{"fast", fr.Run}, {"reference", rr.Run}} {
-				var issue, fetch, stalls uint64
-				for k := range r.run.IssueHist {
-					issue += r.run.IssueHist[k]
-					fetch += r.run.FetchHist[k]
-				}
-				for _, n := range r.run.IssueStalls {
-					stalls += n
-				}
-				if issue != r.run.Cycles || fetch != r.run.Cycles || stalls > r.run.IssueHist[0] {
-					t.Fatalf("%s pass %d: %s engine: sum IssueHist %d, sum FetchHist %d, cycles %d, sum IssueStalls %d > IssueHist[0] %d",
-						tag, pass, r.engine, issue, fetch, r.run.Cycles, stalls, r.run.IssueHist[0])
-				}
+			if issue != r.run.Cycles || fetch != r.run.Cycles || stalls > r.run.IssueHist[0] {
+				t.Fatalf("%s pass %d: %s engine: sum IssueHist %d, sum FetchHist %d, cycles %d, sum IssueStalls %d > IssueHist[0] %d",
+					tag, pass, r.engine, issue, fetch, r.run.Cycles, stalls, r.run.IssueHist[0])
 			}
 		}
 	}
+}
 
-	src := rng.New(0xFA57C0DE)
+// fuzzReferenceEngine runs iters randomized points (every profile plus
+// MemBound, every level and mode, IRAW ones with a forced N, Faulty Bits
+// combined or avoidance disabled) through matchReferenceEngine. With
+// allWidths the width cycles through 1..MaxWidth; otherwise every point
+// runs at the default width.
+func fuzzReferenceEngine(t *testing.T, seed, traceSeed uint64, iters int, allWidths bool) {
+	t.Helper()
+	src := rng.New(seed)
 	profiles := append(workload.Profiles(), workload.MemBound())
 	levels := circuit.Levels()
 	modes := []circuit.Mode{circuit.ModeBaseline, circuit.ModeIRAW,
 		circuit.ModeFaultyBits, circuit.ModeExtraBypass}
-	iters := 60
 	if testing.Short() {
-		iters = 16
+		iters = 8
 	}
 	for i := 0; i < iters; i++ {
-		width := 1 + i%MaxWidth
 		p := profiles[src.Intn(len(profiles))]
 		v := levels[src.Intn(len(levels))]
 		mode := modes[src.Intn(len(modes))]
 		insts := 1500 + src.Intn(3000)
 
-		cfg := DefaultConfigWidth(v, mode, width)
+		cfg := DefaultConfig(v, mode)
+		if allWidths {
+			cfg = DefaultConfigWidth(v, mode, 1+i%MaxWidth)
+		}
 		if mode == circuit.ModeIRAW {
 			switch src.Intn(4) {
 			case 0:
@@ -159,28 +152,62 @@ func TestFastPathsMatchDisabledEngine(t *testing.T) {
 				cfg.DisableAvoidance = true
 			}
 		}
-		tr := workload.Generate(p, insts, uint64(i)+4242)
-		match(t, fmt.Sprintf("iter %d (w=%d %s %v %v N=%d faulty=%v unsafe=%v)", i, width, p.Name, v, mode,
+		tr := workload.Generate(p, insts, uint64(i)+traceSeed)
+		matchReferenceEngine(t, fmt.Sprintf("iter %d (w=%d %s %v %v N=%d faulty=%v unsafe=%v)", i, cfg.Width, p.Name, v, mode,
 			cfg.ForcedN, cfg.CombineFaultyBits, cfg.DisableAvoidance), cfg, tr)
 	}
+}
 
-	hostile := workload.MemBound()
-	hostile.Load, hostile.Store = 0.35, 0.30 // store-heavy: constant DL0 fill traffic
-	hostile.DataWorkingSet = 256 << 20       // thrash both TLBs
-	for _, forcedN := range []int{2, 4} {
-		for seed := uint64(0); seed < 4; seed++ {
-			cfg := DefaultConfig(400, circuit.ModeIRAW)
-			cfg.ForcedN = forcedN
-			tr := workload.Generate(hostile, 4000, seed+500)
-			match(t, fmt.Sprintf("hold pressure (N=%d seed %d)", forcedN, seed), cfg, tr)
-		}
-	}
+// TestSkipEngineMatchesSteppedEngine holds the default-width engine, whose
+// idle-cycle skip jumps over cycles in which nothing can change, to the
+// reference engine that steps every one of them, on randomized points.
+func TestSkipEngineMatchesSteppedEngine(t *testing.T) {
+	fuzzReferenceEngine(t, 0xBEEFCAFE, 1234, 30, false)
+}
 
+// TestFastPathsMatchDisabledEngine holds the fast engine to the reference
+// engine on randomized points at every width, and on a 60k-instruction
+// MemBound trace at every width, long enough (hundreds of thousands of
+// cycles against a generation width of a few thousand) to rotate the MSHR
+// generations many times.
+func TestFastPathsMatchDisabledEngine(t *testing.T) {
+	fuzzReferenceEngine(t, 0xFA57C0DE, 4242, 30, true)
+
+	modes := []circuit.Mode{circuit.ModeBaseline, circuit.ModeIRAW,
+		circuit.ModeFaultyBits, circuit.ModeExtraBypass}
 	long := workload.Generate(workload.MemBound(), 60000, 4243)
 	for width := 1; width <= MaxWidth; width++ {
 		mode := modes[width-1]
 		cfg := DefaultConfigWidth(500, mode, width)
-		match(t, fmt.Sprintf("long MemBound (w=%d %v)", width, mode), cfg, long)
+		matchReferenceEngine(t, fmt.Sprintf("long MemBound (w=%d %v)", width, mode), cfg, long)
+	}
+}
+
+// TestWidthsMatchReferenceEngine extends the equivalence to the whole
+// width axis: for every width in 1..MaxWidth the fast engine must match
+// the reference engine on its own set of randomized points. Width 2 is
+// also covered by the recorded golden.
+func TestWidthsMatchReferenceEngine(t *testing.T) {
+	fuzzReferenceEngine(t, 0x51DE, 31337, 24, true)
+}
+
+// TestSkipEquivalenceUnderHoldPressure targets the overlapping-port-hold
+// attribution corner: a TLB-hostile, store-heavy workload at 400 mV and
+// high N makes DTLB walk-fill holds coincide with DL0 fill windows
+// registered for future cycles, which is exactly where a skip bounded only
+// by the DTLB-free time would misattribute StallDL0IRAW cycles as
+// StallOtherIRAW.
+func TestSkipEquivalenceUnderHoldPressure(t *testing.T) {
+	p := workload.MemBound()
+	p.Load, p.Store = 0.35, 0.30 // store-heavy: constant DL0 fill traffic
+	p.DataWorkingSet = 256 << 20 // thrash both TLBs
+	for _, forcedN := range []int{2, 4} {
+		for seed := uint64(0); seed < 4; seed++ {
+			cfg := DefaultConfig(400, circuit.ModeIRAW)
+			cfg.ForcedN = forcedN
+			tr := workload.Generate(p, 4000, seed+500)
+			matchReferenceEngine(t, fmt.Sprintf("hold pressure (N=%d seed %d)", forcedN, seed), cfg, tr)
+		}
 	}
 }
 
