@@ -52,49 +52,41 @@ import (
 )
 
 func main() {
+	var opts service.ServerOpts
+	w := &opts.Worker
 	addr := flag.String("addr", "127.0.0.1:7077", "listen address (host:port; port 0 picks a free one)")
-	journalDir := flag.String("journal", "", "daemon journal directory (required); in-process workers upload like external ones and keep their checkpoint store under <dir>/local")
-	workers := flag.Int("workers", 0, "in-process simulation workers (0 = GOMAXPROCS, -1 = none: external workers only)")
-	leaseTTL := flag.Duration("lease-ttl", 30*time.Second, "cell lease TTL; a dead worker's cells requeue within ~1.25x this")
-	maxQueue := flag.Int("max-queue", 4096, "max pending+leased cells before submissions get 429")
-	maxAttempts := flag.Int("max-attempts", 5, "attempts per cell (reclaims included) before it is declared failed")
-	sweepDeadline := flag.Duration("sweep-deadline", 0, "per-sweep wall-clock budget (0 = none)")
-	cellTimeout := flag.Duration("cell-timeout", 0, "per-cell wall-clock budget on this process's workers (0 = none)")
+	flag.StringVar(&opts.JournalDir, "journal", "", "daemon journal directory (required); in-process workers upload like external ones and keep their checkpoint store under <dir>/local")
+	flag.IntVar(&opts.Workers, "workers", 0, "in-process simulation workers (0 = GOMAXPROCS, -1 = none: external workers only)")
+	flag.DurationVar(&opts.LeaseTTL, "lease-ttl", 30*time.Second, "cell lease TTL; a dead worker's cells requeue within ~1.25x this")
+	flag.IntVar(&opts.MaxQueuedCells, "max-queue", 4096, "max pending+leased cells before submissions get 429")
+	flag.IntVar(&opts.MaxAttempts, "max-attempts", 5, "attempts per cell (reclaims included) before it is declared failed")
+	flag.DurationVar(&opts.SweepDeadline, "sweep-deadline", 0, "per-sweep wall-clock budget (0 = none)")
+	flag.DurationVar(&w.CellTimeout, "cell-timeout", 0, "per-cell wall-clock budget on this process's workers (0 = none)")
 	drainTimeout := flag.Duration("drain-timeout", time.Minute, "graceful-shutdown budget for in-flight cells")
-	fsync := flag.Bool("fsync", true, "fsync journal entries (power-loss durability)")
-	retries := flag.Int("retries", 1, "window-level transient-failure retries per cell execution")
-	retryBackoff := flag.Duration("retry-backoff", time.Second, "backoff before the first retry (doubles, jittered)")
-	journalBudget := flag.Int64("journal-budget", 0, "disk budget in bytes for the daemon's journal segments (daemon mode); past it the journal compacts to its most recently used entries (0 = unbounded)")
-	ckptBudget := flag.Int64("ckpt-budget", 0, "checkpoint-store disk budget in bytes, worker mode (0 = unbounded)")
-	submitRate := flag.Float64("submit-rate", 0, "per-client sweep submissions per second (0 = unlimited)")
-	submitBurst := flag.Int("submit-burst", 2, "per-client submission burst on top of -submit-rate")
-	maxCells := flag.Int("max-cells-per-sweep", 0, "reject any single sweep expanding past this many cells (0 = unlimited)")
+	flag.BoolVar(&opts.JournalSync, "fsync", true, "fsync journal entries (power-loss durability)")
+	flag.IntVar(&w.Retries, "retries", 1, "window-level transient-failure retries per cell execution")
+	flag.DurationVar(&w.RetryBackoff, "retry-backoff", time.Second, "backoff before the first retry (doubles, jittered)")
+	flag.Int64Var(&opts.JournalBudget, "journal-budget", 0, "disk budget in bytes for the daemon's journal segments (daemon mode); past it the journal compacts to its most recently used entries (0 = unbounded)")
+	flag.Int64Var(&w.CkptBudget, "ckpt-budget", 0, "checkpoint-store disk budget in bytes, worker mode (0 = unbounded)")
+	flag.Float64Var(&opts.SubmitRate, "submit-rate", 0, "per-client sweep submissions per second (0 = unlimited)")
+	flag.IntVar(&opts.SubmitBurst, "submit-burst", 2, "per-client submission burst on top of -submit-rate")
+	flag.IntVar(&opts.MaxCellsPerSweep, "max-cells-per-sweep", 0, "reject any single sweep expanding past this many cells (0 = unlimited)")
 
 	workerMode := flag.Bool("worker", false, "run as an external worker instead of a daemon")
 	join := flag.String("join", "", "daemon address to pull leases from (worker mode)")
-	name := flag.String("name", "", "worker name in leases and events (worker mode; default pid-derived)")
-	poll := flag.Duration("poll", 250*time.Millisecond, "how long an idle worker waits for work per lease request (worker mode)")
-	workerJournal := flag.String("worker-journal", "", "worker's scratch directory, which holds its checkpoint store (worker mode; default throwaway temp dir)")
+	flag.StringVar(&w.Name, "name", "", "worker name in leases and events (worker mode; default pid-derived)")
+	flag.DurationVar(&w.Poll, "poll", 250*time.Millisecond, "how long an idle worker waits for work per lease request (worker mode)")
+	flag.StringVar(&w.JournalDir, "worker-journal", "", "worker's scratch directory, which holds its checkpoint store (worker mode; default throwaway temp dir)")
 	flag.Parse()
 
 	var err error
 	if *workerMode {
-		err = runWorker(workerConfig{
-			join: *join, name: *name, journalDir: *workerJournal,
-			poll: *poll, cellTimeout: *cellTimeout,
-			retries: *retries, retryBackoff: *retryBackoff,
-			ckptBudget: *ckptBudget,
-		})
+		err = runWorker(*join, opts.Worker)
 	} else {
-		err = runDaemon(daemonConfig{
-			addr: *addr, journalDir: *journalDir, workers: *workers,
-			leaseTTL: *leaseTTL, maxQueue: *maxQueue, maxAttempts: *maxAttempts,
-			sweepDeadline: *sweepDeadline, cellTimeout: *cellTimeout,
-			drainTimeout: *drainTimeout, fsync: *fsync,
-			retries: *retries, retryBackoff: *retryBackoff,
-			journalBudget: *journalBudget,
-			submitRate:    *submitRate, submitBurst: *submitBurst, maxCells: *maxCells,
-		})
+		// The worker-mode flags leave the in-process slots at their
+		// defaults (RunWorkers names them and roots their store).
+		w.Name, w.Poll, w.JournalDir, w.CkptBudget = "", 0, "", 0
+		err = runDaemon(*addr, *drainTimeout, opts)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "sweepd:", err)
@@ -102,43 +94,11 @@ func main() {
 	}
 }
 
-type daemonConfig struct {
-	addr, journalDir           string
-	workers                    int
-	leaseTTL                   time.Duration
-	maxQueue, maxAttempts      int
-	sweepDeadline, cellTimeout time.Duration
-	drainTimeout               time.Duration
-	fsync                      bool
-	retries                    int
-	retryBackoff               time.Duration
-	journalBudget              int64
-	submitRate                 float64
-	submitBurst, maxCells      int
-}
-
-func runDaemon(cfg daemonConfig) error {
-	if cfg.journalDir == "" {
+func runDaemon(addr string, drainTimeout time.Duration, opts service.ServerOpts) error {
+	if opts.JournalDir == "" {
 		return fmt.Errorf("-journal is required (it holds results and the writer lock)")
 	}
-	srv, warn, err := service.NewServer(service.ServerOpts{
-		SchedulerOpts: service.SchedulerOpts{
-			JournalDir:       cfg.journalDir,
-			LeaseTTL:         cfg.leaseTTL,
-			MaxQueuedCells:   cfg.maxQueue,
-			MaxAttempts:      cfg.maxAttempts,
-			SweepDeadline:    cfg.sweepDeadline,
-			JournalSync:      cfg.fsync,
-			JournalBudget:    cfg.journalBudget,
-			SubmitRate:       cfg.submitRate,
-			SubmitBurst:      cfg.submitBurst,
-			MaxCellsPerSweep: cfg.maxCells,
-		},
-		Workers:      cfg.workers,
-		CellTimeout:  cfg.cellTimeout,
-		Retries:      cfg.retries,
-		RetryBackoff: cfg.retryBackoff,
-	})
+	srv, warn, err := service.NewServer(opts)
 	if err != nil {
 		return err
 	}
@@ -146,7 +106,7 @@ func runDaemon(cfg daemonConfig) error {
 		fmt.Fprintln(os.Stderr, "sweepd:", warn)
 	}
 
-	ln, err := net.Listen("tcp", cfg.addr)
+	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		srv.Scheduler().Close()
 		return err
@@ -177,7 +137,7 @@ func runDaemon(cfg daemonConfig) error {
 		os.Exit(1)
 	}()
 
-	dctx, cancel := context.WithTimeout(context.Background(), cfg.drainTimeout)
+	dctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
 	defer cancel()
 	drainErr := srv.Drain(dctx)
 
@@ -198,33 +158,17 @@ func runDaemon(cfg daemonConfig) error {
 	return nil
 }
 
-type workerConfig struct {
-	join, name, journalDir string
-	poll, cellTimeout      time.Duration
-	retries                int
-	retryBackoff           time.Duration
-	ckptBudget             int64
-}
-
-func runWorker(cfg workerConfig) error {
-	if cfg.join == "" {
+func runWorker(join string, opts service.WorkerOpts) error {
+	if join == "" {
 		return fmt.Errorf("-worker requires -join <daemon address>")
 	}
-	if cfg.name == "" {
-		cfg.name = fmt.Sprintf("worker-%d", os.Getpid())
+	if opts.Name == "" {
+		opts.Name = fmt.Sprintf("worker-%d", os.Getpid())
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
 	defer stop()
-	fmt.Fprintf(os.Stderr, "sweepd: worker %s pulling from %s\n", cfg.name, cfg.join)
-	err := service.Work(ctx, cfg.join, service.WorkerOpts{
-		Name:         cfg.name,
-		Poll:         cfg.poll,
-		CellTimeout:  cfg.cellTimeout,
-		Retries:      cfg.retries,
-		RetryBackoff: cfg.retryBackoff,
-		JournalDir:   cfg.journalDir,
-		CkptBudget:   cfg.ckptBudget,
-	})
+	fmt.Fprintf(os.Stderr, "sweepd: worker %s pulling from %s\n", opts.Name, join)
+	err := service.Work(ctx, join, opts)
 	if err == context.Canceled {
 		return nil // clean signal-driven exit
 	}

@@ -22,8 +22,9 @@
 // core's Config.DisableFastPaths):
 //
 //   - validMask/disabledMask mirror the valid/disabled flags bit-per-way and
-//     are updated at the only places those flags change: Fill, Invalidate,
-//     and DisableFaultyLines. Lookup/Victim scan only the live ways.
+//     are updated at the only places those flags change: install (Fill,
+//     WarmFill), DisableFaultyLines and RestoreWarm. Lookup/Victim scan
+//     only the live ways.
 //     The masks say nothing about validFrom — a set bit can still lose the
 //     cycle comparison, exactly as in the full scan.
 //   - lruOrder mirrors the lru tick ranking as a packed recency list, moved
@@ -740,21 +741,6 @@ func (c *Cache) LineAddrAt(set, way int) (addr uint64, valid bool) {
 // violation-scrambled contents.
 func (c *Cache) CorruptedAt(set, way int) bool {
 	return c.data.Corrupted(c.entry(set, way))
-}
-
-// Invalidate drops addr if present (used by tests and by UL1 inclusion
-// handling). The data entry is not scrubbed; a later fill rewrites it.
-func (c *Cache) Invalidate(addr uint64) bool {
-	set := c.SetOf(addr)
-	tag := c.tagOf(addr)
-	for w := 0; w < c.cfg.Ways; w++ {
-		if l := &c.lines[c.entry(set, w)]; l.valid && l.tag == tag {
-			l.valid, l.dirty = false, false
-			c.validMask[set] &^= 1 << uint(w)
-			return true
-		}
-	}
-	return false
 }
 
 // DisableFaultyLines builds a Faulty-Bits fault map: every line fails

@@ -205,20 +205,6 @@ func TestVictimAllWaysDisabled(t *testing.T) {
 	}
 }
 
-func TestInvalidate(t *testing.T) {
-	c := testCache(t)
-	c.Fill(10, 0x1000, 1)
-	if !c.Invalidate(0x1000) {
-		t.Fatal("invalidate missed present line")
-	}
-	if c.Peek(0x1000) {
-		t.Fatal("line still present")
-	}
-	if c.Invalidate(0x1000) {
-		t.Fatal("invalidate hit absent line")
-	}
-}
-
 func TestConfigValidation(t *testing.T) {
 	bad := []Config{
 		{Name: "a", Sets: 0, Ways: 1, LineBytes: 64},

@@ -293,15 +293,6 @@ func TestLineFailProb(t *testing.T) {
 	}
 }
 
-func TestMarginForFailProb(t *testing.T) {
-	for _, k := range []float64{3, 4, 5, 6} {
-		p := CellFailProb(k)
-		if got := MarginForFailProb(p); !almost(got, k, 0.01) {
-			t.Errorf("MarginForFailProb(CellFailProb(%v)) = %v", k, got)
-		}
-	}
-}
-
 func TestGammaBounds(t *testing.T) {
 	m := Default()
 	for _, v := range Levels() {

@@ -23,23 +23,3 @@ func LineFailProb(k float64, bits int) float64 {
 	p := CellFailProb(k)
 	return 1 - math.Pow(1-p, float64(bits))
 }
-
-// MarginForFailProb inverts CellFailProb: the sigma margin needed for a
-// target per-cell failure probability. Used to express design points such
-// as "one per billion" (~6 sigma). Binary search is plenty fast and has no
-// special-function dependencies beyond Erfc.
-func MarginForFailProb(p float64) float64 {
-	if p >= 0.5 {
-		return 0
-	}
-	lo, hi := 0.0, 10.0
-	for i := 0; i < 80; i++ {
-		mid := (lo + hi) / 2
-		if CellFailProb(mid) > p {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return (lo + hi) / 2
-}

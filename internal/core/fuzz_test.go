@@ -211,6 +211,31 @@ func TestSkipEquivalenceUnderHoldPressure(t *testing.T) {
 	}
 }
 
+// TestGateDeadlockStepsLikeReferenceEngine: an IQ smaller than its gate
+// threshold (ICI + AI*N) fills up and never issues again. Then no stage
+// acts and no event is due, so only the idle-cycle skip's gate-stall
+// exclusion keeps the fast engine stepping: both engines must trip the
+// watchdog at the same cycle, each having charged every gate-blocked cycle
+// to the queue's gate-stall counter.
+func TestGateDeadlockStepsLikeReferenceEngine(t *testing.T) {
+	cfg := DefaultConfig(500, circuit.ModeIRAW)
+	cfg.ForcedN = 2
+	cfg.IQ.Size = 4 // below the threshold 2 + 2*2
+	cfg.MaxCycles = 5000
+	refCfg := cfg
+	refCfg.DisableFastPaths = true
+	fast, ref := MustNew(cfg), MustNew(refCfg)
+	tr := workload.Generate(workload.SpecInt(), 2000, 11)
+	_, ferr := fast.Run(tr)
+	_, rerr := ref.Run(tr)
+	if ferr == nil || rerr == nil || ferr.Error() != rerr.Error() {
+		t.Fatalf("want one watchdog error from both engines:\nfast:      %v\nreference: %v", ferr, rerr)
+	}
+	if fast.q.GateStalls != ref.q.GateStalls || ref.q.GateStalls < uint64(cfg.MaxCycles)/2 {
+		t.Fatalf("gate stalls: fast %d, reference %d (watchdog at %d cycles)", fast.q.GateStalls, ref.q.GateStalls, cfg.MaxCycles)
+	}
+}
+
 // TestWiderCoreIssuesMore pins the point of the width axis: on a compute
 // trace at nominal voltage, a 4-wide core must finish in strictly fewer
 // cycles than the 2-wide core, and the 1-wide core in strictly more — the

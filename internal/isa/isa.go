@@ -79,11 +79,6 @@ func Latency(op Op) int {
 	return execLatency[op]
 }
 
-// LongLatency reports whether op uses the long-latency readiness path: its
-// completion is signalled by an event rather than fitting in the scoreboard
-// shift register (Section 4.1.1: "FP division ... or a load miss").
-func LongLatency(op Op) bool { return op == OpDiv || op == OpFPDiv }
-
 // IsMem reports whether op accesses the data cache.
 func IsMem(op Op) bool { return op == OpLoad || op == OpStore }
 

@@ -16,19 +16,6 @@ func TestOpProperties(t *testing.T) {
 	}
 }
 
-func TestLongLatencyOps(t *testing.T) {
-	for _, op := range []Op{OpDiv, OpFPDiv} {
-		if !LongLatency(op) {
-			t.Errorf("%v not long-latency", op)
-		}
-	}
-	for _, op := range []Op{OpALU, OpLoad, OpMul, OpFPMul} {
-		if LongLatency(op) {
-			t.Errorf("%v long-latency", op)
-		}
-	}
-}
-
 func TestClassPredicates(t *testing.T) {
 	if !IsMem(OpLoad) || !IsMem(OpStore) || IsMem(OpALU) {
 		t.Fatal("IsMem wrong")

@@ -118,17 +118,6 @@ func (s *Source) Bool(p float64) bool {
 	return s.Float64() < p
 }
 
-// Normal returns a normally distributed float64 with the given mean and
-// standard deviation, using the Box–Muller transform (the cached second
-// variate is deliberately discarded to keep Source stateless beyond s).
-func (s *Source) Normal(mean, stddev float64) float64 {
-	// Avoid log(0).
-	u1 := 1 - s.Float64()
-	u2 := s.Float64()
-	z := math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
-	return mean + stddev*z
-}
-
 // Geometric returns a geometrically distributed integer >= 1 with success
 // probability p (mean 1/p): the number of trials up to and including the
 // first success. It panics unless 0 < p <= 1. A caller drawing many values
@@ -309,14 +298,3 @@ func (z *Zipf) rank(u float64) int {
 
 // N returns the size of the sampler's domain.
 func (z *Zipf) N() int { return z.n }
-
-// Perm fills out with a uniform random permutation of [0, len(out)).
-func (s *Source) Perm(out []int) {
-	for i := range out {
-		out[i] = i
-	}
-	for i := len(out) - 1; i > 0; i-- {
-		j := s.Intn(i + 1)
-		out[i], out[j] = out[j], out[i]
-	}
-}

@@ -97,25 +97,6 @@ func TestUint64nBounds(t *testing.T) {
 	}
 }
 
-func TestNormalMoments(t *testing.T) {
-	s := New(5)
-	const n = 200000
-	var sum, sumSq float64
-	for i := 0; i < n; i++ {
-		x := s.Normal(3, 2)
-		sum += x
-		sumSq += x * x
-	}
-	mean := sum / n
-	variance := sumSq/n - mean*mean
-	if math.Abs(mean-3) > 0.05 {
-		t.Errorf("mean = %v, want 3 +- 0.05", mean)
-	}
-	if math.Abs(math.Sqrt(variance)-2) > 0.05 {
-		t.Errorf("stddev = %v, want 2 +- 0.05", math.Sqrt(variance))
-	}
-}
-
 func TestGeometricMean(t *testing.T) {
 	s := New(9)
 	for _, p := range []float64{0.1, 0.25, 0.5, 0.9, 1.0} {
@@ -211,19 +192,6 @@ func TestForkIndependence(t *testing.T) {
 	}
 	if same > 0 {
 		t.Fatalf("fork collided with parent on %d draws", same)
-	}
-}
-
-func TestPerm(t *testing.T) {
-	s := New(29)
-	out := make([]int, 16)
-	s.Perm(out)
-	seen := make(map[int]bool, len(out))
-	for _, v := range out {
-		if v < 0 || v >= len(out) || seen[v] {
-			t.Fatalf("not a permutation: %v", out)
-		}
-		seen[v] = true
 	}
 }
 

@@ -495,7 +495,7 @@ func TestInProcessTornWrite(t *testing.T) {
 	srv, _, err := NewServer(ServerOpts{
 		SchedulerOpts: SchedulerOpts{JournalDir: dir, LeaseTTL: time.Second},
 		Workers:       2,
-		Faults:        sim.NewFaultPlan(sim.FaultRule{Kind: sim.FaultTruncateJournal, Times: 1}),
+		Worker:        WorkerOpts{Faults: sim.NewFaultPlan(sim.FaultRule{Kind: sim.FaultTruncateJournal, Times: 1})},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"time"
 
-	"lowvcc/internal/circuit"
 	"lowvcc/internal/core"
 	"lowvcc/internal/journal"
 	"lowvcc/internal/sim"
@@ -99,11 +98,11 @@ type sweepJob struct {
 	attempts []int
 	started  time.Time
 
-	// plans holds each cell's clock plan and group head, and followers[i]
+	// plan holds each cell's sim.Keyer.Plan decision, and followers[i]
 	// lists in index order the cells sealed from cell i's admitted result
-	// (nil unless i leads a group). Both are fixed at Submit and read
-	// off-lock.
-	plans     []cellPlan
+	// (those whose From is i and not journaled). Both are fixed at Submit
+	// and read off-lock.
+	plan      []sim.PlannedCell
 	followers [][]int
 
 	done, failed, replayed, derived int
@@ -140,11 +139,12 @@ const completedRing = 4096
 // concurrent use; all methods may be called from HTTP handlers and worker
 // goroutines simultaneously. The scheduler itself never simulates — it
 // hands out leases, admits uploaded results into the journal, and seals
-// the results it derives from them: it leases only the leader of each
-// engine group and seals the followers from the leader's admitted entry
-// (see the package doc). A follower is never leased, counts as queued
-// until sealed, and fails with its leader; a worker's FaultPlan rules
-// never fire on it, so fault-injection tests target leaders.
+// the results it derives from them: sim.Keyer.Plan names each cell's
+// source (From), the scheduler leases only the unjournaled cells that have
+// none and seals the others from their source's entry (see the package
+// doc). A follower is never leased, counts as queued until sealed, and
+// fails with its leader; a worker's FaultPlan rules never fire on it, so
+// fault-injection tests target leaders.
 type Scheduler struct {
 	opts SchedulerOpts
 	jnl  *journal.Journal
@@ -219,65 +219,43 @@ func NewScheduler(opts SchedulerOpts) (*Scheduler, string, error) {
 // verification).
 func (s *Scheduler) Journal() *journal.Journal { return s.jnl }
 
-// cellPlan is what the scheduler keeps of a cell besides the Cell a
-// worker sees: its clock plan, and head, the lowest index in its engine
-// group (its own index when no earlier cell shares its group).
-type cellPlan struct {
-	head int
-	plan circuit.ClockPlan
-}
-
 // expandSpec builds the sweep's cell grid in the canonical (mode, level,
-// trace) order and keys and groups every cell, hashing each trace and
-// each point's config once (sim.Keyer). Pure function of the spec —
-// called outside the scheduler lock (trace materialization and hashing
-// are the expensive parts).
-func expandSpec(id string, spec sim.SweepSpec) ([]Cell, []cellPlan, error) {
+// trace) order of sim.Runner.SweepPoints and plans it with sim.Keyer.Plan
+// against the daemon's journal: each cell's key, clock plan, journaled
+// entry and the cell it takes its result from. Called outside the
+// scheduler lock (trace materialization, hashing and journal reads are the
+// expensive parts).
+func expandSpec(id string, spec sim.SweepSpec, jnl *journal.Journal) ([]Cell, []sim.PlannedCell, error) {
 	modes, err := spec.CircuitModes()
 	if err != nil {
 		return nil, nil, err
 	}
-	traces := spec.Traces()
-	keys := spec.NewRunner().NewKeyer()
-	heads := make(map[sim.Group]int)
-	var cells []Cell
-	var plans []cellPlan
-	for mi, mode := range modes {
-		for _, v := range spec.Levels() {
-			cfg := spec.PointConfig(v, mode)
-			label := sim.SweepLabel(v, mode)
-			for ti, tr := range traces {
-				key, g, plan, err := keys.Cell(cfg, tr)
-				if err != nil {
-					return nil, nil, fmt.Errorf("service: keying %s %s: %w", label, tr.Name, err)
-				}
-				head := len(cells)
-				if g.Valid() {
-					if h, ok := heads[g]; ok {
-						head = h
-					} else {
-						heads[g] = head
-					}
-				}
-				plans = append(plans, cellPlan{head: head, plan: plan})
-				cells = append(cells, Cell{
-					Sweep:     id,
-					Index:     len(cells),
-					Label:     label,
-					Mode:      spec.Modes[mi],
-					VccMV:     int(v),
-					TraceIdx:  ti,
-					TraceName: tr.Name,
-					Key:       key,
-					Spec:      spec,
-				})
-			}
-		}
+	levels := spec.Levels()
+	r := spec.NewRunner()
+	points := r.SweepPoints(spec.Traces(), modes, levels)
+	plan, err := r.NewKeyer().Plan(points, jnl, nil)
+	if err != nil {
+		return nil, nil, fmt.Errorf("service: planning %s: %w", id, err)
 	}
-	if len(cells) == 0 {
+	if len(plan) == 0 {
 		return nil, nil, fmt.Errorf("service: spec expands to zero cells")
 	}
-	return cells, plans, nil
+	cells := make([]Cell, len(plan))
+	for i, pc := range plan {
+		pt := &points[pc.Point]
+		cells[i] = Cell{
+			Sweep:     id,
+			Index:     i,
+			Label:     pt.Label,
+			Mode:      spec.Modes[pc.Point/len(levels)],
+			VccMV:     int(levels[pc.Point%len(levels)]),
+			TraceIdx:  pc.Trace,
+			TraceName: pt.Traces[pc.Trace].Name,
+			Key:       pc.Key,
+			Spec:      spec,
+		}
+	}
+	return cells, plan, nil
 }
 
 // Submit validates and enqueues a sweep, returning its ID. Cells whose
@@ -334,41 +312,26 @@ func (s *Scheduler) submit(client string, spec sim.SweepSpec) (string, error) {
 	id := fmt.Sprintf("sweep-%d", s.sweepSeq)
 	s.mu.Unlock()
 
-	cells, plans, err := expandSpec(id, spec)
+	cells, plan, err := expandSpec(id, spec, s.jnl)
 	if err != nil {
 		return "", err
 	}
 
-	// Replay scan outside the lock: journal reads are file IO. Entries
-	// found here are trusted — Get already ran the integrity check — and
-	// their cells complete at registration without ever being queued. The
-	// lowest-index replayed member of a group is its source: every other
-	// member derives from it and is journaled here, off-lock too.
-	cached := make([]*journal.Entry, len(cells))
-	source := make(map[int]int) // group head -> source index
-	for i, c := range cells {
-		if ent, ok := s.jnl.Get(c.Key); ok {
-			cached[i] = ent
-			if _, ok := source[plans[i].head]; !ok {
-				source[plans[i].head] = i
-			}
-		}
-	}
-	type derivation struct {
-		index, from int
-		res         *core.Result
-	}
+	// Journaled cells complete at registration without ever being queued
+	// (Get already ran the integrity check on their entries), and so do
+	// the cells that take a journaled cell's result: they are journaled
+	// here, off-lock too.
 	var replays []int
-	var derivs []derivation
-	for i := range cells {
-		if cached[i] != nil {
+	derived := make(map[int]*core.Result)
+	for i, pc := range plan {
+		if pc.Entry != nil {
 			replays = append(replays, i)
-		} else if src, ok := source[plans[i].head]; ok {
+		} else if pc.From >= 0 && plan[pc.From].Entry != nil {
 			// A failed write is not a cell failure: the journal is a cache,
 			// and a lost entry only costs a re-simulation later.
-			e := derivedEntry(cells[i].Key, plans[i].plan, cached[src])
+			e := pc.Derive(plan[pc.From].Entry)
 			_ = s.jnl.Put(e)
-			derivs = append(derivs, derivation{i, src, e.Result})
+			derived[i] = e.Result
 		}
 	}
 
@@ -377,7 +340,7 @@ func (s *Scheduler) submit(client string, spec sim.SweepSpec) (string, error) {
 	if s.draining || s.closed {
 		return "", ErrDraining
 	}
-	fresh := len(cells) - len(replays) - len(derivs)
+	fresh := len(cells) - len(replays) - len(derived)
 	if s.queued+fresh > s.opts.MaxQueuedCells {
 		return "", &BusyError{
 			RetryAfter: s.retryAfterLocked(),
@@ -393,15 +356,14 @@ func (s *Scheduler) submit(client string, spec sim.SweepSpec) (string, error) {
 		state:     make([]int, len(cells)),
 		attempts:  make([]int, len(cells)),
 		started:   s.now(),
-		plans:     plans,
+		plan:      plan,
 		followers: make([][]int, len(cells)),
 		subs:      make(map[int]chan CellEvent),
 	}
-	for i, p := range plans {
-		if _, derives := source[p.head]; p.head != i && !derives {
-			// The head is not journaled either, so it leads the group.
+	for i, pc := range plan {
+		if pc.From >= 0 && derived[i] == nil {
 			job.state[i] = cellFollowing
-			job.followers[p.head] = append(job.followers[p.head], i)
+			job.followers[pc.From] = append(job.followers[pc.From], i)
 		}
 	}
 	s.sweeps[id] = job
@@ -415,22 +377,17 @@ func (s *Scheduler) submit(client string, spec sim.SweepSpec) (string, error) {
 		job.state[i] = cellDone
 		job.done++
 		job.replayed++
-		ev := s.cellEvent(job, i, cached[i].Result, "journal", "")
+		ev := s.cellEvent(job, i, plan[i].Entry.Result, "journal", "")
 		ev.Replayed = true
 		s.emitLocked(job, ev)
 	}
-	for _, d := range derivs {
-		s.deriveLocked(job, d.index, d.from, d.res, "journal")
+	for i := range plan {
+		if res := derived[i]; res != nil {
+			s.deriveLocked(job, i, plan[i].From, res, "journal")
+		}
 	}
 	s.maybeFinishLocked(job)
 	return id, nil
-}
-
-// derivedEntry is the journal entry, under key, of a cell of clock plan p
-// whose group's entry is src: src's result re-stamped with p by
-// core.Result.Replan — the bytes a worker would upload for that cell.
-func derivedEntry(key string, p circuit.ClockPlan, src *journal.Entry) *journal.Entry {
-	return &journal.Entry{Key: key, Windows: src.Windows, Result: src.Result.Replan(p)}
 }
 
 // deriveLocked records cell index as done with res, derived from cell
@@ -633,7 +590,7 @@ func (s *Scheduler) Complete(leaseID, worker, errMsg string, entry []byte) error
 	} else {
 		res = ent.Result
 		for _, f := range job.followers[ls.index] {
-			d := derivedEntry(job.cells[f].Key, job.plans[f].plan, ent)
+			d := job.plan[f].Derive(ent)
 			_ = s.jnl.Put(d) // a lost entry costs a re-simulation, as at Submit
 			derived = append(derived, d)
 		}

@@ -651,8 +651,13 @@ func TestExpandSpecKeysMatchCellKey(t *testing.T) {
 	wide := testSpec()
 	wide.Width = 3
 	long := sim.SweepSpec{InstsPerTrace: 200_000, SeedsPerProfile: 1, Modes: []string{"baseline", "iraw"}, LevelsMV: []int{500}}
+	jnl, err := journal.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jnl.Close()
 	for name, spec := range map[string]sim.SweepSpec{"testSpec": testSpec(), "width-3": wide, "sharded": long} {
-		cells, _, err := expandSpec("sweep-1", spec)
+		cells, _, err := expandSpec("sweep-1", spec, jnl)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

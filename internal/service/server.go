@@ -23,15 +23,11 @@ type ServerOpts struct {
 	// then only coordinates external workers).
 	Workers int
 
-	// Worker options forwarded to the in-process pool, whose slots upload
-	// each result from memory like external workers and keep their
-	// checkpoint store under <JournalDir>/local/ckpt.
-	CellTimeout  time.Duration
-	Retries      int
-	RetryBackoff time.Duration
-
-	// Faults injects failures into the in-process pool (tests only).
-	Faults *sim.FaultPlan
+	// Worker configures the in-process slots (RunWorkers), which upload
+	// each result from memory like external workers and, unless
+	// Worker.JournalDir says otherwise, keep their checkpoint store under
+	// <JournalDir>/local/ckpt.
+	Worker WorkerOpts
 }
 
 // Server is the sweep daemon's HTTP surface wrapped around a Scheduler and
@@ -71,12 +67,7 @@ func NewServer(opts ServerOpts) (*Server, string, error) {
 		n = runtime.GOMAXPROCS(0)
 	}
 	if n > 0 {
-		srv.stopWorkers = RunWorkers(context.Background(), sched, n, WorkerOpts{
-			CellTimeout:  opts.CellTimeout,
-			Retries:      opts.Retries,
-			RetryBackoff: opts.RetryBackoff,
-			Faults:       opts.Faults,
-		})
+		srv.stopWorkers = RunWorkers(context.Background(), sched, n, opts.Worker)
 	}
 	return srv, warn, nil
 }

@@ -17,14 +17,14 @@
 // because both executions write the same bytes to the same address, and a
 // replayed cell is indistinguishable from a fresh one.
 //
-// Cells are grouped the way sim.Runner.Stream groups them (sim.Keyer.Cell):
-// the cells of one trace whose configurations share a core.EngineKey
-// simulate identical cycles — IRAW at 600 mV and above is timed as
-// baseline — and differ only in their clock plan. Only a group's
-// lowest-index cell, its leader, is ever leased. When the leader's upload
-// is admitted, the daemon journals every other member, a follower, under
-// the follower's own key with the leader's result re-stamped by
-// core.Result.Replan: the bytes a worker would have uploaded for it. The
+// Which cells simulate is decided by sim.Keyer.Plan, the planner
+// sim.Runner.Stream uses too: the cells of one trace whose configurations
+// share a core.EngineKey simulate identical cycles — IRAW at 600 mV and
+// above is timed as baseline — and differ only in their clock plan. Only a
+// group's lowest-index cell, its leader, is ever leased. When the leader's
+// upload is admitted, the daemon journals every other member, a follower,
+// under the follower's own key with the leader's result re-stamped by
+// sim.PlannedCell.Derive: the bytes a worker would have uploaded for it. The
 // follower's event is marked Derived and follows the leader's. A leader
 // that exhausts its attempts fails its followers under their own
 // identity, and a group with a member already journaled derives the rest

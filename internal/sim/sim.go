@@ -46,17 +46,17 @@
 //
 // Within one stream, cells that share a trace and an engine input
 // (core.EngineKey: the config minus what the engine reads only through
-// the clock plan) are simulated once. The lowest-index member of such a
-// group simulates; each other member takes its stitched Result re-stamped
-// with its own plan (core.Result.Replan), is journaled under its own key
-// and is emitted right after it, with PointUpdate.Derived naming the
-// source. If a member of the group replays from the journal, the others
-// derive from that entry and nothing simulates. A leader's failure is
-// each follower's, under the follower's own identity. A cell that a
-// FaultPlan rule can match joins no group. RunCell runs one cell and so
-// never derives. The sweep daemon groups a sweep's cells the same way
-// (Keyer.Cell): it leases only each group's leader and journals the other
-// members itself, through core.Result.Replan, once the leader's upload is
+// the clock plan) are simulated once. Keyer.Plan makes that decision, for
+// Stream and the sweep daemon alike: the lowest-index member of such a
+// group simulates, and each other member takes its stitched Result
+// re-stamped with its own plan (PlannedCell.Derive), is journaled under
+// its own key and is emitted right after it, with PointUpdate.Derived
+// naming the source. If a member of the group replays from the journal,
+// the others derive from that entry and nothing simulates. A leader's
+// failure is each follower's, under the follower's own identity. A cell
+// that a FaultPlan rule can match joins no group. RunCell runs one cell
+// and so never derives. The sweep daemon leases only each group's leader
+// and journals the other members itself once the leader's upload is
 // admitted.
 //
 // In partial mode runPoints returns a *PartialError whose Total counts

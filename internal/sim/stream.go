@@ -62,20 +62,16 @@ type PointUpdate struct {
 	Done, Total int
 }
 
-// cell is one (point, trace) unit of a stream: its shard plan, the
-// per-window result and error slots, and the countdown that triggers
-// stitch-and-emit when the last window lands.
+// cell is one (point, trace) unit of a stream: its plan (Keyer.Plan), its
+// shard plan, the per-window result and error slots, and the countdown
+// that triggers stitch-and-emit when the last window lands.
 type cell struct {
-	point, traceIdx int
-	name            string
-	windows         []trace.Window
-	results         []*core.Result
-	errs            []error
-	remaining       atomic.Int32
-	// key is the cell's journal content-address ("" when journaling is
-	// off); cached is its replayed entry when the journal already held it.
-	key    string
-	cached *journal.Entry
+	PlannedCell
+	name      string
+	windows   []trace.Window
+	results   []*core.Result
+	errs      []error
+	remaining atomic.Int32
 	// traceHash, warmKey and winInsts feed the warm-state checkpoint
 	// store: the snapshot family identity and the boundary spacing
 	// (warmKey "" means checkpoints are off for this cell).
@@ -85,21 +81,10 @@ type cell struct {
 	// window (re-armed when a window retries); the per-point timeout
 	// measures from here.
 	startedNanos atomic.Int64
-	// plan is the cell's clock plan; followers are the cells that take
-	// this cell's stitched Result re-stamped with their own plan instead
-	// of simulating (see engineGroup).
-	plan      circuit.ClockPlan
+	// followers are the cells whose From is this cell: they take its
+	// stitched Result re-stamped with their own plan instead of
+	// simulating.
 	followers []*cell
-}
-
-// engineGroup gathers the cells of one stream that share a Group (a trace
-// and a core.EngineKey), for which the timed engine would simulate the
-// same cycles. If a member replays from the journal, the
-// lowest-index such member is the group's source and every other member
-// derives from it; otherwise the lowest-index member leads: it alone is
-// simulated, and the rest follow it.
-type engineGroup struct {
-	source, leader *cell
 }
 
 // firstErr returns the lowest-window-index recorded error — deterministic
@@ -136,11 +121,12 @@ func (cl *cell) firstErr() error {
 // terminal. With journaling enabled, cells whose results are already
 // recorded replay instantly (Replayed=true) before any simulation starts.
 //
-// Cells of one trace whose configurations share a core.EngineKey are
-// simulated once: the rest derive their Result from the lowest-index one
-// (or from a member the journal replays) by core.Result.Replan, and carry
-// its label in Derived. Derived results are bit-identical to simulated
-// ones; a cell targeted by a FaultPlan rule is always simulated itself.
+// Keyer.Plan decides which cells simulate: cells of one trace whose
+// configurations share a core.EngineKey are simulated once, and each other
+// member takes the Result of the cell its plan names (From) by
+// core.Result.Replan and carries that cell's label in Derived. Derived
+// results are bit-identical to simulated ones; a cell targeted by a
+// FaultPlan rule is always simulated itself.
 //
 // Consumers must drain the channel until it closes; abandoning it
 // mid-stream requires cancelling ctx (the producer drops sends once ctx is
@@ -186,7 +172,8 @@ func traceHash(t *trace.Trace) (string, error) {
 // Keyer keys the cells of one sweep: each trace is hashed once and each
 // configuration hashed and planned once, however many cells share them.
 // It is the one way a cell is keyed and grouped — Stream, CellKey and the
-// sweep daemon's cell expansion all go through it. A Keyer is not safe for
+// sweep daemon's cell expansion all go through it, and Plan is the one
+// place that decides which cells simulate. A Keyer is not safe for
 // concurrent use.
 type Keyer struct {
 	r      *Runner
@@ -273,14 +260,74 @@ func (k *Keyer) Group(cfg core.Config, tr *trace.Trace) (Group, circuit.ClockPla
 	return Group{in: e.in, tr: tr}, e.plan
 }
 
-// Cell returns the (cfg, tr) cell's journal content address together with
-// its engine group and clock plan (CellKey and Group in one call).
-func (k *Keyer) Cell(cfg core.Config, tr *trace.Trace) (key string, g Group, plan circuit.ClockPlan, err error) {
-	if key, err = k.CellKey(cfg, tr); err != nil {
-		return "", Group{}, circuit.ClockPlan{}, err
+// PlannedCell is what Keyer.Plan decides for one (point, trace) cell.
+type PlannedCell struct {
+	// Point and Trace locate the cell: specs[Point].Traces[Trace].
+	Point, Trace int
+	// Key is the cell's journal content address ("" without a journal).
+	Key string
+	// Plan is the cell's clock plan.
+	Plan circuit.ClockPlan
+	// Entry is the cell's journaled entry, nil when the journal holds
+	// none: the cell replays it.
+	Entry *journal.Entry
+	// From is the index of the cell whose Result this cell takes,
+	// re-stamped with Plan (Derive): the lowest-index journaled member
+	// of its group, else the group's lowest-index member. It is -1 for a
+	// cell that simulates or replays.
+	From int
+}
+
+// Derive returns this cell's journal entry taken from src, the entry of
+// the cell it derives from: src's result re-stamped with this cell's clock
+// plan (core.Result.Replan) under this cell's key — the bytes simulating
+// the cell would have journaled.
+func (c PlannedCell) Derive(src *journal.Entry) *journal.Entry {
+	return &journal.Entry{Key: c.Key, Windows: src.Windows, Result: src.Result.Replan(c.Plan)}
+}
+
+// Plan decides, for every (point, trace) cell of specs in order, which
+// cell simulates: the one dedup rule that Stream and the sweep daemon's
+// scheduler share. Cells of one Group simulate identical cycles, so only
+// one member needs a Result: the lowest-index member the journal holds,
+// else the lowest-index member. Every other member takes that Result
+// (From). Journaled cells replay. A cell that a faults rule targets, or
+// whose config does not validate, joins no group, so it simulates or
+// replays by itself. Without a journal no cell is keyed or replayed.
+func (k *Keyer) Plan(specs []PointSpec, jnl *journal.Journal, faults *FaultPlan) ([]PlannedCell, error) {
+	var cells []PlannedCell
+	var groups []Group
+	lead := make(map[Group]int) // the member the rest of the group takes from
+	for p := range specs {
+		for ti, tr := range specs[p].Traces {
+			g, plan := k.Group(specs[p].Cfg, tr)
+			c := PlannedCell{Point: p, Trace: ti, Plan: plan, From: -1}
+			if faults.targets(specs[p].Label, tr.Name) {
+				g = Group{}
+			}
+			if jnl != nil {
+				key, err := k.CellKey(specs[p].Cfg, tr)
+				if err != nil {
+					return nil, err
+				}
+				c.Key = key
+				if e, hit := jnl.Get(key); hit {
+					c.Entry = e
+				}
+			}
+			if j, ok := lead[g]; g.Valid() && (!ok || cells[j].Entry == nil && c.Entry != nil) {
+				lead[g] = len(cells)
+			}
+			cells = append(cells, c)
+			groups = append(groups, g)
+		}
 	}
-	g, plan = k.Group(cfg, tr)
-	return key, g, plan, nil
+	for i := range cells {
+		if g := groups[i]; g.Valid() && cells[i].Entry == nil && lead[g] != i {
+			cells[i].From = lead[g]
+		}
+	}
+	return cells, nil
 }
 
 // CellKey returns the journal content address the (cfg, tr) cell's
@@ -357,75 +404,43 @@ func (r *Runner) stream(ctx context.Context, specs []PointSpec, ch chan<- PointU
 		}
 	}
 
-	// Build the cells, group them by (engine input, trace), and build the
-	// flat job list in (point, trace, window) order. Job order is what
-	// makes strict-mode error reporting deterministic (the pool surfaces
-	// the lowest-index failure) and keeps consecutive jobs of one point
-	// adjacent, so the per-worker core-reuse cache keeps hitting.
-	// Journaled cells take no jobs: they replay before the pool starts.
-	// Neither do cells that derive from another member of their group; a
-	// cell a fault rule targets joins no group, so its faults stay its
-	// own.
+	// Plan the cells (Keyer.Plan), then build the flat job list in
+	// (point, trace, window) order. Job order is what makes strict-mode
+	// error reporting deterministic (the pool surfaces the lowest-index
+	// failure) and keeps consecutive jobs of one point adjacent, so the
+	// per-worker core-reuse cache keeps hitting. Only cells that neither
+	// replay nor take another cell's Result get jobs.
 	type jobRef struct {
 		cell *cell
 		win  int
 	}
-	type member struct {
-		cl *cell
-		g  *engineGroup
+	keys := r.NewKeyer()
+	planned, err := keys.Plan(specs, jnl, r.Faults)
+	if err != nil {
+		emit(PointUpdate{Point: -1, Trace: -1, Err: err})
+		return
+	}
+	cells = make([]*cell, len(planned))
+	for i, pc := range planned {
+		cells[i] = &cell{PlannedCell: pc, name: specs[pc.Point].Traces[pc.Trace].Name}
 	}
 	st := r.checkpoints()
-	keys := r.NewKeyer()
-	groups := make(map[Group]*engineGroup)
-	var pending []member
-	var replayed []*cell
-	for p := range specs {
-		for ti, tr := range specs[p].Traces {
-			gk, plan := keys.Group(specs[p].Cfg, tr)
-			cl := &cell{point: p, traceIdx: ti, name: tr.Name, plan: plan}
-			cells = append(cells, cl)
-			var g *engineGroup
-			if gk.Valid() && !r.Faults.targets(specs[p].Label, tr.Name) {
-				if g = groups[gk]; g == nil {
-					g = &engineGroup{}
-					groups[gk] = g
-				}
-			}
-			if jnl != nil {
-				key, err := keys.CellKey(specs[p].Cfg, tr)
-				if err != nil {
-					emit(PointUpdate{Point: -1, Trace: -1, Err: err})
-					return
-				}
-				cl.key = key
-				if e, hit := jnl.Get(cl.key); hit {
-					cl.cached = e
-					replayed = append(replayed, cl)
-					if g != nil && g.source == nil {
-						g.source = cl
-					}
-					continue
-				}
-			}
-			pending = append(pending, member{cl, g})
-		}
-	}
 	var jobs []jobRef
-	var derived []member // cells deriving from their group's journaled source
+	var replayed, derived []*cell // derived: cells taking a journaled cell's Result
 	warmKeys := make([]string, len(specs))
-	for _, m := range pending {
-		cl, g := m.cl, m.g
+	for _, cl := range cells {
 		switch {
-		case g != nil && g.source != nil:
-			derived = append(derived, m)
+		case cl.Entry != nil:
+			replayed = append(replayed, cl)
 			continue
-		case g != nil && g.leader != nil:
-			g.leader.followers = append(g.leader.followers, cl)
+		case cl.From >= 0 && cells[cl.From].Entry != nil:
+			derived = append(derived, cl)
 			continue
-		case g != nil:
-			g.leader = cl
+		case cl.From >= 0:
+			cells[cl.From].followers = append(cells[cl.From].followers, cl)
+			continue
 		}
-		p, tr := cl.point, specs[cl.point].Traces[cl.traceIdx]
+		p, tr := cl.Point, specs[cl.Point].Traces[cl.Trace]
 		win, warm := r.planFor(len(tr.Insts))
 		cl.windows = trace.Shard(tr, win, warm)
 		if st != nil && len(cl.windows) > 1 {
@@ -449,17 +464,17 @@ func (r *Runner) stream(ctx context.Context, specs []PointSpec, ch chan<- PointU
 		}
 	}
 
-	// deriveFrom journals and emits cl's result: res, simulated or
-	// replayed for the cell labelled from, re-stamped with cl's plan.
-	deriveFrom := func(cl *cell, from string, windows int, res *core.Result) {
-		res = res.Replan(cl.plan)
+	// deriveFrom journals and emits cl's result taken from src, the entry
+	// simulated or replayed for the cell labelled from.
+	deriveFrom := func(cl *cell, from string, src *journal.Entry) {
+		e := cl.Derive(src)
 		if jnl != nil {
-			_ = jnl.Put(&journal.Entry{Key: cl.key, Windows: windows, Result: res})
+			_ = jnl.Put(e)
 		}
 		emit(PointUpdate{
-			Point: cl.point, Trace: cl.traceIdx,
-			Label: specs[cl.point].Label, TraceName: cl.name,
-			Windows: windows, Result: res, Derived: from,
+			Point: cl.Point, Trace: cl.Trace,
+			Label: specs[cl.Point].Label, TraceName: cl.name,
+			Windows: e.Windows, Result: e.Result, Derived: from,
 		})
 	}
 
@@ -468,15 +483,15 @@ func (r *Runner) stream(ctx context.Context, specs []PointSpec, ch chan<- PointU
 	// from it, then simulates only the missing cells.
 	for _, cl := range replayed {
 		emit(PointUpdate{
-			Point: cl.point, Trace: cl.traceIdx,
-			Label: specs[cl.point].Label, TraceName: cl.name,
-			Windows: cl.cached.Windows, Result: cl.cached.Result,
+			Point: cl.Point, Trace: cl.Trace,
+			Label: specs[cl.Point].Label, TraceName: cl.name,
+			Windows: cl.Entry.Windows, Result: cl.Entry.Result,
 			Replayed: true,
 		})
 	}
-	for _, m := range derived {
-		src := m.g.source
-		deriveFrom(m.cl, specs[src.point].Label, src.cached.Windows, src.cached.Result)
+	for _, cl := range derived {
+		src := cells[cl.From]
+		deriveFrom(cl, specs[src.Point].Label, src.Entry)
 	}
 
 	workers := r.workers(len(jobs))
@@ -493,18 +508,18 @@ func (r *Runner) stream(ctx context.Context, specs []PointSpec, ch chan<- PointU
 		if cl.remaining.Add(-1) != 0 {
 			return
 		}
-		spec := &specs[cl.point]
+		spec := &specs[cl.Point]
 		if err := cl.firstErr(); err != nil {
 			emit(PointUpdate{
-				Point: cl.point, Trace: cl.traceIdx,
+				Point: cl.Point, Trace: cl.Trace,
 				Label: spec.Label, TraceName: cl.name,
 				Windows: len(cl.windows), Err: err,
 			})
 			for _, f := range cl.followers {
 				ce := *asCellError(err)
-				ce.Label, ce.TraceName, ce.Point, ce.Trace = specs[f.point].Label, f.name, f.point, f.traceIdx
+				ce.Label, ce.TraceName, ce.Point, ce.Trace = specs[f.Point].Label, f.name, f.Point, f.Trace
 				emit(PointUpdate{
-					Point: f.point, Trace: f.traceIdx,
+					Point: f.Point, Trace: f.Trace,
 					Label: ce.Label, TraceName: f.name,
 					Windows: len(cl.windows), Err: &ce,
 				})
@@ -512,8 +527,8 @@ func (r *Runner) stream(ctx context.Context, specs []PointSpec, ch chan<- PointU
 			return
 		}
 		res := core.MergeWindowResults(cl.name, cl.results)
+		e := &journal.Entry{Key: cl.Key, Windows: len(cl.windows), Result: res}
 		if jnl != nil {
-			e := &journal.Entry{Key: cl.key, Windows: len(cl.windows), Result: res}
 			if f := r.Faults.TakeJournal(spec.Label, cl.name); f != nil {
 				_ = jnl.PutTruncated(e, -1)
 			} else {
@@ -523,19 +538,19 @@ func (r *Runner) stream(ctx context.Context, specs []PointSpec, ch chan<- PointU
 			}
 		}
 		emit(PointUpdate{
-			Point: cl.point, Trace: cl.traceIdx,
+			Point: cl.Point, Trace: cl.Trace,
 			Label: spec.Label, TraceName: cl.name,
 			Windows: len(cl.windows), Result: res,
 		})
 		for _, f := range cl.followers {
-			deriveFrom(f, spec.Label, len(cl.windows), res)
+			deriveFrom(f, spec.Label, e)
 		}
 	}
 
-	err := r.forEach(ctx, workers, len(jobs), func(worker, j int) error {
+	err = r.forEach(ctx, workers, len(jobs), func(worker, j int) error {
 		jr := jobs[j]
 		cl := jr.cell
-		err := r.runWindowAttempts(ctx, &specs[cl.point], &cores[worker], cl, jr.win)
+		err := r.runWindowAttempts(ctx, &specs[cl.Point], &cores[worker], cl, jr.win)
 		if err != nil {
 			if ctxErr := ctx.Err(); ctxErr != nil {
 				return ctxErr
@@ -611,7 +626,7 @@ func (r *Runner) runWindowAttempts(ctx context.Context, spec *PointSpec, wc *wor
 		}
 		ce := &CellError{
 			Label: spec.Label, TraceName: cl.name,
-			Point: cl.point, Trace: cl.traceIdx,
+			Point: cl.Point, Trace: cl.Trace,
 			Window: win, Windows: len(cl.windows),
 			Attempts: attempt, Err: err,
 		}
@@ -662,7 +677,7 @@ func (r *Runner) runWindowOnce(ctx context.Context, spec *PointSpec, wc *workerC
 	}
 
 	win := &cl.windows[winIdx]
-	if wc.point == cl.point && wc.c != nil {
+	if wc.point == cl.Point && wc.c != nil {
 		if err := wc.c.Reset(); err != nil {
 			return fmt.Errorf("%s: reset: %w", spec.Label, err)
 		}
@@ -671,7 +686,7 @@ func (r *Runner) runWindowOnce(ctx context.Context, spec *PointSpec, wc *workerC
 		if err != nil {
 			return fmt.Errorf("%s: %w", spec.Label, err)
 		}
-		wc.point, wc.c = cl.point, c
+		wc.point, wc.c = cl.Point, c
 	}
 
 	// Preemption: context cancellation and the per-point wall-clock

@@ -99,15 +99,6 @@ func (r *Run) StallFraction(k StallKind) float64 {
 	return float64(r.IssueStalls[k]) / float64(r.Cycles)
 }
 
-// IRAWStallFraction sums the IRAW-attributed stall fractions.
-func (r *Run) IRAWStallFraction() float64 {
-	var total float64
-	for _, k := range IRAWKinds() {
-		total += r.StallFraction(k)
-	}
-	return total
-}
-
 // DelayedFraction returns the fraction of instructions delayed by RF IRAW
 // avoidance.
 func (r *Run) DelayedFraction() float64 {

@@ -37,9 +37,6 @@ func TestRunDerivedMetrics(t *testing.T) {
 	if r.StallFraction(StallRFIRAW) != 0.085 {
 		t.Fatalf("StallFraction = %v", r.StallFraction(StallRFIRAW))
 	}
-	if got := r.IRAWStallFraction(); got < 0.0899 || got > 0.0901 {
-		t.Fatalf("IRAWStallFraction = %v", got)
-	}
 	if r.DelayedFraction() != 0.132 {
 		t.Fatalf("DelayedFraction = %v", r.DelayedFraction())
 	}

@@ -10,8 +10,10 @@
 #   1. kill -9'ing a worker mid-sweep loses nothing: the rendered CSV is
 #      byte-identical to the same sweep run locally (lease reclamation
 #      lost nothing, double-counted nothing, and every result crossed the
-#      wire through the daemon's content check), and no worker wrote a
-#      journal entry of its own;
+#      wire through the daemon's content check), no worker wrote a
+#      journal entry of its own, and the daemon derived as many of the
+#      sweep's cells from a sibling as the local run did (both plan with
+#      sim.Keyer.Plan);
 #   2. a second, windowed sweep (-window, warm-state checkpoints on: each
 #      worker keeps a private ckpt store in its scratch directory) is
 #      also byte-identical to its local run;
@@ -78,8 +80,8 @@ go build -o "$WORK/vccsweep" ./cmd/vccsweep
 go build -o "$WORK/figures" ./cmd/figures
 
 echo "sweepd_smoke: local baseline sweep and every figure" >&2
-"$WORK/vccsweep" -insts "$INSTS" -seeds "$SEEDS" -modes "$MODES" -csv \
-  > "$WORK/local.csv"
+"$WORK/vccsweep" -insts "$INSTS" -seeds "$SEEDS" -modes "$MODES" -csv -progress \
+  > "$WORK/local.csv" 2> "$WORK/local.progress"
 # -progress prints one stderr line per simulated cell.
 "$WORK/figures" -fig all -insts "$INSTS" -seeds "$SEEDS" -csv -progress \
   > "$WORK/local_figs.csv" 2> "$WORK/local_figs.progress"
@@ -143,6 +145,16 @@ if ! diff -u "$WORK/local.csv" "$WORK/daemon.csv"; then
   exit 1
 fi
 echo "sweepd_smoke: daemon CSV identical to local CSV" >&2
+# Both users of the one dedup plan (sim.Keyer.Plan) agree: the daemon
+# derived as many of this sweep's cells as the local run did.
+LOCAL_DERIVED="$(grep -c '\[derived from ' "$WORK/local.progress" || true)"
+STATUS="$(curl -sf "http://$ADDR/api/v1/sweeps/sweep-1")"
+SWEEP_DERIVED="$(printf '%s' "$STATUS" | sed -n 's/.*"derived":\([0-9]*\).*/\1/p')"
+if [ "$LOCAL_DERIVED" -lt 1 ] || [ "${SWEEP_DERIVED:-0}" -ne "$LOCAL_DERIVED" ]; then
+  echo "sweepd_smoke: FAIL the daemon derived ${SWEEP_DERIVED:-0} cells of sweep-1, the local sweep $LOCAL_DERIVED (want equal, at least 1)" >&2
+  exit 1
+fi
+echo "sweepd_smoke: daemon and local sweep each derived $LOCAL_DERIVED cells" >&2
 
 # Uploads come from memory: neither the dead nor the live worker wrote a
 # journal entry into its scratch directory.
