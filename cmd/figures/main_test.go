@@ -51,11 +51,11 @@ func allGrid() (grid *sim.Grid, declared, traces int) {
 }
 
 // TestAllGridDerivedCells pins how much of -fig all's grid the stream
-// derives instead of simulating: of its 385 distinct cells, 56 share a
+// derives instead of simulating: of its 378 distinct cells, 49 share a
 // trace and an engine input (core.EngineKey) with a lower-index cell —
 // IRAW at 700 to 600 mV and at width 1 and 4 at 600 mV (inactive, so
-// timed as baseline), and the N=1 point of the N sweep at 500 mV (the
-// natural N there).
+// timed as baseline). The N=1 point of the N sweep at 500 mV (the natural
+// N there) is the IRAW point at 500 mV itself, one cell per trace.
 func TestAllGridDerivedCells(t *testing.T) {
 	grid, _, _ := allGrid()
 	cells, derived := 0, 0
@@ -69,19 +69,19 @@ func TestAllGridDerivedCells(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cells != 385 || derived != 56 {
-		t.Fatalf("%d cells, %d derived; want 385 and 56", cells, derived)
+	if cells != 378 || derived != 49 {
+		t.Fatalf("%d cells, %d derived; want 378 and 49", cells, derived)
 	}
 }
 
 // TestAllGridSplit pins how -fig all's grid divides at one seed per
-// profile: the figures declare 770 cells, 385 of them distinct; -server
-// sends four sweeps to the daemon and keeps the 15 variant points local,
+// profile: the figures declare 770 cells, 378 of them distinct; -server
+// sends four sweeps to the daemon and keeps the 14 variant points local,
 // and the two parts cover the distinct cells exactly.
 func TestAllGridSplit(t *testing.T) {
 	grid, declared, traces := allGrid()
-	if distinct := len(grid.Points) * traces; declared != 770 || distinct != 385 {
-		t.Fatalf("declared %d cells, %d distinct; want 770 and 385", declared, distinct)
+	if distinct := len(grid.Points) * traces; declared != 770 || distinct != 378 {
+		t.Fatalf("declared %d cells, %d distinct; want 770 and 378", declared, distinct)
 	}
 	specs, _, local := grid.SweepSpecs(sim.SweepSpec{InstsPerTrace: 1500, SeedsPerProfile: 1})
 	var all []int
@@ -102,7 +102,7 @@ func TestAllGridSplit(t *testing.T) {
 	if !reflect.DeepEqual(specs, want) {
 		t.Errorf("daemon sweeps\n%+v\nwant\n%+v", specs, want)
 	}
-	if len(local) != 15 || daemon+len(local)*traces != 385 {
-		t.Errorf("daemon %d cells + %d local points of %d traces, want 280 + 15 points = 385 cells", daemon, len(local), traces)
+	if len(local) != 14 || daemon+len(local)*traces != 378 {
+		t.Errorf("daemon %d cells + %d local points of %d traces, want 280 + 14 points = 378 cells", daemon, len(local), traces)
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"lowvcc/internal/circuit"
 	"lowvcc/internal/core"
 	"lowvcc/internal/report"
+	"lowvcc/internal/sim"
 	"lowvcc/internal/stats"
 	"lowvcc/internal/trace"
 	"lowvcc/internal/workload"
@@ -37,34 +38,8 @@ func main() {
 	}
 }
 
-func parseMode(s string) (circuit.Mode, error) {
-	switch s {
-	case "baseline":
-		return circuit.ModeBaseline, nil
-	case "iraw":
-		return circuit.ModeIRAW, nil
-	case "faultybits":
-		return circuit.ModeFaultyBits, nil
-	case "extrabypass":
-		return circuit.ModeExtraBypass, nil
-	}
-	return 0, fmt.Errorf("unknown mode %q", s)
-}
-
-func profileByName(name string) (workload.Profile, error) {
-	for _, p := range workload.Profiles() {
-		if p.Name == name {
-			return p, nil
-		}
-	}
-	if name == "membound" {
-		return workload.MemBound(), nil
-	}
-	return workload.Profile{}, fmt.Errorf("unknown profile %q", name)
-}
-
 func run(mv int, modeName, profName, traceFile string, insts int, seed uint64, warm bool, forcedN int, unsafe bool) error {
-	mode, err := parseMode(modeName)
+	mode, err := sim.ParseMode(modeName)
 	if err != nil {
 		return err
 	}
@@ -79,7 +54,7 @@ func run(mv int, modeName, profName, traceFile string, insts int, seed uint64, w
 			return err
 		}
 	} else {
-		p, err := profileByName(profName)
+		p, err := workload.ProfileByName(profName)
 		if err != nil {
 			return err
 		}

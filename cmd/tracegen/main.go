@@ -42,18 +42,11 @@ func run(profName string, insts int, seed uint64, out string, suite bool, seeds 
 		}
 		return nil
 	}
-	var prof *workload.Profile
-	for _, p := range append(workload.Profiles(), workload.MemBound()) {
-		if p.Name == profName {
-			pp := p
-			prof = &pp
-			break
-		}
+	prof, err := workload.ProfileByName(profName)
+	if err != nil {
+		return err
 	}
-	if prof == nil {
-		return fmt.Errorf("unknown profile %q", profName)
-	}
-	tr := workload.Generate(*prof, insts, seed)
+	tr := workload.Generate(prof, insts, seed)
 	if out == "" {
 		out = fmt.Sprintf("%s-%d.trc", profName, seed)
 	}

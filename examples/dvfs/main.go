@@ -1,16 +1,21 @@
-// DVFS scenario (Section 4.1.3): a single core moves through voltage
-// phases — high-Vcc bursts and low-Vcc battery-saver stretches — and the
-// IRAW machinery reconfigures at each transition: the scoreboard bubble,
-// the IQ occupancy threshold, the STable size and the port-stall counters
-// all follow the new level. Caches stay warm across phases (one persistent
-// core), exactly what a mobile workload sees.
+// DVFS scenario (Sections 1 and 4.1.3): a mobile core moves between
+// voltage levels, and IRAW avoidance is what makes the low levels usable.
 //
-// Next to the serial phase walk, every phase's steady-state reference — a
-// fresh core at the phase's voltage over the same trace — fans out across
-// the experiment pool (-workers bounds it; -window/-warm shard long phase
-// traces into sample windows), so the printout contrasts the
-// warm-across-transitions DVFS trajectory with the isolated operating
-// points while the references simulate concurrently.
+// One grid is simulated on the shared runner (-workers bounds its pool;
+// -window/-warm shard long traces): the energy model's calibration point,
+// an IRAW sweep of the standard suite, and one steady-state point per
+// phase (a fresh core at the phase's voltage, warmed on and then measured
+// over the phase's trace). The
+// sweep gives each level's time, energy and EDP, and the EDP-optimal level.
+//
+// Then a single core walks the phases — high-Vcc bursts and low-Vcc
+// battery-saver stretches — and the IRAW machinery reconfigures at each
+// transition: the scoreboard bubble, the IQ occupancy threshold, the STable
+// size and the port-stall counters all follow the new level, while the
+// caches carry their state from one phase to the next, exactly what a
+// mobile workload sees. The
+// example exits 1 if any phase consumes a corrupt value or trips the
+// integrity oracle.
 package main
 
 import (
@@ -24,8 +29,8 @@ import (
 )
 
 func main() {
-	runner := &sim.Runner{}
-	runner.RegisterFlags(flag.CommandLine)
+	r := &sim.Runner{}
+	r.RegisterFlags(flag.CommandLine)
 	insts := flag.Int("insts", 40000, "instructions per phase trace")
 	flag.Parse()
 
@@ -46,28 +51,41 @@ func main() {
 		traces[i] = lowvcc.GenerateTrace(ph.prof, *insts, uint64(i+1))
 	}
 
-	// Steady-state references: one operating point per phase, all fanned
-	// across one pool (each phase's trace shards into sample windows when
-	// -window is set). Stream emission order is completion order; results
-	// are placed by point index, so the output is deterministic.
-	specs := make([]sim.PointSpec, len(phases))
+	suite := lowvcc.StandardSuite(15000, 1)
+	cal := r.CalibratedEnergy(suite)
+	levels := []lowvcc.Millivolts{700, 600, 500, 450, 400}
+	specs := append(cal.Points, r.SweepPoints(suite, []lowvcc.Mode{lowvcc.ModeIRAW}, levels)...)
 	for i, ph := range phases {
-		specs[i] = sim.PointSpec{
-			Label:  ph.name,
-			Cfg:    lowvcc.DefaultConfig(ph.vcc, lowvcc.ModeIRAW),
-			Traces: []*lowvcc.Trace{traces[i]},
-		}
+		p := r.SweepPoints(traces[i:i+1], []lowvcc.Mode{lowvcc.ModeIRAW}, []lowvcc.Millivolts{ph.vcc})[0]
+		p.Label = ph.name
+		specs = append(specs, p)
 	}
-	steady := make([]*lowvcc.Result, len(phases))
-	for u := range runner.Stream(context.Background(), specs) {
-		if u.Err != nil {
-			log.Fatal(u.Err)
-		}
-		steady[u.Point] = u.Result
+	aggs, err := r.Collect(context.Background(), specs, nil)
+	if err != nil {
+		log.Fatal(err)
 	}
+	model, err := cal.Render(aggs[:1])
+	if err != nil {
+		log.Fatal(err)
+	}
+	sweep, steady := aggs[1:1+len(levels)], aggs[1+len(levels):]
 
-	// The serial DVFS walk: one persistent core, reconfigured per phase.
-	c := lowvcc.MustNewCore(lowvcc.DefaultConfig(700, lowvcc.ModeIRAW))
+	ovh := sim.IRAWOverheads().EnergyOverheadFraction()
+	fmt.Println("measured operating points (IRAW design, standard suite):")
+	best, bestEDP := 0, 0.0
+	for i, v := range levels {
+		energy := model.Energy(v, sweep[i].Activity, sweep[i].Time, ovh).Total()
+		edp := sweep[i].Time * energy
+		fmt.Printf("  %-6v time %12.0f  energy %12.0f  EDP %.3g\n", v, sweep[i].Time, energy, edp)
+		if i == 0 || edp < bestEDP {
+			best, bestEDP = i, edp
+		}
+	}
+	fmt.Printf("EDP-optimal level: %v\n\n", levels[best])
+
+	// The DVFS walk: one persistent core, built at the first phase's point
+	// and reconfigured per phase.
+	c := lowvcc.MustNewCore(specs[len(specs)-len(phases)].Cfg)
 	fmt.Println("phase               Vcc    N  freq-gain  IPC    steady-IPC  time(a.u.)")
 	var total float64
 	for i, ph := range phases {
@@ -83,13 +101,16 @@ func main() {
 			ph.name, ph.vcc, plan.StabilizeCycles, plan.FreqGain,
 			res.IPC(), steady[i].IPC(), res.Time)
 		total += res.Time
-		if res.CorruptConsumed != 0 {
-			log.Fatalf("phase %q consumed corrupt data", ph.name)
+		for _, got := range []*lowvcc.Result{res, steady[i]} {
+			if got.CorruptConsumed != 0 || got.IntegrityErrors != 0 {
+				log.Fatalf("phase %q at %v: %d corrupt values consumed, %d integrity errors",
+					ph.name, ph.vcc, got.CorruptConsumed, got.IntegrityErrors)
+			}
 		}
 	}
 	fmt.Printf("total time: %.0f a.u. — zero corruption across %d reconfigurations\n",
 		total, len(phases))
-	fmt.Println("steady-IPC is each phase in isolation (fresh core, pooled);")
-	fmt.Println("the DVFS walk keeps caches warm across transitions, so its")
-	fmt.Println("phases meet warmer state than their isolated counterparts.")
+	fmt.Println("steady-IPC is each phase in isolation (fresh core warmed on the")
+	fmt.Println("phase's own trace); the DVFS walk runs each phase once, on the")
+	fmt.Println("state the previous phase left behind (cold for the first).")
 }

@@ -192,20 +192,25 @@ func TestWidthsMatchReferenceEngine(t *testing.T) {
 }
 
 // TestSkipEquivalenceUnderHoldPressure targets the overlapping-port-hold
-// attribution corner: a TLB-hostile, store-heavy workload at 400 mV and
-// high N makes DTLB walk-fill holds coincide with DL0 fill windows
-// registered for future cycles, which is exactly where a skip bounded only
-// by the DTLB-free time would misattribute StallDL0IRAW cycles as
-// StallOtherIRAW.
+// attribution corner: DTLB walk-fill holds that coincide with DL0 fill
+// windows registered for future cycles, which is exactly where a skip
+// bounded only by the DTLB-free time would misattribute StallDL0IRAW cycles
+// as StallOtherIRAW. At 475 mV a memory fill takes 42 cycles, close to a
+// 30-cycle page walk plus N, so a fill started by one access lands inside
+// the walk-fill hold of the access behind it. A 1 MiB working set overruns
+// the DTLB's 256 KiB reach, and a store-heavy, load-light mix keeps the
+// D-side busy with few register wake-ups to cut the skip short. Dropping
+// the DL0 bound from issueRetryAt makes most of these runs diverge.
 func TestSkipEquivalenceUnderHoldPressure(t *testing.T) {
 	p := workload.MemBound()
-	p.Load, p.Store = 0.35, 0.30 // store-heavy: constant DL0 fill traffic
-	p.DataWorkingSet = 256 << 20 // thrash both TLBs
-	for _, forcedN := range []int{2, 4} {
+	p.Load, p.Store = 0.10, 0.45
+	p.ALU = 1 - p.Load - p.Store - p.Branch - p.Call
+	p.DataWorkingSet = 1 << 20
+	for _, forcedN := range []int{3, 4} {
 		for seed := uint64(0); seed < 4; seed++ {
-			cfg := DefaultConfig(400, circuit.ModeIRAW)
+			cfg := DefaultConfig(475, circuit.ModeIRAW)
 			cfg.ForcedN = forcedN
-			tr := workload.Generate(p, 4000, seed+500)
+			tr := workload.Generate(p, 20000, seed+500)
 			matchReferenceEngine(t, fmt.Sprintf("hold pressure (N=%d seed %d)", forcedN, seed), cfg, tr)
 		}
 	}

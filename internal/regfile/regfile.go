@@ -90,26 +90,18 @@ func (f *File) Stats() Stats { return f.stats }
 // Array exposes the backing sram array (violation counters for tests).
 func (f *File) Array() *sram.Array { return f.arr }
 
-// WritePortWait returns how many cycles a write starting at `cycle` would
-// wait for the write port (always 0 for single-cycle writes). The issue
-// stage consults this to model Extra-Bypass write-port contention.
-func (f *File) WritePortWait(cycle int64) int64 {
-	if f.writePipeCycles == 1 || cycle > f.portFreeAt {
-		return 0
-	}
-	return f.portFreeAt + 1 - cycle
-}
-
-// Write commits value to r at the given cycle. The caller must have
-// resolved port contention via WritePortWait; Write panics on a busy port
-// (a pipeline sequencing bug, not a runtime condition).
+// Write commits value to r at the given cycle. With a multi-cycle write
+// pipeline the caller must schedule writes so that each starts after the
+// previous one has left the port (the issue stage tracks the port itself);
+// Write panics on a busy port (a pipeline sequencing bug, not a runtime
+// condition).
 func (f *File) Write(cycle int64, r isa.Reg, value uint64) {
 	if !r.Valid() {
 		panic(fmt.Sprintf("regfile: write to %v", r))
 	}
 	if f.writePipeCycles > 1 {
 		if cycle <= f.portFreeAt {
-			panic("regfile: write port busy; caller must wait WritePortWait")
+			panic("regfile: write port busy; caller must schedule writes after the port frees")
 		}
 		f.portFreeAt = cycle + int64(f.writePipeCycles) - 1
 	}

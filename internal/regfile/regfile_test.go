@@ -69,12 +69,6 @@ func TestWritePipelinePortContention(t *testing.T) {
 	f := New()
 	f.SetWritePipeline(3)
 	f.Write(10, 1, 1) // port busy through 12
-	if w := f.WritePortWait(11); w != 2 {
-		t.Fatalf("WritePortWait(11) = %d, want 2", w)
-	}
-	if w := f.WritePortWait(13); w != 0 {
-		t.Fatalf("WritePortWait(13) = %d, want 0", w)
-	}
 	f.Write(13, 2, 2)
 	f.NotePortContention(2)
 	if f.Stats().PortContentionCycles != 2 {

@@ -158,15 +158,6 @@ func (g Geometric) Next() int {
 	return k
 }
 
-// Exponential returns an exponentially distributed float64 with the given
-// mean. It panics if mean <= 0.
-func (s *Source) Exponential(mean float64) float64 {
-	if mean <= 0 {
-		panic("rng: Exponential requires mean > 0")
-	}
-	return -mean * math.Log(1-s.Float64())
-}
-
 // Zipf draws integers in [0, n) with probability proportional to
 // 1/(rank+1)^theta. The zero value is not valid; use NewZipf.
 //

@@ -130,18 +130,6 @@ func TestGeometricPanicsOutOfRange(t *testing.T) {
 	}
 }
 
-func TestExponentialMean(t *testing.T) {
-	s := New(13)
-	const n = 200000
-	sum := 0.0
-	for i := 0; i < n; i++ {
-		sum += s.Exponential(4)
-	}
-	if mean := sum / n; math.Abs(mean-4) > 0.1 {
-		t.Errorf("Exponential(4) mean = %v", mean)
-	}
-}
-
 func TestZipfSkew(t *testing.T) {
 	s := New(17)
 	z := NewZipf(s, 100, 1.0)

@@ -269,12 +269,18 @@ type NSweepRow struct {
 // NSweep forces N = 1..maxN at v and measures the cost of wider bubbles
 // ("our mechanism would work also for different technology nodes or Vcc
 // ranges where the number of IRAW cycles was larger", Section 5.2) against
-// the baseline at v.
+// the baseline at v. A point where forcing changes nothing (IRAW inactive
+// at v, or n equal to v's own N) keeps the standard IRAW config, so a grid
+// holds it once with the IRAW point at v.
 func (r *Runner) NSweep(traces []*trace.Trace, v circuit.Millivolts, maxN int) Experiment[[]NSweepRow] {
 	specs := r.SweepPoints(traces, designs[:1], []circuit.Millivolts{v})
+	std := r.pointConfig(v, circuit.ModeIRAW)
+	_, plan, err := core.EngineKey(std)
 	for n := 1; n <= maxN; n++ {
-		cfg := r.pointConfig(v, circuit.ModeIRAW)
-		cfg.ForcedN = n
+		cfg := std
+		if err != nil || (plan.IRAWActive && n != plan.StabilizeCycles) {
+			cfg.ForcedN = n
+		}
 		specs = append(specs, PointSpec{
 			Label: fmt.Sprintf("nsweep %v N=%d", v, n),
 			Cfg:   cfg, Traces: traces,

@@ -76,8 +76,8 @@ func TestSweepSpecsSplit(t *testing.T) {
 			t.Errorf("standard point %q left local", p.Label)
 		}
 	}
-	if len(local) != 4 { // N = 1, 2 and both rescheduled designs
-		t.Errorf("%d local points, want 4", len(local))
+	if len(local) != 3 { // N = 2 and both rescheduled designs; N = 1 is IRAW at 500 mV
+		t.Errorf("%d local points, want 3", len(local))
 	}
 	for k, n := range seen {
 		if n != 1 {

@@ -93,11 +93,6 @@ type Runner struct {
 	// to an uninterrupted one. "" (the default) disables journaling.
 	JournalDir string
 
-	// JournalSync selects fsync-on-Put for the journal (power-loss
-	// durability instead of crash-only; see journal.SetSync). The sweep
-	// daemon turns it on; the CLIs leave it off.
-	JournalSync bool
-
 	// JournalBudget, when positive, caps the journal directory at that
 	// many bytes: least-recently-used entries are evicted past the cap
 	// (journal.SetBudget). An evicted entry is a future re-simulation,

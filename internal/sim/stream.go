@@ -398,7 +398,6 @@ func (r *Runner) stream(ctx context.Context, specs []PointSpec, ch chan<- PointU
 		// Runs before ch closes: a caller that drained the stream finds
 		// the journal's file closed.
 		defer jnl.Close()
-		jnl.SetSync(r.JournalSync)
 		if r.JournalBudget > 0 {
 			jnl.SetBudget(r.JournalBudget)
 		}

@@ -224,19 +224,6 @@ func (a *Array) Stable(cycle int64, entry int) bool {
 	return !a.stabilizing(cycle, entry)
 }
 
-// SetStable reports whether every entry in the set containing entry is
-// readable at cycle (the condition a whole-set access needs).
-func (a *Array) SetStable(cycle int64, entry int) bool {
-	a.checkEntry(entry)
-	setBase := (entry / a.cfg.EntriesPerSet) * a.cfg.EntriesPerSet
-	for e := setBase; e < setBase+a.cfg.EntriesPerSet; e++ {
-		if a.stabilizing(cycle, e) {
-			return false
-		}
-	}
-	return true
-}
-
 // ReadyAt returns the first cycle at which entry is readable.
 func (a *Array) ReadyAt(entry int) int64 {
 	a.checkEntry(entry)

@@ -201,20 +201,6 @@ func TestArrayCollateralSetDestruction(t *testing.T) {
 	}
 }
 
-func TestArraySetStable(t *testing.T) {
-	a := newTestArray(t, 4)
-	a.Write(10, 1, 0x01020304, true, 2)
-	if a.SetStable(11, 0) {
-		t.Fatal("SetStable true while a way stabilizes")
-	}
-	if !a.SetStable(13, 0) {
-		t.Fatal("SetStable false after the window")
-	}
-	if !a.SetStable(11, 8) {
-		t.Fatal("unrelated set affected")
-	}
-}
-
 func TestArrayWriteIntoStabilizingEntryIsSafe(t *testing.T) {
 	// Section 4.4: overwriting a stabilizing entry is fine (no read).
 	a := newTestArray(t, 1)

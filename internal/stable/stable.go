@@ -230,9 +230,6 @@ type ProbeResult struct {
 	Replay []Entry
 }
 
-// ReplayStores returns the number of stores to repeat.
-func (r ProbeResult) ReplayStores() int { return len(r.Replay) }
-
 // Probe checks a load at `cycle` against the active entries: addr is the
 // word address, set the DL0 set index. A match means the load's set access
 // may have destroyed stabilizing store data, so the matching stores replay.

@@ -42,8 +42,8 @@ func TestFullMatchForwards(t *testing.T) {
 	if res.Data != 42 {
 		t.Fatalf("forwarded data = %d, want 42", res.Data)
 	}
-	if res.ReplayStores() != 1 {
-		t.Fatalf("ReplayStores = %d, want 1", res.ReplayStores())
+	if len(res.Replay) != 1 {
+		t.Fatalf("len(Replay) = %d, want 1", len(res.Replay))
 	}
 	s := tab.Stats()
 	if s.FullMatches != 1 || s.Forwards != 1 {
@@ -58,8 +58,8 @@ func TestSetOnlyMatch(t *testing.T) {
 	if res.Kind != MatchSet {
 		t.Fatalf("Kind = %v, want set", res.Kind)
 	}
-	if res.ReplayStores() != 1 {
-		t.Fatalf("ReplayStores = %d, want 1", res.ReplayStores())
+	if len(res.Replay) != 1 {
+		t.Fatalf("len(Replay) = %d, want 1", len(res.Replay))
 	}
 	if tab.Stats().SetMatches != 1 {
 		t.Fatalf("stats = %+v", tab.Stats())

@@ -56,12 +56,6 @@ func (k StallKind) String() string {
 	return fmt.Sprintf("StallKind(%d)", int(k))
 }
 
-// IRAWKinds lists the attribution categories introduced by IRAW avoidance
-// (the ones the paper charges to the mechanism).
-func IRAWKinds() []StallKind {
-	return []StallKind{StallRFIRAW, StallIQGate, StallDL0IRAW, StallOtherIRAW}
-}
-
 // Run accumulates one simulation's counters.
 type Run struct {
 	Instructions uint64

@@ -11,22 +11,6 @@ func TestStallKindStrings(t *testing.T) {
 	}
 }
 
-func TestIRAWKindsCoverMechanisms(t *testing.T) {
-	kinds := IRAWKinds()
-	if len(kinds) != 4 {
-		t.Fatalf("IRAWKinds = %v", kinds)
-	}
-	seen := map[StallKind]bool{}
-	for _, k := range kinds {
-		seen[k] = true
-	}
-	for _, k := range []StallKind{StallRFIRAW, StallIQGate, StallDL0IRAW, StallOtherIRAW} {
-		if !seen[k] {
-			t.Errorf("missing %v", k)
-		}
-	}
-}
-
 func TestRunDerivedMetrics(t *testing.T) {
 	r := Run{Instructions: 1000, Cycles: 2000, DelayedByRFIRAW: 132}
 	r.IssueStalls[StallRFIRAW] = 170

@@ -141,9 +141,20 @@ func Profiles() []Profile {
 	}
 }
 
+// ProfileByName returns the profile called name: one of Profiles() or
+// MemBound().
+func ProfileByName(name string) (Profile, error) {
+	for _, p := range append(Profiles(), MemBound()) {
+		if p.Name == name {
+			return p, nil
+		}
+	}
+	return Profile{}, fmt.Errorf("workload: unknown profile %q", name)
+}
+
 // Phased concatenates one trace per profile phase — an application that
 // moves through distinct behaviours (compute burst, memory sweep, branchy
-// control), the input a DVFS governor reacts to. Phase i is
+// control) as one trace. Phase i is
 // Generate(phases[i], instsPerPhase, seed+i*7919), generated in parallel
 // straight into its place in the output. It panics on an invalid profile,
 // on the caller's goroutine.

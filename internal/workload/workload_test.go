@@ -226,6 +226,18 @@ func TestSuiteMemoized(t *testing.T) {
 	}
 }
 
+func TestProfileByName(t *testing.T) {
+	for _, want := range append(Profiles(), MemBound()) {
+		got, err := ProfileByName(want.Name)
+		if err != nil || got != want {
+			t.Fatalf("ProfileByName(%q) = %+v, %v", want.Name, got, err)
+		}
+	}
+	if _, err := ProfileByName("nosuch"); err == nil {
+		t.Fatal("unknown name accepted")
+	}
+}
+
 func TestValidateRejectsBadProfiles(t *testing.T) {
 	cases := []Profile{
 		{Name: "empty"},
