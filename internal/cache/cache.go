@@ -307,6 +307,13 @@ func (c *Cache) Config() Config { return c.cfg }
 // Stats returns a snapshot of the counters.
 func (c *Cache) Stats() Stats { return c.stats }
 
+// ResetStats zeroes the activity counters, the data array's included.
+// DisabledLines stays: it is the fault map's size, not a flow.
+func (c *Cache) ResetStats() {
+	c.stats = Stats{DisabledLines: c.stats.DisabledLines}
+	c.data.ResetStats()
+}
+
 // Data exposes the backing sram array (violation counters for tests).
 func (c *Cache) Data() *sram.Array { return c.data }
 

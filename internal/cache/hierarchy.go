@@ -143,6 +143,14 @@ func MustNewHierarchy(cfg HierarchyConfig, reference bool) *Hierarchy {
 // Stats returns a snapshot of the aggregate counters.
 func (h *Hierarchy) Stats() HierarchyStats { return h.stats }
 
+// ResetStats zeroes the aggregate counters and every cache block's.
+func (h *Hierarchy) ResetStats() {
+	h.stats = HierarchyStats{}
+	for _, c := range []*Cache{h.IL0, h.DL0, h.UL1, h.ITLB, h.DTLB} {
+		c.ResetStats()
+	}
+}
+
 // Mode returns the active timing mode.
 func (h *Hierarchy) Mode() TimingMode { return h.mode }
 
@@ -296,11 +304,6 @@ func (h *Hierarchy) gcOracleLine(victim uint64) {
 		h.lineVer.deleteAt(i)
 	}
 }
-
-// OracleLines reports the number of live integrity-oracle version records
-// (bounded-growth observability for tests: the GC above keeps it at DL0
-// size on every path).
-func (h *Hierarchy) OracleLines() int { return h.lineVer.n }
 
 // FetchResult reports an instruction fetch's timing.
 type FetchResult struct {
@@ -596,15 +599,6 @@ func (h *Hierarchy) ViolationReads() uint64 {
 	var total uint64
 	for _, c := range []*Cache{h.IL0, h.DL0, h.UL1, h.ITLB, h.DTLB} {
 		total += c.Data().Stats().ViolationReads
-	}
-	return total
-}
-
-// CollateralDestructions sums set-read destructions across the hierarchy.
-func (h *Hierarchy) CollateralDestructions() uint64 {
-	var total uint64
-	for _, c := range []*Cache{h.IL0, h.DL0, h.UL1, h.ITLB, h.DTLB} {
-		total += c.Data().Stats().CollateralDestructions
 	}
 	return total
 }

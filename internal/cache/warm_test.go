@@ -131,7 +131,7 @@ func TestOracleGCBounded(t *testing.T) {
 			res := h.CommitStore(cycle, addr, uint64(i))
 			cycle = res.DoneCycle + 50
 		}
-		if got := h.OracleLines(); got > dl0Lines {
+		if got := h.lineVer.n; got > dl0Lines {
 			t.Errorf("fast=%v: %d live oracle records after %d distinct stored lines (DL0 holds %d)",
 				fast, got, distinct, dl0Lines)
 		}

@@ -86,9 +86,8 @@ func New(cfg Config) (*Core, error) {
 // Reset restores the core to the state New(cfg) would produce — cold
 // caches, empty pipeline, cycle zero — while keeping the core's scratch
 // buffers. Every internal block is rebuilt through the same constructors
-// New uses, so a Reset core is bit-identical to a fresh one; the parallel
-// experiment runner relies on that to reuse one Core per worker across the
-// traces of an operating point.
+// New uses, so a Reset core is bit-identical to a fresh one; the
+// checkpoint store relies on that to discard a part-way restore.
 func (c *Core) Reset() error { return c.reset() }
 
 func (c *Core) reset() error {
@@ -344,36 +343,6 @@ func (c *Core) dispatchWakes(cycle int64) {
 // never affects the results of runs that complete.
 func (c *Core) SetStopCheck(f func() error) { c.stop = f }
 
-// statBases snapshots every counter a Result diffs against, taken before a
-// run's first cycle so the Result covers that run only (a core's caches and
-// their counters persist across runs).
-type statBases struct {
-	rf         regfile.Stats
-	mem        cache.HierarchyStats
-	il0, dl0   cache.Stats
-	ul1        cache.Stats
-	itlb, dtlb cache.Stats
-	bp         predictor.Stats
-	rfv, cv    uint64
-	noop       uint64
-}
-
-func (c *Core) snapBases() statBases {
-	return statBases{
-		rf:   c.rf.Stats(),
-		mem:  c.mem.Stats(),
-		il0:  c.mem.IL0.Stats(),
-		dl0:  c.mem.DL0.Stats(),
-		ul1:  c.mem.UL1.Stats(),
-		itlb: c.mem.ITLB.Stats(),
-		dtlb: c.mem.DTLB.Stats(),
-		bp:   c.bp.Stats(),
-		rfv:  c.rf.Array().Stats().ViolationReads,
-		cv:   c.mem.ViolationReads(),
-		noop: c.q.NOOPsInjected,
-	}
-}
-
 // Run simulates tr to completion and reports the result. The core's caches
 // stay warm across calls (deliberately, for the DVFS scenario); use a fresh
 // Core for independent measurements.
@@ -413,7 +382,12 @@ func (c *Core) run(tr *trace.Trace) (*Result, error) {
 		return nil, fmt.Errorf("core: empty trace %q", tr.Name)
 	}
 
-	bases := c.snapBases()
+	// A Result covers this run only: zero every flow counter it reports
+	// (the blocks' state, caches included, persists across runs).
+	c.rf.ResetStats()
+	c.mem.ResetStats()
+	c.bp.ResetStats()
+	c.q.NOOPsInjected = 0
 	var run stats.Run
 	c.fetch.clear()
 
@@ -612,7 +586,7 @@ func (c *Core) run(tr *trace.Trace) (*Result, error) {
 	c.now = cycle
 	run.Cycles = uint64(cycle - startCycle)
 	run.Instructions = uint64(total)
-	return c.buildResult(tr.Name, &run, &bases), nil
+	return c.buildResult(tr.Name, &run), nil
 }
 
 // predictAtFetch consults BP/RSB for control ops, returning whether fetch
@@ -849,15 +823,10 @@ func (c *Core) readSources(cycle int64, src1, src2 isa.Reg) {
 	}
 }
 
-func (c *Core) buildResult(name string, run *stats.Run, bases *statBases) *Result {
-	rfS := subRF(c.rf.Stats(), bases.rf)
-	memS := subMem(c.mem.Stats(), bases.mem)
-	il0 := subCache(c.mem.IL0.Stats(), bases.il0)
-	dl0 := subCache(c.mem.DL0.Stats(), bases.dl0)
-	ul1 := subCache(c.mem.UL1.Stats(), bases.ul1)
-	itlb := subCache(c.mem.ITLB.Stats(), bases.itlb)
-	dtlb := subCache(c.mem.DTLB.Stats(), bases.dtlb)
-	bpS := subBP(c.bp.Stats(), bases.bp)
+func (c *Core) buildResult(name string, run *stats.Run) *Result {
+	rfS, memS, bpS := c.rf.Stats(), c.mem.Stats(), c.bp.Stats()
+	il0, dl0, ul1 := c.mem.IL0.Stats(), c.mem.DL0.Stats(), c.mem.UL1.Stats()
+	itlb, dtlb := c.mem.ITLB.Stats(), c.mem.DTLB.Stats()
 
 	res := &Result{
 		TraceName: name,
@@ -865,8 +834,8 @@ func (c *Core) buildResult(name string, run *stats.Run, bases *statBases) *Resul
 		Run:       *run,
 		Time:      float64(run.Cycles) * c.plan.CycleTime,
 
-		RFViolations:         c.rf.Array().Stats().ViolationReads - bases.rfv,
-		CacheViolations:      c.mem.ViolationReads() - bases.cv,
+		RFViolations:         c.rf.Array().Stats().ViolationReads,
+		CacheViolations:      c.mem.ViolationReads(),
 		CorruptConsumed:      memS.CorruptConsumed,
 		IntegrityErrors:      rfS.IntegrityErrors + memS.IntegrityErrors,
 		RepairedDestructions: memS.RepairedDestructions,
@@ -879,7 +848,7 @@ func (c *Core) buildResult(name string, run *stats.Run, bases *statBases) *Resul
 		ITLB: itlb,
 		DTLB: dtlb,
 
-		NOOPsInjected: c.q.NOOPsInjected - bases.noop,
+		NOOPsInjected: c.q.NOOPsInjected,
 	}
 	res.CorruptConsumed += res.RFViolations // RF violations are consumed reads
 
@@ -895,50 +864,6 @@ func (c *Core) buildResult(name string, run *stats.Run, bases *statBases) *Resul
 	res.Activity.ExecOps = run.Instructions
 	res.Activity.MemAccesses = ul1.Misses
 	return res
-}
-
-func subRF(a, b regfile.Stats) regfile.Stats {
-	a.Reads -= b.Reads
-	a.Writes -= b.Writes
-	a.ViolationReads -= b.ViolationReads
-	a.IntegrityErrors -= b.IntegrityErrors
-	a.PortContentionCycles -= b.PortContentionCycles
-	return a
-}
-
-func subMem(a, b cache.HierarchyStats) cache.HierarchyStats {
-	a.Loads -= b.Loads
-	a.Stores -= b.Stores
-	a.Fetches -= b.Fetches
-	a.TLBWalks -= b.TLBWalks
-	a.STableForwards -= b.STableForwards
-	a.RepairedDestructions -= b.RepairedDestructions
-	a.CorruptConsumed -= b.CorruptConsumed
-	a.IntegrityErrors -= b.IntegrityErrors
-	a.DL0ReplayStallCycles -= b.DL0ReplayStallCycles
-	return a
-}
-
-func subCache(a, b cache.Stats) cache.Stats {
-	a.Accesses -= b.Accesses
-	a.Hits -= b.Hits
-	a.Misses -= b.Misses
-	a.Fills -= b.Fills
-	a.Evictions -= b.Evictions
-	a.DirtyEvicts -= b.DirtyEvicts
-	a.FillStallCycles -= b.FillStallCycles
-	return a
-}
-
-func subBP(a, b predictor.Stats) predictor.Stats {
-	a.Predictions -= b.Predictions
-	a.Mispredicts -= b.Mispredicts
-	a.PotentialCorruptions -= b.PotentialCorruptions
-	a.ReturnPredictions -= b.ReturnPredictions
-	a.ReturnMispredicts -= b.ReturnMispredicts
-	a.RSBConflicts -= b.RSBConflicts
-	a.RSBStallCycles -= b.RSBStallCycles
-	return a
 }
 
 // IRAWExtraBits returns the latch bits the IRAW machinery adds: the
@@ -959,12 +884,3 @@ func (c *Core) TotalSRAMBits() int {
 	return c.mem.TotalBits() + c.rf.TotalBits() + iqBits +
 		c.bp.CounterBits() + c.bp.RSBBits()
 }
-
-// Mem exposes the memory hierarchy (examples and tests).
-func (c *Core) Mem() *cache.Hierarchy { return c.mem }
-
-// BP exposes the predictor (examples and tests).
-func (c *Core) BP() *predictor.Predictor { return c.bp }
-
-// RF exposes the register file (examples and tests).
-func (c *Core) RF() *regfile.File { return c.rf }

@@ -21,8 +21,8 @@ const warmStopStride = 4096
 // clock plan, the Vcc level and the IRAW mode. Nothing timing-visible
 // changes: no cycles elapse (c.now is untouched), no port holds, stalls,
 // in-flight fills, STable entries or stabilization windows are created, and
-// no Result statistics move (a following measured run diffs from its own
-// snapshot anyway). The pipeline-side state (scoreboard, IQ, register
+// no Result statistics move (a following measured run zeroes them before
+// its first cycle anyway). The pipeline-side state (scoreboard, IQ, register
 // timing) is left cold: it re-fills within a few cycles of the measured
 // span, the same transient the head of any trace pays.
 //

@@ -110,11 +110,11 @@ func TestWarmReplayTimingIndependence(t *testing.T) {
 		}
 		sets, ways int
 	}{
-		{"IL0", a.Mem().IL0, b.Mem().IL0, a.Mem().IL0.Config().Sets, a.Mem().IL0.Config().Ways},
-		{"DL0", a.Mem().DL0, b.Mem().DL0, a.Mem().DL0.Config().Sets, a.Mem().DL0.Config().Ways},
-		{"UL1", a.Mem().UL1, b.Mem().UL1, a.Mem().UL1.Config().Sets, a.Mem().UL1.Config().Ways},
-		{"ITLB", a.Mem().ITLB, b.Mem().ITLB, a.Mem().ITLB.Config().Sets, a.Mem().ITLB.Config().Ways},
-		{"DTLB", a.Mem().DTLB, b.Mem().DTLB, a.Mem().DTLB.Config().Sets, a.Mem().DTLB.Config().Ways},
+		{"IL0", a.mem.IL0, b.mem.IL0, a.mem.IL0.Config().Sets, a.mem.IL0.Config().Ways},
+		{"DL0", a.mem.DL0, b.mem.DL0, a.mem.DL0.Config().Sets, a.mem.DL0.Config().Ways},
+		{"UL1", a.mem.UL1, b.mem.UL1, a.mem.UL1.Config().Sets, a.mem.UL1.Config().Ways},
+		{"ITLB", a.mem.ITLB, b.mem.ITLB, a.mem.ITLB.Config().Sets, a.mem.ITLB.Config().Ways},
+		{"DTLB", a.mem.DTLB, b.mem.DTLB, a.mem.DTLB.Config().Sets, a.mem.DTLB.Config().Ways},
 	}
 	for _, blk := range blocks {
 		for s := 0; s < blk.sets; s++ {
@@ -138,7 +138,7 @@ func TestWarmReplayLeavesTimingStateUntouched(t *testing.T) {
 	if err := c.WarmReplay(tr, len(tr.Insts)); err != nil {
 		t.Fatal(err)
 	}
-	m := c.Mem()
+	m := c.mem
 	if s := (cache.HierarchyStats{}); m.Stats() != s {
 		t.Errorf("warm replay moved hierarchy statistics: %+v", m.Stats())
 	}

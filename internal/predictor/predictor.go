@@ -117,6 +117,9 @@ func (p *Predictor) Config() Config { return p.cfg }
 // Stats returns a snapshot of the counters.
 func (p *Predictor) Stats() Stats { return p.stats }
 
+// ResetStats zeroes the counters.
+func (p *Predictor) ResetStats() { p.stats = Stats{} }
+
 // SetStabilizeCycles reconfigures N on a Vcc change (0 disables the
 // violation window entirely).
 func (p *Predictor) SetStabilizeCycles(n int) {

@@ -259,19 +259,15 @@ func (r *Runner) workers(n int) int {
 	return w
 }
 
-// forEach runs fn(worker, i) for every i in [0, n) on a pool of exactly
-// `workers` goroutines (resolve the count once with r.workers(n) and share
-// it with any worker-indexed state — re-resolving could disagree if
-// Workers changes concurrently). worker is the stable index of the
-// executing goroutine in [0, workers), so callers can keep worker-local
-// scratch (the point runner caches one Core per worker). Jobs are handed
-// out in index order.
+// forEach runs fn(i) for every i in [0, n) on a pool of at most `workers`
+// goroutines (r.workers(n) resolves the count). Jobs are handed out in
+// index order.
 //
 // On failure, in-flight jobs finish, unclaimed jobs are abandoned, and the
 // error of the lowest-index failed job is returned — deterministic no
 // matter which worker hit its error first. Context cancellation likewise
 // stops the pool and surfaces ctx.Err().
-func (r *Runner) forEach(ctx context.Context, workers, n int, fn func(worker, i int) error) error {
+func (r *Runner) forEach(ctx context.Context, workers, n int, fn func(i int) error) error {
 	if n <= 0 {
 		return ctx.Err()
 	}
@@ -289,8 +285,8 @@ func (r *Runner) forEach(ctx context.Context, workers, n int, fn func(worker, i 
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(worker int) {
+	for range workers {
+		go func() {
 			defer wg.Done()
 			for {
 				// Check for cancellation before claiming, never after: a
@@ -306,14 +302,14 @@ func (r *Runner) forEach(ctx context.Context, workers, n int, fn func(worker, i 
 				if i >= n {
 					return
 				}
-				if err := fn(worker, i); err != nil {
+				if err := fn(i); err != nil {
 					errs[i] = err
 					failed.Store(true)
 					cancel()
 					return
 				}
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
 

@@ -65,10 +65,8 @@
 // LevelFunc in its level's fails map.
 //
 // Concurrency conventions:
-//   - a Core is not goroutine-safe: exactly one Core per goroutine. The
-//     Runner's worker pool gives each worker its own Core and reuses it
-//     across jobs of the same operating point via (*core.Core).Reset,
-//     which is guaranteed bit-identical to constructing a fresh Core;
+//   - a Core is not goroutine-safe: exactly one Core per goroutine. Every
+//     window attempt builds its own Core with core.New;
 //   - the fan-out unit is one (mode, vcc, trace) cell — or, with windowing
 //     enabled, one sample window of a cell; jobs never share mutable
 //     state, and each writes its *core.Result into its own slot;

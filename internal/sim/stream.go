@@ -406,9 +406,8 @@ func (r *Runner) stream(ctx context.Context, specs []PointSpec, ch chan<- PointU
 	// Plan the cells (Keyer.Plan), then build the flat job list in
 	// (point, trace, window) order. Job order is what makes strict-mode
 	// error reporting deterministic (the pool surfaces the lowest-index
-	// failure) and keeps consecutive jobs of one point adjacent, so the
-	// per-worker core-reuse cache keeps hitting. Only cells that neither
-	// replay nor take another cell's Result get jobs.
+	// failure). Only cells that neither replay nor take another cell's
+	// Result get jobs.
 	type jobRef struct {
 		cell *cell
 		win  int
@@ -493,12 +492,6 @@ func (r *Runner) stream(ctx context.Context, specs []PointSpec, ch chan<- PointU
 		deriveFrom(cl, specs[src.Point].Label, src.Entry)
 	}
 
-	workers := r.workers(len(jobs))
-	cores := make([]workerCore, workers)
-	for i := range cores {
-		cores[i].point = -1
-	}
-
 	// finish decrements the cell's window countdown and, on the last
 	// window, stitches-and-emits (journaling the stitched result) or emits
 	// the cell's deterministic lowest-window error; either way each of
@@ -546,10 +539,10 @@ func (r *Runner) stream(ctx context.Context, specs []PointSpec, ch chan<- PointU
 		}
 	}
 
-	err = r.forEach(ctx, workers, len(jobs), func(worker, j int) error {
+	err = r.forEach(ctx, r.workers(len(jobs)), len(jobs), func(j int) error {
 		jr := jobs[j]
 		cl := jr.cell
-		err := r.runWindowAttempts(ctx, &specs[cl.Point], &cores[worker], cl, jr.win)
+		err := r.runWindowAttempts(ctx, &specs[cl.Point], cl, jr.win)
 		if err != nil {
 			if ctxErr := ctx.Err(); ctxErr != nil {
 				return ctxErr
@@ -575,20 +568,6 @@ func (r *Runner) stream(ctx context.Context, specs []PointSpec, ch chan<- PointU
 	}
 }
 
-// workerCore is one worker's cached simulator, reused across consecutive
-// jobs of the same operating point.
-type workerCore struct {
-	point int
-	c     *core.Core
-}
-
-// invalidate drops the cached core. Called after any window failure: a
-// panic or abort can leave the core mid-run, and the engine's
-// fresh-equals-Reset guarantee makes dropping always safe.
-func (wc *workerCore) invalidate() {
-	wc.point, wc.c = -1, nil
-}
-
 // runWindowAttempts executes one window with the runner's bounded-retry
 // policy: transient failures (timeouts, injected transients) retry up to
 // r.Retries times with exponential backoff, re-arming the cell's
@@ -596,13 +575,12 @@ func (wc *workerCore) invalidate() {
 // return a *CellError carrying the cell identity, attempt count and — for
 // panics — the recovered stack. Context cancellation returns the context's
 // error unwrapped.
-func (r *Runner) runWindowAttempts(ctx context.Context, spec *PointSpec, wc *workerCore, cl *cell, win int) error {
+func (r *Runner) runWindowAttempts(ctx context.Context, spec *PointSpec, cl *cell, win int) error {
 	for attempt := 1; ; attempt++ {
-		err := r.runWindowOnce(ctx, spec, wc, cl, win)
+		err := r.runWindowOnce(ctx, spec, cl, win)
 		if err == nil {
 			return nil
 		}
-		wc.invalidate()
 		if ctxErr := ctx.Err(); ctxErr != nil {
 			return ctxErr
 		}
@@ -656,10 +634,11 @@ func JitteredBackoff(backoff time.Duration, attempt int) time.Duration {
 	return half + rand.N(base-half+1)
 }
 
-// runWindowOnce executes one window attempt in isolation: a panic anywhere
-// inside the engine is recovered into a *panicError instead of unwinding
-// the worker goroutine, so one bad cell can never kill the sweep.
-func (r *Runner) runWindowOnce(ctx context.Context, spec *PointSpec, wc *workerCore, cl *cell, winIdx int) (err error) {
+// runWindowOnce executes one window attempt in isolation, on a core of its
+// own: a panic anywhere inside the engine is recovered into a *panicError
+// instead of unwinding the worker goroutine, so one bad cell can never kill
+// the sweep.
+func (r *Runner) runWindowOnce(ctx context.Context, spec *PointSpec, cl *cell, winIdx int) (err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			err = &panicError{value: v, stack: debug.Stack()}
@@ -676,16 +655,9 @@ func (r *Runner) runWindowOnce(ctx context.Context, spec *PointSpec, wc *workerC
 	}
 
 	win := &cl.windows[winIdx]
-	if wc.point == cl.Point && wc.c != nil {
-		if err := wc.c.Reset(); err != nil {
-			return fmt.Errorf("%s: reset: %w", spec.Label, err)
-		}
-	} else {
-		c, err := core.New(spec.Cfg)
-		if err != nil {
-			return fmt.Errorf("%s: %w", spec.Label, err)
-		}
-		wc.point, wc.c = cl.Point, c
+	c, err := core.New(spec.Cfg)
+	if err != nil {
+		return fmt.Errorf("%s: %w", spec.Label, err)
 	}
 
 	// Preemption: context cancellation and the per-point wall-clock
@@ -695,7 +667,7 @@ func (r *Runner) runWindowOnce(ctx context.Context, spec *PointSpec, wc *workerC
 	if r.PointTimeout > 0 {
 		cl.startedNanos.CompareAndSwap(0, time.Now().UnixNano())
 	}
-	wc.c.SetStopCheck(func() error {
+	c.SetStopCheck(func() error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
@@ -707,16 +679,15 @@ func (r *Runner) runWindowOnce(ctx context.Context, spec *PointSpec, wc *workerC
 		}
 		return nil
 	})
-	defer wc.c.SetStopCheck(nil)
 
 	var res *core.Result
 	if len(cl.windows) == 1 {
 		// Unsharded cell: the exact batch methodology — one untimed
 		// warm-up pass, one measured pass.
-		if _, err = wc.c.Run(win.Trace); err != nil {
+		if _, err = c.Run(win.Trace); err != nil {
 			return fmt.Errorf("%s: warmup %s: %w", spec.Label, win.Trace.Name, err)
 		}
-		if res, err = wc.c.Run(win.Trace); err != nil {
+		if res, err = c.Run(win.Trace); err != nil {
 			return fmt.Errorf("%s: measure %s: %w", spec.Label, win.Trace.Name, err)
 		}
 	} else {
@@ -731,10 +702,10 @@ func (r *Runner) runWindowOnce(ctx context.Context, spec *PointSpec, wc *workerC
 		if cl.warmKey == "" || win.Start != win.Warm {
 			st = nil
 		}
-		if err = st.WarmTo(wc.c, cl.traceHash, cl.warmKey, cl.winInsts, win.Trace, win.Warm); err != nil {
+		if err = st.WarmTo(c, cl.traceHash, cl.warmKey, cl.winInsts, win.Trace, win.Warm); err != nil {
 			return fmt.Errorf("%s: window %s: %w", spec.Label, win.Trace.Name, err)
 		}
-		if res, err = wc.c.RunWarmed(win.Trace, win.Warm); err != nil {
+		if res, err = c.RunWarmed(win.Trace, win.Warm); err != nil {
 			return fmt.Errorf("%s: window %s: %w", spec.Label, win.Trace.Name, err)
 		}
 	}

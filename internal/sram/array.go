@@ -103,6 +103,9 @@ func (a *Array) Config() Config { return a.cfg }
 // Stats returns a snapshot of the activity counters.
 func (a *Array) Stats() Stats { return a.stats }
 
+// ResetStats zeroes the activity counters.
+func (a *Array) ResetStats() { a.stats = Stats{} }
+
 func (a *Array) checkEntry(entry int) {
 	if entry < 0 || entry >= a.cfg.Entries {
 		panic(fmt.Sprintf("sram %q: entry %d out of range [0,%d)", a.cfg.Name, entry, a.cfg.Entries))
