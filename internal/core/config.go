@@ -176,7 +176,7 @@ import (
 // bump it. internal/journal keys cached cell results by it, so a bump
 // invalidates every previously journaled entry at once instead of
 // replaying stale numbers.
-const EngineVersion = "lowvcc-engine-8"
+const EngineVersion = "lowvcc-engine-9"
 
 // Config describes one simulated operating point.
 type Config struct {
@@ -237,7 +237,8 @@ type Config struct {
 	// table instead of their live-way mask scans, packed-LRU victim and
 	// MSHR record generations. Results are bit-identical either way; the
 	// equivalence fuzz and the benchmark's correctness check hold the fast
-	// engine to this one.
+	// engine to this one. The reference engine also fails the run if the
+	// IQ gate ever opens over a stabilizing entry (iq.Queue.EntriesStable).
 	DisableFastPaths bool
 
 	// MaxCycles guards against pipeline deadlock (0 = automatic bound).

@@ -449,6 +449,10 @@ func (c *Core) run(tr *trace.Trace) (*Result, error) {
 				}
 				break
 			}
+			if stepped && !c.q.EntriesStable(cycle) {
+				return nil, fmt.Errorf("core: %s: IQ gate open over stabilizing entries at cycle %d (occupancy %d)",
+					tr.Name, cycle, c.q.Occupancy())
+			}
 			e := c.q.Oldest(0)
 			if e.NOOP {
 				c.q.PopOldest()

@@ -34,7 +34,6 @@ type Result struct {
 	IL0, DL0   cache.Stats
 	UL1        cache.Stats
 	ITLB, DTLB cache.Stats
-	// STableForwards duplicates Mem.STableForwards for convenience.
 
 	// Activity is the census for the energy model.
 	Activity energy.Activity

@@ -10,8 +10,9 @@
 //	issue allowed  <=>  occupancy >= ICI + AI*N
 //
 // which guarantees the ICI oldest entries are stable even if the AI*N
-// youngest are not (allocation is in order). When the pipeline must drain,
-// AI*N NOOPs are injected so real instructions can always issue.
+// youngest are not (allocation is in order, at most AI per cycle). When the
+// pipeline must drain, AI*N NOOPs are injected, AI per cycle, so real
+// instructions can always issue.
 package iq
 
 import "fmt"
@@ -155,12 +156,17 @@ func (q *Queue) Alloc(cycle int64, payload uint64) bool {
 	return true
 }
 
-// InjectNOOPs appends AI*N NOOP entries (the drain mechanism: "whenever the
-// pipeline must empty, AI*N NOOP instructions are injected in the IQ to
-// ensure all instructions are issued"). Injection is best-effort up to the
-// free space, which suffices since draining implies allocation has stopped.
+// InjectNOOPs appends up to AI NOOP entries (the drain mechanism: "whenever
+// the pipeline must empty, AI*N NOOP instructions are injected in the IQ to
+// ensure all instructions are issued"). The NOOPs are IQ writes like any
+// allocation, so at most AI go in per cycle: the gate's threshold assumes
+// the AI*N youngest entries span the last N cycles, and a burst of AI*N in
+// one cycle would open it over entries still stabilizing. A pipeline that
+// stays gate-blocked calls again each cycle until AI*N are in. Injection is
+// best-effort up to the free space, which suffices since draining implies
+// allocation has stopped.
 func (q *Queue) InjectNOOPs(cycle int64) int {
-	n := q.cfg.AI * q.n
+	n := min(q.cfg.AI, q.cfg.AI*q.n)
 	injected := 0
 	for i := 0; i < n && q.Free() > 0; i++ {
 		q.ring[int(q.tail)&(q.cfg.Size-1)] = Entry{NOOP: true, AllocCycle: cycle}
@@ -195,8 +201,8 @@ func (q *Queue) PopOldest() Entry {
 // EntriesStable verifies that the ICI oldest entries were allocated at
 // least N+1 cycles before `cycle` — i.e. their SRAM writes have stabilized.
 // The occupancy gate is supposed to make this always true when MayIssue
-// returns true; the pipeline asserts it in debug runs and a property test
-// exercises it directly.
+// returns true; the core's reference engine asserts it on every issue and
+// a property test exercises it directly.
 func (q *Queue) EntriesStable(cycle int64) bool {
 	k := q.cfg.ICI
 	if occ := q.Occupancy(); occ < k {

@@ -89,41 +89,51 @@ func TestGateReconfiguration(t *testing.T) {
 
 // TestGateImpliesStability is the central property (Section 4.2): whenever
 // the gate passes, the ICI oldest entries have stabilized — for any
-// interleaving of bounded allocation and issue. Allocation is capped at AI
-// per cycle, as the hardware's allocation stage guarantees.
+// interleaving of bounded allocation, drain-NOOP injection and issue, at
+// every N the controller can set. Allocation is capped at AI per cycle, as
+// the hardware's allocation stage guarantees, and a gate-blocked cycle that
+// allocates nothing injects NOOPs, as the pipeline does.
 func TestGateImpliesStability(t *testing.T) {
-	f := func(script []byte) bool {
-		q := New(DefaultConfig())
-		q.SetStabilizeCycles(1)
-		cycle := int64(0)
-		for _, b := range script {
-			cycle++
-			// Issue phase (reads happen before this cycle's allocations).
-			if q.MayIssue() {
-				if !q.EntriesStable(cycle) {
-					return false // gate passed but an entry was unstable
+	for n := 1; n <= 4; n++ {
+		f := func(script []byte) bool {
+			q := New(DefaultConfig())
+			q.SetStabilizeCycles(n)
+			cycle := int64(0)
+			for _, b := range script {
+				cycle++
+				// Issue phase (reads happen before this cycle's allocations).
+				if q.MayIssue() {
+					if !q.EntriesStable(cycle) {
+						return false // gate passed but an entry was unstable
+					}
+					issues := int(b>>4) & 3 // 0..3, capped to ICI below
+					if issues > q.Config().ICI {
+						issues = q.Config().ICI
+					}
+					for i := 0; i < issues && q.Occupancy() > 0; i++ {
+						q.PopOldest()
+					}
 				}
-				issues := int(b>>4) & 3 // 0..3, capped to ICI below
-				if issues > q.Config().ICI {
-					issues = q.Config().ICI
+				// Allocation phase: at most AI per cycle.
+				allocs := int(b) & 3
+				if allocs > q.Config().AI {
+					allocs = q.Config().AI
 				}
-				for i := 0; i < issues && q.Occupancy() > 0; i++ {
-					q.PopOldest()
+				allocated := 0
+				for i := 0; i < allocs; i++ {
+					if q.Alloc(cycle, uint64(b)) {
+						allocated++
+					}
+				}
+				if allocated == 0 && q.GateBlocked() {
+					q.InjectNOOPs(cycle)
 				}
 			}
-			// Allocation phase: at most AI per cycle.
-			allocs := int(b) & 3
-			if allocs > q.Config().AI {
-				allocs = q.Config().AI
-			}
-			for i := 0; i < allocs; i++ {
-				q.Alloc(cycle, uint64(b))
-			}
+			return true
 		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Error(err)
+		if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+			t.Errorf("N=%d: %v", n, err)
+		}
 	}
 }
 
@@ -141,10 +151,13 @@ func TestGateImpliesStabilityN2(t *testing.T) {
 			}
 			q.PopOldest()
 		}
-		// Bursty allocation: alternate 2 and 0 per cycle.
+		// Bursty allocation: alternate 2 and 0 per cycle, injecting drain
+		// NOOPs on a gate-blocked empty cycle.
 		if step%2 == 0 {
 			q.Alloc(cycle, 1)
 			q.Alloc(cycle, 2)
+		} else if q.GateBlocked() {
+			q.InjectNOOPs(cycle)
 		}
 	}
 }
@@ -201,7 +214,7 @@ func TestInjectNOOPs(t *testing.T) {
 
 func TestInjectNOOPsRespectsCapacity(t *testing.T) {
 	q := New(Config{Size: 4, ICI: 2, AI: 2})
-	q.SetStabilizeCycles(2) // wants 4 NOOPs
+	q.SetStabilizeCycles(2) // wants AI = 2 NOOPs this cycle
 	q.Alloc(0, 1)
 	q.Alloc(0, 2)
 	q.Alloc(0, 3)

@@ -88,7 +88,10 @@ func (f *File) SetWritePipeline(cycles int) {
 func (f *File) Stats() Stats { return f.stats }
 
 // ResetStats zeroes the counters, the backing array's included.
-func (f *File) ResetStats() { f.stats = Stats{}; f.arr.ResetStats() }
+func (f *File) ResetStats() {
+	f.stats = Stats{}
+	f.arr.ResetStats()
+}
 
 // Array exposes the backing sram array (violation counters for tests).
 func (f *File) Array() *sram.Array { return f.arr }

@@ -74,5 +74,5 @@ func TestCombinedFaultyDigest(t *testing.T) {
 	for _, x := range cf {
 		rows = append(rows, fmt.Sprint(x.Vcc, x.IRAWFreqGain, x.CombinedFreqGain, x.IRAWPerfGain, x.CombinedPerfGain, x.DisabledLines))
 	}
-	checkRowsDigest(t, rows, "7a13b4712bdbd33f5f3b0aa2a8d8513c28c12b467c38b01f3bd7e57ce675c2ab")
+	checkRowsDigest(t, rows, "2cfc1bc703b57f7e63fbf62b6ca64543c71572d91fa6542ddc4f28b1b7e0b39a")
 }

@@ -169,8 +169,8 @@ func TestCellKeyMatchesJournal(t *testing.T) {
 }
 
 // TestCellKeyPinned pins the journal content address of one fixed (config,
-// trace) pair, unsharded and auto-windowed, to the value recorded before
-// the timed warm mode was removed: config hashing, trace hashing, the plan
+// trace) pair, unsharded and auto-windowed, to the value recorded at
+// EngineVersion lowvcc-engine-9: config hashing, trace hashing, the plan
 // fields (including the literal mode=0) and core.EngineVersion all feed
 // the key, and drift in any of them silently orphans every journaled
 // cell, so a change here must be deliberate.
@@ -181,8 +181,8 @@ func TestCellKeyPinned(t *testing.T) {
 		tr   *trace.Trace
 		want string
 	}{
-		{"unsharded", workload.Suite(2000, 1)[0], "75ad1c97e3b4a437aa887c6e98d10740521f6e89af66ebec5e7c6a3f7047ed3d"},
-		{"auto-windowed", workload.LongTrace(autoWindowThreshold+10_000, 5), "7e8323f0c36913d770f1fb7db1d29f7335b0c4aad66b48643dc1a3f02bd59a0c"},
+		{"unsharded", workload.Suite(2000, 1)[0], "a4937956cef76313ca3110f65e2ed6c00fec1fdb0b397b6e7aa06cdfbd436fe6"},
+		{"auto-windowed", workload.LongTrace(autoWindowThreshold+10_000, 5), "bcd0f7644e56c1430ebcaa65f29c2754ec082ab15445cfa568efffcb6db4c5b9"},
 	} {
 		got, err := (&Runner{}).CellKey(cfg, tc.tr)
 		if err != nil {
