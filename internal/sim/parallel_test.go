@@ -104,9 +104,8 @@ func TestRunnerDeterministicError(t *testing.T) {
 // TestForEachRunsEachJobOnce: every job runs exactly once.
 func TestForEachRunsEachJobOnce(t *testing.T) {
 	const n = 100
-	workers := 4
 	var ran [n]atomic.Int32
-	err := (&Runner{Workers: workers}).forEach(context.Background(), workers, n, func(i int) error {
+	err := (&Runner{Workers: 4}).forEach(context.Background(), n, func(i int) error {
 		ran[i].Add(1)
 		return nil
 	})

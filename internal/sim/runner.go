@@ -259,24 +259,18 @@ func (r *Runner) workers(n int) int {
 	return w
 }
 
-// forEach runs fn(i) for every i in [0, n) on a pool of at most `workers`
-// goroutines (r.workers(n) resolves the count). Jobs are handed out in
-// index order.
+// forEach runs fn(i) for every i in [0, n) on a pool of r.workers(n)
+// goroutines. Jobs are handed out in index order.
 //
 // On failure, in-flight jobs finish, unclaimed jobs are abandoned, and the
 // error of the lowest-index failed job is returned — deterministic no
 // matter which worker hit its error first. Context cancellation likewise
 // stops the pool and surfaces ctx.Err().
-func (r *Runner) forEach(ctx context.Context, workers, n int, fn func(i int) error) error {
+func (r *Runner) forEach(ctx context.Context, n int, fn func(i int) error) error {
 	if n <= 0 {
 		return ctx.Err()
 	}
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	workers := r.workers(n)
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 

@@ -539,7 +539,7 @@ func (r *Runner) stream(ctx context.Context, specs []PointSpec, ch chan<- PointU
 		}
 	}
 
-	err = r.forEach(ctx, r.workers(len(jobs)), len(jobs), func(j int) error {
+	err = r.forEach(ctx, len(jobs), func(j int) error {
 		jr := jobs[j]
 		cl := jr.cell
 		err := r.runWindowAttempts(ctx, &specs[cl.Point], cl, jr.win)
