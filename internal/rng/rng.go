@@ -13,6 +13,7 @@ import (
 	"math/bits"
 	"runtime"
 	"sync"
+	"weak"
 )
 
 // splitMix64 advances a SplitMix64 state and returns the next output.
@@ -161,6 +162,10 @@ func (g Geometric) Next() int {
 // Zipf draws integers in [0, n) with probability proportional to
 // 1/(rank+1)^theta. The zero value is not valid; use NewZipf.
 //
+// Its table (cdf and guide) depends only on (n, theta) and is never
+// written after it is built, so samplers of one (n, theta) share one copy
+// while any of them is reachable; see NewZipf.
+//
 // A draw maps one uniform u in [0, 1) to the first rank whose cdf entry is
 // not below u. For n > guideMinN a guide (cut-point) index narrows that
 // search without changing its answer: guide[k] is the first rank whose cdf
@@ -178,6 +183,12 @@ type Zipf struct {
 	src   *Source
 	n     int
 	theta float64
+	*zipfTable
+}
+
+// zipfTable is the read-only part of a Zipf sampler, a pure function of
+// (n, theta).
+type zipfTable struct {
 	cdf   []float64
 	guide []int32 // 2^g+1 cut points; nil for n <= guideMinN
 	scale float64 // 2^g
@@ -189,12 +200,30 @@ const (
 	// guideMaxBits caps the guide at 2^16+1 entries (256 KiB).
 	guideMaxBits = 16
 	// parallelZipfMinN is the smallest domain whose 1/(i+1)^theta terms
-	// NewZipf computes on several goroutines.
+	// newZipfTable computes on several goroutines.
 	parallelZipfMinN = 32 << 10
 )
 
+// zipfKey names a table; theta is keyed by its bits, so every key equals
+// itself.
+type zipfKey struct {
+	n     int
+	theta uint64
+}
+
+// zipfTables maps each zipfKey to a weak.Pointer[zipfTable]. It holds no
+// table alive: a table is freed once no sampler references it, and a
+// cleanup then deletes its entry.
+var zipfTables sync.Map
+
 // NewZipf returns a Zipf sampler over [0, n) with exponent theta >= 0.
 // theta == 0 degenerates to uniform. It panics if n <= 0 or theta < 0.
+//
+// The sampler shares its table with every other reachable sampler of the
+// same (n, theta), so a table of n entries is built once while some
+// sampler holds it; none is kept once the last such sampler is
+// unreachable. Sharing changes no draw: the table is a pure function of
+// (n, theta), and each sampler draws from its own src.
 //
 // For n >= parallelZipfMinN the terms 1/(i+1)^theta are computed in
 // parallel chunks; each term is one independent math.Pow, and the prefix
@@ -207,22 +236,57 @@ func NewZipf(src *Source, n int, theta float64) *Zipf {
 	if theta < 0 {
 		panic("rng: NewZipf requires theta >= 0")
 	}
-	z := &Zipf{src: src, n: n, theta: theta, cdf: make([]float64, n)}
-	zipfTerms(z.cdf, theta)
+	return &Zipf{src: src, n: n, theta: theta, zipfTable: sharedZipfTable(n, theta)}
+}
+
+// sharedZipfTable returns the live table of (n, theta), building and
+// publishing one if there is none. Racing builders of one key settle on
+// the first table published.
+func sharedZipfTable(n int, theta float64) *zipfTable {
+	k := zipfKey{n, math.Float64bits(theta)}
+	if v, ok := zipfTables.Load(k); ok {
+		if t := v.(weak.Pointer[zipfTable]).Value(); t != nil {
+			return t
+		}
+	}
+	t := newZipfTable(n, theta)
+	wp := weak.Make(t)
+	for {
+		v, loaded := zipfTables.LoadOrStore(k, wp)
+		if !loaded {
+			break
+		}
+		if old := v.(weak.Pointer[zipfTable]).Value(); old != nil {
+			return old
+		}
+		// The entry's table is dead and its cleanup has not run yet.
+		if zipfTables.CompareAndSwap(k, v, wp) {
+			break
+		}
+	}
+	// A dead table's entry goes unless a newer table has replaced it.
+	runtime.AddCleanup(t, func(k zipfKey) { zipfTables.CompareAndDelete(k, wp) }, k)
+	return t
+}
+
+// newZipfTable builds the table of (n, theta).
+func newZipfTable(n int, theta float64) *zipfTable {
+	t := &zipfTable{cdf: make([]float64, n)}
+	zipfTerms(t.cdf, theta)
 	sum := 0.0
-	for i, t := range z.cdf {
-		sum += t
-		z.cdf[i] = sum
+	for i, c := range t.cdf {
+		sum += c
+		t.cdf[i] = sum
 	}
 	inv := 1 / sum
-	for i := range z.cdf {
-		z.cdf[i] *= inv
+	for i := range t.cdf {
+		t.cdf[i] *= inv
 	}
-	z.cdf[n-1] = 1 // guard against rounding
+	t.cdf[n-1] = 1 // guard against rounding
 	if n > guideMinN && n <= math.MaxInt32 {
-		z.buildGuide(min(bits.Len(uint(n-1)), guideMaxBits))
+		t.buildGuide(min(bits.Len(uint(n-1)), guideMaxBits))
 	}
-	return z
+	return t
 }
 
 // zipfTerms sets dst[i] = 1/(i+1)^theta, splitting large tables into one
@@ -252,14 +316,14 @@ func zipfTerms(dst []float64, theta float64) {
 
 // buildGuide fills the 2^bits+1 cut points in one pass over the cdf (see
 // Zipf for why they leave every draw unchanged).
-func (z *Zipf) buildGuide(bits int) {
+func (t *zipfTable) buildGuide(bits int) {
 	cuts := 1 << bits
-	z.scale = float64(cuts)
-	z.guide = make([]int32, cuts+1)
+	t.scale = float64(cuts)
+	t.guide = make([]int32, cuts+1)
 	k := 0
-	for i, c := range z.cdf {
-		for k <= cuts && !(c < float64(k)/z.scale) {
-			z.guide[k] = int32(i)
+	for i, c := range t.cdf {
+		for k <= cuts && !(c < float64(k)/t.scale) {
+			t.guide[k] = int32(i)
 			k++
 		}
 	}

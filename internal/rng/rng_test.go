@@ -3,8 +3,10 @@ package rng
 import (
 	"math"
 	"runtime"
+	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestDeterminism(t *testing.T) {
@@ -334,18 +336,108 @@ func TestZipfNextMatchesPlainSearch(t *testing.T) {
 
 // TestNewZipfParallelTable: the table built in parallel chunks equals the
 // sequential build bit for bit on both sides of the size threshold, with
-// more chunks than this host may have CPUs.
+// more chunks than this host may have CPUs. It calls the builder itself,
+// since NewZipf may return a table another test built.
 func TestNewZipfParallelTable(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	for _, n := range []int{parallelZipfMinN - 1, parallelZipfMinN, parallelZipfMinN + 1, 1 << 20} {
 		for _, theta := range zipfThetas {
-			got := NewZipf(New(1), n, theta).cdf
+			got := newZipfTable(n, theta).cdf
 			want := sequentialZipfCDF(n, theta)
 			for i := range want {
 				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
 					t.Fatalf("n=%d theta=%v: cdf[%d] = %v, sequential %v", n, theta, i, got[i], want[i])
 				}
 			}
+		}
+	}
+}
+
+// unsharedZipf is a sampler over a table of its own, built as NewZipf
+// builds one but never published.
+func unsharedZipf(seed uint64, n int, theta float64) *Zipf {
+	return &Zipf{src: New(seed), n: n, theta: theta, zipfTable: newZipfTable(n, theta)}
+}
+
+// checkSameDraws compares 2000 draws of z with those of want.
+func checkSameDraws(t *testing.T, z, want *Zipf) {
+	t.Helper()
+	for i := range 2000 {
+		if got, w := z.Next(), want.Next(); got != w {
+			t.Errorf("n=%d theta=%v draw %d: %d, unshared %d", z.n, z.theta, i, got, w)
+			return
+		}
+	}
+}
+
+// TestZipfSharesTable: a second sampler of one (n, theta) gets the table
+// of the first while that one is alive, another key gets its own, and
+// each sampler draws what an unshared build draws for its seed.
+func TestZipfSharesTable(t *testing.T) {
+	for _, n := range []int{65, parallelZipfMinN + 3} {
+		const theta = 0.65
+		a := NewZipf(New(3), n, theta)
+		b := NewZipf(New(4), n, theta)
+		if a.zipfTable != b.zipfTable {
+			t.Errorf("n=%d: two live samplers of one key hold two tables", n)
+		}
+		if c := NewZipf(New(3), n, theta+0.01); c.zipfTable == a.zipfTable {
+			t.Errorf("n=%d: theta %v and %v share a table", n, theta, theta+0.01)
+		}
+		if c := NewZipf(New(3), n+1, theta); c.zipfTable == a.zipfTable {
+			t.Errorf("n=%d and n=%d share a table", n, n+1)
+		}
+		checkSameDraws(t, a, unsharedZipf(3, n, theta))
+		checkSameDraws(t, b, unsharedZipf(4, n, theta))
+	}
+}
+
+// TestZipfTableReleased: the memo holds no table alive; once the last
+// sampler of a key is unreachable, a garbage collection frees its table
+// and the key's entry goes.
+func TestZipfTableReleased(t *testing.T) {
+	k := zipfKey{777, math.Float64bits(0.77)}
+	z := NewZipf(New(1), 777, 0.77)
+	if _, ok := zipfTables.Load(k); !ok {
+		t.Fatal("no memo entry while a sampler is alive")
+	}
+	runtime.KeepAlive(z)
+	z = nil
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		runtime.GC()
+		if _, ok := zipfTables.Load(k); !ok {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("memo entry still present 10s after its last sampler was dropped")
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestZipfConcurrentBuilders: samplers of one key made at once on several
+// goroutines settle on one table and draw what an unshared build draws.
+// Run it under -race.
+func TestZipfConcurrentBuilders(t *testing.T) {
+	const n, theta, workers = parallelZipfMinN + 7, 0.35, 8
+	zs := make([]*Zipf, workers)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := range zs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			zs[i] = NewZipf(New(uint64(i)), n, theta)
+			checkSameDraws(t, zs[i], unsharedZipf(uint64(i), n, theta))
+		}()
+	}
+	close(start)
+	wg.Wait()
+	for i, z := range zs {
+		if z.zipfTable != zs[0].zipfTable {
+			t.Errorf("sampler %d holds a different table from sampler 0", i)
 		}
 	}
 }
@@ -378,10 +470,11 @@ func TestGeometricSamplerMatchesFormula(t *testing.T) {
 	}
 }
 
-// BenchmarkNewZipf times MemBound's data table: 1M lines at theta 0.05.
+// BenchmarkNewZipf times a cold build of MemBound's data table: 1M lines
+// at theta 0.05.
 func BenchmarkNewZipf(b *testing.B) {
 	for b.Loop() {
-		NewZipf(New(1), 1<<20, 0.05)
+		newZipfTable(1<<20, 0.05)
 	}
 }
 

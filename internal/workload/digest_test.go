@@ -105,7 +105,9 @@ func readDigests(t *testing.T) map[string]string {
 // TestTraceDigests pins every generated byte: a change to the generator,
 // its samplers or the trace encoding that moves any trace fails here. It
 // runs once on one CPU and once at the default GOMAXPROCS, so parallel
-// generation must reproduce the sequential bytes.
+// generation must reproduce the sequential bytes. Each pass starts with a
+// collection that frees the Zipf tables the previous one built, so it
+// builds its own under its GOMAXPROCS.
 func TestTraceDigests(t *testing.T) {
 	want := readDigests(t)
 	cases := digestCases()
@@ -115,6 +117,7 @@ func TestTraceDigests(t *testing.T) {
 	for _, procs := range []int{1, runtime.GOMAXPROCS(0)} {
 		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			runtime.GC()
 			var got []string
 			for _, c := range cases {
 				sum := traceDigest(t, c.gen())

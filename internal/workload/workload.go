@@ -18,6 +18,12 @@
 // sum (the Zipf prefix sum and its normalisation) stays on one goroutine
 // in its sequential order, so no floating-point operation changes its
 // operands or its order.
+//
+// A Zipf table depends only on its (lines, θ), not on the seed, so
+// generators of one profile share one read-only copy while any of them
+// is alive (rng.NewZipf): two MemBound traces of different seeds made
+// back to back build its 1M-line data table once, not twice. No table
+// outlives its last generator.
 package workload
 
 import (

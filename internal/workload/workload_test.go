@@ -301,14 +301,36 @@ func BenchmarkLongTrace(b *testing.B) {
 }
 
 // BenchmarkGenerateMemBound times one of engine-membound's set-up traces:
-// 150k instructions over a 64 MiB working set (a 1M-line Zipf table).
+// 150k instructions over a 64 MiB working set. A generator of the same
+// profile stays alive throughout, so every trace draws from one shared
+// 1M-line Zipf table (its cold build is rng's BenchmarkNewZipf).
 func BenchmarkGenerateMemBound(b *testing.B) {
+	live := newGenerator(MemBound(), 1)
 	ops := 0
 	for b.Loop() {
 		ops++
 		Generate(MemBound(), 150000, 1000)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(ops*150000), "ns/inst")
+	runtime.KeepAlive(live)
+}
+
+// BenchmarkGenerateMemBoundPair times engine-membound's set-up: two
+// 150k-instruction MemBound traces of two seeds, back to back. A
+// collection before each pair, outside the timer, frees the previous
+// pair's Zipf table, so each pair builds it once and the second trace
+// shares it.
+func BenchmarkGenerateMemBoundPair(b *testing.B) {
+	ops := 0
+	for b.Loop() {
+		b.StopTimer()
+		runtime.GC()
+		b.StartTimer()
+		ops++
+		Generate(MemBound(), 150000, 1000)
+		Generate(MemBound(), 150000, 1001)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(ops*2*150000), "ns/inst")
 }
 
 // TestPhasedConcatenatesPhases: each phase is exactly the trace Generate
