@@ -16,43 +16,42 @@ import (
 
 // TestSweepdWorkerHelper is not a test: it is the external worker process
 // body for TestWorkerCrashResume, re-executing the test binary the way
-// `sweepd -worker -join <addr>` runs in production. It pulls leases over
-// HTTP until killed; LOWVCC_SWEEPD_FAULT="label|trace" arms a FaultExit
-// rule so the process dies (exit 3) mid-cell when it reaches that cell.
+// `sweepd -worker -join <addr>` runs in production: the worker loop over
+// an HTTP lease source, as Work runs it. It pulls leases until killed;
+// LOWVCC_SWEEPD_FAULT="label|trace" wraps the source in an exitSource, so
+// the process dies (exit 3) holding that cell's lease when it reaches it.
 func TestSweepdWorkerHelper(t *testing.T) {
 	if os.Getenv("LOWVCC_SWEEPD_WORKER") != "1" {
 		t.Skip("helper process for TestWorkerCrashResume")
 	}
-	join := os.Getenv("LOWVCC_SWEEPD_JOIN")
-	name := os.Getenv("LOWVCC_SWEEPD_NAME")
-	var plan *sim.FaultPlan
+	hs, err := newHTTPSource(os.Getenv("LOWVCC_SWEEPD_JOIN"))
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "helper: %v\n", err)
+		os.Exit(2)
+	}
+	var src CellSource = hs
 	if f := os.Getenv("LOWVCC_SWEEPD_FAULT"); f != "" {
 		label, trace, ok := strings.Cut(f, "|")
 		if !ok {
 			fmt.Fprintf(os.Stderr, "helper: bad fault spec %q\n", f)
 			os.Exit(2)
 		}
-		plan = sim.NewFaultPlan(sim.FaultRule{
-			Label: label, TraceName: trace, Window: -1,
-			Kind: sim.FaultExit, Times: 1,
-		})
+		src = &exitSource{CellSource: src, label: label, traceName: trace}
 	}
-	// Runs until the parent kills the process (clean workers) or the fault
-	// fires os.Exit (the victim).
-	if err := Work(context.Background(), join, WorkerOpts{
-		Name:   name,
-		Poll:   10 * time.Millisecond,
-		Faults: plan,
-	}); err != nil {
-		fmt.Fprintf(os.Stderr, "helper: %v\n", err)
-		os.Exit(2)
-	}
+	// Runs until the parent kills the process (clean workers) or the
+	// exitSource exits (the victim).
+	workLoop(context.Background(), src, WorkerOpts{
+		Name:       os.Getenv("LOWVCC_SWEEPD_NAME"),
+		Poll:       10 * time.Millisecond,
+		JournalDir: os.Getenv("LOWVCC_SWEEPD_SCRATCH"),
+	})
 }
 
 // spawnWorkerProc re-executes this test binary as an external worker
-// process joined to the daemon at base. fault, when non-empty, is
-// "label|trace" for a die-mid-cell FaultExit. The process is killed at
-// test cleanup if still running.
+// process joined to the daemon at base, with a scratch directory the test
+// removes. fault, when non-empty, is "label|trace" for a worker that dies
+// holding that cell's lease. The process is killed at test cleanup if
+// still running.
 func spawnWorkerProc(t *testing.T, base, name, fault string) (*exec.Cmd, *bytes.Buffer) {
 	t.Helper()
 	cmd := exec.Command(os.Args[0], "-test.run=TestSweepdWorkerHelper$", "-test.v")
@@ -61,6 +60,7 @@ func spawnWorkerProc(t *testing.T, base, name, fault string) (*exec.Cmd, *bytes.
 		"LOWVCC_SWEEPD_JOIN="+base,
 		"LOWVCC_SWEEPD_NAME="+name,
 		"LOWVCC_SWEEPD_FAULT="+fault,
+		"LOWVCC_SWEEPD_SCRATCH="+t.TempDir(),
 	)
 	var out bytes.Buffer
 	cmd.Stdout, cmd.Stderr = &out, &out
@@ -77,8 +77,8 @@ func spawnWorkerProc(t *testing.T, base, name, fault string) (*exec.Cmd, *bytes.
 }
 
 // TestWorkerCrashResume is the process-level resilience proof: an external
-// worker process is killed mid-cell (fault-injected os.Exit, same effect
-// as kill -9), its lease expires and the cell is reassigned, and a rescue
+// worker process dies holding a lease (an injected os.Exit just before it
+// reports the cell, same effect as kill -9), its lease expires and the cell is reassigned, and a rescue
 // fleet — sized 1, 2, and 4 across subtests — completes the sweep with no
 // lost or double-counted cells and a journal byte-identical to an
 // uninterrupted local run.
@@ -121,7 +121,7 @@ func TestWorkerCrashResume(t *testing.T) {
 				t.Fatalf("victim exited clean, want fault exit 3\n%s", vout)
 			}
 			if code := victim.ProcessState.ExitCode(); code != 3 {
-				t.Fatalf("victim exit code = %d, want 3 (FaultExit)\n%s", code, vout)
+				t.Fatalf("victim exit code = %d, want 3 (exitSource)\n%s", code, vout)
 			}
 			st, err := cl.Status(ctx, id)
 			if err != nil {

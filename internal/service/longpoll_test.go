@@ -10,8 +10,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"lowvcc/internal/sim"
 )
 
 // probeSource wraps a CellSource, signalling the first Acquire call and
@@ -200,11 +198,10 @@ func (c *countSource) Acquire(context.Context, string, time.Duration) (*Lease, e
 func TestZeroWaitSourceCostsOneAcquirePerPoll(t *testing.T) {
 	const poll = 50 * time.Millisecond
 	inner := &countSource{}
-	src := NewChaosSource(inner, sim.NewFaultPlan())
 	ctx, cancel := context.WithTimeout(context.Background(), 500*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	workLoop(ctx, src, WorkerOpts{Name: "idle", Poll: poll})
+	workLoop(ctx, inner, WorkerOpts{Name: "idle", Poll: poll})
 	elapsed := time.Since(start)
 	calls := inner.calls.Load()
 	if max := int64(elapsed/poll) + 1; calls > max {

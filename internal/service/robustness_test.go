@@ -13,8 +13,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"lowvcc/internal/sim"
 )
 
 // fakeClock drives the scheduler's time hook deterministically.
@@ -47,16 +45,16 @@ func setNow(s *Scheduler, fn func() time.Time) {
 
 // pushDownWorkers starts n worker loops with private scratch directories
 // that upload sealed bytes in Complete — the no-shared-FS arrangement —
-// optionally through a chaos wrapper. Returns a stop func.
-func pushDownWorkers(t *testing.T, s *Scheduler, n int, plan *sim.FaultPlan) (stop func()) {
+// over src, a fault-injecting wrapper of schedSource{s} that the loops
+// share, or schedSource{s} itself when src is nil. Returns a stop func.
+func pushDownWorkers(t *testing.T, s *Scheduler, n int, src CellSource) (stop func()) {
 	t.Helper()
+	if src == nil {
+		src = schedSource{s}
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
-		var src CellSource = schedSource{s}
-		if plan != nil {
-			src = NewChaosSource(src, plan)
-		}
 		opts := WorkerOpts{
 			Name:       fmt.Sprintf("remote/%d", i),
 			Poll:       5 * time.Millisecond,
@@ -351,12 +349,12 @@ func TestChaosDropDupAcquire(t *testing.T) {
 	// Short TTL so orphaned leases (dropped Acquire) requeue quickly.
 	s := newTestScheduler(t, SchedulerOpts{JournalDir: dir, LeaseTTL: 300 * time.Millisecond})
 
-	plan := sim.NewFaultPlan(
-		sim.FaultRule{Op: "acquire", Kind: sim.FaultNetDrop, Times: 1},
-		sim.FaultRule{Op: "complete", Kind: sim.FaultNetDrop, Times: 2},
-		sim.FaultRule{Op: "complete", Kind: sim.FaultNetDup, Times: 2},
+	chaos := NewChaosSource(schedSource{s},
+		NetFault{Op: "acquire", Kind: NetDrop, Times: 1},
+		NetFault{Op: "complete", Kind: NetDrop, Times: 2},
+		NetFault{Op: "complete", Kind: NetDup, Times: 2},
 	)
-	stop := pushDownWorkers(t, s, 2, plan)
+	stop := pushDownWorkers(t, s, 2, chaos)
 	defer stop()
 
 	id, err := s.Submit(spec)
@@ -386,19 +384,19 @@ func TestChaosDropDupAcquire(t *testing.T) {
 	assertJournalsEqual(t, ref, dir, "chaos drop/dup")
 }
 
-// TestChaosSeverPartition: severing one cell's link mid-lease partitions
-// that worker until it abandons the cell; the lease expires, the cell
-// requeues and the sweep still ends done and byte-identical.
+// TestChaosSeverPartition: severing one lease's link as it is granted
+// partitions that worker from the lease (its heartbeats and Completes
+// fail) until it abandons the cell; the lease expires, the cell requeues
+// and the sweep still ends done and byte-identical. The sever fires on
+// Acquire because these cells finish before their first heartbeat.
 func TestChaosSeverPartition(t *testing.T) {
 	spec := testSpec()
 	ref := localReferenceJournal(t, spec)
 	dir := t.TempDir()
 	s := newTestScheduler(t, SchedulerOpts{JournalDir: dir, LeaseTTL: 200 * time.Millisecond})
 
-	plan := sim.NewFaultPlan(
-		sim.FaultRule{Op: "heartbeat", Kind: sim.FaultNetSever, Times: 1},
-	)
-	stop := pushDownWorkers(t, s, 2, plan)
+	chaos := NewChaosSource(schedSource{s}, NetFault{Op: "acquire", Kind: NetSever, Times: 1})
+	stop := pushDownWorkers(t, s, 2, chaos)
 	defer stop()
 
 	id, err := s.Submit(spec)
@@ -408,6 +406,18 @@ func TestChaosSeverPartition(t *testing.T) {
 	st := waitStatus(t, s, id, 60*time.Second)
 	if st.State != "done" || st.Done != cellCount(spec) {
 		t.Fatalf("partitioned sweep = %+v, want done with all %d cells", st, cellCount(spec))
+	}
+	chaos.mu.Lock()
+	fired := chaos.fired[0]
+	chaos.mu.Unlock()
+	s.mu.Lock()
+	charged := 0
+	for _, n := range s.sweeps[id].attempts {
+		charged += n
+	}
+	s.mu.Unlock()
+	if fired != 1 || charged == 0 {
+		t.Fatalf("sever fired %d times and %d attempts were charged, want 1 and at least 1", fired, charged)
 	}
 	assertJournalsEqual(t, ref, dir, "chaos sever")
 }
@@ -484,24 +494,18 @@ func TestInProcessJournalBudget(t *testing.T) {
 	}
 }
 
-// TestInProcessTornWrite: an in-process slot whose private journal write
-// tears uploads nothing valid. The daemon charges exactly that one attempt,
-// the requeued cell re-simulates, and the sweep still ends done and
-// byte-identical to a local run.
+// TestInProcessTornWrite: an in-process slot (workLoop over schedSource,
+// what RunWorkers runs) whose sealed upload tears uploads nothing valid.
+// The daemon charges exactly that one attempt, the requeued cell
+// re-simulates, and the sweep still ends done and byte-identical to a
+// local run.
 func TestInProcessTornWrite(t *testing.T) {
 	spec := testSpec()
 	ref := localReferenceJournal(t, spec)
 	dir := t.TempDir()
-	srv, _, err := NewServer(ServerOpts{
-		SchedulerOpts: SchedulerOpts{JournalDir: dir, LeaseTTL: time.Second},
-		Workers:       2,
-		Worker:        WorkerOpts{Faults: sim.NewFaultPlan(sim.FaultRule{Kind: sim.FaultTruncateJournal, Times: 1})},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Drain(context.Background())
-	s := srv.Scheduler()
+	s := newTestScheduler(t, SchedulerOpts{JournalDir: dir, LeaseTTL: time.Second})
+	stop := pushDownWorkers(t, s, 2, &tearSource{CellSource: schedSource{s}})
+	defer stop()
 	id, err := s.Submit(spec)
 	if err != nil {
 		t.Fatal(err)

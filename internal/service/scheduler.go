@@ -143,7 +143,7 @@ const completedRing = 4096
 // source (From), the scheduler leases only the unjournaled cells that have
 // none and seals the others from their source's entry (see the package
 // doc). A follower is never leased, counts as queued until sealed, and
-// fails with its leader; a worker's FaultPlan rules never fire on it, so
+// fails with its leader; a CellSource wrapper never sees it, so
 // fault-injection tests target leaders.
 type Scheduler struct {
 	opts SchedulerOpts
@@ -233,7 +233,7 @@ func expandSpec(id string, spec sim.SweepSpec, jnl *journal.Journal) ([]Cell, []
 	levels := spec.Levels()
 	r := spec.NewRunner()
 	points := r.SweepPoints(spec.Traces(), modes, levels)
-	plan, err := r.NewKeyer().Plan(points, jnl, nil)
+	plan, err := r.NewKeyer().Plan(points, jnl)
 	if err != nil {
 		return nil, nil, fmt.Errorf("service: planning %s: %w", id, err)
 	}

@@ -28,8 +28,8 @@
 // follower's event is marked Derived and follows the leader's. A leader
 // that exhausts its attempts fails its followers under their own
 // identity, and a group with a member already journaled derives the rest
-// at Submit. Followers are never leased, so a worker's FaultPlan rules
-// never fire on them: fault-injection and chaos tests target leaders.
+// at Submit. Followers are never leased, so a test that injects faults
+// through a CellSource wrapper targets leaders.
 //
 // Results reach the daemon one way. Every worker seals its result in
 // memory (journal.Seal) and uploads the sealed entry bytes in the

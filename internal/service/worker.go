@@ -68,10 +68,6 @@ type WorkerOpts struct {
 	Retries      int
 	RetryBackoff time.Duration
 
-	// Faults forwards a fault-injection plan to the Runner (tests and the
-	// crash-recovery smoke script only).
-	Faults *sim.FaultPlan
-
 	// JournalDir is the worker's scratch directory: its ckpt/
 	// subdirectory holds the warm-state checkpoint store. Results never
 	// land in it — each cell's sealed entry is built in memory and
@@ -233,7 +229,6 @@ func executeCell(ctx context.Context, lease *Lease, opts WorkerOpts) ([]byte, er
 	}
 	r.PointTimeout = opts.CellTimeout
 	r.Retries, r.RetryBackoff = opts.Retries, opts.RetryBackoff
-	r.Faults = opts.Faults
 
 	key, err := r.CellKey(cfg, tr)
 	if err != nil {
@@ -246,15 +241,7 @@ func executeCell(ctx context.Context, lease *Lease, opts WorkerOpts) ([]byte, er
 	if err != nil {
 		return nil, err
 	}
-	entry, err := journal.Seal(&journal.Entry{Key: c.Key, Windows: u.Windows, Result: u.Result})
-	if err != nil {
-		return nil, err
-	}
-	if opts.Faults.TakeJournal(c.Label, c.TraceName) != nil {
-		// Injected torn write, cut where journal.PutTruncated(e, -1) cuts.
-		entry = entry[:len(entry)/2]
-	}
-	return entry, nil
+	return journal.Seal(&journal.Entry{Key: c.Key, Windows: u.Windows, Result: u.Result})
 }
 
 // RunWorkers starts n in-process worker slots against the scheduler and

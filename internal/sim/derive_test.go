@@ -148,27 +148,3 @@ func TestDeriveFromJournaledSibling(t *testing.T) {
 		t.Fatalf("derived cell not journaled under its own key (replayed %v)", u.Replayed)
 	}
 }
-
-// TestFaultTargetedCellsNeverGroup: a cell a fault rule can match is
-// simulated on its own, so an injected failure lands on that cell alone —
-// on the would-be leader or the would-be follower of a group alike.
-func TestFaultTargetedCellsNeverGroup(t *testing.T) {
-	tr := workload.Generate(workload.Office(), 2000, 4)
-	var specs []PointSpec
-	for _, mode := range []circuit.Mode{circuit.ModeBaseline, circuit.ModeIRAW} {
-		specs = append(specs, PointSpec{Label: SweepLabel(600, mode), Cfg: core.DefaultConfig(600, mode), Traces: []*trace.Trace{tr}})
-	}
-	for target := range specs {
-		r := &Runner{AllowPartial: true, Faults: NewFaultPlan(FaultRule{Label: specs[target].Label, Window: -1, Kind: FaultError})}
-		got := streamAll(t, r, specs)
-		for p := range specs {
-			u := got[p][0]
-			switch {
-			case p == target && u.Err == nil:
-				t.Errorf("target %s: the injected fault did not fail it", specs[p].Label)
-			case p != target && (u.Err != nil || u.Derived != ""):
-				t.Errorf("target %s: %s failed (%v) or derived (%q); want it simulated on its own", specs[target].Label, specs[p].Label, u.Err, u.Derived)
-			}
-		}
-	}
-}

@@ -54,8 +54,8 @@ func randomPlanSpecs(src *rng.Source) []PointSpec {
 // FuzzPlan checks Keyer.Plan against its definition, computed by brute
 // force: a cell's From is the lowest-index journaled cell of its Group,
 // else the lowest-index cell of its Group, and -1 when that is the cell
-// itself, when the cell is journaled, or when it joins no group (a fault
-// rule targets it or its config does not validate).
+// itself, when the cell is journaled, or when it joins no group (its
+// config does not validate).
 func FuzzPlan(f *testing.F) {
 	for seed := uint64(0); seed < 32; seed++ {
 		f.Add(seed)
@@ -64,20 +64,11 @@ func FuzzPlan(f *testing.F) {
 		src := rng.New(seed)
 		specs := randomPlanSpecs(src)
 		type ref struct {
-			g                   Group
-			plan                circuit.ClockPlan
-			journaled, targeted bool
+			g         Group
+			plan      circuit.ClockPlan
+			journaled bool
 		}
 		var cells []ref
-		var rules []FaultRule
-		for p := range specs {
-			for _, tr := range specs[p].Traces {
-				if src.Bool(0.2) {
-					rules = append(rules, FaultRule{Label: specs[p].Label, TraceName: tr.Name, Window: -1, Kind: FaultError})
-				}
-			}
-		}
-		faults := NewFaultPlan(rules...)
 		var jnl *journal.Journal
 		if seed%4 != 0 {
 			var err error
@@ -94,7 +85,7 @@ func FuzzPlan(f *testing.F) {
 		for p := range specs {
 			for _, tr := range specs[p].Traces {
 				g, plan := keys.Group(specs[p].Cfg, tr)
-				cells = append(cells, ref{g: g, plan: plan, targeted: faults.targets(specs[p].Label, tr.Name)})
+				cells = append(cells, ref{g: g, plan: plan})
 				key, err := keys.CellKey(specs[p].Cfg, tr)
 				if err != nil {
 					t.Fatal(err)
@@ -112,29 +103,28 @@ func FuzzPlan(f *testing.F) {
 			cells[i].journaled = put[cellKeys[i]]
 		}
 
-		got, err := (&Runner{}).NewKeyer().Plan(specs, jnl, faults)
+		got, err := (&Runner{}).NewKeyer().Plan(specs, jnl)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(got) != len(cells) {
 			t.Fatalf("%d planned cells, want %d", len(got), len(cells))
 		}
-		grouped := func(j int) bool { return cells[j].g.Valid() && !cells[j].targeted }
 		i := 0
 		for p := range specs {
 			for ti, tr := range specs[p].Traces {
 				pc, c := got[i], cells[i]
 				want := -1
-				if grouped(i) && !c.journaled {
+				if c.g.Valid() && !c.journaled {
 					lead := -1
 					for j := range cells {
-						if grouped(j) && cells[j].g == c.g && cells[j].journaled {
+						if cells[j].g == c.g && cells[j].journaled {
 							lead = j
 							break
 						}
 					}
 					for j := 0; lead < 0 && j < len(cells); j++ {
-						if grouped(j) && cells[j].g == c.g {
+						if cells[j].g == c.g {
 							lead = j
 						}
 					}
@@ -157,11 +147,6 @@ func FuzzPlan(f *testing.F) {
 					t.Fatalf("cell %d: key %q, want %q", i, pc.Key, wantKey)
 				}
 				i++
-			}
-		}
-		for i, pc := range got {
-			if pc.From >= 0 && (cells[pc.From].targeted || cells[i].targeted) {
-				t.Fatalf("cell %d takes cell %d's result across a fault-targeted cell", i, pc.From)
 			}
 		}
 	})

@@ -32,9 +32,9 @@ func TestPanicIsolationStrict(t *testing.T) {
 	victim := specs[1] // baseline @ 400mV
 	plan := NewFaultPlan(FaultRule{
 		Label: victim.Label, TraceName: victim.Traces[0].Name,
-		Window: -1, Kind: FaultPanic, Times: 1,
+		Kind: FaultPanic, Times: 1,
 	})
-	r := &Runner{Workers: 2, Faults: plan}
+	r := &Runner{Workers: 2, inject: plan}
 	_, err := r.Sweep(context.Background(), traces, streamModes, streamLevels)
 	var ce *CellError
 	if !errors.As(err, &ce) {
@@ -67,9 +67,9 @@ func TestPanicIsolationPartial(t *testing.T) {
 	victim := specs[2] // iraw @ 500mV
 	plan := NewFaultPlan(FaultRule{
 		Label: victim.Label, TraceName: victim.Traces[0].Name,
-		Window: -1, Kind: FaultPanic, Times: 1,
+		Kind: FaultPanic, Times: 1,
 	})
-	r := &Runner{Workers: 2, Faults: plan, AllowPartial: true}
+	r := &Runner{Workers: 2, inject: plan, AllowPartial: true}
 	grid, err := r.Sweep(context.Background(), traces, streamModes, streamLevels)
 	var pe *PartialError
 	if !errors.As(err, &pe) {
@@ -101,8 +101,8 @@ func TestPanicIsolationPartial(t *testing.T) {
 // operating point — in (point, trace) order.
 func TestSweepPartialErrorCountsCells(t *testing.T) {
 	traces := resilienceSuite().Traces()
-	plan := NewFaultPlan(FaultRule{TraceName: traces[1].Name, Window: -1, Kind: FaultError})
-	r := &Runner{Workers: 2, Faults: plan, AllowPartial: true}
+	plan := NewFaultPlan(FaultRule{TraceName: traces[1].Name, Kind: FaultError})
+	r := &Runner{Workers: 2, inject: plan, AllowPartial: true}
 	grid, err := r.Sweep(context.Background(), traces, streamModes, streamLevels)
 	var pe *PartialError
 	if !errors.As(err, &pe) {
@@ -140,8 +140,8 @@ func TestRetryTransient(t *testing.T) {
 	}
 
 	// Two injected transient failures, two retries: attempt 3 succeeds.
-	plan := NewFaultPlan(FaultRule{Window: -1, Kind: FaultTransient, Times: 2})
-	healed, _, err := (&Runner{Workers: 1, Faults: plan, Retries: 2}).
+	plan := NewFaultPlan(FaultRule{Kind: FaultTransient, Times: 2})
+	healed, _, err := (&Runner{Workers: 1, inject: plan, Retries: 2}).
 		RunPoint(context.Background(), cfg, traces)
 	if err != nil {
 		t.Fatalf("healed run failed: %v", err)
@@ -151,8 +151,8 @@ func TestRetryTransient(t *testing.T) {
 	}
 
 	// Unlimited transient failures exhaust the budget: Retries+1 attempts.
-	plan = NewFaultPlan(FaultRule{Window: -1, Kind: FaultTransient})
-	_, _, err = (&Runner{Workers: 1, Faults: plan, Retries: 2}).
+	plan = NewFaultPlan(FaultRule{Kind: FaultTransient})
+	_, _, err = (&Runner{Workers: 1, inject: plan, Retries: 2}).
 		RunPoint(context.Background(), cfg, traces)
 	var ce *CellError
 	if !errors.As(err, &ce) || ce.Attempts != 3 {
@@ -163,16 +163,16 @@ func TestRetryTransient(t *testing.T) {
 	}
 
 	// Zero budget: permanent on the first transient failure.
-	plan = NewFaultPlan(FaultRule{Window: -1, Kind: FaultTransient, Times: 1})
-	_, _, err = (&Runner{Workers: 1, Faults: plan}).
+	plan = NewFaultPlan(FaultRule{Kind: FaultTransient, Times: 1})
+	_, _, err = (&Runner{Workers: 1, inject: plan}).
 		RunPoint(context.Background(), cfg, traces)
 	if !errors.As(err, &ce) || ce.Attempts != 1 {
 		t.Fatalf("err = %v, want a first-attempt *CellError with Retries=0", err)
 	}
 
 	// Permanent faults never consume retries.
-	plan = NewFaultPlan(FaultRule{Window: -1, Kind: FaultError, Times: 1})
-	_, _, err = (&Runner{Workers: 1, Faults: plan, Retries: 5}).
+	plan = NewFaultPlan(FaultRule{Kind: FaultError, Times: 1})
+	_, _, err = (&Runner{Workers: 1, inject: plan, Retries: 5}).
 		RunPoint(context.Background(), cfg, traces)
 	if !errors.As(err, &ce) || ce.Attempts != 1 {
 		t.Fatalf("err = %v, want a permanent failure on attempt 1 despite retries", err)
@@ -281,7 +281,7 @@ func TestTruncatedJournalWriteResimulates(t *testing.T) {
 	}
 
 	plan := NewFaultPlan(FaultRule{TraceName: traces[0].Name, Kind: FaultTruncateJournal, Times: 1})
-	if _, _, err := (&Runner{Workers: 2, JournalDir: dir, Faults: plan}).
+	if _, _, err := (&Runner{Workers: 2, JournalDir: dir, inject: plan}).
 		RunPoint(context.Background(), cfg, traces); err != nil {
 		t.Fatal(err)
 	}
@@ -320,9 +320,9 @@ func TestCrashResumeHelper(t *testing.T) {
 	last := specs[len(specs)-1]
 	plan := NewFaultPlan(FaultRule{
 		Label: last.Label, TraceName: last.Traces[len(last.Traces)-1].Name,
-		Window: -1, Kind: FaultExit, Times: 1,
+		Kind: FaultExit, Times: 1,
 	})
-	r := &Runner{Workers: workers, JournalDir: os.Getenv("LOWVCC_CRASH_JOURNAL"), Faults: plan}
+	r := &Runner{Workers: workers, JournalDir: os.Getenv("LOWVCC_CRASH_JOURNAL"), inject: plan}
 	_, _ = r.Sweep(context.Background(), traces, streamModes, streamLevels)
 	// The fault must have killed the process above; exiting 0 tells the
 	// parent it never fired.
@@ -420,8 +420,8 @@ func TestStreamLevelsPartialRows(t *testing.T) {
 	traces := resilienceSuite().Traces()
 	specs := (&Runner{}).SweepPoints(traces, streamModes, streamLevels)
 	victim := specs[1] // baseline @ 400mV
-	plan := NewFaultPlan(FaultRule{Label: victim.Label, Window: -1, Kind: FaultError})
-	r := &Runner{Workers: 2, Faults: plan, AllowPartial: true}
+	plan := NewFaultPlan(FaultRule{Label: victim.Label, Kind: FaultError})
+	r := &Runner{Workers: 2, inject: plan, AllowPartial: true}
 
 	type row struct {
 		pts   int
@@ -459,8 +459,8 @@ func TestRunPointPartialSlots(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan := NewFaultPlan(FaultRule{TraceName: traces[1].Name, Window: -1, Kind: FaultError})
-	results, agg, err := (&Runner{Workers: 2, Faults: plan, AllowPartial: true}).
+	plan := NewFaultPlan(FaultRule{TraceName: traces[1].Name, Kind: FaultError})
+	results, agg, err := (&Runner{Workers: 2, inject: plan, AllowPartial: true}).
 		RunPoint(context.Background(), cfg, traces)
 	var pe *PartialError
 	if !errors.As(err, &pe) || len(pe.Cells) != 1 || pe.Cells[0].Trace != 1 {

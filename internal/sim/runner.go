@@ -55,9 +55,9 @@ type Runner struct {
 	// shard every trace longer than WindowInsts into deterministic sample
 	// windows of that many measured instructions (trace.Shard), each
 	// preceded by a WarmInsts warm-up prefix that executes unmeasured.
-	// Sharded cells run each window as one pass on a fresh (Reset) core
-	// and stitch with core.MergeWindowResults; traces at or under the
-	// window size keep the exact unsharded warm-up + measure methodology.
+	// Sharded cells run each window as one pass on a fresh core and
+	// stitch with core.MergeWindowResults; traces at or under the window
+	// size keep the exact unsharded warm-up + measure methodology.
 	// 0 (the default) selects automatic windowing: traces of at least
 	// autoWindowThreshold instructions shard into autoWindowCount windows,
 	// shorter traces run unsharded. Negative values disable sharding
@@ -112,10 +112,6 @@ type Runner struct {
 	// completed results alongside a *PartialError listing the failed cells.
 	AllowPartial bool
 
-	// Faults, when non-nil, deterministically injects failures for tests
-	// (see FaultPlan). Production runners leave it nil.
-	Faults *FaultPlan
-
 	// CkptStore, when non-nil, is the warm-state checkpoint store sharded
 	// functional warm-up prefixes restore from and capture into
 	// (internal/ckpt) — the explicit hook for benchmarks and tests that
@@ -140,6 +136,19 @@ type Runner struct {
 	// ckptOnce/ckptMemo memoize the resolved store for CkptDir/JournalDir.
 	ckptOnce sync.Once
 	ckptMemo *ckpt.Store
+
+	// inject is the fault-injection seam; only this package's tests set it.
+	inject injector
+}
+
+// injector injects faults into a run. window is called at the top of
+// every window attempt, inside its recover scope, so a panic, a returned
+// error or os.Exit there takes the real isolation, retry and crash paths.
+// tear reports whether a simulated cell's journal entry is written torn
+// (journal.PutTruncated) instead of whole.
+type injector interface {
+	window(label, traceName string, win int) error
+	tear(label, traceName string) bool
 }
 
 // WithWindow configures sharded long-trace execution (windowInsts measured

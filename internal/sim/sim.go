@@ -53,11 +53,12 @@
 // its own key and is emitted right after it, with PointUpdate.Derived
 // naming the source. If a member of the group replays from the journal,
 // the others derive from that entry and nothing simulates. A leader's
-// failure is each follower's, under the follower's own identity. A cell
-// that a FaultPlan rule can match joins no group. RunCell runs one cell
-// and so never derives. The sweep daemon leases only each group's leader
-// and journals the other members itself once the leader's upload is
-// admitted.
+// failure is each follower's, under the follower's own identity, so a
+// test that injects a fault (through the runner's unexported seam, or a
+// sweep-service CellSource wrapper) targets a group's leader. RunCell runs
+// one cell and so never derives. The sweep daemon leases only each
+// group's leader and journals the other members itself once the leader's
+// upload is admitted.
 //
 // In partial mode runPoints returns a *PartialError whose Total counts
 // cells and whose Cells list every failure in (point, trace) order, while
@@ -100,8 +101,9 @@
 //   - the shard plan is a pure function of (trace length, WindowInsts,
 //     WarmInsts) via Runner.planFor — never of worker count, scheduling or
 //     wall clock;
-//   - each window simulates a fixed instruction span on a Reset core, so a
-//     window's Result depends only on (config, trace bytes, plan);
+//   - each window simulates a fixed instruction span on a fresh core
+//     (core.New), so a window's Result depends only on (config, trace
+//     bytes, plan);
 //   - stitching always happens in window order, triggered by whichever
 //     worker finishes the cell's last window;
 //   - traces at or under the window size — and all traces when windowing
@@ -139,15 +141,15 @@
 //   - Isolation. Each window job runs under recover(): a panic is
 //     converted into a typed *CellError carrying the cell's (mode, vcc,
 //     trace) identity, the failing window, the attempt count and the
-//     recovered stack, instead of killing the process. A worker whose
-//     core panicked or aborted drops its cached Core (Reset is
-//     bit-identical to fresh construction, so dropping is always safe).
+//     recovered stack, instead of killing the process. Every attempt
+//     builds its own Core, so a panicked or aborted one leaves nothing
+//     behind for the next.
 //
 //   - Retry. Failures that mark themselves retryable via a
-//     `Transient() bool` method (per-point timeouts, injected transient
-//     faults) re-execute up to Runner.Retries times with exponential
-//     backoff (Runner.RetryBackoff), re-arming the cell's wall-clock
-//     budget per attempt. Permanent failures never retry. A cell that
+//     `Transient() bool` method (per-point timeouts, and the transient
+//     faults tests inject) re-execute up to Runner.Retries times with
+//     exponential backoff (Runner.RetryBackoff), re-arming the cell's
+//     wall-clock budget per attempt. Permanent failures never retry. A cell that
 //     exhausts its retries fails with Attempts recorded — reported, not
 //     silently dropped.
 //

@@ -125,8 +125,9 @@ func (cl *cell) firstErr() error {
 // configurations share a core.EngineKey are simulated once, and each other
 // member takes the Result of the cell its plan names (From) by
 // core.Result.Replan and carries that cell's label in Derived. Derived
-// results are bit-identical to simulated ones; a cell targeted by a
-// FaultPlan rule is always simulated itself.
+// results are bit-identical to simulated ones. Only simulated cells run
+// windows and write their own entries, so a test that injects faults
+// through the runner's seam targets a group's leader.
 //
 // Consumers must drain the channel until it closes; abandoning it
 // mid-stream requires cancelling ctx (the producer drops sends once ctx is
@@ -291,10 +292,12 @@ func (c PlannedCell) Derive(src *journal.Entry) *journal.Entry {
 // scheduler share. Cells of one Group simulate identical cycles, so only
 // one member needs a Result: the lowest-index member the journal holds,
 // else the lowest-index member. Every other member takes that Result
-// (From). Journaled cells replay. A cell that a faults rule targets, or
-// whose config does not validate, joins no group, so it simulates or
-// replays by itself. Without a journal no cell is keyed or replayed.
-func (k *Keyer) Plan(specs []PointSpec, jnl *journal.Journal, faults *FaultPlan) ([]PlannedCell, error) {
+// (From). Journaled cells replay. A cell whose config does not validate
+// joins no group, so it simulates or replays by itself. Without a journal
+// no cell is keyed or replayed. A fault a test injects (through the
+// runner's seam or a sweep-service CellSource wrapper) lands only on a
+// cell that simulates, so such a test targets a group's leader.
+func (k *Keyer) Plan(specs []PointSpec, jnl *journal.Journal) ([]PlannedCell, error) {
 	var cells []PlannedCell
 	var groups []Group
 	lead := make(map[Group]int) // the member the rest of the group takes from
@@ -302,9 +305,6 @@ func (k *Keyer) Plan(specs []PointSpec, jnl *journal.Journal, faults *FaultPlan)
 		for ti, tr := range specs[p].Traces {
 			g, plan := k.Group(specs[p].Cfg, tr)
 			c := PlannedCell{Point: p, Trace: ti, Plan: plan, From: -1}
-			if faults.targets(specs[p].Label, tr.Name) {
-				g = Group{}
-			}
 			if jnl != nil {
 				key, err := k.CellKey(specs[p].Cfg, tr)
 				if err != nil {
@@ -413,7 +413,7 @@ func (r *Runner) stream(ctx context.Context, specs []PointSpec, ch chan<- PointU
 		win  int
 	}
 	keys := r.NewKeyer()
-	planned, err := keys.Plan(specs, jnl, r.Faults)
+	planned, err := keys.Plan(specs, jnl)
 	if err != nil {
 		emit(PointUpdate{Point: -1, Trace: -1, Err: err})
 		return
@@ -521,7 +521,7 @@ func (r *Runner) stream(ctx context.Context, specs []PointSpec, ch chan<- PointU
 		res := core.MergeWindowResults(cl.name, cl.results)
 		e := &journal.Entry{Key: cl.Key, Windows: len(cl.windows), Result: res}
 		if jnl != nil {
-			if f := r.Faults.TakeJournal(spec.Label, cl.name); f != nil {
+			if r.inject != nil && r.inject.tear(spec.Label, cl.name) {
 				_ = jnl.PutTruncated(e, -1)
 			} else {
 				// A failed write is not a cell failure: the journal is a
@@ -569,7 +569,7 @@ func (r *Runner) stream(ctx context.Context, specs []PointSpec, ch chan<- PointU
 }
 
 // runWindowAttempts executes one window with the runner's bounded-retry
-// policy: transient failures (timeouts, injected transients) retry up to
+// policy: transient failures (IsTransient: per-point timeouts) retry up to
 // r.Retries times with exponential backoff, re-arming the cell's
 // wall-clock budget per attempt; permanent failures and exhausted retries
 // return a *CellError carrying the cell identity, attempt count and — for
@@ -645,12 +645,9 @@ func (r *Runner) runWindowOnce(ctx context.Context, spec *PointSpec, cl *cell, w
 		}
 	}()
 
-	// Fault injection (test/dev only): deterministic panics, delays,
-	// transient and permanent errors, process death — inside the recover
-	// scope, so injected panics exercise the real isolation path.
-	if f := r.Faults.takeWindow(spec.Label, cl.name, winIdx); f != nil {
-		if ierr := f.apply(spec.Label, cl.name, winIdx); ierr != nil {
-			return ierr
+	if r.inject != nil {
+		if err := r.inject.window(spec.Label, cl.name, winIdx); err != nil {
+			return err
 		}
 	}
 

@@ -286,8 +286,8 @@ func foldAll(t *testing.T, modes []circuit.Mode, levels []circuit.Millivolts, tr
 func TestLevelFoldOrderIndependent(t *testing.T) {
 	traces := resilienceSuite().Traces()
 	specs := (&Runner{}).SweepPoints(traces, streamModes, streamLevels)
-	plan := NewFaultPlan(FaultRule{Label: specs[1].Label, TraceName: traces[2].Name, Window: -1, Kind: FaultError})
-	r := &Runner{Workers: 2, Faults: plan, AllowPartial: true}
+	plan := NewFaultPlan(FaultRule{Label: specs[1].Label, TraceName: traces[2].Name, Kind: FaultError})
+	r := &Runner{Workers: 2, inject: plan, AllowPartial: true}
 	var updates []PointUpdate
 	for u := range r.Stream(context.Background(), specs) {
 		updates = append(updates, u)
