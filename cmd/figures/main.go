@@ -30,12 +30,11 @@
 //
 // Use -insts/-seeds to scale the workload and -csv for CSV output. -width
 // re-runs any figure on a wider (or scalar) core; the width ablation table
-// sweeps widths itself and ignores it. With -server the grid's
-// standard-suite points (the default core at some design, voltage and
-// width) run on a sweepd daemon as the fewest sweeps that cover exactly
-// them, and the variant points (forced N, IQ, STable and predictor
-// variants, IRAW + faulty bits, rescheduled traces) run locally; the
-// output is byte-identical to a local run. The run flags (-workers,
+// sweeps widths itself and ignores it. With -server the whole grid, variant
+// points (forced N, IQ, STable and predictor variants, IRAW + faulty bits,
+// rescheduled traces) included, runs on a sweepd daemon as one sweep of
+// explicit points (sim.Grid.Spec); the output is byte-identical to a
+// local run. The run flags (-workers,
 // -window, -warm, -ckpt, -journal, -retries, ...) are the ones every
 // simulating command shares, registered by sim.Runner.RegisterFlags.
 package main
@@ -97,9 +96,9 @@ func run(args []string, out io.Writer) error {
 	seeds := fs.Int("seeds", 2, "traces per workload class")
 	mv := fs.Int("mv", 575, "voltage for the breakdown statistic")
 	csv := fs.Bool("csv", false, "emit CSV instead of aligned text")
-	server := fs.String("server", "", "simulate the standard-suite points on a sweepd daemon at this address; variant points still run locally")
+	server := fs.String("server", "", "simulate the whole grid on a sweepd daemon at this address")
 	fs.Parse(args) // ExitOnError: a bad flag exits with status 2
-	spec := sim.SuiteSpec{InstsPerTrace: *insts, SeedsPerProfile: *seeds}
+	spec := sim.SweepSpec{InstsPerTrace: *insts, SeedsPerProfile: *seeds, WindowInsts: r.WindowInsts, WarmInsts: r.WarmInsts}
 	g := &gen{r: r, out: out, csv: *csv, spec: spec, suite: sync.OnceValue(spec.Traces),
 		breakdownMV: circuit.Millivolts(*mv), server: *server}
 	return g.run(*fig)
@@ -109,26 +108,26 @@ type gen struct {
 	r           *sim.Runner
 	out         io.Writer
 	csv         bool
-	spec        sim.SuiteSpec
+	spec        sim.SweepSpec // the suite and windowing the grid's sweep runs
 	breakdownMV circuit.Millivolts
 	suite       func() []*trace.Trace // materialized on first use
 
-	// server, when non-empty, runs the grid's standard points on a sweepd
-	// daemon at that address; the runner's windowing rides along so the
-	// daemon's cell keys match a local journal's.
+	// server, when non-empty, runs the grid on a sweepd daemon at that
+	// address; the runner's windowing rides along so the daemon's cell
+	// keys match a local journal's.
 	server string
 }
 
 // figure is one artifact: the operating points it needs and its render
-// over their aggregates, aggs[i] for points[i]. A figure with onLevel
-// (Figure 11(b)) declares its points as one (modes x levels) sweep and
-// prints its rows there, level by level, while the grid runs.
+// over their aggregates, aggs[i] for points[i]. A figure with onCell
+// (Figure 11(b)) sees each of its cells as it lands, Point indexing its
+// own points, and prints its rows there while the grid runs.
 type figure struct {
-	name    string
-	idx     []int // each point's grid index
-	points  []sim.PointSpec
-	render  func(aggs []*core.Result) error
-	onLevel sim.LevelFunc
+	name   string
+	idx    []int // each point's grid index
+	points []sim.PointSpec
+	render func(aggs []*core.Result) error
+	onCell func(sim.PointUpdate) error
 }
 
 // static is the figure of a render that needs no simulation.
@@ -196,7 +195,7 @@ func (g *gen) run(name string) error {
 		for j, k := range f.idx {
 			// A point that failed under -allow-partial fails every figure
 			// but the streamed one, which marks its row FAIL instead.
-			if mine[j] = aggs[k]; mine[j] == nil && f.onLevel == nil {
+			if mine[j] = aggs[k]; mine[j] == nil && f.onCell == nil {
 				return fmt.Errorf("fig %s: %w", f.name, gridErr)
 			}
 		}
@@ -207,80 +206,34 @@ func (g *gen) run(name string) error {
 	return nil
 }
 
-// collect simulates every grid point once and returns their aggregates:
-// locally in one stream, or with -server the standard points on the
-// daemon and the variant points here. The streamed figure's rows come
-// from its own sweep's levels as they settle, from either source.
+// collect simulates every grid point once, as one sweep: locally, or with
+// -server on the daemon. The streamed figure sees its own cells as they
+// land, from either source.
 func (g *gen) collect(grid *sim.Grid, figs []figure) ([]*core.Result, error) {
-	ctx := context.Background()
-	specs, cells, local := grid.SweepSpecs(sim.SweepSpec{
-		InstsPerTrace: g.spec.InstsPerTrace, SeedsPerProfile: g.spec.SeedsPerProfile,
-		WindowInsts: g.r.WindowInsts, WarmInsts: g.r.WarmInsts,
-	})
-	streamed, onLevel := -1, sim.LevelFunc(nil)
+	var onCell func(sim.PointUpdate) error
 	for _, f := range figs {
-		for s := range cells {
-			if f.onLevel != nil && slices.Equal(f.idx, cells[s]) {
-				streamed, onLevel = s, f.onLevel
-			}
-		}
-	}
-	if g.server == "" {
-		var onCell func(sim.PointUpdate) error
-		if streamed >= 0 {
-			modes, _ := specs[streamed].CircuitModes()
-			fold := sim.NewLevelFold(modes, specs[streamed].Levels(), len(g.suite()), onLevel)
+		if f.onCell != nil {
 			onCell = func(u sim.PointUpdate) error {
-				if u.Point = slices.Index(cells[streamed], u.Point); u.Point < 0 {
-					return nil // not the streamed figure's (or the terminal update)
+				if u.Point = slices.Index(f.idx, u.Point); u.Point < 0 {
+					return nil // another figure's cell, or the terminal update
 				}
-				return fold.Add(u)
+				return f.onCell(u)
 			}
 		}
-		return g.r.Collect(ctx, grid.Points, onCell)
 	}
-
+	spec, err := grid.Spec(g.spec)
+	if err != nil {
+		return nil, err
+	}
+	ctx := context.Background()
+	if g.server == "" {
+		return g.r.Collect(ctx, spec.PointSpecs(), onCell)
+	}
 	cl, err := service.NewClient(g.server)
 	if err != nil {
 		return nil, err
 	}
-	aggs := make([]*core.Result, len(grid.Points))
-	var failed error // the first point the daemon failed (-allow-partial)
-	for s, spec := range specs {
-		modes, _ := spec.CircuitModes()
-		n, li := len(spec.Levels()), 0
-		err := cl.StreamLevels(ctx, spec, func(v circuit.Millivolts, pts map[circuit.Mode]*sim.Point, fails map[circuit.Mode]*sim.CellError) error {
-			for mi, m := range modes {
-				if p := pts[m]; p != nil {
-					aggs[cells[s][mi*n+li]] = p.Agg
-				} else if failed == nil {
-					failed = fails[m]
-				}
-			}
-			if li++; s == streamed {
-				return onLevel(v, pts, fails)
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	variants := make([]sim.PointSpec, len(local))
-	for i, k := range local {
-		variants[i] = grid.Points[k]
-	}
-	vaggs, err := g.r.Collect(ctx, variants, nil)
-	if vaggs == nil {
-		return nil, err
-	}
-	for i, k := range local {
-		aggs[k] = vaggs[i]
-	}
-	if err == nil {
-		err = failed
-	}
-	return aggs, err
+	return cl.Collect(ctx, spec, onCell)
 }
 
 func (g *gen) fig1() error {
@@ -297,19 +250,17 @@ func (g *gen) fig11a() error {
 		func(r sim.Fig11aRow) []any { return []any{r.Vcc, r.LogicCycle, r.BaselineCycle, r.IRAWCycle} })
 }
 
-// fig11b renders Figure 11(b) progressively: each voltage's row prints the
-// moment both designs at that level settle, so the figure starts appearing
-// long before the grid completes. With -server the daemon's client folds
-// cell events into the same per-level points as the local runner.
+// fig11b renders Figure 11(b) progressively: its cells fold into levels,
+// and each voltage's row prints the moment both designs at that level
+// settle, so the figure starts appearing long before the grid completes.
 func (g *gen) fig11b() figure {
 	modes := []circuit.Mode{circuit.ModeBaseline, circuit.ModeIRAW}
 	var t *report.StreamTable
 	failed := 0
-	return figure{
-		points: g.r.SweepPoints(g.suite(), modes, circuit.Levels()),
-		// With -allow-partial a voltage with a failed design renders as a
-		// FAIL row (baseline's reason first) and the figure keeps going.
-		onLevel: func(v circuit.Millivolts, pts map[circuit.Mode]*sim.Point, fails map[circuit.Mode]*sim.CellError) error {
+	// With -allow-partial a voltage with a failed design renders as a FAIL
+	// row (baseline's reason first) and the figure keeps going.
+	fold := sim.NewLevelFold(modes, circuit.Levels(), len(g.suite()),
+		func(v circuit.Millivolts, pts map[circuit.Mode]*sim.Point, fails map[circuit.Mode]*sim.CellError) error {
 			if t == nil {
 				var err error
 				if t, err = report.NewStreamTable(g.out, g.csv,
@@ -332,7 +283,10 @@ func (g *gen) fig11b() figure {
 				stall = 1 - iraw.IPC()/base.IPC()
 			}
 			return t.AddRow(v, iraw.Plan.FreqGain, base.Time/iraw.Time, base.IPC(), iraw.IPC(), report.Pct(stall))
-		},
+		})
+	return figure{
+		points: g.r.SweepPoints(g.suite(), modes, circuit.Levels()),
+		onCell: fold.Add,
 		render: func([]*core.Result) error {
 			if failed > 0 {
 				fmt.Fprintf(os.Stderr, "figures: %d operating point(s) failed; rows marked FAIL\n", failed)

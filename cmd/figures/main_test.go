@@ -3,13 +3,13 @@ package main
 import (
 	"bytes"
 	"context"
+	"net/http/httptest"
 	"os"
-	"reflect"
 	"strings"
 	"sync"
 	"testing"
 
-	"lowvcc/internal/circuit"
+	"lowvcc/internal/service"
 	"lowvcc/internal/sim"
 )
 
@@ -35,30 +35,23 @@ func TestAllCSVGolden(t *testing.T) {
 }
 
 // allGrid builds -fig all's grid at one seed per profile of 1500
-// instructions, and reports how many cells the figures declare and how
-// many traces each point runs.
-func allGrid() (grid *sim.Grid, declared, traces int) {
-	g := &gen{r: &sim.Runner{}, breakdownMV: 575, spec: sim.SuiteSpec{InstsPerTrace: 1500, SeedsPerProfile: 1}}
+// instructions, and reports how many cells the figures declare.
+func allGrid() (grid *sim.Grid, declared int) {
+	g := &gen{r: &sim.Runner{}, breakdownMV: 575, spec: sim.SweepSpec{InstsPerTrace: 1500, SeedsPerProfile: 1}}
 	g.suite = sync.OnceValue(g.spec.Traces)
-	traces = len(g.suite())
 	grid = &sim.Grid{}
 	for _, s := range steps {
 		pts := s.fig(g).points
-		declared += len(pts) * traces
+		declared += len(pts) * len(g.suite())
 		grid.Add(pts)
 	}
-	return grid, declared, traces
+	return grid, declared
 }
 
-// TestAllGridDerivedCells pins how much of -fig all's grid the stream
-// derives instead of simulating: of its 378 distinct cells, 49 share a
-// trace and an engine input (core.EngineKey) with a lower-index cell —
-// IRAW at 700 to 600 mV and at width 1 and 4 at 600 mV (inactive, so
-// timed as baseline). The N=1 point of the N sweep at 500 mV (the natural
-// N there) is the IRAW point at 500 mV itself, one cell per trace.
-func TestAllGridDerivedCells(t *testing.T) {
-	grid, _, _ := allGrid()
-	cells, derived := 0, 0
+// localDerived collects -fig all's grid on a local runner and counts its
+// cells and the derived ones among them.
+func localDerived(t *testing.T) (cells, derived int) {
+	grid, _ := allGrid()
 	_, err := (&sim.Runner{}).Collect(context.Background(), grid.Points, func(u sim.PointUpdate) error {
 		cells++
 		if u.Derived != "" {
@@ -69,40 +62,66 @@ func TestAllGridDerivedCells(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cells != 378 || derived != 49 {
+	return cells, derived
+}
+
+// TestAllGridDerivedCells pins how much of -fig all's grid the stream
+// derives instead of simulating: of its 378 distinct cells (770 declared
+// by the figures), 49 share a trace and an engine input (core.EngineKey)
+// with a lower-index cell — IRAW at 700 to 600 mV and at width 1 and 4 at
+// 600 mV (inactive, so timed as baseline). The N=1 point of the N sweep
+// at 500 mV (the natural N there) is the IRAW point at 500 mV itself, one
+// cell per trace.
+func TestAllGridDerivedCells(t *testing.T) {
+	if _, declared := allGrid(); declared != 770 {
+		t.Fatalf("the figures declare %d cells, want 770", declared)
+	}
+	if cells, derived := localDerived(t); cells != 378 || derived != 49 {
 		t.Fatalf("%d cells, %d derived; want 378 and 49", cells, derived)
 	}
 }
 
-// TestAllGridSplit pins how -fig all's grid divides at one seed per
-// profile: the figures declare 770 cells, 378 of them distinct; -server
-// sends four sweeps to the daemon and keeps the 14 variant points local,
-// and the two parts cover the distinct cells exactly.
-func TestAllGridSplit(t *testing.T) {
-	grid, declared, traces := allGrid()
-	if distinct := len(grid.Points) * traces; declared != 770 || distinct != 378 {
-		t.Fatalf("declared %d cells, %d distinct; want 770 and 378", declared, distinct)
+// TestAllCSVServer: `figures -fig all -csv -server` against a daemon with
+// in-process slots prints the local run's bytes, and the whole grid,
+// variant points included, travels as one sweep: the daemon simulates or
+// derives all 378 cells, deriving as many as the local run does.
+func TestAllCSVServer(t *testing.T) {
+	srv, _, err := service.NewServer(service.ServerOpts{
+		SchedulerOpts: service.SchedulerOpts{JournalDir: t.TempDir()},
+		Workers:       2,
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	specs, _, local := grid.SweepSpecs(sim.SweepSpec{InstsPerTrace: 1500, SeedsPerProfile: 1})
-	var all []int
-	for _, v := range circuit.Levels() {
-		all = append(all, int(v))
+	ts := httptest.NewServer(srv.Handler())
+	defer srv.Scheduler().Close()
+	defer ts.Close()
+
+	var out bytes.Buffer
+	if err := run([]string{"-fig", "all", "-csv", "-insts", "1500", "-seeds", "1", "-server", ts.URL}, &out); err != nil {
+		t.Fatal(err)
 	}
-	want := []sim.SweepSpec{
-		{Modes: []string{"baseline", "iraw"}, LevelsMV: all, Width: 2},
-		{Modes: []string{"faultybits", "extrabypass"}, LevelsMV: []int{500}, Width: 2},
-		{Modes: []string{"baseline", "iraw"}, LevelsMV: []int{600, 500, 400}, Width: 1},
-		{Modes: []string{"baseline", "iraw"}, LevelsMV: []int{600, 500, 400}, Width: 4},
+	want, err := os.ReadFile("testdata/all.csv")
+	if err != nil {
+		t.Fatal(err)
 	}
-	daemon := 0
-	for i := range specs {
-		daemon += specs[i].Cells()
-		specs[i].InstsPerTrace, specs[i].SeedsPerProfile = 0, 0
+	if !bytes.Equal(out.Bytes(), want) {
+		t.Fatal("figures -server output differs from testdata/all.csv (the local run's bytes)")
 	}
-	if !reflect.DeepEqual(specs, want) {
-		t.Errorf("daemon sweeps\n%+v\nwant\n%+v", specs, want)
+
+	cl, err := service.NewClient(ts.URL)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(local) != 14 || daemon+len(local)*traces != 378 {
-		t.Errorf("daemon %d cells + %d local points of %d traces, want 280 + 14 points = 378 cells", daemon, len(local), traces)
+	st, err := cl.Status(t.Context(), "sweep-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, derived := localDerived(t)
+	if st.State != "done" || st.Total != 378 || st.Done != 378 || st.Derived != derived {
+		t.Fatalf("daemon sweep %+v, want 378 cells done, %d derived", st, derived)
+	}
+	if _, err := cl.Status(t.Context(), "sweep-2"); err == nil {
+		t.Fatal("figures submitted more than one sweep")
 	}
 }

@@ -11,7 +11,7 @@
 //
 // With -server the sweep executes on a sweepd daemon (and its workers)
 // instead of in-process; the rendered table is bit-identical to the local
-// run because both paths fold cells into levels with one sim.LevelFold. The
+// run because either collector hands every cell to one sim.LevelFold. The
 // run flags (-workers, -window, -warm, -ckpt, -journal, -retries, ...) are
 // the ones every simulating command shares, registered by
 // sim.Runner.RegisterFlags; with -server, -window, -warm and -width travel
@@ -20,6 +20,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -49,9 +50,8 @@ func main() {
 	}
 }
 
-// run renders the sweep from one level source: the in-process runner, or
-// with -server a sweepd daemon, whose client folds cell events into the
-// same per-level points.
+// run renders the sweep from one collector: the in-process runner, or
+// with -server a sweepd daemon's client, each feeding the same LevelFold.
 func run(r *sim.Runner, server string, insts, seeds int, modesFlag string, csv bool) error {
 	modes, err := sim.ParseModes(modesFlag)
 	if err != nil {
@@ -67,16 +67,11 @@ func run(r *sim.Runner, server string, insts, seeds int, modesFlag string, csv b
 	for _, m := range modes {
 		spec.Modes = append(spec.Modes, m.String())
 	}
-	ctx := context.Background()
-	stream := func(f sim.LevelFunc) error {
-		return r.StreamLevels(ctx, spec.Traces(), modes, spec.Levels(), f)
-	}
+	var cl *service.Client
 	if server != "" {
-		cl, err := service.NewClient(server)
-		if err != nil {
+		if cl, err = service.NewClient(server); err != nil {
 			return err
 		}
-		stream = func(f sim.LevelFunc) error { return cl.StreamLevels(ctx, spec, f) }
 	}
 
 	header := []string{"Vcc"}
@@ -92,7 +87,8 @@ func run(r *sim.Runner, server string, insts, seeds int, modesFlag string, csv b
 	// for slower earlier levels). With -allow-partial, failed operating
 	// points render as FAIL(reason) cells and the sweep keeps going.
 	failed := 0
-	err = stream(func(v circuit.Millivolts, pts map[circuit.Mode]*sim.Point, fails map[circuit.Mode]*sim.CellError) error {
+	levels := spec.Levels()
+	fold := sim.NewLevelFold(modes, levels, spec.Cells()/(len(modes)*len(levels)), func(v circuit.Millivolts, pts map[circuit.Mode]*sim.Point, fails map[circuit.Mode]*sim.CellError) error {
 		row := []interface{}{v}
 		for _, m := range modes {
 			if ce := fails[m]; ce != nil {
@@ -105,7 +101,13 @@ func run(r *sim.Runner, server string, insts, seeds int, modesFlag string, csv b
 		}
 		return t.AddRow(row...)
 	})
-	if err != nil {
+	if cl != nil {
+		_, err = cl.Collect(context.Background(), spec, fold.Add)
+	} else {
+		_, err = r.Collect(context.Background(), spec.PointSpecs(), fold.Add)
+	}
+	// The failed points reached the table in their levels' fails maps.
+	if err != nil && !errors.As(err, new(*sim.PartialError)) {
 		return err
 	}
 	if failed > 0 {

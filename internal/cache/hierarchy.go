@@ -101,9 +101,34 @@ type Hierarchy struct {
 	stats   HierarchyStats
 }
 
+// Validate reports whether the memory system is structurally buildable.
+// NewHierarchy fails, and the buffer and Store Table constructors panic,
+// on the same conditions, so API boundaries that accept user-supplied
+// configs — core.Config.Validate — check here first.
+func (cfg HierarchyConfig) Validate() error {
+	for _, c := range []Config{cfg.IL0, cfg.DL0, cfg.UL1, cfg.ITLB, cfg.DTLB} {
+		if err := c.validate(); err != nil {
+			return err
+		}
+	}
+	if cfg.FillBufferEntries <= 0 || cfg.WCBEntries <= 0 {
+		return fmt.Errorf("cache: buffers need positive entry counts")
+	}
+	if cfg.UL1Latency < 0 || cfg.PageWalkCycles < 0 {
+		return fmt.Errorf("cache: negative UL1Latency %d or PageWalkCycles %d", cfg.UL1Latency, cfg.PageWalkCycles)
+	}
+	if cfg.StoresPerCycle <= 0 || cfg.MaxStabilize <= 0 {
+		return fmt.Errorf("cache: Store Table sizing %d x %d must be positive", cfg.StoresPerCycle, cfg.MaxStabilize)
+	}
+	return nil
+}
+
 // NewHierarchy builds the memory system; reference builds every cache
 // block on its reference paths (see New).
 func NewHierarchy(cfg HierarchyConfig, reference bool) (*Hierarchy, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	h := &Hierarchy{cfg: cfg}
 	var err error
 	if h.IL0, err = New(cfg.IL0, reference); err != nil {
@@ -120,9 +145,6 @@ func NewHierarchy(cfg HierarchyConfig, reference bool) (*Hierarchy, error) {
 	}
 	if h.DTLB, err = New(cfg.DTLB, reference); err != nil {
 		return nil, err
-	}
-	if cfg.FillBufferEntries <= 0 || cfg.WCBEntries <= 0 {
-		return nil, fmt.Errorf("cache: buffers need positive entry counts")
 	}
 	h.FB = NewBuffer("FB", cfg.FillBufferEntries)
 	h.WCB = NewBuffer("WCB/EB", cfg.WCBEntries)

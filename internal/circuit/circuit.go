@@ -151,6 +151,9 @@ func (p Params) Validate() error {
 	if p.FO4PerPhase <= 0 {
 		return fmt.Errorf("circuit: FO4PerPhase must be positive (got %v)", p.FO4PerPhase)
 	}
+	if p.MaxStabilizeCycles < 1 {
+		return fmt.Errorf("circuit: MaxStabilizeCycles must be at least 1 (got %d): an interrupted write stabilizes over N >= 1 cycles", p.MaxStabilizeCycles)
+	}
 	return nil
 }
 

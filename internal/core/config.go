@@ -166,6 +166,7 @@ import (
 	"lowvcc/internal/cache"
 	"lowvcc/internal/circuit"
 	"lowvcc/internal/iq"
+	"lowvcc/internal/isa"
 	"lowvcc/internal/predictor"
 	"lowvcc/internal/scoreboard"
 )
@@ -284,7 +285,10 @@ func DefaultConfigWidth(v circuit.Millivolts, mode circuit.Mode, width int) Conf
 	return cfg
 }
 
-func (c Config) validate() error {
+// Validate reports whether the configuration can build a core: New fails
+// on exactly these conditions, and no block constructor panics on a
+// configuration that passes.
+func (c Config) Validate() error {
 	if !c.Vcc.Valid() {
 		return fmt.Errorf("core: invalid Vcc %v", c.Vcc)
 	}
@@ -319,6 +323,18 @@ func (c Config) validate() error {
 	}
 	if err := c.Predictor.Validate(); err != nil {
 		return fmt.Errorf("core: %w", err)
+	}
+	// The trace ISA names every register, and an IRAW plan's N is at most
+	// the circuit's bound, which the Store Table and the scoreboard's
+	// bubble must both hold.
+	if c.Scoreboard.Regs < isa.NumRegs {
+		return fmt.Errorf("core: scoreboard tracks %d registers, the ISA has %d", c.Scoreboard.Regs, isa.NumRegs)
+	}
+	if err := c.Hierarchy.Validate(); err != nil {
+		return fmt.Errorf("core: %w", err)
+	}
+	if maxN := circuitParams(&c).MaxStabilizeCycles; c.Mode == circuit.ModeIRAW && min(c.Hierarchy.MaxStabilize, c.Scoreboard.MaxN()) < maxN {
+		return fmt.Errorf("core: IRAW needs room for N up to the circuit's MaxStabilizeCycles %d (Store Table MaxStabilize %d, scoreboard MaxN %d)", maxN, c.Hierarchy.MaxStabilize, c.Scoreboard.MaxN())
 	}
 	if c.Circuit != nil {
 		if err := c.Circuit.Validate(); err != nil {

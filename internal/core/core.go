@@ -73,7 +73,7 @@ type Core struct {
 
 // New builds a core for cfg.
 func New(cfg Config) (*Core, error) {
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	c := &Core{cfg: cfg}

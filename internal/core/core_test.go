@@ -269,6 +269,24 @@ func TestConfigValidation(t *testing.T) {
 		func() Config { c := DefaultConfig(500, circuit.ModeIRAW); c.Width = 0; return c }(),
 		func() Config { c := DefaultConfig(500, circuit.ModeIRAW); c.MemLatencyTime = 0; return c }(),
 		func() Config { c := DefaultConfig(500, circuit.ModeIRAW); c.MispredictPenalty = 0; return c }(),
+		// Each of these built a core at one time and then panicked in a
+		// block constructor or mid-run: New must refuse them instead.
+		func() Config { c := DefaultConfig(500, circuit.ModeIRAW); c.Hierarchy.StoresPerCycle = 0; return c }(),
+		func() Config { c := DefaultConfig(500, circuit.ModeIRAW); c.Hierarchy.PageWalkCycles = -14; return c }(),
+		func() Config { c := DefaultConfig(500, circuit.ModeIRAW); c.Scoreboard.Regs = 4; return c }(),
+		func() Config { c := DefaultConfig(500, circuit.ModeBaseline); c.Scoreboard.BypassLevels = 11; return c }(),
+		func() Config {
+			c := DefaultConfig(500, circuit.ModeIRAW)
+			c.ForcedN, c.Hierarchy.MaxStabilize = 4, 1
+			return c
+		}(),
+		func() Config {
+			c := DefaultConfig(500, circuit.ModeIRAW)
+			p := circuit.DefaultParams()
+			p.MaxStabilizeCycles = 0
+			c.Circuit = &p
+			return c
+		}(),
 	}
 	for i, cfg := range bad {
 		if _, err := New(cfg); err == nil {

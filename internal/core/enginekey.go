@@ -79,7 +79,7 @@ type EngineInput struct {
 // core: the plan is what New(cfg).Plan() reports, derived the same way.
 // It fails when cfg does not validate, as New does.
 func EngineKey(cfg Config) (EngineInput, circuit.ClockPlan, error) {
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return EngineInput{}, circuit.ClockPlan{}, err
 	}
 	t, plan := deriveTiming(circuit.NewModel(circuitParams(&cfg)), &cfg)

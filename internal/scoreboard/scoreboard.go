@@ -103,7 +103,7 @@ type Scoreboard struct {
 // that accept user-supplied configs — core.New — check here first and
 // return the error instead.
 func (cfg Config) Validate() error {
-	if cfg.Regs <= 0 || cfg.Bits <= 1 || cfg.Bits > 31 || cfg.BypassLevels < 0 {
+	if cfg.Regs <= 0 || cfg.Bits <= 1 || cfg.Bits > 31 || cfg.BypassLevels < 0 || cfg.MaxN() < 0 {
 		return fmt.Errorf("scoreboard: invalid config %+v", cfg)
 	}
 	return nil
@@ -139,7 +139,10 @@ func (sb *Scoreboard) StabilizeCycles() int { return sb.n }
 
 // MaxN is the largest bubble the register width can accommodate alongside a
 // single-cycle producer and the bypass window.
-func (sb *Scoreboard) MaxN() int { return sb.cfg.Bits - 1 - sb.cfg.BypassLevels - 1 }
+func (sb *Scoreboard) MaxN() int { return sb.cfg.MaxN() }
+
+// MaxN is the largest bubble a scoreboard of this configuration holds.
+func (cfg Config) MaxN() int { return cfg.Bits - 1 - cfg.BypassLevels - 1 }
 
 // MaxShortLatency is the largest producer latency the shift register can
 // express with the current bubble; longer producers must use the

@@ -10,10 +10,12 @@ import (
 	"io"
 	"net/http"
 	"net/url"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
 
+	"lowvcc/internal/core"
 	"lowvcc/internal/sim"
 )
 
@@ -156,65 +158,55 @@ func (c *Client) Events(ctx context.Context, id string, fn func(CellEvent) error
 	return CellEvent{}, fmt.Errorf("service: event stream for %s ended without a terminal event", id)
 }
 
-// StreamLevels runs the spec on the daemon and folds its cell events with
-// the same sim.LevelFold as the local sim.Runner.StreamLevels: each event
-// is placed by its Index, whose order is the scheduler's (mode, level,
-// trace) expansion order, so onLevel fires once per voltage in spec order
-// as soon as every mode at that level has settled, with failed operating
-// points in the fails map (each the lowest-trace-index failure). Per-trace
-// results merge in trace order via core.MergeResults — the emitted
-// aggregates are bit-identical to a local sweep of the same spec, which is
-// what lets `vccsweep -server` render the exact same table a local run
-// prints. An event whose index is out of range, whose identity does not
-// match its index, or which repeats a cell fails the call.
-func (c *Client) StreamLevels(ctx context.Context, spec sim.SweepSpec, onLevel sim.LevelFunc) error {
+// Collect runs the spec on the daemon and collects its cell events as
+// sim.Runner.Collect collects a local stream of spec.PointSpecs(): one
+// sim.Collector places each event by its Index (the spec's (point, trace)
+// order), so aggs[i], point i's aggregate, is bit-identical to a local
+// run's. onCell, when non-nil, sees every update as it lands; its error
+// ends the call. The daemon runs every sweep in partial mode, so failed
+// cells come back as a *sim.PartialError beside the other aggregates. An
+// event out of range, repeated, or whose label, mode, level or trace
+// disagrees with its index fails the call.
+func (c *Client) Collect(ctx context.Context, spec sim.SweepSpec, onCell func(sim.PointUpdate) error) ([]*core.Result, error) {
 	if err := spec.Validate(); err != nil {
-		return err
+		return nil, err
 	}
-	modes, err := spec.CircuitModes()
-	if err != nil {
-		return err
-	}
-	levels := spec.Levels()
-	cells := spec.Cells()
-	traces := cells / (len(modes) * len(levels))
-
+	points, cells := spec.Expand(), spec.Cells()
+	traces := cells / len(points)
 	id, err := c.Submit(ctx, spec)
 	if err != nil {
-		return err
+		return nil, err
 	}
 
-	fold := sim.NewLevelFold(modes, levels, traces, onLevel)
+	col := sim.NewCollector(slices.Repeat([]int{traces}, len(points)))
 	term, err := c.Events(ctx, id, func(ev CellEvent) error {
 		if ev.Terminal {
 			return nil
 		}
-		if ev.Index < 0 || ev.Index >= cells || ev.Total != cells {
-			return fmt.Errorf("service: event index %d of %d outside the spec's %d cells", ev.Index, ev.Total, cells)
-		}
 		point, tr := ev.Index/traces, ev.Index%traces
-		if ev.Mode != spec.Modes[point/len(levels)] || ev.VccMV != int(levels[point%len(levels)]) || ev.TraceIdx != tr {
-			return fmt.Errorf("service: event %d (%s %dmV trace %d) does not match its cell index", ev.Index, ev.Mode, ev.VccMV, ev.TraceIdx)
-		}
 		u := sim.PointUpdate{Point: point, Trace: tr, Label: ev.Label, TraceName: ev.TraceName,
 			Result: ev.Result, Replayed: ev.Replayed, Derived: ev.Derived}
 		if ev.Err != "" {
 			u.Err = &sim.CellError{Label: ev.Label, TraceName: ev.TraceName, Point: point, Trace: tr, Err: errors.New(ev.Err)}
 		}
-		return fold.Add(u)
+		if err := col.Add(u); err != nil { // an index outside the spec, or a repeat
+			return fmt.Errorf("service: event %d: %w", ev.Index, err)
+		}
+		if p := points[point]; ev.Total != cells || ev.Label != p.Label || ev.Mode != p.Config.Mode.String() || ev.VccMV != int(p.Config.Vcc) || ev.TraceIdx != tr {
+			return fmt.Errorf("service: event %d of %d (%q %s %dmV trace %d) does not match its cell index in the spec's %d cells", ev.Index, ev.Total, ev.Label, ev.Mode, ev.VccMV, ev.TraceIdx, cells)
+		}
+		if onCell == nil {
+			return nil
+		}
+		return onCell(u)
 	})
 	if err != nil {
-		return err
+		return nil, err
 	}
-	switch term.State {
-	case "done", "failed":
-		if fold.Released() < len(levels) {
-			return fmt.Errorf("service: sweep %s ended %q with %d/%d levels aggregated", id, term.State, fold.Released(), len(levels))
-		}
-		return nil
-	default:
-		return fmt.Errorf("service: sweep %s ended %q (daemon drained mid-sweep; resubmit to resume from the journal)", id, term.State)
+	if term.State != "done" && term.State != "failed" {
+		return nil, fmt.Errorf("service: sweep %s ended %q (daemon drained mid-sweep; resubmit to resume from the journal)", id, term.State)
 	}
+	return col.Result()
 }
 
 func readErrBody(r io.Reader) string {

@@ -83,11 +83,7 @@ func assertEntriesMatchRunCell(t *testing.T, jnl *journal.Journal, spec sim.Swee
 	t.Helper()
 	traces := spec.Traces()
 	for _, c := range cells {
-		mode, err := sim.ParseMode(c.Mode)
-		if err != nil {
-			t.Fatal(err)
-		}
-		u, err := spec.NewRunner().RunCell(context.Background(), c.Label, spec.PointConfig(circuit.Millivolts(c.VccMV), mode), traces[c.TraceIdx])
+		u, err := spec.NewRunner().RunCell(context.Background(), c.Label, c.Spec.Points[0].Config, traces[c.TraceIdx])
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -92,7 +92,6 @@ const (
 
 type sweepJob struct {
 	id       string
-	spec     sim.SweepSpec
 	cells    []Cell
 	state    []int
 	attempts []int
@@ -219,40 +218,35 @@ func NewScheduler(opts SchedulerOpts) (*Scheduler, string, error) {
 // verification).
 func (s *Scheduler) Journal() *journal.Journal { return s.jnl }
 
-// expandSpec builds the sweep's cell grid in the canonical (mode, level,
-// trace) order of sim.Runner.SweepPoints and plans it with sim.Keyer.Plan
-// against the daemon's journal: each cell's key, clock plan, journaled
-// entry and the cell it takes its result from. Called outside the
-// scheduler lock (trace materialization, hashing and journal reads are the
-// expensive parts).
+// expandSpec builds the sweep's cells, each carrying its own point as a
+// one-point spec, in the spec's (point, trace) order and plans them with
+// sim.Keyer.Plan against the daemon's journal. Called outside the
+// scheduler lock (trace materialization, hashing and journal reads are
+// the expensive parts).
 func expandSpec(id string, spec sim.SweepSpec, jnl *journal.Journal) ([]Cell, []sim.PlannedCell, error) {
-	modes, err := spec.CircuitModes()
-	if err != nil {
-		return nil, nil, err
-	}
-	levels := spec.Levels()
-	r := spec.NewRunner()
-	points := r.SweepPoints(spec.Traces(), modes, levels)
-	plan, err := r.NewKeyer().Plan(points, jnl)
+	points := spec.PointSpecs()
+	plan, err := spec.NewRunner().NewKeyer().Plan(points, jnl)
 	if err != nil {
 		return nil, nil, fmt.Errorf("service: planning %s: %w", id, err)
 	}
 	if len(plan) == 0 {
 		return nil, nil, fmt.Errorf("service: spec expands to zero cells")
 	}
+	own := make([]sim.SweepSpec, len(points))
+	for i, p := range spec.Expand() {
+		own[i] = spec
+		own[i].Modes, own[i].LevelsMV, own[i].Width, own[i].Points = nil, nil, 0, []sim.SpecPoint{p}
+	}
 	cells := make([]Cell, len(plan))
 	for i, pc := range plan {
-		pt := &points[pc.Point]
 		cells[i] = Cell{
 			Sweep:     id,
 			Index:     i,
-			Label:     pt.Label,
-			Mode:      spec.Modes[pc.Point/len(levels)],
-			VccMV:     int(levels[pc.Point%len(levels)]),
+			Label:     points[pc.Point].Label,
 			TraceIdx:  pc.Trace,
-			TraceName: pt.Traces[pc.Trace].Name,
+			TraceName: points[pc.Point].Traces[pc.Trace].Name,
 			Key:       pc.Key,
-			Spec:      spec,
+			Spec:      own[pc.Point],
 		}
 	}
 	return cells, plan, nil
@@ -351,7 +345,6 @@ func (s *Scheduler) submit(client string, spec sim.SweepSpec) (string, error) {
 
 	job := &sweepJob{
 		id:        id,
-		spec:      spec,
 		cells:     cells,
 		state:     make([]int, len(cells)),
 		attempts:  make([]int, len(cells)),
@@ -658,12 +651,13 @@ func (s *Scheduler) failAttemptLocked(job *sweepJob, index int, reason string) {
 // cellEvent builds the progress record for one recorded cell outcome.
 func (s *Scheduler) cellEvent(job *sweepJob, index int, res *core.Result, worker, errMsg string) CellEvent {
 	c := job.cells[index]
+	cfg := c.Spec.Points[0].Config
 	return CellEvent{
 		Sweep:     job.id,
 		Index:     index,
 		Label:     c.Label,
-		Mode:      c.Mode,
-		VccMV:     c.VccMV,
+		Mode:      cfg.Mode.String(),
+		VccMV:     int(cfg.Vcc),
 		TraceIdx:  c.TraceIdx,
 		TraceName: c.TraceName,
 		Worker:    worker,

@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"lowvcc/internal/circuit"
 	"lowvcc/internal/journal"
 	"lowvcc/internal/sim"
 )
@@ -665,13 +664,13 @@ func TestExpandSpecKeysMatchCellKey(t *testing.T) {
 			t.Fatalf("%s: %d cells, want %d", name, len(cells), cellCount(spec))
 		}
 		traces := spec.Traces()
+		points := spec.Expand()
 		r := spec.NewRunner()
 		for _, c := range cells {
-			mode, err := sim.ParseMode(c.Mode)
-			if err != nil {
-				t.Fatal(err)
+			if len(c.Spec.Points) != 1 || c.Spec.Points[0] != points[c.Index/len(traces)] || len(c.Spec.Modes) != 0 {
+				t.Fatalf("%s cell %d carries %+v, want only its own point", name, c.Index, c.Spec)
 			}
-			want, err := r.CellKey(spec.PointConfig(circuit.Millivolts(c.VccMV), mode), traces[c.TraceIdx])
+			want, err := r.CellKey(c.Spec.Points[0].Config, traces[c.TraceIdx])
 			if err != nil {
 				t.Fatal(err)
 			}

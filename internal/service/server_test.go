@@ -7,6 +7,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -162,9 +163,10 @@ func TestHTTPBackpressure429(t *testing.T) {
 	}
 }
 
-// TestClientStreamLevels: the client's re-aggregation of daemon cell
-// events emits the same levels, in the same order, with the same merged
-// stats, as the local sim.Runner.StreamLevels path.
+// TestClientStreamLevels: a LevelFold fed by the client's Collect of
+// daemon cell events emits the same levels, in the same order, with the
+// same merged stats, as one fed by the local sim.Runner.Collect, and both
+// collectors return the same aggregates.
 func TestClientStreamLevels(t *testing.T) {
 	spec := testSpec()
 	modes, err := spec.CircuitModes()
@@ -176,17 +178,20 @@ func TestClientStreamLevels(t *testing.T) {
 		v   circuit.Millivolts
 		pts map[circuit.Mode]*sim.Point
 	}
+	fold := func(rows *[]row) *sim.LevelFold {
+		return sim.NewLevelFold(modes, spec.Levels(), len(spec.Traces()),
+			func(v circuit.Millivolts, pts map[circuit.Mode]*sim.Point, fails map[circuit.Mode]*sim.CellError) error {
+				if len(fails) != 0 {
+					t.Fatalf("sweep failed at %v: %v", v, fails)
+				}
+				*rows = append(*rows, row{v, pts})
+				return nil
+			})
+	}
 	var local []row
 	r := spec.NewRunner()
 	r.Workers = 2
-	err = r.StreamLevels(context.Background(), spec.Traces(), modes, spec.Levels(),
-		func(v circuit.Millivolts, pts map[circuit.Mode]*sim.Point, fails map[circuit.Mode]*sim.CellError) error {
-			if len(fails) != 0 {
-				t.Fatalf("local sweep failed at %v: %v", v, fails)
-			}
-			local = append(local, row{v, pts})
-			return nil
-		})
+	localAggs, err := r.Collect(context.Background(), spec.PointSpecs(), fold(&local).Add)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,14 +204,7 @@ func TestClientStreamLevels(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 	var remote []row
-	err = cl.StreamLevels(ctx, spec,
-		func(v circuit.Millivolts, pts map[circuit.Mode]*sim.Point, fails map[circuit.Mode]*sim.CellError) error {
-			if len(fails) != 0 {
-				t.Fatalf("daemon sweep failed at %v: %v", v, fails)
-			}
-			remote = append(remote, row{v, pts})
-			return nil
-		})
+	remoteAggs, err := cl.Collect(ctx, spec, fold(&remote).Add)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,22 +226,27 @@ func TestClientStreamLevels(t *testing.T) {
 			}
 		}
 	}
+	if !reflect.DeepEqual(remoteAggs, localAggs) {
+		t.Fatal("the client's Collect aggregates differ from the local runner's")
+	}
 }
 
-// TestClientStreamLevelsRejectsBadEvents: the client folds events by
-// Index, so an event outside the spec's cells, one whose mode, level or
-// trace disagrees with its index, a repeated cell and a wrong cell total
-// each fail the call instead of being placed (or panicking). Every case
-// carries the otherwise complete sweep, which on its own succeeds.
+// TestClientStreamLevelsRejectsBadEvents: the client's Collect places
+// events by Index, so an event outside the spec's cells, one whose label,
+// mode, level or trace disagrees with its index, a repeated cell, a wrong
+// cell total and a cell with neither result nor error each fail the call
+// instead of being placed (or panicking). Every case carries the
+// otherwise complete sweep, which on its own succeeds.
 func TestClientStreamLevelsRejectsBadEvents(t *testing.T) {
 	spec := testSpec() // 2 modes x 2 levels x 7 traces
 	cells := spec.Cells()
+	points := spec.Expand()
 	sweep := func(edit func(*CellEvent)) []CellEvent {
 		events := make([]CellEvent, cells)
 		for i := range events {
-			point := i / 7
+			p := points[i/7]
 			events[i] = CellEvent{
-				Sweep: "s", Index: i, Mode: spec.Modes[point/2], VccMV: spec.LevelsMV[point%2],
+				Sweep: "s", Index: i, Label: p.Label, Mode: p.Config.Mode.String(), VccMV: int(p.Config.Vcc),
 				TraceIdx: i % 7, Result: &core.Result{}, Total: cells,
 			}
 		}
@@ -255,6 +258,7 @@ func TestClientStreamLevelsRejectsBadEvents(t *testing.T) {
 		"index past the end": append(sweep(func(*CellEvent) {}), CellEvent{Sweep: "s", Index: cells, Total: cells, Result: &core.Result{}}),
 		"negative index":     append(sweep(func(*CellEvent) {}), CellEvent{Sweep: "s", Index: -2, Total: cells, Result: &core.Result{}}),
 		"repeated cell":      append(sweep(func(*CellEvent) {}), sweep(func(*CellEvent) {})[5]),
+		"wrong label":        sweep(func(ev *CellEvent) { ev.Label = points[1].Label }),
 		"wrong mode":         sweep(func(ev *CellEvent) { ev.Mode = "iraw" }),
 		"wrong level":        sweep(func(ev *CellEvent) { ev.VccMV = 400 }),
 		"wrong trace":        sweep(func(ev *CellEvent) { ev.TraceIdx = 4 }),
@@ -281,17 +285,16 @@ func TestClientStreamLevelsRejectsBadEvents(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			levels := 0
-			err = cl.StreamLevels(context.Background(), spec,
-				func(circuit.Millivolts, map[circuit.Mode]*sim.Point, map[circuit.Mode]*sim.CellError) error {
-					levels++
-					return nil
-				})
+			landed := 0
+			aggs, err := cl.Collect(context.Background(), spec, func(sim.PointUpdate) error {
+				landed++
+				return nil
+			})
 			switch {
-			case name == "complete sweep" && (err != nil || levels != len(spec.LevelsMV)):
-				t.Fatalf("complete sweep: %d levels, err %v", levels, err)
+			case name == "complete sweep" && (err != nil || landed != cells || len(aggs) != len(points)):
+				t.Fatalf("complete sweep: %d cells, %d aggregates, err %v", landed, len(aggs), err)
 			case name != "complete sweep" && err == nil:
-				t.Fatal("StreamLevels accepted an inconsistent event")
+				t.Fatal("Collect accepted an inconsistent event")
 			}
 		})
 	}
@@ -468,5 +471,45 @@ func TestHTTPSubmitRejectsUnknownFields(t *testing.T) {
 	}
 	if got := post("{" + spec + "}"); got != http.StatusCreated {
 		t.Fatalf("known-fields spec: status %d, want 201", got)
+	}
+}
+
+// TestHTTPSubmitRejectsHostilePoints: a spec whose explicit point would
+// make a worker allocate without bound, names an unknown trace transform
+// or whose level is off the 25 mV step is a 400 at Submit, and no cell of
+// it is ever leased; a sane explicit point is admitted and leased.
+func TestHTTPSubmitRejectsHostilePoints(t *testing.T) {
+	srv, base := newTestDaemon(t, ServerOpts{Workers: -1})
+	cl, err := NewClient(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	point := sim.SpecPoint{Label: "resched", Config: core.DefaultConfig(500, circuit.ModeIRAW), Traces: sim.TraceSet{Transform: "reschedule", MinGap: 8}}
+	withPoint := func(edit func(*sim.SpecPoint)) sim.SweepSpec {
+		p := point
+		edit(&p)
+		return sim.SweepSpec{InstsPerTrace: 1000, SeedsPerProfile: 1, Points: []sim.SpecPoint{p}}
+	}
+	for name, spec := range map[string]sim.SweepSpec{
+		"oversized UL1":     withPoint(func(p *sim.SpecPoint) { p.Config.Hierarchy.UL1.Sets = 1 << 24 }),
+		"oversized IQ":      withPoint(func(p *sim.SpecPoint) { p.Config.IQ.Size = 1 << 20 }),
+		"unknown transform": withPoint(func(p *sim.SpecPoint) { p.Traces.Transform = "shuffle" }),
+		"off-step level":    {InstsPerTrace: 1000, SeedsPerProfile: 1, Modes: []string{"iraw"}, LevelsMV: []int{510}},
+	} {
+		t.Run(name, func(t *testing.T) {
+			if _, err := cl.Submit(t.Context(), spec); err == nil || !strings.Contains(err.Error(), "400") {
+				t.Fatalf("Submit err = %v, want a 400", err)
+			}
+			if lease, err := srv.Scheduler().Acquire(t.Context(), "w", 0); lease != nil || err != nil {
+				t.Fatalf("a rejected spec left a lease %+v (err %v)", lease, err)
+			}
+		})
+	}
+	if _, err := cl.Submit(t.Context(), withPoint(func(*sim.SpecPoint) {})); err != nil {
+		t.Fatal(err)
+	}
+	lease, err := srv.Scheduler().Acquire(t.Context(), "w", 0)
+	if err != nil || lease == nil || lease.Cell.Spec.Points[0] != point {
+		t.Fatalf("sane point: lease %+v, err %v", lease, err)
 	}
 }

@@ -8,8 +8,11 @@
 //
 // # Cells and content addressing
 //
-// A submitted SweepSpec expands into one Cell per (mode, voltage, trace)
-// triple, in the same fixed (mode, level, trace) order a local sweep uses.
+// A submitted SweepSpec expands into one Cell per (point, trace) pair in
+// sim.SweepSpec.Expand order, as a local sweep of it does: its (mode,
+// level) grid, then its explicit points. An explicit point that fails
+// core's validation or a size bound is a rejected submission, never a
+// failed lease.
 // Each cell carries the journal content address (sim.Runner.CellKey) that
 // its result must land under — a hash of the trace bytes, the full core
 // configuration, the windowing plan and the engine version. That key is
@@ -130,20 +133,18 @@ import (
 	"lowvcc/internal/sim"
 )
 
-// Cell is one schedulable unit of a sweep: a single (mode, voltage,
-// trace) simulation, content-addressed by Key.
+// Cell is one schedulable unit of a sweep: a single (point, trace)
+// simulation, content-addressed by Key.
 type Cell struct {
 	// Sweep and Index identify the cell within its sweep; cells are
-	// indexed in the fixed (mode, level, trace) expansion order.
+	// indexed in the spec's (point, trace) expansion order.
 	Sweep string `json:"sweep"`
 	Index int    `json:"index"`
 
-	// Label is the operating point's sweep label (sim.SweepLabel) — what
-	// progress lines print and fault-injection rules match on.
+	// Label is the operating point's label (sim.SweepLabel for a (mode,
+	// level) grid point): what progress lines print and cell events carry.
 	Label string `json:"label"`
 
-	Mode      string `json:"mode"`
-	VccMV     int    `json:"vcc_mv"`
 	TraceIdx  int    `json:"trace_idx"`
 	TraceName string `json:"trace_name"`
 
@@ -152,8 +153,9 @@ type Cell struct {
 	// (an engine-version or windowing drift between daemon and worker).
 	Key string `json:"key"`
 
-	// Spec is the submitted sweep spec; the worker regenerates the trace
-	// and core configuration from it deterministically.
+	// Spec is the submitted spec reduced to this cell's point: the suite
+	// sizes and windowing, and the point's core configuration and trace
+	// set, from which the worker regenerates both deterministically.
 	Spec sim.SweepSpec `json:"spec"`
 }
 

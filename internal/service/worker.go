@@ -9,7 +9,6 @@ import (
 	"sync"
 	"time"
 
-	"lowvcc/internal/circuit"
 	"lowvcc/internal/ckpt"
 	"lowvcc/internal/journal"
 	"lowvcc/internal/sim"
@@ -195,18 +194,18 @@ func heartbeatLoop(ctx context.Context, cancel context.CancelFunc, src CellSourc
 	}
 }
 
-// executeCell regenerates the cell's inputs from its spec, verifies the
+// executeCell regenerates the cell's inputs from its one-point spec, verifies the
 // content address matches the daemon's (catching engine-version or
 // windowing drift between the two binaries), simulates through
 // Runner.RunCell and returns the sealed entry for the promised key — the
 // bytes journal.Put would write there.
 func executeCell(ctx context.Context, lease *Lease, opts WorkerOpts) ([]byte, error) {
 	c := lease.Cell
-	mode, err := sim.ParseMode(c.Mode)
-	if err != nil {
-		return nil, err
+	points := c.Spec.PointSpecs()
+	if len(points) != 1 {
+		return nil, fmt.Errorf("cell %d: spec holds %d points, want its own one", c.Index, len(points))
 	}
-	traces := c.Spec.Traces()
+	traces := points[0].Traces
 	if c.TraceIdx < 0 || c.TraceIdx >= len(traces) {
 		return nil, fmt.Errorf("cell %d: trace index %d outside suite of %d", c.Index, c.TraceIdx, len(traces))
 	}
@@ -214,7 +213,7 @@ func executeCell(ctx context.Context, lease *Lease, opts WorkerOpts) ([]byte, er
 	if tr.Name != c.TraceName {
 		return nil, fmt.Errorf("cell %d: trace %d is %q here, %q on the daemon (workload drift)", c.Index, c.TraceIdx, tr.Name, c.TraceName)
 	}
-	cfg := c.Spec.PointConfig(circuit.Millivolts(c.VccMV), mode)
+	cfg := points[0].Cfg
 
 	r := c.Spec.NewRunner()
 	r.Workers = 1

@@ -6,7 +6,6 @@ import (
 	"lowvcc/internal/circuit"
 	"lowvcc/internal/core"
 	"lowvcc/internal/trace"
-	"lowvcc/internal/workload"
 )
 
 // ReschedResult quantifies the compiler-assistance extension (Section 5.2
@@ -25,15 +24,13 @@ type ReschedResult struct {
 // bubble-aware list scheduler widens producer→consumer distances: both
 // designs on the original traces, then on the rescheduled ones.
 func (r *Runner) CompilerResched(traces []*trace.Trace, v circuit.Millivolts, minGap int) Experiment[*ReschedResult] {
-	resched := make([]*trace.Trace, len(traces))
-	for i, tr := range traces {
-		resched[i] = workload.Reschedule(tr, minGap)
-	}
+	set := TraceSet{Transform: "reschedule", MinGap: minGap}
+	resched := set.resolve(traces)
 	specs := r.SweepPoints(traces, designs, []circuit.Millivolts{v})
 	for _, mode := range designs {
 		specs = append(specs, PointSpec{
 			Label: fmt.Sprintf("resched %v %v+sched", v, mode),
-			Cfg:   r.pointConfig(v, mode), Traces: resched,
+			Cfg:   r.pointConfig(v, mode), Traces: resched, set: set,
 		})
 	}
 	return Experiment[*ReschedResult]{r: r, Points: specs,

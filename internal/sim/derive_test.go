@@ -110,7 +110,7 @@ func TestDerivedFollowersFailWithTheirLeader(t *testing.T) {
 		t.Errorf("follower failed on its own (%v), not with its leader (%v)", causes[1], causes[0])
 	}
 
-	_, _, err := (&Runner{}).runPoints(context.Background(), specs, nil)
+	_, err := (&Runner{}).Collect(context.Background(), specs, nil)
 	var ce *CellError
 	if !errors.As(err, &ce) || ce.Point != 0 {
 		t.Fatalf("strict mode: %v, want the leader's (point 0) error", err)

@@ -35,15 +35,6 @@ func (e Experiment[T]) Run(ctx context.Context) (T, error) {
 // aggregates themselves.
 func aggregates(aggs []*core.Result) ([]*core.Result, error) { return aggs, nil }
 
-// Collect simulates specs and returns each point's aggregate, aggs[i] for
-// specs[i]; in partial mode a failed point's aggregate is nil and a
-// *PartialError comes back alongside. onCell, when non-nil, sees every
-// update as it lands, and an error from it cancels the run.
-func (r *Runner) Collect(ctx context.Context, specs []PointSpec, onCell func(PointUpdate) error) ([]*core.Result, error) {
-	_, aggs, err := r.runPoints(ctx, specs, onCell)
-	return aggs, err
-}
-
 // Grid is the union of several experiments' points: each distinct (config,
 // trace list) point is held once however many experiments declare it, so
 // collecting the grid simulates each distinct cell once.
@@ -79,52 +70,18 @@ func (g *Grid) Add(points []PointSpec) []int {
 	return idx
 }
 
-// SweepSpecs splits the grid for a sweep daemon. The standard points — the
-// suite of base (which sets the sizes and windowing) under the default
-// configuration of their own voltage, design and width — become the fewest
-// SweepSpecs that simulate nothing else: one per (width, level set),
-// carrying every mode that needs exactly that set. cells[s] holds the grid
-// index of each of specs[s]'s points in its (mode, level) order, and local
-// lists the remaining (variant) points, which the caller simulates itself.
-func (g *Grid) SweepSpecs(base SweepSpec) (specs []SweepSpec, cells [][]int, local []int) {
-	traces := base.Traces()
-	// Each (width, mode) design is keyed by a Config holding just those
-	// two fields; order lists the designs in grid order.
-	var order []core.Config
-	levels := make(map[core.Config][]int)
+// Spec is the grid as one sweep: base's suite sizes and windowing with one
+// explicit point per grid point, in grid order, so the spec's point i is
+// Points[i]. It fails for a point whose traces are not base's suite or a
+// TraceSet of it.
+func (g *Grid) Spec(base SweepSpec) (SweepSpec, error) {
+	suite := base.Traces()
+	base.Modes, base.LevelsMV, base.Width, base.Points = nil, nil, 0, make([]SpecPoint, len(g.Points))
 	for i, p := range g.Points {
-		c := p.Cfg
-		if c != core.DefaultConfigWidth(c.Vcc, c.Mode, c.Width) || !slices.Equal(p.Traces, traces) {
-			local = append(local, i)
-			continue
+		if !slices.Equal(p.Traces, p.set.resolve(suite)) {
+			return SweepSpec{}, fmt.Errorf("sim: point %q does not run the spec's suite", p.Label)
 		}
-		d := core.Config{Mode: c.Mode, Width: c.Width}
-		if levels[d] == nil {
-			order = append(order, d)
-		}
-		levels[d] = append(levels[d], int(c.Vcc))
+		base.Points[i] = SpecPoint{Label: p.Label, Config: p.Cfg, Traces: p.set}
 	}
-	group := make(map[string]int)
-	for _, d := range order {
-		mvs := levels[d]
-		slices.SortFunc(mvs, func(a, b int) int { return b - a }) // sweep order: highest first
-		s, ok := group[fmt.Sprint(d.Width, mvs)]
-		if !ok {
-			s = len(specs)
-			group[fmt.Sprint(d.Width, mvs)] = s
-			specs = append(specs, base)
-			specs[s].Modes, specs[s].LevelsMV, specs[s].Width = nil, mvs, d.Width
-		}
-		specs[s].Modes = append(specs[s].Modes, d.Mode.String())
-	}
-	cells = make([][]int, len(specs))
-	for s, spec := range specs {
-		modes, _ := spec.CircuitModes()
-		for _, m := range modes {
-			for _, v := range spec.Levels() {
-				cells[s] = append(cells[s], g.index[keyOf(PointSpec{Cfg: spec.PointConfig(v, m), Traces: traces})])
-			}
-		}
-	}
-	return specs, cells, local
+	return base, nil
 }

@@ -1,7 +1,7 @@
 package sim
 
 import (
-	"reflect"
+	"encoding/json"
 	"slices"
 	"testing"
 
@@ -31,10 +31,11 @@ func TestGridAddDedupes(t *testing.T) {
 	}
 }
 
-// TestSweepSpecsSplit: the standard points become one sweep per (width,
-// level set), carrying exactly the modes that need that set, and every
-// other point stays local; together they cover the grid once.
-func TestSweepSpecsSplit(t *testing.T) {
+// TestGridSpecRoundTrip: Grid.Spec writes the grid as one sweep of
+// explicit points, variants included (forced N, rescheduled traces), that
+// survives the wire and expands back to the grid's own points, traces
+// and all; a point over traces that are not the suite is refused.
+func TestGridSpecRoundTrip(t *testing.T) {
 	suite := digestSuite()
 	traces := suite.Traces()
 	r := &Runner{}
@@ -44,44 +45,36 @@ func TestSweepSpecsSplit(t *testing.T) {
 	g.Add(r.NSweep(traces, 500, 2).Points)
 	g.Add(r.CompilerResched(traces, 500, 8).Points)
 
-	base := SweepSpec{InstsPerTrace: suite.InstsPerTrace, SeedsPerProfile: suite.SeedsPerProfile, WindowInsts: 5000}
-	specs, cells, local := g.SweepSpecs(base)
-	want := []SweepSpec{
-		{Modes: []string{"baseline", "iraw"}, LevelsMV: []int{600, 500}, Width: 2},
-		{Modes: []string{"faultybits", "extrabypass"}, LevelsMV: []int{500}, Width: 2},
-		{Modes: []string{"baseline", "iraw"}, LevelsMV: []int{600, 500}, Width: 1},
+	spec, err := g.Spec(SweepSpec{InstsPerTrace: suite.InstsPerTrace, SeedsPerProfile: suite.SeedsPerProfile, WindowInsts: 5000})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := range want {
-		want[i].InstsPerTrace, want[i].SeedsPerProfile, want[i].WindowInsts = base.InstsPerTrace, base.SeedsPerProfile, base.WindowInsts
+	data, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(specs, want) {
-		t.Fatalf("specs\n%+v\nwant\n%+v", specs, want)
+	var wire SweepSpec
+	if err := json.Unmarshal(data, &wire); err != nil {
+		t.Fatal(err)
 	}
-	seen := make([]int, len(g.Points))
-	for s, spec := range specs {
-		modes, _ := spec.CircuitModes()
-		for mi, m := range modes {
-			for li, v := range spec.Levels() {
-				k := cells[s][mi*len(spec.Levels())+li]
-				seen[k]++
-				if p := g.Points[k]; p.Cfg != spec.PointConfig(v, m) || !slices.Equal(p.Traces, traces) {
-					t.Errorf("spec %d cell (%v, %v) maps to point %q", s, m, v, p.Label)
-				}
-			}
+	if err := wire.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := wire.Cells(), len(g.Points)*len(traces); got != want {
+		t.Fatalf("Cells() = %d, want %d", got, want)
+	}
+	got := wire.PointSpecs()
+	if len(got) != len(g.Points) {
+		t.Fatalf("%d points, want %d", len(got), len(g.Points))
+	}
+	for i, p := range g.Points {
+		if got[i].Label != p.Label || got[i].Cfg != p.Cfg || !slices.Equal(got[i].Traces, p.Traces) {
+			t.Errorf("point %d: %q over %d traces, want %q", i, got[i].Label, len(got[i].Traces), p.Label)
 		}
 	}
-	for _, k := range local {
-		seen[k]++
-		if p := g.Points[k]; p.Cfg.ForcedN == 0 && slices.Equal(p.Traces, traces) {
-			t.Errorf("standard point %q left local", p.Label)
-		}
-	}
-	if len(local) != 3 { // N = 2 and both rescheduled designs; N = 1 is IRAW at 500 mV
-		t.Errorf("%d local points, want 3", len(local))
-	}
-	for k, n := range seen {
-		if n != 1 {
-			t.Errorf("point %q covered %d times", g.Points[k].Label, n)
-		}
+
+	g.Add([]PointSpec{{Label: "other suite", Cfg: g.Points[0].Cfg, Traces: traces[:1]}})
+	if _, err := g.Spec(wire); err == nil {
+		t.Error("Spec accepted a point over a trace list that is not the suite")
 	}
 }

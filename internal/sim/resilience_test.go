@@ -413,9 +413,10 @@ func TestStreamCancelNoGoroutineLeak(t *testing.T) {
 }
 
 // TestStreamLevelsPartialRows: with AllowPartial, a failed operating point
-// arrives in the level's fails map — identity intact for FAIL(reason)
-// rendering — while the level's surviving modes and all other levels keep
-// their points.
+// arrives in the level's fails map of a LevelFold fed by Collect —
+// identity intact for FAIL(reason) rendering — while the level's
+// surviving modes and all other levels keep their points, and Collect
+// reports the failure as a *PartialError.
 func TestStreamLevelsPartialRows(t *testing.T) {
 	traces := resilienceSuite().Traces()
 	specs := (&Runner{}).SweepPoints(traces, streamModes, streamLevels)
@@ -428,7 +429,7 @@ func TestStreamLevelsPartialRows(t *testing.T) {
 		fails int
 	}
 	rows := make(map[circuit.Millivolts]row)
-	err := r.StreamLevels(context.Background(), traces, streamModes, streamLevels,
+	fold := NewLevelFold(streamModes, streamLevels, len(traces),
 		func(v circuit.Millivolts, pts map[circuit.Mode]*Point, fails map[circuit.Mode]*CellError) error {
 			rows[v] = row{pts: len(pts), fails: len(fails)}
 			if ce := fails[circuit.ModeBaseline]; ce != nil {
@@ -438,8 +439,8 @@ func TestStreamLevelsPartialRows(t *testing.T) {
 			}
 			return nil
 		})
-	if err != nil {
-		t.Fatal(err)
+	if _, err := r.Collect(context.Background(), specs, fold.Add); !errors.As(err, new(*PartialError)) {
+		t.Fatalf("Collect err = %v, want a *PartialError", err)
 	}
 	if got := rows[500]; got.pts != 2 || got.fails != 0 {
 		t.Errorf("level 500 = %+v, want both modes healthy", got)

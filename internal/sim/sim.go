@@ -15,22 +15,21 @@
 //
 // The experiment engine is a streaming pipeline. Runner.Stream is the one
 // execution core: it fans every (point, trace) cell across the worker pool
-// and emits a PointUpdate the moment a cell completes. runPoints is the one
-// collector over that stream: it places updates into (point, trace-index)
-// slots and aggregates each point after the stream closes, and an optional
-// per-cell hook sees every update as it lands. Everything else is built on
-// it:
+// and emits a PointUpdate the moment a cell completes. A Collector is the
+// one collection over a sweep's cells: it places updates into (point,
+// trace-index) slots and aggregates each point once the sweep has ended.
+// Runner.Collect runs it over Stream, with an optional per-cell hook that
+// sees every update as it lands, and the sweep daemon's client
+// (internal/service) runs it over cell events. Everything else is built
+// on Collect:
 //
 //   - RunPoint and Sweep return one point's per-trace results, or a
 //     (mode, level) grid reshaped into [mode][voltage] points;
-//   - Collect exposes it with its hook: it returns each point's aggregate;
-//   - LevelFold places cells by (point, trace) index, settles a point when
-//     all of its traces have landed and releases whole voltage levels in
-//     level order to a LevelFunc. Runner.StreamLevels runs it as
-//     runPoints' hook, and the sweep daemon's client (internal/service)
-//     feeds it from cell events, so progressive renderers (cmd/figures,
-//     cmd/vccsweep) print identical rows from either source before the
-//     grid finishes.
+//   - LevelFold settles a point when all of its traces have landed and
+//     releases whole voltage levels in level order to a LevelFunc. Its Add
+//     is the per-cell hook that progressive renderers (cmd/figures,
+//     cmd/vccsweep) hand to either Collect, so they print identical rows
+//     from either source before the grid finishes.
 //
 // The paper's evaluation is one (design, voltage, trace) grid read several
 // ways, so every simulating experiment (Figure12, Table1, Breakdown, the
@@ -40,9 +39,10 @@
 // adds every selected experiment's points to one Grid, which holds each
 // distinct (config, trace list) point once, collects the grid in a single
 // stream — each distinct cell simulated once — and renders each
-// experiment from it. Grid.SweepSpecs splits a grid for a sweep daemon:
-// its standard-suite points as the fewest SweepSpecs that cover exactly
-// them, and its variant points for the local runner.
+// experiment from it. Grid.Spec writes a grid as one SweepSpec of
+// explicit points (each a full core.Config over the suite or a named
+// transform of it), which SweepSpec.PointSpecs turns back into the same
+// points, so the grid travels whole to a sweep daemon.
 //
 // Within one stream, cells that share a trace and an engine input
 // (core.EngineKey: the config minus what the engine reads only through
@@ -60,7 +60,7 @@
 // group's leader and journals the other members itself once the leader's
 // upload is admitted.
 //
-// In partial mode runPoints returns a *PartialError whose Total counts
+// In partial mode Collect returns a *PartialError whose Total counts
 // cells and whose Cells list every failure in (point, trace) order, while
 // LevelFold hands each failed point's lowest-trace-index failure to the
 // LevelFunc in its level's fails map.

@@ -3,9 +3,12 @@ package sim
 import (
 	"bytes"
 	"encoding/json"
+	"math"
+	"slices"
 	"strings"
 	"testing"
 
+	"lowvcc/internal/cache"
 	"lowvcc/internal/circuit"
 	"lowvcc/internal/core"
 	"lowvcc/internal/journal"
@@ -58,7 +61,10 @@ func TestSweepSpecRoundTrip(t *testing.T) {
 }
 
 // TestSweepSpecValidateRejects: the admission check rejects every
-// structurally broken spec a client could submit.
+// structurally broken spec a client could submit, and an explicit point
+// unless core accepts its configuration, every size field that drives
+// allocation is within its fixed bound and its trace set is the suite or a
+// known transform of it.
 func TestSweepSpecValidateRejects(t *testing.T) {
 	good := SweepSpec{InstsPerTrace: 1000, SeedsPerProfile: 1, Modes: []string{"baseline"}}
 	if err := good.Validate(); err != nil {
@@ -69,6 +75,18 @@ func TestSweepSpecValidateRejects(t *testing.T) {
 	if err := optOut.Validate(); err != nil {
 		t.Fatalf("negative window (the sharding opt-out spelling) rejected: %v", err)
 	}
+	point := SpecPoint{Label: "p", Config: core.DefaultConfig(500, circuit.ModeIRAW), Traces: TraceSet{Transform: "reschedule", MinGap: 8}}
+	pointsOnly := SweepSpec{InstsPerTrace: 1000, SeedsPerProfile: 1, Points: []SpecPoint{point}}
+	if err := pointsOnly.Validate(); err != nil {
+		t.Fatalf("a spec of one default point rejected: %v", err)
+	}
+	withPoint := func(edit func(*SpecPoint)) func(*SweepSpec) {
+		return func(s *SweepSpec) {
+			p := point
+			edit(&p)
+			s.Points = []SpecPoint{p}
+		}
+	}
 	for name, mutate := range map[string]func(*SweepSpec){
 		"zero insts":     func(s *SweepSpec) { s.InstsPerTrace = 0 },
 		"huge insts":     func(s *SweepSpec) { s.InstsPerTrace = 1 << 40 },
@@ -77,6 +95,34 @@ func TestSweepSpecValidateRejects(t *testing.T) {
 		"unknown mode":   func(s *SweepSpec) { s.Modes = []string{"turbo"} },
 		"level too low":  func(s *SweepSpec) { s.LevelsMV = []int{300} },
 		"level too high": func(s *SweepSpec) { s.LevelsMV = []int{900} },
+		"level off step": func(s *SweepSpec) { s.LevelsMV = []int{510} },
+
+		"point off-step vcc":             withPoint(func(p *SpecPoint) { p.Config.Vcc = 510 }),
+		"point without store table":      withPoint(func(p *SpecPoint) { p.Config.Hierarchy.StoresPerCycle = 0 }),
+		"point with short store table":   withPoint(func(p *SpecPoint) { p.Config.Hierarchy.MaxStabilize = 1 }),
+		"point with few registers":       withPoint(func(p *SpecPoint) { p.Config.Scoreboard.Regs = 4 }),
+		"point with odd cache sets":      withPoint(func(p *SpecPoint) { p.Config.Hierarchy.DL0.Sets = 48 }),
+		"point with huge ul1":            withPoint(func(p *SpecPoint) { p.Config.Hierarchy.UL1.Sets = 1 << 24 }),
+		"point with huge tlb":            withPoint(func(p *SpecPoint) { p.Config.Hierarchy.DTLB.Sets, p.Config.Hierarchy.DTLB.Ways = 1<<12, 64 }),
+		"point with huge iq":             withPoint(func(p *SpecPoint) { p.Config.IQ.Size = 1 << 20 }),
+		"point with huge bp":             withPoint(func(p *SpecPoint) { p.Config.Predictor.BPEntries = 1 << 24 }),
+		"point with huge rsb":            withPoint(func(p *SpecPoint) { p.Config.Predictor.RSBEntries = 1 << 20 }),
+		"point with huge fill buffer":    withPoint(func(p *SpecPoint) { p.Config.Hierarchy.FillBufferEntries = 1 << 20 }),
+		"point with huge wcb":            withPoint(func(p *SpecPoint) { p.Config.Hierarchy.WCBEntries = 1 << 20 }),
+		"point with huge store table":    withPoint(func(p *SpecPoint) { p.Config.Hierarchy.StoresPerCycle = 512 }),
+		"point with overflowing stable":  withPoint(func(p *SpecPoint) { p.Config.Hierarchy.MaxStabilize = math.MaxInt }),
+		"point with huge scoreboard":     withPoint(func(p *SpecPoint) { p.Config.Scoreboard.Regs = 1 << 20 }),
+		"point with huge max cycles":     withPoint(func(p *SpecPoint) { p.Config.MaxCycles = 1 << 40 }),
+		"point with negative max cycles": withPoint(func(p *SpecPoint) { p.Config.MaxCycles = -1 }),
+		"point whose circuit allows no N": withPoint(func(p *SpecPoint) {
+			params := circuit.DefaultParams()
+			params.MaxStabilizeCycles = 0
+			p.Config.Circuit = &params
+		}),
+		"point with unknown transform": withPoint(func(p *SpecPoint) { p.Traces = TraceSet{Transform: "shuffle", MinGap: 8} }),
+		"point rescheduled at gap 0":   withPoint(func(p *SpecPoint) { p.Traces.MinGap = 0 }),
+		"point rescheduled too far":    withPoint(func(p *SpecPoint) { p.Traces.MinGap = maxMinGap + 1 }),
+		"point with gap, no transform": withPoint(func(p *SpecPoint) { p.Traces.Transform = "" }),
 	} {
 		t.Run(name, func(t *testing.T) {
 			s := good
@@ -194,10 +240,33 @@ func TestCellKeyPinned(t *testing.T) {
 	}
 }
 
+// TestSweepSpecExpandOrder: a spec's points are its (mode, level) grid,
+// mode-major at the spec's width, then its explicit points; PointSpecs
+// resolves each trace set against the suite.
+func TestSweepSpecExpandOrder(t *testing.T) {
+	spec := SweepSpec{InstsPerTrace: 1000, SeedsPerProfile: 1, Modes: []string{"baseline", "iraw"}, LevelsMV: []int{600, 500}, Width: 1,
+		Points: []SpecPoint{{Label: "resched", Config: core.DefaultConfig(500, circuit.ModeIRAW), Traces: TraceSet{Transform: "reschedule", MinGap: 8}}}}
+	want := append((&Runner{Width: 1}).SweepPoints(spec.Traces(), []circuit.Mode{circuit.ModeBaseline, circuit.ModeIRAW}, []circuit.Millivolts{600, 500}),
+		PointSpec{Label: "resched", Cfg: spec.Points[0].Config, Traces: TraceSet{Transform: "reschedule", MinGap: 8}.resolve(spec.Traces())})
+	got := spec.PointSpecs()
+	if len(got) != len(want) || spec.Cells() != len(want)*len(spec.Traces()) {
+		t.Fatalf("%d points, %d cells; want %d points", len(got), spec.Cells(), len(want))
+	}
+	for i := range want {
+		if got[i].Label != want[i].Label || got[i].Cfg != want[i].Cfg || !slices.Equal(got[i].Traces, want[i].Traces) {
+			t.Errorf("point %d is %q, want %q", i, got[i].Label, want[i].Label)
+		}
+	}
+	if got[4].Traces[0] != workload.Reschedule(spec.Traces()[0], 8) {
+		t.Error("the rescheduled point does not run the rescheduled suite")
+	}
+}
+
 // FuzzSweepSpec feeds hostile submissions through the daemon's admission
 // path: JSON decoded with unknown fields rejected (as the server does),
-// then Validate and Cells. Nothing may panic, and every accepted spec's
-// Cells must equal the number of cells its sweep expands to.
+// then Validate and Cells. Nothing may panic, every accepted point passes
+// core's validation and the size bounds, and every accepted spec's Cells
+// must equal the number of cells its expansion has.
 func FuzzSweepSpec(f *testing.F) {
 	for _, seed := range []string{
 		`{"insts_per_trace":3000,"seeds_per_profile":1,"modes":["baseline","iraw"]}`,
@@ -208,8 +277,25 @@ func FuzzSweepSpec(f *testing.F) {
 		`{"insts_per_trace":3000,"seeds_per_profile":1,"modes":["iraw"],"width":9}`,
 		`{"insts_per_trace":3000,"seeds_per_profile":1,"modes":["iraw"],"surprise":true}`,
 		`{"insts_per_trace":-1}`, `[]`, `null`, ``,
+		`{"insts_per_trace":3000,"seeds_per_profile":1,"modes":["iraw"],"levels_mv":[510]}`,
 	} {
 		f.Add([]byte(seed))
+	}
+	point := SpecPoint{Label: "p", Config: core.DefaultConfig(500, circuit.ModeIRAW), Traces: TraceSet{Transform: "reschedule", MinGap: 8}}
+	for _, mutate := range []func(*SpecPoint){
+		func(*SpecPoint) {},
+		func(p *SpecPoint) { p.Traces = TraceSet{} },
+		func(p *SpecPoint) { p.Config.Hierarchy.UL1.Sets = 1 << 24 },
+		func(p *SpecPoint) { p.Config.IQ.Size = 1 << 20 },
+		func(p *SpecPoint) { p.Traces.Transform = "bogus" },
+	} {
+		p := point
+		mutate(&p)
+		data, err := json.Marshal(SweepSpec{InstsPerTrace: 3000, SeedsPerProfile: 1, Modes: []string{"baseline"}, LevelsMV: []int{500}, Points: []SpecPoint{p}})
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var spec SweepSpec
@@ -218,9 +304,24 @@ func FuzzSweepSpec(f *testing.F) {
 		if dec.Decode(&spec) != nil || spec.Validate() != nil {
 			return
 		}
-		modes, err := spec.CircuitModes()
-		if err != nil {
+		if _, err := spec.CircuitModes(); err != nil {
 			t.Fatalf("accepted spec %+v has unparsable modes: %v", spec, err)
+		}
+		for _, p := range spec.Points {
+			c, h := p.Config, p.Config.Hierarchy
+			if err := c.Validate(); err != nil {
+				t.Fatalf("accepted point %q fails core validation: %v", p.Label, err)
+			}
+			for _, b := range []cache.Config{h.IL0, h.DL0, h.UL1, h.ITLB, h.DTLB} {
+				if b.Sets*b.Ways > maxCacheLines {
+					t.Fatalf("accepted point %q has %d x %d lines in %s", p.Label, b.Sets, b.Ways, b.Name)
+				}
+			}
+			if max(c.IQ.Size, c.Predictor.RSBEntries, h.FillBufferEntries, h.WCBEntries, c.Scoreboard.Regs,
+				h.StoresPerCycle*(h.MaxStabilize+1)) > maxQueue || c.Predictor.BPEntries > maxBPEntries ||
+				c.MaxCycles < 0 || c.MaxCycles > maxPointCycles {
+				t.Fatalf("accepted point %q is out of bounds: %+v", p.Label, c)
+			}
 		}
 		if spec.Cells() > 1<<16 {
 			return // valid, but too large to expand on every fuzz iteration
@@ -230,7 +331,7 @@ func FuzzSweepSpec(f *testing.F) {
 		small := spec
 		small.InstsPerTrace = 1
 		cells := 0
-		for _, p := range spec.NewRunner().SweepPoints(small.Traces(), modes, spec.Levels()) {
+		for _, p := range small.PointSpecs() {
 			cells += len(p.Traces)
 		}
 		if got := spec.Cells(); got != cells {

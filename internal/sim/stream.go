@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -27,6 +28,10 @@ type PointSpec struct {
 	Label  string
 	Cfg    core.Config
 	Traces []*trace.Trace
+
+	// set names how Traces derive from the suite, for Grid.Spec; the zero
+	// value is the suite itself.
+	set TraceSet
 }
 
 // PointUpdate is one event on the result stream: a completed (point, trace)
@@ -102,7 +107,7 @@ func (cl *cell) firstErr() error {
 // sharded into sample windows when windowing is enabled — across the worker
 // pool and emits each cell's result the moment its last window completes.
 // Every batch API (Sweep, RunPoint, Collect and through it every
-// experiment) is a thin collector over this stream, via runPoints.
+// experiment) is a thin collector over this stream, via Collect.
 //
 // Emission order follows completion and is therefore scheduling-dependent,
 // but each update's content is not: a cell's Result is bit-identical for
@@ -342,7 +347,7 @@ func (r *Runner) CellKey(cfg core.Config, tr *trace.Trace) (string, error) {
 	return r.NewKeyer().CellKey(cfg, tr)
 }
 
-// RunCell runs exactly one (cfg, trace) cell through runPoints — with the
+// RunCell runs exactly one (cfg, trace) cell through Collect — with the
 // runner's windowing, retries, journal replay and fault injection all in
 // effect — and returns the cell's update: its stitched Result, its window
 // count and whether it replayed from the journal instead of simulating.
@@ -350,7 +355,7 @@ func (r *Runner) CellKey(cfg core.Config, tr *trace.Trace) (string, error) {
 // rules, exactly like a PointSpec label.
 func (r *Runner) RunCell(ctx context.Context, label string, cfg core.Config, tr *trace.Trace) (PointUpdate, error) {
 	var out PointUpdate
-	_, _, err := r.runPoints(ctx, []PointSpec{{Label: label, Cfg: cfg, Traces: []*trace.Trace{tr}}},
+	_, err := r.Collect(ctx, []PointSpec{{Label: label, Cfg: cfg, Traces: []*trace.Trace{tr}}},
 		func(u PointUpdate) error { out = u; return u.Err })
 	if err != nil {
 		return PointUpdate{}, err
@@ -733,76 +738,51 @@ func (r *Runner) SweepPoints(traces []*trace.Trace, modes []circuit.Mode, levels
 // return stops the sweep and is handed back to the caller.
 type LevelFunc func(v circuit.Millivolts, pts map[circuit.Mode]*Point, fails map[circuit.Mode]*CellError) error
 
-// LevelFold is the one collector that turns a sweep's cells into levels.
-// Cells arrive in any order as PointUpdates indexed by (point, trace),
-// points in the fixed (mode, level) order of SweepPoints. A point settles
-// once every one of its traces has landed: its aggregate is
-// core.MergeResults over the results in trace order, or, if any trace
-// failed, the failure with the lowest trace index. Levels are released to
-// onLevel strictly in level order, each as soon as all of its points have
-// settled, so the calls do not depend on arrival order. Runner.StreamLevels
-// feeds it from Stream; the sweep daemon's client feeds it from cell
-// events. A LevelFold is not safe for concurrent use.
+// LevelFold turns a (mode, level) sweep's cells, points in SweepPoints
+// order, into levels: a Collector settles each point, to its aggregate or
+// its lowest-trace failure, and levels are released to onLevel strictly in
+// level order, each as soon as all of its points have settled. Its Add is
+// the onCell hook a renderer hands to Runner.Collect or to the sweep
+// daemon's client, so both sources release the same levels. Not safe for
+// concurrent use.
 type LevelFold struct {
 	modes   []circuit.Mode
 	levels  []circuit.Millivolts
-	traces  int
 	onLevel LevelFunc
-	cells   []*PointUpdate // [point*traces + trace]; nil until landed
-	landed  []int          // cells landed per point
-	next    int            // first level not yet released
+	col     *Collector
+	next    int // first level not yet released
 }
 
 // NewLevelFold starts a fold over a (modes x levels) sweep of traces
 // traces per point.
 func NewLevelFold(modes []circuit.Mode, levels []circuit.Millivolts, traces int, onLevel LevelFunc) *LevelFold {
-	points := len(modes) * len(levels)
-	return &LevelFold{
-		modes: modes, levels: levels, traces: traces, onLevel: onLevel,
-		cells:  make([]*PointUpdate, points*traces),
-		landed: make([]int, points),
-	}
+	return &LevelFold{modes: modes, levels: levels, onLevel: onLevel,
+		col: NewCollector(slices.Repeat([]int{traces}, len(modes)*len(levels)))}
 }
 
 // Add places one update and releases every level it completes. It returns
-// the error of a terminal update (Point < 0 with Err set), an error for a
-// cell that is out of range, lands twice or carries neither a result nor
-// an error, and the first onLevel error.
+// a terminal update's error (Point < 0), Collector.Add's error and the
+// first onLevel error.
 func (f *LevelFold) Add(u PointUpdate) error {
 	if u.Point < 0 && u.Err != nil {
 		return u.Err
 	}
-	if u.Point < 0 || u.Point >= len(f.landed) || u.Trace < 0 || u.Trace >= f.traces {
-		return fmt.Errorf("sim: cell (point %d, trace %d) outside the %d-point, %d-trace sweep", u.Point, u.Trace, len(f.landed), f.traces)
+	if err := f.col.Add(u); err != nil {
+		return err
 	}
-	i := u.Point*f.traces + u.Trace
-	if f.cells[i] != nil {
-		return fmt.Errorf("sim: cell (point %d, trace %d) landed twice", u.Point, u.Trace)
-	}
-	if u.Err == nil && u.Result == nil {
-		return fmt.Errorf("sim: cell (point %d, trace %d) has neither a result nor an error", u.Point, u.Trace)
-	}
-	f.cells[i] = &u
-	f.landed[u.Point]++
 	for ; f.next < len(f.levels); f.next++ {
 		v := f.levels[f.next]
 		pts := make(map[circuit.Mode]*Point, len(f.modes))
 		fails := make(map[circuit.Mode]*CellError)
 		for mi, m := range f.modes {
-			p := mi*len(f.levels) + f.next
-			if f.landed[p] < f.traces {
+			agg, failed, settled := f.col.point(mi*len(f.levels) + f.next)
+			switch {
+			case !settled:
 				return nil // an unsettled point gates this and later levels
-			}
-			results := make([]*core.Result, f.traces)
-			for ti, c := range f.cells[p*f.traces : (p+1)*f.traces] {
-				if c.Err != nil {
-					fails[m] = asCellError(c.Err)
-					break
-				}
-				results[ti] = c.Result
-			}
-			if fails[m] == nil {
-				pts[m] = &Point{Vcc: v, Mode: m, Agg: core.MergeResults(results)}
+			case failed != nil:
+				fails[m] = failed[0]
+			default:
+				pts[m] = &Point{Vcc: v, Mode: m, Agg: agg}
 			}
 		}
 		if err := f.onLevel(v, pts, fails); err != nil {
@@ -810,26 +790,6 @@ func (f *LevelFold) Add(u PointUpdate) error {
 		}
 	}
 	return nil
-}
-
-// Released reports how many levels have been handed to onLevel.
-func (f *LevelFold) Released() int { return f.next }
-
-// StreamLevels runs the (modes x levels) sweep through runPoints with a
-// LevelFold as its per-cell hook: onLevel is called once per level, in level order, as soon as
-// every mode at that level has settled, while later levels may still be
-// running. With AllowPartial, failed operating points arrive in the fails
-// map; without it a failed cell ends the sweep with its error before its
-// level is released. An onLevel error cancels the sweep; StreamLevels
-// always drains the stream before returning, so callers never strand the
-// producer's workers.
-func (r *Runner) StreamLevels(ctx context.Context, traces []*trace.Trace, modes []circuit.Mode, levels []circuit.Millivolts, onLevel LevelFunc) error {
-	fold := NewLevelFold(modes, levels, len(traces), onLevel)
-	_, _, err := r.runPoints(ctx, r.SweepPoints(traces, modes, levels), fold.Add)
-	if _, partial := err.(*PartialError); partial {
-		return nil // the failed points reached onLevel in their levels' fails maps
-	}
-	return err
 }
 
 // asCellError coerces err into a *CellError, wrapping foreign errors so

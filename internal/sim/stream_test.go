@@ -223,17 +223,19 @@ func TestProgressCallback(t *testing.T) {
 	}
 }
 
-// TestStreamLevelsMatchesSweep: every level StreamLevels releases is
-// bit-identical to the batch Sweep's grid entries at that level, and each
-// level is released exactly once, in level order.
+// TestStreamLevelsMatchesSweep: every level a LevelFold releases as
+// Collect's per-cell hook is bit-identical to the batch Sweep's grid
+// entries at that level, and each level is released exactly once, in
+// level order.
 func TestStreamLevelsMatchesSweep(t *testing.T) {
 	traces := SuiteSpec{InstsPerTrace: 3000, SeedsPerProfile: 1}.Traces()
-	batch, err := (&Runner{Workers: 2}).Sweep(context.Background(), traces, streamModes, streamLevels)
+	r := &Runner{Workers: 2}
+	batch, err := r.Sweep(context.Background(), traces, streamModes, streamLevels)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var got []circuit.Millivolts
-	err = (&Runner{Workers: 2}).StreamLevels(context.Background(), traces, streamModes, streamLevels,
+	fold := NewLevelFold(streamModes, streamLevels, len(traces),
 		func(v circuit.Millivolts, pts map[circuit.Mode]*Point, fails map[circuit.Mode]*CellError) error {
 			got = append(got, v)
 			if len(fails) != 0 || len(pts) != len(streamModes) {
@@ -246,7 +248,7 @@ func TestStreamLevelsMatchesSweep(t *testing.T) {
 			}
 			return nil
 		})
-	if err != nil {
+	if _, err := r.Collect(context.Background(), r.SweepPoints(traces, streamModes, streamLevels), fold.Add); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, streamLevels) {
@@ -274,8 +276,8 @@ func foldAll(t *testing.T, modes []circuit.Mode, levels []circuit.Millivolts, tr
 			t.Fatalf("Add(point %d, trace %d): %v", u.Point, u.Trace, err)
 		}
 	}
-	if fold.Released() != len(levels) {
-		t.Fatalf("released %d of %d levels", fold.Released(), len(levels))
+	if len(calls) != len(levels) {
+		t.Fatalf("released %d of %d levels", len(calls), len(levels))
 	}
 	return calls
 }

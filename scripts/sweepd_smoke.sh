@@ -31,19 +31,19 @@
 #      of the same log);
 #   6. a second daemon with in-process worker slots (-workers 2) on a
 #      fresh journal serves `figures -fig all -csv -server` byte-identical
-#      to the local `figures -fig all -csv`: the figures' union grid sends
-#      its standard-suite points to the daemon as a few sweeps (Figure
-#      11(b) folds the daemon's cell events into levels exactly as the
-#      local runner folds its stream) and simulates its variant points
-#      locally, and the cells the daemon simulated (its journal entries)
-#      plus the cells simulated locally equal the distinct cells of the
-#      local run, none of them replayed. Both sides derive cells from a
-#      sibling of equal engine input (IRAW at 600 mV and above is timed as
-#      baseline): the local run must print at least one such line, and the
-#      daemon's figures sweeps must report at least one derived cell in
-#      their /api/v1/sweeps/<id> status (the daemon seals a derived cell
-#      from its leased twin's admitted upload, the local run from its
-#      stitched result; the byte diff holds the two to the same numbers);
+#      to the local `figures -fig all -csv`: the figures' union grid,
+#      variant points included, travels to the daemon as exactly one sweep
+#      of explicit points (Figure 11(b) folds the daemon's cell events
+#      into levels exactly as the local runner folds its stream), the
+#      daemon's journal then holds every distinct cell of the local run,
+#      the client simulates none, and nothing is replayed. Both sides
+#      derive cells from a sibling of equal engine input (IRAW at 600 mV
+#      and above is timed as baseline): the local run must print at least
+#      one such line, and the daemon's sweep must report exactly as many
+#      derived cells in its /api/v1/sweeps/sweep-1 status (the daemon
+#      seals a derived cell from its leased twin's admitted upload, the
+#      local run from its stitched result; the byte diff holds the two to
+#      the same numbers);
 #   7. the same daemon renders the vccsweep CSV identical to the local
 #      sweep: its slots upload from memory through the same content check
 #      as external workers (<jnl>/local holds no journal entry), and it
@@ -318,19 +318,14 @@ if ! diff -u "$WORK/local_figs.csv" "$WORK/daemon_figs.csv"; then
   exit 1
 fi
 echo "sweepd_smoke: daemon figures CSV identical to local" >&2
-# Sweep IDs number submissions from sweep-1, so the figures' sweeps are
-# sweep-1, sweep-2, ... up to the first ID the daemon does not know.
-FIG_SWEEPS=0
-DAEMON_DERIVED=0
-while STATUS="$(curl -sf "http://$ADDR/api/v1/sweeps/sweep-$((FIG_SWEEPS + 1))")"; do
-  FIG_SWEEPS=$((FIG_SWEEPS + 1))
-  D="$(printf '%s' "$STATUS" | sed -n 's/.*"derived":\([0-9]*\).*/\1/p')"
-  DAEMON_DERIVED=$((DAEMON_DERIVED + ${D:-0}))
-done
-if [ "$FIG_SWEEPS" -lt 1 ] || [ "$DAEMON_DERIVED" -lt 1 ]; then
-  echo "sweepd_smoke: FAIL the daemon derived $DAEMON_DERIVED cells over $FIG_SWEEPS figures sweeps (want at least 1)" >&2
+# Sweep IDs number submissions from sweep-1: the figures' one sweep is
+# sweep-1, and the daemon knows no sweep-2 before vccsweep submits.
+STATUS="$(curl -sf "http://$ADDR/api/v1/sweeps/sweep-1" || true)"
+if [ -z "$STATUS" ] || curl -sf "http://$ADDR/api/v1/sweeps/sweep-2" >/dev/null; then
+  echo "sweepd_smoke: FAIL figures -server submitted $([ -z "$STATUS" ] && echo no || echo more than one) sweep (want exactly 1)" >&2
   exit 1
 fi
+DAEMON_DERIVED="$(printf '%s' "$STATUS" | sed -n 's/.*"derived":\([0-9]*\).*/\1/p')"
 if ! "$WORK/vccsweep" -server "$ADDR" -insts "$INSTS" -seeds "$SEEDS" \
   -modes "$MODES" -csv > "$WORK/daemon_local.csv" 2> "$WORK/client_local.err"; then
   echo "sweepd_smoke: FAIL in-process client sweep errored" >&2
@@ -357,23 +352,23 @@ fi
 DAEMON_PID=""
 
 # Cell accounting: this daemon's journal holds exactly the cells it
-# simulated for the figures (the vccsweep above replayed its grid from
-# them), and the figures' local part simulated the rest; together they are
-# the local run's distinct cells, and nothing was replayed on either side.
+# simulated or derived for the figures (the vccsweep above replayed its
+# grid from them), which are every distinct cell of the local run; the
+# figures client simulated none, and nothing was replayed on either side.
 DISTINCT="$(grep -c ' window(s))' "$WORK/local_figs.progress" || true)"
 LOCAL="$(grep -c ' window(s))' "$WORK/client_figs.err" || true)"
 DAEMON_CELLS="$(sed -n 's/.*journal verified (\([0-9]*\) entries).*/\1/p' "$WORK/daemon2.err")"
 if grep -q '\[journal\]' "$WORK/local_figs.progress" "$WORK/client_figs.err" ||
-  [ "$((DAEMON_CELLS + LOCAL))" -ne "$DISTINCT" ]; then
-  echo "sweepd_smoke: FAIL daemon simulated $DAEMON_CELLS + local $LOCAL cells, local run has $DISTINCT distinct (or some replayed)" >&2
+  [ "$LOCAL" -ne 0 ] || [ "${DAEMON_CELLS:-0}" -ne "$DISTINCT" ]; then
+  echo "sweepd_smoke: FAIL daemon journaled ${DAEMON_CELLS:-0} cells and the client simulated $LOCAL, local run has $DISTINCT distinct (want all on the daemon, none replayed)" >&2
   exit 1
 fi
-echo "sweepd_smoke: daemon $DAEMON_CELLS + local $LOCAL cells = $DISTINCT distinct cells" >&2
+echo "sweepd_smoke: daemon journaled all $DISTINCT distinct cells, the client simulated none" >&2
 DERIVED="$(grep -c '\[derived from ' "$WORK/local_figs.progress" || true)"
-if [ "$DERIVED" -lt 1 ]; then
-  echo "sweepd_smoke: FAIL the local figures derived no cell from a sibling of equal engine input" >&2
+if [ "$DERIVED" -lt 1 ] || [ "${DAEMON_DERIVED:-0}" -ne "$DERIVED" ]; then
+  echo "sweepd_smoke: FAIL the daemon derived ${DAEMON_DERIVED:-0} figures cells, the local run $DERIVED (want equal, at least 1)" >&2
   exit 1
 fi
-echo "sweepd_smoke: figures derived $DERIVED of $DISTINCT cells locally, $DAEMON_DERIVED in $FIG_SWEEPS daemon sweeps; both agree byte for byte" >&2
+echo "sweepd_smoke: figures derived $DERIVED of $DISTINCT cells locally and in the daemon's one sweep; both agree byte for byte" >&2
 
 echo "sweepd_smoke: PASS (no shared FS; kill -9 + partition mid-sweep; width-3 grid; in-process slots; every figure through -server; results identical; clean drains)"
