@@ -221,13 +221,13 @@ func (g *gen) collect(grid *sim.Grid, figs []figure) ([]*core.Result, error) {
 			}
 		}
 	}
+	ctx := context.Background()
+	if g.server == "" {
+		return g.r.Collect(ctx, grid.Points, onCell)
+	}
 	spec, err := grid.Spec(g.spec)
 	if err != nil {
 		return nil, err
-	}
-	ctx := context.Background()
-	if g.server == "" {
-		return g.r.Collect(ctx, spec.PointSpecs(), onCell)
 	}
 	cl, err := service.NewClient(g.server)
 	if err != nil {

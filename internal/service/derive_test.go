@@ -83,7 +83,7 @@ func assertEntriesMatchRunCell(t *testing.T, jnl *journal.Journal, spec sim.Swee
 	t.Helper()
 	traces := spec.Traces()
 	for _, c := range cells {
-		u, err := spec.NewRunner().RunCell(context.Background(), c.Label, c.Spec.Points[0].Config, traces[c.TraceIdx])
+		u, err := spec.NewRunner().RunCell(context.Background(), c.Label, c.Spec.Expand()[0].Config, traces[c.TraceIdx])
 		if err != nil {
 			t.Fatal(err)
 		}

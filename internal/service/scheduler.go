@@ -233,9 +233,12 @@ func expandSpec(id string, spec sim.SweepSpec, jnl *journal.Journal) ([]Cell, []
 		return nil, nil, fmt.Errorf("service: spec expands to zero cells")
 	}
 	own := make([]sim.SweepSpec, len(points))
-	for i, p := range spec.Expand() {
-		own[i] = spec
-		own[i].Modes, own[i].LevelsMV, own[i].Width, own[i].Points = nil, nil, 0, []sim.SpecPoint{p}
+	for i, p := range points {
+		own[i] = spec // a (mode, level) point travels as that mode and level
+		own[i].Modes, own[i].LevelsMV, own[i].Points = []string{p.Cfg.Mode.String()}, []int{int(p.Cfg.Vcc)}, nil
+		if j := i - len(points) + len(spec.Points); j >= 0 { // an explicit point as itself
+			own[i].Modes, own[i].LevelsMV, own[i].Width, own[i].Points = nil, nil, 0, []sim.SpecPoint{spec.Points[j]}
+		}
 	}
 	cells := make([]Cell, len(plan))
 	for i, pc := range plan {
@@ -651,7 +654,7 @@ func (s *Scheduler) failAttemptLocked(job *sweepJob, index int, reason string) {
 // cellEvent builds the progress record for one recorded cell outcome.
 func (s *Scheduler) cellEvent(job *sweepJob, index int, res *core.Result, worker, errMsg string) CellEvent {
 	c := job.cells[index]
-	cfg := c.Spec.Points[0].Config
+	cfg := c.Spec.Expand()[0].Config
 	return CellEvent{
 		Sweep:     job.id,
 		Index:     index,

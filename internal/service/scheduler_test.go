@@ -38,7 +38,7 @@ func singlePointSpec() sim.SweepSpec {
 }
 
 func cellCount(spec sim.SweepSpec) int {
-	return len(spec.Modes) * len(spec.Levels()) * len(spec.Traces())
+	return (len(spec.Modes)*len(spec.Levels()) + len(spec.Points)) * len(spec.Traces())
 }
 
 // journalHashes fingerprints every entry a journal directory indexes, by
@@ -644,18 +644,23 @@ func TestOversizedSpecRejectedBeforeExpansion(t *testing.T) {
 
 // TestExpandSpecKeysMatchCellKey: the daemon's memoized cell keys — one
 // hash per trace and per point — equal the key a worker's Runner.CellKey
-// computes for every cell, for an unsharded spec, a width-3 spec and a
-// spec long enough to shard under automatic windowing.
+// computes for every cell, for an unsharded spec, a width-3 spec, a spec
+// long enough to shard under automatic windowing and a spec with an
+// explicit point over rescheduled traces. Each cell carries only its own
+// point: a grid point as its one mode and level, an explicit point as
+// itself.
 func TestExpandSpecKeysMatchCellKey(t *testing.T) {
 	wide := testSpec()
 	wide.Width = 3
 	long := sim.SweepSpec{InstsPerTrace: 200_000, SeedsPerProfile: 1, Modes: []string{"baseline", "iraw"}, LevelsMV: []int{500}}
+	explicit := wide
+	explicit.Points = []sim.SpecPoint{{Label: "resched", Config: wide.Expand()[1].Config, Traces: sim.TraceSet{Transform: "reschedule", MinGap: 8}}}
 	jnl, err := journal.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer jnl.Close()
-	for name, spec := range map[string]sim.SweepSpec{"testSpec": testSpec(), "width-3": wide, "sharded": long} {
+	for name, spec := range map[string]sim.SweepSpec{"testSpec": testSpec(), "width-3": wide, "sharded": long, "explicit": explicit} {
 		cells, _, err := expandSpec("sweep-1", spec, jnl)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -665,12 +670,19 @@ func TestExpandSpecKeysMatchCellKey(t *testing.T) {
 		}
 		traces := spec.Traces()
 		points := spec.Expand()
+		grid := len(points) - len(spec.Points)
 		r := spec.NewRunner()
 		for _, c := range cells {
-			if len(c.Spec.Points) != 1 || c.Spec.Points[0] != points[c.Index/len(traces)] || len(c.Spec.Modes) != 0 {
+			i := c.Index / len(traces)
+			own := c.Spec.Expand()
+			form := len(c.Spec.Points) == 0 && len(c.Spec.Modes) == 1 && len(c.Spec.LevelsMV) == 1 && c.Spec.Width == spec.Width
+			if i >= grid {
+				form = len(c.Spec.Points) == 1 && len(c.Spec.Modes) == 0 && len(c.Spec.LevelsMV) == 0
+			}
+			if !form || len(own) != 1 || own[0] != points[i] {
 				t.Fatalf("%s cell %d carries %+v, want only its own point", name, c.Index, c.Spec)
 			}
-			want, err := r.CellKey(c.Spec.Points[0].Config, traces[c.TraceIdx])
+			want, err := r.CellKey(own[0].Config, own[0].Traces.Resolve(traces)[c.TraceIdx])
 			if err != nil {
 				t.Fatal(err)
 			}

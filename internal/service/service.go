@@ -153,9 +153,9 @@ type Cell struct {
 	// (an engine-version or windowing drift between daemon and worker).
 	Key string `json:"key"`
 
-	// Spec is the submitted spec reduced to this cell's point: the suite
-	// sizes and windowing, and the point's core configuration and trace
-	// set, from which the worker regenerates both deterministically.
+	// Spec is the submitted spec reduced to this cell's point (a grid
+	// point as its one mode and level), from which the worker regenerates
+	// the point's configuration and trace deterministically.
 	Spec sim.SweepSpec `json:"spec"`
 }
 

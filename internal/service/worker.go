@@ -201,19 +201,19 @@ func heartbeatLoop(ctx context.Context, cancel context.CancelFunc, src CellSourc
 // bytes journal.Put would write there.
 func executeCell(ctx context.Context, lease *Lease, opts WorkerOpts) ([]byte, error) {
 	c := lease.Cell
-	points := c.Spec.PointSpecs()
+	points := c.Spec.Expand()
 	if len(points) != 1 {
 		return nil, fmt.Errorf("cell %d: spec holds %d points, want its own one", c.Index, len(points))
 	}
-	traces := points[0].Traces
-	if c.TraceIdx < 0 || c.TraceIdx >= len(traces) {
-		return nil, fmt.Errorf("cell %d: trace index %d outside suite of %d", c.Index, c.TraceIdx, len(traces))
+	suite := c.Spec.Traces()
+	if c.TraceIdx < 0 || c.TraceIdx >= len(suite) {
+		return nil, fmt.Errorf("cell %d: trace index %d outside suite of %d", c.Index, c.TraceIdx, len(suite))
 	}
-	tr := traces[c.TraceIdx]
+	tr := points[0].Traces.Resolve(suite[c.TraceIdx : c.TraceIdx+1])[0]
 	if tr.Name != c.TraceName {
 		return nil, fmt.Errorf("cell %d: trace %d is %q here, %q on the daemon (workload drift)", c.Index, c.TraceIdx, tr.Name, c.TraceName)
 	}
-	cfg := points[0].Cfg
+	cfg := points[0].Config
 
 	r := c.Spec.NewRunner()
 	r.Workers = 1

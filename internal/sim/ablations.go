@@ -25,7 +25,7 @@ type ReschedResult struct {
 // designs on the original traces, then on the rescheduled ones.
 func (r *Runner) CompilerResched(traces []*trace.Trace, v circuit.Millivolts, minGap int) Experiment[*ReschedResult] {
 	set := TraceSet{Transform: "reschedule", MinGap: minGap}
-	resched := set.resolve(traces)
+	resched := set.Resolve(traces)
 	specs := r.SweepPoints(traces, designs, []circuit.Millivolts{v})
 	for _, mode := range designs {
 		specs = append(specs, PointSpec{

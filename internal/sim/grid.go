@@ -72,13 +72,13 @@ func (g *Grid) Add(points []PointSpec) []int {
 
 // Spec is the grid as one sweep: base's suite sizes and windowing with one
 // explicit point per grid point, in grid order, so the spec's point i is
-// Points[i]. It fails for a point whose traces are not base's suite or a
-// TraceSet of it.
+// Points[i]. It fails for a point over traces other than base's suite; a
+// transformed point (CompilerResched) is written as its declared TraceSet.
 func (g *Grid) Spec(base SweepSpec) (SweepSpec, error) {
 	suite := base.Traces()
 	base.Modes, base.LevelsMV, base.Width, base.Points = nil, nil, 0, make([]SpecPoint, len(g.Points))
 	for i, p := range g.Points {
-		if !slices.Equal(p.Traces, p.set.resolve(suite)) {
+		if len(p.Traces) != len(suite) || p.set == (TraceSet{}) && !slices.Equal(p.Traces, suite) {
 			return SweepSpec{}, fmt.Errorf("sim: point %q does not run the spec's suite", p.Label)
 		}
 		base.Points[i] = SpecPoint{Label: p.Label, Config: p.Cfg, Traces: p.set}

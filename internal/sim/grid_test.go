@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"lowvcc/internal/circuit"
+	"lowvcc/internal/trace"
+	"lowvcc/internal/workload"
 )
 
 // TestGridAddDedupes: points two experiments share are held once, and
@@ -68,7 +70,7 @@ func TestGridSpecRoundTrip(t *testing.T) {
 		t.Fatalf("%d points, want %d", len(got), len(g.Points))
 	}
 	for i, p := range g.Points {
-		if got[i].Label != p.Label || got[i].Cfg != p.Cfg || !slices.Equal(got[i].Traces, p.Traces) {
+		if got[i].Label != p.Label || got[i].Cfg != p.Cfg || !sameTraces(got[i].Traces, p.Traces) {
 			t.Errorf("point %d: %q over %d traces, want %q", i, got[i].Label, len(got[i].Traces), p.Label)
 		}
 	}
@@ -77,4 +79,32 @@ func TestGridSpecRoundTrip(t *testing.T) {
 	if _, err := g.Spec(wire); err == nil {
 		t.Error("Spec accepted a point over a trace list that is not the suite")
 	}
+}
+
+// TestGridSpecFullReschedMemo: Grid.Spec writes a rescheduled point from
+// the trace set it was declared with, not by rescheduling the suite again
+// and comparing traces, so it holds once workload.Reschedule's memo is
+// full and each call builds a fresh trace (as with -seeds 37 or more).
+func TestGridSpecFullReschedMemo(t *testing.T) {
+	p := workload.Profiles()[0]
+	for i := range 300 {
+		workload.Reschedule(workload.Generate(p, 16, uint64(i)+1), 8)
+	}
+	suite := SuiteSpec{InstsPerTrace: 301, SeedsPerProfile: 1}
+	g := &Grid{}
+	g.Add((&Runner{}).CompilerResched(suite.Traces(), 500, 8).Points)
+	spec, err := g.Spec(SweepSpec{InstsPerTrace: suite.InstsPerTrace, SeedsPerProfile: suite.SeedsPerProfile})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if set := (TraceSet{Transform: "reschedule", MinGap: 8}); spec.Points[2].Traces != set || spec.Points[3].Traces != set || spec.Points[0].Traces != (TraceSet{}) {
+		t.Errorf("trace sets %+v, want the suite twice then rescheduled twice", spec.Points)
+	}
+}
+
+// sameTraces reports whether a and b hold the same traces in order, by
+// name and instructions: once workload.Reschedule's memo is full, each
+// call builds its trace afresh instead of sharing one.
+func sameTraces(a, b []*trace.Trace) bool {
+	return slices.EqualFunc(a, b, func(x, y *trace.Trace) bool { return x.Name == y.Name && slices.Equal(x.Insts, y.Insts) })
 }

@@ -104,13 +104,13 @@ func (p SpecPoint) validate() error {
 	return nil
 }
 
-// resolve applies the set to suite.
-func (t TraceSet) resolve(suite []*trace.Trace) []*trace.Trace {
+// Resolve applies the set to traces, which are traces of the spec's suite.
+func (t TraceSet) Resolve(traces []*trace.Trace) []*trace.Trace {
 	if t.Transform == "" {
-		return suite
+		return traces
 	}
-	out := make([]*trace.Trace, len(suite))
-	for i, tr := range suite {
+	out := make([]*trace.Trace, len(traces))
+	for i, tr := range traces {
 		out[i] = workload.Reschedule(tr, t.MinGap)
 	}
 	return out
@@ -223,7 +223,7 @@ func (s SweepSpec) PointSpecs() []PointSpec {
 	suite := s.Traces()
 	var specs []PointSpec
 	for _, p := range s.Expand() {
-		specs = append(specs, PointSpec{Label: p.Label, Cfg: p.Config, Traces: p.Traces.resolve(suite), set: p.Traces})
+		specs = append(specs, PointSpec{Label: p.Label, Cfg: p.Config, Traces: p.Traces.Resolve(suite), set: p.Traces})
 	}
 	return specs
 }
@@ -242,11 +242,8 @@ func (s SweepSpec) NewRunner() *Runner {
 	return &Runner{WindowInsts: s.WindowInsts, WarmInsts: s.WarmInsts, Width: s.Width}
 }
 
-// PointConfig builds the core configuration of one of the spec's cells —
-// the spec's width applied over the modelled default. The sweep daemon
-// (key planning) and its external workers (lease execution) both construct
-// configs through here, which is what keeps their journal content
-// addresses in agreement.
+// PointConfig builds the core configuration of one of the spec's (mode,
+// level) grid points: the spec's width applied over the modelled default.
 func (s SweepSpec) PointConfig(v circuit.Millivolts, mode circuit.Mode) core.Config {
 	return (&Runner{Width: s.Width}).pointConfig(v, mode)
 }

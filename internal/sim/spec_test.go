@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
-	"slices"
 	"strings"
 	"testing"
 
@@ -247,17 +246,17 @@ func TestSweepSpecExpandOrder(t *testing.T) {
 	spec := SweepSpec{InstsPerTrace: 1000, SeedsPerProfile: 1, Modes: []string{"baseline", "iraw"}, LevelsMV: []int{600, 500}, Width: 1,
 		Points: []SpecPoint{{Label: "resched", Config: core.DefaultConfig(500, circuit.ModeIRAW), Traces: TraceSet{Transform: "reschedule", MinGap: 8}}}}
 	want := append((&Runner{Width: 1}).SweepPoints(spec.Traces(), []circuit.Mode{circuit.ModeBaseline, circuit.ModeIRAW}, []circuit.Millivolts{600, 500}),
-		PointSpec{Label: "resched", Cfg: spec.Points[0].Config, Traces: TraceSet{Transform: "reschedule", MinGap: 8}.resolve(spec.Traces())})
+		PointSpec{Label: "resched", Cfg: spec.Points[0].Config, Traces: TraceSet{Transform: "reschedule", MinGap: 8}.Resolve(spec.Traces())})
 	got := spec.PointSpecs()
 	if len(got) != len(want) || spec.Cells() != len(want)*len(spec.Traces()) {
 		t.Fatalf("%d points, %d cells; want %d points", len(got), spec.Cells(), len(want))
 	}
 	for i := range want {
-		if got[i].Label != want[i].Label || got[i].Cfg != want[i].Cfg || !slices.Equal(got[i].Traces, want[i].Traces) {
+		if got[i].Label != want[i].Label || got[i].Cfg != want[i].Cfg || !sameTraces(got[i].Traces, want[i].Traces) {
 			t.Errorf("point %d is %q, want %q", i, got[i].Label, want[i].Label)
 		}
 	}
-	if got[4].Traces[0] != workload.Reschedule(spec.Traces()[0], 8) {
+	if !sameTraces(got[4].Traces[:1], []*trace.Trace{workload.Reschedule(spec.Traces()[0], 8)}) {
 		t.Error("the rescheduled point does not run the rescheduled suite")
 	}
 }
