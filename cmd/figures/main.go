@@ -233,7 +233,7 @@ func (g *gen) collect(grid *sim.Grid, figs []figure) ([]*core.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return cl.Collect(ctx, spec, onCell)
+	return cl.Collect(ctx, spec, g.r.Observe(onCell))
 }
 
 func (g *gen) fig1() error {

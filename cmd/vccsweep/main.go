@@ -102,7 +102,7 @@ func run(r *sim.Runner, server string, insts, seeds int, modesFlag string, csv b
 		return t.AddRow(row...)
 	})
 	if cl != nil {
-		_, err = cl.Collect(context.Background(), spec, fold.Add)
+		_, err = cl.Collect(context.Background(), spec, r.Observe(fold.Add))
 	} else {
 		_, err = r.Collect(context.Background(), spec.PointSpecs(), fold.Add)
 	}

@@ -108,6 +108,7 @@ package cache
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"lowvcc/internal/rng"
 	"lowvcc/internal/sram"
@@ -223,25 +224,46 @@ type lineState struct {
 // New returns an empty cache. reference selects the reference paths
 // instead of the fast ones (see the package doc); results are identical.
 func New(cfg Config, reference bool) (*Cache, error) {
-	if err := cfg.validate(); err != nil {
+	c := new(Cache)
+	if err := c.Reset(cfg, reference); err != nil {
 		return nil, err
 	}
+	return c, nil
+}
+
+// Reset returns the cache to the state New(cfg, reference) builds: every
+// line invalid and enabled, the packed LRU order at its identity, no
+// in-flight fills, holds or statistics, IRAW off. Lines, set masks, the
+// data array and the MSHR tables are cleared in place; a buffer is
+// reallocated only when it is too small for cfg.
+func (c *Cache) Reset(cfg Config, reference bool) error {
+	if err := cfg.validate(); err != nil {
+		return err
+	}
 	entries := cfg.Sets * cfg.Ways
-	data, err := sram.New(sram.Config{
+	data := c.data
+	if data == nil {
+		data = new(sram.Array)
+	}
+	if err := data.Reset(sram.Config{
 		Name:          cfg.Name,
 		Entries:       entries, // a line signature (integrity oracle), not the payload
 		EntriesPerSet: cfg.Ways,
-	})
-	if err != nil {
-		return nil, err
+	}); err != nil {
+		return err
 	}
-	c := &Cache{
+	c.inflight.clear()
+	c.inflightOld.clear()
+	lruOrder := c.lruOrder
+	*c = Cache{
 		cfg:             cfg,
 		reference:       reference,
-		lines:           make([]lineState, entries),
+		lines:           resize(c.lines, entries),
+		inflight:        c.inflight,
+		inflightOld:     c.inflightOld,
 		data:            data,
-		validMask:       make([]uint64, cfg.Sets),
-		disabledMask:    make([]uint64, cfg.Sets),
+		validMask:       resize(c.validMask, cfg.Sets),
+		disabledMask:    resize(c.disabledMask, cfg.Sets),
 		waysMask:        uint64(1)<<uint(cfg.Ways) - 1,
 		inflightHorizon: minInflightHorizon,
 	}
@@ -254,7 +276,7 @@ func New(cfg Config, reference bool) (*Cache, error) {
 	c.setMask = uint64(cfg.Sets - 1)
 	if cfg.Ways <= 8 {
 		c.lruPacked = true
-		c.lruOrder = make([]uint32, cfg.Sets)
+		c.lruOrder = slices.Grow(lruOrder[:0], cfg.Sets)[:cfg.Sets]
 		var ident uint32
 		for w := cfg.Ways - 1; w >= 0; w-- {
 			ident = ident<<4 | uint32(w)
@@ -263,7 +285,15 @@ func New(cfg Config, reference bool) (*Cache, error) {
 			c.lruOrder[s] = ident
 		}
 	}
-	return c, nil
+	return nil
+}
+
+// resize returns s cleared to n zero elements, reusing its backing array
+// when it is large enough.
+func resize[T any](s []T, n int) []T {
+	s = slices.Grow(s[:0], n)[:n]
+	clear(s)
+	return s
 }
 
 // touchLRU grants (set, way) the next recency tick and moves it to the
@@ -799,10 +829,18 @@ type Buffer struct {
 
 // NewBuffer returns a buffer with the given entry count.
 func NewBuffer(name string, entries int) *Buffer {
+	b := new(Buffer)
+	b.Reset(name, entries)
+	return b
+}
+
+// Reset returns the buffer to the state NewBuffer(name, entries) builds:
+// every entry free, no holds, no reservation, IRAW off, counters cleared.
+func (b *Buffer) Reset(name string, entries int) {
 	if entries <= 0 {
 		panic(fmt.Sprintf("cache: buffer %q needs entries > 0", name))
 	}
-	return &Buffer{name: name, freeAt: make([]int64, entries), reserved: -1}
+	*b = Buffer{name: name, freeAt: resize(b.freeAt, entries), reserved: -1}
 }
 
 // SetIRAW configures interruption mode (as for Cache).

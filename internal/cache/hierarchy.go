@@ -126,31 +126,41 @@ func (cfg HierarchyConfig) Validate() error {
 // NewHierarchy builds the memory system; reference builds every cache
 // block on its reference paths (see New).
 func NewHierarchy(cfg HierarchyConfig, reference bool) (*Hierarchy, error) {
-	if err := cfg.Validate(); err != nil {
+	h := new(Hierarchy)
+	if err := h.Reset(cfg, reference); err != nil {
 		return nil, err
 	}
-	h := &Hierarchy{cfg: cfg}
-	var err error
-	if h.IL0, err = New(cfg.IL0, reference); err != nil {
-		return nil, err
-	}
-	if h.DL0, err = New(cfg.DL0, reference); err != nil {
-		return nil, err
-	}
-	if h.UL1, err = New(cfg.UL1, reference); err != nil {
-		return nil, err
-	}
-	if h.ITLB, err = New(cfg.ITLB, reference); err != nil {
-		return nil, err
-	}
-	if h.DTLB, err = New(cfg.DTLB, reference); err != nil {
-		return nil, err
-	}
-	h.FB = NewBuffer("FB", cfg.FillBufferEntries)
-	h.WCB = NewBuffer("WCB/EB", cfg.WCBEntries)
-	h.STab = stable.New(cfg.StoresPerCycle, cfg.MaxStabilize)
-	h.mode = TimingMode{MemCycles: 100}
 	return h, nil
+}
+
+// Reset returns the memory system to the state NewHierarchy(cfg, reference)
+// builds: every block reset in place (see Cache.Reset), the oracle table
+// emptied, the data side idle and the counters cleared. Blocks are
+// allocated only on the first Reset, which NewHierarchy runs.
+func (h *Hierarchy) Reset(cfg HierarchyConfig, reference bool) error {
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	if h.IL0 == nil {
+		h.IL0, h.DL0, h.UL1, h.ITLB, h.DTLB = new(Cache), new(Cache), new(Cache), new(Cache), new(Cache)
+		h.FB, h.WCB, h.STab = new(Buffer), new(Buffer), new(stable.Table)
+	}
+	for _, b := range []struct {
+		c   *Cache
+		cfg Config
+	}{{h.IL0, cfg.IL0}, {h.DL0, cfg.DL0}, {h.UL1, cfg.UL1}, {h.ITLB, cfg.ITLB}, {h.DTLB, cfg.DTLB}} {
+		if err := b.c.Reset(b.cfg, reference); err != nil {
+			return err
+		}
+	}
+	h.FB.Reset("FB", cfg.FillBufferEntries)
+	h.WCB.Reset("WCB/EB", cfg.WCBEntries)
+	h.STab.Reset(cfg.StoresPerCycle, cfg.MaxStabilize)
+	h.lineVer.clear()
+	*h = Hierarchy{cfg: cfg, mode: TimingMode{MemCycles: 100},
+		IL0: h.IL0, DL0: h.DL0, UL1: h.UL1, ITLB: h.ITLB, DTLB: h.DTLB,
+		FB: h.FB, WCB: h.WCB, STab: h.STab, lineVer: h.lineVer}
+	return nil
 }
 
 // MustNewHierarchy is NewHierarchy for static configurations.

@@ -309,7 +309,8 @@ func (s *Store) WarmTo(c *core.Core, traceHash, warmCfgKey string, interval int,
 			// Keyed identically yet unusable: a scrambled or stale copy.
 			// Forget it and probe shallower; the replay below rebuilds it.
 			// The restore may have failed part-way, so reset the core
-			// first: the next probe and the replay need a fresh one.
+			// first: Reset clears every block in place back to the state
+			// core.New builds, which the next probe and the replay need.
 			s.drop(key)
 			s.corrupt.Add(1)
 			if err := c.Reset(); err != nil {

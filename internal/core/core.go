@@ -17,7 +17,8 @@ import (
 )
 
 // Core is one simulated operating point of the modelled processor.
-// Not goroutine-safe; create one Core per concurrent simulation.
+// Not goroutine-safe; create one Core per concurrent simulation. The zero
+// Core holds no configuration: ResetTo makes it the core New builds.
 type Core struct {
 	cfg   Config
 	model *circuit.Model
@@ -71,46 +72,52 @@ type Core struct {
 	flags flagRing
 }
 
-// New builds a core for cfg.
+// New builds a core for cfg: it allocates a Core and resets it to cfg
+// (ResetTo), so a fresh core and a reset one come out of the same code.
 func New(cfg Config) (*Core, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	c := &Core{cfg: cfg}
-	if err := c.reset(); err != nil {
+	c := new(Core)
+	if err := c.ResetTo(cfg); err != nil {
 		return nil, err
 	}
 	return c, nil
 }
 
-// Reset restores the core to the state New(cfg) would produce — cold
-// caches, empty pipeline, cycle zero — while keeping the core's scratch
-// buffers. Every internal block is rebuilt through the same constructors
-// New uses, so a Reset core is bit-identical to a fresh one; the
-// checkpoint store relies on that to discard a part-way restore.
-func (c *Core) Reset() error { return c.reset() }
+// Reset is ResetTo of the core's current configuration (its Vcc as the
+// last Reconfigure left it).
+func (c *Core) Reset() error { return c.ResetTo(c.cfg) }
 
-func (c *Core) reset() error {
-	c.model = circuit.NewModel(circuitParams(&c.cfg))
-
-	c.sb = scoreboard.New(c.cfg.Scoreboard)
-	c.q = iq.New(c.cfg.IQ)
-	c.rf = regfile.New()
-	c.bp = predictor.New(c.cfg.Predictor)
-	mem, err := cache.NewHierarchy(c.cfg.Hierarchy, c.cfg.DisableFastPaths)
-	if err != nil {
+// ResetTo re-targets the core to cfg and restores the state New(cfg)
+// would produce — cold caches, empty pipeline, cycle zero, cfg's fault
+// maps — so a reset core is bit-identical to a fresh one whatever it ran
+// before; the checkpoint store relies on that to discard a part-way
+// restore, and the sim runner to recycle cores across windows. Every
+// block clears in place and reallocates a buffer only when cfg needs a
+// larger one. The stop check stays installed. An invalid cfg returns its
+// error and leaves the core unchanged.
+func (c *Core) ResetTo(cfg Config) error {
+	if err := cfg.Validate(); err != nil {
 		return err
 	}
-	c.mem = mem
-
-	c.regWriteAt = [isa.NumRegs]int64{}
-	c.regBypassTill = [isa.NumRegs]int64{}
-	c.portBusyUntil = 0
-	c.now = 0
+	model := c.model
+	if p := circuitParams(&cfg); model == nil || model.Params() != p {
+		model = circuit.NewModel(p)
+	}
+	if c.sb == nil {
+		c.sb, c.q, c.rf, c.bp, c.mem = new(scoreboard.Scoreboard), new(iq.Queue),
+			new(regfile.File), new(predictor.Predictor), new(cache.Hierarchy)
+	}
+	if err := c.mem.Reset(cfg.Hierarchy, cfg.DisableFastPaths); err != nil {
+		return err
+	}
+	c.sb.Reset(cfg.Scoreboard)
+	c.q.Reset(cfg.IQ)
+	c.rf.Reset()
+	c.bp.Reset(cfg.Predictor)
 	c.wheel.clear()
-	c.seq = 0
-	c.fetch.init(c.cfg.Width)
-	c.flags.init(len(c.fetch.buf) + c.cfg.IQ.Size)
+	*c = Core{cfg: cfg, model: model, sb: c.sb, q: c.q, rf: c.rf, bp: c.bp, mem: c.mem,
+		wheel: c.wheel, stop: c.stop, fetch: c.fetch, flags: c.flags}
+	c.fetch.init(cfg.Width)
+	c.flags.init(len(c.fetch.buf) + cfg.IQ.Size)
 
 	if c.applyPlan().faultMaps {
 		c.installFaultMaps()

@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"reflect"
 	"testing"
 
 	"lowvcc/internal/circuit"
@@ -23,43 +22,6 @@ func runWarm(t *testing.T, cfg Config, tr *trace.Trace) *Result {
 		t.Fatalf("run: %v", err)
 	}
 	return res
-}
-
-// TestResetMatchesFreshCore is the contract the parallel sweep runner
-// relies on: a Reset core must produce bit-identical results to a freshly
-// constructed one, for every mode (including the fault-map modes, whose
-// RNG state is derived from cfg.Seed and must re-derive identically).
-func TestResetMatchesFreshCore(t *testing.T) {
-	trA := workload.Generate(workload.SpecInt(), 12000, 1)
-	trB := workload.Generate(workload.Server(), 12000, 2)
-	for _, mode := range []circuit.Mode{
-		circuit.ModeBaseline, circuit.ModeIRAW,
-		circuit.ModeFaultyBits, circuit.ModeExtraBypass,
-	} {
-		cfg := DefaultConfig(500, mode)
-
-		// Reused core: run trace A (dirtying caches, predictor, scratch),
-		// Reset, then warm+measure trace B.
-		c := MustNew(cfg)
-		if _, err := c.Run(trA); err != nil {
-			t.Fatalf("%v: dirty run: %v", mode, err)
-		}
-		if err := c.Reset(); err != nil {
-			t.Fatalf("%v: reset: %v", mode, err)
-		}
-		if _, err := c.Run(trB); err != nil {
-			t.Fatalf("%v: warmup: %v", mode, err)
-		}
-		reused, err := c.Run(trB)
-		if err != nil {
-			t.Fatalf("%v: measure: %v", mode, err)
-		}
-
-		fresh := runWarm(t, cfg, trB)
-		if !reflect.DeepEqual(fresh, reused) {
-			t.Errorf("%v: reset core diverges from fresh core:\nfresh:  %+v\nreused: %+v", mode, fresh, reused)
-		}
-	}
 }
 
 func TestBaselineAndIRAWIdenticalAtHighVcc(t *testing.T) {

@@ -15,7 +15,10 @@
 // instructions can always issue.
 package iq
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Entry is one queue slot. Payload is an opaque instruction handle owned by
 // the pipeline (the core stores the instruction's trace index); AllocCycle
@@ -74,10 +77,20 @@ func (cfg Config) Validate() error {
 
 // New returns an empty queue.
 func New(cfg Config) *Queue {
+	q := new(Queue)
+	q.Reset(cfg)
+	return q
+}
+
+// Reset returns the queue to the state New(cfg) builds: empty, gate off,
+// counters cleared. The ring is cleared in place and reallocated only when
+// too small.
+func (q *Queue) Reset(cfg Config) {
 	if err := cfg.Validate(); err != nil {
 		panic(err.Error())
 	}
-	return &Queue{cfg: cfg, ring: make([]Entry, cfg.Size)}
+	*q = Queue{cfg: cfg, ring: slices.Grow(q.ring[:0], cfg.Size)[:cfg.Size]}
+	clear(q.ring)
 }
 
 // Config returns the queue configuration.

@@ -13,7 +13,10 @@
 // stalls returns instead, as Section 4.5 suggests.
 package predictor
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Config sizes the predictor.
 type Config struct {
@@ -90,25 +93,37 @@ func (cfg Config) Validate() error {
 
 // New returns a predictor with weakly-not-taken counters and an empty RSB.
 func New(cfg Config) *Predictor {
+	p := new(Predictor)
+	p.Reset(cfg)
+	return p
+}
+
+// Reset returns the predictor to the state New(cfg) builds: weakly-not-taken
+// counters with no update in flight, empty history and RSB, IRAW off,
+// counters cleared. The tables are rewritten in place and reallocated only
+// when too small.
+func (p *Predictor) Reset(cfg Config) {
 	if err := cfg.Validate(); err != nil {
 		panic(err.Error())
 	}
-	p := &Predictor{
+	*p = Predictor{
 		cfg:        cfg,
-		counters:   make([]uint8, cfg.BPEntries),
-		updatedAt:  make([]int64, cfg.BPEntries),
-		msbFlipped: make([]bool, cfg.BPEntries),
-		rsb:        make([]uint64, cfg.RSBEntries),
-		rsbPushed:  make([]int64, cfg.RSBEntries),
+		counters:   fill(p.counters, cfg.BPEntries, 1), // weakly not-taken
+		updatedAt:  fill(p.updatedAt, cfg.BPEntries, -1),
+		msbFlipped: fill(p.msbFlipped, cfg.BPEntries, false),
+		rsb:        fill(p.rsb, cfg.RSBEntries, 0),
+		rsbPushed:  fill(p.rsbPushed, cfg.RSBEntries, -1),
 	}
-	for i := range p.counters {
-		p.counters[i] = 1 // weakly not-taken
-		p.updatedAt[i] = -1
+}
+
+// fill returns s resized to n elements, each v, reusing its backing array
+// when it is large enough.
+func fill[T any](s []T, n int, v T) []T {
+	s = slices.Grow(s[:0], n)[:n]
+	for i := range s {
+		s[i] = v
 	}
-	for i := range p.rsbPushed {
-		p.rsbPushed[i] = -1
-	}
-	return p
+	return s
 }
 
 // Config returns the predictor configuration.

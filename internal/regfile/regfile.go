@@ -55,14 +55,23 @@ type File struct {
 
 // New returns a register file with all registers zero and stable.
 func New() *File {
-	return &File{
-		arr: sram.MustNew(sram.Config{
-			Name:          "RF",
-			Entries:       isa.NumRegs,
-			EntriesPerSet: 1,
-		}),
-		writePipeCycles: 1,
+	f := new(File)
+	f.Reset()
+	return f
+}
+
+// Reset returns the register file to the state New builds: all registers
+// zero and stable, IRAW off, single-cycle writes, counters cleared. The
+// backing array is cleared in place.
+func (f *File) Reset() {
+	arr := f.arr
+	if arr == nil {
+		arr = new(sram.Array)
 	}
+	if err := arr.Reset(sram.Config{Name: "RF", Entries: isa.NumRegs, EntriesPerSet: 1}); err != nil {
+		panic(err)
+	}
+	*f = File{arr: arr, writePipeCycles: 1}
 }
 
 // SetIRAW configures write interruption (IRAW clocking) with N

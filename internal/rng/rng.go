@@ -35,7 +35,14 @@ type Source struct {
 // New returns a Source seeded from seed via SplitMix64, as recommended by the
 // xoshiro authors. Distinct seeds yield independent-looking streams.
 func New(seed uint64) *Source {
-	var src Source
+	// Small enough to inline, so a caller whose Source does not escape
+	// keeps it on its stack.
+	src := new(Source)
+	src.seed(seed)
+	return src
+}
+
+func (src *Source) seed(seed uint64) {
 	sm := seed
 	for i := range src.s {
 		src.s[i] = splitMix64(&sm)
@@ -45,7 +52,6 @@ func New(seed uint64) *Source {
 	if src.s[0]|src.s[1]|src.s[2]|src.s[3] == 0 {
 		src.s[0] = 0x9e3779b97f4a7c15
 	}
-	return &src
 }
 
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
@@ -68,9 +74,12 @@ func (s *Source) Uint64() uint64 {
 // variation map, ...) its own stream so that adding draws to one consumer
 // does not perturb another.
 func (s *Source) Fork() *Source {
-	seed := s.Uint64()
-	return New(seed ^ 0xd1342543de82ef95)
+	src := new(Source) // inlined like New
+	src.forkFrom(s)
+	return src
 }
+
+func (src *Source) forkFrom(parent *Source) { src.seed(parent.Uint64() ^ 0xd1342543de82ef95) }
 
 // Float64 returns a uniform float64 in [0, 1) with 53 random bits.
 func (s *Source) Float64() float64 {

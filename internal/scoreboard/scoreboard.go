@@ -46,6 +46,7 @@ package scoreboard
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"lowvcc/internal/isa"
 )
@@ -111,14 +112,24 @@ func (cfg Config) Validate() error {
 
 // New returns a scoreboard with every register ready.
 func New(cfg Config) *Scoreboard {
+	sb := new(Scoreboard)
+	sb.Reset(cfg)
+	return sb
+}
+
+// Reset returns the scoreboard to the state New(cfg) builds: every register
+// ready, time zero, IRAW avoidance off. The register states are cleared in
+// place and reallocated only when too few.
+func (sb *Scoreboard) Reset(cfg Config) {
 	if err := cfg.Validate(); err != nil {
 		panic(err.Error())
 	}
-	return &Scoreboard{
+	*sb = Scoreboard{
 		cfg:       cfg,
-		regs:      make([]regState, cfg.Regs),
+		regs:      slices.Grow(sb.regs[:0], cfg.Regs)[:cfg.Regs],
 		ExtraBits: cfg.BypassLevels + 1, // bubble sized for N up to MaxN=1 per level change
 	}
+	clear(sb.regs)
 }
 
 // Config returns the scoreboard configuration.

@@ -162,11 +162,13 @@ func (c *Client) Events(ctx context.Context, id string, fn func(CellEvent) error
 // sim.Runner.Collect collects a local stream of spec.PointSpecs(): one
 // sim.Collector places each event by its Index (the spec's (point, trace)
 // order), so aggs[i], point i's aggregate, is bit-identical to a local
-// run's. onCell, when non-nil, sees every update as it lands; its error
-// ends the call. The daemon runs every sweep in partial mode, so failed
-// cells come back as a *sim.PartialError beside the other aggregates. An
-// event out of range, repeated, or whose label, mode, level or trace
-// disagrees with its index fails the call.
+// run's. onCell, when non-nil, sees every update as it lands, marked
+// Daemon and counted by the daemon's Done and Total (sim.Runner.Observe
+// shows them on -progress); its error ends the call. The daemon runs
+// every sweep in partial mode, so failed cells come back as a
+// *sim.PartialError beside the other aggregates. An event out of range,
+// repeated, or whose label, mode, level or trace disagrees with its index
+// fails the call.
 func (c *Client) Collect(ctx context.Context, spec sim.SweepSpec, onCell func(sim.PointUpdate) error) ([]*core.Result, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -185,7 +187,8 @@ func (c *Client) Collect(ctx context.Context, spec sim.SweepSpec, onCell func(si
 		}
 		point, tr := ev.Index/traces, ev.Index%traces
 		u := sim.PointUpdate{Point: point, Trace: tr, Label: ev.Label, TraceName: ev.TraceName,
-			Result: ev.Result, Replayed: ev.Replayed, Derived: ev.Derived}
+			Result: ev.Result, Replayed: ev.Replayed, Derived: ev.Derived, Daemon: true,
+			Done: ev.Done, Total: ev.Total}
 		if ev.Err != "" {
 			u.Err = &sim.CellError{Label: ev.Label, TraceName: ev.TraceName, Point: point, Trace: tr, Err: errors.New(ev.Err)}
 		}

@@ -61,14 +61,20 @@ func (r *Runner) setCheckpoints(spec string) error {
 
 // progressPrinter returns the -progress callback: one stderr line per
 // completed or isolated-failed cell, prefixed with the program name and
-// the seconds since start. The terminal error update prints nothing — the
-// error surfaces through the experiment's return value.
+// the seconds since start, and ending in " [daemon]" for a cell the sweep
+// daemon ran (whose window count is unknown here). The terminal error
+// update prints nothing — the error surfaces through the experiment's
+// return value.
 func progressPrinter(prog string, start time.Time) func(PointUpdate) {
 	return func(u PointUpdate) {
+		where, windows := "", fmt.Sprintf(" (%d window(s))", u.Windows)
+		if u.Daemon {
+			where, windows = " [daemon]", ""
+		}
 		switch {
 		case u.Err != nil && u.Point >= 0:
-			fmt.Fprintf(os.Stderr, "%s: [%6.2fs] %3d/%d %s %s FAILED: %v\n",
-				prog, time.Since(start).Seconds(), u.Done, u.Total, u.Label, u.TraceName, u.Err)
+			fmt.Fprintf(os.Stderr, "%s: [%6.2fs] %3d/%d %s %s FAILED: %v%s\n",
+				prog, time.Since(start).Seconds(), u.Done, u.Total, u.Label, u.TraceName, u.Err, where)
 		case u.Err != nil:
 		default:
 			tag := ""
@@ -78,8 +84,8 @@ func progressPrinter(prog string, start time.Time) func(PointUpdate) {
 			case u.Derived != "":
 				tag = " [derived from " + u.Derived + "]"
 			}
-			fmt.Fprintf(os.Stderr, "%s: [%6.2fs] %3d/%d %s %s (%d window(s))%s\n",
-				prog, time.Since(start).Seconds(), u.Done, u.Total, u.Label, u.TraceName, u.Windows, tag)
+			fmt.Fprintf(os.Stderr, "%s: [%6.2fs] %3d/%d %s %s%s%s%s\n",
+				prog, time.Since(start).Seconds(), u.Done, u.Total, u.Label, u.TraceName, windows, tag, where)
 		}
 	}
 }

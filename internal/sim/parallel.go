@@ -121,6 +121,23 @@ func (r *Runner) Collect(ctx context.Context, specs []PointSpec, onCell func(Poi
 	return col.Result()
 }
 
+// Observe returns onCell preceded by the runner's Progress callback, for a
+// collection that does not run on the runner's own stream (the sweep
+// daemon's, through service.Client.Collect), so -progress shows its cells
+// too. With no Progress it returns onCell as is.
+func (r *Runner) Observe(onCell func(PointUpdate) error) func(PointUpdate) error {
+	if r.Progress == nil {
+		return onCell
+	}
+	return func(u PointUpdate) error {
+		r.Progress(u)
+		if onCell == nil {
+			return nil
+		}
+		return onCell(u)
+	}
+}
+
 // RunPoint simulates every trace at one operating point (fresh core,
 // warm-up pass, measured pass per trace — or sharded sample windows when
 // windowing is enabled) across the runner's pool and returns the per-trace

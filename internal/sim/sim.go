@@ -67,7 +67,9 @@
 //
 // Concurrency conventions:
 //   - a Core is not goroutine-safe: exactly one Core per goroutine. Every
-//     window attempt builds its own Core with core.New;
+//     window attempt takes a Core of its own from a process-wide pool and
+//     resets it to the point's config (core.Core.ResetTo, bit-identical to
+//     core.New); only a clean attempt returns its Core to the pool;
 //   - the fan-out unit is one (mode, vcc, trace) cell — or, with windowing
 //     enabled, one sample window of a cell; jobs never share mutable
 //     state, and each writes its *core.Result into its own slot;
@@ -101,8 +103,9 @@
 //   - the shard plan is a pure function of (trace length, WindowInsts,
 //     WarmInsts) via Runner.planFor — never of worker count, scheduling or
 //     wall clock;
-//   - each window simulates a fixed instruction span on a fresh core
-//     (core.New), so a window's Result depends only on (config, trace
+//   - each window simulates a fixed instruction span on a core reset to
+//     its config (core.Core.ResetTo, which leaves nothing of what the core
+//     ran before), so a window's Result depends only on (config, trace
 //     bytes, plan);
 //   - stitching always happens in window order, triggered by whichever
 //     worker finishes the cell's last window;

@@ -58,6 +58,10 @@ type PointUpdate struct {
 	// input (core.EngineKey), simulated or replayed in this stream, whose
 	// Result was re-stamped with this cell's clock plan (Result.Replan).
 	Derived string
+	// Daemon reports that the cell came from the sweep daemon
+	// (service.Client.Collect) rather than this process's stream; its
+	// Windows is then 0 (the daemon does not report it).
+	Daemon bool
 	// Err carries a failure. With Point >= 0 it is one cell's isolated
 	// *CellError (AllowPartial mode; the stream continues). With Point < 0
 	// it is the terminal update: the deterministic lowest-index *CellError
@@ -639,6 +643,14 @@ func JitteredBackoff(backoff time.Duration, attempt int) time.Duration {
 	return half + rand.N(base-half+1)
 }
 
+// windowCores recycles cores across window attempts, of every runner in
+// the process (the sweep daemon's worker runs each lease through RunCell,
+// so its cells share them too). An attempt takes a core and resets it to
+// its point's config, which makes it bit-identical to core.New's; only a
+// clean attempt returns its core, so one that failed or panicked part-way
+// through is dropped.
+var windowCores = sync.Pool{New: func() any { return new(core.Core) }}
+
 // runWindowOnce executes one window attempt in isolation, on a core of its
 // own: a panic anywhere inside the engine is recovered into a *panicError
 // instead of unwinding the worker goroutine, so one bad cell can never kill
@@ -657,8 +669,8 @@ func (r *Runner) runWindowOnce(ctx context.Context, spec *PointSpec, cl *cell, w
 	}
 
 	win := &cl.windows[winIdx]
-	c, err := core.New(spec.Cfg)
-	if err != nil {
+	c := windowCores.Get().(*core.Core)
+	if err := c.ResetTo(spec.Cfg); err != nil {
 		return fmt.Errorf("%s: %w", spec.Label, err)
 	}
 
@@ -712,6 +724,8 @@ func (r *Runner) runWindowOnce(ctx context.Context, spec *PointSpec, cl *cell, w
 		}
 	}
 	cl.results[winIdx] = res
+	c.SetStopCheck(nil)
+	windowCores.Put(c)
 	return nil
 }
 

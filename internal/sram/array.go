@@ -1,6 +1,9 @@
 package sram
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Config describes an SRAM array's organization.
 type Config struct {
@@ -82,10 +85,23 @@ type slot struct {
 
 // New returns an Array for cfg with all entries stable and zeroed.
 func New(cfg Config) (*Array, error) {
-	if err := cfg.validate(); err != nil {
+	a := new(Array)
+	if err := a.Reset(cfg); err != nil {
 		return nil, err
 	}
-	return &Array{cfg: cfg, slots: make([]slot, cfg.Entries)}, nil
+	return a, nil
+}
+
+// Reset returns the array to the state New(cfg) builds: every entry stable
+// and zeroed, counters and port state cleared. The backing store is cleared
+// in place and reallocated only when it is too small for cfg.
+func (a *Array) Reset(cfg Config) error {
+	if err := cfg.validate(); err != nil {
+		return err
+	}
+	*a = Array{cfg: cfg, slots: slices.Grow(a.slots[:0], cfg.Entries)[:cfg.Entries]}
+	clear(a.slots)
+	return nil
 }
 
 // MustNew is New for static configurations; it panics on config errors.

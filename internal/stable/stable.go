@@ -18,7 +18,10 @@
 // the set-wide read may have destroyed.
 package stable
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Entry is one STable slot: a committed store whose DL0 write may still be
 // stabilizing.
@@ -108,13 +111,26 @@ type Table struct {
 // to stabilize, the STable has 2 entries"), whose 2-cycle figure counts the
 // write cycle plus one stabilization cycle (N=1 here).
 func New(storesPerCycle, maxN int) *Table {
+	t := new(Table)
+	t.Reset(storesPerCycle, maxN)
+	return t
+}
+
+// Reset returns the table to the state New(storesPerCycle, maxN) builds:
+// every entry invalid, the cursor and clock at zero, the table disabled
+// (N = 0) and the counters cleared. The entry and replay buffers are
+// cleared in place and reallocated only when too small.
+func (t *Table) Reset(storesPerCycle, maxN int) {
 	if storesPerCycle <= 0 || maxN <= 0 {
 		panic(fmt.Sprintf("stable: invalid sizing %d x %d", storesPerCycle, maxN))
 	}
-	return &Table{
-		entries:        make([]Entry, storesPerCycle*(maxN+1)),
+	n := storesPerCycle * (maxN + 1)
+	*t = Table{
+		entries:        slices.Grow(t.entries[:0], n)[:n],
 		storesPerCycle: storesPerCycle,
+		replayBuf:      t.replayBuf[:0],
 	}
+	clear(t.entries)
 }
 
 // SetStabilizeCycles reconfigures the active entry count for N (0 disables

@@ -354,16 +354,18 @@ DAEMON_PID=""
 # Cell accounting: this daemon's journal holds exactly the cells it
 # simulated or derived for the figures (the vccsweep above replayed its
 # grid from them), which are every distinct cell of the local run; the
-# figures client simulated none, and nothing was replayed on either side.
+# figures client simulated none (every progress line it printed is a
+# daemon cell, tagged [daemon]), and nothing was replayed on either side.
 DISTINCT="$(grep -c ' window(s))' "$WORK/local_figs.progress" || true)"
-LOCAL="$(grep -c ' window(s))' "$WORK/client_figs.err" || true)"
+LOCAL="$(grep '^figures: \[' "$WORK/client_figs.err" | grep -vc ' \[daemon\]$' || true)"
+REMOTE="$(grep -c '^figures: \[.* \[daemon\]$' "$WORK/client_figs.err" || true)"
 DAEMON_CELLS="$(sed -n 's/.*journal verified (\([0-9]*\) entries).*/\1/p' "$WORK/daemon2.err")"
 if grep -q '\[journal\]' "$WORK/local_figs.progress" "$WORK/client_figs.err" ||
-  [ "$LOCAL" -ne 0 ] || [ "${DAEMON_CELLS:-0}" -ne "$DISTINCT" ]; then
-  echo "sweepd_smoke: FAIL daemon journaled ${DAEMON_CELLS:-0} cells and the client simulated $LOCAL, local run has $DISTINCT distinct (want all on the daemon, none replayed)" >&2
+  [ "$LOCAL" -ne 0 ] || [ "$REMOTE" -lt 1 ] || [ "$REMOTE" -ne "$DISTINCT" ] || [ "${DAEMON_CELLS:-0}" -ne "$DISTINCT" ]; then
+  echo "sweepd_smoke: FAIL daemon journaled ${DAEMON_CELLS:-0} cells, the client simulated $LOCAL and showed $REMOTE daemon cells, local run has $DISTINCT distinct (want all on the daemon and shown, none replayed)" >&2
   exit 1
 fi
-echo "sweepd_smoke: daemon journaled all $DISTINCT distinct cells, the client simulated none" >&2
+echo "sweepd_smoke: daemon journaled all $DISTINCT distinct cells, the client showed each as a [daemon] line and simulated none" >&2
 DERIVED="$(grep -c '\[derived from ' "$WORK/local_figs.progress" || true)"
 if [ "$DERIVED" -lt 1 ] || [ "${DAEMON_DERIVED:-0}" -ne "$DERIVED" ]; then
   echo "sweepd_smoke: FAIL the daemon derived ${DAEMON_DERIVED:-0} figures cells, the local run $DERIVED (want equal, at least 1)" >&2
